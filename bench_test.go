@@ -267,7 +267,7 @@ func BenchmarkEngineKNNParallel(b *testing.B) {
 // BenchmarkRefineKernel isolates the refinement kernel itself: one
 // pooled solver over a stream of random d=32 histogram pairs, the
 // legacy validating kernel against the trusted bounded kernel run to
-// optimality (warm starts and sparsity reduction active, no aborts).
+// optimality (sparsity reduction active, no aborts).
 func BenchmarkRefineKernel(b *testing.B) {
 	const d = 32
 	rng := rand.New(rand.NewSource(3))

@@ -209,7 +209,7 @@ func (e *Engine) installPlanLocked(red *core.Reduction, cascade []*core.Reductio
 		return err
 	}
 	e.snap = snap
-	e.metrics.snapshotBuilt()
+	e.metrics.snapshotBuilt(snap)
 	e.metrics.planReplanned(plan.Levels, plan.ID)
 	e.planBase = e.Metrics()
 	e.planExpPulled = expPulled

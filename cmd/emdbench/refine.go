@@ -38,7 +38,6 @@ type refineReport struct {
 
 	Refinements    int64   `json:"refinements"`
 	RefinesAborted int64   `json:"refines_aborted"`
-	WarmStartHits  int64   `json:"warm_start_hits"`
 	AvgRefineRows  float64 `json:"avg_refine_rows"`
 	AvgRefineCols  float64 `json:"avg_refine_cols"`
 }
@@ -138,7 +137,6 @@ func runRefine(cfg refineConfig) error {
 
 		Refinements:    m.Refinements,
 		RefinesAborted: m.RefinesAborted,
-		WarmStartHits:  m.WarmStartHits,
 	}
 	if m.Refinements > 0 {
 		rep.AvgRefineRows = float64(m.RefineRows) / float64(m.Refinements)
@@ -148,8 +146,8 @@ func runRefine(cfg refineConfig) error {
 	fmt.Printf("unbounded: %v  bounded: %v  speedup: %.2fx\n",
 		unboundedDur.Round(time.Millisecond), boundedDur.Round(time.Millisecond), rep.Speedup)
 	fmt.Printf("results identical: %v\n", identical)
-	fmt.Printf("bounded metrics: refinements=%d aborted=%d warm_hits=%d avg_shape=%.1fx%.1f\n",
-		rep.Refinements, rep.RefinesAborted, rep.WarmStartHits, rep.AvgRefineRows, rep.AvgRefineCols)
+	fmt.Printf("bounded metrics: refinements=%d aborted=%d avg_shape=%.1fx%.1f\n",
+		rep.Refinements, rep.RefinesAborted, rep.AvgRefineRows, rep.AvgRefineCols)
 
 	if cfg.out != "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")

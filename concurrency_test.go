@@ -70,8 +70,8 @@ func TestEngineParallelMatchesSequential(t *testing.T) {
 	// Both engines must have exercised the bounded kernel — otherwise
 	// the equality above silently stops covering early abandon.
 	for name, eng := range map[string]*Engine{"sequential": seq, "parallel": par} {
-		if m := eng.Metrics(); m.WarmStartHits == 0 {
-			t.Errorf("%s engine never warm-started a refinement over the workload", name)
+		if m := eng.Metrics(); m.RefineRows == 0 {
+			t.Errorf("%s engine never ran the bounded kernel over the workload", name)
 		}
 	}
 }

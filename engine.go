@@ -281,6 +281,11 @@ type snapshot struct {
 	// it so a reopened engine skips requantization.
 	quant *colscan.Quantized
 
+	// sspCounters read the SSP-fallback counters of every compiled EMD
+	// this snapshot built (reduced levels, upper bound, index metric);
+	// Engine.Metrics sums them into ssp_fallbacks.
+	sspCounters []func() int64
+
 	// hook is Options.RefineHook, captured at build time; nil outside
 	// fault-injection runs.
 	hook func(index int)
@@ -320,11 +325,10 @@ func (s *snapshot) refineBounded(q Histogram, i int, abortAbove float64) search.
 	}
 	r := s.dist.DistanceBounded(q, s.vectors[i], abortAbove)
 	return search.Refinement{
-		Dist:      r.Value,
-		Aborted:   r.Aborted,
-		WarmStart: r.WarmStart,
-		Rows:      r.Rows,
-		Cols:      r.Cols,
+		Dist:    r.Value,
+		Aborted: r.Aborted,
+		Rows:    r.Rows,
+		Cols:    r.Cols,
 	}
 }
 
@@ -345,7 +349,6 @@ func (s *snapshot) refineBoundedIntr(q Histogram, i int, abortAbove float64, int
 		Dist:        r.Value,
 		Aborted:     r.Aborted,
 		Interrupted: r.Interrupted,
-		WarmStart:   r.WarmStart,
 		Rows:        r.Rows,
 		Cols:        r.Cols,
 	}
@@ -721,7 +724,7 @@ func (e *Engine) snapshot() (*snapshot, error) {
 			return nil, err
 		}
 		e.snap = s
-		e.metrics.snapshotBuilt()
+		e.metrics.snapshotBuilt(s)
 	}
 	return e.snap, nil
 }
@@ -830,6 +833,7 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 			if err != nil {
 				return nil, err
 			}
+			snap.sspCounters = append(snap.sspCounters, lred.SSPFallbacks)
 			st := levelState{red: lr, reduced: lred}
 			if e.opts.ReferenceScan {
 				st.vecs = make([]Histogram, len(vectors))
@@ -856,6 +860,7 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 		if snap.redUpper, err = core.NewReducedEMDUpper(e.cost, finest.red, finest.red); err != nil {
 			return nil, err
 		}
+		snap.sspCounters = append(snap.sspCounters, snap.redUpper.SSPFallbacks)
 
 		if !e.opts.DisableIMFilter {
 			coarsest := states[0]
@@ -943,6 +948,7 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 			if err != nil {
 				return nil, err
 			}
+			snap.sspCounters = append(snap.sspCounters, asym.SSPFallbacks)
 			stage := search.FilterStage{
 				Name:         "Asym-Red-EMD",
 				PrepareQuery: func(q Histogram) Histogram { return q },

@@ -23,7 +23,7 @@ func exactDist(t *testing.T, e *Engine, q Histogram, i int) float64 {
 // intervalContainsUlps reports lower <= x <= upper with `ulps` units
 // in the last place of slack on each side. The exact EMD recomputed
 // by a fresh simplex solve can land a few final bits away from the
-// query-time certified value (summation order, warm starts); that is
+// query-time certified value (summation order); that is
 // measurement noise in the reference, not an unsound interval.
 func intervalContainsUlps(lower, upper, x float64, ulps int) bool {
 	lo, hi := lower, upper

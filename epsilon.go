@@ -110,9 +110,9 @@ func (e *Engine) distanceDistribution(ctx context.Context, q Histogram, sampleSi
 // are accepted without an exact EMD computation; only items whose
 // [reduced-EMD lower bound, greedy upper bound] interval straddles eps
 // are refined. Refinements go through the same threshold-aware bounded
-// kernel as KNN/Range (eps as the abort bound, warm starts, sparsity
-// reduction) and fan out over Options.Workers goroutines, so the
-// engine's RefinesAborted/WarmStartHits metrics cover this path too.
+// kernel as KNN/Range (eps as the abort bound, sparsity reduction) and
+// fan out over Options.Workers goroutines, so the engine's
+// RefinesAborted metric covers this path too.
 // Returns ascending item ids. Safe for concurrent use.
 func (e *Engine) RangeIDs(q Histogram, eps float64) ([]int, error) {
 	return e.rangeIDs(context.Background(), q, eps)

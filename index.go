@@ -212,16 +212,18 @@ func (r *indexRanking) Label() string { return r.label }
 // the index metric is a valid lower bound either way. When C' is
 // already metric the closure is a bit-exact fixpoint and the snapshot's
 // own reduced-EMD evaluator is used, so index filter values match the
-// scan path bit for bit.
-func indexMetric(reduced *core.ReducedEMD) (func(xr, yr Histogram) float64, error) {
-	closed, changed := core.MetricClosure(reduced.Cost())
+// scan path bit for bit; otherwise the closure's compiled EMD joins the
+// snapshot's SSP-fallback counters.
+func indexMetric(snap *snapshot) (func(xr, yr Histogram) float64, error) {
+	closed, changed := core.MetricClosure(snap.reduced.Cost())
 	if !changed {
-		return reduced.DistanceReduced, nil
+		return snap.reduced.DistanceReduced, nil
 	}
 	md, err := emd.NewDist(closed)
 	if err != nil {
 		return nil, fmt.Errorf("emdsearch: metric closure of reduced cost invalid: %w", err)
 	}
+	snap.sspCounters = append(snap.sspCounters, md.SSPFallbacks)
 	return md.Distance, nil
 }
 
@@ -357,7 +359,7 @@ func (e *Engine) attachIndexLocked(snap *snapshot, s *search.Searcher) error {
 		return nil
 	}
 
-	metric, err := indexMetric(snap.reduced)
+	metric, err := indexMetric(snap)
 	if err != nil {
 		return err
 	}

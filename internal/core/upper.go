@@ -69,6 +69,10 @@ func NewReducedEMDUpper(c emd.CostMatrix, r1, r2 *Reduction) (*ReducedEMDUpper, 
 // Cost returns the max-based reduced cost matrix C″.
 func (ru *ReducedEMDUpper) Cost() emd.CostMatrix { return ru.dist.Cost() }
 
+// SSPFallbacks reports the SSP fallbacks of the underlying compiled
+// EMD; see emd.Dist.SSPFallbacks.
+func (ru *ReducedEMDUpper) SSPFallbacks() int64 { return ru.dist.SSPFallbacks() }
+
 // Distance computes the upper bound EMD_{C″}(x·R1, y·R2) from
 // original-dimensional histograms.
 func (ru *ReducedEMDUpper) Distance(x, y emd.Histogram) float64 {

@@ -165,10 +165,10 @@ func solve(x, y Histogram, c CostMatrix) (*transport.Solution, error) {
 	return transport.Solve(transport.Problem{Supply: x, Demand: y, Cost: c})
 }
 
-// Dist is a compiled EMD for a fixed cost matrix. It skips repeated
-// cost-matrix validation and pools the solver working state, making
-// Distance allocation-free on the hot path. Dist is safe for
-// concurrent use.
+// Dist is a compiled EMD for a fixed cost matrix. It validates and
+// compiles the cost matrix once (see transport.Solver) and pools the
+// solver working state, making Distance allocation-free on the hot
+// path. Dist is safe for concurrent use.
 type Dist struct {
 	cost   CostMatrix
 	solver *transport.Solver
@@ -179,7 +179,7 @@ func NewDist(c CostMatrix) (*Dist, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	solver, err := transport.NewSolver(c.Rows(), c.Cols())
+	solver, err := transport.NewSolver(c)
 	if err != nil {
 		return nil, err
 	}
@@ -192,15 +192,20 @@ func (d *Dist) Cost() CostMatrix { return d.cost }
 // Dims returns the expected source and target dimensionality.
 func (d *Dist) Dims() (rows, cols int) { return d.cost.Rows(), d.cost.Cols() }
 
+// SSPFallbacks returns how many computations of d exceeded the simplex
+// pivot budget and were answered by the (slow, allocating) SSP solver
+// instead. Nonzero values mean the fallback is not dead code on this
+// workload.
+func (d *Dist) SSPFallbacks() int64 { return d.solver.SSPFallbacks() }
+
 // Distance computes the EMD between x and y. The histograms are
 // trusted to be valid operands (non-negative, normalized) and are not
 // re-validated; this is the fast path for inner loops — no allocation
-// beyond the pooled solver state, zero-mass bins stripped before
-// solving, and the simplex warm-started from the pooled state's
-// previous basis. Use DistanceValidated when the operands are not
-// under the caller's control.
+// beyond the pooled solver state, and zero-mass bins stripped before
+// solving. Use DistanceValidated when the operands are not under the
+// caller's control.
 func (d *Dist) Distance(x, y Histogram) float64 {
-	res, err := d.solver.SolveValueBounded(transport.Problem{Supply: x, Demand: y, Cost: d.cost}, math.Inf(1))
+	res, err := d.solver.SolveValueBounded(x, y, math.Inf(1))
 	if err != nil {
 		panic(fmt.Sprintf("emd: solver failed on trusted input: %v", err))
 	}
@@ -220,7 +225,7 @@ type BoundedDistance = transport.BoundedResult
 // discarding it cannot change results. With abortAbove = +Inf it
 // behaves exactly like Distance. Operands are trusted, as in Distance.
 func (d *Dist) DistanceBounded(x, y Histogram, abortAbove float64) BoundedDistance {
-	res, err := d.solver.SolveValueBounded(transport.Problem{Supply: x, Demand: y, Cost: d.cost}, abortAbove)
+	res, err := d.solver.SolveValueBounded(x, y, abortAbove)
 	if err != nil {
 		panic(fmt.Sprintf("emd: solver failed on trusted input: %v", err))
 	}
@@ -235,7 +240,7 @@ func (d *Dist) DistanceBounded(x, y Histogram, abortAbove float64) BoundedDistan
 // single large refinement. A nil intr is byte-identical to
 // DistanceBounded. Operands are trusted, as in Distance.
 func (d *Dist) DistanceBoundedIntr(x, y Histogram, abortAbove float64, intr *atomic.Bool) BoundedDistance {
-	res, err := d.solver.SolveValueBoundedIntr(transport.Problem{Supply: x, Demand: y, Cost: d.cost}, abortAbove, intr)
+	res, err := d.solver.SolveValueBoundedIntr(x, y, abortAbove, intr)
 	if err != nil {
 		panic(fmt.Sprintf("emd: solver failed on trusted input: %v", err))
 	}
@@ -244,9 +249,9 @@ func (d *Dist) DistanceBoundedIntr(x, y Histogram, abortAbove float64, intr *ato
 
 // DistanceValidated computes the EMD between x and y after validating
 // both histograms, with the legacy unbounded kernel: full dense shape,
-// cold Vogel start, run to optimality. Its value is bit-identical to
-// Distance's — the solvers share the canonical objective — at the cost
-// of per-call validation and no warm-start/sparsity savings. It exists
+// run to optimality. Its value is bit-identical to Distance's — the
+// solvers share the canonical objective — at the cost of per-call
+// validation and no sparsity savings. It exists
 // for callers with untrusted operands and as the comparison baseline
 // for benchmarking the bounded kernel.
 func (d *Dist) DistanceValidated(x, y Histogram) (float64, error) {
@@ -256,14 +261,16 @@ func (d *Dist) DistanceValidated(x, y Histogram) (float64, error) {
 	if err := Validate(y); err != nil {
 		return 0, fmt.Errorf("emd: target: %w", err)
 	}
-	return d.solver.SolveValue(transport.Problem{Supply: x, Demand: y, Cost: d.cost})
+	return d.solver.SolveValue(x, y)
 }
 
-// DistanceWithFlow computes the EMD and the optimal flow matrix.
+// DistanceWithFlow computes the EMD and the optimal flow matrix on the
+// compiled solver of d. Operands are trusted, as in Distance; the
+// returned flow is the caller's own.
 func (d *Dist) DistanceWithFlow(x, y Histogram) (float64, [][]float64) {
-	sol, err := transport.Solve(transport.Problem{Supply: x, Demand: y, Cost: d.cost})
+	sol, err := d.solver.SolveFlow(x, y)
 	if err != nil {
-		panic(fmt.Sprintf("emd: solver failed on validated input: %v", err))
+		panic(fmt.Sprintf("emd: solver failed on trusted input: %v", err))
 	}
 	return sol.Objective, sol.Flow
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"emdsearch/internal/transport"
 	"emdsearch/internal/vecmath"
 )
 
@@ -328,5 +329,72 @@ func TestNormalize(t *testing.T) {
 	}
 	if err := Validate(h); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDistDistanceWithFlowPooled checks the compiled Dist's flow entry,
+// which runs on the Dist's pooled solver: the flow is feasible for the
+// operands and prices out at the exact distance, it equals the one-shot
+// DistanceWithFlow cell for cell, and it is the caller's own — writing
+// into it changes no later answer, whatever the pool served in between.
+func TestDistDistanceWithFlowPooled(t *testing.T) {
+	const d = 12
+	c := LinearCost(d)
+	dist, err := NewDist(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 40; trial++ {
+		x := randomHistogram(rng, d)
+		y := randomHistogram(rng, d)
+		if trial%2 == 0 {
+			x[rng.Intn(d)], y[rng.Intn(d)] = 0, 0
+			x, y = Normalize(x), Normalize(y)
+		}
+		got, flow := dist.DistanceWithFlow(x, y)
+		wantValue, wantFlow, err := DistanceWithFlow(x, y, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		problem := transport.Problem{Supply: x, Demand: y, Cost: c}
+		if err := transport.CheckFeasible(problem, flow, 1e-9); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if exact := dist.Distance(x, y); math.Abs(got-exact) > 1e-9 {
+			t.Fatalf("trial %d: flow prices out at %v, exact distance %v", trial, got, exact)
+		}
+		if got != wantValue {
+			t.Fatalf("trial %d: pooled value %v, one-shot %v", trial, got, wantValue)
+		}
+		keep := make([][]float64, d)
+		for i := range flow {
+			for j := range flow[i] {
+				if flow[i][j] != wantFlow[i][j] {
+					t.Fatalf("trial %d: flow[%d][%d] pooled %v, one-shot %v", trial, i, j, flow[i][j], wantFlow[i][j])
+				}
+			}
+			keep[i] = append([]float64(nil), flow[i]...)
+			for j := range flow[i] {
+				flow[i][j] = math.NaN()
+			}
+		}
+		// The pool has one state: these solves reuse the memory the flow
+		// above was computed in.
+		dist.Distance(y, x)
+		_, again := dist.DistanceWithFlow(x, y)
+		for i := range again {
+			for j := range again[i] {
+				if again[i][j] != keep[i][j] {
+					t.Fatalf("trial %d: second flow[%d][%d] = %v, first was %v", trial, i, j, again[i][j], keep[i][j])
+				}
+			}
+		}
+		if !math.IsNaN(flow[0][0]) {
+			t.Fatalf("trial %d: a later solve wrote into a returned flow", trial)
+		}
+	}
+	if n := dist.SSPFallbacks(); n != 0 {
+		t.Fatalf("%d SSP fallbacks on 12-bin histograms", n)
 	}
 }

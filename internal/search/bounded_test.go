@@ -23,7 +23,7 @@ func simulatedRefine(exact []float64) BoundedRefine {
 			if bound > d {
 				bound = d
 			}
-			return Refinement{Dist: bound, Aborted: true, WarmStart: true, Rows: 1, Cols: 1}
+			return Refinement{Dist: bound, Aborted: true, Rows: 1, Cols: 1}
 		}
 		return Refinement{Dist: d, Rows: 2, Cols: 3}
 	}

@@ -55,8 +55,9 @@ type QueryStats struct {
 	// the bounded solver abandoned early because a certified lower
 	// bound on the exact distance exceeded the pruning threshold.
 	RefinesAborted int
-	// WarmStartHits counts refinements that re-entered the simplex
-	// from a cached previous basis instead of a cold start.
+	// WarmStartHits is retired in PR 12, always 0: the solver's basis
+	// warm start was deleted. The field stays for readers of the
+	// struct (bench/).
 	WarmStartHits int
 	// RefineRows and RefineCols accumulate the reduced problem shapes
 	// (zero-mass bins stripped) over all refinements; divide by
@@ -111,8 +112,6 @@ type Refinement struct {
 	// certifies nothing about the threshold; the candidate is
 	// unresolved, not discarded.
 	Interrupted bool
-	// WarmStart reports that the solve re-entered from a cached basis.
-	WarmStart bool
 	// Rows and Cols are the reduced problem shape actually solved.
 	Rows, Cols int
 }
@@ -137,9 +136,6 @@ func (s *QueryStats) observe(r Refinement) {
 	s.Refinements++
 	s.RefineRows += int64(r.Rows)
 	s.RefineCols += int64(r.Cols)
-	if r.WarmStart {
-		s.WarmStartHits++
-	}
 	if r.Aborted {
 		s.RefinesAborted++
 	}

@@ -91,16 +91,13 @@ func ParallelKNN(ranking Ranking, refine func(index int) float64, k, workers int
 // parallelCounters accumulates per-refinement outcomes from multiple
 // workers without locking; flush copies the totals into stats.
 type parallelCounters struct {
-	refined, skipped, aborted, warm, rows, cols int64
+	refined, skipped, aborted, rows, cols int64
 }
 
 func (pc *parallelCounters) observe(r Refinement) {
 	atomic.AddInt64(&pc.refined, 1)
 	atomic.AddInt64(&pc.rows, int64(r.Rows))
 	atomic.AddInt64(&pc.cols, int64(r.Cols))
-	if r.WarmStart {
-		atomic.AddInt64(&pc.warm, 1)
-	}
 	if r.Aborted {
 		atomic.AddInt64(&pc.aborted, 1)
 	}
@@ -110,7 +107,6 @@ func (pc *parallelCounters) flush(stats *QueryStats) {
 	stats.Refinements = int(atomic.LoadInt64(&pc.refined))
 	stats.RefinementsSkipped = int(atomic.LoadInt64(&pc.skipped))
 	stats.RefinesAborted = int(atomic.LoadInt64(&pc.aborted))
-	stats.WarmStartHits = int(atomic.LoadInt64(&pc.warm))
 	stats.RefineRows = atomic.LoadInt64(&pc.rows)
 	stats.RefineCols = atomic.LoadInt64(&pc.cols)
 }

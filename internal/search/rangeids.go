@@ -17,11 +17,9 @@ type RangeIDsStats struct {
 	// interval straddles eps).
 	Refinements int
 	// RefinesAborted counts refinements the bounded solver abandoned
-	// early on a certified lower bound above eps; WarmStartHits counts
-	// refinements re-entered from a cached basis. Both are 0 when the
-	// legacy unbounded refinement is in use.
+	// early on a certified lower bound above eps; 0 when the legacy
+	// unbounded refinement is in use.
 	RefinesAborted int
-	WarmStartHits  int
 	// RefineRows and RefineCols accumulate the reduced problem shapes
 	// over all refinements, as in QueryStats.
 	RefineRows, RefineCols int64
@@ -37,9 +35,6 @@ func (s *RangeIDsStats) observe(r Refinement) {
 	s.Refinements++
 	s.RefineRows += int64(r.Rows)
 	s.RefineCols += int64(r.Cols)
-	if r.WarmStart {
-		s.WarmStartHits++
-	}
 	if r.Aborted {
 		s.RefinesAborted++
 	}
@@ -195,7 +190,6 @@ func RangeIDsBounded(ranking Ranking, refine BoundedRefine, upper func(index int
 	}
 	stats.Refinements = int(atomic.LoadInt64(&counters.refined))
 	stats.RefinesAborted = int(atomic.LoadInt64(&counters.aborted))
-	stats.WarmStartHits = int(atomic.LoadInt64(&counters.warm))
 	stats.RefineRows = atomic.LoadInt64(&counters.rows)
 	stats.RefineCols = atomic.LoadInt64(&counters.cols)
 	stats.Cancelled = stopped.Load()

@@ -22,7 +22,7 @@ const boundGuard = 1e-9
 // which pins all reachable terminal bases to within ~1e-26·scale·mass
 // of one another — far below one ulp of the objective. That is what
 // makes the canonical objective value independent of the solve path
-// (cold vs. warm start, dense vs. reduced shape).
+// (dense vs. reduced shape, Vogel vs. any other start).
 const polishTol = 1e-26
 
 // BoundedResult is the outcome of a threshold-aware solve.
@@ -41,33 +41,29 @@ type BoundedResult struct {
 	// weak duality — just not one that certifies anything about the
 	// caller's threshold.
 	Interrupted bool
-	// WarmStart reports that the solve re-entered the simplex from the
-	// cached basis of a previous optimal solve.
-	WarmStart bool
 	// Rows and Cols are the reduced shape actually solved after
 	// stripping zero-mass rows and columns.
 	Rows, Cols int
 }
 
 // solveBounded runs the threshold-aware kernel: sparsity reduction,
-// warm start from the cached previous basis, early abandon against
-// abortAbove, and — on optimal completion — the canonical
+// a pre-simplex abort on the cached duals of the previous optimal
+// solve, a Vogel start, early abandon against abortAbove inside the
+// pivot loop, and — on optimal completion — the canonical
 // double-double objective. Inputs are trusted (not validated).
 //
 // intr, when non-nil, is a cooperative cancellation flag polled at
 // solve entry and once per pivot iteration: setting it makes the solve
 // return within one pivot's worth of work, carrying Interrupted=true
 // and a certified (possibly trivial) lower bound on the optimum as
-// Value. An interrupted solve never touches the warm caches, so later
-// solves on the same pooled state stay correct.
-func (st *simplexState) solveBounded(p Problem, abortAbove float64, intr *atomic.Bool) (BoundedResult, error) {
-	supply, demand := st.reduceProblem(p)
+// Value. An interrupted solve never touches the cached duals.
+func (st *simplexState) solveBounded(cc *compiledCost, supply, demand []float64, abortAbove float64, intr *atomic.Bool) (BoundedResult, error) {
+	supply, demand = st.reduceProblem(cc, supply, demand)
 	res := BoundedResult{Rows: st.m, Cols: st.n}
 	if st.m == 0 || st.n == 0 {
 		// No mass on one side: every feasible flow is empty.
 		return res, nil
 	}
-	st.computeScale()
 	if intr != nil && intr.Load() {
 		// Cancelled before any work: 0 is the trivial certified bound
 		// (costs are non-negative).
@@ -86,11 +82,8 @@ func (st *simplexState) solveBounded(p Problem, abortAbove float64, intr *atomic
 			return res, nil
 		}
 	}
-	res.WarmStart = st.tryWarmStart(supply, demand)
-	if !res.WarmStart {
-		st.initVogel(supply, demand)
-		st.patchBasis()
-	}
+	st.initVogel(supply, demand)
+	st.patchBasis()
 	_, stop, bound, err := st.pivotLoop(supply, demand, abortAbove, intr)
 	if err != nil {
 		return res, err
@@ -105,52 +98,42 @@ func (st *simplexState) solveBounded(p Problem, abortAbove float64, intr *atomic
 		res.Value = bound
 		return res, nil
 	}
-	st.polish(supply, demand)
-	st.saveWarmBasis()
 	st.saveWarmDuals()
-	res.Value = st.canonicalValue(supply, demand)
+	ddFresh := st.polish(supply, demand)
+	res.Value = st.canonicalValue(supply, demand, ddFresh)
 	return res, nil
 }
 
-// reduceProblem prepares the state for p with zero-mass rows and
-// columns stripped. Zero-mass rows and columns carry zero flow in
-// every feasible solution, so removing them leaves the optimum
-// unchanged exactly. The dense fast path avoids copying the cost
-// matrix. Returns the (possibly reduced) supply and demand slices.
-func (st *simplexState) reduceProblem(p Problem) (supply, demand []float64) {
-	m, n := len(p.Supply), len(p.Demand)
+// reduceProblem prepares the state for the given marginals over cc with
+// zero-mass rows and columns stripped. Zero-mass rows and columns carry
+// zero flow in every feasible solution, so removing them leaves the
+// optimum unchanged exactly. The dense fast path reads cc.cost in
+// place. Returns the (possibly reduced) supply and demand slices.
+func (st *simplexState) reduceProblem(cc *compiledCost, supply, demand []float64) ([]float64, []float64) {
 	mr, nr := 0, 0
-	for _, s := range p.Supply {
+	for _, s := range supply {
 		if s != 0 {
 			mr++
 		}
 	}
-	for _, d := range p.Demand {
+	for _, d := range demand {
 		if d != 0 {
 			nr++
 		}
 	}
-	if mr == m && nr == n {
-		st.prepare(m, n)
-		st.cost = p.Cost
-		for i := 0; i < m; i++ {
-			st.rowMap[i] = int32(i)
-			st.rowInv[i] = int32(i)
-		}
-		for j := 0; j < n; j++ {
-			st.colMap[j] = int32(j)
-			st.colInv[j] = int32(j)
-		}
-		return p.Supply, p.Demand
+	if mr == cc.m && nr == cc.n {
+		st.prepareDense(cc)
+		return supply, demand
 	}
 
 	st.prepare(mr, nr)
+	st.cc = cc
 	if st.costBacking == nil {
 		st.costBacking = make([]float64, st.capM*st.capN)
 		st.costRows = make([][]float64, st.capM)
 	}
 	ri := 0
-	for i, s := range p.Supply {
+	for i, s := range supply {
 		if s != 0 {
 			st.rowMap[ri] = int32(i)
 			st.rowInv[i] = int32(ri)
@@ -161,7 +144,7 @@ func (st *simplexState) reduceProblem(p Problem) (supply, demand []float64) {
 		}
 	}
 	ci := 0
-	for j, d := range p.Demand {
+	for j, d := range demand {
 		if d != 0 {
 			st.colMap[ci] = int32(j)
 			st.colInv[j] = int32(ci)
@@ -171,277 +154,26 @@ func (st *simplexState) reduceProblem(p Problem) (supply, demand []float64) {
 			st.colInv[j] = -1
 		}
 	}
+	// The pivoting tolerances are relative to the largest cost of the
+	// matrix actually solved, found while copying it.
+	st.scale = 0
 	for i := 0; i < mr; i++ {
 		row := st.costBacking[i*nr : (i+1)*nr : (i+1)*nr]
-		src := p.Cost[st.rowMap[i]]
+		src := cc.cost[st.rowMap[i]]
 		for j := 0; j < nr; j++ {
-			row[j] = src[st.colMap[j]]
+			c := src[st.colMap[j]]
+			row[j] = c
+			if c > st.scale {
+				st.scale = c
+			}
 		}
 		st.costRows[i] = row
 	}
+	if st.scale == 0 {
+		st.scale = 1
+	}
 	st.cost = st.costRows[:mr]
 	return st.rsBuf[:mr], st.rdBuf[:nr]
-}
-
-// tryWarmStart re-enters the simplex from the cached basis of the
-// previous optimal solve. Cached cells that fall on stripped rows or
-// columns are dropped, patchBasis completes the remaining forest to a
-// spanning tree, and peelFlows recomputes the tree flows. A basis that
-// turns out primal-infeasible for the new marginals is repaired with
-// dual-simplex pivots (dualRepair); if that fails, the basis is wiped
-// and the caller falls back to Vogel.
-func (st *simplexState) tryWarmStart(supply, demand []float64) bool {
-	if len(st.warm) == 0 {
-		return false
-	}
-	placed := 0
-	for _, cell := range st.warm {
-		i := st.rowInv[int(cell)/st.capN]
-		j := st.colInv[int(cell)%st.capN]
-		if i < 0 || j < 0 {
-			continue
-		}
-		st.addBasic(int(i), int(j))
-		placed++
-	}
-	if placed == 0 {
-		return false
-	}
-	st.patchBasis()
-	if st.peelFlows(supply, demand) {
-		return true
-	}
-	// Repair pays off only when the cached tree is nearly feasible; a
-	// basis with many negative-flow cells is cheaper to rebuild from
-	// scratch than to fix one dual-simplex swap at a time.
-	if st.peelNeg <= 4+(st.m+st.n)/8 && st.dualRepair(supply, demand) {
-		return true
-	}
-	st.clearBasis()
-	return false
-}
-
-// dualRepair restores primal feasibility of the warm-started tree by
-// dual-simplex pivots. The cached basis was optimal for the previous
-// marginals under the same cost matrix, so it is (near-)dual-feasible
-// for the new ones: only its flows are wrong. Each round removes the
-// most negative-flow basic cell — splitting the tree into a component
-// S (containing the cell's row) and its complement — and reconnects
-// the cut with the minimum-reduced-cost cell of the opposite
-// orientation (row outside S, column inside S), which is exactly the
-// dual-simplex ratio rule and keeps the duals feasible. Patched or
-// partially dropped bases may have lost exact dual feasibility, in
-// which case the rounds still make primal progress in practice and any
-// residual suboptimality is cleaned up by the caller's primal pivot
-// loop; the round cap bounds pathological cases, which then fall back
-// to a cold start.
-func (st *simplexState) dualRepair(supply, demand []float64) bool {
-	m, n := st.m, st.n
-	var mass float64
-	for _, s := range supply {
-		mass += s
-	}
-	negTol := -1e-9 * (1 + mass)
-	// Each round sweeps all currently negative cells against one dual
-	// recomputation (flows and duals go stale after the first swap of a
-	// round, degrading later swaps to a good heuristic — the primal
-	// pivot loop cleans up any resulting suboptimality), then re-peels
-	// once. Batching the swaps this way keeps the expensive O(m·n)
-	// peel off the per-swap path; negatives shrink fast, so a handful
-	// of rounds settles everything repairable.
-	const maxRounds = 6
-	for round := 0; round < maxRounds; round++ {
-		st.computeDuals()
-		fixed := false
-		for i := 0; i < m; i++ {
-			row := st.flow[i]
-			base := i * n
-			for j := 0; j < n; j++ {
-				if !st.basic[base+j] || row[j] >= negTol {
-					continue
-				}
-				st.removeBasic(i, j)
-				row[j] = 0
-				// Mark the component now containing row i.
-				inS := st.peelDone[:m+n]
-				for x := range inS {
-					inS[x] = false
-				}
-				st.queue = st.queue[:0]
-				st.queue = append(st.queue, int32(i))
-				inS[i] = true
-				for head := 0; head < len(st.queue); head++ {
-					for _, y := range st.adj[st.queue[head]] {
-						if !inS[y] {
-							inS[y] = true
-							st.queue = append(st.queue, y)
-						}
-					}
-				}
-				// Entering cell: rows outside S, columns inside S —
-				// the opposite orientation across the cut — with
-				// minimal reduced cost (lowest index on ties, for
-				// determinism).
-				ei, ej := -1, -1
-				best := math.Inf(1)
-				for p := 0; p < m; p++ {
-					if inS[p] {
-						continue
-					}
-					crow := st.cost[p]
-					cbase := p * n
-					for q := 0; q < n; q++ {
-						if !inS[m+q] || st.basic[cbase+q] {
-							continue
-						}
-						if rc := crow[q] - st.u[p] - st.v[q]; rc < best {
-							best = rc
-							ei, ej = p, q
-						}
-					}
-				}
-				if ei < 0 {
-					// The cut has no reverse edge; the negative flow
-					// cannot be rerouted.
-					return false
-				}
-				st.addBasic(ei, ej)
-				fixed = true
-			}
-		}
-		if st.peelFlows(supply, demand) {
-			return true
-		}
-		if !fixed {
-			return false
-		}
-	}
-	return false
-}
-
-// peelFlows recomputes the basic flows implied by the current spanning
-// tree and the given marginals by repeatedly peeling leaves: a leaf
-// node's residual mass determines the flow on its single tree edge.
-// Tiny negative flows (float cancellation on degenerate cells) are
-// clamped to zero; materially negative flows are recorded as-is and
-// reported by returning false — the basis is not primal-feasible. The
-// number of materially negative cells is left in st.peelNeg as a
-// repairability signal for tryWarmStart.
-func (st *simplexState) peelFlows(supply, demand []float64) bool {
-	m, n := st.m, st.n
-	total := m + n
-	res := st.peelRes[:total]
-	deg := st.peelDeg[:total]
-	done := st.peelDone[:total]
-	var mass float64
-	for i := 0; i < m; i++ {
-		res[i] = supply[i]
-		mass += supply[i]
-	}
-	for j := 0; j < n; j++ {
-		res[m+j] = demand[j]
-	}
-	negTol := -1e-9 * (1 + mass)
-	st.peelNeg = 0
-	for x := 0; x < total; x++ {
-		deg[x] = int32(len(st.adj[x]))
-		done[x] = false
-	}
-	// Zero the tree edges first: a failed earlier peel may have left
-	// partial flows behind. Non-basic cells are already zero — prepare
-	// clears the matrix, pivot zeroes the leaving cell, and dualRepair
-	// zeroes every cell it removes — so walking the adjacency lists
-	// (O(m+n)) covers every possibly-nonzero entry without the O(m·n)
-	// full sweep.
-	for i := 0; i < m; i++ {
-		row := st.flow[i]
-		for _, y := range st.adj[i] {
-			row[int(y)-m] = 0
-		}
-	}
-	st.queue = st.queue[:0]
-	for x := 0; x < total; x++ {
-		if deg[x] == 1 {
-			st.queue = append(st.queue, int32(x))
-		}
-	}
-	feasible := true
-	for head := 0; head < len(st.queue); head++ {
-		x := st.queue[head]
-		if done[x] {
-			continue
-		}
-		var nb int32 = -1
-		for _, y := range st.adj[x] {
-			if !done[y] {
-				nb = y
-				break
-			}
-		}
-		if nb < 0 {
-			continue // root: absorbs the (near-zero) closing residual
-		}
-		f := res[x]
-		if f < 0 {
-			if f >= negTol {
-				f = 0
-			} else {
-				feasible = false
-				st.peelNeg++
-			}
-		}
-		var i, j int32
-		if int(x) < m {
-			i, j = x, nb-int32(m)
-		} else {
-			i, j = nb, x-int32(m)
-		}
-		st.flow[i][j] = f
-		res[nb] -= res[x]
-		done[x] = true
-		deg[nb]--
-		if deg[nb] == 1 {
-			st.queue = append(st.queue, nb)
-		}
-	}
-	return feasible
-}
-
-// clearBasis wipes the basis, adjacency lists and flows at the current
-// logical shape (warm-start failure path).
-func (st *simplexState) clearBasis() {
-	cells := st.m * st.n
-	for c := 0; c < cells; c++ {
-		st.basic[c] = false
-	}
-	for x := 0; x < st.m+st.n; x++ {
-		st.adj[x] = st.adj[x][:0]
-	}
-	for i := 0; i < st.m; i++ {
-		row := st.flow[i]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-}
-
-// saveWarmBasis records the current basis in original coordinates for
-// the next solve of this state. Called only on optimal completion, so
-// an aborted solve keeps the previous (optimal) cache.
-func (st *simplexState) saveWarmBasis() {
-	if st.warm == nil {
-		st.warm = make([]int32, 0, st.capM+st.capN)
-	}
-	st.warm = st.warm[:0]
-	for i := 0; i < st.m; i++ {
-		base := i * st.n
-		oi := int(st.rowMap[i]) * st.capN
-		for j := 0; j < st.n; j++ {
-			if st.basic[base+j] {
-				st.warm = append(st.warm, int32(oi+int(st.colMap[j])))
-			}
-		}
-	}
 }
 
 // cachedDualBound prices the current (reduced) problem with the column
@@ -479,9 +211,9 @@ func (st *simplexState) cachedDualBound(supply, demand []float64) float64 {
 // saveWarmDuals records the terminal column potentials in original
 // coordinates for cachedDualBound. Entries of columns stripped from
 // this solve keep whatever older value they carried — staleness cannot
-// invalidate the bound, only loosen it. Called only on optimal
-// completion, so aborted solves keep pricing against the duals of the
-// last finished solve.
+// invalidate the bound, only loosen it. Called only when the pivot loop
+// reached optimality, so aborted solves keep pricing against the duals
+// of the last finished solve.
 func (st *simplexState) saveWarmDuals() {
 	if st.warmV == nil {
 		st.warmV = make([]float64, st.capN)
@@ -540,10 +272,14 @@ func (st *simplexState) feasibleDualBound(supply, demand []float64) float64 {
 // A basis passing both checks is exact-primal-feasible and
 // polishTol-dual-feasible, so its exact objective lies in
 // [opt, opt + polishTol·scale·mass] — far inside one ulp — for every
-// solve path (cold or warm start, dense or reduced shape). Bland's rule
+// solve path (dense or reduced shape, whatever the start). Bland's rule
 // guarantees termination of phase 1; the overall cap bounds the
 // alternation with phase 2.
-func (st *simplexState) polish(supply, demand []float64) {
+//
+// polish reports whether the double-double duals it leaves behind —
+// anchored at row 0 — are those of the final basis, which lets
+// canonicalValue skip recomputing them.
+func (st *simplexState) polish(supply, demand []float64) (ddFresh bool) {
 	eta := polishTol * st.scale
 	// Float pre-screen: a plain-float reduced cost built from the
 	// double-double duals' high parts differs from the exact value by at
@@ -576,15 +312,16 @@ func (st *simplexState) polish(supply, demand []float64) {
 		if ei < 0 {
 			fi, fj := st.exactFlowDeficit(supply, demand)
 			if fi < 0 {
-				return
+				return true
 			}
 			if !st.feasSwap(fi, fj) {
-				return
+				return false
 			}
 			continue
 		}
 		st.pivot(ei, ej)
 	}
+	return false
 }
 
 // feasTol is the exact-flow negativity threshold of the polish phase,
@@ -728,6 +465,7 @@ func (st *simplexState) feasSwap(i, j int) bool {
 		return false
 	}
 	st.addBasic(ei, ej)
+	st.computeDuals() // re-root the tree for polish's next pivot
 	return true
 }
 
@@ -795,7 +533,11 @@ func (st *simplexState) computeDDDuals(anchor int) {
 // and after polish every reachable terminal basis yields the same
 // float64. The ~2^-90 absolute error of the double-double evaluation
 // is far below one ulp of any representable objective.
-func (st *simplexState) canonicalValue(supply, demand []float64) float64 {
+//
+// ddAtRow0 says the double-double duals anchored at row 0 are already
+// those of the current basis (see polish); they are recomputed unless
+// row 0 is also the canonical anchor.
+func (st *simplexState) canonicalValue(supply, demand []float64, ddAtRow0 bool) float64 {
 	anchor := 0
 	for i, s := range supply {
 		if s != 0 {
@@ -803,7 +545,9 @@ func (st *simplexState) canonicalValue(supply, demand []float64) float64 {
 			break
 		}
 	}
-	st.computeDDDuals(anchor)
+	if !ddAtRow0 || anchor != 0 {
+		st.computeDDDuals(anchor)
+	}
 	var hi, lo float64
 	for i := 0; i < st.m; i++ {
 		hi, lo = ddMulAcc(hi, lo, supply[i], st.duHi[i], st.duLo[i])

@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// solveCold solves p with a fresh solver (empty pool, no warm basis)
+// solveCold solves p with a fresh solver (empty pool, no cached duals)
 // through the bounded kernel at +Inf, i.e. to optimality.
 func solveCold(t *testing.T, p Problem) float64 {
 	t.Helper()
-	s, err := NewSolver(len(p.Supply), len(p.Demand))
+	s, err := NewSolver(p.Cost)
 	if err != nil {
 		t.Fatalf("NewSolver: %v", err)
 	}
-	res, err := s.SolveValueBounded(p, math.Inf(1))
+	res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 	if err != nil {
 		t.Fatalf("SolveValueBounded: %v", err)
 	}
@@ -25,27 +25,27 @@ func solveCold(t *testing.T, p Problem) float64 {
 }
 
 // TestSolveValueBoundedMatchesSolveValue checks the bit-identity
-// contract: at abortAbove = +Inf the bounded kernel — sparsity
-// reduction, warm starts and all — must return exactly the value of
-// the legacy validating kernel, on dense and sparse instances alike.
+// contract: at abortAbove = +Inf the bounded kernel, sparsity
+// reduction and all, must return exactly the value of the legacy
+// validating kernel, on dense and sparse instances alike.
 func TestSolveValueBoundedMatchesSolveValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		m := 2 + rng.Intn(10)
 		n := 2 + rng.Intn(10)
 		p := randomProblem(rng, m, n, trial%2 == 0)
-		s, err := NewSolver(m, n)
+		s, err := NewSolver(p.Cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		want, err := s.SolveValue(p)
+		want, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatalf("SolveValue: %v", err)
 		}
-		// Repeat so later solves re-enter from the warm basis cached by
-		// the earlier ones; every repetition must stay bit-identical.
+		// Repeat on the same pooled state; every repetition must stay
+		// bit-identical.
 		for rep := 0; rep < 3; rep++ {
-			res, err := s.SolveValueBounded(p, math.Inf(1))
+			res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 			if err != nil {
 				t.Fatalf("SolveValueBounded: %v", err)
 			}
@@ -60,38 +60,62 @@ func TestSolveValueBoundedMatchesSolveValue(t *testing.T) {
 	}
 }
 
-// TestSolveValueBoundedWarmVsCold solves random candidate sequences
-// through one pooled solver (warm starts accumulate) and compares each
-// value bitwise against a cold fresh-solver solve of the same problem.
-// This is the engine's refinement access pattern: one query against a
-// stream of database histograms.
-func TestSolveValueBoundedWarmVsCold(t *testing.T) {
+// TestSolveValueBoundedHistoryIndependent solves random candidate
+// sequences through one pooled solver and compares every outcome with
+// a fresh solver's on the same problem. The pooled state carries the
+// duals of whatever it solved last (warmV), which may only ever decide
+// *whether* a bounded solve aborts before the simplex — never a
+// completed value, and never an unsound bound. This is the engine's
+// refinement access pattern: one cost matrix, a stream of histograms.
+func TestSolveValueBoundedHistoryIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	preAborts := 0
 	for seq := 0; seq < 10; seq++ {
 		m := 3 + rng.Intn(8)
 		n := 3 + rng.Intn(8)
-		s, err := NewSolver(m, n)
+		cost := randomProblem(rng, m, n, false).Cost
+		s, err := NewSolver(cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		warmHits := 0
 		for cand := 0; cand < 30; cand++ {
-			p := randomProblem(rng, m, n, cand%3 == 0)
-			res, err := s.SolveValueBounded(p, math.Inf(1))
+			p := randomMarginals(rng, cost, cand%3 == 0)
+			cold := solveCold(t, p)
+			res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 			if err != nil {
 				t.Fatalf("SolveValueBounded: %v", err)
 			}
-			if res.WarmStart {
-				warmHits++
+			if res.Aborted || res.Value != cold {
+				t.Fatalf("seq %d cand %d: pooled %v (aborted=%v) != fresh %v (diff %g)",
+					seq, cand, res.Value, res.Aborted, cold, res.Value-cold)
 			}
-			if cold := solveCold(t, p); res.Value != cold {
-				t.Fatalf("seq %d cand %d: warm %v != cold %v (diff %g, warmStart %v)",
-					seq, cand, res.Value, cold, res.Value-cold, res.WarmStart)
+
+			// A threshold below the optimum, on a state whose cached duals
+			// come from the solve just finished or — every other candidate —
+			// from an unrelated problem solved in between.
+			if cand%2 == 0 {
+				q := randomMarginals(rng, cost, false)
+				if _, err := s.SolveValueBounded(q.Supply, q.Demand, math.Inf(1)); err != nil {
+					t.Fatalf("SolveValueBounded: %v", err)
+				}
+			}
+			lo, err := s.SolveValueBounded(p.Supply, p.Demand, 0.7*cold)
+			if err != nil {
+				t.Fatalf("SolveValueBounded(0.7 opt): %v", err)
+			}
+			if lo.Aborted {
+				preAborts++
+				if lo.Value <= 0.7*cold || lo.Value > cold+1e-9*(1+cold) {
+					t.Fatalf("seq %d cand %d: certified bound %v outside (%v, %v]",
+						seq, cand, lo.Value, 0.7*cold, cold)
+				}
+			} else if lo.Value != cold {
+				t.Fatalf("seq %d cand %d: completed bounded solve %v != fresh %v", seq, cand, lo.Value, cold)
 			}
 		}
-		if warmHits == 0 {
-			t.Errorf("seq %d: no warm-start hits over 30 sequential solves", seq)
-		}
+	}
+	if preAborts == 0 {
+		t.Errorf("no bounded solve aborted at 0.7 of the optimum over 300 candidates")
 	}
 }
 
@@ -114,11 +138,11 @@ func TestSolveValueBoundedSparsity(t *testing.T) {
 				cols++
 			}
 		}
-		s, err := NewSolver(m, n)
+		s, err := NewSolver(p.Cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		res, err := s.SolveValueBounded(p, math.Inf(1))
+		res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 		if err != nil {
 			t.Fatalf("SolveValueBounded: %v", err)
 		}
@@ -126,7 +150,7 @@ func TestSolveValueBoundedSparsity(t *testing.T) {
 			t.Fatalf("trial %d: reduced shape %dx%d, want %dx%d",
 				trial, res.Rows, res.Cols, rows, cols)
 		}
-		want, err := s.SolveValue(p)
+		want, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatalf("SolveValue: %v", err)
 		}
@@ -147,11 +171,11 @@ func TestSolveValueBoundedAbortSoundness(t *testing.T) {
 		m := 2 + rng.Intn(9)
 		n := 2 + rng.Intn(9)
 		p := randomProblem(rng, m, n, trial%2 == 0)
-		s, err := NewSolver(m, n)
+		s, err := NewSolver(p.Cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		opt, err := s.SolveValue(p)
+		opt, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatalf("SolveValue: %v", err)
 		}
@@ -159,7 +183,7 @@ func TestSolveValueBoundedAbortSoundness(t *testing.T) {
 
 		// Threshold at or above the optimum: must run to optimality and
 		// stay bit-identical.
-		res, err := s.SolveValueBounded(p, opt)
+		res, err := s.SolveValueBounded(p.Supply, p.Demand, opt)
 		if err != nil {
 			t.Fatalf("SolveValueBounded(opt): %v", err)
 		}
@@ -174,7 +198,7 @@ func TestSolveValueBoundedAbortSoundness(t *testing.T) {
 		// Threshold well below the optimum: abort is allowed (and
 		// expected for most instances); the certified bound must be
 		// sound either way.
-		lo, err := s.SolveValueBounded(p, 0.5*opt)
+		lo, err := s.SolveValueBounded(p.Supply, p.Demand, 0.5*opt)
 		if err != nil {
 			t.Fatalf("SolveValueBounded(opt/2): %v", err)
 		}
@@ -206,15 +230,15 @@ func TestSolveValueBoundedDegenerate(t *testing.T) {
 		{0.5, 0, 0, 0, 0.5},
 	} {
 		p := Problem{Supply: supply, Demand: demand, Cost: cost}
-		s, err := NewSolver(5, 5)
+		s, err := NewSolver(cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		res, err := s.SolveValueBounded(p, math.Inf(1))
+		res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 		if err != nil {
 			t.Fatalf("SolveValueBounded: %v", err)
 		}
-		want, err := s.SolveValue(p)
+		want, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatalf("SolveValue: %v", err)
 		}

@@ -110,11 +110,11 @@ func FuzzTransportSolve(f *testing.F) {
 		// Bounded kernel: at +Inf it must run to optimality and agree
 		// with the reference solvers; below the optimum it may abort,
 		// but only on a sound certificate.
-		solver, err := NewSolver(len(p.Supply), len(p.Demand))
+		solver, err := NewSolver(p.Cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		full, err := solver.SolveValueBounded(p, math.Inf(1))
+		full, err := solver.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 		if err != nil {
 			t.Fatalf("SolveValueBounded(+Inf): %v", err)
 		}
@@ -124,7 +124,7 @@ func FuzzTransportSolve(f *testing.F) {
 		if math.Abs(full.Value-sol.Objective) > tol*(1+math.Abs(sol.Objective)) {
 			t.Fatalf("bounded kernel disagreement: %g vs %g", full.Value, sol.Objective)
 		}
-		bounded, err := solver.SolveValueBounded(p, 0.5*full.Value)
+		bounded, err := solver.SolveValueBounded(p.Supply, p.Demand, 0.5*full.Value)
 		if err != nil {
 			t.Fatalf("SolveValueBounded(opt/2): %v", err)
 		}

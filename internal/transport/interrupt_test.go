@@ -17,15 +17,15 @@ func TestSolveValueBoundedIntrNilIdentity(t *testing.T) {
 		m := 2 + rng.Intn(10)
 		n := 2 + rng.Intn(10)
 		p := randomProblem(rng, m, n, trial%2 == 0)
-		s, err := NewSolver(m, n)
+		s, err := NewSolver(p.Cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		want, err := s.SolveValue(p)
+		want, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatalf("SolveValue: %v", err)
 		}
-		res, err := s.SolveValueBoundedIntr(p, math.Inf(1), nil)
+		res, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
 		if err != nil {
 			t.Fatalf("SolveValueBoundedIntr: %v", err)
 		}
@@ -40,7 +40,7 @@ func TestSolveValueBoundedIntrNilIdentity(t *testing.T) {
 
 // TestSolveValueBoundedIntrPreSet checks that a flag set before the
 // call stops the solve at entry with the trivial certified bound, and —
-// critically — that the interrupted solve leaves the pooled warm caches
+// critically — that the interrupted solve leaves the pooled dual cache
 // untouched, so the next solve on the same solver is still exact.
 func TestSolveValueBoundedIntrPreSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -48,19 +48,19 @@ func TestSolveValueBoundedIntrPreSet(t *testing.T) {
 		m := 2 + rng.Intn(8)
 		n := 2 + rng.Intn(8)
 		p := randomProblem(rng, m, n, false)
-		s, err := NewSolver(m, n)
+		s, err := NewSolver(p.Cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
 		// Warm the pool with one optimal solve first, so the interrupted
 		// solve below has caches it could (but must not) corrupt.
-		want, err := s.SolveValue(p)
+		want, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatalf("SolveValue: %v", err)
 		}
 		var flag atomic.Bool
 		flag.Store(true)
-		res, err := s.SolveValueBoundedIntr(p, math.Inf(1), &flag)
+		res, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), &flag)
 		if err != nil {
 			t.Fatalf("SolveValueBoundedIntr: %v", err)
 		}
@@ -73,7 +73,7 @@ func TestSolveValueBoundedIntrPreSet(t *testing.T) {
 		if res.Value != 0 {
 			t.Fatalf("trial %d: entry interrupt bound %v, want the trivial 0", trial, res.Value)
 		}
-		after, err := s.SolveValueBoundedIntr(p, math.Inf(1), nil)
+		after, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
 		if err != nil {
 			t.Fatalf("post-interrupt solve: %v", err)
 		}
@@ -100,8 +100,7 @@ func TestPivotLoopInterruptMidSolve(t *testing.T) {
 		opt := solveCold(t, p)
 
 		st := newSimplexState(m, n)
-		supply, demand := st.reduceProblem(p)
-		st.computeScale()
+		supply, demand := st.reduceProblem(compileCost(p.Cost), p.Supply, p.Demand)
 		st.initVogel(supply, demand)
 		st.patchBasis()
 		var flag atomic.Bool
@@ -141,7 +140,7 @@ func TestSolveValueBoundedIntrConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const m, n = 60, 60
 	p := randomProblem(rng, m, n, false)
-	s, err := NewSolver(m, n)
+	s, err := NewSolver(p.Cost)
 	if err != nil {
 		t.Fatalf("NewSolver: %v", err)
 	}
@@ -158,7 +157,7 @@ func TestSolveValueBoundedIntrConcurrent(t *testing.T) {
 			flag.Store(true)
 			close(done)
 		}()
-		res, err := s.SolveValueBoundedIntr(p, math.Inf(1), &flag)
+		res, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), &flag)
 		<-done
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -174,7 +173,7 @@ func TestSolveValueBoundedIntrConcurrent(t *testing.T) {
 	}
 	t.Logf("interrupted %d/40 solves", interrupted)
 
-	after, err := s.SolveValueBoundedIntr(p, math.Inf(1), nil)
+	after, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
 	if err != nil {
 		t.Fatalf("final solve: %v", err)
 	}

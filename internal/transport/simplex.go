@@ -1,28 +1,11 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
-)
-
-// Initializer selects the rule used to construct the initial basic
-// feasible solution of the transportation simplex.
-type Initializer int
-
-const (
-	// Vogel uses Vogel's approximation method: repeatedly allocate at
-	// the cheapest cell of the row or column with the largest regret
-	// (difference between its two cheapest costs). It typically starts
-	// very close to the optimum and is the default.
-	Vogel Initializer = iota
-	// Northwest uses the northwest-corner rule. It ignores costs but is
-	// the textbook reference rule; tests use it to confirm that the
-	// pivoting machinery reaches the same optimum from a poor start.
-	Northwest
-	// Russell uses Russell's approximation method: allocation at the
-	// cell with the most negative c_ij - max-row-cost - max-column-cost.
-	Russell
 )
 
 // simplexState holds the mutable state of one transportation simplex
@@ -35,17 +18,29 @@ const (
 type simplexState struct {
 	capM, capN int
 	m, n       int
-	cost       [][]float64
-	flow       [][]float64 // flowRows[:m], resliced over flowBacking by prepare
-	basic      []bool      // m*n cell -> in basis
-	adj        [][]int32
-	u, v       []float64
-	uSet       []bool
-	vSet       []bool
-	parent     []int32 // node -> parent node in BFS
-	pCell      []int32 // node -> cell (i*n+j) connecting it to parent
-	queue      []int32
-	scale      float64 // magnitude of the largest cost, for tolerances
+	// cc is the compiled cost matrix of the current solve, shared
+	// read-only with every other state of the same Solver. cost is the
+	// matrix the pivoting machinery reads: cc.cost itself on the dense
+	// path, the stripped copy in costRows otherwise.
+	cc    *compiledCost
+	cost  [][]float64
+	flow  [][]float64 // flowRows[:m], resliced over flowBacking by prepare
+	basic []bool      // m*n cell -> in basis
+	adj   [][]int32
+	u, v  []float64
+	uSet  []bool
+	vSet  []bool
+	// parent and depth root the basis tree at node 0 (row 0). They are
+	// set together with the duals — by computeDuals from scratch, by
+	// pivot for the subtree it re-hangs — so that a pivot finds its
+	// cycle by walking to the common ancestor and recomputes duals only
+	// below the entering cell.
+	parent []int32
+	depth  []int32
+	queue  []int32
+	scale  float64 // magnitude of the largest cost, for tolerances
+	// maxIter, when positive, replaces pivotLoop's default budget.
+	maxIter int
 
 	flowBacking []float64
 	flowRows    [][]float64
@@ -56,11 +51,19 @@ type simplexState struct {
 	cand []int32
 	// cycle is the reusable pivot-cycle buffer.
 	cycle []cycleCell
-	// Reusable Vogel initializer buffers.
+	// Reusable Vogel initializer buffers. rowList holds the active rows
+	// in ascending order; rowMin1/rowMin2 the two cheapest active
+	// columns of each row (reduced indices, -1 for none), rowPos1/rowPos2
+	// their positions in the row's compiled order and rowPen the cost
+	// gap between them. The col* fields mirror them.
 	vs, vd               []float64
 	rowActive, colActive []bool
+	rowList, colList     []int32
 	rowMin1, rowMin2     []int32
 	colMin1, colMin2     []int32
+	rowPos1, rowPos2     []int32
+	colPos1, colPos2     []int32
+	rowPen, colPen       []float64
 	// uf is the reusable union-find buffer of patchBasis.
 	uf []int32
 
@@ -72,11 +75,6 @@ type simplexState struct {
 	rsBuf, rdBuf   []float64
 	costBacking    []float64 // lazily allocated reduced cost storage
 	costRows       [][]float64
-	// warm holds the basic cells of the most recent optimal basis in
-	// original coordinates (i*capN + j). Dual feasibility of a basis
-	// depends only on the cost matrix, so it is a principled restart
-	// for any later solve of the same solver.
-	warm []int32
 	// warmV holds the column dual potentials of the most recent optimal
 	// solve in original coordinates. Any dual vector v yields a certified
 	// lower bound on a later solve's optimum after the row repair
@@ -84,16 +82,11 @@ type simplexState struct {
 	// solve abort before any simplex work when the previous optimum's
 	// geometry already prices the new candidate above the threshold.
 	warmV []float64
-	// Leaf-peeling scratch for recomputing tree flows on warm starts.
-	peelRes  []float64
-	peelDeg  []int32
-	peelDone []bool
-	// Double-double residual scratch for the exact-feasibility peel of
-	// the polish phase.
+	// Leaf-peeling scratch of the polish phase's exact-feasibility
+	// peel: node degrees, done marks and double-double residuals.
+	peelDeg              []int32
+	peelDone             []bool
 	peelResHi, peelResLo []float64
-	// peelNeg counts the materially negative flows found by the last
-	// peelFlows pass — how far from primal-feasible the tree was.
-	peelNeg int
 	// Double-double dual potentials for the canonical objective.
 	duHi, duLo []float64
 	dvHi, dvLo []float64
@@ -105,36 +98,96 @@ type cycleCell struct {
 	plus bool
 }
 
-// SolveSimplex solves p with the transportation simplex using the
-// Vogel initializer. See SolveSimplexFrom for details.
-func SolveSimplex(p Problem) (*Solution, error) {
-	return SolveSimplexFrom(p, Vogel)
+// compiledCost is a cost matrix together with everything the solver
+// derives from it alone: per-row and per-column index orders sorted by
+// (cost, index) and the cost scale. It is built once per Solver and
+// shared read-only by all pooled states, so the Vogel initializer can
+// advance a pointer through a sorted row or column instead of
+// rescanning it, and the dense path never recomputes the scale.
+type compiledCost struct {
+	m, n int
+	cost [][]float64
+	// rowOrder[i*n:(i+1)*n] lists the columns of row i by ascending
+	// (cost, column); colOrder[j*m:(j+1)*m] lists the rows of column j
+	// by ascending (cost, row). Both are in original coordinates.
+	rowOrder, colOrder []int32
+	// scale is the magnitude of the largest cost (1 for an all-zero
+	// matrix), the reference of every pivoting tolerance.
+	scale float64
 }
 
-// SolveSimplexFrom solves p with the transportation simplex starting
-// from the given initializer. The returned solution carries optimal
-// dual potentials; CheckOptimal can verify it independently. If the
-// pivot count exceeds the iteration budget, an error wrapping
-// ErrIterationLimit is returned.
-func SolveSimplexFrom(p Problem, init Initializer) (*Solution, error) {
+// compileCost builds the compiled form of cost, which must be a
+// non-empty rectangular matrix without NaNs.
+func compileCost(cost [][]float64) *compiledCost {
+	m, n := len(cost), len(cost[0])
+	cc := &compiledCost{
+		m: m, n: n,
+		cost:     cost,
+		rowOrder: make([]int32, m*n),
+		colOrder: make([]int32, m*n),
+	}
+	// byCost fills order with 0..len-1 sorted by (at(k), k).
+	byCost := func(order []int32, at func(k int32) float64) {
+		for k := range order {
+			order[k] = int32(k)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := cmp.Compare(at(a), at(b)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	for i, row := range cost {
+		byCost(cc.rowOrder[i*n:(i+1)*n], func(j int32) float64 { return row[j] })
+		cc.scale = max(cc.scale, slices.Max(row))
+	}
+	for j := 0; j < n; j++ {
+		byCost(cc.colOrder[j*m:(j+1)*m], func(i int32) float64 { return cost[i][j] })
+	}
+	if cc.scale == 0 {
+		cc.scale = 1
+	}
+	return cc
+}
+
+// SolveSimplex solves p with the transportation simplex from a Vogel
+// start. The returned solution carries optimal dual potentials;
+// CheckOptimal can verify it independently. If the pivot count exceeds
+// the iteration budget, an error wrapping ErrIterationLimit is
+// returned.
+//
+// Every call compiles p.Cost afresh, which costs about as much as the
+// solve itself: callers that solve many problems over one cost matrix
+// use a Solver.
+func SolveSimplex(p Problem) (*Solution, error) {
 	if err := Validate(p); err != nil {
 		return nil, err
 	}
-	m, n := len(p.Supply), len(p.Demand)
-	st := newSimplexState(m, n)
-	iter, err := st.run(p, init)
+	st := newSimplexState(len(p.Supply), len(p.Demand))
+	iter, err := st.run(compileCost(p.Cost), p.Supply, p.Demand)
 	if err != nil {
 		return nil, err
 	}
-	st.computeDuals()
+	return st.solution(iter), nil
+}
+
+// solution packages the flow and duals a finished pivot loop left
+// behind into a Solution that shares no memory with the (possibly
+// pooled) state.
+func (st *simplexState) solution(iter int) *Solution {
+	flow := newMatrix(st.m, st.n)
+	for i, row := range st.flow {
+		copy(flow[i], row)
+	}
 	return &Solution{
-		Objective:  objective(p.Cost, st.flow),
-		Flow:       st.flow,
-		DualU:      st.u,
-		DualV:      st.v,
+		Objective:  objective(st.cost, flow),
+		Flow:       flow,
+		DualU:      append([]float64(nil), st.u[:st.m]...),
+		DualV:      append([]float64(nil), st.v[:st.n]...),
 		Iterations: iter,
 		Method:     "simplex",
-	}, nil
+	}
 }
 
 // newSimplexState allocates all buffers for solves of capacity shape
@@ -152,7 +205,7 @@ func newSimplexState(m, n int) *simplexState {
 		uSet:        make([]bool, m),
 		vSet:        make([]bool, n),
 		parent:      make([]int32, m+n),
-		pCell:       make([]int32, m+n),
+		depth:       make([]int32, m+n),
 		queue:       make([]int32, 0, m+n),
 		vs:          make([]float64, m),
 		vd:          make([]float64, n),
@@ -162,6 +215,14 @@ func newSimplexState(m, n int) *simplexState {
 		rowMin2:     make([]int32, m),
 		colMin1:     make([]int32, n),
 		colMin2:     make([]int32, n),
+		rowPos1:     make([]int32, m),
+		rowPos2:     make([]int32, m),
+		colPos1:     make([]int32, n),
+		colPos2:     make([]int32, n),
+		rowList:     make([]int32, m),
+		colList:     make([]int32, n),
+		rowPen:      make([]float64, m),
+		colPen:      make([]float64, n),
 		uf:          make([]int32, m+n),
 		rowMap:      make([]int32, m),
 		colMap:      make([]int32, n),
@@ -169,7 +230,6 @@ func newSimplexState(m, n int) *simplexState {
 		colInv:      make([]int32, n),
 		rsBuf:       make([]float64, m),
 		rdBuf:       make([]float64, n),
-		peelRes:     make([]float64, m+n),
 		peelDeg:     make([]int32, m+n),
 		peelDone:    make([]bool, m+n),
 		peelResHi:   make([]float64, m+n),
@@ -199,7 +259,6 @@ func (st *simplexState) prepare(m, n int) {
 		st.adj[x] = st.adj[x][:0]
 	}
 	st.cand = st.cand[:0]
-	st.scale = 0
 	st.m, st.n = m, n
 	st.flow = st.flowRows[:m]
 	for i := 0; i < m; i++ {
@@ -207,42 +266,32 @@ func (st *simplexState) prepare(m, n int) {
 	}
 }
 
-// computeScale records the magnitude of the largest cost entry, the
-// reference for all pivoting tolerances.
-func (st *simplexState) computeScale() {
-	st.scale = 0
-	for i := 0; i < st.m; i++ {
-		for _, c := range st.cost[i][:st.n] {
-			if c > st.scale {
-				st.scale = c
-			}
-		}
+// prepareDense adopts the full shape of cc: the solve reads cc.cost in
+// place, the coordinate maps are the identity and the scale is the
+// compiled one.
+func (st *simplexState) prepareDense(cc *compiledCost) {
+	st.prepare(cc.m, cc.n)
+	st.cc = cc
+	st.cost = cc.cost
+	st.scale = cc.scale
+	for i := 0; i < cc.m; i++ {
+		st.rowMap[i] = int32(i)
+		st.rowInv[i] = int32(i)
 	}
-	if st.scale == 0 {
-		st.scale = 1
+	for j := 0; j < cc.n; j++ {
+		st.colMap[j] = int32(j)
+		st.colInv[j] = int32(j)
 	}
 }
 
-// run executes one full solve on the (possibly reused) state and
-// returns the pivot count. On return st.flow holds the optimal flow
-// and computeDuals-fresh u/v are available to the caller.
-func (st *simplexState) run(p Problem, init Initializer) (int, error) {
-	st.prepare(len(p.Supply), len(p.Demand))
-	st.cost = p.Cost
-	st.computeScale()
-
-	switch init {
-	case Vogel:
-		st.initVogel(p.Supply, p.Demand)
-	case Northwest:
-		st.initNorthwest(p.Supply, p.Demand)
-	case Russell:
-		st.initRussell(p.Supply, p.Demand)
-	default:
-		return 0, fmt.Errorf("transport: unknown initializer %d", init)
-	}
+// run executes one full dense-shape solve on the (possibly reused)
+// state and returns the pivot count. On return st.flow holds the
+// optimal flow.
+func (st *simplexState) run(cc *compiledCost, supply, demand []float64) (int, error) {
+	st.prepareDense(cc)
+	st.initVogel(supply, demand)
 	st.patchBasis()
-	iter, _, _, err := st.pivotLoop(p.Supply, p.Demand, math.Inf(1), nil)
+	iter, _, _, err := st.pivotLoop(supply, demand, math.Inf(1), nil)
 	return iter, err
 }
 
@@ -274,11 +323,14 @@ const (
 func (st *simplexState) pivotLoop(supply, demand []float64, abortAbove float64, intr *atomic.Bool) (iter int, stop stopCause, bound float64, err error) {
 	// The budget is generous: well-behaved instances pivot O(m+n) times.
 	maxIter := 200 * (st.m + st.n + 10)
+	if st.maxIter > 0 {
+		maxIter = st.maxIter
+	}
 	tol := 1e-10 * st.scale
 	guard := boundGuard * st.scale
 	bounded := !math.IsInf(abortAbove, 1)
+	st.computeDuals()
 	for iter = 0; iter < maxIter; iter++ {
-		st.computeDuals()
 		if intr != nil && intr.Load() {
 			b := st.feasibleDualBound(supply, demand) - guard
 			if b < 0 {
@@ -338,34 +390,78 @@ func removeNode(list []int32, node int32) []int32 {
 	return list
 }
 
-// initNorthwest builds the initial solution with the northwest-corner
-// rule, producing exactly m+n-1 basic cells (degenerate zeros
-// included).
-func (st *simplexState) initNorthwest(supply, demand []float64) {
-	s := append([]float64(nil), supply...)
-	d := append([]float64(nil), demand...)
-	i, j := 0, 0
-	for i < st.m && j < st.n {
-		q := math.Min(s[i], d[j])
-		st.flow[i][j] = q
-		st.addBasic(i, j)
-		s[i] -= q
-		d[j] -= q
-		if i == st.m-1 && j == st.n-1 {
-			break
-		}
-		// Advance in exactly one direction to keep the basis a tree;
-		// on ties prefer the row unless it is the last row.
-		if s[i] <= d[j] && i < st.m-1 {
-			i++
-		} else {
-			j++
+// nextLive returns the first position p >= from of order whose entry,
+// mapped to reduced coordinates by inv, is a live index, together with
+// that index; (len(order), -1) when there is none. Entries stripped by
+// the sparsity reduction map to -1 and are skipped like inactive ones.
+func nextLive(order []int32, from int32, inv []int32, live []bool) (int32, int32) {
+	for p := int(from); p < len(order); p++ {
+		if x := inv[order[p]]; x >= 0 && live[x] {
+			return int32(p), x
 		}
 	}
+	return int32(len(order)), -1
+}
+
+// refreshRow recomputes the two cheapest active columns of reduced row
+// i and the row's regret, the cost gap between them. Columns only ever
+// deactivate during one initialization, so both positions advance
+// monotonically through the row's compiled order and the result equals
+// that of a full rescan: the cheapest active column with the lowest
+// index among ties, then the next one.
+func (st *simplexState) refreshRow(i int32) {
+	n := st.cc.n
+	oi := int(st.rowMap[i])
+	order := st.cc.rowOrder[oi*n : (oi+1)*n]
+	p1, m1 := nextLive(order, st.rowPos1[i], st.colInv, st.colActive)
+	p2, m2 := nextLive(order, max(st.rowPos2[i], p1+1), st.colInv, st.colActive)
+	st.rowPos1[i], st.rowMin1[i], st.rowPos2[i], st.rowMin2[i] = p1, m1, p2, m2
+	st.rowPen[i] = st.regret(i, m1, i, m2)
+}
+
+// refreshCol is refreshRow for reduced column j.
+func (st *simplexState) refreshCol(j int32) {
+	m := st.cc.m
+	oj := int(st.colMap[j])
+	order := st.cc.colOrder[oj*m : (oj+1)*m]
+	p1, m1 := nextLive(order, st.colPos1[j], st.rowInv, st.rowActive)
+	p2, m2 := nextLive(order, max(st.colPos2[j], p1+1), st.rowInv, st.rowActive)
+	st.colPos1[j], st.colMin1[j], st.colPos2[j], st.colMin2[j] = p1, m1, p2, m2
+	st.colPen[j] = st.regret(m1, j, m2, j)
+}
+
+// noRegret is the regret of a row or column with no active entry left;
+// it sorts below every real regret (which are non-negative), so such a
+// line is never selected.
+const noRegret = -2
+
+// regret returns the Vogel penalty of a row or column whose two
+// cheapest active cells are (i1,j1) and (i2,j2): their cost gap, +Inf
+// when only the first is left (the allocation is forced), noRegret when
+// none is. A missing cell has a negative index.
+func (st *simplexState) regret(i1, j1, i2, j2 int32) float64 {
+	switch {
+	case i1 < 0 || j1 < 0:
+		return noRegret
+	case i2 < 0 || j2 < 0:
+		return math.Inf(1)
+	}
+	return st.cost[i2][j2] - st.cost[i1][j1]
+}
+
+// dropActive removes x from the ascending list of active indices.
+func dropActive(list []int32, x int32) []int32 {
+	k := 0
+	for list[k] != x {
+		k++
+	}
+	return append(list[:k], list[k+1:]...)
 }
 
 // initVogel builds the initial solution with Vogel's approximation
-// method. Each allocation deactivates exactly one row or column, which
+// method: repeatedly allocate at the cheapest cell of the active row or
+// column with the largest regret (lowest row, then lowest column, among
+// equals). Each allocation deactivates exactly one row or column, which
 // keeps the allocated cells acyclic; patchBasis completes the spanning
 // tree afterwards if fewer than m+n-1 cells were created.
 func (st *simplexState) initVogel(supply, demand []float64) {
@@ -374,99 +470,35 @@ func (st *simplexState) initVogel(supply, demand []float64) {
 	d := st.vd[:n]
 	copy(s, supply)
 	copy(d, demand)
-	rowActive := st.rowActive[:m]
-	colActive := st.colActive[:n]
-	for i := range rowActive {
-		rowActive[i] = true
+	rows, cols := st.rowList[:m], st.colList[:n]
+	for i := range rows {
+		rows[i] = int32(i)
+		st.rowActive[i] = true
 	}
-	for j := range colActive {
-		colActive[j] = true
+	for j := range cols {
+		cols[j] = int32(j)
+		st.colActive[j] = true
 	}
-	activeRows, activeCols := m, n
-
-	// rowMin1/rowMin2 cache the indices of the two cheapest active
-	// columns per row (and vice versa); they are recomputed lazily
-	// when one of the cached entries deactivates.
-	rowMin1, rowMin2 := st.rowMin1, st.rowMin2
-	colMin1, colMin2 := st.colMin1, st.colMin2
-	refreshRow := func(i int) {
-		m1, m2 := int32(-1), int32(-1)
-		row := st.cost[i]
-		for j := 0; j < n; j++ {
-			if !colActive[j] {
-				continue
-			}
-			if m1 < 0 || row[j] < row[m1] {
-				m2 = m1
-				m1 = int32(j)
-			} else if m2 < 0 || row[j] < row[m2] {
-				m2 = int32(j)
-			}
-		}
-		rowMin1[i], rowMin2[i] = m1, m2
+	for _, i := range rows {
+		st.rowPos1[i], st.rowPos2[i] = 0, 0
+		st.refreshRow(i)
 	}
-	refreshCol := func(j int) {
-		m1, m2 := int32(-1), int32(-1)
-		for i := 0; i < m; i++ {
-			if !rowActive[i] {
-				continue
-			}
-			if m1 < 0 || st.cost[i][j] < st.cost[m1][j] {
-				m2 = m1
-				m1 = int32(i)
-			} else if m2 < 0 || st.cost[i][j] < st.cost[m2][j] {
-				m2 = int32(i)
-			}
-		}
-		colMin1[j], colMin2[j] = m1, m2
-	}
-	for i := 0; i < m; i++ {
-		refreshRow(i)
-	}
-	for j := 0; j < n; j++ {
-		refreshCol(j)
+	for _, j := range cols {
+		st.colPos1[j], st.colPos2[j] = 0, 0
+		st.refreshCol(j)
 	}
 
-	for activeRows > 0 && activeCols > 0 {
-		// Pick the row or column with the largest regret.
+	for len(rows) > 0 && len(cols) > 0 {
 		bestPenalty := -1.0
 		bestIsRow := true
-		bestIdx := -1
-		for i := 0; i < m; i++ {
-			if !rowActive[i] {
-				continue
-			}
-			if rowMin1[i] >= 0 && !colActive[rowMin1[i]] ||
-				rowMin2[i] >= 0 && !colActive[rowMin2[i]] {
-				refreshRow(i)
-			}
-			if rowMin1[i] < 0 {
-				continue
-			}
-			p := math.Inf(1)
-			if rowMin2[i] >= 0 {
-				p = st.cost[i][rowMin2[i]] - st.cost[i][rowMin1[i]]
-			}
-			if p > bestPenalty {
+		bestIdx := int32(-1)
+		for _, i := range rows {
+			if p := st.rowPen[i]; p > bestPenalty {
 				bestPenalty, bestIsRow, bestIdx = p, true, i
 			}
 		}
-		for j := 0; j < n; j++ {
-			if !colActive[j] {
-				continue
-			}
-			if colMin1[j] >= 0 && !rowActive[colMin1[j]] ||
-				colMin2[j] >= 0 && !rowActive[colMin2[j]] {
-				refreshCol(j)
-			}
-			if colMin1[j] < 0 {
-				continue
-			}
-			p := math.Inf(1)
-			if colMin2[j] >= 0 {
-				p = st.cost[colMin2[j]][j] - st.cost[colMin1[j]][j]
-			}
-			if p > bestPenalty {
+		for _, j := range cols {
+			if p := st.colPen[j]; p > bestPenalty {
 				bestPenalty, bestIsRow, bestIdx = p, false, j
 			}
 		}
@@ -474,28 +506,38 @@ func (st *simplexState) initVogel(supply, demand []float64) {
 			break
 		}
 
-		var i, j int
+		var i, j int32
 		if bestIsRow {
-			i = bestIdx
-			j = int(rowMin1[i])
+			i, j = bestIdx, st.rowMin1[bestIdx]
 		} else {
-			j = bestIdx
-			i = int(colMin1[j])
+			i, j = st.colMin1[bestIdx], bestIdx
 		}
 		q := math.Min(s[i], d[j])
 		st.flow[i][j] += q
-		st.addBasic(i, j)
+		st.addBasic(int(i), int(j))
 		s[i] -= q
 		d[j] -= q
 		// Deactivate exactly one side so the allocation graph stays
 		// acyclic; the surviving zero-mass side absorbs a degenerate
-		// allocation later.
-		if s[i] <= d[j] && activeRows > 1 || activeCols == 1 {
-			rowActive[i] = false
-			activeRows--
+		// allocation later. Every line that had the deactivated one
+		// among its two cheapest entries is refreshed right away, so the
+		// regrets read above are always current.
+		if s[i] <= d[j] && len(rows) > 1 || len(cols) == 1 {
+			st.rowActive[i] = false
+			rows = dropActive(rows, i)
+			for _, c := range cols {
+				if st.colMin1[c] == i || st.colMin2[c] == i {
+					st.refreshCol(c)
+				}
+			}
 		} else {
-			colActive[j] = false
-			activeCols--
+			st.colActive[j] = false
+			cols = dropActive(cols, j)
+			for _, r := range rows {
+				if st.rowMin1[r] == j || st.rowMin2[r] == j {
+					st.refreshRow(r)
+				}
+			}
 		}
 	}
 }
@@ -518,13 +560,11 @@ func (st *simplexState) patchBasis() {
 	}
 	count := 0
 	for i := 0; i < st.m; i++ {
-		for j := 0; j < st.n; j++ {
-			if st.basic[i*st.n+j] {
-				count++
-				ri, rj := find(i), find(st.m+j)
-				if ri != rj {
-					parent[ri] = int32(rj)
-				}
+		for _, nb := range st.adj[i] {
+			count++
+			ri, rj := find(i), find(int(nb))
+			if ri != rj {
+				parent[ri] = int32(rj)
 			}
 		}
 	}
@@ -555,37 +595,42 @@ func (st *simplexState) patchBasis() {
 }
 
 // computeDuals solves u_i + v_j = c_ij over the basis tree with
-// u_0 = 0, via BFS from node 0.
+// u_0 = 0 and roots the tree at node 0, from scratch.
 func (st *simplexState) computeDuals() {
-	for i := 0; i < st.m; i++ {
-		st.uSet[i] = false
-	}
-	for j := 0; j < st.n; j++ {
-		st.vSet[j] = false
-	}
-	st.queue = st.queue[:0]
 	st.u[0] = 0
-	st.uSet[0] = true
-	st.queue = append(st.queue, 0)
+	st.parent[0] = -1
+	st.depth[0] = 0
+	st.hang(0)
+}
+
+// hang walks the part of the basis tree below node root — whose parent,
+// depth and dual must be set — and sets parent, depth and dual of every
+// node in it. A node's dual is computed from its parent's, so it is the
+// same alternating sum along the unique tree path from node 0 whether
+// the walk starts at node 0 or at a subtree: re-hanging a subtree gives
+// bitwise the duals of a full recomputation.
+func (st *simplexState) hang(root int32) {
+	m := int32(st.m)
+	st.queue = append(st.queue[:0], root)
 	for head := 0; head < len(st.queue); head++ {
 		node := st.queue[head]
-		if int(node) < st.m {
-			i := int(node)
+		up, below := st.parent[node], st.depth[node]+1
+		if node < m {
+			row, ui := st.cost[node], st.u[node]
 			for _, nb := range st.adj[node] {
-				j := int(nb) - st.m
-				if !st.vSet[j] {
-					st.v[j] = st.cost[i][j] - st.u[i]
-					st.vSet[j] = true
+				if nb != up {
+					st.v[nb-m] = row[nb-m] - ui
+					st.parent[nb], st.depth[nb] = node, below
 					st.queue = append(st.queue, nb)
 				}
 			}
 		} else {
-			j := int(node) - st.m
+			j := node - m
+			vj := st.v[j]
 			for _, nb := range st.adj[node] {
-				i := int(nb)
-				if !st.uSet[i] {
-					st.u[i] = st.cost[i][j] - st.v[j]
-					st.uSet[i] = true
+				if nb != up {
+					st.u[nb] = st.cost[nb][j] - vj
+					st.parent[nb], st.depth[nb] = node, below
 					st.queue = append(st.queue, nb)
 				}
 			}
@@ -654,68 +699,56 @@ func (st *simplexState) entering(tol float64) (int, int, bool) {
 	return bi, bj, bi >= 0
 }
 
+// appendPath appends to st.cycle the cells of the tree path from node x
+// up to its ancestor top, with alternating signs starting at minus.
+func (st *simplexState) appendPath(x, top int32) {
+	m := int32(st.m)
+	for plus := false; x != top; plus = !plus {
+		up := st.parent[x]
+		if x < m {
+			st.cycle = append(st.cycle, cycleCell{x, up - m, plus})
+		} else {
+			st.cycle = append(st.cycle, cycleCell{up, x - m, plus})
+		}
+		x = up
+	}
+}
+
 // pivot brings cell (ei,ej) into the basis: it finds the unique cycle
 // the cell closes in the basis tree, shifts the maximal flow theta
-// around it and removes the blocking cell.
+// around it, removes the blocking cell and re-hangs the subtree that
+// cell cut off below the entering one. The tree must be rooted (parent,
+// depth and duals current), which pivot maintains.
 func (st *simplexState) pivot(ei, ej int) {
-	// BFS in the basis tree from row node ei to column node m+ej.
-	start := int32(ei)
-	target := int32(st.m + ej)
-	for i := 0; i < st.m+st.n; i++ {
-		st.parent[i] = -1
-	}
-	st.parent[start] = start
-	st.queue = st.queue[:0]
-	st.queue = append(st.queue, start)
-	found := false
-	for head := 0; head < len(st.queue) && !found; head++ {
-		node := st.queue[head]
-		for _, nb := range st.adj[node] {
-			if st.parent[nb] != -1 {
-				continue
-			}
-			st.parent[nb] = node
-			if int(node) < st.m {
-				st.pCell[nb] = int32(int(node)*st.n + (int(nb) - st.m))
-			} else {
-				st.pCell[nb] = int32(int(nb)*st.n + (int(node) - st.m))
-			}
-			if nb == target {
-				found = true
-				break
-			}
-			st.queue = append(st.queue, nb)
+	// Find the common ancestor of the entering cell's two ends, then
+	// record the tree path from either end up to it. The entering cell
+	// has sign +; path cells alternate starting with - next to the end.
+	m := int32(st.m)
+	a, b := int32(ei), m+int32(ej)
+	for a != b {
+		if st.depth[a] >= st.depth[b] {
+			a = st.parent[a]
+		} else {
+			b = st.parent[b]
 		}
 	}
-	if !found {
-		panic("transport: basis is not a spanning tree")
-	}
-
-	// Walk the tree path target -> start. The entering cell has sign +;
-	// path cells alternate starting with - at the target end.
-	st.cycle = st.cycle[:0]
-	st.cycle = append(st.cycle, cycleCell{int32(ei), int32(ej), true})
-	node := target
-	plus := false
-	for node != start {
-		cell := int(st.pCell[node])
-		st.cycle = append(st.cycle, cycleCell{int32(cell / st.n), int32(cell % st.n), plus})
-		plus = !plus
-		node = st.parent[node]
-	}
+	st.cycle = append(st.cycle[:0], cycleCell{int32(ei), int32(ej), true})
+	st.appendPath(int32(ei), a)
+	rowSide := len(st.cycle) // cycle[1:rowSide] is the row end's path
+	st.appendPath(m+int32(ej), a)
 
 	// theta is the minimal flow on a minus cell; ties break toward the
 	// lexicographically smallest cell for deterministic pivoting.
 	theta := math.Inf(1)
-	li, lj := -1, -1
-	for _, c := range st.cycle {
+	li, lj, lk := -1, -1, -1
+	for k, c := range st.cycle {
 		if c.plus {
 			continue
 		}
 		f := st.flow[c.i][c.j]
 		if f < theta || (f == theta && (int(c.i) < li || int(c.i) == li && int(c.j) < lj)) {
 			theta = f
-			li, lj = int(c.i), int(c.j)
+			li, lj, lk = int(c.i), int(c.j), k
 		}
 	}
 	for _, c := range st.cycle {
@@ -729,91 +762,18 @@ func (st *simplexState) pivot(ei, ej int) {
 	st.flow[li][lj] = 0
 	st.removeBasic(li, lj)
 	st.addBasic(ei, ej)
-}
 
-// initRussell builds the initial solution with Russell's approximation
-// method: with row potentials ubar_i = max over active j of c_ij and
-// column potentials vbar_j = max over active i, it repeatedly allocates
-// at the active cell with the most negative c_ij - ubar_i - vbar_j.
-// Start quality typically sits between Northwest and Vogel; the method
-// is provided for experimentation and as a third independent witness
-// in the initializer-equivalence tests.
-func (st *simplexState) initRussell(supply, demand []float64) {
-	m, n := st.m, st.n
-	s := st.vs[:m]
-	d := st.vd[:n]
-	copy(s, supply)
-	copy(d, demand)
-	rowActive := st.rowActive[:m]
-	colActive := st.colActive[:n]
-	for i := range rowActive {
-		rowActive[i] = true
+	// The leaving cell cut off the subtree holding one end of the
+	// entering cell; that end now hangs below the other.
+	top, sub := m+int32(ej), int32(ei)
+	if lk >= rowSide {
+		top, sub = sub, top
 	}
-	for j := range colActive {
-		colActive[j] = true
+	st.parent[sub], st.depth[sub] = top, st.depth[top]+1
+	if sub < m {
+		st.u[sub] = st.cost[ei][ej] - st.v[ej]
+	} else {
+		st.v[ej] = st.cost[ei][ej] - st.u[ei]
 	}
-	activeRows, activeCols := m, n
-
-	ubar := make([]float64, m)
-	vbar := make([]float64, n)
-	refresh := func() {
-		for i := 0; i < m; i++ {
-			if !rowActive[i] {
-				continue
-			}
-			ubar[i] = math.Inf(-1)
-			for j := 0; j < n; j++ {
-				if colActive[j] && st.cost[i][j] > ubar[i] {
-					ubar[i] = st.cost[i][j]
-				}
-			}
-		}
-		for j := 0; j < n; j++ {
-			if !colActive[j] {
-				continue
-			}
-			vbar[j] = math.Inf(-1)
-			for i := 0; i < m; i++ {
-				if rowActive[i] && st.cost[i][j] > vbar[j] {
-					vbar[j] = st.cost[i][j]
-				}
-			}
-		}
-	}
-	refresh()
-
-	for activeRows > 0 && activeCols > 0 {
-		bi, bj := -1, -1
-		best := math.Inf(1)
-		for i := 0; i < m; i++ {
-			if !rowActive[i] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if !colActive[j] {
-					continue
-				}
-				if delta := st.cost[i][j] - ubar[i] - vbar[j]; delta < best {
-					best = delta
-					bi, bj = i, j
-				}
-			}
-		}
-		if bi < 0 {
-			break
-		}
-		q := math.Min(s[bi], d[bj])
-		st.flow[bi][bj] += q
-		st.addBasic(bi, bj)
-		s[bi] -= q
-		d[bj] -= q
-		if s[bi] <= d[bj] && activeRows > 1 || activeCols == 1 {
-			rowActive[bi] = false
-			activeRows--
-		} else {
-			colActive[bj] = false
-			activeCols--
-		}
-		refresh()
-	}
+	st.hang(sub)
 }

@@ -7,95 +7,154 @@ import (
 	"sync/atomic"
 )
 
-// Solver is a reusable exact solver for transportation problems of one
-// fixed shape. It pools the simplex working state across calls, which
-// removes essentially all allocation from the hot path of query
-// processing (hundreds of small allocations per solve otherwise).
-// SolveValue returns only the optimal objective — the flow matrix
-// lives in pooled memory and is never exposed, so reuse is safe. Use
-// the package-level Solve/SolveSimplex when flows or duals are needed.
+// Solver is a reusable exact solver for transportation problems over
+// one fixed cost matrix. It compiles the matrix once (sorted row and
+// column orders for the Vogel start, the cost scale) and pools the
+// simplex working state across calls, which removes essentially all
+// allocation from the hot path of query processing. The value-only
+// entry points keep the flow matrix in pooled memory and never expose
+// it; SolveFlow copies it out.
 //
 // A Solver is safe for concurrent use; each goroutine draws its own
-// state from the pool.
+// state from the pool. The cost matrix must not be modified while the
+// Solver is in use.
 type Solver struct {
-	m, n int
+	cc   *compiledCost
 	pool sync.Pool
+	// maxIter overrides the pivot budget of every solve when positive;
+	// tests use it to force the SSP fallback.
+	maxIter int
+	// sspFallbacks counts solves that hit the pivot budget and were
+	// answered by SolveSSP instead.
+	sspFallbacks atomic.Int64
 }
 
-// NewSolver creates a pooled solver for m x n problems.
-func NewSolver(m, n int) (*Solver, error) {
-	if m < 1 || n < 1 {
-		return nil, fmt.Errorf("transport: NewSolver(%d, %d): shape must be positive", m, n)
+// NewSolver compiles cost and creates a pooled solver for problems
+// over it. The matrix is trusted to hold non-negative finite entries
+// (emd.NewDist validates it); only its shape is checked here.
+func NewSolver(cost [][]float64) (*Solver, error) {
+	m := len(cost)
+	if m == 0 || len(cost[0]) == 0 {
+		return nil, fmt.Errorf("transport: NewSolver: empty cost matrix")
 	}
-	s := &Solver{m: m, n: n}
+	n := len(cost[0])
+	for i, row := range cost {
+		if len(row) != n {
+			return nil, fmt.Errorf("transport: NewSolver: cost row %d has %d columns, want %d", i, len(row), n)
+		}
+	}
+	s := &Solver{cc: compileCost(cost)}
 	s.pool.New = func() interface{} { return newSimplexState(m, n) }
 	return s, nil
 }
 
 // Shape returns the problem shape this solver accepts.
-func (s *Solver) Shape() (m, n int) { return s.m, s.n }
+func (s *Solver) Shape() (m, n int) { return s.cc.m, s.cc.n }
 
-// SolveValue solves p and returns the optimal objective. The problem
-// shape must match the solver's. On the (rare) simplex iteration-limit
-// failure it falls back to the allocating SSP solver so callers always
-// get an exact value.
-//
-// SolveValue validates p and always runs the full dense shape from a
-// cold (Vogel) start — the legacy kernel. The returned objective is
-// the canonical double-double dual objective of the polished terminal
-// basis, so it is bit-identical to what SolveValueBounded reports for
-// the same problem when that solve runs to optimality, regardless of
-// warm starts or sparsity reduction.
-func (s *Solver) SolveValue(p Problem) (float64, error) {
-	if len(p.Supply) != s.m || len(p.Demand) != s.n {
-		return 0, fmt.Errorf("transport: solver is %dx%d, problem is %dx%d",
-			s.m, s.n, len(p.Supply), len(p.Demand))
+// SSPFallbacks returns how many solves of this Solver exceeded the
+// simplex pivot budget and were answered by the SSP solver instead.
+func (s *Solver) SSPFallbacks() int64 { return s.sspFallbacks.Load() }
+
+func (s *Solver) problem(supply, demand []float64) Problem {
+	return Problem{Supply: supply, Demand: demand, Cost: s.cc.cost}
+}
+
+func (s *Solver) checkShape(supply, demand []float64) error {
+	if len(supply) != s.cc.m || len(demand) != s.cc.n {
+		return fmt.Errorf("transport: solver is %dx%d, problem is %dx%d",
+			s.cc.m, s.cc.n, len(supply), len(demand))
 	}
-	if err := Validate(p); err != nil {
-		return 0, err
-	}
+	return nil
+}
+
+func (s *Solver) get() *simplexState {
 	st := s.pool.Get().(*simplexState)
-	_, err := st.run(p, Vogel)
-	if err != nil {
-		s.pool.Put(st)
-		if errors.Is(err, ErrIterationLimit) {
-			sol, sspErr := SolveSSP(p)
-			if sspErr != nil {
-				return 0, sspErr
-			}
-			return sol.Objective, nil
-		}
+	st.maxIter = s.maxIter
+	return st
+}
+
+// fallback answers a solve that failed with err: an exhausted pivot
+// budget is counted and handed to the independent SSP solver, so
+// callers always get an exact answer; any other error is returned.
+func (s *Solver) fallback(err error, supply, demand []float64) (*Solution, error) {
+	if !errors.Is(err, ErrIterationLimit) {
+		return nil, err
+	}
+	s.sspFallbacks.Add(1)
+	return SolveSSP(s.problem(supply, demand))
+}
+
+// SolveValue solves the problem with the given marginals and returns
+// the optimal objective. It validates the marginals and always runs the
+// full dense shape to optimality — the legacy kernel. The returned
+// objective is the canonical double-double dual objective of the
+// polished terminal basis, so it is bit-identical to what
+// SolveValueBounded reports for the same problem when that solve runs
+// to optimality, regardless of sparsity reduction.
+func (s *Solver) SolveValue(supply, demand []float64) (float64, error) {
+	if err := s.checkShape(supply, demand); err != nil {
 		return 0, err
 	}
-	st.polish(p.Supply, p.Demand)
-	obj := st.canonicalValue(p.Supply, p.Demand)
+	if err := Validate(s.problem(supply, demand)); err != nil {
+		return 0, err
+	}
+	st := s.get()
+	if _, err := st.run(s.cc, supply, demand); err != nil {
+		s.pool.Put(st)
+		sol, err := s.fallback(err, supply, demand)
+		if err != nil {
+			return 0, err
+		}
+		return sol.Objective, nil
+	}
+	obj := st.canonicalValue(supply, demand, st.polish(supply, demand))
 	s.pool.Put(st)
 	return obj, nil
 }
 
-// SolveValueBounded is the threshold-aware form of SolveValue: it
-// solves p but may return early — with Aborted=true and a certified
-// lower bound as Value — as soon as a dual-feasible solution proves
-// the optimum exceeds abortAbove. Pass abortAbove = +Inf to always run
-// to optimality.
+// SolveFlow solves the problem with the given marginals on the full
+// dense shape and returns the optimal flow with its dual certificate,
+// exactly as the package-level Solve would — but on the compiled cost
+// matrix and pooled state of s. The Solution is a private copy and
+// shares no memory with the pool. Marginals are trusted, as in
+// SolveValueBounded.
+func (s *Solver) SolveFlow(supply, demand []float64) (*Solution, error) {
+	if err := s.checkShape(supply, demand); err != nil {
+		return nil, err
+	}
+	st := s.get()
+	iter, err := st.run(s.cc, supply, demand)
+	if err != nil {
+		s.pool.Put(st)
+		return s.fallback(err, supply, demand)
+	}
+	sol := st.solution(iter)
+	s.pool.Put(st)
+	return sol, nil
+}
+
+// SolveValueBounded is the threshold-aware form of SolveValue: it may
+// return early — with Aborted=true and a certified lower bound as
+// Value — as soon as a dual-feasible solution proves the optimum
+// exceeds abortAbove. Pass abortAbove = +Inf to always run to
+// optimality.
 //
-// Three optimizations distinguish it from SolveValue. (1) Zero-mass
-// rows and columns are stripped before solving (Rows/Cols report the
-// reduced shape), which changes nothing about the optimum. (2) The
-// pooled state caches the basis of its previous optimal solve and
-// re-enters from it; dual feasibility of a basis depends only on the
-// cost matrix, which is fixed per Solver, so this is a principled
-// restart and falls back to Vogel when infeasible-for-the-new-
-// marginals beyond repair. (3) After each dual recomputation a
-// feasibility-repaired dual objective is evaluated as a certified
-// lower bound (weak duality) against abortAbove.
+// Three things distinguish it from SolveValue. (1) Zero-mass rows and
+// columns are stripped before solving (Rows/Cols report the reduced
+// shape), which changes nothing about the optimum. (2) The pooled
+// state keeps the column duals of its previous optimal solve and
+// prices the new problem with them before any simplex work; any dual
+// vector yields a certified bound, the cache only makes it tight.
+// (3) After each dual recomputation a feasibility-repaired dual
+// objective is evaluated as a certified lower bound (weak duality)
+// against abortAbove.
 //
-// The inputs are trusted — no validation is performed; callers own the
-// marginals (non-negative, balanced) and the cost matrix was vetted at
-// NewSolver time by the usual constructors. When the solve completes,
-// Value is bit-identical to SolveValue's for the same problem.
-func (s *Solver) SolveValueBounded(p Problem, abortAbove float64) (BoundedResult, error) {
-	return s.SolveValueBoundedIntr(p, abortAbove, nil)
+// The marginals are trusted — no validation is performed; callers own
+// them (non-negative, balanced). When the solve completes, Value is
+// bit-identical to SolveValue's for the same problem, whatever the
+// state served before.
+func (s *Solver) SolveValueBounded(supply, demand []float64, abortAbove float64) (BoundedResult, error) {
+	return s.SolveValueBoundedIntr(supply, demand, abortAbove, nil)
 }
 
 // SolveValueBoundedIntr is SolveValueBounded with a cooperative
@@ -104,26 +163,21 @@ func (s *Solver) SolveValueBounded(p Problem, abortAbove float64) (BoundedResult
 // pivot's worth of work. The result then carries Interrupted=true and
 // Value is a certified lower bound on the optimum by weak duality
 // (possibly 0 when the interrupt was observed before any pivoting).
-// Interrupted solves never update the pooled warm-start caches, so
-// later solves are unaffected. A nil intr is byte-identical to
-// SolveValueBounded.
-func (s *Solver) SolveValueBoundedIntr(p Problem, abortAbove float64, intr *atomic.Bool) (BoundedResult, error) {
-	if len(p.Supply) != s.m || len(p.Demand) != s.n {
-		return BoundedResult{}, fmt.Errorf("transport: solver is %dx%d, problem is %dx%d",
-			s.m, s.n, len(p.Supply), len(p.Demand))
+// Interrupted solves never update the pooled dual cache. A nil intr is
+// byte-identical to SolveValueBounded.
+func (s *Solver) SolveValueBoundedIntr(supply, demand []float64, abortAbove float64, intr *atomic.Bool) (BoundedResult, error) {
+	if err := s.checkShape(supply, demand); err != nil {
+		return BoundedResult{}, err
 	}
-	st := s.pool.Get().(*simplexState)
-	res, err := st.solveBounded(p, abortAbove, intr)
+	st := s.get()
+	res, err := st.solveBounded(s.cc, supply, demand, abortAbove, intr)
 	s.pool.Put(st)
 	if err != nil {
-		if errors.Is(err, ErrIterationLimit) {
-			sol, sspErr := SolveSSP(p)
-			if sspErr != nil {
-				return BoundedResult{}, sspErr
-			}
-			return BoundedResult{Value: sol.Objective, Rows: res.Rows, Cols: res.Cols}, nil
+		sol, err := s.fallback(err, supply, demand)
+		if err != nil {
+			return BoundedResult{}, err
 		}
-		return BoundedResult{}, err
+		return BoundedResult{Value: sol.Objective, Rows: res.Rows, Cols: res.Cols}, nil
 	}
 	return res, nil
 }

@@ -11,8 +11,21 @@ import (
 // randomProblem builds a random balanced transportation instance with
 // the given shape. Costs are uniform in [0, 10); masses normalize to 1.
 func randomProblem(rng *rand.Rand, m, n int, sparse bool) Problem {
-	supply := make([]float64, m)
-	demand := make([]float64, n)
+	cost := make([][]float64, m)
+	for i := range cost {
+		cost[i] = make([]float64, n)
+		for j := range cost[i] {
+			cost[i][j] = 10 * rng.Float64()
+		}
+	}
+	return randomMarginals(rng, cost, sparse)
+}
+
+// randomMarginals draws random marginals of total mass 1 over the given
+// cost matrix; with sparse set, about a third of the bins are empty.
+func randomMarginals(rng *rand.Rand, cost [][]float64, sparse bool) Problem {
+	supply := make([]float64, len(cost))
+	demand := make([]float64, len(cost[0]))
 	for i := range supply {
 		supply[i] = rng.Float64()
 		if sparse && rng.Intn(3) == 0 {
@@ -27,13 +40,6 @@ func randomProblem(rng *rand.Rand, m, n int, sparse bool) Problem {
 	}
 	normalize(supply)
 	normalize(demand)
-	cost := make([][]float64, m)
-	for i := range cost {
-		cost[i] = make([]float64, n)
-		for j := range cost[i] {
-			cost[i][j] = 10 * rng.Float64()
-		}
-	}
 	return Problem{Supply: supply, Demand: demand, Cost: cost}
 }
 
@@ -373,13 +379,14 @@ func TestSimplexLargerInstanceAgainstSSP(t *testing.T) {
 
 func TestSolverPooledMatchesUnpooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	s, err := NewSolver(10, 12)
+	cost := randomProblem(rng, 10, 12, false).Cost
+	s, err := NewSolver(cost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 60; trial++ {
-		p := randomProblem(rng, 10, 12, trial%2 == 0)
-		got, err := s.SolveValue(p)
+		p := randomMarginals(rng, cost, trial%2 == 0)
+		got, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,16 +401,21 @@ func TestSolverPooledMatchesUnpooled(t *testing.T) {
 }
 
 func TestSolverShapeMismatch(t *testing.T) {
-	s, err := NewSolver(3, 3)
+	s, err := NewSolver(manhattanCost(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Problem{Supply: []float64{1, 0}, Demand: []float64{0.5, 0.5}, Cost: [][]float64{{0, 1}, {1, 0}}}
-	if _, err := s.SolveValue(p); err == nil {
+	if _, err := s.SolveValue([]float64{1, 0}, []float64{0.5, 0.5}); err == nil {
 		t.Error("accepted mismatched shape")
 	}
-	if _, err := NewSolver(0, 3); err == nil {
-		t.Error("accepted zero shape")
+	if _, err := s.SolveFlow([]float64{1, 0}, []float64{0.5, 0.5}); err == nil {
+		t.Error("SolveFlow accepted mismatched shape")
+	}
+	if _, err := NewSolver(nil); err == nil {
+		t.Error("accepted empty cost matrix")
+	}
+	if _, err := NewSolver([][]float64{{0, 1}, {1}}); err == nil {
+		t.Error("accepted ragged cost matrix")
 	}
 	if m, n := s.Shape(); m != 3 || n != 3 {
 		t.Errorf("Shape = %d, %d", m, n)
@@ -412,14 +424,15 @@ func TestSolverShapeMismatch(t *testing.T) {
 
 func TestSolverConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s, err := NewSolver(8, 8)
+	cost := randomProblem(rng, 8, 8, false).Cost
+	s, err := NewSolver(cost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	problems := make([]Problem, 16)
 	wants := make([]float64, 16)
 	for i := range problems {
-		problems[i] = randomProblem(rng, 8, 8, false)
+		problems[i] = randomMarginals(rng, cost, false)
 		sol, err := SolveSimplex(problems[i])
 		if err != nil {
 			t.Fatal(err)
@@ -435,7 +448,7 @@ func TestSolverConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
 				i := (w*7 + rep) % len(problems)
-				got, err := s.SolveValue(problems[i])
+				got, err := s.SolveValue(problems[i].Supply, problems[i].Demand)
 				if err != nil {
 					errs[w] = err
 					return

@@ -106,12 +106,19 @@ type Metrics struct {
 	Pulled             int64 `json:"pulled"`
 	Refinements        int64 `json:"refinements"`
 	RefinementsSkipped int64 `json:"refinements_skipped"`
-	// RefinesAborted and WarmStartHits are the summed threshold-aware
-	// refinement counters: solves abandoned early on a certified bound,
-	// and solves that re-entered from a cached basis. Both stay zero
-	// under Options.UnboundedRefine.
+	// RefinesAborted sums the refinements the threshold-aware solver
+	// abandoned early on a certified bound; zero under
+	// Options.UnboundedRefine.
 	RefinesAborted int64 `json:"refines_aborted"`
-	WarmStartHits  int64 `json:"warm_start_hits"`
+	// WarmStartHits is retired in PR 12, always 0: the solver's basis
+	// warm start was deleted. The key stays for readers of the JSON.
+	WarmStartHits int64 `json:"warm_start_hits"`
+	// SSPFallbacks counts transport solves — exact refinements and
+	// reduced-EMD filter, bound and index-metric evaluations alike —
+	// that exhausted the simplex pivot budget and were answered by the
+	// slow successive-shortest-path solver instead. Expected to stay 0;
+	// a moving value means degenerate inputs are cycling the simplex.
+	SSPFallbacks int64 `json:"ssp_fallbacks"`
 	// RefineRows and RefineCols accumulate the reduced (zero-mass bins
 	// stripped) problem shapes of all refinements; divide by
 	// Refinements for the average solved shape.
@@ -148,6 +155,22 @@ const (
 type engineMetrics struct {
 	mu sync.Mutex
 	m  Metrics
+	// sspLive reads the SSP-fallback counters of the installed
+	// snapshot's compiled EMDs; sspRetired is what the counters of
+	// replaced snapshots read when they were replaced.
+	sspLive    []func() int64
+	sspRetired int64
+}
+
+// sspFilterFallbacks sums the SSP fallbacks of every snapshot-owned
+// compiled EMD so far. A query still running on a replaced snapshot
+// that falls back after the replacement is not counted.
+func (em *engineMetrics) sspFilterFallbacks() int64 {
+	total := em.sspRetired
+	for _, read := range em.sspLive {
+		total += read()
+	}
+	return total
 }
 
 func (em *engineMetrics) observe(kind metricKind, stats *QueryStats) {
@@ -169,7 +192,6 @@ func (em *engineMetrics) observe(kind metricKind, stats *QueryStats) {
 	em.m.Refinements += int64(stats.Refinements)
 	em.m.RefinementsSkipped += int64(stats.RefinementsSkipped)
 	em.m.RefinesAborted += int64(stats.RefinesAborted)
-	em.m.WarmStartHits += int64(stats.WarmStartHits)
 	em.m.RefineRows += stats.RefineRows
 	em.m.RefineCols += stats.RefineCols
 	em.m.FilterTime += stats.FilterTime
@@ -221,7 +243,6 @@ func (em *engineMetrics) observeRangeIDs(st *search.RangeIDsStats) {
 	em.m.Pulled += int64(st.Pulled)
 	em.m.Refinements += int64(st.Refinements)
 	em.m.RefinesAborted += int64(st.RefinesAborted)
-	em.m.WarmStartHits += int64(st.WarmStartHits)
 	em.m.RefineRows += st.RefineRows
 	em.m.RefineCols += st.RefineCols
 }
@@ -238,9 +259,11 @@ func (em *engineMetrics) queryError() {
 	em.mu.Unlock()
 }
 
-func (em *engineMetrics) snapshotBuilt() {
+func (em *engineMetrics) snapshotBuilt(s *snapshot) {
 	em.mu.Lock()
 	em.m.SnapshotBuilds++
+	em.sspRetired = em.sspFilterFallbacks()
+	em.sspLive = s.sspCounters
 	em.mu.Unlock()
 }
 
@@ -334,6 +357,7 @@ func (e *Engine) Metrics() Metrics {
 	e.metrics.mu.Lock()
 	defer e.metrics.mu.Unlock()
 	out := e.metrics.m
+	out.SSPFallbacks = e.dist.SSPFallbacks() + e.metrics.sspFilterFallbacks()
 	if e.metrics.m.Stages != nil {
 		out.Stages = make(map[string]StageMetrics, len(e.metrics.m.Stages))
 		for name, st := range e.metrics.m.Stages {

@@ -209,7 +209,7 @@ func TestKNNWithLabelConcurrentAdd(t *testing.T) {
 // through a cold unbounded solver instead of the engine's bounded
 // kernel. Both kernels are exact, so the bugfix is observable two ways:
 // the answers agree across configurations, and the bounded engine's
-// abort/warm-start counters move on the KNNWhere path.
+// abort and solved-shape counters move on the KNNWhere path.
 func TestKNNWhereBoundedMatchesUnbounded(t *testing.T) {
 	const n = 120
 	opts := Options{ReducedDims: 8, SampleSize: 16}
@@ -249,7 +249,7 @@ func TestKNNWhereBoundedMatchesUnbounded(t *testing.T) {
 	if m.Refinements == 0 {
 		t.Fatal("KNNWhere did no refinements")
 	}
-	if m.RefinesAborted == 0 && m.WarmStartHits == 0 {
+	if m.RefinesAborted == 0 && m.RefineRows == 0 {
 		t.Fatal("KNNWhere refinements show no bounded-kernel activity (cold unbounded solver regression)")
 	}
 }
@@ -309,7 +309,7 @@ func TestRangeIDsBoundedMatchesUnbounded(t *testing.T) {
 		}
 	}
 	m := engB.Metrics()
-	if m.RefinesAborted == 0 && m.WarmStartHits == 0 {
+	if m.RefinesAborted == 0 && m.RefineRows == 0 {
 		t.Fatal("RangeIDs refinements show no bounded-kernel activity (cold unbounded solver regression)")
 	}
 }

@@ -728,9 +728,27 @@ func addStats(dst, src *QueryStats) {
 	dst.Refinements += src.Refinements
 	dst.RefinementsSkipped += src.RefinementsSkipped
 	dst.RefinesAborted += src.RefinesAborted
-	dst.WarmStartHits += src.WarmStartHits
 	dst.RefineRows += src.RefineRows
 	dst.RefineCols += src.RefineCols
+	dst.IndexUsed = dst.IndexUsed || src.IndexUsed
+	dst.IndexNodesVisited += src.IndexNodesVisited
+	dst.IndexPruned += src.IndexPruned
+	// Stages merge by name, in order of first appearance: shards run
+	// the same chain unless one of them served the query from its index.
+	for _, st := range src.Stages {
+		i := 0
+		for i < len(dst.Stages) && dst.Stages[i].Name != st.Name {
+			i++
+		}
+		if i == len(dst.Stages) {
+			dst.Stages = append(dst.Stages, search.StageStats{Name: st.Name})
+			dst.StageEvaluations = append(dst.StageEvaluations, 0)
+		}
+		dst.Stages[i].Evaluations += st.Evaluations
+		dst.Stages[i].Pruned += st.Pruned
+		dst.Stages[i].Duration += st.Duration
+		dst.StageEvaluations[i] = dst.Stages[i].Evaluations
+	}
 	dst.FilterTime += src.FilterTime
 	dst.RefineTime += src.RefineTime
 	if src.TotalTime > dst.TotalTime {

@@ -356,3 +356,97 @@ func TestShardSetValidation(t *testing.T) {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
+
+// TestShardSetStatsMergeIndexAndStages is the regression test for
+// addStats dropping the index and per-stage counters: ShardAnswer.Stats
+// of an index-served scatter used to claim no index ran. On a 2-shard
+// set whose shards each pass the IndexAuto size gate the merged stats
+// must carry the index flag and the summed traversal counters; on a
+// small scan-served set they must carry every stage by name with the
+// summed evaluations, mirrored in StageEvaluations.
+func TestShardSetStatsMergeIndexAndStages(t *testing.T) {
+	ctx := context.Background()
+	build := func(n int) (*ShardSet, []Histogram) {
+		t.Helper()
+		ds, err := data.GaussianMixtures(n+3, 16, 2, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs, queries, err := ds.Split(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := NewShardSet(ds.Cost, Options{ReducedDims: 8, Seed: 42}, ShardSetOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range vecs {
+			if _, err := set.Add(ds.Items[i].Label, h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := set.Build(); err != nil {
+			t.Fatal(err)
+		}
+		return set, queries
+	}
+	sum := func(ans *ShardAnswer, field func(*QueryStats) int) int {
+		total := 0
+		for i, st := range ans.ShardStats {
+			if st == nil {
+				t.Fatalf("shard %d returned no stats on the healthy path", i)
+			}
+			total += field(st)
+		}
+		return total
+	}
+
+	indexed, queries := build(2 * (indexAutoMinN + 4))
+	for qi, q := range queries {
+		ans, err := indexed.KNN(ctx, q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range ans.ShardStats {
+			if st == nil || !st.IndexUsed {
+				t.Fatalf("query %d: shard %d did not serve from its index (stats %+v); the corpus no longer exercises the merge", qi, i, st)
+			}
+		}
+		if !ans.Stats.IndexUsed {
+			t.Fatalf("query %d: merged stats claim no index ran", qi)
+		}
+		if want := sum(ans, func(s *QueryStats) int { return s.IndexNodesVisited }); want == 0 || ans.Stats.IndexNodesVisited != want {
+			t.Fatalf("query %d: merged IndexNodesVisited %d, shards sum to %d", qi, ans.Stats.IndexNodesVisited, want)
+		}
+		if want := sum(ans, func(s *QueryStats) int { return s.IndexPruned }); ans.Stats.IndexPruned != want {
+			t.Fatalf("query %d: merged IndexPruned %d, shards sum to %d", qi, ans.Stats.IndexPruned, want)
+		}
+	}
+
+	scanned, queries := build(300)
+	for qi, q := range queries {
+		ans, err := scanned.KNN(ctx, q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Stats.IndexUsed {
+			t.Fatalf("query %d: a 150-item shard served from an index", qi)
+		}
+		if len(ans.Stats.Stages) == 0 || len(ans.Stats.Stages) != len(ans.ShardStats[0].Stages) ||
+			len(ans.Stats.StageEvaluations) != len(ans.Stats.Stages) {
+			t.Fatalf("query %d: merged %d stages / %d stage evaluations, shard 0 ran %d stages",
+				qi, len(ans.Stats.Stages), len(ans.Stats.StageEvaluations), len(ans.ShardStats[0].Stages))
+		}
+		for si, stage := range ans.Stats.Stages {
+			if stage.Name != ans.ShardStats[0].Stages[si].Name {
+				t.Fatalf("query %d: merged stage %d is %q, shard 0 ran %q", qi, si, stage.Name, ans.ShardStats[0].Stages[si].Name)
+			}
+			evals := sum(ans, func(s *QueryStats) int { return s.Stages[si].Evaluations })
+			pruned := sum(ans, func(s *QueryStats) int { return s.Stages[si].Pruned })
+			if evals == 0 || stage.Evaluations != evals || stage.Pruned != pruned || ans.Stats.StageEvaluations[si] != evals {
+				t.Fatalf("query %d stage %q: merged evaluations %d (mirror %d) pruned %d, shards sum to %d / %d",
+					qi, stage.Name, stage.Evaluations, ans.Stats.StageEvaluations[si], stage.Pruned, evals, pruned)
+			}
+		}
+	}
+}

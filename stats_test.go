@@ -3,6 +3,7 @@ package emdsearch
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -150,8 +151,16 @@ func TestEngineMetrics(t *testing.T) {
 	if m.QueryTime <= 0 || m.RefineTime <= 0 {
 		t.Errorf("timers not accumulated: query=%v refine=%v", m.QueryTime, m.RefineTime)
 	}
-	if _, err := json.Marshal(m); err != nil {
+	buf, err := json.Marshal(m)
+	if err != nil {
 		t.Errorf("Metrics not JSON-marshalable: %v", err)
+	}
+	// The retired warm-start key stays readable (always 0); the SSP
+	// fallback counter is exported and, on ordinary data, still 0.
+	for _, key := range []string{`"warm_start_hits":0`, `"ssp_fallbacks":0`} {
+		if !strings.Contains(string(buf), key) {
+			t.Errorf("Metrics JSON lacks %s: %s", key, buf)
+		}
 	}
 
 	// A mutation invalidates the snapshot; the next query rebuilds it.

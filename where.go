@@ -11,7 +11,7 @@ import (
 // over the restricted set while spending exact-EMD work only on
 // matching items. Refinements go through the same threshold-aware
 // bounded kernel as KNN (with Options.Workers parallelism), so the
-// RefinesAborted/WarmStartHits metrics cover this path too. pred must
+// RefinesAborted metric covers this path too. pred must
 // be deterministic for the duration of the call. Safe for concurrent
 // use (the predicate is invoked from the calling goroutine only,
 // never from refinement workers).
