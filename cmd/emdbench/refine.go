@@ -36,18 +36,23 @@ type refineReport struct {
 
 	ResultsIdentical bool `json:"results_identical"`
 
-	Refinements    int64   `json:"refinements"`
-	RefinesAborted int64   `json:"refines_aborted"`
-	AvgRefineRows  float64 `json:"avg_refine_rows"`
-	AvgRefineCols  float64 `json:"avg_refine_cols"`
+	Refinements    int64 `json:"refinements"`
+	RefinesAborted int64 `json:"refines_aborted"`
+	// RedEMDEvals counts the Red-EMD filter stage's evaluations and
+	// RedEMDAborted those of them a certified bound answered.
+	RedEMDEvals   int64   `json:"red_emd_evals"`
+	RedEMDAborted int64   `json:"red_emd_aborted"`
+	AvgRefineRows float64 `json:"avg_refine_rows"`
+	AvgRefineCols float64 `json:"avg_refine_cols"`
 }
 
-// runRefine benchmarks the threshold-aware exact-EMD refinement kernel
-// against the legacy unbounded one on the same engine configuration as
-// BenchmarkRefineEngineKNN: it builds two engines that differ only in
-// Options.UnboundedRefine, serves the identical k-NN workload on each,
-// checks the answers are bit-identical, and reports wall times, the
-// speedup and the bounded kernel's refinement counters.
+// runRefine benchmarks the threshold-aware pipeline (bounded refinement
+// and bounded Red-EMD filter solves) against the threshold-oblivious one
+// on the same engine configuration as BenchmarkRefineEngineKNN: it
+// builds two engines that differ only in Options.UnboundedRefine, serves
+// the identical k-NN workload on each, checks the answers are
+// bit-identical, and reports wall times, the speedup and the bounded
+// kernel's refinement and filter counters.
 func runRefine(cfg refineConfig) error {
 	ds, err := data.MusicSpectra(cfg.n+16, cfg.d, cfg.seed)
 	if err != nil {
@@ -137,6 +142,8 @@ func runRefine(cfg refineConfig) error {
 
 		Refinements:    m.Refinements,
 		RefinesAborted: m.RefinesAborted,
+		RedEMDEvals:    m.Stages["Red-EMD"].Evaluations,
+		RedEMDAborted:  m.Stages["Red-EMD"].Aborted,
 	}
 	if m.Refinements > 0 {
 		rep.AvgRefineRows = float64(m.RefineRows) / float64(m.Refinements)
@@ -146,8 +153,8 @@ func runRefine(cfg refineConfig) error {
 	fmt.Printf("unbounded: %v  bounded: %v  speedup: %.2fx\n",
 		unboundedDur.Round(time.Millisecond), boundedDur.Round(time.Millisecond), rep.Speedup)
 	fmt.Printf("results identical: %v\n", identical)
-	fmt.Printf("bounded metrics: refinements=%d aborted=%d avg_shape=%.1fx%.1f\n",
-		rep.Refinements, rep.RefinesAborted, rep.AvgRefineRows, rep.AvgRefineCols)
+	fmt.Printf("bounded metrics: refinements=%d aborted=%d avg_shape=%.1fx%.1f red_emd_evals=%d red_emd_aborted=%d\n",
+		rep.Refinements, rep.RefinesAborted, rep.AvgRefineRows, rep.AvgRefineCols, rep.RedEMDEvals, rep.RedEMDAborted)
 
 	if cfg.out != "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")

@@ -248,8 +248,8 @@ func runServe(cfg serveConfig) error {
 	fmt.Printf("         filter=%v refine=%v query=%v\n",
 		m.FilterTime.Round(time.Millisecond), m.RefineTime.Round(time.Millisecond), m.QueryTime.Round(time.Millisecond))
 	for name, st := range m.Stages {
-		fmt.Printf("         stage %-12s evals=%-8d pruned=%-8d time=%v\n",
-			name, st.Evaluations, st.Pruned, st.Time.Round(time.Millisecond))
+		fmt.Printf("         stage %-12s evals=%-8d pruned=%-8d aborted=%-8d time=%v\n",
+			name, st.Evaluations, st.Pruned, st.Aborted, st.Time.Round(time.Millisecond))
 	}
 	return nil
 }

@@ -147,13 +147,17 @@ type Options struct {
 	// gain. Independent of BatchKNN's cross-query parallelism — when
 	// combining both, keep workers × batch concurrency near GOMAXPROCS.
 	Workers int
-	// UnboundedRefine disables the threshold-aware refinement kernel:
-	// every candidate surviving the filters is refined to optimality
-	// with the legacy dense, cold-started, validating solver. Results
-	// are byte-identical either way — the bounded kernel only abandons
-	// a candidate when a certified lower bound proves it cannot enter
-	// the answer — so this exists as an escape hatch and as the
-	// baseline for benchmarking the bounded kernel's speedup.
+	// UnboundedRefine makes the whole query pipeline threshold-
+	// oblivious: every candidate surviving the filters is refined to
+	// optimality with the legacy dense, cold-started, validating solver,
+	// and every chained Red-EMD filter evaluation runs to optimality as
+	// well instead of stopping on a certified bound above the query's
+	// live pruning threshold. Results — and the Pulled and Refinements
+	// counters — are byte-identical either way: a bounded solve only
+	// abandons an item when a certified lower bound proves it cannot
+	// enter the answer. It exists as an escape hatch, as the oracle of
+	// the identity tests and as the baseline for benchmarking the
+	// bounded kernel's speedup.
 	UnboundedRefine bool
 	// Seed drives all randomized components; the default 0 is a valid
 	// fixed seed, so runs are reproducible unless the caller varies it.
@@ -775,6 +779,8 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 		Refine:  snap.refine,
 	}
 	if e.opts.UnboundedRefine {
+		// No RefineBounded: the Searcher publishes no threshold, so the
+		// stages below are always asked for the full distance.
 		s.Refine = snap.refineUnbounded
 	} else {
 		s.RefineBounded = snap.refineBounded
@@ -872,9 +878,9 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 				s.Stages = append(s.Stages, search.FilterStage{
 					Name:         "Red-IM",
 					PrepareQuery: coarsest.red.Apply,
-					Distance: func(qr Histogram, i int) float64 {
+					Distance: search.Exact(func(qr Histogram, i int) float64 {
 						return im.Distance(qr, coarsest.vecs[i])
-					},
+					}),
 				})
 			} else {
 				// The quantized pre-filter leads the chain unless
@@ -900,7 +906,7 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 					s.Stages = append(s.Stages, search.FilterStage{
 						Name:         "Q-Red-IM",
 						PrepareQuery: coarsest.red.Apply,
-						Distance:     qsc.DistanceAt,
+						Distance:     search.Exact(qsc.DistanceAt),
 						ScanAll:      qsc.ScanAll,
 					})
 					snap.quant = qz
@@ -912,7 +918,7 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 				s.Stages = append(s.Stages, search.FilterStage{
 					Name:         "Red-IM",
 					PrepareQuery: coarsest.red.Apply,
-					Distance:     sc.DistanceAt,
+					Distance:     search.Exact(sc.DistanceAt),
 					ScanAll:      sc.ScanAll,
 				})
 			}
@@ -926,14 +932,7 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 					Name:         fmt.Sprintf("Red-EMD-%d", st.red.ReducedDims()),
 					PrepareQuery: st.red.Apply,
 				}
-				if e.opts.ReferenceScan {
-					stage.Distance = func(qr Histogram, i int) float64 {
-						return st.reduced.DistanceReduced(qr, st.vecs[i])
-					}
-				} else {
-					stage.Distance = gatherDistance(st.cols, st.reduced.DistanceReduced)
-					stage.ScanAll = scanGatherAll(st.cols, st.reduced.DistanceReduced)
-				}
+				redEMDStage(&stage, st.reduced, st.vecs, st.cols)
 				s.Stages = append(s.Stages, stage)
 			}
 			snap.searcher = s
@@ -953,28 +952,14 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 				Name:         "Asym-Red-EMD",
 				PrepareQuery: func(q Histogram) Histogram { return q },
 			}
-			if e.opts.ReferenceScan {
-				stage.Distance = func(q Histogram, i int) float64 {
-					return asym.DistanceReduced(q, st.vecs[i])
-				}
-			} else {
-				stage.Distance = gatherDistance(st.cols, asym.DistanceReduced)
-				stage.ScanAll = scanGatherAll(st.cols, asym.DistanceReduced)
-			}
+			redEMDStage(&stage, asym, st.vecs, st.cols)
 			s.Stages = append(s.Stages, stage)
 		} else {
 			stage := search.FilterStage{
 				Name:         "Red-EMD",
 				PrepareQuery: e.red.Apply,
 			}
-			if e.opts.ReferenceScan {
-				stage.Distance = func(qr Histogram, i int) float64 {
-					return st.reduced.DistanceReduced(qr, st.vecs[i])
-				}
-			} else {
-				stage.Distance = gatherDistance(st.cols, st.reduced.DistanceReduced)
-				stage.ScanAll = scanGatherAll(st.cols, st.reduced.DistanceReduced)
-			}
+			redEMDStage(&stage, st.reduced, st.vecs, st.cols)
 			s.Stages = append(s.Stages, stage)
 		}
 	}
@@ -1019,26 +1004,42 @@ func (e *Engine) reusableQuant(cols *colscan.Columns, hash uint64) *colscan.Quan
 	return qz
 }
 
-// gatherDistance adapts a distance over per-item reduced vectors to
-// the columnar layout: gather into pooled scratch, evaluate. The
-// returned closure is shared by all queries of a snapshot, hence the
-// pool (stage Distance functions must be concurrency-safe).
-func gatherDistance(cols *colscan.Columns, dist func(qr, v Histogram) float64) func(Histogram, int) float64 {
+// redEMDStage fills in the distance functions of a reduced-EMD filter
+// stage over the per-item vectors vecs (Options.ReferenceScan) or, when
+// those are nil, the columnar layout cols. Distance is threshold-aware:
+// it hands the query's live pruning threshold to the transport kernel,
+// which stops on a certified bound above it. The eager ScanAll form has
+// no threshold yet and solves every item to optimality.
+func redEMDStage(stage *search.FilterStage, red *core.ReducedEMD, vecs []Histogram, cols *colscan.Columns) {
+	dist := func(qr, v Histogram, abortAbove float64) (float64, bool) {
+		r := red.DistanceReducedBounded(qr, v, abortAbove)
+		return r.Value, r.Aborted
+	}
+	if vecs != nil {
+		stage.Distance = func(qr Histogram, i int, abortAbove float64) (float64, bool) {
+			return dist(qr, vecs[i], abortAbove)
+		}
+		return
+	}
+	// Gather into pooled scratch, evaluate. The closure is shared by all
+	// queries of a snapshot, hence the pool (stage Distance functions
+	// must be concurrency-safe).
 	pool := &sync.Pool{New: func() interface{} {
 		b := make([]float64, cols.Dims())
 		return &b
 	}}
-	return func(qr Histogram, i int) float64 {
+	stage.Distance = func(qr Histogram, i int, abortAbove float64) (float64, bool) {
 		bp := pool.Get().(*[]float64)
-		d := dist(qr, cols.Gather(i, *bp))
+		d, aborted := dist(qr, cols.Gather(i, *bp), abortAbove)
 		pool.Put(bp)
-		return d
+		return d, aborted
 	}
+	stage.ScanAll = scanGatherAll(cols, red.DistanceReduced)
 }
 
-// scanGatherAll adapts the same distance to the eager batched form
-// used when the stage sits at the bottom of the chain: one block
-// transpose per block instead of n pooled gathers.
+// scanGatherAll adapts a distance over per-item reduced vectors to the
+// eager batched form used when the stage sits at the bottom of the
+// chain: one block transpose per block instead of n pooled gathers.
 func scanGatherAll(cols *colscan.Columns, dist func(qr, v Histogram) float64) func(Histogram, []float64) int {
 	return func(qr Histogram, out []float64) int {
 		return cols.ScanGather(out, func(i int, row []float64) float64 {

@@ -89,12 +89,12 @@ func main() {
 	run("symmetric", search.FilterStage{
 		Name:         "Red-EMD",
 		PrepareQuery: sym.Source().Apply,
-		Distance:     func(qr emd.Histogram, i int) float64 { return sym.DistanceReduced(qr, reducedVecs[i]) },
+		Distance:     search.Exact(func(qr emd.Histogram, i int) float64 { return sym.DistanceReduced(qr, reducedVecs[i]) }),
 	})
 	run("asymmetric", search.FilterStage{
 		Name:         "Asym-Red-EMD",
 		PrepareQuery: func(x emd.Histogram) emd.Histogram { return x },
-		Distance:     func(qf emd.Histogram, i int) float64 { return asym.DistanceReduced(qf, reducedVecs[i]) },
+		Distance:     search.Exact(func(qf emd.Histogram, i int) float64 { return asym.DistanceReduced(qf, reducedVecs[i]) }),
 	})
 	fmt.Println("\nboth pipelines return the exact EMD nearest neighbors; the asymmetric")
 	fmt.Println("filter needs fewer refinements because its lower bound is tighter.")

@@ -218,3 +218,12 @@ func (re *ReducedEMD) Distance(x, y emd.Histogram) float64 {
 func (re *ReducedEMD) DistanceReduced(xr, yr emd.Histogram) float64 {
 	return re.dist.Distance(xr, yr)
 }
+
+// DistanceReducedBounded is the threshold-aware form of DistanceReduced
+// for a filter stage that knows the query's live pruning threshold: the
+// solve stops as soon as a certified lower bound on the reduced EMD
+// exceeds abortAbove (see emd.Dist.DistanceBounded). The reduced EMD
+// lower-bounds the original one, so an aborted Value does too.
+func (re *ReducedEMD) DistanceReducedBounded(xr, yr emd.Histogram, abortAbove float64) emd.BoundedDistance {
+	return re.dist.DistanceBounded(xr, yr, abortAbove)
+}

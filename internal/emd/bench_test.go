@@ -79,3 +79,24 @@ func BenchmarkSolveBounded(b *testing.B) {
 		}
 	}
 }
+
+// TestSolveBoundedRingThresholds walks the benchmark's ring with the
+// threshold on either side of each pair's optimum: just above, the
+// bounded call returns the bits of the unbounded one (the kernel test
+// TestBoundedSolveCostsNothingUntilItAborts shows it also makes the same
+// pivots); just below, it aborts on a bound that does not overshoot.
+func TestSolveBoundedRingThresholds(t *testing.T) {
+	for _, d := range []int{8, 16, 32, 64} {
+		w := newSolveBoundedWorkload(t, d)
+		for i, p := range w.pairs {
+			opt := w.dist.Distance(p[0], p[1])
+			if r := w.dist.DistanceBounded(p[0], p[1], opt*(1+1e-6)); r.Aborted || math.Float64bits(r.Value) != math.Float64bits(opt) {
+				t.Fatalf("d=%d pair %d: threshold just above %v: aborted=%v value %v", d, i, opt, r.Aborted, r.Value)
+			}
+			below := opt * (1 - 1e-6)
+			if r := w.dist.DistanceBounded(p[0], p[1], below); !r.Aborted || !(r.Value > below) || r.Value > opt {
+				t.Fatalf("d=%d pair %d: threshold %v just below %v: aborted=%v value %v", d, i, below, opt, r.Aborted, r.Value)
+			}
+		}
+	}
+}

@@ -387,9 +387,9 @@ func Fig25(c Config) (*Table, error) {
 			s.Stages = append(s.Stages, search.FilterStage{
 				Name:         fmt.Sprintf("Red-EMD-%d", lr.ReducedDims()),
 				PrepareQuery: lr.Apply,
-				Distance: func(qr emd.Histogram, i int) float64 {
+				Distance: search.Exact(func(qr emd.Histogram, i int) float64 {
 					return lred.DistanceReduced(qr, lvecs[i])
-				},
+				}),
 			})
 		}
 		run, err := RunKNN(s, w.queries, c.K, ref)

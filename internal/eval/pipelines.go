@@ -56,7 +56,7 @@ func NewSearcher(p Pipeline, vectors []emd.Histogram, cost emd.CostMatrix, red *
 		s.Stages = []search.FilterStage{{
 			Name:         "IM-Full",
 			PrepareQuery: func(q emd.Histogram) emd.Histogram { return q },
-			Distance:     func(q emd.Histogram, i int) float64 { return im.Distance(q, vectors[i]) },
+			Distance:     search.Exact(func(q emd.Histogram, i int) float64 { return im.Distance(q, vectors[i]) }),
 		}}
 		return s, nil
 
@@ -75,7 +75,7 @@ func NewSearcher(p Pipeline, vectors []emd.Histogram, cost emd.CostMatrix, red *
 		redEMDStage := search.FilterStage{
 			Name:         "Red-EMD",
 			PrepareQuery: red.Apply,
-			Distance:     func(qr emd.Histogram, i int) float64 { return reduced.DistanceReduced(qr, reducedVecs[i]) },
+			Distance:     search.Exact(func(qr emd.Histogram, i int) float64 { return reduced.DistanceReduced(qr, reducedVecs[i]) }),
 		}
 		if p == PipelineRedEMD {
 			s.Stages = []search.FilterStage{redEMDStage}
@@ -89,7 +89,7 @@ func NewSearcher(p Pipeline, vectors []emd.Histogram, cost emd.CostMatrix, red *
 			{
 				Name:         "Red-IM",
 				PrepareQuery: red.Apply,
-				Distance:     func(qr emd.Histogram, i int) float64 { return im.Distance(qr, reducedVecs[i]) },
+				Distance:     search.Exact(func(qr emd.Histogram, i int) float64 { return im.Distance(qr, reducedVecs[i]) }),
 			},
 			redEMDStage,
 		}
@@ -225,9 +225,9 @@ func pcaStage(soft *pca.SoftReduction, reducedVecs []emd.Histogram) search.Filte
 	return search.FilterStage{
 		Name:         "PCA",
 		PrepareQuery: soft.Apply,
-		Distance: func(qr emd.Histogram, i int) float64 {
+		Distance: search.Exact(func(qr emd.Histogram, i int) float64 {
 			return soft.DistanceReduced(qr, reducedVecs[i])
-		},
+		}),
 	}
 }
 
@@ -238,8 +238,8 @@ func asymStage(asym *core.ReducedEMD, reducedVecs []emd.Histogram) search.Filter
 	return search.FilterStage{
 		Name:         "Asym-Red-EMD",
 		PrepareQuery: func(q emd.Histogram) emd.Histogram { return q },
-		Distance: func(q emd.Histogram, i int) float64 {
+		Distance: search.Exact(func(q emd.Histogram, i int) float64 {
 			return asym.DistanceReduced(q, reducedVecs[i])
-		},
+		}),
 	}
 }

@@ -19,6 +19,17 @@ func New[T any](hint int, less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{items: make([]T, 0, hint), less: less}
 }
 
+// From returns a heap over items ordered by less, establishing the heap
+// order in place in O(len(items)) — cheaper than len(items) pushes. The
+// heap takes ownership of items.
+func From[T any](items []T, less func(a, b T) bool) *Heap[T] {
+	h := &Heap[T]{items: items, less: less}
+	for i := len(items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
 // Len returns the number of elements.
 func (h *Heap[T]) Len() int { return len(h.items) }
 

@@ -15,9 +15,14 @@ func TestHeapSortsRandomInts(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Intn(100) - 50
 		}
-		h := New(0, func(a, b int) bool { return a < b })
-		for _, v := range in {
-			h.Push(v)
+		less := func(a, b int) bool { return a < b }
+		h := New(0, less)
+		if trial%2 == 0 {
+			for _, v := range in {
+				h.Push(v)
+			}
+		} else {
+			h = From(append([]int(nil), in...), less)
 		}
 		want := append([]int(nil), in...)
 		sort.Ints(want)

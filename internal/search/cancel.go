@@ -77,7 +77,7 @@ func WatchContext(ctx context.Context) (flag *atomic.Bool, stop func()) {
 // a partial answer is useful. With a never-cancellable ctx the
 // results are byte-identical to KNN's.
 func (s *Searcher) KNNCtx(ctx context.Context, q emd.Histogram, k int) (*KNNOutcome, error) {
-	return s.knnCtx(ctx, q, k, nil)
+	return s.knnCtx(ctx, q, k, knnConfig{})
 }
 
 // KNNWhereCtx is KNNCtx restricted to items satisfying pred. The
@@ -86,33 +86,29 @@ func (s *Searcher) KNNCtx(ctx context.Context, q emd.Histogram, k int) (*KNNOutc
 // refinement, so rejected items cost a predicate call but no exact
 // solve. pred must be non-nil.
 func (s *Searcher) KNNWhereCtx(ctx context.Context, q emd.Histogram, k int, pred func(index int) bool) (*KNNOutcome, error) {
-	return s.knnCtx(ctx, q, k, pred)
+	return s.knnCtx(ctx, q, k, knnConfig{pred: pred})
 }
 
-func (s *Searcher) knnCtx(ctx context.Context, q emd.Histogram, k int, pred func(index int) bool) (*KNNOutcome, error) {
+// knnCtx runs one k-NN query with the hooks the caller set in cfg
+// (pred, shared, toGlobal); the cancel flag of ctx and the chain's
+// threshold cell are filled in here.
+func (s *Searcher) knnCtx(ctx context.Context, q emd.Histogram, k int, cfg knnConfig) (*KNNOutcome, error) {
 	if s.Refine == nil && s.RefineBounded == nil {
 		return nil, errNoRefine()
 	}
 	start := time.Now()
-	ranking, probes, err := s.buildRanking(q, IndexHint{Kind: IndexKNN, K: k})
+	ranking, probes, bound, err := s.buildRanking(q, IndexHint{Kind: IndexKNN, K: k})
 	if err != nil {
 		return nil, err
 	}
 	cancel, stopWatch := WatchContext(ctx)
 	defer stopWatch()
-	cfg := knnConfig{cancel: cancel, pred: pred}
+	cfg.cancel, cfg.bound = cancel, bound
 
 	refineTime := new(atomicDuration)
 	refine := s.timedBoundedRefineIntr(q, refineTime.Add, cancel)
 	var out KNNOutcome
-	if s.Workers > 1 {
-		out.Results, out.Pending, out.Stats, err = parallelKNNBoundedCore(ranking, refine, k, s.Workers, cfg)
-	} else {
-		out.Results, out.Pending, out.Stats, err = knnBoundedCore(ranking, refine, k, cfg)
-		if err == nil {
-			out.Stats.Workers = 1
-		}
-	}
+	out.Results, out.Pending, out.Stats, err = parallelKNNBoundedCore(ranking, refine, k, s.Workers, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -133,26 +129,17 @@ func (s *Searcher) RangeCtx(ctx context.Context, q emd.Histogram, eps float64, p
 		return nil, nil, errNoRefine()
 	}
 	start := time.Now()
-	ranking, probes, err := s.buildRanking(q, IndexHint{Kind: IndexRange, Eps: eps})
+	ranking, probes, bound, err := s.buildRanking(q, IndexHint{Kind: IndexRange, Eps: eps})
 	if err != nil {
 		return nil, nil, err
 	}
 	cancel, stopWatch := WatchContext(ctx)
 	defer stopWatch()
-	cfg := knnConfig{cancel: cancel, pred: pred}
+	cfg := knnConfig{cancel: cancel, pred: pred, bound: bound}
 
-	var results []Result
-	var stats *QueryStats
 	refineTime := new(atomicDuration)
 	refine := s.timedBoundedRefineIntr(q, refineTime.Add, cancel)
-	if s.Workers > 1 {
-		results, stats, err = parallelRangeBoundedCore(ranking, refine, eps, s.Workers, cfg)
-	} else {
-		results, stats, err = rangeBoundedCore(ranking, refine, eps, cfg)
-		if err == nil {
-			stats.Workers = 1
-		}
-	}
+	results, stats, err := parallelRangeBoundedCore(ranking, refine, eps, s.Workers, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -28,6 +28,14 @@ type StageStats struct {
 	// that the next consumer (the following stage, or the refinement
 	// loop) never had to touch.
 	Pruned int
+	// Aborted counts the evaluations (included in Evaluations) that were
+	// answered by a bound instead of a finished computation: the stage's
+	// distance function stopped early on a certified lower bound above
+	// the query's live threshold, or the chain did not call it at all
+	// because the previous stage's value already exceeded the threshold.
+	// Always 0 for the eagerly scanned bottom stage, for an index and on
+	// a threshold-oblivious Searcher.
+	Aborted int
 	// Duration is the wall time spent inside this stage's distance
 	// function.
 	Duration time.Duration
@@ -189,6 +197,11 @@ type knnConfig struct {
 	// id. toGlobal maps local to global indices (nil = identity).
 	shared   *SharedKNN
 	toGlobal func(local int) int
+	// bound, when non-nil, is the cell the ranking's chained stages read
+	// the live pruning threshold from (Searcher.buildRanking hands it
+	// out); the loop publishes the threshold there before every Next.
+	// Only the goroutine that calls Next writes it.
+	bound *float64
 }
 
 func (cfg *knnConfig) cancelled() bool {
@@ -208,6 +221,17 @@ func (cfg *knnConfig) tighten(threshold float64) float64 {
 		}
 	}
 	return threshold
+}
+
+// publish makes threshold — the bound the loop is about to prune the
+// next candidate with — visible to the filter chain. The chain may then
+// answer any item with a certified bound above it instead of a finished
+// filter distance; because thresholds only fall, the loop will stop at
+// such an item whenever it surfaces.
+func (cfg *knnConfig) publish(threshold float64) {
+	if cfg.bound != nil {
+		*cfg.bound = threshold
+	}
 }
 
 // offer publishes a confirmed exact distance to the shared set.
@@ -230,7 +254,7 @@ func knnBoundedCore(ranking Ranking, refine BoundedRefine, k int, cfg knnConfig)
 	if k < 1 {
 		return nil, nil, nil, fmt.Errorf("search: k = %d, want >= 1", k)
 	}
-	stats := &QueryStats{}
+	stats := &QueryStats{Workers: 1}
 	neighbors := make([]Result, 0, k+1)
 	var pending []PendingCandidate
 
@@ -254,15 +278,18 @@ func knnBoundedCore(ranking Ranking, refine BoundedRefine, k int, cfg knnConfig)
 			stats.Cancelled = true
 			break
 		}
+		threshold := math.Inf(1)
+		if len(neighbors) == k {
+			threshold = neighbors[k-1].Dist
+		}
+		cfg.publish(cfg.tighten(threshold))
 		c, ok := ranking.Next()
 		if !ok {
 			break
 		}
 		stats.Pulled++
-		threshold := math.Inf(1)
-		if len(neighbors) == k {
-			threshold = neighbors[k-1].Dist
-		}
+		// Re-read the shared threshold: other partitions may have
+		// tightened it while the chain was evaluating filters.
 		threshold = cfg.tighten(threshold)
 		if c.Dist > threshold {
 			// Lower-bounding filter: every remaining item is at least
@@ -322,8 +349,9 @@ func rangeBoundedCore(ranking Ranking, refine BoundedRefine, eps float64, cfg kn
 	if eps < 0 {
 		return nil, nil, fmt.Errorf("search: eps = %g, want >= 0", eps)
 	}
-	stats := &QueryStats{}
+	stats := &QueryStats{Workers: 1}
 	var results []Result
+	cfg.publish(eps)
 	for {
 		if cfg.cancelled() {
 			stats.Cancelled = true

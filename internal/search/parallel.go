@@ -208,6 +208,7 @@ func parallelKNNBoundedCore(ranking Ranking, refine BoundedRefine, k, workers in
 			cancelled.Store(true)
 			break
 		}
+		cfg.publish(cfg.tighten(threshold.Load()))
 		c, ok := ranking.Next()
 		if !ok {
 			break
@@ -270,6 +271,7 @@ func parallelRangeBoundedCore(ranking Ranking, refine BoundedRefine, eps float64
 		cancelled atomic.Bool
 		faulted   fault
 	)
+	cfg.publish(eps)
 	dispatch := make(chan Candidate, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

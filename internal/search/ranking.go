@@ -7,7 +7,11 @@
 // and an exact linear-scan baseline complete the query API.
 package search
 
-import "container/heap"
+import (
+	"math"
+
+	"emdsearch/internal/heapx"
+)
 
 // Candidate is one database item together with a (filter) distance.
 type Candidate struct {
@@ -23,25 +27,13 @@ type Ranking interface {
 	Next() (c Candidate, ok bool)
 }
 
-// candHeap is a min-heap of candidates ordered by Dist, with Index as a
-// deterministic tie-breaker.
-type candHeap []Candidate
-
-func (h candHeap) Len() int { return len(h) }
-func (h candHeap) Less(i, j int) bool {
-	if h[i].Dist != h[j].Dist {
-		return h[i].Dist < h[j].Dist
+// candBefore orders candidates by Dist, with Index as a deterministic
+// tie-breaker; the rankings' heaps are min-heaps under it.
+func candBefore(a, b Candidate) bool {
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
 	}
-	return h[i].Index < h[j].Index
-}
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(Candidate)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
+	return a.Index < b.Index
 }
 
 // ScanRanking ranks all items by an eagerly computed distance slice.
@@ -49,17 +41,16 @@ func (h *candHeap) Pop() interface{} {
 // against the complete database (a sequential scan over the compact
 // filter representation), and the heap then yields items incrementally.
 type ScanRanking struct {
-	h candHeap
+	h *heapx.Heap[Candidate]
 }
 
 // NewScanRanking builds a ranking over dists[i] for items 0..len-1.
 func NewScanRanking(dists []float64) *ScanRanking {
-	h := make(candHeap, len(dists))
+	items := make([]Candidate, len(dists))
 	for i, d := range dists {
-		h[i] = Candidate{Index: i, Dist: d}
+		items[i] = Candidate{Index: i, Dist: d}
 	}
-	heap.Init(&h)
-	return &ScanRanking{h: h}
+	return &ScanRanking{h: heapx.From(items, candBefore)}
 }
 
 // Next pops the closest remaining item.
@@ -67,7 +58,7 @@ func (r *ScanRanking) Next() (Candidate, bool) {
 	if r.h.Len() == 0 {
 		return Candidate{}, false
 	}
-	return heap.Pop(&r.h).(Candidate), true
+	return r.h.Pop(), true
 }
 
 // SliceRanking yields a fixed, already-ordered candidate list. It is
@@ -104,24 +95,47 @@ func (r *SliceRanking) Next() (Candidate, bool) {
 // correct for *any* pair of lower bounds — f2 need not dominate f1
 // item-wise (e.g. a centroid bound chained with Red-IM, neither of
 // which dominates the other) — and is a free tightening when it does.
+//
+// The chain is threshold-aware. Its consumer (the KNOP and range loops)
+// publishes the query's live pruning threshold in *bound before each
+// Next; the chain hands the value it reads to second as abortAbove, and
+// does not call second at all for an item whose f1 already exceeds it.
+// An item evaluated against bound b therefore stores either its true
+// max(f1, f2) or some v with b < v <= max(f1, f2). Thresholds only
+// fall, so such a v exceeds every later threshold too: the consumer
+// stops at that item exactly as it would at the true value, and every
+// item it goes on to refine carries its true value. Emission stays in
+// nondecreasing stored order and every stored value lower-bounds what
+// f2 lower-bounds, so results — and the consumer's Pulled and
+// Refinements counters — are those of the threshold-oblivious chain.
 type ChainedRanking struct {
 	base     Ranking
-	second   func(index int) float64
-	pending  candHeap
+	second   func(index int, abortAbove float64) (d float64, aborted bool)
+	bound    *float64
+	pending  *heapx.Heap[Candidate]
 	lookNext Candidate
 	lookOK   bool
 	primed   bool
-	// Evaluations counts how many times the second filter was
-	// computed; the experiment harness reads it after each query.
+	// Evaluations counts the items taken from the base and put through
+	// the second filter; the experiment harness reads it after each
+	// query.
 	Evaluations int
+	// Aborted counts those of them that were answered by a bound
+	// instead of a finished evaluation: second reported an early stop,
+	// or was not called because f1 alone exceeded the threshold.
+	Aborted int
 }
 
 // NewChainedRanking chains second on top of base. second must be a
 // lower bound of whatever distance the consumer refines with, and must
 // dominate the base's filter distance item-wise for the ranking to be
-// correctly ordered.
-func NewChainedRanking(base Ranking, second func(index int) float64) *ChainedRanking {
-	return &ChainedRanking{base: base, second: second}
+// correctly ordered. It receives the live threshold as abortAbove and
+// returns the filter distance, or — with aborted set — a certified
+// lower bound on it that exceeds abortAbove. bound is the cell the
+// consumer publishes that threshold in; nil means no consumer does
+// (abortAbove is always +Inf and the chain never skips).
+func NewChainedRanking(base Ranking, second func(index int, abortAbove float64) (d float64, aborted bool), bound *float64) *ChainedRanking {
+	return &ChainedRanking{base: base, second: second, bound: bound, pending: heapx.New(0, candBefore)}
 }
 
 // Next returns the remaining item with the smallest second-filter
@@ -131,14 +145,17 @@ func (r *ChainedRanking) Next() (Candidate, bool) {
 		r.lookNext, r.lookOK = r.base.Next()
 		r.primed = true
 	}
+	abortAbove := math.Inf(1)
+	if r.bound != nil {
+		abortAbove = *r.bound
+	}
 	for {
 		if r.pending.Len() > 0 {
-			top := r.pending[0]
+			top := r.pending.Peek()
 			if !r.lookOK || top.Dist <= r.lookNext.Dist {
 				// No unseen item can have a smaller f2: their f1 (and
 				// hence f2) is at least the base's next distance.
-				heap.Pop(&r.pending)
-				return top, true
+				return r.pending.Pop(), true
 			}
 		} else if !r.lookOK {
 			return Candidate{}, false
@@ -146,10 +163,17 @@ func (r *ChainedRanking) Next() (Candidate, bool) {
 		c := r.lookNext
 		r.lookNext, r.lookOK = r.base.Next()
 		r.Evaluations++
-		d := r.second(c.Index)
-		if c.Dist > d {
-			d = c.Dist
+		if c.Dist > abortAbove {
+			r.Aborted++
+		} else {
+			d, aborted := r.second(c.Index, abortAbove)
+			if aborted {
+				r.Aborted++
+			}
+			if d > c.Dist {
+				c.Dist = d
+			}
 		}
-		heap.Push(&r.pending, Candidate{Index: c.Index, Dist: d})
+		r.pending.Push(c)
 	}
 }

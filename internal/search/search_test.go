@@ -78,7 +78,7 @@ func TestChainedRankingMatchesFullSort(t *testing.T) {
 		f1[i] = rng.Float64() * 5
 		f2[i] = f1[i] + rng.Float64()*2 // f2 dominates f1
 	}
-	cr := NewChainedRanking(NewScanRanking(f1), func(i int) float64 { return f2[i] })
+	cr := NewChainedRanking(NewScanRanking(f1), plainSecond(func(i int) float64 { return f2[i] }), nil)
 
 	var emitted []Candidate
 	for {
@@ -114,7 +114,7 @@ func TestChainedRankingIsLazy(t *testing.T) {
 	for i := range f1 {
 		f1[i] = float64(i) // well separated
 	}
-	cr := NewChainedRanking(NewScanRanking(f1), func(i int) float64 { return f1[i] + 0.5 })
+	cr := NewChainedRanking(NewScanRanking(f1), plainSecond(func(i int) float64 { return f1[i] + 0.5 }), nil)
 	if _, ok := cr.Next(); !ok {
 		t.Fatal("empty ranking")
 	}
@@ -124,7 +124,7 @@ func TestChainedRankingIsLazy(t *testing.T) {
 }
 
 func TestChainedRankingEmptyBase(t *testing.T) {
-	cr := NewChainedRanking(NewScanRanking(nil), func(i int) float64 { return 0 })
+	cr := NewChainedRanking(NewScanRanking(nil), plainSecond(func(i int) float64 { return 0 }), nil)
 	if _, ok := cr.Next(); ok {
 		t.Fatal("chained ranking over empty base yielded a candidate")
 	}
@@ -316,12 +316,12 @@ func TestSearcherChainedPipeline(t *testing.T) {
 			{
 				Name:         "Red-IM",
 				PrepareQuery: red.Apply,
-				Distance:     func(qr emd.Histogram, i int) float64 { return im.Distance(qr, reducedData[i]) },
+				Distance:     Exact(func(qr emd.Histogram, i int) float64 { return im.Distance(qr, reducedData[i]) }),
 			},
 			{
 				Name:         "Red-EMD",
 				PrepareQuery: red.Apply,
-				Distance:     func(qr emd.Histogram, i int) float64 { return reduced.DistanceReduced(qr, reducedData[i]) },
+				Distance:     Exact(func(qr emd.Histogram, i int) float64 { return reduced.DistanceReduced(qr, reducedData[i]) }),
 			},
 		},
 		Refine: func(q emd.Histogram, i int) float64 { return dist.Distance(q, data[i]) },
@@ -406,7 +406,7 @@ func TestSearcherRangeMatchesScan(t *testing.T) {
 		Stages: []FilterStage{{
 			Name:         "Red-EMD",
 			PrepareQuery: red.Apply,
-			Distance:     func(qr emd.Histogram, i int) float64 { return reduced.DistanceReduced(qr, reducedData[i]) },
+			Distance:     Exact(func(qr emd.Histogram, i int) float64 { return reduced.DistanceReduced(qr, reducedData[i]) }),
 		}},
 		Refine: func(q emd.Histogram, i int) float64 { return dist.Distance(q, data[i]) },
 	}
@@ -471,7 +471,7 @@ func TestChainedRankingNonDominatingFilters(t *testing.T) {
 		f1[i] = exact[i] * (0.2 + 0.6*rng.Float64())
 		f2[i] = exact[i] * (0.2 + 0.6*rng.Float64())
 	}
-	cr := NewChainedRanking(NewScanRanking(f1), func(i int) float64 { return f2[i] })
+	cr := NewChainedRanking(NewScanRanking(f1), plainSecond(func(i int) float64 { return f2[i] }), nil)
 	// Emitted distances must be valid lower bounds of exact, ascending,
 	// covering every index once.
 	prev := -1.0
@@ -499,7 +499,7 @@ func TestChainedRankingNonDominatingFilters(t *testing.T) {
 		}
 	}
 	// And KNOP over the chain yields the exact kNN.
-	got, _, err := KNN(NewChainedRanking(NewScanRanking(f1), func(i int) float64 { return f2[i] }),
+	got, _, err := KNN(NewChainedRanking(NewScanRanking(f1), plainSecond(func(i int) float64 { return f2[i] }), nil),
 		func(i int) float64 { return exact[i] }, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 package search
 
 import (
-	"fmt"
+	"context"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -20,8 +21,15 @@ type FilterStage struct {
 	// called once per query.
 	PrepareQuery func(q emd.Histogram) emd.Histogram
 	// Distance computes the stage's filter distance between the
-	// prepared query and database item index.
-	Distance func(prepared emd.Histogram, index int) float64
+	// prepared query and database item index — or stops early: given the
+	// query's live pruning threshold as abortAbove, it may instead return
+	// a certified lower bound on that distance which exceeds abortAbove,
+	// with aborted set (the item is then provably beyond the threshold,
+	// which is all the chain needs to know; see ChainedRanking). A stage
+	// with nothing to gain from the threshold ignores it and never
+	// reports aborted; Exact adapts a plain distance function. Callers
+	// that want the distance itself pass +Inf.
+	Distance func(prepared emd.Histogram, index int, abortAbove float64) (d float64, aborted bool)
 	// ScanAll, when set, computes the stage's distance for every item
 	// in one batched pass, writing item i's distance to out[i] and
 	// returning the number of items evaluated. It is used only when
@@ -32,6 +40,14 @@ type FilterStage struct {
 	// stages. Distance remains required — lazy chained use and
 	// auxiliary query paths still call it.
 	ScanAll func(prepared emd.Histogram, out []float64) int
+}
+
+// Exact lifts a plain filter distance into the FilterStage.Distance
+// form: it ignores the threshold and always finishes.
+func Exact(dist func(prepared emd.Histogram, index int) float64) func(emd.Histogram, int, float64) (float64, bool) {
+	return func(prepared emd.Histogram, index int, _ float64) (float64, bool) {
+		return dist(prepared, index), false
+	}
 }
 
 // Searcher executes multistep k-NN and range queries over a database
@@ -79,7 +95,10 @@ type Searcher struct {
 	// live pruning threshold of the query). It must obey the
 	// BoundedRefine contract and, like Refine, be safe for concurrent
 	// invocation when Workers > 1. At least one of Refine and
-	// RefineBounded must be set.
+	// RefineBounded must be set. Setting it makes the whole pipeline
+	// threshold-aware: the same live threshold reaches every chained
+	// stage's Distance. A Searcher with only Refine is threshold-
+	// oblivious end to end — every stage is called with +Inf.
 	RefineBounded func(q emd.Histogram, index int, abortAbove float64) Refinement
 	// RefineBoundedIntr, when set, is the interrupt-aware form of
 	// RefineBounded used by the context-aware entry points (KNNCtx,
@@ -99,21 +118,25 @@ type Searcher struct {
 // index is set only for the index-backed stage and feeds the
 // QueryStats index counters.
 type stageProbe struct {
-	name  string
-	evals func() int
-	dur   *time.Duration
-	index func() IndexStats
+	name    string
+	evals   func() int
+	aborted func() int // nil for stages that cannot abort (eager scan, index)
+	dur     *time.Duration
+	index   func() IndexStats
 }
 
 // buildRanking assembles the filter chain for one query and returns
 // the final ranking plus probes for the per-stage counters. The hint
 // describes the query shape so an attached index can apply its
-// per-query acceptance policy.
-func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint) (Ranking, []stageProbe, error) {
+// per-query acceptance policy. bound is the cell the chained stages
+// read the query's live pruning threshold from; the query loop that
+// consumes the ranking publishes it there (knnConfig.bound), and a
+// caller that never does leaves every stage running to completion.
+func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint) (ranking Ranking, probes []stageProbe, bound *float64, err error) {
 	if s.Index != nil {
 		idx, err := s.Index(q, hint)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if idx != nil {
 			// The index IS the filter: no eager scan, no chained
@@ -126,18 +149,15 @@ func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint) (Ranking, []sta
 				dur:   dur,
 				index: idx.IndexStats,
 			}
-			return &timedRanking{inner: idx, dur: dur}, []stageProbe{probe}, nil
+			return &timedRanking{inner: idx, dur: dur}, []stageProbe{probe}, nil, nil
 		}
 	}
-	var ranking Ranking
 	chainFrom := 0
-	probes := make([]stageProbe, 0, len(s.Stages))
+	probes = make([]stageProbe, 0, len(s.Stages))
 	if s.BaseRanking != nil {
-		base, err := s.BaseRanking(q)
-		if err != nil {
-			return nil, nil, err
+		if ranking, err = s.BaseRanking(q); err != nil {
+			return nil, nil, nil, err
 		}
-		ranking = base
 	} else if len(s.Stages) == 0 {
 		// Trivial all-zero filter: a valid lower bound that prunes
 		// nothing, yielding the sequential-scan behavior.
@@ -152,40 +172,43 @@ func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint) (Ranking, []sta
 			scanned = first.ScanAll(prepared, dists)
 		} else {
 			for i := 0; i < s.N; i++ {
-				dists[i] = first.Distance(prepared, i)
+				dists[i], _ = first.Distance(prepared, i, math.Inf(1))
 			}
 			scanned = s.N
 		}
 		scanDur := time.Since(start)
 		ranking = NewScanRanking(dists)
 		chainFrom = 1
-		dur := new(time.Duration)
-		*dur = scanDur
 		probes = append(probes, stageProbe{
 			name:  first.Name,
 			evals: func() int { return scanned },
-			dur:   dur,
+			dur:   &scanDur,
 		})
 	}
 
+	if s.RefineBounded != nil {
+		bound = new(float64)
+		*bound = math.Inf(1)
+	}
 	for _, stage := range s.Stages[chainFrom:] {
 		stagePrepared := stage.PrepareQuery(q)
 		dist := stage.Distance
 		dur := new(time.Duration)
-		cr := NewChainedRanking(ranking, func(index int) float64 {
+		cr := NewChainedRanking(ranking, func(index int, abortAbove float64) (float64, bool) {
 			t0 := time.Now()
-			d := dist(stagePrepared, index)
+			d, aborted := dist(stagePrepared, index, abortAbove)
 			*dur += time.Since(t0)
-			return d
-		})
+			return d, aborted
+		}, bound)
 		probes = append(probes, stageProbe{
-			name:  stage.Name,
-			evals: func() int { return cr.Evaluations },
-			dur:   dur,
+			name:    stage.Name,
+			evals:   func() int { return cr.Evaluations },
+			aborted: func() int { return cr.Aborted },
+			dur:     dur,
 		})
 		ranking = cr
 	}
-	return ranking, probes, nil
+	return ranking, probes, bound, nil
 }
 
 // finishStats fills the per-stage observability fields of stats from
@@ -214,6 +237,9 @@ func finishStats(stats *QueryStats, probes []stageProbe, total time.Duration) {
 			Evaluations: evals,
 			Pruned:      pruned,
 			Duration:    *p.dur,
+		}
+		if p.aborted != nil {
+			stats.Stages[i].Aborted = p.aborted()
 		}
 		stats.StageEvaluations[i] = evals
 		stats.FilterTime += *p.dur
@@ -252,86 +278,32 @@ func (s *Searcher) timedBoundedRefine(q emd.Histogram, add func(time.Duration)) 
 // sharing an atomic pruning threshold; results are identical to the
 // sequential path (work counters may differ slightly, since candidates
 // in flight when the threshold tightens are refined speculatively).
-// When RefineBounded is set, candidates are refined threshold-aware:
-// the solver may abandon a candidate on a certified bound above the
-// live k-th distance, which changes only the work counters, never the
-// results.
+// When RefineBounded is set, the query is threshold-aware: the live
+// k-th distance is the abort bound of every refinement and of every
+// chained filter evaluation, which changes only the work counters,
+// never the results. It is KNNCtx without a context.
 func (s *Searcher) KNN(q emd.Histogram, k int) ([]Result, *QueryStats, error) {
-	if s.Refine == nil && s.RefineBounded == nil {
-		return nil, nil, fmt.Errorf("search: Searcher has no refinement distance")
-	}
-	start := time.Now()
-	ranking, probes, err := s.buildRanking(q, IndexHint{Kind: IndexKNN, K: k})
+	out, err := s.knnCtx(context.Background(), q, k, knnConfig{})
 	if err != nil {
 		return nil, nil, err
 	}
-	var results []Result
-	var stats *QueryStats
-	if s.Workers > 1 {
-		refineTime := new(atomicDuration)
-		refine := s.timedBoundedRefine(q, refineTime.Add)
-		results, stats, err = ParallelKNNBounded(ranking, refine, k, s.Workers)
-		if err == nil {
-			stats.RefineTime = refineTime.Load()
-		}
-	} else {
-		var refineTime time.Duration
-		refine := s.timedBoundedRefine(q, func(d time.Duration) { refineTime += d })
-		results, stats, err = KNNBounded(ranking, refine, k)
-		if err == nil {
-			stats.RefineTime = refineTime
-			stats.Workers = 1
-		}
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	finishStats(stats, probes, time.Since(start))
-	return results, stats, nil
+	return out.Results, out.Stats, nil
 }
 
 // Range answers a range query: all items with exact distance <= eps.
 // Like KNN it refines in parallel when Workers > 1 and threshold-aware
-// when RefineBounded is set (eps is the abort bound).
+// when RefineBounded is set (eps is the abort bound). It is RangeCtx
+// without a context or predicate.
 func (s *Searcher) Range(q emd.Histogram, eps float64) ([]Result, *QueryStats, error) {
-	if s.Refine == nil && s.RefineBounded == nil {
-		return nil, nil, fmt.Errorf("search: Searcher has no refinement distance")
-	}
-	start := time.Now()
-	ranking, probes, err := s.buildRanking(q, IndexHint{Kind: IndexRange, Eps: eps})
-	if err != nil {
-		return nil, nil, err
-	}
-	var results []Result
-	var stats *QueryStats
-	if s.Workers > 1 {
-		refineTime := new(atomicDuration)
-		refine := s.timedBoundedRefine(q, refineTime.Add)
-		results, stats, err = ParallelRangeBounded(ranking, refine, eps, s.Workers)
-		if err == nil {
-			stats.RefineTime = refineTime.Load()
-		}
-	} else {
-		var refineTime time.Duration
-		refine := s.timedBoundedRefine(q, func(d time.Duration) { refineTime += d })
-		results, stats, err = RangeBounded(ranking, refine, eps)
-		if err == nil {
-			stats.RefineTime = refineTime
-			stats.Workers = 1
-		}
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	finishStats(stats, probes, time.Since(start))
-	return results, stats, nil
+	return s.RangeCtx(context.Background(), q, eps, nil)
 }
 
 // Ranking returns the assembled filter ranking for q — the same chain
-// KNN and Range use internally, without the refinement step. Callers
-// can stack further (larger) lower bounds or the exact distance on top
-// with NewChainedRanking.
+// KNN and Range use internally, without the refinement step and with
+// no threshold published, so every value it yields is the stages' true
+// filter distance. Callers can stack further (larger) lower bounds or
+// the exact distance on top with NewChainedRanking.
 func (s *Searcher) Ranking(q emd.Histogram) (Ranking, error) {
-	ranking, _, err := s.buildRanking(q, IndexHint{Kind: IndexRank})
+	ranking, _, _, err := s.buildRanking(q, IndexHint{Kind: IndexRank})
 	return ranking, err
 }

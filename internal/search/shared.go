@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"emdsearch/internal/emd"
 )
@@ -118,39 +117,11 @@ func (g *SharedKNN) Results() []Result {
 // partition's local top-k, which the caller merges (or reads straight
 // off shared.Results() once every partition finished).
 func (s *Searcher) KNNSharedCtx(ctx context.Context, q emd.Histogram, k int, shared *SharedKNN, toGlobal func(local int) int, pred func(index int) bool) (*KNNOutcome, error) {
-	if s.Refine == nil && s.RefineBounded == nil {
-		return nil, errNoRefine()
-	}
 	if shared == nil {
 		return nil, fmt.Errorf("search: KNNSharedCtx requires a shared set")
 	}
 	if shared.k != k {
 		return nil, fmt.Errorf("search: shared set built for k = %d, query asks k = %d", shared.k, k)
 	}
-	start := time.Now()
-	ranking, probes, err := s.buildRanking(q, IndexHint{Kind: IndexKNN, K: k})
-	if err != nil {
-		return nil, err
-	}
-	cancel, stopWatch := WatchContext(ctx)
-	defer stopWatch()
-	cfg := knnConfig{cancel: cancel, pred: pred, shared: shared, toGlobal: toGlobal}
-
-	refineTime := new(atomicDuration)
-	refine := s.timedBoundedRefineIntr(q, refineTime.Add, cancel)
-	var out KNNOutcome
-	if s.Workers > 1 {
-		out.Results, out.Pending, out.Stats, err = parallelKNNBoundedCore(ranking, refine, k, s.Workers, cfg)
-	} else {
-		out.Results, out.Pending, out.Stats, err = knnBoundedCore(ranking, refine, k, cfg)
-		if err == nil {
-			out.Stats.Workers = 1
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	out.Stats.RefineTime = refineTime.Load()
-	finishStats(out.Stats, probes, time.Since(start))
-	return &out, nil
+	return s.knnCtx(ctx, q, k, knnConfig{pred: pred, shared: shared, toGlobal: toGlobal})
 }

@@ -229,7 +229,10 @@ func (st *simplexState) saveWarmDuals() {
 // dual-feasible value u_i = min_j (c_ij - v_j). The pair is dual
 // feasible by construction, so by weak duality the returned value
 // never exceeds the true optimum — a certified lower bound available
-// at every simplex iteration, not just at optimality.
+// at every simplex iteration, not just at optimality. It is an O(m·n)
+// pass of its own, so the pivot loop calls it once, when a solve is
+// interrupted; its abort check uses the bound entering's full scans
+// produce on the way.
 func (st *simplexState) feasibleDualBound(supply, demand []float64) float64 {
 	var total float64
 	for j := 0; j < st.n; j++ {

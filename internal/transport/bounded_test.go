@@ -250,3 +250,86 @@ func TestSolveValueBoundedDegenerate(t *testing.T) {
 		}
 	}
 }
+
+// pivotsOf runs the bounded kernel's pivot loop on a fresh state (no
+// cached duals, so no pre-simplex abort) and returns how many pivots it
+// made and why it stopped.
+func pivotsOf(cc *compiledCost, p Problem, abortAbove float64) (int, stopCause) {
+	st := newSimplexState(cc.m, cc.n)
+	supply, demand := st.reduceProblem(cc, p.Supply, p.Demand)
+	st.initVogel(supply, demand)
+	st.patchBasis()
+	iter, stop, _, err := st.pivotLoop(supply, demand, abortAbove, nil)
+	if err != nil {
+		panic(err)
+	}
+	return iter, stop
+}
+
+// TestBoundedSolveCostsNothingUntilItAborts pins the two ends of the
+// abort certificate on the workload of BenchmarkSolveBounded (random
+// dense histogram pairs over the |i-j| ground distance, d = 8..64). The
+// certificate is a by-product of the pricing scans the loop runs anyway:
+// a threshold just above the optimum can never be exceeded, and the
+// solve then makes exactly the pivots of the unbounded one and returns
+// the same value bits; a threshold just below the optimum is exceeded at
+// the latest by the final, optimality-certifying scan, so the solve
+// aborts — with a bound that does not overshoot the optimum.
+func TestBoundedSolveCostsNothingUntilItAborts(t *testing.T) {
+	for _, d := range []int{8, 16, 32, 64} {
+		cost := manhattanCost(d)
+		cc := compileCost(cost)
+		s, err := NewSolver(cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(d)))
+		early := 0
+		for trial := 0; trial < 24; trial++ {
+			p := randomMarginals(rng, cost, false)
+			exact, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := exact.Value
+			pivots, stop := pivotsOf(cc, p, math.Inf(1))
+			if stop != stopOptimal {
+				t.Fatalf("d=%d trial %d: unbounded solve stopped with cause %d", d, trial, stop)
+			}
+
+			above := opt * (1 + 1e-6)
+			res, err := s.SolveValueBounded(p.Supply, p.Demand, above)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Aborted || math.Float64bits(res.Value) != math.Float64bits(opt) {
+				t.Fatalf("d=%d trial %d: abortAbove just above the optimum %v: aborted=%v value %v", d, trial, opt, res.Aborted, res.Value)
+			}
+			if n, stop := pivotsOf(cc, p, above); stop != stopOptimal || n != pivots {
+				t.Fatalf("d=%d trial %d: bounded solve that cannot abort made %d pivots (cause %d), unbounded %d", d, trial, n, stop, pivots)
+			}
+
+			below := opt * (1 - 1e-6)
+			res, err = s.SolveValueBounded(p.Supply, p.Demand, below)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Aborted || !(res.Value > below) || res.Value > opt {
+				t.Fatalf("d=%d trial %d: abortAbove %v just below the optimum %v: aborted=%v value %v", d, trial, below, opt, res.Aborted, res.Value)
+			}
+			n, stop := pivotsOf(cc, p, below)
+			if stop != stopAborted || n > pivots {
+				t.Fatalf("d=%d trial %d: solve bounded just below the optimum made %d pivots (cause %d), unbounded %d", d, trial, n, stop, pivots)
+			}
+			// Well below the optimum an earlier scan already certifies it.
+			if n, stop := pivotsOf(cc, p, 0.5*opt); stop != stopAborted || n > pivots {
+				t.Fatalf("d=%d trial %d: solve bounded at half the optimum made %d pivots (cause %d), unbounded %d", d, trial, n, stop, pivots)
+			} else if n < pivots {
+				early++
+			}
+		}
+		if early == 0 {
+			t.Errorf("d=%d: no solve bounded at half its optimum stopped before the last pivot", d)
+		}
+	}
+}

@@ -230,7 +230,21 @@ func TestRootedTreeMatchesRecomputation(t *testing.T) {
 		st.computeDuals()
 		tol := 1e-10 * st.scale
 		for pivots := 0; ; pivots++ {
-			ei, ej, ok := st.entering(tol)
+			ei, ej, bound, ok := st.entering(tol, p.Supply, p.Demand)
+			// A full scan's certificate is the feasibility-repaired dual
+			// objective up to the -tol floor of the row repair.
+			if !math.IsInf(bound, -1) {
+				var mass float64
+				for _, s := range p.Supply {
+					mass += s
+				}
+				ref := st.feasibleDualBound(p.Supply, p.Demand)
+				if slack := 1e-12 * st.scale * (1 + mass); bound > ref+slack || bound < ref-tol*mass-slack {
+					t.Fatalf("trial %d pivot %d: scan certificate %v, feasibleDualBound %v", trial, pivots, bound, ref)
+				}
+			} else if !ok {
+				t.Fatalf("trial %d pivot %d: optimality declared without a full scan", trial, pivots)
+			}
 			if !ok {
 				if pivots == 0 && trial%3 != 0 {
 					t.Fatalf("trial %d: northwest start was already optimal", trial)

@@ -48,7 +48,7 @@ type simplexState struct {
 	// negative reduced cost at the last full scan. Pivots price only
 	// this list; a full O(m*n) scan happens only when the list runs
 	// dry, which also certifies optimality.
-	cand []int32
+	cand []candCell
 	// cycle is the reusable pivot-cycle buffer.
 	cycle []cycleCell
 	// Reusable Vogel initializer buffers. rowList holds the active rows
@@ -91,6 +91,9 @@ type simplexState struct {
 	duHi, duLo []float64
 	dvHi, dvLo []float64
 }
+
+// candCell is one entry of the pricing candidate list.
+type candCell struct{ i, j int32 }
 
 // cycleCell is one cell of a pivot cycle with its +/- role.
 type cycleCell struct {
@@ -306,20 +309,23 @@ const (
 
 // pivotLoop pivots until optimality, the iteration budget, or — when
 // abortAbove is finite — until a certified dual lower bound on the
-// optimum exceeds abortAbove. After every dual recomputation the loop
-// evaluates the dual objective of a feasibility-repaired copy of the
-// current potentials (feasibleDualBound); by weak duality that value
-// never exceeds the true optimum, so once it clears abortAbove the
-// caller may discard the candidate without finishing the solve. The
-// bound is reported minus a small guard so that float error in the
-// repair can never certify past a true optimum that ties abortAbove.
+// optimum exceeds abortAbove. The certificate costs no pass of its own:
+// every full pricing scan of entering (the one before the first pivot
+// and the final, optimality-certifying one included) returns the dual
+// objective of a feasibility-repaired copy of the current potentials;
+// by weak duality that value never exceeds the true optimum, so once it
+// clears abortAbove the caller may discard the candidate without
+// finishing the solve. Pivots priced off the candidate list carry no
+// certificate and are not checked. The bound is reported minus a small
+// guard so that float error in the repair can never certify past a true
+// optimum that ties abortAbove.
 //
 // intr, when non-nil, is polled once per iteration: an observed
 // interrupt stops the loop within one pivot's worth of work (O(m·n))
-// and returns stopInterrupted with the same feasibility-repaired dual
-// bound as a certified lower bound on the optimum — this is what makes
-// a query deadline take effect inside a single large solve instead of
-// only between solves.
+// and returns stopInterrupted with a one-shot feasibility-repaired dual
+// bound (feasibleDualBound) as a certified lower bound on the optimum —
+// this is what makes a query deadline take effect inside a single large
+// solve instead of only between solves.
 func (st *simplexState) pivotLoop(supply, demand []float64, abortAbove float64, intr *atomic.Bool) (iter int, stop stopCause, bound float64, err error) {
 	// The budget is generous: well-behaved instances pivot O(m+n) times.
 	maxIter := 200 * (st.m + st.n + 10)
@@ -328,7 +334,6 @@ func (st *simplexState) pivotLoop(supply, demand []float64, abortAbove float64, 
 	}
 	tol := 1e-10 * st.scale
 	guard := boundGuard * st.scale
-	bounded := !math.IsInf(abortAbove, 1)
 	st.computeDuals()
 	for iter = 0; iter < maxIter; iter++ {
 		if intr != nil && intr.Load() {
@@ -338,12 +343,10 @@ func (st *simplexState) pivotLoop(supply, demand []float64, abortAbove float64, 
 			}
 			return iter, stopInterrupted, b, nil
 		}
-		if bounded {
-			if b := st.feasibleDualBound(supply, demand) - guard; b > abortAbove {
-				return iter, stopAborted, b, nil
-			}
+		ei, ej, scanBound, ok := st.entering(tol, supply, demand)
+		if b := scanBound - guard; b > abortAbove {
+			return iter, stopAborted, b, nil
 		}
-		ei, ej, ok := st.entering(tol)
 		if !ok {
 			return iter, stopOptimal, 0, nil
 		}
@@ -644,18 +647,30 @@ func (st *simplexState) hang(root int32) {
 // most negative still-valid entry; only when the list is exhausted
 // does it rescan the whole matrix, refilling the list. Optimality is
 // still certified by a clean full scan, so the result is exact.
-func (st *simplexState) entering(tol float64) (int, int, bool) {
+//
+// A full scan also yields the abort certificate of pivotLoop as
+// bound; a pivot priced off the candidate list has none (-Inf). The
+// scan sees rc_ij = c_ij - u_i - v_j of every non-basic cell, so it
+// knows how far row i's potential has to drop to become dual feasible
+// against the current v: by rowMin_i = min(-tol, min_j rc_ij), the
+// floor -tol standing in for the cells (basic ones among them, whose
+// reduced cost is rounding noise around 0) that price out above -tol
+// and are not compared one by one. (u + rowMin, v) is dual feasible,
+// so bound = Σ_j d_j·v_j + Σ_i s_i·(u_i + rowMin_i) never exceeds the
+// optimum — at most tol·Σs below feasibleDualBound's value for the same
+// potentials, for one compare per *negative* cell and O(m+n) flops per
+// scan instead of a second O(m·n) pass.
+func (st *simplexState) entering(tol float64, supply, demand []float64) (ei, ej int, bound float64, ok bool) {
 	// Price the surviving candidates.
 	if len(st.cand) > 0 {
 		bi, bj := -1, -1
 		best := -tol
 		kept := st.cand[:0]
 		for _, cell := range st.cand {
-			if st.basic[cell] {
+			i, j := int(cell.i), int(cell.j)
+			if st.basic[i*st.n+j] {
 				continue
 			}
-			i := int(cell) / st.n
-			j := int(cell) % st.n
 			rc := st.cost[i][j] - st.u[i] - st.v[j]
 			if rc < -tol {
 				kept = append(kept, cell)
@@ -667,7 +682,7 @@ func (st *simplexState) entering(tol float64) (int, int, bool) {
 		}
 		st.cand = kept
 		if bi >= 0 {
-			return bi, bj, true
+			return bi, bj, math.Inf(-1), true
 		}
 	}
 
@@ -676,27 +691,38 @@ func (st *simplexState) entering(tol float64) (int, int, bool) {
 	st.cand = st.cand[:0]
 	bi, bj := -1, -1
 	best := -tol
+	n := st.n
+	v := st.v[:n]
 	for i := 0; i < st.m; i++ {
 		ui := st.u[i]
-		row := st.cost[i]
-		base := i * st.n
-		for j := 0; j < st.n; j++ {
-			if st.basic[base+j] {
+		row := st.cost[i][:n]
+		base := i * n
+		basic := st.basic[base : base+n]
+		rowMin, rowJ := -tol, -1
+		for j, c := range row {
+			if basic[j] {
 				continue
 			}
-			rc := row[j] - ui - st.v[j]
+			rc := c - ui - v[j]
 			if rc < -tol {
 				if len(st.cand) < maxCand {
-					st.cand = append(st.cand, int32(base+j))
+					st.cand = append(st.cand, candCell{int32(i), int32(j)})
 				}
-				if rc < best {
-					best = rc
-					bi, bj = i, j
+				if rc < rowMin {
+					rowMin, rowJ = rc, j
 				}
 			}
 		}
+		if rowMin < best {
+			best = rowMin
+			bi, bj = i, rowJ
+		}
+		bound += supply[i] * (ui + rowMin)
 	}
-	return bi, bj, bi >= 0
+	for j, d := range demand {
+		bound += d * v[j]
+	}
+	return bi, bj, bound, bi >= 0
 }
 
 // appendPath appends to st.cycle the cells of the tree path from node x

@@ -145,9 +145,11 @@ func (s *Solver) SolveFlow(supply, demand []float64) (*Solution, error) {
 // state keeps the column duals of its previous optimal solve and
 // prices the new problem with them before any simplex work; any dual
 // vector yields a certified bound, the cache only makes it tight.
-// (3) After each dual recomputation a feasibility-repaired dual
-// objective is evaluated as a certified lower bound (weak duality)
-// against abortAbove.
+// (3) Every full pricing scan of the pivot loop yields, as a by-product,
+// the dual objective of a feasibility-repaired copy of the current
+// potentials — a certified lower bound (weak duality) that is compared
+// against abortAbove; a threshold the optimum does not exceed therefore
+// costs no extra pass and no extra pivot.
 //
 // The marginals are trusted — no validation is performed; callers own
 // them (non-negative, balanced). When the solve completes, Value is

@@ -36,11 +36,18 @@ func layoutVariants() []layoutVariant {
 	vp.IndexKind = IndexVPTree
 	vp4 := vp
 	vp4.FourPoint = true
+	oblivious := base
+	oblivious.UnboundedRefine = true
 	return []layoutVariant{
 		{"reference", withRef},
 		{"columnar+quantized", base},
 		{"columnar", noQuant},
 		{"columnar+block17", oddBlock},
+		// The threshold-oblivious pipeline: no bounded refinement, no
+		// bounded filter solve. It is the oracle for everything the live
+		// threshold is allowed to change, which is work, never answers
+		// or the Pulled / Refinements counters.
+		{"threshold-oblivious", oblivious},
 		// Metric-index candidate generation replaces the filter scan
 		// with a best-first tree traversal. Emissions stay a
 		// nondecreasing lower-bounding order, so the *answers* must
@@ -210,13 +217,14 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 // bit-identity of the answers.
 func TestCrossLayoutStageChains(t *testing.T) {
 	want := map[string][]string{
-		"reference":          {"Red-IM", "Red-EMD"},
-		"columnar+quantized": {"Q-Red-IM", "Red-IM", "Red-EMD"},
-		"columnar":           {"Red-IM", "Red-EMD"},
-		"columnar+block17":   {"Q-Red-IM", "Red-IM", "Red-EMD"},
-		"mtree-index":        {"MTree(Red-EMD)"},
-		"vptree-index":       {"VPTree(Red-EMD)"},
-		"vptree-index+4pt":   {"VPTree(Red-EMD)"},
+		"reference":           {"Red-IM", "Red-EMD"},
+		"columnar+quantized":  {"Q-Red-IM", "Red-IM", "Red-EMD"},
+		"columnar":            {"Red-IM", "Red-EMD"},
+		"columnar+block17":    {"Q-Red-IM", "Red-IM", "Red-EMD"},
+		"threshold-oblivious": {"Q-Red-IM", "Red-IM", "Red-EMD"},
+		"mtree-index":         {"MTree(Red-EMD)"},
+		"vptree-index":        {"VPTree(Red-EMD)"},
+		"vptree-index+4pt":    {"VPTree(Red-EMD)"},
 	}
 	for _, v := range layoutVariants() {
 		eng, queries := buildLayoutEngine(t, v, 60)

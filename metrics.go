@@ -14,6 +14,10 @@ type StageMetrics struct {
 	Evaluations int64 `json:"evaluations"`
 	// Pruned is the total number of candidates this stage ruled out.
 	Pruned int64 `json:"pruned"`
+	// Aborted is how many of the evaluations were answered by a
+	// certified bound above the query's live pruning threshold instead
+	// of a finished computation (see QueryStats.Stages).
+	Aborted int64 `json:"aborted"`
 	// Time is the cumulative wall time spent in this stage.
 	Time time.Duration `json:"time_ns"`
 }
@@ -210,6 +214,7 @@ func (em *engineMetrics) observe(kind metricKind, stats *QueryStats) {
 			agg := em.m.Stages[st.Name]
 			agg.Evaluations += int64(st.Evaluations)
 			agg.Pruned += int64(st.Pruned)
+			agg.Aborted += int64(st.Aborted)
 			agg.Time += st.Duration
 			em.m.Stages[st.Name] = agg
 		}

@@ -70,10 +70,12 @@ func (e *Engine) Rank(q Histogram) (*Ranking, error) {
 		return nil, err
 	}
 	// ...and chain the exact EMD on top as the final re-ranker;
-	// soft-deleted items rank at infinity and are skipped by Next.
-	exact := search.NewChainedRanking(base, func(i int) float64 {
-		return s.refine(q, i)
-	})
+	// soft-deleted items rank at infinity and are skipped by Next. An
+	// open-ended stream has no pruning threshold, so no stage is given
+	// one: every emitted value is a finished distance.
+	exact := search.NewChainedRanking(base, func(i int, _ float64) (float64, bool) {
+		return s.refine(q, i), false
+	}, nil)
 	e.metrics.rankStarted()
 	return &Ranking{inner: exact}, nil
 }

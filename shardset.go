@@ -746,6 +746,7 @@ func addStats(dst, src *QueryStats) {
 		}
 		dst.Stages[i].Evaluations += st.Evaluations
 		dst.Stages[i].Pruned += st.Pruned
+		dst.Stages[i].Aborted += st.Aborted
 		dst.Stages[i].Duration += st.Duration
 		dst.StageEvaluations[i] = dst.Stages[i].Evaluations
 	}

@@ -424,6 +424,7 @@ func TestShardSetStatsMergeIndexAndStages(t *testing.T) {
 	}
 
 	scanned, queries := build(300)
+	filterAborts := 0
 	for qi, q := range queries {
 		ans, err := scanned.KNN(ctx, q, 5)
 		if err != nil {
@@ -443,10 +444,28 @@ func TestShardSetStatsMergeIndexAndStages(t *testing.T) {
 			}
 			evals := sum(ans, func(s *QueryStats) int { return s.Stages[si].Evaluations })
 			pruned := sum(ans, func(s *QueryStats) int { return s.Stages[si].Pruned })
-			if evals == 0 || stage.Evaluations != evals || stage.Pruned != pruned || ans.Stats.StageEvaluations[si] != evals {
-				t.Fatalf("query %d stage %q: merged evaluations %d (mirror %d) pruned %d, shards sum to %d / %d",
-					qi, stage.Name, stage.Evaluations, ans.Stats.StageEvaluations[si], stage.Pruned, evals, pruned)
+			aborted := sum(ans, func(s *QueryStats) int { return s.Stages[si].Aborted })
+			if evals == 0 || stage.Evaluations != evals || stage.Pruned != pruned || stage.Aborted != aborted || ans.Stats.StageEvaluations[si] != evals {
+				t.Fatalf("query %d stage %q: merged evaluations %d (mirror %d) pruned %d aborted %d, shards sum to %d / %d / %d",
+					qi, stage.Name, stage.Evaluations, ans.Stats.StageEvaluations[si], stage.Pruned, stage.Aborted, evals, pruned, aborted)
 			}
+			if stage.Aborted > stage.Evaluations {
+				t.Fatalf("query %d stage %q: %d aborted of %d evaluations", qi, stage.Name, stage.Aborted, stage.Evaluations)
+			}
+			filterAborts += stage.Aborted
+		}
+	}
+	if filterAborts == 0 {
+		t.Fatal("no filter evaluation was answered by a bound; the corpus no longer exercises the Aborted merge")
+	}
+	// The engines' cumulative metrics carry the same counter by stage name.
+	for i := 0; i < scanned.Shards(); i++ {
+		total := int64(0)
+		for _, sm := range scanned.Engine(i).Metrics().Stages {
+			total += sm.Aborted
+		}
+		if total == 0 {
+			t.Fatalf("shard %d: Metrics().Stages carries no aborted filter evaluations", i)
 		}
 	}
 }

@@ -28,6 +28,9 @@ func checkStageAccounting(t *testing.T, eng *Engine, stats *QueryStats, wantName
 		if st.Pruned < 0 || st.Duration < 0 {
 			t.Errorf("stage %d: negative counters %+v", i, st)
 		}
+		if st.Aborted < 0 || st.Aborted > st.Evaluations {
+			t.Errorf("stage %d: %d aborted of %d evaluations", i, st.Aborted, st.Evaluations)
+		}
 		consumed := stats.Pulled
 		if i+1 < len(stats.Stages) {
 			consumed = stats.Stages[i+1].Evaluations
