@@ -50,7 +50,8 @@ func (e *Engine) approxKNN(ctx context.Context, q Histogram, k int) ([]ApproxRes
 	if err != nil {
 		return nil, nil, err
 	}
-	if s.red == nil {
+	red := s.plan.finest()
+	if red == nil {
 		return nil, nil, fmt.Errorf("emdsearch: ApproxKNN needs a built reduction (set ReducedDims and call Build)")
 	}
 	if err := ctx.Err(); err != nil {
@@ -58,9 +59,9 @@ func (e *Engine) approxKNN(ctx context.Context, q Histogram, k int) ([]ApproxRes
 	}
 	upper := s.greedyUpper()
 	defer s.putGreedy(upper)
-	qr := s.red.Apply(q)
+	qr := red.Apply(q)
 	lowers := make([]float64, len(s.vectors))
-	buf := s.reducedScratch()
+	buf := make([]float64, s.reducedCols.Dims())
 	for i := range s.vectors {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -69,7 +70,7 @@ func (e *Engine) approxKNN(ctx context.Context, q Histogram, k int) ([]ApproxRes
 			lowers[i] = math.Inf(1)
 			continue
 		}
-		lowers[i] = s.reduced.DistanceReduced(qr, s.finestReduced(i, buf))
+		lowers[i] = s.reduced.DistanceReduced(qr, s.reducedCols.Gather(i, buf))
 	}
 	intervals, cert, err := search.ApproxKNN(search.NewScanRanking(lowers), func(i int) float64 {
 		if s.deleted[i] {

@@ -319,7 +319,7 @@ func BenchmarkRefineEngineKNN(b *testing.B) {
 		{"bounded", false},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			opts := Options{ReducedDims: 8, SampleSize: 24, UnboundedRefine: tc.unbounded}
+			opts := Options{ReducedDims: 8, SampleSize: 24, unboundedRefine: tc.unbounded}
 			eng, err := NewEngine(ds.Cost, opts)
 			if err != nil {
 				b.Fatal(err)

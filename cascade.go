@@ -3,8 +3,7 @@ package emdsearch
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
+	"slices"
 
 	"emdsearch/internal/cascadeplan"
 	"emdsearch/internal/core"
@@ -69,15 +68,15 @@ func (e *Engine) maybeReplan() {
 	}()
 }
 
-// resetPlanLocked installs the freshly built single-level chain as
-// the active plan (Build just derived e.red at Options.ReducedDims)
-// and re-anchors the drift window. Caller holds e.mu.
-func (e *Engine) resetPlanLocked() {
-	levels := []int{e.red.ReducedDims()}
-	e.plan = &cascadeplan.Plan{Levels: levels, ID: cascadeplan.PlanID(levels)}
+// anchorPlanLocked publishes the just-installed e.plan and anchors the
+// drift window on it: the metrics baseline is now, and expPulled is the
+// finest-level survivors per query the planner expects (0 after Build,
+// which starts over from the configured single level). Caller holds
+// e.mu.
+func (e *Engine) anchorPlanLocked(expPulled float64, replanned bool) {
+	e.metrics.planActive(e.plan, replanned)
 	e.planBase = e.Metrics()
-	e.planExpPulled = 0
-	e.metrics.planActive(levels, e.plan.ID)
+	e.planExpPulled = expPulled
 }
 
 // replanIfNeeded runs one planning pass; force (Engine.Replan) skips
@@ -87,22 +86,16 @@ func (e *Engine) resetPlanLocked() {
 // re-validates that no Build or competing adoption raced us.
 func (e *Engine) replanIfNeeded(force bool) (changed bool, err error) {
 	e.mu.Lock()
-	if !e.opts.AutoCascade || e.red == nil || e.replanning {
+	cur := e.plan
+	if !cur.auto || cur.finest() == nil || e.replanning {
 		e.mu.Unlock()
 		return false, nil
 	}
 	e.replanning = true
-	red := e.red
 	flows := e.buildFlows
 	vectors := e.store.Vectors()
 	base := e.planBase
 	expPulled := e.planExpPulled
-	var curLevels []int
-	if e.plan != nil {
-		curLevels = append([]int(nil), e.plan.Levels...)
-	} else {
-		curLevels = []int{red.ReducedDims()}
-	}
 	e.mu.Unlock()
 	defer func() {
 		// A planner or derivation invariant failure must not leak the
@@ -116,9 +109,10 @@ func (e *Engine) replanIfNeeded(force bool) (changed bool, err error) {
 		e.mu.Unlock()
 	}()
 
-	cur := e.Metrics()
+	now := e.Metrics()
+	curLevels := cur.dims()
 	finestDims := curLevels[len(curLevels)-1]
-	w := cascadeWindow(base, cur, finestDims, e.Dim())
+	w := cascadeWindow(base, now, cur, e.Dim())
 	if w.Queries < 1 || len(w.Levels) == 0 {
 		if force {
 			return false, fmt.Errorf("emdsearch: Replan needs at least one observed query with filter counters")
@@ -129,8 +123,10 @@ func (e *Engine) replanIfNeeded(force bool) (changed bool, err error) {
 		if w.Queries < cascadeMinQueries {
 			return false, nil
 		}
-		obs := finestSurvivorsPerQuery(w)
-		drifted := expPulled <= 0 || obs < 0 ||
+		// The drift quantity: survivors per query of the finest level
+		// the window observed (w.Levels runs coarse→fine).
+		obs := float64(w.Levels[len(w.Levels)-1].Survivors) / float64(w.Queries)
+		drifted := expPulled <= 0 ||
 			obs > expPulled*cascadeDriftHigh || obs < expPulled*cascadeDriftLow
 		if !drifted && w.Queries < cascadePeriodicEvery {
 			return false, nil
@@ -151,7 +147,7 @@ func (e *Engine) replanIfNeeded(force bool) (changed bool, err error) {
 		}
 		return false, nil
 	}
-	keep := equalLevels(proposal.Levels, curLevels)
+	keep := slices.Equal(proposal.Levels, curLevels)
 	if !keep {
 		if incumbent, cerr := model.ChainCost(curLevels); cerr == nil && proposal.Cost > cascadeGain*incumbent {
 			keep = true
@@ -162,96 +158,74 @@ func (e *Engine) replanIfNeeded(force bool) (changed bool, err error) {
 		// the next check measures fresh drift instead of re-litigating
 		// the same counters.
 		e.mu.Lock()
-		if e.red == red {
-			e.planBase = cur
+		if e.plan == cur {
+			e.planBase = now
 			e.planExpPulled = model.Survivors(finestDims)
 		}
 		e.mu.Unlock()
 		return false, nil
 	}
+	exp := model.Survivors(proposal.Levels[len(proposal.Levels)-1])
+	return e.adoptLevels(cur, proposal.Levels, flows, vectors, exp)
+}
 
-	newRed, cascade, newFlows, derr := e.deriveChain(proposal.Levels, red, flows, vectors)
-	if derr != nil {
-		return false, fmt.Errorf("emdsearch: replan: %w", derr)
+// adoptLevels derives the chain for levels (ascending coarse→fine)
+// off-lock and installs it in place of cur: build the new plan's
+// snapshot, then swap plan and snapshot together — so the next query
+// never pays the rebuild on its own latency (the PR-1 swap discipline)
+// and a failed build leaves the engine on cur. It reports false when
+// Build replaced cur meanwhile (the proposal is stale). The rng is
+// seeded from (Seed, plan fingerprint), so a given plan always derives
+// the same chain. Caller holds the e.replanning latch, not e.mu.
+func (e *Engine) adoptLevels(cur *plan, levels []int, flows [][]float64, vectors []Histogram, expPulled float64) (bool, error) {
+	rng := rand.New(rand.NewSource(e.opts.Seed ^ int64(cascadeplan.PlanID(levels))))
+	chain, flows, err := e.deriveChain(levels, cur.finest(), flows, vectors, rng)
+	if err != nil {
+		return false, fmt.Errorf("emdsearch: replan: %w", err)
 	}
+	p := cur.withChain(chain)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.red != red {
-		// Build (or a competing adoption) replaced the reduction while
-		// we planned against the old one; drop the stale proposal.
+	if e.plan != cur {
 		return false, nil
 	}
-	if newFlows != nil {
-		e.buildFlows = newFlows
+	snap, err := e.buildSnapshotLocked(p)
+	if err != nil {
+		return false, err
 	}
-	exp := model.Survivors(proposal.Levels[len(proposal.Levels)-1])
-	if ierr := e.installPlanLocked(newRed, cascade, proposal, exp); ierr != nil {
-		return false, ierr
-	}
+	e.plan, e.snap, e.buildFlows = p, snap, flows
+	e.metrics.snapshotBuilt(snap)
+	e.anchorPlanLocked(expPulled, true)
 	return true, nil
 }
 
-// installPlanLocked swaps a derived chain in as the active pipeline:
-// reduction, cascade, plan, and an eagerly rebuilt snapshot, so the
-// next query never pays the rebuild on its own latency (the PR-1 swap
-// discipline). Caller holds e.mu.
-func (e *Engine) installPlanLocked(red *core.Reduction, cascade []*core.Reduction, plan *cascadeplan.Plan, expPulled float64) error {
-	e.red = red
-	if len(cascade) > 1 {
-		e.cascade = cascade
-	} else {
-		e.cascade = nil
-	}
-	e.plan = plan
-	e.snap = nil
-	snap, err := e.buildSnapshotLocked()
-	if err != nil {
-		return err
-	}
-	e.snap = snap
-	e.metrics.snapshotBuilt(snap)
-	e.metrics.planReplanned(plan.Levels, plan.ID)
-	e.planBase = e.Metrics()
-	e.planExpPulled = expPulled
-	return nil
-}
-
-// deriveChain materializes a planned chain off-lock: the finest
-// reduction (reusing the current one when its dimensionality is
-// unchanged, so a depth-only change never perturbs the finest filter)
-// and the composed coarser levels. The rng is seeded from (Seed, plan
-// fingerprint), so a given plan always derives the same chain.
-func (e *Engine) deriveChain(levels []int, cur *core.Reduction, flows [][]float64, vectors []Histogram) (*core.Reduction, []*core.Reduction, [][]float64, error) {
-	finest := levels[len(levels)-1]
-	rng := rand.New(rand.NewSource(e.opts.Seed ^ int64(cascadeplan.PlanID(levels))))
-	needFlows := e.opts.Method == FBMod || e.opts.Method == FBAll
-	if needFlows && flows == nil {
-		// Engine restored from a snapshot: Build never ran in this
-		// process, so collect the sample flows the derivation needs.
-		var err error
+// deriveChain materializes the chain for levels (ascending coarse→fine)
+// and returns it in the same order, with the sample flows it used: the
+// finest reduction (reusing cur when its dimensionality is unchanged,
+// so a depth-only change never perturbs the finest filter) and the
+// composed coarser levels. It reads only immutable engine state, so
+// the cascade planner may call it without holding e.mu.
+func (e *Engine) deriveChain(levels []int, cur *core.Reduction, flows [][]float64, vectors []Histogram, rng *rand.Rand) ([]*core.Reduction, [][]float64, error) {
+	var err error
+	if flows == nil {
+		// Build, or an engine restored from a snapshot (Build never ran
+		// in this process): collect the sample flows the derivation needs.
 		if flows, err = e.collectFlows(vectors, rng); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
-	red := cur
-	if cur == nil || cur.ReducedDims() != finest {
-		var err error
-		if red, err = e.deriveReduction(finest, flows, rng); err != nil {
-			return nil, nil, nil, err
+	n := len(levels)
+	chain := make([]*core.Reduction, n)
+	chain[n-1] = cur
+	if cur == nil || cur.ReducedDims() != levels[n-1] {
+		if chain[n-1], err = e.deriveReduction(e.cost, levels[n-1], flows, rng); err != nil {
+			return nil, nil, err
 		}
 	}
-	if len(levels) == 1 {
-		return red, nil, flows, nil
+	if err := e.coarsen(chain, levels, flows, rng); err != nil {
+		return nil, nil, err
 	}
-	coarser := make([]int, 0, len(levels)-1)
-	for i := len(levels) - 2; i >= 0; i-- {
-		coarser = append(coarser, levels[i])
-	}
-	cascade, err := e.buildCascadeFrom(red, flows, coarser, rng)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return red, cascade, flows, nil
+	return chain, flows, nil
 }
 
 // adoptChain derives and installs the given cascade levels (ascending
@@ -262,20 +236,12 @@ func (e *Engine) adoptChain(levels []int) error {
 		return err
 	}
 	e.mu.Lock()
-	if !e.opts.AutoCascade {
+	cur := e.plan
+	if !cur.auto || cur.finest() == nil || e.replanning {
 		e.mu.Unlock()
-		return fmt.Errorf("emdsearch: adoptChain requires AutoCascade")
-	}
-	if e.red == nil {
-		e.mu.Unlock()
-		return fmt.Errorf("emdsearch: adoptChain before Build")
-	}
-	if e.replanning {
-		e.mu.Unlock()
-		return fmt.Errorf("emdsearch: a re-plan is in flight")
+		return fmt.Errorf("emdsearch: adoptChain needs a built AutoCascade engine with no re-plan in flight")
 	}
 	e.replanning = true
-	red := e.red
 	flows := e.buildFlows
 	vectors := e.store.Vectors()
 	e.mu.Unlock()
@@ -284,26 +250,17 @@ func (e *Engine) adoptChain(levels []int) error {
 		e.replanning = false
 		e.mu.Unlock()
 	}()
-	newRed, cascade, newFlows, err := e.deriveChain(levels, red, flows, vectors)
-	if err != nil {
-		return err
+	ok, err := e.adoptLevels(cur, levels, flows, vectors, 0)
+	if err == nil && !ok {
+		err = fmt.Errorf("emdsearch: adoptChain raced a Build")
 	}
-	plan := &cascadeplan.Plan{Levels: append([]int(nil), levels...), ID: cascadeplan.PlanID(levels)}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.red != red {
-		return fmt.Errorf("emdsearch: adoptChain raced a Build")
-	}
-	if newFlows != nil {
-		e.buildFlows = newFlows
-	}
-	return e.installPlanLocked(newRed, cascade, plan, 0)
+	return err
 }
 
-// cascadeWindow converts the metrics delta since the last plan
-// adoption into a planner workload. finestDims resolves the bare
-// "Red-EMD" stage name of single-level chains.
-func cascadeWindow(base, cur Metrics, finestDims, dim int) cascadeplan.Workload {
+// cascadeWindow converts the metrics delta since plan p's adoption into
+// a planner workload: one observation per reduced-EMD level of p that
+// the window saw evaluate anything.
+func cascadeWindow(base, cur Metrics, p *plan, dim int) cascadeplan.Workload {
 	w := cascadeplan.Workload{
 		Queries:     (cur.KNNQueries - base.KNNQueries) + (cur.RangeQueries - base.RangeQueries),
 		Dim:         dim,
@@ -311,18 +268,18 @@ func cascadeWindow(base, cur Metrics, finestDims, dim int) cascadeplan.Workload 
 		RefineTime:  cur.RefineTime - base.RefineTime,
 		Results:     cur.ResultsReturned - base.ResultsReturned,
 	}
-	for name, st := range cur.Stages {
-		dims := stageLevelDims(name, finestDims)
-		if dims == 0 {
+	for _, lv := range p.levels {
+		if lv.kind != kindRedEMD {
 			continue
 		}
-		prev := base.Stages[name]
+		name := p.stageName(lv)
+		st, prev := cur.Stages[name], base.Stages[name]
 		evals := st.Evaluations - prev.Evaluations
 		if evals <= 0 {
 			continue
 		}
 		w.Levels = append(w.Levels, cascadeplan.Observation{
-			Dims:        dims,
+			Dims:        lv.dims,
 			Evaluations: evals,
 			Survivors:   evals - (st.Pruned - prev.Pruned),
 			Time:        st.Time - prev.Time,
@@ -331,59 +288,14 @@ func cascadeWindow(base, cur Metrics, finestDims, dim int) cascadeplan.Workload 
 	return w
 }
 
-// stageLevelDims maps an observed stage name to its cascade level
-// dimensionality: "Red-EMD-<m>" → m, bare "Red-EMD" → the active
-// finest d'. Non-cascade stages (the IM prefix, index traversals, the
-// asymmetric filter) return 0 and are not modeled as levels.
-func stageLevelDims(name string, finest int) int {
-	if name == "Red-EMD" {
-		return finest
-	}
-	if rest, ok := strings.CutPrefix(name, "Red-EMD-"); ok {
-		if m, err := strconv.Atoi(rest); err == nil && m > 0 {
-			return m
-		}
-	}
-	return 0
-}
-
-// finestSurvivorsPerQuery returns the drift quantity — survivors per
-// query of the finest observed cascade level — or -1 when the window
-// observed none.
-func finestSurvivorsPerQuery(w cascadeplan.Workload) float64 {
-	best := -1
-	var surv int64
-	for _, o := range w.Levels {
-		if o.Dims > best {
-			best, surv = o.Dims, o.Survivors
-		}
-	}
-	if best < 0 {
-		return -1
-	}
-	return float64(surv) / float64(w.Queries)
-}
-
-func equalLevels(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CascadePlan returns the active auto-cascade chain (per-level
 // reduced dimensionalities, ascending coarse→fine) or nil when no
 // auto plan is active (AutoCascade off, or Build not yet called).
 func (e *Engine) CascadePlan() []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.plan == nil {
+	if !e.plan.auto || e.plan.finest() == nil {
 		return nil
 	}
-	return append([]int(nil), e.plan.Levels...)
+	return e.plan.dims()
 }

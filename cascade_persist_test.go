@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"emdsearch/internal/cascadeplan"
@@ -44,7 +45,7 @@ func TestSaveLoadCascadeSection(t *testing.T) {
 	if len(snap.Cascade.Levels) != 3 || !snap.Cascade.Auto {
 		t.Fatalf("cascade section: %d levels, auto=%v, want 3/true", len(snap.Cascade.Levels), snap.Cascade.Auto)
 	}
-	if !equalLevels(snap.Cascade.PlanLevels, []int{2, 4, 8}) {
+	if !slices.Equal(snap.Cascade.PlanLevels, []int{2, 4, 8}) {
 		t.Fatalf("cascade section plan %v, want [2 4 8]", snap.Cascade.PlanLevels)
 	}
 
@@ -52,7 +53,7 @@ func TestSaveLoadCascadeSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := loaded.CascadePlan(); !equalLevels(plan, []int{2, 4, 8}) {
+	if plan := loaded.CascadePlan(); !slices.Equal(plan, []int{2, 4, 8}) {
 		t.Fatalf("loaded plan %v, want [2 4 8]", plan)
 	}
 	got, _, err := loaded.KNN(q, 5)
@@ -64,8 +65,8 @@ func TestSaveLoadCascadeSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lsnap.cascade) != 3 {
-		t.Fatalf("loaded pipeline runs %d levels, want 3", len(lsnap.cascade))
+	if len(lsnap.plan.reductions()) != 3 {
+		t.Fatalf("loaded pipeline runs %d levels, want 3", len(lsnap.plan.reductions()))
 	}
 
 	// A Hierarchy engine writes the same section (minus the plan) and a
@@ -100,8 +101,8 @@ func TestSaveLoadCascadeSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hsn.cascade) != 2 {
-		t.Fatalf("hierarchy-loaded pipeline runs %d levels, want 2", len(hsn.cascade))
+	if len(hsn.plan.reductions()) != 2 {
+		t.Fatalf("hierarchy-loaded pipeline runs %d levels, want 2", len(hsn.plan.reductions()))
 	}
 	hgot, _, err := hloaded.KNN(hq, 5)
 	if err != nil {
@@ -120,8 +121,8 @@ func TestSaveLoadCascadeSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(osn.cascade) != 1 {
-		t.Fatalf("mismatched hierarchy adopted %d saved levels, want single-level fallback", len(osn.cascade))
+	if len(osn.plan.reductions()) != 1 {
+		t.Fatalf("mismatched hierarchy adopted %d saved levels, want single-level fallback", len(osn.plan.reductions()))
 	}
 	ogot, _, err := other.KNN(hq, 5)
 	if err != nil {
@@ -155,7 +156,7 @@ func TestLoadAutoCascadeRelaxesDPrimeCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AutoCascade load with re-planned d' rejected: %v", err)
 	}
-	if plan := loaded.CascadePlan(); !equalLevels(plan, []int{4, 12}) {
+	if plan := loaded.CascadePlan(); !slices.Equal(plan, []int{4, 12}) {
 		t.Fatalf("loaded plan %v, want [4 12]", plan)
 	}
 	got, _, err := loaded.KNN(q, 5)

@@ -182,14 +182,13 @@ func TestAdoptedChainLowerBoundQuick(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		// snap.cascade is coarsest first and holds [red] alone for
-		// single-level plans.
-		if len(snap.cascade) != len(levels) {
-			t.Logf("seed %d levels %v: cascade has %d levels, want %d", seed, levels, len(snap.cascade), len(levels))
+		// Coarsest first; the single reduction alone for one-level plans.
+		chain := snap.plan.reductions()
+		if len(chain) != len(levels) {
+			t.Logf("seed %d levels %v: cascade has %d levels, want %d", seed, levels, len(chain), len(levels))
 			return false
 		}
 		const tol = 1e-9
-		chain := snap.cascade
 		for _, q := range queries {
 			for vi, v := range vecs {
 				prev := -1.0

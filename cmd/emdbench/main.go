@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	emdbench [-exp all|fig13..fig25|tab1..tab3|serve|refine|filter|persist|index|cascade|shard] [-scale full|medium|quick] [-csv] [-seed N]
+//	emdbench [-exp all|fig13..fig25|tab1..tab3|serve|index|cascade|shard] [-scale full|medium|quick] [-csv] [-seed N]
 //	         [-dprime D] [-workers N] [-concurrency N] [-timeout D] [-wal FILE] [-out FILE]
 //
 // The full scale approximates the paper's corpus sizes and can take
@@ -20,17 +20,6 @@
 // -timeout every query gets a deadline through KNNCtx: queries that
 // miss it return certified anytime answers instead of stretching the
 // tail, and the report counts how many degraded.
-//
-// -exp refine benchmarks the threshold-aware exact refinement kernel
-// against the legacy unbounded one on an identical k-NN workload,
-// verifies the answers are bit-identical, and (with -out) writes a
-// JSON report with the speedup and refinement counters.
-//
-// -exp filter benchmarks the first filter stage across storage
-// layouts — the per-item reference scan, the columnar SoA Red-IM
-// kernel, and the int16-quantized tangent kernel — over a block-size
-// sweep, verifies the k-NN answers stay bit-identical, and (with
-// -out) writes a JSON report with per-layout throughput and speedups.
 //
 // -exp index benchmarks the metric-index candidate generator: the
 // default scan pipeline versus the M-tree and VP-tree first stages
@@ -51,12 +40,6 @@
 // healthy answer verified bit-identical to the single-engine
 // reference, then re-queried with one shard hard-failing to measure
 // certified partial answers. With -out it writes a JSON report.
-//
-// -exp persist benchmarks the durability layer: atomic snapshot
-// save/load, fsynced write-ahead-log append throughput, checkpoint
-// latency and crash recovery (snapshot load + log replay), verifying
-// the recovered engine against the live one. With -out it writes a
-// JSON report.
 //
 // -wal gives the serve benchmark a write-ahead log: the background
 // writer's Adds then pay a durable (fsynced) log append each, the way
@@ -99,7 +82,7 @@ func main() {
 		conc      = flag.Int("concurrency", 4, "serve mode: concurrent query clients")
 		timeout   = flag.Duration("timeout", 0, "serve mode: per-query deadline, e.g. 500us or 2ms (0 = no deadline)")
 		walFlag   = flag.String("wal", "", "serve mode: write-ahead-log path; background ingest pays a fsynced append per Add")
-		outFlag   = flag.String("out", "", "refine/persist/serve mode: write the JSON report to this path")
+		outFlag   = flag.String("out", "", "serve/index/cascade/shard mode: write the JSON report to this path")
 		gateFlag  = flag.Bool("gate", false, "serve mode: route queries through an admission Gate (limiter + breaker)")
 		overload  = flag.Bool("overload", false, "serve mode: run the open-loop overload sweep (1x/2x/5x/10x capacity) instead of the closed-loop benchmark")
 		chaos     = flag.Float64("chaos", 0, "serve mode: per-refinement probability of an injected solver panic (and 2x of a slow solve)")
@@ -125,25 +108,6 @@ func main() {
 		}
 		if err := runShard(sc); err != nil {
 			fmt.Fprintf(os.Stderr, "emdbench: shard: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *expFlag == "persist" {
-		pc := persistConfig{n: 300, d: 32, seed: *seedFlag, out: *outFlag}
-		switch *scaleFlag {
-		case "full":
-			pc.n, pc.d = 2000, 96
-		case "medium":
-			pc.n, pc.d = 800, 64
-		case "quick":
-		default:
-			fmt.Fprintf(os.Stderr, "emdbench: unknown scale %q (want full, medium or quick)\n", *scaleFlag)
-			os.Exit(2)
-		}
-		if err := runPersist(pc); err != nil {
-			fmt.Fprintf(os.Stderr, "emdbench: persist: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -200,44 +164,6 @@ func main() {
 		}
 		if err := runCascade(cc); err != nil {
 			fmt.Fprintf(os.Stderr, "emdbench: cascade: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *expFlag == "filter" {
-		fc := filterConfig{n: 1000, d: 32, queries: 200, k: 10, seed: *seedFlag, out: *outFlag}
-		switch *scaleFlag {
-		case "full":
-			fc.n, fc.queries = 8000, 500
-		case "medium":
-			fc.n, fc.queries = 3000, 300
-		case "quick":
-		default:
-			fmt.Fprintf(os.Stderr, "emdbench: unknown scale %q (want full, medium or quick)\n", *scaleFlag)
-			os.Exit(2)
-		}
-		if err := runFilter(fc); err != nil {
-			fmt.Fprintf(os.Stderr, "emdbench: filter: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *expFlag == "refine" {
-		rc := refineConfig{n: 300, d: 32, queries: 200, k: 10, seed: *seedFlag, out: *outFlag}
-		switch *scaleFlag {
-		case "full":
-			rc.n, rc.d, rc.queries = 2000, 96, 1000
-		case "medium":
-			rc.n, rc.d, rc.queries = 800, 64, 400
-		case "quick":
-		default:
-			fmt.Fprintf(os.Stderr, "emdbench: unknown scale %q (want full, medium or quick)\n", *scaleFlag)
-			os.Exit(2)
-		}
-		if err := runRefine(rc); err != nil {
-			fmt.Fprintf(os.Stderr, "emdbench: refine: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -272,6 +272,19 @@ func sameShardResults(got, want []emdsearch.Result) bool {
 	return true
 }
 
+// sameResults reports bit-identity of two per-query result sets.
+func sameResults(a, b [][]emdsearch.Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for qi := range a {
+		if !sameShardResults(a[qi], b[qi]) {
+			return false
+		}
+	}
+	return true
+}
+
 // percentileNS returns the p-th percentile of lat in nanoseconds.
 func percentileNS(lat []time.Duration, p float64) int64 {
 	if len(lat) == 0 {

@@ -6,11 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"emdsearch/internal/cascadeplan"
 	"emdsearch/internal/cluster"
 	"emdsearch/internal/colscan"
 	"emdsearch/internal/core"
@@ -45,7 +43,16 @@ const (
 	Adjacent ReductionMethod = "adjacent"
 )
 
-// Options configures an Engine.
+// Options configures an Engine. NewEngine compiles them into the
+// engine's filter chain and rejects what cannot be one: ReducedDims or
+// a Hierarchy level outside the histogram dimensionality, repeated
+// Hierarchy levels, a ReducedDims that is not the largest Hierarchy
+// level, a negative SampleSize, an unknown Method or IndexKind,
+// AutoCascade without ReducedDims, and any two of Hierarchy,
+// AutoCascade and AsymmetricQuery together. The metric index
+// (IndexKind) serves chains it can reproduce the candidate order of —
+// one symmetric reduced level, no Positions; every other chain is
+// scanned.
 type Options struct {
 	// ReducedDims is d', the filter dimensionality. 0 disables
 	// filtering: queries degrade to an exact sequential scan.
@@ -55,46 +62,24 @@ type Options struct {
 	// SampleSize is the database sample used for flow collection by
 	// the flow-based methods; default 64.
 	SampleSize int
-	// DisableIMFilter switches off the Red-IM pre-filter stage
-	// (enabled by default; it is essentially free and prunes Red-EMD
-	// evaluations).
-	DisableIMFilter bool
-	// DisableQuantizedFilter switches off the int16-quantized columnar
-	// pre-filter that by default runs ahead of Red-IM: a branch-free
-	// tangent-plane evaluation over per-block quantized columns whose
-	// certified error margin keeps it a true lower bound, so answers
-	// are bit-identical with it on or off — only the work distribution
-	// across stages changes. It is skipped automatically when the
-	// Red-IM stage is disabled or a Positions-based ranking replaces
-	// the eager first scan. The zero value (enabled) is right for
-	// nearly everyone.
-	DisableQuantizedFilter bool
 	// FilterBlockSize is the item-block length of the columnar filter
 	// layout; 0 selects the default (256). Smaller blocks give the
 	// quantized filter tighter per-block scales and tangents (better
 	// pruning) at slightly more per-block overhead. Exposed mainly for
 	// benchmarking; the default is right for nearly everyone.
 	FilterBlockSize int
-	// ReferenceScan retains the legacy per-item filter representation
-	// ([]Histogram with closure-based stages) instead of the columnar
-	// layout and batched kernels. Results are bit-identical either
-	// way; this exists as the verification baseline for that claim and
-	// for benchmarking the columnar speedup.
-	ReferenceScan bool
 	// AsymmetricQuery keeps the query at full dimensionality in the
 	// Red-EMD filter (R1 = identity, R2 = the built reduction;
 	// Section 3.2 of the paper). The filter becomes a rectangular
 	// d x d' EMD: tighter (fewer refinements) but costlier per
 	// evaluation — worthwhile when refinement dominates, i.e. large d.
-	// Ignored when a Hierarchy is configured.
 	AsymmetricQuery bool
 	// Hierarchy configures a multi-level filter cascade (generalizing
 	// the fixed factor-4 hierarchy of the prior grid-tiling approach):
 	// the listed reduced dimensionalities are built as *nested*
 	// reductions (each coarser level merges groups of the finer one),
 	// and queries run them coarsest-first. Example: {32, 8, 2} on
-	// 96-dimensional data. When set, ReducedDims must be zero or equal
-	// to the largest entry.
+	// 96-dimensional data.
 	Hierarchy []int
 	// AutoCascade lets the engine choose the cascade depth and
 	// per-level d' itself: it starts from the single ReducedDims level,
@@ -106,8 +91,6 @@ type Options struct {
 	// lower bound of the next by construction, so answers are
 	// byte-identical across all plans; only the work distribution
 	// changes. Engine.Replan forces a synchronous planning pass.
-	// Requires ReducedDims > 0; incompatible with Hierarchy (a fixed
-	// chain) and AsymmetricQuery (its filter is not a cascade level).
 	AutoCascade bool
 	// Positions optionally gives the feature-space position of each
 	// histogram bin. When set — and only when the cost matrix is the
@@ -126,9 +109,7 @@ type Options struct {
 	// identical to the scan path's. IndexAuto ("") builds an M-tree
 	// when the corpus looks indexable and falls back to the scan per
 	// query when it does not; IndexMTree/IndexVPTree force a kind;
-	// IndexOff disables the stage. Ignored (no index is built) for
-	// hierarchical cascades, asymmetric queries and Positions-based
-	// rankings, which keep their own orderings.
+	// IndexOff disables the stage.
 	IndexKind string
 	// FourPoint additionally enables supermetric (four-point property)
 	// pruning in the VP-tree traversal. The reduced EMD is not
@@ -147,18 +128,6 @@ type Options struct {
 	// gain. Independent of BatchKNN's cross-query parallelism — when
 	// combining both, keep workers × batch concurrency near GOMAXPROCS.
 	Workers int
-	// UnboundedRefine makes the whole query pipeline threshold-
-	// oblivious: every candidate surviving the filters is refined to
-	// optimality with the legacy dense, cold-started, validating solver,
-	// and every chained Red-EMD filter evaluation runs to optimality as
-	// well instead of stopping on a certified bound above the query's
-	// live pruning threshold. Results — and the Pulled and Refinements
-	// counters — are byte-identical either way: a bounded solve only
-	// abandons an item when a certified lower bound proves it cannot
-	// enter the answer. It exists as an escape hatch, as the oracle of
-	// the identity tests and as the baseline for benchmarking the
-	// bounded kernel's speedup.
-	UnboundedRefine bool
 	// Seed drives all randomized components; the default 0 is a valid
 	// fixed seed, so runs are reproducible unless the caller varies it.
 	Seed int64
@@ -171,6 +140,14 @@ type Options struct {
 	// slow solve. It runs on refinement worker goroutines and must be
 	// safe for concurrent use. Leave nil in production.
 	RefineHook func(index int)
+
+	// unboundedRefine makes the whole pipeline threshold-oblivious:
+	// every surviving candidate is refined to optimality by the dense,
+	// cold-started, validating solver, and every chained Red-EMD filter
+	// solve runs to optimality too. Results, Pulled and Refinements are
+	// byte-identical either way; only the in-package identity suites set
+	// it, as their oracle.
+	unboundedRefine bool
 }
 
 func (o Options) withDefaults() Options {
@@ -208,15 +185,14 @@ type Engine struct {
 	// any lock held.
 	mu      sync.RWMutex
 	store   *db.Database
-	red     *core.Reduction
-	cascade []*core.Reduction // nested hierarchy levels, finest first (nil without Hierarchy)
-	deleted map[int]bool      // soft-deleted item ids
-	snap    *snapshot         // current immutable query pipeline, nil after mutations
-	wal     *persist.WAL      // open write-ahead log, nil when not logging
+	plan    *plan        // the filter chain; never nil, replaced whole (Build, re-plan, load)
+	deleted map[int]bool // soft-deleted item ids
+	snap    *snapshot    // current immutable query pipeline, nil after mutations
+	wal     *persist.WAL // open write-ahead log, nil when not logging
 
 	// savedQuant is a quantized filter restored from a persisted
 	// snapshot, reused by the next pipeline build when it still matches
-	// the live data (see reusableQuant); savedQuantHash fingerprints
+	// the live data (see quantizeLocked); savedQuantHash fingerprints
 	// the reduction it was built under.
 	savedQuant     *colscan.Quantized
 	savedQuantHash uint64
@@ -234,12 +210,11 @@ type Engine struct {
 	// not re-pay the 512 sampled metric solves per rebuild.
 	savedIntrinsic *savedIntrinsic
 
-	// AutoCascade state: the active plan, the metrics baseline and
-	// expected finest-level selectivity at its adoption (the drift
-	// window), the query countdown to the next drift check, the latch
-	// serializing background re-plans, and the full-dimensional sample
-	// flows stashed by Build for deriving replacement reductions.
-	plan          *cascadeplan.Plan
+	// AutoCascade state: the metrics baseline and expected finest-level
+	// selectivity at the active plan's adoption (the drift window), the
+	// query countdown to the next drift check, the latch serializing
+	// background re-plans, and the full-dimensional sample flows stashed
+	// by Build for deriving replacement reductions.
 	planBase      Metrics
 	planExpPulled float64
 	planTick      atomic.Int64
@@ -257,9 +232,9 @@ type Engine struct {
 }
 
 // snapshot is an immutable view of everything the query path needs:
-// the assembled searcher with its filter chain, the original and
-// reduced database vectors, the reduction cascade and the derived
-// bound evaluators. Once built it is never mutated, so any number of
+// the assembled searcher with its filter chain, the plan it was
+// assembled from, the original and reduced database vectors and the
+// derived bound evaluators. Once built it is never mutated, so any number of
 // concurrent queries can share it without synchronization while
 // mutators install a replacement.
 type snapshot struct {
@@ -270,16 +245,13 @@ type snapshot struct {
 	dist     *emd.Dist
 	dim      int
 
-	red      *core.Reduction
-	cascade  []*core.Reduction // coarsest first (nil without Hierarchy)
-	reduced  *core.ReducedEMD  // finest symmetric lower bound (nil when unreduced)
-	redUpper *core.ReducedEMDUpper
-	// The finest-level reduced database: columnar by default,
-	// per-item slices under Options.ReferenceScan. Exactly one of the
-	// two is non-nil when a reduction is built; finestReduced is the
-	// layout-independent accessor.
+	plan *plan
+	// The finest level's symmetric bounds and columnar reduced database
+	// (nil when unreduced); they also serve the certified approximate
+	// and membership query paths (ApproxKNN, RangeIDs, EpsilonForCount).
+	reduced     *core.ReducedEMD
+	redUpper    *core.ReducedEMDUpper
 	reducedCols *colscan.Columns
-	reducedVecs []Histogram
 	// quant is the coarsest level's certified quantized filter, nil
 	// when the quantized stage is not in play. Persistence serializes
 	// it so a reopened engine skips requantization.
@@ -360,7 +332,7 @@ func (s *snapshot) refineBoundedIntr(q Histogram, i int, abortAbove float64, int
 
 // refineUnbounded is the legacy refinement kernel: per-call operand
 // validation, full dense shape, cold start, run to optimality. It is
-// the Options.UnboundedRefine baseline.
+// the identity suites' threshold-oblivious oracle.
 func (s *snapshot) refineUnbounded(q Histogram, i int) float64 {
 	if s.deleted[i] {
 		return math.Inf(1)
@@ -383,27 +355,6 @@ func (s *snapshot) greedyUpper() *lb.GreedyUpper {
 
 func (s *snapshot) putGreedy(g *lb.GreedyUpper) { s.greedy.Put(g) }
 
-// reducedScratch returns a buffer sized for finestReduced's gather, or
-// nil when the snapshot stores per-item slices and needs none. One per
-// query loop, not one per item.
-func (s *snapshot) reducedScratch() []float64 {
-	if s.reducedCols == nil {
-		return nil
-	}
-	return make([]float64, s.reducedCols.Dims())
-}
-
-// finestReduced returns item i's finest-level reduced vector,
-// gathering from the columnar layout into buf (from reducedScratch)
-// or handing out the retained per-item slice under ReferenceScan. The
-// values are identical bit-for-bit in both layouts.
-func (s *snapshot) finestReduced(i int, buf []float64) Histogram {
-	if s.reducedCols == nil {
-		return s.reducedVecs[i]
-	}
-	return s.reducedCols.Gather(i, buf)
-}
-
 // NewEngine creates an engine for histograms whose ground distance is
 // the given square cost matrix.
 func NewEngine(cost CostMatrix, opts Options) (*Engine, error) {
@@ -416,46 +367,15 @@ func NewEngine(cost CostMatrix, opts Options) (*Engine, error) {
 	if rows != cols {
 		return nil, fmt.Errorf("emdsearch: cost matrix is %dx%d, want square", rows, cols)
 	}
-	if opts.ReducedDims < 0 || opts.ReducedDims > rows {
-		return nil, fmt.Errorf("emdsearch: ReducedDims %d out of range [0, %d]", opts.ReducedDims, rows)
-	}
-	if !validIndexKind(opts.IndexKind) {
-		return nil, fmt.Errorf("emdsearch: IndexKind %q, want one of %q, %q, %q, %q",
-			opts.IndexKind, IndexAuto, IndexMTree, IndexVPTree, IndexOff)
-	}
-	if len(opts.Hierarchy) > 0 {
-		sorted := append([]int(nil), opts.Hierarchy...)
-		sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-		for i, dr := range sorted {
-			if dr < 1 || dr > rows {
-				return nil, fmt.Errorf("emdsearch: Hierarchy level %d out of range [1, %d]", dr, rows)
-			}
-			if i > 0 && dr >= sorted[i-1] {
-				return nil, fmt.Errorf("emdsearch: Hierarchy levels must be distinct (got %v)", opts.Hierarchy)
-			}
-		}
-		if opts.ReducedDims != 0 && opts.ReducedDims != sorted[0] {
-			return nil, fmt.Errorf("emdsearch: ReducedDims %d conflicts with Hierarchy maximum %d", opts.ReducedDims, sorted[0])
-		}
-		opts.ReducedDims = sorted[0]
-		opts.Hierarchy = sorted
-	}
-	if opts.AutoCascade {
-		if opts.ReducedDims == 0 {
-			return nil, fmt.Errorf("emdsearch: AutoCascade requires ReducedDims > 0")
-		}
-		if len(opts.Hierarchy) > 0 {
-			return nil, fmt.Errorf("emdsearch: AutoCascade conflicts with a fixed Hierarchy")
-		}
-		if opts.AsymmetricQuery {
-			return nil, fmt.Errorf("emdsearch: AutoCascade conflicts with AsymmetricQuery")
-		}
+	p, err := compilePlan(opts, rows)
+	if err != nil {
+		return nil, err
 	}
 	store, err := db.New(rows)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{opts: opts, cost: cost, dist: dist, store: store}, nil
+	return &Engine{opts: opts, cost: cost, dist: dist, store: store, plan: p}, nil
 }
 
 // Add validates and inserts a histogram with an optional label,
@@ -536,51 +456,36 @@ func (e *Engine) SetWorkers(workers int) {
 	e.snap = nil
 }
 
-// Build derives the reduction matrix from the indexed data according
+// Build derives the reduction chain from the indexed data according
 // to the configured method. It must be called once after the initial
-// bulk load (and may be called again later to re-derive the reduction
-// from grown data). With ReducedDims == 0 it is a no-op. Build blocks
-// new queries only while installing the result; queries in flight
-// continue on the previous pipeline.
+// bulk load (and may be called again later to re-derive the chain from
+// grown data; under AutoCascade that also resets a planner-grown chain
+// to the configured single level). With ReducedDims == 0 it is a no-op.
+// Build blocks new queries only while installing the result; queries in
+// flight continue on the previous pipeline.
 func (e *Engine) Build() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.opts.ReducedDims == 0 {
-		e.red = nil
-		e.cascade = nil
-		e.plan = nil
-		e.buildFlows = nil
-		e.snap = nil
-		return nil
-	}
-	if e.store.Len() == 0 {
-		return fmt.Errorf("emdsearch: Build on empty engine")
-	}
-	rng := rand.New(rand.NewSource(e.opts.Seed))
-	flows, err := e.collectFlows(e.store.Vectors(), rng)
+	p, err := compilePlan(e.opts, e.Dim())
 	if err != nil {
 		return err
 	}
-	red, err := e.deriveReduction(e.opts.ReducedDims, flows, rng)
-	if err != nil {
-		return err
-	}
-	e.red = red
-	e.cascade = nil
-	e.buildFlows = flows
-	if len(e.opts.Hierarchy) > 1 {
-		cascade, err := e.buildCascadeFrom(red, flows, e.opts.Hierarchy[1:], rng)
-		if err != nil {
+	var flows [][]float64
+	if dims := p.dims(); len(dims) > 0 {
+		if e.store.Len() == 0 {
+			return fmt.Errorf("emdsearch: Build on empty engine")
+		}
+		rng := rand.New(rand.NewSource(e.opts.Seed))
+		var chain []*core.Reduction
+		if chain, flows, err = e.deriveChain(dims, nil, nil, e.store.Vectors(), rng); err != nil {
 			return err
 		}
-		e.cascade = cascade
+		p = p.withChain(chain)
 	}
-	if e.opts.AutoCascade {
-		// Re-plan from scratch: the freshly derived reduction is the
-		// 1-level chain until observed counters argue otherwise.
-		e.resetPlanLocked()
+	e.plan, e.buildFlows, e.snap = p, flows, nil
+	if p.auto {
+		e.anchorPlanLocked(0, false)
 	}
-	e.snap = nil
 	return nil
 }
 
@@ -598,105 +503,57 @@ func (e *Engine) collectFlows(vectors []Histogram, rng *rand.Rand) ([][]float64,
 	return flowred.AverageFlowsParallel(sample, e.dist, 0)
 }
 
-// deriveReduction derives a combining reduction to dims original →
-// dims reduced dimensions with the configured method. flows is the
-// full-dimensional sample flow matrix (used by the flow-based methods
-// only; see collectFlows). It reads only immutable engine state, so
-// the cascade planner may call it without holding e.mu.
-func (e *Engine) deriveReduction(dims int, flows [][]float64, rng *rand.Rand) (*core.Reduction, error) {
-	switch e.opts.Method {
-	case Adjacent:
-		return core.Adjacent(len(e.cost), dims)
-	case KMedoids:
-		res, err := cluster.BestOfRestarts(e.cost, dims, 3, rng)
-		if err != nil {
-			return nil, err
-		}
-		return res.Reduction, nil
-	case FBMod, FBAll:
-		res, err := cluster.BestOfRestarts(e.cost, dims, 3, rng)
-		if err != nil {
-			return nil, err
-		}
-		var red *core.Reduction
-		if e.opts.Method == FBMod {
-			red, _, err = flowred.OptimizeMod(res.Reduction.Assignment(), dims, flows, e.cost, flowred.Options{})
-		} else {
-			red, _, err = flowred.OptimizeAll(res.Reduction.Assignment(), dims, flows, e.cost, flowred.Options{})
-		}
-		if err != nil {
-			return nil, err
-		}
-		return red, nil
-	default:
-		return nil, fmt.Errorf("emdsearch: unknown reduction method %q", e.opts.Method)
+// deriveReduction derives a combining reduction of the problem (cost,
+// flows) to dims reduced dimensions with the configured method: the
+// engine's own cost matrix for the finest level, an already reduced
+// problem for a coarser one. flows is the sample flow matrix at cost's
+// dimensionality (used by the flow-based methods only; see
+// collectFlows).
+func (e *Engine) deriveReduction(cost emd.CostMatrix, dims int, flows [][]float64, rng *rand.Rand) (*core.Reduction, error) {
+	if e.opts.Method == Adjacent {
+		return core.Adjacent(len(cost), dims)
 	}
-}
-
-// buildCascadeFrom derives the coarser nested levels of a cascade
-// from the finest reduction: each level in coarser (reduced
-// dimensionalities, descending) clusters (or locally searches) the
-// previous level's *reduced* problem — reduced cost matrix and, for the
-// flow-based methods, aggregated flows — and is composed with it, so
-// every level's optimal reduced EMD lower-bounds the next finer one.
-// flows is the full-dimensional sample flow matrix. Like
-// deriveReduction it reads only immutable engine state.
-func (e *Engine) buildCascadeFrom(finest *core.Reduction, flows [][]float64, coarser []int, rng *rand.Rand) ([]*core.Reduction, error) {
-	cascade := []*core.Reduction{finest}
-	prev := finest
-	curCost, err := core.ReduceCost(e.cost, prev, prev)
+	res, err := cluster.BestOfRestarts(cost, dims, 3, rng)
 	if err != nil {
 		return nil, err
 	}
-	curFlows := flows
-	if curFlows != nil {
-		if curFlows, err = core.AggregateFlows(curFlows, prev); err != nil {
-			return nil, err
+	red := res.Reduction
+	switch e.opts.Method {
+	case FBMod:
+		red, _, err = flowred.OptimizeMod(red.Assignment(), dims, flows, cost, flowred.Options{})
+	case FBAll:
+		red, _, err = flowred.OptimizeAll(red.Assignment(), dims, flows, cost, flowred.Options{})
+	}
+	return red, err
+}
+
+// coarsen fills chain[:n-1] with the nested levels below the finest
+// reduction chain[n-1], at the dimensionalities levels (ascending):
+// each level clusters (or locally searches) the next finer level's
+// *reduced* problem — reduced cost matrix and, for the flow-based
+// methods, aggregated flows — and is composed with it, so every level's
+// optimal reduced EMD lower-bounds the next finer one.
+func (e *Engine) coarsen(chain []*core.Reduction, levels []int, flows [][]float64, rng *rand.Rand) error {
+	cost, step := e.cost, chain[len(chain)-1]
+	for i := len(chain) - 2; i >= 0; i-- {
+		// step took the previous problem to level i+1; follow it.
+		var err error
+		if cost, err = core.ReduceCost(cost, step, step); err != nil {
+			return err
+		}
+		if flows != nil {
+			if flows, err = core.AggregateFlows(flows, step); err != nil {
+				return err
+			}
+		}
+		if step, err = e.deriveReduction(cost, levels[i], flows, rng); err != nil {
+			return err
+		}
+		if chain[i], err = core.Compose(chain[i+1], step); err != nil {
+			return err
 		}
 	}
-	for _, dr := range coarser {
-		var inner *core.Reduction
-		switch e.opts.Method {
-		case Adjacent:
-			if inner, err = core.Adjacent(prev.ReducedDims(), dr); err != nil {
-				return nil, err
-			}
-		case KMedoids:
-			res, err := cluster.BestOfRestarts(curCost, dr, 3, rng)
-			if err != nil {
-				return nil, err
-			}
-			inner = res.Reduction
-		case FBMod, FBAll:
-			res, err := cluster.BestOfRestarts(curCost, dr, 3, rng)
-			if err != nil {
-				return nil, err
-			}
-			if e.opts.Method == FBMod {
-				inner, _, err = flowred.OptimizeMod(res.Reduction.Assignment(), dr, curFlows, curCost, flowred.Options{})
-			} else {
-				inner, _, err = flowred.OptimizeAll(res.Reduction.Assignment(), dr, curFlows, curCost, flowred.Options{})
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		composed, err := core.Compose(prev, inner)
-		if err != nil {
-			return nil, err
-		}
-		cascade = append(cascade, composed)
-		if curCost, err = core.ReduceCost(curCost, inner, inner); err != nil {
-			return nil, err
-		}
-		if curFlows != nil {
-			if curFlows, err = core.AggregateFlows(curFlows, inner); err != nil {
-				return nil, err
-			}
-		}
-		prev = composed
-	}
-	return cascade, nil
+	return nil
 }
 
 // Reduction returns the current reduction's assignment of original to
@@ -704,10 +561,10 @@ func (e *Engine) buildCascadeFrom(finest *core.Reduction, flows [][]float64, coa
 func (e *Engine) Reduction() []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.red == nil {
-		return nil
+	if red := e.plan.finest(); red != nil {
+		return red.Assignment()
 	}
-	return e.red.Assignment()
+	return nil
 }
 
 // snapshot returns the current immutable query pipeline, building and
@@ -723,7 +580,7 @@ func (e *Engine) snapshot() (*snapshot, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.snap == nil {
-		s, err := e.buildSnapshotLocked()
+		s, err := e.buildSnapshotLocked(e.plan)
 		if err != nil {
 			return nil, err
 		}
@@ -744,9 +601,11 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// buildSnapshotLocked assembles the query pipeline for the current
-// data. The caller must hold e.mu for writing.
-func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
+// buildSnapshotLocked assembles the query pipeline of plan p over the
+// current data: one pass over p's levels, cheapest bound first. It does
+// not install anything, so a re-plan can build first and swap after.
+// The caller must hold e.mu for writing.
+func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 	if e.store.Len() == 0 {
 		return nil, fmt.Errorf("emdsearch: no indexed histograms")
 	}
@@ -765,7 +624,7 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 		deleted: deleted,
 		dist:    e.dist,
 		dim:     e.store.Dim(),
-		red:     e.red,
+		plan:    p,
 		hook:    e.opts.RefineHook,
 	}
 	greedyBase, err := lb.NewGreedyUpper(e.cost)
@@ -778,7 +637,7 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 		Workers: resolveWorkers(e.opts.Workers),
 		Refine:  snap.refine,
 	}
-	if e.opts.UnboundedRefine {
+	if e.opts.unboundedRefine {
 		// No RefineBounded: the Searcher publishes no threshold, so the
 		// stages below are always asked for the full distance.
 		s.Refine = snap.refineUnbounded
@@ -786,188 +645,124 @@ func (e *Engine) buildSnapshotLocked() (*snapshot, error) {
 		s.RefineBounded = snap.refineBounded
 		s.RefineBoundedIntr = snap.refineBoundedIntr
 	}
-	if e.opts.Positions != nil {
-		cb, err := lb.NewCentroid(e.opts.Positions, e.opts.Positions, e.opts.PositionNorm)
-		if err != nil {
-			return nil, err
+	// red, reduced and cols are the reduction the current level works
+	// on, its compiled symmetric EMD and its columnar data; neighbouring
+	// levels on the same reduction (the IM prefix and the coarsest
+	// reduced EMD) share them, as the two IM levels share im.
+	var (
+		red     *core.Reduction
+		reduced *core.ReducedEMD
+		cols    *colscan.Columns
+		im      *lb.IM
+	)
+	for _, lv := range p.levels {
+		if lv.kind == kindCentroid {
+			if s.BaseRanking, err = e.centroidBase(vectors); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		if err := cb.CheckAgainst(e.cost, 1e-6); err != nil {
-			return nil, fmt.Errorf("emdsearch: Positions do not match the cost matrix: %w", err)
+		if lv.red == nil {
+			break // Build has not bound the chain yet: exact scan
 		}
-		// Precompute database centroids and index them in a k-d tree:
-		// the centroid distance lower-bounds the EMD, so an incremental
-		// nearest-centroid stream is a valid base ranking — no filter
-		// stage ever scans all n items.
-		centroids := make([][]float64, len(vectors))
-		for i, v := range vectors {
-			centroids[i] = vecmath.Centroid(v, e.opts.Positions)
-		}
-		tree, err := kdtree.Build(centroids, e.opts.PositionNorm)
-		if err != nil {
-			return nil, err
-		}
-		positions := e.opts.Positions
-		s.BaseRanking = func(q Histogram) (search.Ranking, error) {
-			stream, err := tree.Query(vecmath.Centroid(q, positions))
+		if lv.red != red {
+			red = lv.red
+			if reduced, err = core.NewReducedEMD(e.cost, red, red); err != nil {
+				return nil, err
+			}
+			snap.sspCounters = append(snap.sspCounters, reduced.SSPFallbacks)
+			apply := red.Apply
+			cols, err = colscan.Build(len(vectors), red.ReducedDims(), e.opts.FilterBlockSize,
+				func(i int, dst []float64) { copy(dst, apply(vectors[i])) })
 			if err != nil {
 				return nil, err
 			}
-			return &centroidRanking{stream: stream}, nil
+			e.metrics.columnsBuilt()
 		}
-	}
-	if e.red != nil {
-		// Levels to filter with, coarsest first: the hierarchy cascade
-		// when configured, otherwise just the single reduction.
-		levels := []*core.Reduction{e.red}
-		if len(e.cascade) > 1 {
-			levels = make([]*core.Reduction, 0, len(e.cascade))
-			for i := len(e.cascade) - 1; i >= 0; i-- {
-				levels = append(levels, e.cascade[i])
-			}
-		}
-		snap.cascade = levels
-
-		type levelState struct {
-			red     *core.Reduction
-			reduced *core.ReducedEMD
-			vecs    []Histogram      // Options.ReferenceScan only
-			cols    *colscan.Columns // default columnar layout
-		}
-		states := make([]levelState, len(levels))
-		for li, lr := range levels {
-			lred, err := core.NewReducedEMD(e.cost, lr, lr)
-			if err != nil {
-				return nil, err
-			}
-			snap.sspCounters = append(snap.sspCounters, lred.SSPFallbacks)
-			st := levelState{red: lr, reduced: lred}
-			if e.opts.ReferenceScan {
-				st.vecs = make([]Histogram, len(vectors))
-				for i, v := range vectors {
-					st.vecs[i] = lr.Apply(v)
+		stage := search.FilterStage{Name: p.stageName(lv), PrepareQuery: red.Apply}
+		switch lv.kind {
+		case kindQuantIM, kindIM:
+			if im == nil {
+				if im, err = lb.NewIM(reduced.Cost()); err != nil {
+					return nil, err
 				}
-			} else {
-				st.cols, err = colscan.Build(len(vectors), lr.ReducedDims(), e.opts.FilterBlockSize,
-					func(i int, dst []float64) { copy(dst, lr.Apply(vectors[i])) })
+			}
+			if lv.kind == kindQuantIM {
+				if snap.quant, err = e.quantizeLocked(cols, red, im); err != nil {
+					return nil, err
+				}
+				qsc, err := colscan.NewQuantScanner(im, snap.quant)
 				if err != nil {
 					return nil, err
 				}
-				e.metrics.columnsBuilt()
-			}
-			states[li] = st
-		}
-		// The finest level's reduced data also serves the certified
-		// approximate and membership query paths (ApproxKNN, RangeIDs,
-		// EpsilonForCount), which previously re-derived it per query.
-		finest := states[len(states)-1]
-		snap.reduced = finest.reduced
-		snap.reducedVecs = finest.vecs
-		snap.reducedCols = finest.cols
-		if snap.redUpper, err = core.NewReducedEMDUpper(e.cost, finest.red, finest.red); err != nil {
-			return nil, err
-		}
-		snap.sspCounters = append(snap.sspCounters, snap.redUpper.SSPFallbacks)
-
-		if !e.opts.DisableIMFilter {
-			coarsest := states[0]
-			im, err := lb.NewIM(coarsest.reduced.Cost())
-			if err != nil {
-				return nil, err
-			}
-			if e.opts.ReferenceScan {
-				s.Stages = append(s.Stages, search.FilterStage{
-					Name:         "Red-IM",
-					PrepareQuery: coarsest.red.Apply,
-					Distance: search.Exact(func(qr Histogram, i int) float64 {
-						return im.Distance(qr, coarsest.vecs[i])
-					}),
-				})
+				stage.Distance, stage.ScanAll = search.Exact(qsc.DistanceAt), qsc.ScanAll
 			} else {
-				// The quantized pre-filter leads the chain unless
-				// disabled or displaced by a BaseRanking (with a lazy
-				// ranking at the bottom there is no eager first scan for
-				// the batched kernel to accelerate, and its per-item
-				// tangent recompilation would cost more than it prunes).
-				if !e.opts.DisableQuantizedFilter && s.BaseRanking == nil {
-					hash := persist.ReductionHash(coarsest.red.Assignment(), coarsest.red.ReducedDims())
-					qz := e.reusableQuant(coarsest.cols, hash)
-					if qz == nil {
-						if qz, err = colscan.Quantize(coarsest.cols, maxCost(im.Cost())); err != nil {
-							return nil, err
-						}
-					}
-					// Stash for Save and for the next rebuild (hash and
-					// geometry guard staleness; see reusableQuant).
-					e.savedQuant, e.savedQuantHash = qz, hash
-					qsc, err := colscan.NewQuantScanner(im, qz)
-					if err != nil {
-						return nil, err
-					}
-					s.Stages = append(s.Stages, search.FilterStage{
-						Name:         "Q-Red-IM",
-						PrepareQuery: coarsest.red.Apply,
-						Distance:     search.Exact(qsc.DistanceAt),
-						ScanAll:      qsc.ScanAll,
-					})
-					snap.quant = qz
-				}
-				sc, err := colscan.NewIMScanner(im, coarsest.cols)
+				sc, err := colscan.NewIMScanner(im, cols)
 				if err != nil {
 					return nil, err
 				}
-				s.Stages = append(s.Stages, search.FilterStage{
-					Name:         "Red-IM",
-					PrepareQuery: coarsest.red.Apply,
-					Distance:     search.Exact(sc.DistanceAt),
-					ScanAll:      sc.ScanAll,
-				})
+				stage.Distance, stage.ScanAll = search.Exact(sc.DistanceAt), sc.ScanAll
 			}
-		}
-		// Hierarchical mode: one Red-EMD stage per level, coarsest
-		// (cheapest) first; each lower-bounds the next by nesting.
-		if len(states) > 1 {
-			for li := range states {
-				st := states[li]
-				stage := search.FilterStage{
-					Name:         fmt.Sprintf("Red-EMD-%d", st.red.ReducedDims()),
-					PrepareQuery: st.red.Apply,
-				}
-				redEMDStage(&stage, st.reduced, st.vecs, st.cols)
-				s.Stages = append(s.Stages, stage)
-			}
-			snap.searcher = s
-			return snap, nil
-		}
-		st := states[0]
-		if e.opts.AsymmetricQuery {
+		case kindRedEMD:
+			// Each level lower-bounds the next finer one by nesting.
+			redEMDStage(&stage, reduced, cols)
+		case kindAsymRedEMD:
 			// Rectangular filter EMD: unreduced query against reduced
 			// database vectors. It dominates the symmetric reduced EMD
 			// item-wise, so chaining after Red-IM stays valid.
-			asym, err := core.NewReducedEMD(e.cost, core.Identity(e.store.Dim()), e.red)
+			asym, err := core.NewReducedEMD(e.cost, core.Identity(e.store.Dim()), red)
 			if err != nil {
 				return nil, err
 			}
 			snap.sspCounters = append(snap.sspCounters, asym.SSPFallbacks)
-			stage := search.FilterStage{
-				Name:         "Asym-Red-EMD",
-				PrepareQuery: func(q Histogram) Histogram { return q },
-			}
-			redEMDStage(&stage, asym, st.vecs, st.cols)
-			s.Stages = append(s.Stages, stage)
-		} else {
-			stage := search.FilterStage{
-				Name:         "Red-EMD",
-				PrepareQuery: e.red.Apply,
-			}
-			redEMDStage(&stage, st.reduced, st.vecs, st.cols)
-			s.Stages = append(s.Stages, stage)
+			stage.PrepareQuery = func(q Histogram) Histogram { return q }
+			redEMDStage(&stage, asym, cols)
 		}
+		s.Stages = append(s.Stages, stage)
+	}
+	if reduced != nil {
+		// The loop ends on the finest level.
+		snap.reduced, snap.reducedCols = reduced, cols
+		if snap.redUpper, err = core.NewReducedEMDUpper(e.cost, red, red); err != nil {
+			return nil, err
+		}
+		snap.sspCounters = append(snap.sspCounters, snap.redUpper.SSPFallbacks)
 	}
 	if err := e.attachIndexLocked(snap, s); err != nil {
 		return nil, err
 	}
 	snap.searcher = s
 	return snap, nil
+}
+
+// centroidBase verifies Options.Positions against the cost matrix and
+// indexes the database centroids in a k-d tree: the centroid distance
+// lower-bounds the EMD, so an incremental nearest-centroid stream is a
+// valid base ranking — no filter stage ever scans all n items.
+func (e *Engine) centroidBase(vectors []Histogram) (func(Histogram) (search.Ranking, error), error) {
+	positions := e.opts.Positions
+	cb, err := lb.NewCentroid(positions, positions, e.opts.PositionNorm)
+	if err != nil {
+		return nil, err
+	}
+	if err := cb.CheckAgainst(e.cost, 1e-6); err != nil {
+		return nil, fmt.Errorf("emdsearch: Positions do not match the cost matrix: %w", err)
+	}
+	centroids := make([][]float64, len(vectors))
+	for i, v := range vectors {
+		centroids[i] = vecmath.Centroid(v, positions)
+	}
+	tree, err := kdtree.Build(centroids, e.opts.PositionNorm)
+	if err != nil {
+		return nil, err
+	}
+	return func(q Histogram) (search.Ranking, error) {
+		stream, err := tree.Query(vecmath.Centroid(q, positions))
+		if err != nil {
+			return nil, err
+		}
+		return &centroidRanking{stream: stream}, nil
+	}, nil
 }
 
 // maxCost returns the largest entry of a cost matrix — the Cmax the
@@ -984,43 +779,36 @@ func maxCost(c emd.CostMatrix) float64 {
 	return m
 }
 
-// reusableQuant returns the stashed quantized filter (restored from a
-// persisted snapshot, or built by a previous pipeline assembly) if it
-// provably matches what Quantize would produce for the current
-// columns: same item count and geometry, and the same reduction
-// fingerprint. The store is append-only and deletes are soft, so
-// (item count, reduction) pins the reduced content exactly; the cost
-// maximum is a function of the reduction, covered by the fingerprint.
-// Otherwise nil, and the caller requantizes. Caller holds e.mu.
-func (e *Engine) reusableQuant(cols *colscan.Columns, hash uint64) *colscan.Quantized {
-	qz := e.savedQuant
-	if qz == nil || e.savedQuantHash != hash {
-		return nil
+// quantizeLocked returns the certified quantized filter for cols, the
+// columnar data of reduction red. The stashed one (restored from a
+// persisted snapshot, or built by a previous pipeline assembly) is
+// reused if it provably matches what Quantize would produce: same item
+// count and geometry, and the same reduction fingerprint. The store is
+// append-only and deletes are soft, so (item count, reduction) pins the
+// reduced content exactly; the cost maximum is a function of the
+// reduction, covered by the fingerprint. The result is stashed for Save
+// and for the next rebuild. Caller holds e.mu.
+func (e *Engine) quantizeLocked(cols *colscan.Columns, red *core.Reduction, im *lb.IM) (*colscan.Quantized, error) {
+	hash := reductionHash(red)
+	if qz := e.savedQuant; qz != nil && e.savedQuantHash == hash &&
+		qz.Len() == cols.Len() && qz.Dims() == cols.Dims() && qz.BlockSize() == cols.BlockSize() {
+		e.metrics.quantizedReused()
+		return qz, nil
 	}
-	if qz.Len() != cols.Len() || qz.Dims() != cols.Dims() || qz.BlockSize() != cols.BlockSize() {
-		return nil
+	qz, err := colscan.Quantize(cols, maxCost(im.Cost()))
+	if err != nil {
+		return nil, err
 	}
-	e.metrics.quantizedReused()
-	return qz
+	e.savedQuant, e.savedQuantHash = qz, hash
+	return qz, nil
 }
 
 // redEMDStage fills in the distance functions of a reduced-EMD filter
-// stage over the per-item vectors vecs (Options.ReferenceScan) or, when
-// those are nil, the columnar layout cols. Distance is threshold-aware:
-// it hands the query's live pruning threshold to the transport kernel,
+// stage over the columnar layout cols. Distance is threshold-aware: it
+// hands the query's live pruning threshold to the transport kernel,
 // which stops on a certified bound above it. The eager ScanAll form has
 // no threshold yet and solves every item to optimality.
-func redEMDStage(stage *search.FilterStage, red *core.ReducedEMD, vecs []Histogram, cols *colscan.Columns) {
-	dist := func(qr, v Histogram, abortAbove float64) (float64, bool) {
-		r := red.DistanceReducedBounded(qr, v, abortAbove)
-		return r.Value, r.Aborted
-	}
-	if vecs != nil {
-		stage.Distance = func(qr Histogram, i int, abortAbove float64) (float64, bool) {
-			return dist(qr, vecs[i], abortAbove)
-		}
-		return
-	}
+func redEMDStage(stage *search.FilterStage, red *core.ReducedEMD, cols *colscan.Columns) {
 	// Gather into pooled scratch, evaluate. The closure is shared by all
 	// queries of a snapshot, hence the pool (stage Distance functions
 	// must be concurrency-safe).
@@ -1030,9 +818,9 @@ func redEMDStage(stage *search.FilterStage, red *core.ReducedEMD, vecs []Histogr
 	}}
 	stage.Distance = func(qr Histogram, i int, abortAbove float64) (float64, bool) {
 		bp := pool.Get().(*[]float64)
-		d, aborted := dist(qr, cols.Gather(i, *bp), abortAbove)
+		r := red.DistanceReducedBounded(qr, cols.Gather(i, *bp), abortAbove)
 		pool.Put(bp)
-		return d, aborted
+		return r.Value, r.Aborted
 	}
 	stage.ScanAll = scanGatherAll(cols, red.DistanceReduced)
 }

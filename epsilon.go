@@ -37,12 +37,13 @@ func (e *Engine) epsilonForCount(ctx context.Context, q Histogram, count int) (f
 	if count < 1 || count > live {
 		return 0, badQueryf("count %d out of range [1, %d]", count, live)
 	}
-	if s.red == nil {
+	red := s.plan.finest()
+	if red == nil {
 		return 0, fmt.Errorf("emdsearch: EpsilonForCount needs a built reduction (set ReducedDims and call Build)")
 	}
-	qr := s.red.Apply(q)
+	qr := red.Apply(q)
 	uppers := make([]float64, 0, live)
-	buf := s.reducedScratch()
+	buf := make([]float64, s.reducedCols.Dims())
 	for i := range s.vectors {
 		if s.deleted[i] {
 			continue
@@ -50,7 +51,7 @@ func (e *Engine) epsilonForCount(ctx context.Context, q Histogram, count int) (f
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		uppers = append(uppers, s.redUpper.DistanceReduced(qr, s.finestReduced(i, buf)))
+		uppers = append(uppers, s.redUpper.DistanceReduced(qr, s.reducedCols.Gather(i, buf)))
 	}
 	d, err := stats.NewDistribution(uppers)
 	if err != nil {
@@ -133,21 +134,21 @@ func (e *Engine) rangeIDs(ctx context.Context, q Histogram, eps float64) ([]int,
 	upper := s.greedyUpper()
 	defer s.putGreedy(upper)
 	lowers := make([]float64, len(s.vectors))
-	if s.red != nil {
-		qr := s.red.Apply(q)
-		buf := s.reducedScratch()
+	if red := s.plan.finest(); red != nil {
+		qr := red.Apply(q)
+		buf := make([]float64, s.reducedCols.Dims())
 		for i := range s.vectors {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			lowers[i] = s.reduced.DistanceReduced(qr, s.finestReduced(i, buf))
+			lowers[i] = s.reduced.DistanceReduced(qr, s.reducedCols.Gather(i, buf))
 		}
 	}
 	cancel, stopWatch := search.WatchContext(ctx)
 	defer stopWatch()
 	var refine search.BoundedRefine
 	switch {
-	case e.opts.UnboundedRefine:
+	case e.opts.unboundedRefine:
 		refine = func(i int, _ float64) search.Refinement {
 			return search.Refinement{Dist: s.refineUnbounded(q, i)}
 		}

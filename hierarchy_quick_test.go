@@ -53,18 +53,19 @@ func TestHierarchyCascadeMonotoneQuick(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		if len(snap.cascade) != len(hier) {
-			t.Logf("cascade has %d levels, want %d", len(snap.cascade), len(hier))
+		chain := snap.plan.reductions()
+		if len(chain) != len(hier) {
+			t.Logf("cascade has %d levels, want %d", len(chain), len(hier))
 			return false
 		}
-		// Per-level monotonicity: snap.cascade is coarsest first, so
+		// Per-level monotonicity: the chain is coarsest first, so
 		// distances must be non-decreasing along it and end below the
 		// exact EMD.
 		const tol = 1e-9
 		for _, q := range queries {
 			for vi, v := range vecs {
 				prev := -1.0
-				for li, lr := range snap.cascade {
+				for li, lr := range chain {
 					lred, err := core.NewReducedEMD(eng.cost, lr, lr)
 					if err != nil {
 						t.Log(err)

@@ -2,6 +2,7 @@ package emdsearch
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"emdsearch/internal/data"
@@ -21,8 +22,8 @@ func TestHierarchyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.opts.ReducedDims != 8 {
-		t.Errorf("finest level %d, want 8", eng.opts.ReducedDims)
+	if dims := eng.plan.dims(); !slices.Equal(dims, []int{2, 8}) {
+		t.Errorf("chain %v, want [2 8]", dims)
 	}
 }
 
@@ -108,11 +109,12 @@ func TestHierarchyCascadeIsNested(t *testing.T) {
 	if err := eng.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.cascade) != 2 {
-		t.Fatalf("cascade has %d levels, want 2", len(eng.cascade))
+	chain := eng.plan.reductions() // coarse→fine
+	if len(chain) != 2 {
+		t.Fatalf("cascade has %d levels, want 2", len(chain))
 	}
-	fine := eng.cascade[0].Assignment()
-	coarse := eng.cascade[1].Assignment()
+	fine := chain[1].Assignment()
+	coarse := chain[0].Assignment()
 	// Two dimensions sharing a fine group must share the coarse group.
 	for i := range fine {
 		for j := i + 1; j < len(fine); j++ {
@@ -213,33 +215,5 @@ func TestHierarchyWithIndexedCentroidBase(t *testing.T) {
 				t.Errorf("stage %d evaluated all %d items", si, e)
 			}
 		}
-	}
-}
-
-func TestDisableIMFilter(t *testing.T) {
-	ds, err := data.MusicSpectra(60, 24, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecs, queries, err := ds.Split(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(ds.Cost, Options{ReducedDims: 8, SampleSize: 16, DisableIMFilter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range vecs {
-		eng.Add(ds.Items[i].Label, h)
-	}
-	if err := eng.Build(); err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := eng.KNN(queries[0], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.StageEvaluations) != 1 {
-		t.Errorf("expected a single Red-EMD stage, got %v", stats.StageEvaluations)
 	}
 }

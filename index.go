@@ -56,14 +56,6 @@ const (
 	indexFourPointSample = 64
 )
 
-func validIndexKind(kind string) bool {
-	switch kind {
-	case IndexAuto, IndexMTree, IndexVPTree, IndexOff:
-		return true
-	}
-	return false
-}
-
 // savedIndex is a metric index retained across pipeline rebuilds (and
 // restored from persisted snapshots): the tree itself plus the
 // fingerprint of the state it was built under. Mirrors the savedQuant
@@ -97,6 +89,12 @@ type savedIntrinsic struct {
 	rho     float64
 }
 
+// reductionHash fingerprints a reduction for the persisted and stashed
+// structures (quantized filter, metric index) derived from it.
+func reductionHash(r *core.Reduction) uint64 {
+	return persist.ReductionHash(r.Assignment(), r.ReducedDims())
+}
+
 // engineIndex is the per-snapshot index state: the tree, the metric it
 // was built under, and the acceptance policy.
 type engineIndex struct {
@@ -118,9 +116,9 @@ type engineIndex struct {
 // called from a single goroutine — the KNOP feeder pulls the ranking
 // sequentially, which satisfies that.
 func (ix *engineIndex) queryDist(s *snapshot, q Histogram) func(int) float64 {
-	qr := s.red.Apply(q)
-	buf := s.reducedScratch()
-	return func(i int) float64 { return ix.metric(qr, s.finestReduced(i, buf)) }
+	qr := s.plan.finest().Apply(q)
+	buf := make([]float64, s.reducedCols.Dims())
+	return func(i int) float64 { return ix.metric(qr, s.reducedCols.Gather(i, buf)) }
 }
 
 // accept decides whether the index serves this query. Forced kinds
@@ -337,13 +335,11 @@ func fourPointHolds(ids []int, dist func(i, j int) float64, rng *rand.Rand) bool
 // attachIndexLocked builds (or reuses) the metric-index candidate
 // generator for the snapshot under construction and wires it into the
 // searcher. Caller holds e.mu for writing; snap's reduced data is
-// already assembled. Only the single-level symmetric pipeline is
-// eligible — the hierarchical cascade, asymmetric filter and
-// Positions-based base ranking keep their own orderings.
+// already assembled. Only an index-eligible plan (see
+// plan.indexEligible) whose chain Build has bound gets one.
 func (e *Engine) attachIndexLocked(snap *snapshot, s *search.Searcher) error {
 	kind := e.opts.IndexKind
-	if kind == IndexOff || snap.reduced == nil || len(snap.cascade) > 1 ||
-		e.opts.AsymmetricQuery || s.BaseRanking != nil {
+	if kind == IndexOff || snap.reduced == nil || !snap.plan.indexEligible() {
 		return nil
 	}
 	n := len(snap.vectors)
@@ -365,9 +361,9 @@ func (e *Engine) attachIndexLocked(snap *snapshot, s *search.Searcher) error {
 	}
 	// Build-time pair distance over reduced vectors (two scratch
 	// buffers; build is single-goroutine).
-	b1, b2 := snap.reducedScratch(), snap.reducedScratch()
+	b1, b2 := make([]float64, snap.reducedCols.Dims()), make([]float64, snap.reducedCols.Dims())
 	pairDist := func(i, j int) float64 {
-		return metric(snap.finestReduced(i, b1), snap.finestReduced(j, b2))
+		return metric(snap.reducedCols.Gather(i, b1), snap.reducedCols.Gather(j, b2))
 	}
 	liveIDs := make([]int, 0, live)
 	for i := 0; i < n; i++ {
@@ -376,7 +372,7 @@ func (e *Engine) attachIndexLocked(snap *snapshot, s *search.Searcher) error {
 		}
 	}
 	rng := rand.New(rand.NewSource(e.opts.Seed ^ 0x6d747265))
-	redHash := persist.ReductionHash(e.red.Assignment(), e.red.ReducedDims())
+	redHash := reductionHash(snap.plan.finest())
 	if auto && e.cachedIntrinsicLocked(n, liveIDs, pairDist, redHash, rng) > indexAutoMaxIntrinsicDim {
 		return nil
 	}
@@ -525,9 +521,9 @@ func (e *Engine) rebuildIndex(snap *snapshot, kind string, metric func(xr, yr Hi
 	if hook := e.testHookIndexRebuild; hook != nil {
 		hook()
 	}
-	b1, b2 := snap.reducedScratch(), snap.reducedScratch()
+	b1, b2 := make([]float64, snap.reducedCols.Dims()), make([]float64, snap.reducedCols.Dims())
 	pairDist := func(i, j int) float64 {
-		return metric(snap.finestReduced(i, b1), snap.finestReduced(j, b2))
+		return metric(snap.reducedCols.Gather(i, b1), snap.reducedCols.Gather(j, b2))
 	}
 	liveIDs := make([]int, 0, n)
 	for i := 0; i < n; i++ {
@@ -566,8 +562,7 @@ func (e *Engine) rebuildIndex(snap *snapshot, kind string, metric func(xr, yr Hi
 	// Install only if the engine still matches what was indexed: same
 	// reduction and no items added since (deletes are fine — the fresh
 	// tree simply excludes the ones deleted before the rebuild began).
-	if e.red == nil || e.store.Len() != n ||
-		persist.ReductionHash(e.red.Assignment(), e.red.ReducedDims()) != redHash {
+	if red := e.plan.finest(); red == nil || e.store.Len() != n || reductionHash(red) != redHash {
 		return
 	}
 	e.savedIndex = &savedIndex{

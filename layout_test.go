@@ -3,20 +3,26 @@ package emdsearch
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
+
+	"emdsearch/internal/emd"
 )
 
-// The cross-layout bit-identity suite. The columnar kernels and the
-// quantized pre-filter are pure evaluation-order refactors of the
-// per-item reference scan: the chained ranking takes the running max
-// of the stage bounds, and the quantized stage never exceeds Red-IM,
-// so candidate order, refinement counts, and every returned distance
-// must be *byte-identical* across layouts — not merely within an
-// epsilon. Any drift means a kernel changed float semantics, which
-// would silently change answers under workloads with near-ties.
+// The cross-layout bit-identity suite. The columnar kernels, the
+// quantized pre-filter, the metric indexes and the threshold-aware
+// solves only reorder or skip work: the chained ranking takes the
+// running max of the stage bounds, and no stage exceeds the next, so
+// candidate order, refinement counts, and every returned distance must
+// be *byte-identical* across them — not merely within an epsilon — and
+// identical to a brute-force scan over emd.Dist. Any drift means a
+// kernel changed float semantics, which would silently change answers
+// under workloads with near-ties. (That the columnar kernels compute
+// lb.IM's exact values is pinned where they live: TestIMScannerBitIdentical,
+// FuzzQuantizedLowerBound, TestQuickQuantizedChain.)
 
 // layoutVariant is one engine configuration whose answers must match
-// the reference per-item scan bit for bit.
+// the threshold-oblivious oracle and the brute-force scan bit for bit.
 type layoutVariant struct {
 	name string
 	opts Options
@@ -24,10 +30,6 @@ type layoutVariant struct {
 
 func layoutVariants() []layoutVariant {
 	base := Options{ReducedDims: 8, SampleSize: 10}
-	withRef := base
-	withRef.ReferenceScan = true
-	noQuant := base
-	noQuant.DisableQuantizedFilter = true
 	oddBlock := base
 	oddBlock.FilterBlockSize = 17
 	mt := base
@@ -37,17 +39,15 @@ func layoutVariants() []layoutVariant {
 	vp4 := vp
 	vp4.FourPoint = true
 	oblivious := base
-	oblivious.UnboundedRefine = true
+	oblivious.unboundedRefine = true
 	return []layoutVariant{
-		{"reference", withRef},
-		{"columnar+quantized", base},
-		{"columnar", noQuant},
-		{"columnar+block17", oddBlock},
 		// The threshold-oblivious pipeline: no bounded refinement, no
 		// bounded filter solve. It is the oracle for everything the live
 		// threshold is allowed to change, which is work, never answers
 		// or the Pulled / Refinements counters.
 		{"threshold-oblivious", oblivious},
+		{"columnar+quantized", base},
+		{"columnar+block17", oddBlock},
 		// Metric-index candidate generation replaces the filter scan
 		// with a best-first tree traversal. Emissions stay a
 		// nondecreasing lower-bounding order, so the *answers* must
@@ -56,6 +56,37 @@ func layoutVariants() []layoutVariant {
 		{"vptree-index", vp},
 		{"vptree-index+4pt", vp4},
 	}
+}
+
+// bruteForce is the contract every pipeline answers to (and the one
+// the benchmark's oracle checks): the exact EMD from q to every live
+// item accepted by keep (nil keeps all), by a solver of its own, sorted
+// by (distance, id).
+func bruteForce(t *testing.T, eng *Engine, q Histogram, keep func(int) bool) []Result {
+	t.Helper()
+	dist, err := emd.NewDist(eng.Cost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []Result
+	for i := 0; i < eng.Len(); i++ {
+		if eng.Deleted(i) || (keep != nil && !keep(i)) {
+			continue
+		}
+		all = append(all, Result{Index: i, Dist: dist.Distance(q, eng.Vector(i))})
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].Dist != all[b].Dist {
+			return all[a].Dist < all[b].Dist
+		}
+		return all[a].Index < all[b].Index
+	})
+	return all
+}
+
+// within cuts a sorted result list at distance eps.
+func within(rs []Result, eps float64) []Result {
+	return rs[:sort.Search(len(rs), func(i int) bool { return rs[i].Dist > eps })]
 }
 
 // buildLayoutEngine builds one engine per variant over identical data
@@ -91,8 +122,7 @@ func sameResults(t *testing.T, layout, api string, got, want []Result) {
 }
 
 // fullRanking drains Rank(q) into the complete exact ordering of the
-// live database — the strongest equality check available, covering
-// every item rather than just the top k.
+// live database, covering every item rather than just the top k.
 func fullRanking(t *testing.T, eng *Engine, q Histogram) []Result {
 	t.Helper()
 	r, err := eng.Rank(q)
@@ -117,51 +147,48 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 	for i, v := range variants {
 		engines[i], queries = buildLayoutEngine(t, v, n)
 	}
-	ref := engines[0]
+	oracle := engines[0]
 	pred := func(i int) bool { return i%3 != 0 }
 
+	wantBatch := make([][]Result, len(queries))
 	for qi, q := range queries {
-		wantKNN, wantStats, err := ref.KNN(q, k)
+		// Answers come from the brute-force scan, work counters from the
+		// threshold-oblivious oracle (variant 0, itself held to the scan).
+		brute := bruteForce(t, oracle, q, nil)
+		if len(brute) != oracle.Alive() {
+			t.Fatalf("brute-force scan covers %d items, want %d", len(brute), oracle.Alive())
+		}
+		wantKNN, wantWhere := brute[:k], bruteForce(t, oracle, q, pred)[:k]
+		wantBatch[qi] = wantKNN
+		eps, err := oracle.EpsilonForCount(q, 15)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eps, err := ref.EpsilonForCount(q, 15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRange, _, err := ref.Range(q, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantWhere, _, err := ref.KNNWhere(q, k, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRank := fullRanking(t, ref, q)
-		if len(wantRank) != ref.Alive() {
-			t.Fatalf("reference ranking covers %d items, want %d", len(wantRank), ref.Alive())
-		}
+		wantRange := within(brute, eps)
+		var wantStats *QueryStats
 
-		for vi := 1; vi < len(variants); vi++ {
-			name, eng := variants[vi].name, engines[vi]
+		for vi, eng := range engines {
+			name := variants[vi].name
 			got, stats, err := eng.KNN(q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResults(t, name, "KNN", got, wantKNN)
 			// Refinement counts are part of the contract for the scan
-			// layouts: the extra quantized stage may only pre-prune what
-			// Red-IM would have pruned anyway, so the exact-EMD work must
-			// be unchanged. An index traversal orders candidates by a
+			// layouts: neither the block geometry of the quantized stage
+			// nor a bounded solve may change which candidates reach the
+			// exact EMD. An index traversal orders candidates by a
 			// (possibly different, still lower-bounding) metric, so only
 			// its answers — not its work counters — must match.
-			if !stats.IndexUsed {
+			if vi == 0 {
+				wantStats = stats
+			} else if !stats.IndexUsed {
 				if stats.Refinements != wantStats.Refinements {
-					t.Errorf("%s: query %d refined %d items, reference refined %d",
+					t.Errorf("%s: query %d refined %d items, oracle refined %d",
 						name, qi, stats.Refinements, wantStats.Refinements)
 				}
 				if stats.Pulled != wantStats.Pulled {
-					t.Errorf("%s: query %d pulled %d candidates, reference pulled %d",
+					t.Errorf("%s: query %d pulled %d candidates, oracle pulled %d",
 						name, qi, stats.Pulled, wantStats.Pulled)
 				}
 			}
@@ -187,39 +214,35 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 			}
 			sameResults(t, name, "KNNCtx", ans.Results, wantKNN)
 
-			sameResults(t, name, "Rank", fullRanking(t, eng, q), wantRank)
+			// The complete exact ordering of the live database — the
+			// strongest equality check available.
+			sameResults(t, name, "Rank", fullRanking(t, eng, q), brute)
 		}
 	}
 
 	// BatchKNN across all queries at once, per variant.
-	wantBatch, err := ref.BatchKNN(queries, k, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for vi := 1; vi < len(variants); vi++ {
-		name, eng := variants[vi].name, engines[vi]
+	for vi, eng := range engines {
+		name := variants[vi].name
 		gotBatch, err := eng.BatchKNN(queries, k, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for bi := range wantBatch {
-			if gotBatch[bi].Err != nil || wantBatch[bi].Err != nil {
-				t.Fatalf("%s: batch query %d errs: got %v, want %v", name, bi, gotBatch[bi].Err, wantBatch[bi].Err)
+		for bi, b := range gotBatch {
+			if b.Err != nil {
+				t.Fatalf("%s: batch query %d: %v", name, bi, b.Err)
 			}
-			sameResults(t, name, "BatchKNN", gotBatch[bi].Results, wantBatch[bi].Results)
+			sameResults(t, name, "BatchKNN", b.Results, wantBatch[bi])
 		}
 	}
 }
 
 // TestCrossLayoutStageChains pins which stage chain each layout
 // assembles, so a configuration regression (quantized stage silently
-// missing, reference path silently columnar) cannot hide behind the
+// missing, index silently declined) cannot hide behind the
 // bit-identity of the answers.
 func TestCrossLayoutStageChains(t *testing.T) {
 	want := map[string][]string{
-		"reference":           {"Red-IM", "Red-EMD"},
 		"columnar+quantized":  {"Q-Red-IM", "Red-IM", "Red-EMD"},
-		"columnar":            {"Red-IM", "Red-EMD"},
 		"columnar+block17":    {"Q-Red-IM", "Red-IM", "Red-EMD"},
 		"threshold-oblivious": {"Q-Red-IM", "Red-IM", "Red-EMD"},
 		"mtree-index":         {"MTree(Red-EMD)"},

@@ -111,8 +111,7 @@ type Metrics struct {
 	Refinements        int64 `json:"refinements"`
 	RefinementsSkipped int64 `json:"refinements_skipped"`
 	// RefinesAborted sums the refinements the threshold-aware solver
-	// abandoned early on a certified bound; zero under
-	// Options.UnboundedRefine.
+	// abandoned early on a certified bound.
 	RefinesAborted int64 `json:"refines_aborted"`
 	// WarmStartHits is retired in PR 12, always 0: the solver's basis
 	// warm start was deleted. The key stays for readers of the JSON.
@@ -314,20 +313,14 @@ func (em *engineMetrics) resultsReturned(n int) {
 	em.mu.Unlock()
 }
 
-// planActive records the active cascade plan; planReplanned
-// additionally counts an adopted re-plan.
-func (em *engineMetrics) planActive(levels []int, id uint64) {
+// planActive records the active auto-cascade plan, counting it as an
+// adopted re-plan when replanned.
+func (em *engineMetrics) planActive(p *plan, replanned bool) {
 	em.mu.Lock()
-	em.m.CascadePlan = append([]int(nil), levels...)
-	em.m.CascadePlanID = id
-	em.mu.Unlock()
-}
-
-func (em *engineMetrics) planReplanned(levels []int, id uint64) {
-	em.mu.Lock()
-	em.m.CascadeReplans++
-	em.m.CascadePlan = append([]int(nil), levels...)
-	em.m.CascadePlanID = id
+	if replanned {
+		em.m.CascadeReplans++
+	}
+	em.m.CascadePlan, em.m.CascadePlanID = p.dims(), p.id()
 	em.mu.Unlock()
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -69,14 +70,15 @@ func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
 	if reds := e.store.Reductions(); len(reds) > 0 {
 		named = make(map[string]persist.Reduction, len(reds))
 		for name, r := range reds {
-			named[name] = persist.Reduction{Assign: r.Assignment(), Reduced: r.ReducedDims()}
+			named[name] = persistReduction(r)
 		}
 	}
+	chain := e.plan.reductions() // coarse→fine; empty while unreduced
 	var engRed *persist.Reduction
 	redDims := 0
-	if e.red != nil {
-		engRed = &persist.Reduction{Assign: e.red.Assignment(), Reduced: e.red.ReducedDims()}
-		redDims = e.red.ReducedDims()
+	if n := len(chain); n > 0 {
+		r := persistReduction(chain[n-1])
+		engRed, redDims = &r, r.Reduced
 	}
 	deleted := make([]int, 0, len(e.deleted))
 	for id := range e.deleted {
@@ -129,20 +131,20 @@ func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
 	// the quantized filter and the index, these are not rebuildable
 	// optimizations — re-deriving a cascade consumes randomness and an
 	// auto plan encodes observed workload history — so they are saved
-	// whenever present and validated structurally on load.
+	// whenever present and validated structurally on load. The section
+	// lists levels finest first; an auto plan adds its dimensionalities
+	// and their fingerprint.
 	var cascade *persist.CascadeSection
-	if len(e.cascade) > 1 || e.plan != nil {
+	if n := len(chain); n > 1 || (n > 0 && e.plan.auto) {
 		cascade = &persist.CascadeSection{}
-		if len(e.cascade) > 1 {
-			cascade.Levels = make([]persist.Reduction, len(e.cascade))
-			for i, r := range e.cascade {
-				cascade.Levels[i] = persist.Reduction{Assign: r.Assignment(), Reduced: r.ReducedDims()}
+		if n > 1 {
+			cascade.Levels = make([]persist.Reduction, n)
+			for i, r := range chain {
+				cascade.Levels[n-1-i] = persistReduction(r)
 			}
 		}
-		if e.plan != nil {
-			cascade.PlanLevels = append([]int(nil), e.plan.Levels...)
-			cascade.PlanID = e.plan.ID
-			cascade.Auto = e.opts.AutoCascade
+		if e.plan.auto {
+			cascade.PlanLevels, cascade.PlanID, cascade.Auto = e.plan.dims(), e.plan.id(), true
 		}
 	}
 	return &persist.Snapshot{
@@ -160,6 +162,10 @@ func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
 		Index:           index,
 		Cascade:         cascade,
 	}
+}
+
+func persistReduction(r *core.Reduction) persist.Reduction {
+	return persist.Reduction{Assign: r.Assignment(), Reduced: r.ReducedDims()}
 }
 
 // Save writes the engine's full persistent state — items, reduction,
@@ -282,6 +288,7 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 			return nil, fmt.Errorf("emdsearch: %w: snapshot reduction %q: %v", ErrCorrupt, name, err)
 		}
 	}
+	var chain []*core.Reduction // coarse→fine; stays nil when the snapshot is unreduced
 	if s.EngineReduction != nil {
 		red, err := core.NewReduction(s.EngineReduction.Assign, s.EngineReduction.Reduced)
 		if err != nil {
@@ -296,11 +303,11 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 		// re-derived the finest level at a different d', and that is
 		// exactly the state a snapshot preserves. Skip the exact-match
 		// check there; everywhere else a disagreement is a misconfig.
-		if opts.ReducedDims != 0 && red.ReducedDims() != e.opts.ReducedDims && !opts.AutoCascade {
+		if opts.ReducedDims != 0 && red.ReducedDims() != opts.ReducedDims && !opts.AutoCascade {
 			return nil, fmt.Errorf("emdsearch: %w: saved reduction has d'=%d, options request %d",
-				ErrConfigMismatch, red.ReducedDims(), e.opts.ReducedDims)
+				ErrConfigMismatch, red.ReducedDims(), opts.ReducedDims)
 		}
-		e.red = red
+		chain = []*core.Reduction{red}
 	}
 	for _, id := range s.Deleted {
 		if id < 0 || id >= e.store.Len() {
@@ -336,71 +343,69 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 		e.savedIndex = si
 	}
 	if s.Cascade != nil {
-		levels, planLevels, planID, err := restoreCascadeSection(s.Cascade, e.red, e.Dim())
+		levels, err := restoreCascadeSection(s.Cascade, chain, e.Dim())
 		if err != nil {
 			return nil, fmt.Errorf("emdsearch: %w: cascade: %v", ErrCorrupt, err)
 		}
-		// Adoption policy: an AutoCascade engine takes both the chain
-		// and the plan (the planner resumes from the persisted state and
-		// re-plans on drift); a Hierarchy engine takes the chain only
-		// when it matches its configured levels exactly; anyone else
-		// drops the section and runs the single-level filter until Build
-		// re-derives — the answers are exact either way.
-		switch {
-		case e.opts.AutoCascade:
-			if len(levels) > 1 {
-				e.cascade = levels
-			}
-			e.plan = &cascadeplan.Plan{Levels: planLevels, ID: planID}
-			e.metrics.planActive(planLevels, planID)
-		case len(e.opts.Hierarchy) > 1 && hierarchyMatches(levels, e.opts.Hierarchy):
-			e.cascade = levels
+		// Adoption policy: an AutoCascade engine takes the saved chain
+		// (the planner resumes from the persisted state and re-plans on
+		// drift); a Hierarchy engine takes it only when it matches its
+		// configured levels exactly; anyone else drops the section and
+		// runs the single-level filter until Build re-derives — the
+		// answers are exact either way.
+		if e.plan.auto || slices.Equal(chainDims(levels), e.plan.dims()) {
+			chain = levels
+		}
+	}
+	if chain != nil {
+		e.plan = e.plan.withChain(chain)
+		if e.plan.auto {
+			e.metrics.planActive(e.plan, false)
 		}
 	}
 	return e, nil
 }
 
 // restoreCascadeSection validates a persisted cascade section and
-// materializes its levels. A CRC-valid but semantically damaged
-// section must fail the load, never reach a filter: every level is
-// re-validated structurally, the finest level must be byte-identical
-// to the engine reduction, successive levels must be strictly coarser
-// AND nested (same-group-stays-same-group — the property the
-// lower-bound proof rests on), and a persisted plan must fingerprint
-// to its own levels. When the section carries no explicit plan (a
-// Hierarchy-configured engine wrote it), the plan is synthesized from
-// the level dimensionalities so an AutoCascade reader starts from a
-// truthful incumbent.
-func restoreCascadeSection(cs *persist.CascadeSection, engRed *core.Reduction, dim int) ([]*core.Reduction, []int, uint64, error) {
+// returns the chain it describes, coarse→fine: its own levels, or — for
+// a section carrying only a single-level auto plan — engChain, the
+// engine reduction alone. A CRC-valid but semantically damaged section
+// must fail the load, never reach a filter: every level is re-validated
+// structurally, the finest level must be byte-identical to the engine
+// reduction, successive levels must be strictly coarser AND nested
+// (same-group-stays-same-group — the property the lower-bound proof
+// rests on), and a persisted plan must fingerprint to its own levels
+// and list exactly the chain's dimensionalities.
+func restoreCascadeSection(cs *persist.CascadeSection, engChain []*core.Reduction, dim int) ([]*core.Reduction, error) {
 	if len(cs.Levels) == 0 && len(cs.PlanLevels) == 0 {
-		return nil, nil, 0, fmt.Errorf("section carries neither levels nor a plan")
+		return nil, fmt.Errorf("section carries neither levels nor a plan")
 	}
-	if engRed == nil {
-		return nil, nil, 0, fmt.Errorf("cascade without an engine reduction")
+	if engChain == nil {
+		return nil, fmt.Errorf("cascade without an engine reduction")
 	}
-	var levels []*core.Reduction
+	chain := engChain
 	if n := len(cs.Levels); n > 0 {
 		if n < 2 {
-			return nil, nil, 0, fmt.Errorf("cascade of %d level", n)
+			return nil, fmt.Errorf("cascade of %d level", n)
 		}
-		levels = make([]*core.Reduction, n)
-		for i, rr := range cs.Levels {
+		chain = make([]*core.Reduction, n)
+		for i, rr := range cs.Levels { // finest first
 			red, err := core.NewReduction(rr.Assign, rr.Reduced)
 			if err != nil {
-				return nil, nil, 0, fmt.Errorf("level %d: %v", i, err)
+				return nil, fmt.Errorf("level %d: %v", i, err)
 			}
 			if red.OriginalDims() != dim {
-				return nil, nil, 0, fmt.Errorf("level %d covers %d dimensions, want %d", i, red.OriginalDims(), dim)
+				return nil, fmt.Errorf("level %d covers %d dimensions, want %d", i, red.OriginalDims(), dim)
 			}
-			levels[i] = red
+			chain[n-1-i] = red
 		}
-		if levels[0].ReducedDims() != engRed.ReducedDims() || !equalLevels(levels[0].Assignment(), engRed.Assignment()) {
-			return nil, nil, 0, fmt.Errorf("finest cascade level disagrees with the engine reduction")
+		if !chain[n-1].Equal(engChain[0]) {
+			return nil, fmt.Errorf("finest cascade level disagrees with the engine reduction")
 		}
 		for i := 1; i < n; i++ {
-			fine, coarse := levels[i-1], levels[i]
+			fine, coarse := chain[n-i], chain[n-1-i]
 			if coarse.ReducedDims() >= fine.ReducedDims() {
-				return nil, nil, 0, fmt.Errorf("level %d has d'=%d, not coarser than level %d (d'=%d)",
+				return nil, fmt.Errorf("level %d has d'=%d, not coarser than level %d (d'=%d)",
 					i, coarse.ReducedDims(), i-1, fine.ReducedDims())
 			}
 			// Nesting: two original bins merged by the finer level must
@@ -415,53 +420,23 @@ func restoreCascadeSection(cs *persist.CascadeSection, engRed *core.Reduction, d
 				if group[fa[b]] == -1 {
 					group[fa[b]] = ca[b]
 				} else if group[fa[b]] != ca[b] {
-					return nil, nil, 0, fmt.Errorf("level %d is not a nested coarsening of level %d", i, i-1)
+					return nil, fmt.Errorf("level %d is not a nested coarsening of level %d", i, i-1)
 				}
 			}
 		}
 	}
-	planLevels := append([]int(nil), cs.PlanLevels...)
-	planID := cs.PlanID
-	if len(planLevels) > 0 {
-		if err := cascadeplan.ValidateLevels(planLevels, dim); err != nil {
-			return nil, nil, 0, fmt.Errorf("plan: %v", err)
+	if len(cs.PlanLevels) > 0 {
+		if err := cascadeplan.ValidateLevels(cs.PlanLevels, dim); err != nil {
+			return nil, fmt.Errorf("plan: %v", err)
 		}
-		if want := cascadeplan.PlanID(planLevels); planID != want {
-			return nil, nil, 0, fmt.Errorf("plan fingerprint %016x does not match its levels (%016x)", planID, want)
+		if want := cascadeplan.PlanID(cs.PlanLevels); cs.PlanID != want {
+			return nil, fmt.Errorf("plan fingerprint %016x does not match its levels (%016x)", cs.PlanID, want)
 		}
-		want := []int{engRed.ReducedDims()}
-		if levels != nil {
-			want = make([]int, len(levels))
-			for i, red := range levels {
-				want[len(levels)-1-i] = red.ReducedDims()
-			}
-		}
-		if !equalLevels(planLevels, want) {
-			return nil, nil, 0, fmt.Errorf("plan levels %v disagree with the persisted chain %v", planLevels, want)
-		}
-	} else {
-		planLevels = make([]int, len(levels))
-		for i, red := range levels {
-			planLevels[len(levels)-1-i] = red.ReducedDims()
-		}
-		planID = cascadeplan.PlanID(planLevels)
-	}
-	return levels, planLevels, planID, nil
-}
-
-// hierarchyMatches reports whether restored cascade levels carry
-// exactly the configured Hierarchy dimensionalities (both finest
-// first).
-func hierarchyMatches(levels []*core.Reduction, hierarchy []int) bool {
-	if len(levels) != len(hierarchy) {
-		return false
-	}
-	for i, red := range levels {
-		if red.ReducedDims() != hierarchy[i] {
-			return false
+		if !slices.Equal(chainDims(chain), cs.PlanLevels) {
+			return nil, fmt.Errorf("plan levels %v disagree with the persisted chain", cs.PlanLevels)
 		}
 	}
-	return true
+	return chain, nil
 }
 
 // restoreIndexSection validates and materializes a persisted metric
@@ -530,11 +505,11 @@ func loadLegacyEngine(r io.Reader, cost CostMatrix, opts Options) (*Engine, erro
 	}
 	e.store = store
 	if red, ok := store.Reduction("engine"); ok {
-		if red.ReducedDims() != e.opts.ReducedDims && e.opts.ReducedDims != 0 {
+		if dims := e.plan.dims(); len(dims) > 0 && red.ReducedDims() != dims[len(dims)-1] {
 			return nil, fmt.Errorf("emdsearch: %w: saved reduction has d'=%d, options request %d",
-				ErrConfigMismatch, red.ReducedDims(), e.opts.ReducedDims)
+				ErrConfigMismatch, red.ReducedDims(), dims[len(dims)-1])
 		}
-		e.red = red
+		e.plan = e.plan.withChain([]*core.Reduction{red})
 	}
 	return e, nil
 }

@@ -7,7 +7,7 @@ import (
 // TestEngineBoundedRefineMatchesUnbounded is the end-to-end bit-identity
 // check of the threshold-aware refinement kernel: engines with early
 // abandon + sparsity reduction (the default), with the legacy unbounded
-// kernel (Options.UnboundedRefine), and with both kernels under
+// kernel (Options.unboundedRefine), and with both kernels under
 // parallel refinement must return byte-identical KNN and Range results
 // on the same data. It is also the engine-level history-independence
 // check: the bounded engines answer every query on pooled solver states
@@ -19,7 +19,7 @@ func TestEngineBoundedRefineMatchesUnbounded(t *testing.T) {
 	bounded, queries := buildEngine(t, base, n)
 
 	legacy := base
-	legacy.UnboundedRefine = true
+	legacy.unboundedRefine = true
 	unbounded, _ := buildEngine(t, legacy, n)
 
 	parallel := base

@@ -215,7 +215,7 @@ func TestKNNWhereBoundedMatchesUnbounded(t *testing.T) {
 	opts := Options{ReducedDims: 8, SampleSize: 16}
 	engB, queries := buildEngine(t, opts, n)
 	optsU := opts
-	optsU.UnboundedRefine = true
+	optsU.unboundedRefine = true
 	engU, _ := buildEngine(t, optsU, n)
 	optsP := opts
 	optsP.Workers = 4
@@ -262,7 +262,7 @@ func TestRangeIDsBoundedMatchesUnbounded(t *testing.T) {
 	opts := Options{ReducedDims: 8, SampleSize: 16}
 	engB, queries := buildEngine(t, opts, n)
 	optsU := opts
-	optsU.UnboundedRefine = true
+	optsU.unboundedRefine = true
 	engU, _ := buildEngine(t, optsU, n)
 	optsP := opts
 	optsP.Workers = 4

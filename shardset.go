@@ -23,12 +23,6 @@ type ShardSetOptions struct {
 	// Gate configures each shard's admission gate (zero value takes
 	// GateOptions defaults).
 	Gate GateOptions
-	// DisableSharedThreshold turns off the cross-shard k-NN threshold:
-	// every shard then computes its full local top-k independently.
-	// Answers are identical either way (the shared threshold only
-	// changes work counters); the independent mode exists to verify
-	// exactly that, and as the deterministic-work reference.
-	DisableSharedThreshold bool
 	// MergeReserve is carved off the caller's deadline for gathering
 	// and merging shard answers (but never more than half the
 	// remaining time); default 2ms.
@@ -85,6 +79,13 @@ type ShardSetOptions struct {
 	// Seed fixes the retry jitter stream for reproducible tests; 0
 	// seeds from the clock.
 	Seed int64
+
+	// disableSharedThreshold turns off the cross-shard k-NN threshold:
+	// every shard then computes its full local top-k independently.
+	// Answers are identical either way (the shared threshold only
+	// changes work counters); only the in-package identity suite sets
+	// it, as the deterministic-work reference.
+	disableSharedThreshold bool
 }
 
 func (o ShardSetOptions) withDefaults() ShardSetOptions {
@@ -531,7 +532,7 @@ func (s *ShardSet) KNN(ctx context.Context, q Histogram, k int) (*ShardAnswer, e
 	}
 	s.queries.Add(1)
 	var shared *search.SharedKNN
-	if !s.opts.DisableSharedThreshold {
+	if !s.opts.disableSharedThreshold {
 		var err error
 		if shared, err = search.NewSharedKNN(k); err != nil {
 			return nil, badQueryf("%v", err)

@@ -88,7 +88,7 @@ func TestShardSetKNNIdentity(t *testing.T) {
 	ctx := context.Background()
 	for _, shards := range []int{1, 2, 3, 4} {
 		for _, disable := range []bool{false, true} {
-			set, single, queries := buildShardPair(t, shards, 60, ShardSetOptions{DisableSharedThreshold: disable})
+			set, single, queries := buildShardPair(t, shards, 60, ShardSetOptions{disableSharedThreshold: disable})
 			for _, k := range []int{1, 5} {
 				for qi, q := range queries {
 					want, _, err := single.KNN(q, k)
@@ -211,7 +211,7 @@ func TestShardSetDeleteIdentity(t *testing.T) {
 // the shared threshold disabled the per-shard work is deterministic
 // across runs (the reference mode for work-count comparisons).
 func TestShardSetStatsSelfConsistency(t *testing.T) {
-	set, _, queries := buildShardPair(t, 3, 60, ShardSetOptions{DisableSharedThreshold: true})
+	set, _, queries := buildShardPair(t, 3, 60, ShardSetOptions{disableSharedThreshold: true})
 	q := queries[0]
 	var prev *ShardAnswer
 	for run := 0; run < 2; run++ {

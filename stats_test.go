@@ -91,15 +91,6 @@ func TestQueryStatsStagesHierarchy(t *testing.T) {
 	checkStageAccounting(t, eng, stats, []string{"Q-Red-IM", "Red-IM", "Red-EMD-2", "Red-EMD-8"})
 }
 
-func TestQueryStatsStagesNoIM(t *testing.T) {
-	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10, DisableIMFilter: true}, 100)
-	_, stats, err := eng.Range(queries[0], 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStageAccounting(t, eng, stats, []string{"Red-EMD"})
-}
-
 // TestEngineMetrics exercises the engine-level aggregation: query
 // counts by kind, error counts, snapshot builds, stage totals, and
 // that the snapshot is JSON-marshalable (the expvar contract).

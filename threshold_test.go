@@ -16,8 +16,8 @@ import (
 // return a certified bound above it instead of the filter distance. The
 // claim (DESIGN.md, "Threshold-aware chain") is that this changes work
 // only: ids, distance bits, Pulled and Refinements equal those of the
-// threshold-oblivious pipeline, Options.UnboundedRefine, which is the
-// oracle throughout.
+// threshold-oblivious pipeline (Options.unboundedRefine), which is the
+// oracle throughout, and the answers those of a brute-force scan.
 
 // buildThresholdEngine builds an engine over the suite's d=64 corpus
 // (seeded, so every call sees the same vectors and queries) with two
@@ -82,7 +82,6 @@ func TestThresholdAwareChainIdentity(t *testing.T) {
 		{"single-level", Options{ReducedDims: 12, Method: Adjacent}},
 		{"hierarchy-32-8", Options{Hierarchy: []int{32, 8}, Method: Adjacent}},
 		{"asymmetric", Options{ReducedDims: 12, Method: Adjacent, AsymmetricQuery: true}},
-		{"reference-scan", Options{Hierarchy: []int{32, 8}, Method: Adjacent, ReferenceScan: true}},
 	}
 	// answer is one query's results and counters per API.
 	type answer struct {
@@ -108,11 +107,13 @@ func TestThresholdAwareChainIdentity(t *testing.T) {
 	for _, cfg := range configs {
 		eng, queries := buildThresholdEngine(t, cfg.opts, n)
 		oracleOpts := cfg.opts
-		oracleOpts.UnboundedRefine = true
+		oracleOpts.unboundedRefine = true
 		oracle, _ := buildThresholdEngine(t, oracleOpts, n)
-		wants := make([]answer, len(queries))
+		wants, brutes := make([]answer, len(queries)), make([]answer, len(queries))
 		for qi, q := range queries {
 			wants[qi] = ask(oracle, q, -1)
+			all := bruteForce(t, oracle, q, nil)
+			brutes[qi] = answer{knn: all[:k], where: bruteForce(t, oracle, q, pred)[:k], rng: within(all, all[k-1].Dist)}
 			for _, st := range []*QueryStats{wants[qi].knnStats, wants[qi].whereStats, wants[qi].rngStats} {
 				if a := filterAborts(st); a != 0 {
 					t.Fatalf("%s/q%d: the oracle answered %d filter evaluations with a bound", cfg.name, qi, a)
@@ -128,9 +129,11 @@ func TestThresholdAwareChainIdentity(t *testing.T) {
 				tag := fmt.Sprintf("%s/q%d", name, qi)
 				want := wants[qi]
 				got := ask(eng, q, want.knn[len(want.knn)-1].Dist)
-				sameResults(t, tag, "KNN", got.knn, want.knn)
-				sameResults(t, tag, "KNNWhere", got.where, want.where)
-				sameResults(t, tag, "Range", got.rng, want.rng)
+				for _, ref := range []answer{want, brutes[qi]} {
+					sameResults(t, tag, "KNN", got.knn, ref.knn)
+					sameResults(t, tag, "KNNWhere", got.where, ref.where)
+					sameResults(t, tag, "Range", got.rng, ref.rng)
+				}
 				sameWork(t, tag+"/Range", got.rngStats, want.rngStats)
 				if sequential {
 					sameWork(t, tag+"/KNN", got.knnStats, want.knnStats)
@@ -189,7 +192,7 @@ func TestShardSetThresholdAwareIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracleOpts := opts
-	oracleOpts.UnboundedRefine = true
+	oracleOpts.unboundedRefine = true
 	oracle, err := NewEngine(ds.Cost, oracleOpts)
 	if err != nil {
 		t.Fatal(err)
