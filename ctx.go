@@ -59,16 +59,11 @@ type KNNAnswer struct {
 // the degraded result. With a context that can never be cancelled
 // (context.Background()) the path and results are identical to KNN's.
 func (e *Engine) KNNCtx(ctx context.Context, q Histogram, k int) (*KNNAnswer, error) {
-	if err := e.validateKNN(q, k); err != nil {
-		e.metrics.queryError()
-		return nil, err
-	}
-	s, err := e.snapshot()
+	s, err := e.knnSnapshot(q, k)
 	if err != nil {
-		e.metrics.queryError()
 		return nil, err
 	}
-	return e.knnCtxOnSnap(ctx, s, q, k, nil, nil, nil)
+	return e.knnCtxOnSnap(ctx, s, search.KNNQuery{Q: q, K: k})
 }
 
 // KNNWhereCtx is the context-aware form of KNNWhere: a k-NN query
@@ -81,16 +76,11 @@ func (e *Engine) KNNWhereCtx(ctx context.Context, q Histogram, k int, pred func(
 		e.metrics.queryError()
 		return nil, badQueryf("nil predicate")
 	}
-	if err := e.validateKNN(q, k); err != nil {
-		e.metrics.queryError()
-		return nil, err
-	}
-	s, err := e.snapshot()
+	s, err := e.knnSnapshot(q, k)
 	if err != nil {
-		e.metrics.queryError()
 		return nil, err
 	}
-	return e.knnCtxOnSnap(ctx, s, q, k, pred, nil, nil)
+	return e.knnCtxOnSnap(ctx, s, search.KNNQuery{Q: q, K: k, Pred: pred})
 }
 
 // KNNWithLabelCtx is KNNWhereCtx restricted to items carrying the
@@ -99,24 +89,19 @@ func (e *Engine) KNNWhereCtx(ctx context.Context, q Histogram, k int, pred func(
 // state consistent with the ranking it filters, even while concurrent
 // Add or Build calls mutate the live store.
 func (e *Engine) KNNWithLabelCtx(ctx context.Context, q Histogram, k int, label string) (*KNNAnswer, error) {
-	if err := e.validateKNN(q, k); err != nil {
-		e.metrics.queryError()
-		return nil, err
-	}
-	s, err := e.snapshot()
+	s, err := e.knnSnapshot(q, k)
 	if err != nil {
-		e.metrics.queryError()
 		return nil, err
 	}
-	return e.knnCtxOnSnap(ctx, s, q, k, func(i int) bool { return s.labels[i] == label }, nil, nil)
+	return e.knnCtxOnSnap(ctx, s, search.KNNQuery{Q: q, K: k, Pred: func(i int) bool { return s.labels[i] == label }})
 }
 
 // knnCtxOnSnap runs the shared context-aware k-NN path on an already
 // obtained snapshot (so label predicates close over the same state the
 // query runs on) and assembles the anytime answer on cancellation.
-// shared, when non-nil, joins the search to a cross-shard neighbor
-// set under the toGlobal id mapping (the ShardSet scatter path).
-func (e *Engine) knnCtxOnSnap(ctx context.Context, s *snapshot, q Histogram, k int, pred func(index int) bool, shared *search.SharedKNN, toGlobal func(int) int) (*KNNAnswer, error) {
+// kq.Shared, when non-nil, joins the search to a cross-shard neighbor
+// set under the kq.ToGlobal id mapping (the ShardSet scatter path).
+func (e *Engine) knnCtxOnSnap(ctx context.Context, s *snapshot, kq search.KNNQuery) (*KNNAnswer, error) {
 	if err := ctx.Err(); err != nil {
 		// Already expired: nothing was examined; the (empty) answer is
 		// still sound and says so.
@@ -125,16 +110,7 @@ func (e *Engine) knnCtxOnSnap(ctx context.Context, s *snapshot, q Histogram, k i
 		e.metrics.queryDegraded()
 		return &KNNAnswer{Stats: stats, Degraded: true, Unpulled: len(s.vectors)}, err
 	}
-	var out *search.KNNOutcome
-	var err error
-	switch {
-	case shared != nil:
-		out, err = s.searcher.KNNSharedCtx(ctx, q, k, shared, toGlobal, pred)
-	case pred == nil:
-		out, err = s.searcher.KNNCtx(ctx, q, k)
-	default:
-		out, err = s.searcher.KNNWhereCtx(ctx, q, k, pred)
-	}
+	out, err := s.searcher.KNN(ctx, kq)
 	if err != nil {
 		e.metrics.queryError()
 		return nil, e.internalErr("knn", err)
@@ -157,7 +133,7 @@ func (e *Engine) knnCtxOnSnap(ctx context.Context, s *snapshot, q Histogram, k i
 	}
 	ans.Degraded = true
 	ans.Unpulled = len(s.vectors) - out.Stats.Pulled
-	ans.Anytime = s.assembleAnytime(q, live, out.Pending, k)
+	ans.Anytime = s.assembleAnytime(kq.Q, live, out.Pending, kq.K)
 	e.metrics.queryDegraded()
 	return ans, ctx.Err()
 }
@@ -212,6 +188,14 @@ func (s *snapshot) assembleAnytime(q Histogram, confirmed []Result, pending []se
 // true and ctx's error. With context.Background() the path and
 // results are identical to Range's.
 func (e *Engine) RangeCtx(ctx context.Context, q Histogram, eps float64) ([]Result, *QueryStats, error) {
+	return e.rangeCtx(ctx, q, eps, false)
+}
+
+// rangeCtx is the range query behind RangeCtx and RangeIDsCtx. With
+// membership set the greedy-flow upper bound is its short-cut: an item
+// whose bound is already within eps is accepted unrefined (its Dist is
+// then that bound, not the exact distance).
+func (e *Engine) rangeCtx(ctx context.Context, q Histogram, eps float64, membership bool) ([]Result, *QueryStats, error) {
 	if err := e.validateRange(q, eps); err != nil {
 		e.metrics.queryError()
 		return nil, nil, err
@@ -226,7 +210,18 @@ func (e *Engine) RangeCtx(ctx context.Context, q Histogram, eps float64) ([]Resu
 		e.metrics.observe(metricRange, stats)
 		return nil, stats, err
 	}
-	results, stats, err := s.searcher.RangeCtx(ctx, q, eps, nil)
+	rq := search.RangeQuery{Q: q, Eps: eps}
+	if membership {
+		g := s.greedyUpper()
+		defer s.putGreedy(g)
+		rq.Upper = func(i int) float64 {
+			if s.deleted[i] {
+				return math.Inf(1)
+			}
+			return g.Distance(q, s.vectors[i])
+		}
+	}
+	results, stats, err := s.searcher.Range(ctx, rq)
 	if err != nil {
 		e.metrics.queryError()
 		return nil, nil, e.internalErr("range", err)

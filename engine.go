@@ -278,42 +278,15 @@ type snapshot struct {
 // refine is the exact-EMD refinement distance over the snapshot's
 // vectors, with soft-deleted items at infinity. Snapshot vectors are
 // validated on insert and the query once per query, so the fast
-// trusted-input kernel applies.
-func (s *snapshot) refine(q Histogram, i int) float64 {
-	if s.deleted[i] {
-		return math.Inf(1)
-	}
-	if s.hook != nil {
-		s.hook(i)
-	}
-	return s.dist.Distance(q, s.vectors[i])
-}
-
-// refineBounded is the threshold-aware refinement: the solver may
+// trusted-input kernel applies. It is threshold-aware: the solver may
 // abandon item i once a certified lower bound on its exact distance
-// exceeds abortAbove (see emd.DistanceBounded).
-func (s *snapshot) refineBounded(q Histogram, i int, abortAbove float64) search.Refinement {
-	if s.deleted[i] {
-		return search.Refinement{Dist: math.Inf(1)}
-	}
-	if s.hook != nil {
-		s.hook(i)
-	}
-	r := s.dist.DistanceBounded(q, s.vectors[i], abortAbove)
-	return search.Refinement{
-		Dist:    r.Value,
-		Aborted: r.Aborted,
-		Rows:    r.Rows,
-		Cols:    r.Cols,
-	}
-}
-
-// refineBoundedIntr is refineBounded with the query's cancel flag
-// threaded into the simplex pivot loop: once the flag is set the solve
-// stops within one pivot and returns Interrupted with a certified
-// lower bound, so a deadline takes effect inside a single large
-// refinement instead of only between refinements.
-func (s *snapshot) refineBoundedIntr(q Histogram, i int, abortAbove float64, intr *atomic.Bool) search.Refinement {
+// exceeds abortAbove (see emd.DistanceBounded; +Inf runs to
+// optimality). intr, when non-nil, is the query's cancel flag, threaded
+// into the simplex pivot loop: once it is set the solve stops within
+// one pivot and returns Interrupted with a certified lower bound, so a
+// deadline takes effect inside a single large refinement instead of
+// only between refinements.
+func (s *snapshot) refine(q Histogram, i int, abortAbove float64, intr *atomic.Bool) search.Refinement {
 	if s.deleted[i] {
 		return search.Refinement{Dist: math.Inf(1)}
 	}
@@ -638,12 +611,9 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 		Refine:  snap.refine,
 	}
 	if e.opts.unboundedRefine {
-		// No RefineBounded: the Searcher publishes no threshold, so the
-		// stages below are always asked for the full distance.
-		s.Refine = snap.refineUnbounded
-	} else {
-		s.RefineBounded = snap.refineBounded
-		s.RefineBoundedIntr = snap.refineBoundedIntr
+		// The Searcher publishes no threshold, so the stages below are
+		// always asked for the full distance.
+		s.Refine, s.Oblivious = search.ExactRefine(snap.refineUnbounded), true
 	}
 	// red, reduced and cols are the reduction the current level works
 	// on, its compiled symmetric EMD and its columnar data; neighbouring
@@ -855,6 +825,20 @@ func (e *Engine) validateKNN(q Histogram, k int) error {
 		return badQueryf("k = %d, want >= 1", k)
 	}
 	return e.validateQuery(q)
+}
+
+// knnSnapshot validates a k-NN query and returns the snapshot it will
+// run on; a failure of either is counted as a query error.
+func (e *Engine) knnSnapshot(q Histogram, k int) (*snapshot, error) {
+	if err := e.validateKNN(q, k); err != nil {
+		e.metrics.queryError()
+		return nil, err
+	}
+	s, err := e.snapshot()
+	if err != nil {
+		e.metrics.queryError()
+	}
+	return s, err
 }
 
 // validateRange validates a range query's inputs; failures wrap

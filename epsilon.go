@@ -3,9 +3,8 @@ package emdsearch
 import (
 	"context"
 	"fmt"
-	"math"
+	"sort"
 
-	"emdsearch/internal/search"
 	"emdsearch/internal/stats"
 )
 
@@ -106,77 +105,30 @@ func (e *Engine) distanceDistribution(ctx context.Context, q Histogram, sampleSi
 }
 
 // RangeIDs answers a membership range query — which items lie within
-// eps — exactly, but cheaper than Range when distances are not
-// needed: items whose greedy-flow upper bound is already within eps
-// are accepted without an exact EMD computation; only items whose
-// [reduced-EMD lower bound, greedy upper bound] interval straddles eps
-// are refined. Refinements go through the same threshold-aware bounded
-// kernel as KNN/Range (eps as the abort bound, sparsity reduction) and
-// fan out over Options.Workers goroutines, so the engine's
-// RefinesAborted metric covers this path too.
+// eps — exactly, but cheaper than Range when distances are not needed.
+// It is the range query over the engine's own filter ranking (quantized
+// scan, chained levels or the metric index, all pruning with eps) with
+// the greedy-flow upper bound as a short-cut: items whose upper bound is
+// already within eps are accepted without an exact EMD computation; only
+// items whose [filter lower bound, greedy upper bound] interval
+// straddles eps are refined. Refinements go through the same
+// threshold-aware bounded kernel as KNN/Range (eps as the abort bound,
+// sparsity reduction) and fan out over Options.Workers goroutines; the
+// query is counted in Metrics like any range query.
 // Returns ascending item ids. Safe for concurrent use.
 func (e *Engine) RangeIDs(q Histogram, eps float64) ([]int, error) {
 	return e.rangeIDs(context.Background(), q, eps)
 }
 
 func (e *Engine) rangeIDs(ctx context.Context, q Histogram, eps float64) ([]int, error) {
-	if err := e.validateRange(q, eps); err != nil {
-		e.metrics.queryError()
+	results, _, err := e.rangeCtx(ctx, q, eps, true)
+	if results == nil {
 		return nil, err
 	}
-	s, err := e.snapshot()
-	if err != nil {
-		return nil, err
+	ids := make([]int, len(results))
+	for i, r := range results {
+		ids[i] = r.Index
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	upper := s.greedyUpper()
-	defer s.putGreedy(upper)
-	lowers := make([]float64, len(s.vectors))
-	if red := s.plan.finest(); red != nil {
-		qr := red.Apply(q)
-		buf := make([]float64, s.reducedCols.Dims())
-		for i := range s.vectors {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			lowers[i] = s.reduced.DistanceReduced(qr, s.reducedCols.Gather(i, buf))
-		}
-	}
-	cancel, stopWatch := search.WatchContext(ctx)
-	defer stopWatch()
-	var refine search.BoundedRefine
-	switch {
-	case e.opts.unboundedRefine:
-		refine = func(i int, _ float64) search.Refinement {
-			return search.Refinement{Dist: s.refineUnbounded(q, i)}
-		}
-	case cancel != nil:
-		refine = func(i int, abortAbove float64) search.Refinement {
-			return s.refineBoundedIntr(q, i, abortAbove, cancel)
-		}
-	default:
-		refine = func(i int, abortAbove float64) search.Refinement {
-			return s.refineBounded(q, i, abortAbove)
-		}
-	}
-	ids, st, err := search.RangeIDsBounded(search.NewScanRanking(lowers),
-		refine,
-		func(i int) float64 {
-			if s.deleted[i] {
-				return math.Inf(1)
-			}
-			return upper.Distance(q, s.vectors[i])
-		},
-		eps, s.searcher.Workers, cancel)
-	if err != nil {
-		e.metrics.queryError()
-		return nil, e.internalErr("rangeids", err)
-	}
-	e.metrics.observeRangeIDs(st)
-	if st.Cancelled {
-		return ids, ctx.Err()
-	}
-	return ids, nil
+	sort.Ints(ids)
+	return ids, err
 }

@@ -1,6 +1,9 @@
 package emdsearch
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -68,31 +71,86 @@ func TestDistanceDistribution(t *testing.T) {
 	}
 }
 
+// TestRangeIDsMatchesRange: the membership query is the range query over
+// the engine's own ranking, whatever plan produced it — so under every
+// plan kind, inline and pooled, its ids are the sorted ids of Range and
+// of a brute-force scan over emd.Dist.
 func TestRangeIDsMatchesRange(t *testing.T) {
-	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 120)
-	for _, q := range queries {
-		for _, eps := range []float64{0.02, 0.05, 0.1} {
-			ids, err := eng.RangeIDs(q, eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _, err := eng.Range(q, eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ids) != len(want) {
-				t.Fatalf("eps=%g: %d ids, Range finds %d", eps, len(ids), len(want))
-			}
-			wantSet := map[int]bool{}
-			for _, r := range want {
-				wantSet[r.Index] = true
-			}
-			for _, id := range ids {
-				if !wantSet[id] {
-					t.Fatalf("eps=%g: spurious id %d", eps, id)
+	const n = 120
+	plans := []struct {
+		name string
+		opts Options
+	}{
+		{"single-level", Options{ReducedDims: 8, SampleSize: 16}},
+		{"hierarchy", Options{Hierarchy: []int{16, 4}, SampleSize: 16}},
+		{"asymmetric", Options{ReducedDims: 8, SampleSize: 16, AsymmetricQuery: true}},
+		{"vptree", Options{ReducedDims: 8, SampleSize: 16, IndexKind: IndexVPTree}},
+		{"mtree", Options{ReducedDims: 8, SampleSize: 16, IndexKind: IndexMTree}},
+		{"no-reduction", Options{}},
+	}
+	for _, plan := range plans {
+		for _, workers := range []int{1, 4} {
+			opts := plan.opts
+			opts.Workers = workers
+			eng, queries := buildEngine(t, opts, n)
+			for qi, q := range queries[:3] {
+				all := bruteForce(t, eng, q, nil)
+				// The last radius is selective: the query's 10th-NN distance.
+				for _, eps := range []float64{0.02, 0.05, 0.1, all[9].Dist} {
+					tag := fmt.Sprintf("%s/workers=%d/q%d/eps=%g", plan.name, workers, qi, eps)
+					evalsBefore := eng.Metrics().Stages["Red-EMD"].Evaluations
+					ids, err := eng.RangeIDs(q, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					evals := eng.Metrics().Stages["Red-EMD"].Evaluations - evalsBefore
+					want, _, err := eng.Range(q, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(ids) != len(want) {
+						t.Fatalf("%s: %d ids, Range finds %d", tag, len(ids), len(want))
+					}
+					wantSet := map[int]bool{}
+					for _, r := range want {
+						wantSet[r.Index] = true
+					}
+					for _, id := range ids {
+						if !wantSet[id] {
+							t.Fatalf("%s: spurious id %d", tag, id)
+						}
+					}
+					brute := within(all, eps)
+					bruteIDs := make([]int, len(brute))
+					for i, r := range brute {
+						bruteIDs[i] = r.Index
+					}
+					sort.Ints(bruteIDs)
+					if !sort.IntsAreSorted(ids) || !slices.Equal(ids, bruteIDs) {
+						t.Fatalf("%s: ids %v, brute force finds %v", tag, ids, bruteIDs)
+					}
+					// The filter chain runs for RangeIDs too, and prunes: a
+					// selective radius reaches the Red-EMD stage with fewer
+					// than n items, and the work is counted.
+					if plan.name == "single-level" && eps == all[9].Dist && (evals <= 0 || evals >= n) {
+						t.Fatalf("%s: %d Red-EMD evaluations for one RangeIDs call over %d items", tag, evals, n)
+					}
 				}
 			}
 		}
+	}
+
+	// A query that fails for want of a snapshot is counted as an error,
+	// as it is for KNNCtx.
+	empty, err := NewEngine(LinearCost(4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := empty.RangeIDs(Histogram{0.25, 0.25, 0.25, 0.25}, 1); err == nil {
+		t.Fatal("RangeIDs on an empty engine succeeded")
+	}
+	if got := empty.Metrics().QueryErrors; got != 1 {
+		t.Fatalf("QueryErrors = %d after RangeIDs failed to get a snapshot, want 1", got)
 	}
 }
 

@@ -29,7 +29,8 @@ var (
 	ErrOverloaded = errors.New("emdsearch: overloaded")
 
 	// ErrInternal marks a query that failed on a contained internal
-	// invariant violation (a recovered panic in the exact solver): the
+	// invariant violation (a recovered panic in the exact solver, a
+	// filter stage, an index traversal or a caller's predicate): the
 	// failing query gets this error, the process and all other in-flight
 	// queries are unaffected. The concrete *InternalError carries the
 	// item index, panic value and stack.
@@ -76,13 +77,15 @@ func overloadError(ov *admission.Overload) *OverloadError {
 
 // InternalError reports a contained invariant failure: a panic inside
 // the exact refinement (transport simplex invariant checks, or an
-// injected fault hook) that the engine recovered and converted into an
-// error on the failing query only. errors.Is(err, ErrInternal) matches
-// it.
+// injected fault hook) or on the candidate-generating side of the query
+// (a filter stage, an index traversal, a predicate) that the engine
+// recovered and converted into an error on the failing query only.
+// errors.Is(err, ErrInternal) matches it.
 type InternalError struct {
 	// Op is the query kind that hit the fault ("knn", "range", ...).
 	Op string
-	// Index is the database item whose refinement panicked.
+	// Index is the database item whose refinement panicked, -1 when the
+	// panic did not come from a refinement.
 	Index int
 	// Value is the recovered panic value; Stack the panicking
 	// goroutine's stack, captured at recovery time.
@@ -91,6 +94,9 @@ type InternalError struct {
 }
 
 func (e *InternalError) Error() string {
+	if e.Index < 0 {
+		return fmt.Sprintf("emdsearch: internal error in %s generating candidates: %v", e.Op, e.Value)
+	}
 	return fmt.Sprintf("emdsearch: internal error in %s refining item %d: %v", e.Op, e.Index, e.Value)
 }
 

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -74,12 +75,13 @@ func main() {
 		s := &search.Searcher{
 			N:      len(vectors),
 			Stages: []search.FilterStage{stage},
-			Refine: func(q emd.Histogram, i int) float64 { return dist.Distance(q, vectors[i]) },
+			Refine: search.ExactRefine(func(q emd.Histogram, i int) float64 { return dist.Distance(q, vectors[i]) }),
 		}
-		results, stats, err := s.KNN(q, k)
+		out, err := s.KNN(context.Background(), search.KNNQuery{Q: q, K: k})
 		if err != nil {
 			log.Fatal(err)
 		}
+		results, stats := out.Results, out.Stats
 		fmt.Printf("%-10s filter: %3d refinements; top match #%d (%s) EMD %.4f\n",
 			name, stats.Refinements, results[0].Index, ds.Items[results[0].Index].Label, results[0].Dist)
 	}

@@ -344,13 +344,8 @@ func (g *Gate) BreakerState() string { return g.brk.State().String() }
 // serving mode: the exact solver is quarantined, yet answers remain
 // sound.
 func (e *Engine) knnLBOnly(q Histogram, k int) (*KNNAnswer, error) {
-	if err := e.validateKNN(q, k); err != nil {
-		e.metrics.queryError()
-		return nil, err
-	}
-	s, err := e.snapshot()
+	s, err := e.knnSnapshot(q, k)
 	if err != nil {
-		e.metrics.queryError()
 		return nil, err
 	}
 	ranking, err := s.searcher.Ranking(q)

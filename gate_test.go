@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,6 +149,35 @@ func TestPanicContainment(t *testing.T) {
 			}
 			if eng.Metrics().QueryPanics == 0 {
 				t.Fatal("QueryPanics metric did not tick")
+			}
+
+			// The feeder side of the loop is behind the same barrier: a
+			// predicate that panics on its third call fails its query the
+			// same way and strands no refinement worker on the dispatch
+			// channel.
+			goroutines, panicsBefore := runtime.NumGoroutine(), eng.Metrics().QueryPanics
+			calls := 0
+			_, _, err = eng.KNNWhere(q, 5, func(int) bool {
+				if calls++; calls == 3 {
+					panic("injected predicate fault")
+				}
+				return true
+			})
+			if !errors.Is(err, ErrInternal) {
+				t.Fatalf("KNNWhere with a panicking predicate: err = %v, want ErrInternal", err)
+			}
+			if got := eng.Metrics().QueryPanics; got != panicsBefore+1 {
+				t.Fatalf("QueryPanics = %d after the predicate fault, want %d", got, panicsBefore+1)
+			}
+			// The pool was waited for before the query returned; a worker
+			// may still be between its wg.Done and its exit.
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the contained predicate fault, %d before it", runtime.NumGoroutine(), goroutines)
+				}
+			}
+			if res, _, err := eng.KNN(q, 5); err != nil || len(res) != 5 {
+				t.Fatalf("KNN after the predicate fault: %d results, err %v", len(res), err)
 			}
 		})
 	}

@@ -372,7 +372,9 @@ func Fig25(c Config) (*Table, error) {
 
 		s := &search.Searcher{
 			N:      len(w.vectors),
-			Refine: func(q emd.Histogram, i int) float64 { return dist.Distance(q, w.vectors[i]) },
+			Refine: search.ExactRefine(func(q emd.Histogram, i int) float64 { return dist.Distance(q, w.vectors[i]) }),
+			// As in NewSearcher: the reported evaluations are computations.
+			Oblivious: true,
 		}
 		for _, lr := range levels {
 			lr := lr

@@ -1,12 +1,14 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 
 	"emdsearch/internal/core"
 	"emdsearch/internal/emd"
+	"emdsearch/internal/search"
 )
 
 func newRand(seed int64) *rand.Rand {
@@ -271,7 +273,7 @@ func Fig22(c Config) (*Table, error) {
 		eps := quantile(p)
 		var results, refinements, evals float64
 		for _, q := range w.queries {
-			res, stats, err := chain.Range(q, eps)
+			res, stats, err := chain.Range(context.Background(), search.RangeQuery{Q: q, Eps: eps})
 			if err != nil {
 				return nil, err
 			}

@@ -1,11 +1,13 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"emdsearch/internal/data"
 	"emdsearch/internal/emd"
+	"emdsearch/internal/search"
 )
 
 func TestFillSweepRowsOrdersByDPrime(t *testing.T) {
@@ -56,10 +58,11 @@ func TestNewSearcherAllPipelines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		results, _, err := s.KNN(vectors[0], 3)
+		out, err := s.KNN(context.Background(), search.KNNQuery{Q: vectors[0], K: 3})
 		if err != nil {
 			t.Fatalf("%s query: %v", p, err)
 		}
+		results := out.Results
 		if len(results) != 3 || results[0].Index != 0 || results[0].Dist > 1e-9 {
 			t.Fatalf("%s: self-query results %v", p, results)
 		}

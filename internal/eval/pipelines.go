@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -42,7 +43,11 @@ func NewSearcher(p Pipeline, vectors []emd.Histogram, cost emd.CostMatrix, red *
 	}
 	s := &search.Searcher{
 		N:      len(vectors),
-		Refine: func(q emd.Histogram, i int) float64 { return dist.Distance(q, vectors[i]) },
+		Refine: search.ExactRefine(func(q emd.Histogram, i int) float64 { return dist.Distance(q, vectors[i]) }),
+		// The paper's chain (Figure 12) finishes every filter evaluation,
+		// so the per-stage evaluation counts the tables report are counts
+		// of computed filter distances.
+		Oblivious: true,
 	}
 	switch p {
 	case PipelineScan:
@@ -123,10 +128,11 @@ func RunKNN(s *search.Searcher, queries []emd.Histogram, k int, reference [][]se
 	var hits, total int
 	start := time.Now()
 	for qi, q := range queries {
-		results, stats, err := s.KNN(q, k)
+		out, err := s.KNN(context.Background(), search.KNNQuery{Q: q, K: k})
 		if err != nil {
 			return nil, err
 		}
+		results, stats := out.Results, out.Stats
 		res.AvgRefinements += float64(stats.Refinements)
 		if len(res.AvgStageEvals) < len(stats.StageEvaluations) {
 			res.AvgStageEvals = make([]float64, len(stats.StageEvaluations))

@@ -108,7 +108,7 @@ func checkChainBound(seed int64, n, levels, grid, k int) error {
 			return nil, err
 		}
 		for p, in := range parts {
-			cfg := knnConfig{shared: shared, toGlobal: func(i int) int { return i + p*n }, pred: pred}
+			cfg := query{shared: shared, toGlobal: func(i int) int { return i + p*n }, pred: pred}
 			var advRng *rand.Rand
 			if aware {
 				cfg.bound = infBound()
@@ -130,7 +130,7 @@ func checkChainBound(seed int64, n, levels, grid, k int) error {
 		}
 		// Range query on the first partition.
 		in := parts[0]
-		cfg := knnConfig{}
+		cfg := query{}
 		var advRng *rand.Rand
 		if aware {
 			cfg.bound = infBound()
@@ -211,11 +211,11 @@ func TestChainedRankingBoundParallel(t *testing.T) {
 		in := newChainInstance(rng, 20+rng.Intn(120), 2+rng.Intn(3), 2+rng.Intn(40))
 		k := 1 + rng.Intn(10)
 		oracle, _ := in.ranking(nil, nil)
-		want, _, _, err := knnBoundedCore(oracle, simulatedRefine(in.exact), k, knnConfig{})
+		want, _, _, err := knnBoundedCore(oracle, simulatedRefine(in.exact), k, query{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := knnConfig{bound: infBound()}
+		cfg := query{bound: infBound()}
 		ranking, chains := in.ranking(cfg.bound, rand.New(rand.NewSource(int64(trial))))
 		got, _, _, err := parallelKNNBoundedCore(ranking, simulatedRefine(in.exact), k, 4, cfg)
 		if err != nil {

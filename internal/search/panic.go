@@ -1,20 +1,18 @@
 package search
 
-import (
-	"fmt"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
-// PanicError reports a panic recovered by the refinement barrier: an
-// invariant failure inside the exact solver (or a refinement hook)
-// that would otherwise have killed the whole process — and, on the
-// parallel path, every other query sharing it. The barrier converts it
-// into an ordinary error on the failing query only; the engine wraps
-// it into the public typed ErrInternal.
+// PanicError reports a panic recovered by the candidate loop's barrier
+// (loop.contain): an invariant failure inside the exact solver, a filter
+// stage, an index traversal or a caller-supplied hook that would
+// otherwise have killed the whole process — and, on the pool path, every
+// other query sharing it. The barrier converts it into an ordinary error
+// on the failing query only; the engine wraps it into the public typed
+// ErrInternal.
 type PanicError struct {
-	// Index is the database item whose refinement panicked.
+	// Index is the database item whose refinement panicked, or -1 when
+	// the panic came from the feeder side of the loop: building or
+	// advancing the ranking, the predicate, the upper bound.
 	Index int
 	// Value is the recovered panic value.
 	Value any
@@ -24,46 +22,8 @@ type PanicError struct {
 }
 
 func (p *PanicError) Error() string {
-	return fmt.Sprintf("search: panic refining candidate %d: %v", p.Index, p.Value)
-}
-
-// callRefine invokes refine under a panic barrier. A panic anywhere
-// below — the transport simplex's invariant checks, the trusted-input
-// solver wrapper, a chaos-injection hook — surfaces as a *PanicError
-// instead of unwinding through the query loop, so one poisoned solve
-// fails one query, not the process.
-func callRefine(refine BoundedRefine, index int, abortAbove float64) (r Refinement, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Index: index, Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return refine(index, abortAbove), nil
-}
-
-// fault collects the first refinement panic observed by a pool of
-// workers and exposes a cheap atomic flag so the feeder and the other
-// workers stop dispatching real work as soon as one solve has blown
-// up. Later panics are dropped: the query already has its error.
-type fault struct {
-	tripped atomic.Bool
-	mu      sync.Mutex
-	err     error
-}
-
-func (f *fault) record(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
+	if p.Index < 0 {
+		return fmt.Sprintf("search: panic generating candidates: %v", p.Value)
 	}
-	f.mu.Unlock()
-	f.tripped.Store(true)
-}
-
-func (f *fault) Load() bool { return f.tripped.Load() }
-
-func (f *fault) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
+	return fmt.Sprintf("search: panic refining candidate %d: %v", p.Index, p.Value)
 }

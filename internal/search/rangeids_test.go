@@ -13,8 +13,10 @@ func TestRangeIDsValidation(t *testing.T) {
 	if _, _, err := RangeIDs(r, func(int) float64 { return 0 }, func(int) float64 { return 0 }, -1); err == nil {
 		t.Error("accepted negative eps")
 	}
-	if _, _, err := RangeIDs(r, func(int) float64 { return 0 }, nil, 1); err == nil {
-		t.Error("accepted nil upper")
+	// The upper bound is an optional field of the range query now: without
+	// one the membership query is the plain range query.
+	if ids, stats, err := RangeIDs(r, func(int) float64 { return 0 }, nil, 1); err != nil || len(ids) != 1 || stats.AcceptedByUpper != 0 {
+		t.Errorf("nil upper: ids %v, stats %+v, err %v; want the plain range answer", ids, stats, err)
 	}
 }
 

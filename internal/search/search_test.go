@@ -324,7 +324,7 @@ func TestSearcherChainedPipeline(t *testing.T) {
 				Distance:     Exact(func(qr emd.Histogram, i int) float64 { return reduced.DistanceReduced(qr, reducedData[i]) }),
 			},
 		},
-		Refine: func(q emd.Histogram, i int) float64 { return dist.Distance(q, data[i]) },
+		Refine: ExactRefine(func(q emd.Histogram, i int) float64 { return dist.Distance(q, data[i]) }),
 	}
 	scan := &Searcher{
 		N:      n,
@@ -334,11 +334,11 @@ func TestSearcherChainedPipeline(t *testing.T) {
 	var totalRefine, totalStage2 int
 	for trial := 0; trial < 5; trial++ {
 		q := randomHistogram(rng, d)
-		got, stats, err := searcher.KNN(q, k)
+		got, stats, err := searcherKNN(searcher, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, scanStats, err := scan.KNN(q, k)
+		want, scanStats, err := searcherKNN(scan, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,10 +408,10 @@ func TestSearcherRangeMatchesScan(t *testing.T) {
 			PrepareQuery: red.Apply,
 			Distance:     Exact(func(qr emd.Histogram, i int) float64 { return reduced.DistanceReduced(qr, reducedData[i]) }),
 		}},
-		Refine: func(q emd.Histogram, i int) float64 { return dist.Distance(q, data[i]) },
+		Refine: ExactRefine(func(q emd.Histogram, i int) float64 { return dist.Distance(q, data[i]) }),
 	}
 	q := randomHistogram(rng, d)
-	got, _, err := s.Range(q, 0.75)
+	got, _, err := searcherRange(s, q, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,10 +434,10 @@ func TestSearcherRangeMatchesScan(t *testing.T) {
 
 func TestSearcherNoRefine(t *testing.T) {
 	s := &Searcher{N: 3}
-	if _, _, err := s.KNN(emd.Histogram{1}, 1); err == nil {
+	if _, _, err := searcherKNN(s, emd.Histogram{1}, 1); err == nil {
 		t.Error("KNN without Refine succeeded")
 	}
-	if _, _, err := s.Range(emd.Histogram{1}, 1); err == nil {
+	if _, _, err := searcherRange(s, emd.Histogram{1}, 1); err == nil {
 		t.Error("Range without Refine succeeded")
 	}
 }

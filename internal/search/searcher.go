@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -50,6 +51,15 @@ func Exact(dist func(prepared emd.Histogram, index int) float64) func(emd.Histog
 	}
 }
 
+// ExactRefine lifts a plain exact distance into the Searcher.Refine
+// form: it ignores the threshold and the interrupt flag and always
+// finishes.
+func ExactRefine(dist func(q emd.Histogram, index int) float64) func(emd.Histogram, int, float64, *atomic.Bool) Refinement {
+	return func(q emd.Histogram, index int, _ float64, _ *atomic.Bool) Refinement {
+		return Refinement{Dist: dist(q, index)}
+	}
+}
+
 // Searcher executes multistep k-NN and range queries over a database
 // of n items with an ordered chain of lower-bounding filter stages and
 // an exact refinement distance. Stage i must lower-bound stage i+1
@@ -85,31 +95,30 @@ type Searcher struct {
 	BaseRanking func(q emd.Histogram) (Ranking, error)
 	// Stages is the filter chain, cheapest and loosest first.
 	Stages []FilterStage
-	// Refine computes the exact distance (full-dimensional EMD)
-	// between the original query and database item index. It must be
-	// safe for concurrent invocation when Workers > 1.
-	Refine func(q emd.Histogram, index int) float64
-	// RefineBounded, when set, is preferred over Refine: a
-	// threshold-aware exact distance that may abandon a candidate once
-	// a certified lower bound on its distance exceeds abortAbove (the
-	// live pruning threshold of the query). It must obey the
-	// BoundedRefine contract and, like Refine, be safe for concurrent
-	// invocation when Workers > 1. At least one of Refine and
-	// RefineBounded must be set. Setting it makes the whole pipeline
-	// threshold-aware: the same live threshold reaches every chained
-	// stage's Distance. A Searcher with only Refine is threshold-
-	// oblivious end to end — every stage is called with +Inf.
-	RefineBounded func(q emd.Histogram, index int, abortAbove float64) Refinement
-	// RefineBoundedIntr, when set, is the interrupt-aware form of
-	// RefineBounded used by the context-aware entry points (KNNCtx,
-	// RangeCtx): intr is the query's cancel flag, polled inside the
-	// simplex pivot loop so a deadline stops even a single large solve.
-	// An interrupted refinement returns Interrupted=true with Dist a
-	// certified lower bound. Never called with a nil intr.
-	RefineBoundedIntr func(q emd.Histogram, index int, abortAbove float64, intr *atomic.Bool) Refinement
+	// Refine computes the exact distance (full-dimensional EMD) between
+	// the original query and database item index, threshold-aware: it
+	// may abandon the candidate once a certified lower bound on its
+	// distance exceeds abortAbove, the live pruning threshold of the
+	// query (see BoundedRefine for the contract; +Inf never aborts).
+	// intr is the query's cancel flag, nil for a query that cannot be
+	// cancelled; an implementation that polls it inside its solve
+	// returns Interrupted=true with Dist a certified lower bound once it
+	// is set, so a deadline stops even a single large solve. Required,
+	// and it must be safe for concurrent invocation when Workers > 1.
+	// ExactRefine adapts a plain distance function.
+	Refine func(q emd.Histogram, index int, abortAbove float64, intr *atomic.Bool) Refinement
+	// Oblivious withholds the live threshold from the filter chain:
+	// every chained stage's Distance is called with +Inf and runs to
+	// completion, as in the paper's Figure 12. With a Refine that
+	// ignores its threshold too (ExactRefine) the pipeline is the
+	// threshold-oblivious multistep algorithm — what the identity suites
+	// compare the threshold-aware one against, and what the experiment
+	// harness counts the paper's filter evaluations on. Results, Pulled
+	// and Refinements are the same either way.
+	Oblivious bool
 	// Workers bounds the goroutines used for the exact refinement
-	// stage of a single query; values <= 1 select the sequential KNOP
-	// path. The filter chain itself always runs on the calling
+	// stage of a single query; values <= 1 refine on the calling
+	// goroutine. The filter chain itself always runs on the calling
 	// goroutine — only refinements fan out.
 	Workers int
 }
@@ -129,14 +138,14 @@ type stageProbe struct {
 // the final ranking plus probes for the per-stage counters. The hint
 // describes the query shape so an attached index can apply its
 // per-query acceptance policy. bound is the cell the chained stages
-// read the query's live pruning threshold from; the query loop that
-// consumes the ranking publishes it there (knnConfig.bound), and a
-// caller that never does leaves every stage running to completion.
-func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint) (ranking Ranking, probes []stageProbe, bound *float64, err error) {
+// read the query's live pruning threshold from; the candidate loop that
+// consumes the ranking publishes it there (query.bound), and nil leaves
+// every stage running to completion.
+func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint, bound *float64) (ranking Ranking, probes []stageProbe, err error) {
 	if s.Index != nil {
 		idx, err := s.Index(q, hint)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if idx != nil {
 			// The index IS the filter: no eager scan, no chained
@@ -149,14 +158,14 @@ func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint) (ranking Rankin
 				dur:   dur,
 				index: idx.IndexStats,
 			}
-			return &timedRanking{inner: idx, dur: dur}, []stageProbe{probe}, nil, nil
+			return &timedRanking{inner: idx, dur: dur}, []stageProbe{probe}, nil
 		}
 	}
 	chainFrom := 0
 	probes = make([]stageProbe, 0, len(s.Stages))
 	if s.BaseRanking != nil {
 		if ranking, err = s.BaseRanking(q); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	} else if len(s.Stages) == 0 {
 		// Trivial all-zero filter: a valid lower bound that prunes
@@ -186,10 +195,6 @@ func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint) (ranking Rankin
 		})
 	}
 
-	if s.RefineBounded != nil {
-		bound = new(float64)
-		*bound = math.Inf(1)
-	}
 	for _, stage := range s.Stages[chainFrom:] {
 		stagePrepared := stage.PrepareQuery(q)
 		dist := stage.Distance
@@ -208,7 +213,7 @@ func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint) (ranking Rankin
 		})
 		ranking = cr
 	}
-	return ranking, probes, bound, nil
+	return ranking, probes, nil
 }
 
 // finishStats fills the per-stage observability fields of stats from
@@ -252,50 +257,132 @@ func finishStats(stats *QueryStats, probes []stageProbe, total time.Duration) {
 	}
 }
 
-// timedBoundedRefine wraps the searcher's refinement for query q with
-// a cumulative timer, lifting a plain Refine into the BoundedRefine
-// shape when no RefineBounded is configured. add must be
-// goroutine-safe when the parallel path is in use.
-func (s *Searcher) timedBoundedRefine(q emd.Histogram, add func(time.Duration)) BoundedRefine {
-	if s.RefineBounded != nil {
-		return func(i int, abortAbove float64) Refinement {
-			t0 := time.Now()
-			r := s.RefineBounded(q, i, abortAbove)
-			add(time.Since(t0))
-			return r
-		}
-	}
-	return func(i int, _ float64) Refinement {
-		t0 := time.Now()
-		d := s.Refine(q, i)
-		add(time.Since(t0))
-		return Refinement{Dist: d}
-	}
+// KNNQuery is one k-nearest-neighbor query.
+type KNNQuery struct {
+	Q emd.Histogram
+	K int
+	// Pred, when non-nil, restricts the answer to items satisfying it.
+	// It runs on the query's calling goroutine only — never on
+	// refinement workers — after the threshold check and before
+	// refinement, so rejected items cost a predicate call but no exact
+	// solve.
+	Pred func(index int) bool
+	// Shared, when non-nil, joins the query to a cross-partition
+	// neighbor set built for the same K: the loop prunes against
+	// min(local k-th, global k-th) and offers every confirmed exact
+	// distance to it under its global id. ToGlobal maps this searcher's
+	// local indices (nil is the identity). The outcome's Results still
+	// carry LOCAL indices — this partition's local top-k, which the
+	// caller merges (or reads straight off Shared.Results() once every
+	// partition finished).
+	Shared   *SharedKNN
+	ToGlobal func(local int) int
 }
 
-// KNN answers a k-nearest-neighbor query for q. With Workers > 1 the
-// exact refinements of one query are computed by a bounded worker pool
-// sharing an atomic pruning threshold; results are identical to the
-// sequential path (work counters may differ slightly, since candidates
-// in flight when the threshold tightens are refined speculatively).
-// When RefineBounded is set, the query is threshold-aware: the live
-// k-th distance is the abort bound of every refinement and of every
-// chained filter evaluation, which changes only the work counters,
-// never the results. It is KNNCtx without a context.
-func (s *Searcher) KNN(q emd.Histogram, k int) ([]Result, *QueryStats, error) {
-	out, err := s.knnCtx(context.Background(), q, k, knnConfig{})
+// KNN answers kq under ctx. A cancel flag derived from ctx is polled
+// once per candidate in the candidate loop and once per pivot inside
+// each bounded simplex solve, so cancellation takes effect within
+// microseconds even mid-refinement. On cancellation the outcome carries
+// Stats.Cancelled=true, the confirmed neighbors, and the pending
+// candidates with certified lower bounds; ctx's error is NOT returned —
+// callers decide whether a partial answer is useful.
+//
+// With Workers > 1 the exact refinements of the query are computed by a
+// bounded worker pool sharing an atomic pruning threshold. The result
+// set is exactly that of the inline loop: any candidate left unrefined
+// had a filter distance above the threshold at some point, the
+// threshold never increases, and the filter lower-bounds the exact
+// distance — so no unrefined item can belong to the answer. Work
+// counters may differ: candidates in flight when the threshold tightens
+// are refined speculatively (counted in Refinements) or skipped
+// (RefinementsSkipped). The live k-th distance is the abort bound of
+// every refinement and — unless Oblivious — of every chained filter
+// evaluation, which changes only the work counters, never the results.
+// Ties on the k-th distance are refined, making the result
+// deterministic-by-index among equal distances.
+func (s *Searcher) KNN(ctx context.Context, kq KNNQuery) (*KNNOutcome, error) {
+	if kq.K < 1 {
+		return nil, fmt.Errorf("search: k = %d, want >= 1", kq.K)
+	}
+	if kq.Shared != nil && kq.Shared.best.k != kq.K {
+		return nil, fmt.Errorf("search: shared set built for k = %d, query asks k = %d", kq.Shared.best.k, kq.K)
+	}
+	var out KNNOutcome
+	var err error
+	out.Results, out.Pending, out.Stats, err = s.run(ctx, kq.Q, IndexHint{Kind: IndexKNN, K: kq.K},
+		query{k: kq.K, pred: kq.Pred, shared: kq.Shared, toGlobal: kq.ToGlobal})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return out.Results, out.Stats, nil
+	return &out, nil
 }
 
-// Range answers a range query: all items with exact distance <= eps.
-// Like KNN it refines in parallel when Workers > 1 and threshold-aware
-// when RefineBounded is set (eps is the abort bound). It is RangeCtx
-// without a context or predicate.
-func (s *Searcher) Range(q emd.Histogram, eps float64) ([]Result, *QueryStats, error) {
-	return s.RangeCtx(context.Background(), q, eps, nil)
+// RangeQuery is one range query: all items with exact distance <= Eps.
+type RangeQuery struct {
+	Q   emd.Histogram
+	Eps float64
+	// Pred, when non-nil, restricts the answer as in KNNQuery.
+	Pred func(index int) bool
+	// Upper, when non-nil, makes this a membership query — *which* items
+	// lie within Eps, not how far away they are: an item whose upper
+	// bound is already <= Eps is accepted without any exact computation
+	// and carries that bound as its Dist; items whose lower bound
+	// exceeds Eps are rejected wholesale (the ranking stops there); only
+	// items whose envelope straddles Eps are refined. The accepted SET
+	// is exactly the plain range query's. Like Pred, Upper runs on the
+	// calling goroutine only — engine upper bounds draw on per-goroutine
+	// scratch and are not safe to share — so only the exact solves fan
+	// out.
+	Upper func(index int) float64
+}
+
+// Range answers rq under ctx, sorted by distance, then index. Eps is
+// the pruning distance of the ranking and the abort bound of every
+// refinement — an aborted candidate's exact distance provably exceeds
+// it. Like KNN it refines in parallel when Workers > 1. A cancelled
+// range query returns the results confirmed before the cancel — each
+// is individually certified, so the partial set is sound, only possibly
+// incomplete — with Stats.Cancelled=true.
+func (s *Searcher) Range(ctx context.Context, rq RangeQuery) ([]Result, *QueryStats, error) {
+	results, _, stats, err := s.run(ctx, rq.Q, IndexHint{Kind: IndexRange, Eps: rq.Eps},
+		query{eps: rq.Eps, pred: rq.Pred, upper: rq.Upper})
+	return results, stats, err
+}
+
+// run is what KNN and Range share: bind the query, its cancel flag and a
+// cumulative timer into the refinement seam, hand the loop a way to
+// build the filter ranking under its barrier, and fill in the per-stage
+// statistics afterwards.
+func (s *Searcher) run(ctx context.Context, q emd.Histogram, hint IndexHint, lq query) ([]Result, []PendingCandidate, *QueryStats, error) {
+	if s.Refine == nil {
+		return nil, nil, nil, fmt.Errorf("search: Searcher has no refinement distance")
+	}
+	start := time.Now()
+	cancel, stopWatch := WatchContext(ctx)
+	defer stopWatch()
+	lq.cancel, lq.workers = cancel, s.Workers
+	if !s.Oblivious {
+		lq.bound = new(float64)
+		*lq.bound = math.Inf(1)
+	}
+	var refineTime atomic.Int64 // summed across refinement workers
+	refine := func(i int, abortAbove float64) Refinement {
+		t0 := time.Now()
+		r := s.Refine(q, i, abortAbove, cancel)
+		refineTime.Add(int64(time.Since(t0)))
+		return r
+	}
+	var probes []stageProbe
+	results, pending, stats, err := lq.run(func() (ranking Ranking, err error) {
+		ranking, probes, err = s.buildRanking(q, hint, lq.bound)
+		return ranking, err
+	}, refine)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	stats.RefineTime = time.Duration(refineTime.Load())
+	finishStats(stats, probes, time.Since(start))
+	return results, pending, stats, nil
 }
 
 // Ranking returns the assembled filter ranking for q — the same chain
@@ -304,6 +391,6 @@ func (s *Searcher) Range(q emd.Histogram, eps float64) ([]Result, *QueryStats, e
 // filter distance. Callers can stack further (larger) lower bounds or
 // the exact distance on top with NewChainedRanking.
 func (s *Searcher) Ranking(q emd.Histogram) (Ranking, error) {
-	ranking, _, _, err := s.buildRanking(q, IndexHint{Kind: IndexRank})
+	ranking, _, err := s.buildRanking(q, IndexHint{Kind: IndexRank}, nil)
 	return ranking, err
 }

@@ -46,7 +46,7 @@ func TestSharedKNNMatchesUnion(t *testing.T) {
 					}
 					run := func(s int) {
 						toGlobal := func(local int) int { return local*shards + s }
-						cfg := knnConfig{shared: g, toGlobal: toGlobal}
+						cfg := query{shared: g, toGlobal: toGlobal}
 						_, _, _, err := knnBoundedCore(NewScanRanking(sf[s]), simulatedRefine(se[s]), k, cfg)
 						if err != nil {
 							t.Errorf("shard %d: %v", s, err)
@@ -105,7 +105,7 @@ func TestSharedKNNParallelCoreMatchesUnion(t *testing.T) {
 			go func(s int) {
 				defer wg.Done()
 				toGlobal := func(local int) int { return local*shards + s }
-				cfg := knnConfig{shared: g, toGlobal: toGlobal}
+				cfg := query{shared: g, toGlobal: toGlobal}
 				_, _, _, err := parallelKNNBoundedCore(NewScanRanking(sf[s]), simulatedRefine(se[s]), k, 4, cfg)
 				if err != nil {
 					t.Errorf("shard %d: %v", s, err)
@@ -151,7 +151,7 @@ func TestSharedKNNThresholdPrunesAcrossShards(t *testing.T) {
 		filter[i] = 5 + float64(i)
 		exact[i] = filter[i] + 1
 	}
-	cfg := knnConfig{shared: g}
+	cfg := query{shared: g}
 	res, _, stats, err := knnBoundedCore(NewScanRanking(filter), simulatedRefine(exact), k, cfg)
 	if err != nil {
 		t.Fatalf("knnBoundedCore: %v", err)
@@ -237,10 +237,14 @@ func TestSharedKNNValidation(t *testing.T) {
 	if _, err := NewSharedKNN(0); err == nil {
 		t.Fatal("NewSharedKNN(0) did not fail")
 	}
-	// tighten/offer with no shared set must be no-ops (classic path).
-	cfg := knnConfig{}
-	if thr := cfg.tighten(math.Inf(1)); !math.IsInf(thr, 1) {
-		t.Fatalf("tighten without shared set = %v", thr)
+	// The threshold read and the offer of a settled candidate must be
+	// no-ops with no shared set (classic path).
+	l := &loop{best: newKBest(2), refine: func(int, float64) Refinement { return Refinement{Dist: 1} }}
+	if thr := l.threshold(); !math.IsInf(thr, 1) {
+		t.Fatalf("threshold without shared set = %v", thr)
 	}
-	cfg.offer(0, 1) // must not panic
+	l.settle(Candidate{Index: 0}, math.Inf(1)) // must not panic (the barrier would report it in l.err)
+	if l.err != nil {
+		t.Fatalf("settle without shared set: %v", l.err)
+	}
 }

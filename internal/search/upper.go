@@ -1,9 +1,10 @@
 package search
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
+
+	"emdsearch/internal/heapx"
 )
 
 // Interval is a per-object distance interval [Lower, Upper] computed
@@ -48,22 +49,23 @@ func ApproxKNN(ranking Ranking, upper func(index int) float64, k int) ([]Interva
 		return nil, nil, fmt.Errorf("search: nil upper bound")
 	}
 	var pulled []Interval
-	var kUppers maxHeap
+	// The k smallest upper bounds seen, the largest of them on top.
+	kUppers := heapx.New(0, func(a, b float64) bool { return a > b })
 	for {
 		c, ok := ranking.Next()
 		if !ok {
 			break
 		}
-		if len(kUppers) == k && c.Dist > kUppers[0] {
+		if kUppers.Len() == k && c.Dist > kUppers.Peek() {
 			// All unseen candidates are at least this far: the true
 			// top-k is now certainly among the pulled ones.
 			break
 		}
 		ub := upper(c.Index)
 		pulled = append(pulled, Interval{Index: c.Index, Lower: c.Dist, Upper: ub})
-		heap.Push(&kUppers, ub)
-		if len(kUppers) > k {
-			heap.Pop(&kUppers)
+		kUppers.Push(ub)
+		if kUppers.Len() > k {
+			kUppers.Pop()
 		}
 	}
 	if len(pulled) == 0 {
@@ -98,20 +100,4 @@ func ApproxKNN(ranking Ranking, upper func(index int) float64, k int) ([]Interva
 	}
 	// Results are presented in ascending upper-bound order already.
 	return results, cert, nil
-}
-
-// maxHeap keeps the k smallest values seen, with the largest of them
-// on top.
-type maxHeap []float64
-
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i] > h[j] }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
 }

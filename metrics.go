@@ -3,8 +3,6 @@ package emdsearch
 import (
 	"sync"
 	"time"
-
-	"emdsearch/internal/search"
 )
 
 // StageMetrics aggregates one named filter stage's work across all
@@ -230,25 +228,6 @@ func (em *engineMetrics) queryDegraded() {
 	em.mu.Lock()
 	em.m.QueriesDeadlineDegraded++
 	em.mu.Unlock()
-}
-
-// observeRangeIDs folds a membership-query's counters into the
-// aggregate (counted as a range query).
-func (em *engineMetrics) observeRangeIDs(st *search.RangeIDsStats) {
-	em.mu.Lock()
-	defer em.mu.Unlock()
-	em.m.RangeQueries++
-	if st == nil {
-		return
-	}
-	if st.Cancelled {
-		em.m.QueriesCancelled++
-	}
-	em.m.Pulled += int64(st.Pulled)
-	em.m.Refinements += int64(st.Refinements)
-	em.m.RefinesAborted += int64(st.RefinesAborted)
-	em.m.RefineRows += st.RefineRows
-	em.m.RefineCols += st.RefineCols
 }
 
 func (em *engineMetrics) queryPanicked() {

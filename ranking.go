@@ -74,7 +74,7 @@ func (e *Engine) Rank(q Histogram) (*Ranking, error) {
 	// open-ended stream has no pruning threshold, so no stage is given
 	// one: every emitted value is a finished distance.
 	exact := search.NewChainedRanking(base, func(i int, _ float64) (float64, bool) {
-		return s.refine(q, i), false
+		return s.refine(q, i, math.Inf(1), nil).Dist, false
 	}, nil)
 	e.metrics.rankStarted()
 	return &Ranking{inner: exact}, nil

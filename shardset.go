@@ -1091,14 +1091,9 @@ func (g *Gate) knnShared(ctx context.Context, q Histogram, k int, shared *search
 // knnSharedCtx is Engine.KNNCtx joined to a cross-shard shared
 // neighbor set; with a nil shared set it is Engine.KNNCtx exactly.
 func (e *Engine) knnSharedCtx(ctx context.Context, q Histogram, k int, shared *search.SharedKNN, toGlobal func(int) int) (*KNNAnswer, error) {
-	if err := e.validateKNN(q, k); err != nil {
-		e.metrics.queryError()
-		return nil, err
-	}
-	s, err := e.snapshot()
+	s, err := e.knnSnapshot(q, k)
 	if err != nil {
-		e.metrics.queryError()
 		return nil, err
 	}
-	return e.knnCtxOnSnap(ctx, s, q, k, nil, shared, toGlobal)
+	return e.knnCtxOnSnap(ctx, s, search.KNNQuery{Q: q, K: k, Shared: shared, ToGlobal: toGlobal})
 }
