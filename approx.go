@@ -37,13 +37,12 @@ type ApproxCertificate struct {
 // Requires a built reduction (ReducedDims > 0 and Build called). Safe
 // for concurrent use: the reduced database vectors come precomputed
 // from the engine snapshot and the greedy bound evaluator (whose
-// scratch state is goroutine-private) is drawn from a pool.
-func (e *Engine) ApproxKNN(q Histogram, k int) ([]ApproxResult, *ApproxCertificate, error) {
-	return e.approxKNN(context.Background(), q, k)
-}
-
-func (e *Engine) approxKNN(ctx context.Context, q Histogram, k int) ([]ApproxResult, *ApproxCertificate, error) {
-	if err := e.validateQuery(q); err != nil {
+// scratch state is goroutine-private) is drawn from a pool. The method
+// computes no exact EMDs — its per-candidate work is bounded — so ctx
+// is checked between pipeline phases and once per item of the scan; on
+// expiry it returns ctx.Err() with no partial answer.
+func (e *Engine) ApproxKNN(ctx context.Context, q Histogram, k int) ([]ApproxResult, *ApproxCertificate, error) {
+	if err := e.validate(Query{Hist: q, K: k}); err != nil {
 		return nil, nil, err
 	}
 	s, err := e.snapshot()

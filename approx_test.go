@@ -1,13 +1,14 @@
 package emdsearch
 
 import (
+	"context"
 	"testing"
 )
 
 func TestApproxKNNGuaranteesOnEngine(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 150)
 	for _, q := range queries {
-		approx, cert, err := eng.ApproxKNN(q, 5)
+		approx, cert, err := eng.ApproxKNN(context.Background(), q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,14 +37,14 @@ func TestApproxKNNGuaranteesOnEngine(t *testing.T) {
 
 func TestApproxKNNNeedsReduction(t *testing.T) {
 	eng, queries := buildEngine(t, Options{}, 30)
-	if _, _, err := eng.ApproxKNN(queries[0], 3); err == nil {
+	if _, _, err := eng.ApproxKNN(context.Background(), queries[0], 3); err == nil {
 		t.Error("ApproxKNN without reduction succeeded")
 	}
 }
 
 func TestApproxKNNValidatesQuery(t *testing.T) {
 	eng, _ := buildEngine(t, Options{ReducedDims: 4, SampleSize: 8}, 30)
-	if _, _, err := eng.ApproxKNN(Histogram{1}, 3); err == nil {
+	if _, _, err := eng.ApproxKNN(context.Background(), Histogram{1}, 3); err == nil {
 		t.Error("accepted wrong-dimensional query")
 	}
 }
@@ -55,7 +56,7 @@ func TestApproxRecallReasonable(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 12, SampleSize: 24}, 200)
 	var hit, total int
 	for _, q := range queries {
-		approx, _, err := eng.ApproxKNN(q, 10)
+		approx, _, err := eng.ApproxKNN(context.Background(), q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

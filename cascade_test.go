@@ -1,6 +1,7 @@
 package emdsearch
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -89,7 +90,7 @@ func TestCascadePlanBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eps, err := ref.EpsilonForCount(q, 15)
+		eps, err := ref.EpsilonForCount(context.Background(), q, 15)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestAdoptedChainLowerBoundQuick(t *testing.T) {
 					}
 					prev = d
 				}
-				exact, err := eng.Distance(q, vi)
+				exact, err := eng.Distance(context.Background(), q, vi)
 				if err != nil {
 					t.Log(err)
 					return false
@@ -226,7 +227,7 @@ func TestAdoptedChainLowerBoundQuick(t *testing.T) {
 			}
 			want := make([]Result, len(vecs))
 			for i := range vecs {
-				d, err := eng.Distance(q, i)
+				d, err := eng.Distance(context.Background(), q, i)
 				if err != nil {
 					t.Log(err)
 					return false

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,6 +136,90 @@ func TestServeRange(t *testing.T) {
 	for _, r := range ans.Results {
 		if r.Dist > eps {
 			t.Fatalf("result %+v beyond eps %v", r, eps)
+		}
+	}
+}
+
+// TestServeWireShape pins the JSON key sets of healthy and degraded
+// /knn and /range bodies — top level, Coverage and Stats — so a change
+// to the answer types cannot silently change what clients parse.
+// Values (timings above all) vary; keys do not.
+func TestServeWireShape(t *testing.T) {
+	object := func(t *testing.T, raw json.RawMessage) map[string]json.RawMessage {
+		t.Helper()
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	keys := func(m map[string]json.RawMessage) string {
+		ks := make([]string, 0, len(m))
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, ",")
+	}
+	const (
+		knnTop   = "Anytime,Coverage,Degraded,Outcomes,Results,ShardStats,Stats"
+		rangeTop = "Coverage,Degraded,Outcomes,Results,ShardStats,Stats"
+		healthy  = "items_total,items_uncovered,shards,shards_degraded,shards_failed,shards_ok"
+		failed   = "failed_shards," + healthy
+		stats    = "Cancelled,FilterTime,IndexNodesVisited,IndexPruned,IndexUsed,Pulled,RefineCols,RefineRows," +
+			"RefineTime,Refinements,RefinementsSkipped,RefinesAborted,SnapshotLen,StageEvaluations,Stages,TotalTime," +
+			"WarmStartHits,Workers"
+	)
+	outage := func(ctx context.Context, shard, try int, op string) error {
+		if shard == 1 {
+			return errors.New("injected shard outage")
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name     string
+		hook     func(ctx context.Context, shard, try int, op string) error
+		coverage string
+		degraded bool
+	}{
+		{"healthy", nil, healthy, false},
+		{"degraded", outage, failed, true},
+	} {
+		ts, set, queries := testServer(t, tc.hook)
+		probe, err := set.KNN(context.Background(), queries[1], 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, call := range []struct {
+			path string
+			body any
+			top  string
+		}{
+			{"/knn", knnRequest{Q: queries[0], K: 4}, knnTop},
+			{"/range", rangeRequest{Q: queries[1], Eps: probe.Results[len(probe.Results)-1].Dist}, rangeTop},
+		} {
+			tag := tc.name + call.path
+			resp := postJSON(t, ts.URL+call.path, call.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", tag, resp.StatusCode)
+			}
+			var body map[string]json.RawMessage
+			decodeBody(t, resp, &body)
+			var degraded bool
+			if err := json.Unmarshal(body["Degraded"], &degraded); err != nil || degraded != tc.degraded {
+				t.Fatalf("%s: Degraded = %s, want %v", tag, body["Degraded"], tc.degraded)
+			}
+			for _, part := range []struct {
+				name, got, want string
+			}{
+				{"top level", keys(body), call.top},
+				{"Coverage", keys(object(t, body["Coverage"])), tc.coverage},
+				{"Stats", keys(object(t, body["Stats"])), stats},
+			} {
+				if part.got != part.want {
+					t.Errorf("%s %s keys:\n got %s\nwant %s", tag, part.name, part.got, part.want)
+				}
+			}
 		}
 	}
 }

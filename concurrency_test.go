@@ -1,6 +1,7 @@
 package emdsearch
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -104,7 +105,7 @@ func TestEngineSetWorkers(t *testing.T) {
 }
 
 // TestEngineConcurrentStress runs a mixed read workload — KNN, Range,
-// BatchKNN, Rank, ApproxKNN, RangeIDs — against an engine that another
+// concurrent KNN pairs, Rank, ApproxKNN, ids-only range — against an engine that another
 // goroutine is simultaneously growing (Add), re-deriving (Build) and
 // shrinking (Delete). It exists chiefly for `go test -race`: any
 // unsynchronized access between the query snapshot and the mutators
@@ -182,21 +183,17 @@ func TestEngineConcurrentStress(t *testing.T) {
 		checkAscending(results)
 	})
 	reader(func(q Histogram) {
-		batch, err := eng.BatchKNN([]Histogram{q, queries[0]}, 2, 2)
-		if err != nil {
-			report(err)
-			return
-		}
-		for _, b := range batch {
-			if b.Err != nil {
-				report(b.Err)
+		batch, errs := batchKNN(eng, []Histogram{q, queries[0]}, 2)
+		for i := range batch {
+			if errs[i] != nil {
+				report(errs[i])
 				return
 			}
-			checkAscending(b.Results)
+			checkAscending(batch[i])
 		}
 	})
 	reader(func(q Histogram) {
-		r, err := eng.Rank(q)
+		r, err := eng.Rank(context.Background(), q)
 		if err != nil {
 			report(err)
 			return
@@ -215,11 +212,11 @@ func TestEngineConcurrentStress(t *testing.T) {
 		}
 	})
 	reader(func(q Histogram) {
-		if _, _, err := eng.ApproxKNN(q, 3); err != nil {
+		if _, _, err := eng.ApproxKNN(context.Background(), q, 3); err != nil {
 			report(err)
 			return
 		}
-		if _, err := eng.RangeIDs(q, 0.05); err != nil {
+		if _, err := rangeIDs(context.Background(), eng, q, 0.05); err != nil {
 			report(err)
 		}
 	})

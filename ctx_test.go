@@ -228,11 +228,12 @@ func TestKNNCtxMidQueryCancelReturnsPromptly(t *testing.T) {
 
 // TestRangeCtx covers the range-query contract: Background identity,
 // immediate return on an expired context, and individually certified
-// partial results on mid-query expiry.
+// partial results on mid-query expiry — for plain and membership range
+// queries alike.
 func TestRangeCtx(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 150)
 	q := queries[0]
-	dd, err := eng.DistanceDistribution(q, 32)
+	dd, err := eng.DistanceDistribution(context.Background(), q, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,47 +243,49 @@ func TestRangeCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := eng.RangeCtx(context.Background(), q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Cancelled {
-		t.Fatal("Background range marked Cancelled")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("RangeCtx(Background) returned %d results, Range %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("result %d: ctx %+v != plain %+v", i, got[i], want[i])
-		}
-	}
-
-	_, stats, err = eng.RangeCtx(cancelledCtx(), q, eps)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("expired range: err = %v, want context.Canceled", err)
-	}
-	if stats == nil || !stats.Cancelled {
-		t.Fatal("expired range did not report Cancelled stats")
-	}
-
 	const tol = 1e-9
-	for _, d := range []time.Duration{100 * time.Microsecond, time.Millisecond} {
-		ctx, cancel := context.WithTimeout(context.Background(), d)
-		partial, st, err := eng.RangeCtx(ctx, q, eps)
-		cancel()
-		if err == nil {
-			continue // finished in time; identity covered above
+	for _, idsOnly := range []bool{false, true} {
+		rq := Query{Hist: q, Range: true, Eps: eps, IDsOnly: idsOnly}
+		ans, err := eng.Search(context.Background(), rq)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st == nil || !st.Cancelled {
-			t.Fatalf("timeout %v: error without Cancelled stats", d)
+		if ans.Degraded || ans.Stats.Cancelled {
+			t.Fatal("Background range marked Cancelled")
 		}
-		for _, r := range partial {
-			if r.Dist > eps+tol {
-				t.Fatalf("partial result %d at %v exceeds eps %v", r.Index, r.Dist, eps)
+		if len(ans.Results) != len(want) {
+			t.Fatalf("ids-only=%v: Search(Background) returned %d results, Range %d", idsOnly, len(ans.Results), len(want))
+		}
+		if !idsOnly {
+			sameResults(t, "range", "Search", ans.Results, want)
+		}
+
+		ans, err = eng.Search(cancelledCtx(), rq)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("expired range: err = %v, want context.Canceled", err)
+		}
+		if ans == nil || !ans.Degraded || !ans.Stats.Cancelled || len(ans.Results) != 0 {
+			t.Fatalf("expired range answer %+v, want an empty degraded one with Cancelled stats", ans)
+		}
+
+		for _, d := range []time.Duration{100 * time.Microsecond, time.Millisecond} {
+			ctx, cancel := context.WithTimeout(context.Background(), d)
+			ans, err := eng.Search(ctx, rq)
+			cancel()
+			if err == nil {
+				continue // finished in time; identity covered above
 			}
-			if exact := exactDist(t, eng, q, r.Index); math.Abs(r.Dist-exact) > tol {
-				t.Fatalf("partial result %d: dist %v != exact %v", r.Index, r.Dist, exact)
+			if ans == nil || !ans.Stats.Cancelled {
+				t.Fatalf("timeout %v: error without Cancelled stats", d)
+			}
+			for _, r := range ans.Results {
+				exact := exactDist(t, eng, q, r.Index)
+				if r.Dist > eps+tol || exact > eps+tol {
+					t.Fatalf("partial result %d at %v (exact %v) exceeds eps %v", r.Index, r.Dist, exact, eps)
+				}
+				if !idsOnly && math.Abs(r.Dist-exact) > tol {
+					t.Fatalf("partial result %d: dist %v != exact %v", r.Index, r.Dist, exact)
+				}
 			}
 		}
 	}
@@ -290,17 +293,17 @@ func TestRangeCtx(t *testing.T) {
 
 // TestRankCtx checks that a cancelled incremental ranking stops
 // yielding, that everything yielded before the cancellation is exact
-// and in true EMD order, and that Background pulls match Rank's.
+// and in true EMD order, and that its pulls match a Background stream's.
 func TestRankCtx(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 100)
 	q := queries[0]
 
-	plain, err := eng.Rank(q)
+	plain, err := eng.Rank(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	stream, err := eng.RankCtx(ctx, q)
+	stream, err := eng.Rank(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,198 +332,104 @@ func TestRankCtx(t *testing.T) {
 	if _, _, ok := stream.Next(); ok {
 		t.Fatal("Next yielded on repeat call after cancellation")
 	}
-}
-
-// TestBatchKNNCtx checks Background identity against BatchKNN and the
-// shared-deadline contract: with an expired context every entry carries
-// the context error and a degraded answer.
-func TestBatchKNNCtx(t *testing.T) {
-	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 100)
-	want, err := eng.BatchKNN(queries, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.BatchKNNCtx(context.Background(), queries, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("query %d: errors %v / %v", i, want[i].Err, got[i].Err)
-		}
-		w, g := want[i].Results, got[i].Answer.Results
-		if len(w) != len(g) {
-			t.Fatalf("query %d: %d vs %d results", i, len(w), len(g))
-		}
-		for j := range w {
-			if w[j] != g[j] {
-				t.Fatalf("query %d result %d: %+v != %+v", i, j, w[j], g[j])
-			}
-		}
-	}
-
-	expired, err := eng.BatchKNNCtx(cancelledCtx(), queries, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range expired {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("query %d: err = %v, want context.Canceled", i, r.Err)
-		}
-		if r.Answer == nil || !r.Answer.Degraded {
-			t.Fatalf("query %d: no degraded answer", i)
-		}
-	}
-
-	if _, err := eng.BatchKNNCtx(context.Background(), nil, 5, 2); err == nil {
-		t.Error("empty batch accepted")
-	}
-	if _, err := eng.BatchKNNCtx(context.Background(), queries, 0, 2); err == nil {
-		t.Error("k = 0 accepted")
+	if _, _, ok := plain.Next(); !ok {
+		t.Fatal("the Background stream stopped with the other one")
 	}
 }
 
-// TestAuxiliaryCtxVariants checks every remaining ctx variant twice:
-// with Background it must agree with its context-free sibling, and with
-// an expired context it must return the context error.
+// TestAuxiliaryCtxVariants checks every context-first auxiliary method
+// twice: under Background it answers (and agrees with an independent
+// computation where there is one), and under an expired context it
+// returns the context error.
 func TestAuxiliaryCtxVariants(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 100)
 	q := queries[0]
 	bg := context.Background()
 	dead := cancelledCtx()
 
-	// ApproxKNN
-	wantA, wantCert, err := eng.ApproxKNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
+	// ApproxKNN: every interval brackets the exact distance.
+	approx, _, err := eng.ApproxKNN(bg, q, 5)
+	if err != nil || len(approx) != 5 {
+		t.Fatalf("ApproxKNN(Background): %d results, err %v", len(approx), err)
 	}
-	gotA, gotCert, err := eng.ApproxKNNCtx(bg, q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotA) != len(wantA) || *gotCert != *wantCert {
-		t.Fatalf("ApproxKNNCtx(Background) diverges: %+v vs %+v", gotCert, wantCert)
-	}
-	for i := range wantA {
-		if gotA[i] != wantA[i] {
-			t.Fatalf("ApproxKNNCtx result %d: %+v != %+v", i, gotA[i], wantA[i])
+	for _, r := range approx {
+		if exact := exactDist(t, eng, q, r.Index); exact < r.Lower-1e-9 || exact > r.Upper+1e-9 {
+			t.Fatalf("ApproxKNN item %d: exact %v outside [%v, %v]", r.Index, exact, r.Lower, r.Upper)
 		}
 	}
-	if _, _, err := eng.ApproxKNNCtx(dead, q, 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ApproxKNNCtx(expired): err = %v", err)
+	if _, _, err := eng.ApproxKNN(dead, q, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ApproxKNN(expired): err = %v", err)
 	}
 
-	// EpsilonForCount
-	wantEps, err := eng.EpsilonForCount(q, 10)
+	// EpsilonForCount: the radius returns at least the count.
+	eps, err := eng.EpsilonForCount(bg, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotEps, err := eng.EpsilonForCountCtx(bg, q, 10)
-	if err != nil || gotEps != wantEps {
-		t.Fatalf("EpsilonForCountCtx(Background) = %v, %v; want %v", gotEps, err, wantEps)
+	if res, _, err := eng.Range(q, eps); err != nil || len(res) < 10 {
+		t.Fatalf("Range at EpsilonForCount(10) = %v: %d results, err %v", eps, len(res), err)
 	}
-	if _, err := eng.EpsilonForCountCtx(dead, q, 10); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EpsilonForCountCtx(expired): err = %v", err)
+	if _, err := eng.EpsilonForCount(dead, q, 10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("EpsilonForCount(expired): err = %v", err)
 	}
 
 	// DistanceDistribution
-	wantDD, err := eng.DistanceDistribution(q, 20)
+	dd, err := eng.DistanceDistribution(bg, q, 20)
+	if err != nil || dd.Count() != 20 {
+		t.Fatalf("DistanceDistribution(Background): err %v", err)
+	}
+	if _, err := eng.DistanceDistribution(dead, q, 20); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DistanceDistribution(expired): err = %v", err)
+	}
+
+	// Distance: both solves — plain under Background, interruptible
+	// under a cancellable context — give the same bits.
+	d, err := eng.Distance(bg, q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDD, err := eng.DistanceDistributionCtx(bg, q, 20)
-	if err != nil || gotDD.Count() != wantDD.Count() || gotDD.Mean() != wantDD.Mean() {
-		t.Fatalf("DistanceDistributionCtx(Background) diverges (err %v)", err)
+	live, cancel := context.WithCancel(bg)
+	defer cancel()
+	if got, err := eng.Distance(live, q, 3); err != nil || math.Float64bits(got) != math.Float64bits(d) {
+		t.Fatalf("Distance(cancellable) = %v, %v; want %v", got, err, d)
 	}
-	if _, err := eng.DistanceDistributionCtx(dead, q, 20); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DistanceDistributionCtx(expired): err = %v", err)
-	}
-
-	// RangeIDs
-	eps := wantDD.Quantile(0.3)
-	wantIDs, err := eng.RangeIDs(q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIDs, err := eng.RangeIDsCtx(bg, q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotIDs) != len(wantIDs) {
-		t.Fatalf("RangeIDsCtx(Background): %d ids, want %d", len(gotIDs), len(wantIDs))
-	}
-	for i := range wantIDs {
-		if gotIDs[i] != wantIDs[i] {
-			t.Fatalf("RangeIDsCtx id %d: %d != %d", i, gotIDs[i], wantIDs[i])
-		}
-	}
-	if _, err := eng.RangeIDsCtx(dead, q, eps); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RangeIDsCtx(expired): err = %v", err)
+	if _, err := eng.Distance(dead, q, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Distance(expired): err = %v", err)
 	}
 
-	// Distance
-	wantD, err := eng.Distance(q, 3)
-	if err != nil {
-		t.Fatal(err)
+	// Explain decomposes the same distance.
+	exp, err := eng.Explain(bg, q, 3, 4)
+	if err != nil || math.Abs(exp.Distance-d) > 1e-9 {
+		t.Fatalf("Explain(Background) = %+v, %v; want distance %v", exp, err, d)
 	}
-	gotD, err := eng.DistanceCtx(bg, q, 3)
-	if err != nil || gotD != wantD {
-		t.Fatalf("DistanceCtx(Background) = %v, %v; want %v", gotD, err, wantD)
-	}
-	if _, err := eng.DistanceCtx(dead, q, 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DistanceCtx(expired): err = %v", err)
-	}
-	if _, err := eng.DistanceCtx(bg, q, eng.Len()); err == nil {
-		t.Error("DistanceCtx accepted out-of-range index")
+	if _, err := eng.Explain(dead, q, 3, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Explain(expired): err = %v", err)
 	}
 
-	// Explain
-	if _, err := eng.Explain(q, 3, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.ExplainCtx(bg, q, 3, 4); err != nil {
-		t.Fatalf("ExplainCtx(Background): %v", err)
-	}
-	if _, err := eng.ExplainCtx(dead, q, 3, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExplainCtx(expired): err = %v", err)
-	}
-
-	// KNNWhere / KNNWithLabel ctx forms
+	// Search with a predicate, by index and by label.
 	pred := func(i int) bool { return i%2 == 0 }
-	wantW, _, err := eng.KNNWhere(q, 5, pred)
+	want := bruteForce(t, eng, q, pred)[:5]
+	gotW, err := eng.Search(bg, Query{Hist: q, K: 5, Where: indexWhere(pred)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotW, err := eng.KNNWhereCtx(bg, q, 5, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantW {
-		if gotW.Results[i] != wantW[i] {
-			t.Fatalf("KNNWhereCtx result %d: %+v != %+v", i, gotW.Results[i], wantW[i])
-		}
-	}
-	if _, err := eng.KNNWhereCtx(bg, q, 5, nil); err == nil {
-		t.Error("KNNWhereCtx accepted a nil predicate")
-	}
-	if _, err := eng.KNNWhereCtx(dead, q, 5, pred); !errors.Is(err, context.Canceled) {
-		t.Fatalf("KNNWhereCtx(expired): err = %v", err)
+	sameResults(t, "where", "Search", gotW.Results, want)
+	if _, err := eng.Search(dead, Query{Hist: q, K: 5, Where: indexWhere(pred)}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Search with Where (expired): err = %v", err)
 	}
 	label := eng.Label(0)
-	wantL, _, err := eng.KNNWithLabel(q, 3, label)
+	gotL, err := eng.Search(bg, Query{Hist: q, K: 3, Where: labelIs(label)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotL, err := eng.KNNWithLabelCtx(bg, q, 3, label)
-	if err != nil {
-		t.Fatal(err)
+	wantL := bruteForce(t, eng, q, func(i int) bool { return eng.Label(i) == label })
+	sameResults(t, "label", "Search", gotL.Results, wantL[:min(3, len(wantL))])
+	if _, err := eng.Search(dead, Query{Hist: q, K: 3, Where: labelIs(label)}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Search with a label (expired): err = %v", err)
 	}
-	for i := range wantL {
-		if gotL.Results[i] != wantL[i] {
-			t.Fatalf("KNNWithLabelCtx result %d: %+v != %+v", i, gotL.Results[i], wantL[i])
-		}
-	}
-	if _, err := eng.KNNWithLabelCtx(dead, q, 3, label); !errors.Is(err, context.Canceled) {
-		t.Fatalf("KNNWithLabelCtx(expired): err = %v", err)
+
+	// The membership query.
+	if _, err := rangeIDs(dead, eng, q, eps); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ids-only Search (expired): err = %v", err)
 	}
 }

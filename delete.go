@@ -9,8 +9,8 @@ import (
 // Delete removes item i from query results. The deletion is "soft":
 // the item keeps its index (ids of other items are stable) and its
 // filter representations remain in place, but its refinement distance
-// is treated as infinite, so it can never appear in KNN, Range,
-// RangeIDs, Rank or ApproxKNN results. Space is reclaimed only by
+// is treated as infinite, so it can never appear in the results of
+// Search (and its KNN and Range views), Rank or ApproxKNN. Space is reclaimed only by
 // rebuilding the engine from the surviving items. Safe for concurrent
 // use; queries already in flight keep answering over the snapshot
 // they started with and may still return the item.

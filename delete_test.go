@@ -1,6 +1,7 @@
 package emdsearch
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -67,18 +68,18 @@ func TestDeletedItemsExcludedFromQueries(t *testing.T) {
 			t.Fatal("deleted item returned by Range")
 		}
 	}
-	ids, err := eng.RangeIDs(q, before[0].Dist+0.1)
+	ids, err := rangeIDs(context.Background(), eng, q, before[0].Dist+0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
 		if id == victim {
-			t.Fatal("deleted item returned by RangeIDs")
+			t.Fatal("deleted item returned by the ids-only range query")
 		}
 	}
 
 	// Rank skips it.
-	r, err := eng.Rank(q)
+	r, err := eng.Rank(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestDeletedItemsExcludedFromQueries(t *testing.T) {
 	}
 
 	// ApproxKNN skips it.
-	approx, _, err := eng.ApproxKNN(q, 3)
+	approx, _, err := eng.ApproxKNN(context.Background(), q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

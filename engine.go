@@ -119,14 +119,14 @@ type Options struct {
 	// IndexKind == IndexVPTree.
 	FourPoint bool
 	// Workers bounds the goroutines used for the exact-EMD refinement
-	// stage of a single KNN or Range query: 0 or 1 runs sequentially,
+	// stage of a single query, of any shape: 0 or 1 runs sequentially,
 	// n > 1 uses up to n goroutines, and a negative value uses
 	// GOMAXPROCS. Results are identical to the sequential path; only
 	// the work counters in QueryStats may differ slightly. Worthwhile
 	// when refinement dominates the query cost (large d); for small,
 	// cheap refinements the coordination overhead can outweigh the
-	// gain. Independent of BatchKNN's cross-query parallelism — when
-	// combining both, keep workers × batch concurrency near GOMAXPROCS.
+	// gain. It multiplies with the caller's own concurrency: keep
+	// workers × concurrent queries near GOMAXPROCS.
 	Workers int
 	// Seed drives all randomized components; the default 0 is a valid
 	// fixed seed, so runs are reproducible unless the caller varies it.
@@ -168,7 +168,7 @@ func (o Options) withDefaults() Options {
 // filter chain.
 //
 // An Engine is safe for concurrent use: any number of goroutines may
-// run KNN, Range, Rank, BatchKNN and the other query methods while
+// run Search, Rank and the other query methods while
 // others call Add, Delete or Build. Queries operate on an immutable
 // snapshot of the prepared pipeline (reductions, reduced vectors,
 // cost matrices); mutations invalidate the snapshot, and the next
@@ -248,7 +248,7 @@ type snapshot struct {
 	plan *plan
 	// The finest level's symmetric bounds and columnar reduced database
 	// (nil when unreduced); they also serve the certified approximate
-	// and membership query paths (ApproxKNN, RangeIDs, EpsilonForCount).
+	// and upper-bound query paths (ApproxKNN, EpsilonForCount).
 	reduced     *core.ReducedEMD
 	redUpper    *core.ReducedEMDUpper
 	reducedCols *colscan.Columns
@@ -818,66 +818,16 @@ func (e *Engine) validateQuery(q Histogram) error {
 	return nil
 }
 
-// validateKNN validates a k-NN query's inputs; failures wrap
-// ErrBadQuery. Every public k-NN entry point goes through it.
-func (e *Engine) validateKNN(q Histogram, k int) error {
-	if k < 1 {
-		return badQueryf("k = %d, want >= 1", k)
-	}
-	return e.validateQuery(q)
-}
-
-// knnSnapshot validates a k-NN query and returns the snapshot it will
-// run on; a failure of either is counted as a query error.
-func (e *Engine) knnSnapshot(q Histogram, k int) (*snapshot, error) {
-	if err := e.validateKNN(q, k); err != nil {
-		e.metrics.queryError()
-		return nil, err
-	}
-	s, err := e.snapshot()
-	if err != nil {
-		e.metrics.queryError()
-	}
-	return s, err
-}
-
-// validateRange validates a range query's inputs; failures wrap
-// ErrBadQuery. Every public range entry point goes through it.
-func (e *Engine) validateRange(q Histogram, eps float64) error {
-	if eps < 0 || math.IsNaN(eps) {
-		return badQueryf("eps = %g, want >= 0", eps)
-	}
-	return e.validateQuery(q)
-}
-
-// KNN returns the k nearest neighbors of q under the exact EMD,
-// computed losslessly through the filter chain. Safe for concurrent
-// use. It is a thin wrapper over KNNCtx with context.Background():
-// results are byte-identical, and no cancellation machinery is
-// engaged for a context that can never be cancelled.
-func (e *Engine) KNN(q Histogram, k int) ([]Result, *QueryStats, error) {
-	ans, err := e.KNNCtx(context.Background(), q, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ans.Results, ans.Stats, nil
-}
-
-// Range returns all items within exact EMD eps of q. Safe for
-// concurrent use. It is a thin wrapper over RangeCtx with
-// context.Background(); results are byte-identical.
-func (e *Engine) Range(q Histogram, eps float64) ([]Result, *QueryStats, error) {
-	return e.RangeCtx(context.Background(), q, eps)
-}
-
-// Distance computes the exact EMD between q and indexed item i. It
-// returns an error — rather than panicking — on an invalid query or
-// out-of-range index (both wrapping ErrBadQuery), matching the rest of
-// the query API; a solver invariant failure surfaces as ErrInternal
-// instead of unwinding into the caller.
-func (e *Engine) Distance(q Histogram, i int) (d float64, err error) {
-	if verr := e.validateQuery(q); verr != nil {
-		return 0, verr
+// Distance computes the exact EMD between q and indexed item i. An
+// invalid query or out-of-range index is rejected with an error
+// wrapping ErrBadQuery, and a solver invariant failure surfaces as
+// ErrInternal instead of unwinding into the caller. ctx's cancel flag is
+// threaded into the simplex pivot loop, so even a single large solve is
+// interrupted within one pivot; an interrupted computation returns
+// ctx.Err(), never a partial value.
+func (e *Engine) Distance(ctx context.Context, q Histogram, i int) (d float64, err error) {
+	if err := e.validateQuery(q); err != nil {
+		return 0, err
 	}
 	e.mu.RLock()
 	if i < 0 || i >= e.store.Len() {
@@ -887,13 +837,20 @@ func (e *Engine) Distance(q Histogram, i int) (d float64, err error) {
 	}
 	v := e.store.Vector(i)
 	e.mu.RUnlock()
-	defer func() {
-		if r := recover(); r != nil {
-			e.metrics.queryPanicked()
-			err = &InternalError{Op: "distance", Index: i, Value: r}
-		}
-	}()
-	return e.dist.Distance(q, v), nil
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	defer e.contain("distance", i, &err)
+	intr, stop := search.WatchContext(ctx)
+	defer stop()
+	if intr == nil {
+		return e.dist.Distance(q, v), nil
+	}
+	r := e.dist.DistanceBoundedIntr(q, v, math.Inf(1), intr)
+	if r.Interrupted {
+		return 0, ctx.Err()
+	}
+	return r.Value, nil
 }
 
 // centroidRanking adapts an incremental k-d tree stream over database

@@ -2,6 +2,7 @@ package emdsearch
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // the test on error.
 func exactDist(t *testing.T, e *Engine, q Histogram, i int) float64 {
 	t.Helper()
-	d, err := e.Distance(q, i)
+	d, err := e.Distance(context.Background(), q, i)
 	if err != nil {
 		t.Fatal(err)
 	}

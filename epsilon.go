@@ -3,7 +3,6 @@ package emdsearch
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"emdsearch/internal/stats"
 )
@@ -19,12 +18,9 @@ import (
 // range search ("give me roughly fifty matches") without guessing in
 // distance units. Requires a built reduction. Safe for concurrent use;
 // the reduced database vectors and the upper-bound cost matrix come
-// precomputed from the engine snapshot.
-func (e *Engine) EpsilonForCount(q Histogram, count int) (float64, error) {
-	return e.epsilonForCount(context.Background(), q, count)
-}
-
-func (e *Engine) epsilonForCount(ctx context.Context, q Histogram, count int) (float64, error) {
+// precomputed from the engine snapshot. The upper-bound scan checks ctx
+// between items and returns ctx.Err() on expiry.
+func (e *Engine) EpsilonForCount(ctx context.Context, q Histogram, count int) (float64, error) {
 	if err := e.validateQuery(q); err != nil {
 		return 0, err
 	}
@@ -65,12 +61,9 @@ func (e *Engine) epsilonForCount(ctx context.Context, q Histogram, count int) (f
 // and the stride adapts so deletions do not shrink the sample below
 // min(sampleSize, live)). Useful for choosing range radii and judging
 // workload difficulty; for guaranteed result counts prefer
-// EpsilonForCount, which needs no exact EMDs at all.
-func (e *Engine) DistanceDistribution(q Histogram, sampleSize int) (*stats.Distribution, error) {
-	return e.distanceDistribution(context.Background(), q, sampleSize)
-}
-
-func (e *Engine) distanceDistribution(ctx context.Context, q Histogram, sampleSize int) (*stats.Distribution, error) {
+// EpsilonForCount, which needs no exact EMDs at all. The sampling loop
+// checks ctx between items and returns ctx.Err() on expiry.
+func (e *Engine) DistanceDistribution(ctx context.Context, q Histogram, sampleSize int) (*stats.Distribution, error) {
 	if err := e.validateQuery(q); err != nil {
 		return nil, err
 	}
@@ -102,33 +95,4 @@ func (e *Engine) distanceDistribution(ctx context.Context, q Histogram, sampleSi
 		dists = append(dists, s.dist.Distance(q, s.vectors[liveIdx[j]]))
 	}
 	return stats.NewDistribution(dists)
-}
-
-// RangeIDs answers a membership range query — which items lie within
-// eps — exactly, but cheaper than Range when distances are not needed.
-// It is the range query over the engine's own filter ranking (quantized
-// scan, chained levels or the metric index, all pruning with eps) with
-// the greedy-flow upper bound as a short-cut: items whose upper bound is
-// already within eps are accepted without an exact EMD computation; only
-// items whose [filter lower bound, greedy upper bound] interval
-// straddles eps are refined. Refinements go through the same
-// threshold-aware bounded kernel as KNN/Range (eps as the abort bound,
-// sparsity reduction) and fan out over Options.Workers goroutines; the
-// query is counted in Metrics like any range query.
-// Returns ascending item ids. Safe for concurrent use.
-func (e *Engine) RangeIDs(q Histogram, eps float64) ([]int, error) {
-	return e.rangeIDs(context.Background(), q, eps)
-}
-
-func (e *Engine) rangeIDs(ctx context.Context, q Histogram, eps float64) ([]int, error) {
-	results, _, err := e.rangeCtx(ctx, q, eps, true)
-	if results == nil {
-		return nil, err
-	}
-	ids := make([]int, len(results))
-	for i, r := range results {
-		ids[i] = r.Index
-	}
-	sort.Ints(ids)
-	return ids, err
 }

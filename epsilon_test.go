@@ -1,6 +1,7 @@
 package emdsearch
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,7 +12,7 @@ func TestEpsilonForCountGuarantee(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 120)
 	for _, q := range queries {
 		for _, count := range []int{1, 10, 40} {
-			eps, err := eng.EpsilonForCount(q, count)
+			eps, err := eng.EpsilonForCount(context.Background(), q, count)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -28,24 +29,24 @@ func TestEpsilonForCountGuarantee(t *testing.T) {
 
 func TestEpsilonForCountValidation(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 30)
-	if _, err := eng.EpsilonForCount(queries[0], 0); err == nil {
+	if _, err := eng.EpsilonForCount(context.Background(), queries[0], 0); err == nil {
 		t.Error("accepted count=0")
 	}
-	if _, err := eng.EpsilonForCount(queries[0], 1000); err == nil {
+	if _, err := eng.EpsilonForCount(context.Background(), queries[0], 1000); err == nil {
 		t.Error("accepted count > n")
 	}
-	if _, err := eng.EpsilonForCount(Histogram{1}, 3); err == nil {
+	if _, err := eng.EpsilonForCount(context.Background(), Histogram{1}, 3); err == nil {
 		t.Error("accepted bad query")
 	}
 	scan, scanQueries := buildEngine(t, Options{}, 30)
-	if _, err := scan.EpsilonForCount(scanQueries[0], 3); err == nil {
+	if _, err := scan.EpsilonForCount(context.Background(), scanQueries[0], 3); err == nil {
 		t.Error("worked without a reduction")
 	}
 }
 
 func TestDistanceDistribution(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 100)
-	d, err := eng.DistanceDistribution(queries[0], 40)
+	d, err := eng.DistanceDistribution(context.Background(), queries[0], 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +56,14 @@ func TestDistanceDistribution(t *testing.T) {
 	if d.Min() < 0 || d.Max() < d.Min() {
 		t.Errorf("degenerate distribution: [%g, %g]", d.Min(), d.Max())
 	}
-	if _, err := eng.DistanceDistribution(queries[0], 0); err == nil {
+	if _, err := eng.DistanceDistribution(context.Background(), queries[0], 0); err == nil {
 		t.Error("accepted sample size 0")
 	}
-	if _, err := eng.DistanceDistribution(Histogram{1}, 10); err == nil {
+	if _, err := eng.DistanceDistribution(context.Background(), Histogram{1}, 10); err == nil {
 		t.Error("accepted bad query")
 	}
 	// Oversized sample clamps to n.
-	d, err = eng.DistanceDistribution(queries[0], 10_000)
+	d, err = eng.DistanceDistribution(context.Background(), queries[0], 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +72,11 @@ func TestDistanceDistribution(t *testing.T) {
 	}
 }
 
-// TestRangeIDsMatchesRange: the membership query is the range query over
-// the engine's own ranking, whatever plan produced it — so under every
-// plan kind, inline and pooled, its ids are the sorted ids of Range and
-// of a brute-force scan over emd.Dist.
+// TestRangeIDsMatchesRange: the membership (ids-only) Search is the
+// range query over the engine's own ranking, whatever plan produced it —
+// so under every plan kind, inline and pooled, its ids are the sorted
+// ids of Range and of a brute-force scan over emd.Dist, and each
+// returned Dist is an upper bound of the exact distance within eps.
 func TestRangeIDsMatchesRange(t *testing.T) {
 	const n = 120
 	plans := []struct {
@@ -99,9 +101,16 @@ func TestRangeIDsMatchesRange(t *testing.T) {
 				for _, eps := range []float64{0.02, 0.05, 0.1, all[9].Dist} {
 					tag := fmt.Sprintf("%s/workers=%d/q%d/eps=%g", plan.name, workers, qi, eps)
 					evalsBefore := eng.Metrics().Stages["Red-EMD"].Evaluations
-					ids, err := eng.RangeIDs(q, eps)
+					ans, err := eng.Search(context.Background(), Query{Hist: q, Range: true, Eps: eps, IDsOnly: true})
 					if err != nil {
 						t.Fatal(err)
+					}
+					ids := make([]int, len(ans.Results))
+					for i, r := range ans.Results {
+						ids[i] = r.Index
+						if exact := exactDist(t, eng, q, r.Index); r.Dist > eps || r.Dist < exact-1e-9 {
+							t.Fatalf("%s: id %d carries %v, exact %v, eps %v", tag, r.Index, r.Dist, exact, eps)
+						}
 					}
 					evals := eng.Metrics().Stages["Red-EMD"].Evaluations - evalsBefore
 					want, _, err := eng.Range(q, eps)
@@ -146,17 +155,17 @@ func TestRangeIDsMatchesRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := empty.RangeIDs(Histogram{0.25, 0.25, 0.25, 0.25}, 1); err == nil {
-		t.Fatal("RangeIDs on an empty engine succeeded")
+	if _, err := rangeIDs(context.Background(), empty, Histogram{0.25, 0.25, 0.25, 0.25}, 1); err == nil {
+		t.Fatal("an ids-only query on an empty engine succeeded")
 	}
 	if got := empty.Metrics().QueryErrors; got != 1 {
-		t.Fatalf("QueryErrors = %d after RangeIDs failed to get a snapshot, want 1", got)
+		t.Fatalf("QueryErrors = %d after an ids-only query failed to get a snapshot, want 1", got)
 	}
 }
 
 func TestRangeIDsScanMode(t *testing.T) {
 	eng, queries := buildEngine(t, Options{}, 40)
-	ids, err := eng.RangeIDs(queries[0], 0.05)
+	ids, err := rangeIDs(context.Background(), eng, queries[0], 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package emdsearch
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"emdsearch/internal/admission"
@@ -15,10 +16,11 @@ import (
 var (
 	// ErrBadQuery marks a query rejected by input validation before any
 	// search work: wrong dimensionality, invalid histogram (NaN,
-	// negative mass, zero total), k < 1, eps < 0, an empty batch, or a
-	// nil predicate. Every public query entry point returns an error
-	// wrapping ErrBadQuery for these, so callers can separate caller
-	// bugs from serving conditions with a single errors.Is check.
+	// negative mass, zero total), k < 1, eps < 0 or NaN, a Query that
+	// mixes the k-NN and range verbs, or an item index out of range.
+	// Every public query entry point returns an error wrapping
+	// ErrBadQuery for these, so callers can separate caller bugs from
+	// serving conditions with a single errors.Is check.
 	ErrBadQuery = errors.New("emdsearch: bad query")
 
 	// ErrOverloaded marks a query shed by an admission Gate: the
@@ -112,4 +114,14 @@ func (e *Engine) internalErr(op string, err error) error {
 	}
 	e.metrics.queryPanicked()
 	return &InternalError{Op: op, Index: pe.Index, Value: pe.Value, Stack: pe.Stack}
+}
+
+// contain is the panic barrier of the query paths that run outside the
+// candidate loop's own: deferred, it converts a panic into an
+// *InternalError on *err and counts it.
+func (e *Engine) contain(op string, index int, err *error) {
+	if r := recover(); r != nil {
+		e.metrics.queryPanicked()
+		*err = &InternalError{Op: op, Index: index, Value: r, Stack: debug.Stack()}
+	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -48,6 +49,7 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
 	var exactTime, approxTime time.Duration
 	var overlap, total int
 	for _, q := range queryVecs {
@@ -59,7 +61,7 @@ func main() {
 		exactTime += time.Since(start)
 
 		start = time.Now()
-		approx, cert, err := eng.ApproxKNN(q, k)
+		approx, cert, err := eng.ApproxKNN(ctx, q, k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -84,14 +86,14 @@ func main() {
 
 	// One query in detail, with its certificate.
 	q := queryVecs[0]
-	approx, cert, err := eng.ApproxKNN(q, 5)
+	approx, cert, err := eng.ApproxKNN(ctx, q, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsample query: top-5 with distance intervals (certificate: true 5th NN in [%.4f, %.4f], %d of %d candidates examined)\n",
 		cert.LowerK, cert.UpperK, cert.Pulled, eng.Len())
 	for rank, r := range approx {
-		exactD, err := eng.Distance(q, r.Index) // shown for demonstration only
+		exactD, err := eng.Distance(ctx, q, r.Index) // shown for demonstration only
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 package emdsearch
 
 import (
-	"fmt"
+	"context"
 	"sort"
 )
 
@@ -28,16 +28,21 @@ type Explanation struct {
 // with its optimal flow decomposition, keeping the topK costliest
 // components (0 keeps all non-zero-cost components). For multimedia
 // retrieval this names the bins — colors, tiles, spectral bands —
-// whose displacement drives the dissimilarity.
-func (e *Engine) Explain(q Histogram, i int, topK int) (*Explanation, error) {
+// whose displacement drives the dissimilarity. The decomposition runs
+// one full solve with no interrupt hook, so ctx is checked on entry
+// only.
+func (e *Engine) Explain(ctx context.Context, q Histogram, i int, topK int) (*Explanation, error) {
 	if err := e.validateQuery(q); err != nil {
 		return nil, err
 	}
 	if n := e.Len(); i < 0 || i >= n {
-		return nil, fmt.Errorf("emdsearch: item %d out of range [0, %d)", i, n)
+		return nil, badQueryf("Explain(%d): index out of range [0, %d)", i, n)
 	}
 	if topK < 0 {
-		return nil, fmt.Errorf("emdsearch: topK = %d, want >= 0", topK)
+		return nil, badQueryf("topK = %d, want >= 0", topK)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	dist, flow := e.dist.DistanceWithFlow(q, e.Vector(i))
 	var comps []FlowComponent

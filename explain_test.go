@@ -1,6 +1,7 @@
 package emdsearch
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -16,7 +17,7 @@ func TestExplainDecomposition(t *testing.T) {
 	z := Histogram{1, 0, 0, 0, 0, 0}
 	eng.Add("z", z)
 
-	exp, err := eng.Explain(x, 0, 0)
+	exp, err := eng.Explain(context.Background(), x, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestExplainDecomposition(t *testing.T) {
 	}
 
 	// topK truncation.
-	exp, err = eng.Explain(x, 0, 1)
+	exp, err = eng.Explain(context.Background(), x, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestExplainIdenticalHasNoComponents(t *testing.T) {
 	eng, _ := NewEngine(LinearCost(4), Options{})
 	h := Histogram{0.25, 0.25, 0.25, 0.25}
 	eng.Add("", h)
-	exp, err := eng.Explain(h, 0, 0)
+	exp, err := eng.Explain(context.Background(), h, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +71,13 @@ func TestExplainIdenticalHasNoComponents(t *testing.T) {
 func TestExplainValidation(t *testing.T) {
 	eng, _ := NewEngine(LinearCost(4), Options{})
 	eng.Add("", Histogram{1, 0, 0, 0})
-	if _, err := eng.Explain(Histogram{1, 0, 0, 0}, 5, 0); err == nil {
+	if _, err := eng.Explain(context.Background(), Histogram{1, 0, 0, 0}, 5, 0); err == nil {
 		t.Error("accepted out-of-range item")
 	}
-	if _, err := eng.Explain(Histogram{1, 0}, 0, 0); err == nil {
+	if _, err := eng.Explain(context.Background(), Histogram{1, 0}, 0, 0); err == nil {
 		t.Error("accepted wrong-dimensional query")
 	}
-	if _, err := eng.Explain(Histogram{1, 0, 0, 0}, 0, -1); err == nil {
+	if _, err := eng.Explain(context.Background(), Histogram{1, 0, 0, 0}, 0, -1); err == nil {
 		t.Error("accepted negative topK")
 	}
 }

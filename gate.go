@@ -169,20 +169,23 @@ func (g *Gate) settle(err error) {
 	g.brk.Success()
 }
 
-// KNN answers a k-NN query through the gate. Under normal load it is
-// Engine.KNNCtx with admission accounting. Under pressure it degrades
-// rather than drops: past the DegradeAt queue threshold the query runs
-// under DegradeBudget and a budget-expired answer is returned as a
-// certified degraded KNNAnswer with a nil error (the caller asked the
-// gate to keep serving under load; a sound interval answer is the
-// contract, not a failure). With the fault breaker open, the query is
-// served from lower bounds and greedy upper bounds alone — zero exact
-// solves — again as a certified degraded answer. Shed queries fail
-// fast with an error wrapping ErrOverloaded; a caller-cancelled query
-// returns its certified anytime answer with the context error, exactly
-// like Engine.KNNCtx.
-func (g *Gate) KNN(ctx context.Context, q Histogram, k int) (*KNNAnswer, error) {
-	if err := g.e.validateKNN(q, k); err != nil {
+// Search answers q through the gate: validate → acquire → breaker →
+// budget → settle, one sequence for every query shape. Under normal
+// load it is Engine.Search with admission accounting. Under pressure it
+// degrades rather than drops: past the DegradeAt queue threshold the
+// query runs under DegradeBudget, and a budget-expired answer is
+// returned as a certified degraded KNNAnswer with a nil error (the
+// caller asked the gate to keep serving under load; a sound partial
+// answer is the contract, not a failure). With the fault breaker open,
+// a k-NN query is served from lower bounds and greedy upper bounds
+// alone — zero exact solves — again as a certified degraded answer,
+// while a range query, which has no exact-solve-free certified form, is
+// shed with ErrOverloaded. Shed queries fail fast with an error
+// wrapping ErrOverloaded; a caller-cancelled query returns its
+// certified degraded answer with the context error, exactly like
+// Engine.Search.
+func (g *Gate) Search(ctx context.Context, q Query) (*KNNAnswer, error) {
+	if err := g.e.validate(q); err != nil {
 		g.e.metrics.queryError()
 		return nil, err
 	}
@@ -193,15 +196,18 @@ func (g *Gate) KNN(ctx context.Context, q Histogram, k int) (*KNNAnswer, error) 
 	defer tk.Release()
 
 	if !g.brk.Allow() {
+		if q.Range {
+			return nil, g.breakerOpenErr()
+		}
 		g.degraded.Add(1)
-		return g.e.knnLBOnly(q, k)
+		return g.e.knnLBOnly(q)
 	}
 
 	qctx, cancel, gateOwned := g.budgetCtx(ctx, tk)
 	if cancel != nil {
 		defer cancel()
 	}
-	ans, err := g.e.KNNCtx(qctx, q, k)
+	ans, err := g.e.Search(qctx, q)
 	g.settle(err)
 	if err != nil && gateOwned && ans != nil && ans.Degraded && ctx.Err() == nil {
 		// The gate's budget, not the caller's deadline, cut the query
@@ -212,91 +218,10 @@ func (g *Gate) KNN(ctx context.Context, q Histogram, k int) (*KNNAnswer, error) 
 	return ans, err
 }
 
-// Range answers a range query through the gate. Degrade-level
-// admissions run under DegradeBudget; a budget-expired query returns
-// the results confirmed so far (each individually certified within
-// eps, so the set is sound, only possibly incomplete) with
-// Stats.Cancelled = true and a nil error. While the fault breaker is
-// open, range queries are shed with ErrOverloaded — unlike k-NN they
-// have no exact-solve-free certified form.
-func (g *Gate) Range(ctx context.Context, q Histogram, eps float64) ([]Result, *QueryStats, error) {
-	if err := g.e.validateRange(q, eps); err != nil {
-		g.e.metrics.queryError()
-		return nil, nil, err
-	}
-	tk, err := g.acquire(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer tk.Release()
-
-	if !g.brk.Allow() {
-		return nil, nil, g.breakerOpenErr()
-	}
-
-	qctx, cancel, gateOwned := g.budgetCtx(ctx, tk)
-	if cancel != nil {
-		defer cancel()
-	}
-	results, stats, err := g.e.RangeCtx(qctx, q, eps)
-	g.settle(err)
-	if err != nil && gateOwned && stats != nil && stats.Cancelled && ctx.Err() == nil {
-		g.degraded.Add(1)
-		return results, stats, nil
-	}
-	return results, stats, err
-}
-
-// RangeIDs answers a membership range query through the gate, with the
-// same shedding and breaker semantics as Range; degraded completions
-// return the certified subset of ids confirmed within budget.
-func (g *Gate) RangeIDs(ctx context.Context, q Histogram, eps float64) ([]int, error) {
-	if err := g.e.validateRange(q, eps); err != nil {
-		g.e.metrics.queryError()
-		return nil, err
-	}
-	tk, err := g.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer tk.Release()
-
-	if !g.brk.Allow() {
-		return nil, g.breakerOpenErr()
-	}
-
-	qctx, cancel, gateOwned := g.budgetCtx(ctx, tk)
-	if cancel != nil {
-		defer cancel()
-	}
-	ids, err := g.e.RangeIDsCtx(qctx, q, eps)
-	g.settle(err)
-	if err != nil && gateOwned && ctx.Err() == nil && errors.Is(err, qctx.Err()) {
-		g.degraded.Add(1)
-		return ids, nil
-	}
-	return ids, err
-}
-
-// BatchKNN answers a batch of k-NN queries, each admitted through the
-// gate individually with the shared ctx, using up to workers client
-// goroutines (0 means GOMAXPROCS). Under overload, entries degrade or
-// shed independently — a full queue fails the excess entries with
-// ErrOverloaded while the rest are served — so every entry of the
-// returned slice resolves to an answer or a typed error.
-func (g *Gate) BatchKNN(ctx context.Context, queries []Histogram, k, workers int) ([]BatchCtxResult, error) {
-	if len(queries) == 0 {
-		return nil, badQueryf("empty batch")
-	}
-	if k < 1 {
-		return nil, badQueryf("k = %d, want >= 1", k)
-	}
-	out := make([]BatchCtxResult, len(queries))
-	runBatch(queries, workers, func(qi int) {
-		ans, err := g.KNN(ctx, queries[qi], k)
-		out[qi] = BatchCtxResult{Query: qi, Answer: ans, Err: err}
-	})
-	return out, nil
+// KNN is the k-NN query through the gate: Search with one Query
+// literal.
+func (g *Gate) KNN(ctx context.Context, q Histogram, k int) (*KNNAnswer, error) {
+	return g.Search(ctx, Query{Hist: q, K: k})
 }
 
 // breakerOpenErr is the typed rejection served while the fault breaker
@@ -329,10 +254,6 @@ func (g *Gate) Metrics() GateMetrics {
 	}
 }
 
-// BreakerState reports the fault breaker's current position as a
-// string ("closed", "open", "half-open").
-func (g *Gate) BreakerState() string { return g.brk.State().String() }
-
 // knnLBOnly serves a k-NN query from bounds alone: the filter chain's
 // lower-bound ranking and the greedy-flow upper bound, zero exact
 // simplex solves. It returns a certified degraded KNNAnswer whose
@@ -342,13 +263,17 @@ func (g *Gate) BreakerState() string { return g.brk.State().String() }
 // bound exceeds the current k-th best upper bound — past that point no
 // remaining item can improve the answer. This is the breaker-open
 // serving mode: the exact solver is quarantined, yet answers remain
-// sound.
-func (e *Engine) knnLBOnly(q Histogram, k int) (*KNNAnswer, error) {
-	s, err := e.knnSnapshot(q, k)
+// sound. Items q.Where rejects are skipped like deleted ones. The
+// filter stages and the predicate run behind a panic barrier of their
+// own: this path bypasses the candidate loop's.
+func (e *Engine) knnLBOnly(q Query) (_ *KNNAnswer, err error) {
+	s, err := e.snapshot()
 	if err != nil {
+		e.metrics.queryError()
 		return nil, err
 	}
-	ranking, err := s.searcher.Ranking(q)
+	defer e.contain("knn", -1, &err)
+	ranking, err := s.searcher.Ranking(q.Hist)
 	if err != nil {
 		e.metrics.queryError()
 		return nil, err
@@ -356,6 +281,7 @@ func (e *Engine) knnLBOnly(q Histogram, k int) (*KNNAnswer, error) {
 	g := s.greedyUpper()
 	defer s.putGreedy(g)
 
+	k := q.K
 	items := make([]AnytimeItem, 0, k+1)
 	kthUpper := math.Inf(1)
 	pulled := 0
@@ -368,10 +294,10 @@ func (e *Engine) knnLBOnly(q Histogram, k int) (*KNNAnswer, error) {
 		if len(items) >= k && c.Dist > kthUpper {
 			break
 		}
-		if s.deleted[c.Index] {
+		if s.deleted[c.Index] || q.Where != nil && !q.Where(c.Index, s.labels[c.Index]) {
 			continue
 		}
-		ub := g.Distance(q, s.vectors[c.Index])
+		ub := g.Distance(q.Hist, s.vectors[c.Index])
 		lo := c.Dist
 		if lo > ub {
 			lo = ub

@@ -45,17 +45,48 @@ func chaosEngine(t *testing.T, n, d, workers int, panics *atomic.Bool) *Engine {
 	return eng
 }
 
-// TestBadQueryAllEntryPoints drives every public query entry point —
-// engine and gate — with each class of malformed input and asserts the
-// uniform contract: the error wraps ErrBadQuery, nothing panics, and
-// nothing is silently accepted.
+// TestBadQueryAllEntryPoints drives every public query method of
+// Engine, Gate and ShardSet, and every malformed Query combination, and
+// asserts the uniform contract: the error wraps ErrBadQuery, nothing
+// panics, and nothing is silently accepted. Rows are named after the
+// query shape they send; the shapes the Query value and the
+// context-first methods absorbed (KNNWithLabel, RangeIDs, DistanceCtx,
+// ...) keep the names of the methods that used to serve them. A
+// BatchKNN row sends the malformed query beside a valid one,
+// concurrently, and the valid one must still succeed.
 func TestBadQueryAllEntryPoints(t *testing.T) {
 	var off atomic.Bool
 	eng := chaosEngine(t, 30, 4, 1, &off)
 	gate := NewGate(eng, GateOptions{})
+	set, _, setQueries := buildShardPair(t, 2, 20, ShardSetOptions{})
 	ctx := context.Background()
 	good := Histogram{0.25, 0.25, 0.25, 0.25}
 	short := Histogram{0.5, 0.5}
+	search := func(q Query) func() error {
+		return func() error { _, err := eng.Search(ctx, q); return err }
+	}
+	gateSearch := func(q Query) func() error {
+		return func() error { _, err := gate.Search(ctx, q); return err }
+	}
+	// batch runs bad beside a valid k-NN query through search and
+	// returns bad's error, failing if the valid query does not succeed.
+	batch := func(search func(Query) (*KNNAnswer, error), bad Query) func() error {
+		return func() error {
+			errs := make([]error, 2)
+			concurrently(2, func(i int) {
+				q := bad
+				if i == 0 {
+					q = Query{Hist: good, K: 3}
+				}
+				_, errs[i] = search(q)
+			})
+			if errs[0] != nil {
+				return fmt.Errorf("valid query beside the bad one failed: %v", errs[0])
+			}
+			return errs[1]
+		}
+	}
+	engSearch := func(q Query) (*KNNAnswer, error) { return eng.Search(ctx, q) }
 	cases := []struct {
 		name string
 		call func() error
@@ -64,26 +95,46 @@ func TestBadQueryAllEntryPoints(t *testing.T) {
 		{"KNN/k=0", func() error { _, _, err := eng.KNN(good, 0); return err }},
 		{"KNNCtx/wrong-dim", func() error { _, err := eng.KNNCtx(ctx, short, 3); return err }},
 		{"KNNCtx/k=-1", func() error { _, err := eng.KNNCtx(ctx, good, -1); return err }},
-		{"KNNWhere/nil-pred", func() error { _, _, err := eng.KNNWhere(good, 3, nil); return err }},
-		{"KNNWhereCtx/nil-pred", func() error { _, err := eng.KNNWhereCtx(ctx, good, 3, nil); return err }},
-		{"KNNWithLabel/wrong-dim", func() error { _, _, err := eng.KNNWithLabel(short, 3, "item-1"); return err }},
+		{"KNNWithLabel/wrong-dim", search(Query{Hist: short, K: 3, Where: labelIs("item-1")})},
 		{"Range/negative-eps", func() error { _, _, err := eng.Range(good, -1); return err }},
 		{"Range/nan-eps", func() error { _, _, err := eng.Range(good, math.NaN()); return err }},
-		{"RangeCtx/wrong-dim", func() error { _, _, err := eng.RangeCtx(ctx, short, 1); return err }},
-		{"RangeIDs/negative-eps", func() error { _, err := eng.RangeIDs(good, -1); return err }},
-		{"RangeIDsCtx/wrong-dim", func() error { _, err := eng.RangeIDsCtx(ctx, short, 1); return err }},
-		{"BatchKNN/empty", func() error { _, err := eng.BatchKNN(nil, 3, 1); return err }},
-		{"BatchKNN/k=0", func() error { _, err := eng.BatchKNN([]Histogram{good}, 0, 1); return err }},
-		{"BatchKNNCtx/empty", func() error { _, err := eng.BatchKNNCtx(ctx, nil, 3, 1); return err }},
-		{"Distance/out-of-range", func() error { _, err := eng.Distance(good, 10_000); return err }},
-		{"Distance/negative-index", func() error { _, err := eng.Distance(good, -1); return err }},
-		{"DistanceCtx/wrong-dim", func() error { _, err := eng.DistanceCtx(ctx, short, 0); return err }},
+		{"RangeCtx/wrong-dim", search(Query{Hist: short, Range: true, Eps: 1})},
+		{"RangeIDs/negative-eps", search(Query{Hist: good, Range: true, Eps: -1, IDsOnly: true})},
+		{"RangeIDsCtx/wrong-dim", search(Query{Hist: short, Range: true, Eps: 1, IDsOnly: true})},
+		{"BatchKNN/k=0", batch(engSearch, Query{Hist: good})},
+		{"Search/k=-1", search(Query{Hist: good, K: -1})},
+		{"Search/zero-value", search(Query{})},
+		{"Search/knn-ids-only", search(Query{Hist: good, K: 3, IDsOnly: true})},
+		{"Search/knn-with-eps", search(Query{Hist: good, K: 3, Eps: 0.5})},
+		{"Search/range-with-k", search(Query{Hist: good, Range: true, Eps: 0.5, K: 3})},
+		{"Search/range-k=-1", search(Query{Hist: good, Range: true, Eps: 0.5, K: -1})},
+		{"Search/range-nan-eps", search(Query{Hist: good, Range: true, Eps: math.NaN(), IDsOnly: true})},
+		{"Search/range-negative-inf-eps", search(Query{Hist: good, Range: true, Eps: math.Inf(-1)})},
+		{"Rank/wrong-dim", func() error { _, err := eng.Rank(ctx, short); return err }},
+		{"ApproxKNN/k=0", func() error { _, _, err := eng.ApproxKNN(ctx, good, 0); return err }},
+		{"ApproxKNN/wrong-dim", func() error { _, _, err := eng.ApproxKNN(ctx, short, 3); return err }},
+		{"EpsilonForCount/count=0", func() error { _, err := eng.EpsilonForCount(ctx, good, 0); return err }},
+		{"EpsilonForCount/wrong-dim", func() error { _, err := eng.EpsilonForCount(ctx, short, 3); return err }},
+		{"DistanceDistribution/sample=0", func() error { _, err := eng.DistanceDistribution(ctx, good, 0); return err }},
+		{"DistanceDistribution/wrong-dim", func() error { _, err := eng.DistanceDistribution(ctx, short, 3); return err }},
+		{"Distance/out-of-range", func() error { _, err := eng.Distance(ctx, good, 10_000); return err }},
+		{"Distance/negative-index", func() error { _, err := eng.Distance(ctx, good, -1); return err }},
+		{"DistanceCtx/wrong-dim", func() error { _, err := eng.Distance(ctx, short, 0); return err }},
+		{"Explain/out-of-range", func() error { _, err := eng.Explain(ctx, good, 10_000, 0); return err }},
+		{"Explain/negative-index", func() error { _, err := eng.Explain(ctx, good, -1, 0); return err }},
+		{"Explain/topK=-1", func() error { _, err := eng.Explain(ctx, good, 0, -1); return err }},
+		{"Explain/wrong-dim", func() error { _, err := eng.Explain(ctx, short, 0, 0); return err }},
 		{"Gate.KNN/wrong-dim", func() error { _, err := gate.KNN(ctx, short, 3); return err }},
 		{"Gate.KNN/k=0", func() error { _, err := gate.KNN(ctx, good, 0); return err }},
-		{"Gate.Range/negative-eps", func() error { _, _, err := gate.Range(ctx, good, -1); return err }},
-		{"Gate.RangeIDs/wrong-dim", func() error { _, err := gate.RangeIDs(ctx, short, 1); return err }},
-		{"Gate.BatchKNN/empty", func() error { _, err := gate.BatchKNN(ctx, nil, 3, 1); return err }},
-		{"Gate.BatchKNN/k=0", func() error { _, err := gate.BatchKNN(ctx, []Histogram{good}, 0, 1); return err }},
+		{"Gate.Range/negative-eps", gateSearch(Query{Hist: good, Range: true, Eps: -1})},
+		{"Gate.RangeIDs/wrong-dim", gateSearch(Query{Hist: short, Range: true, Eps: 1, IDsOnly: true})},
+		{"Gate.BatchKNN/k=0", batch(func(q Query) (*KNNAnswer, error) { return gate.Search(ctx, q) }, Query{Hist: good})},
+		{"Gate.Search/knn-ids-only", gateSearch(Query{Hist: good, K: 3, IDsOnly: true})},
+		{"Gate.Search/range-with-k", gateSearch(Query{Hist: good, Range: true, Eps: 0.5, K: 3})},
+		{"ShardSet.KNN/k=0", func() error { _, err := set.KNN(ctx, setQueries[0], 0); return err }},
+		{"ShardSet.KNN/wrong-dim", func() error { _, err := set.KNN(ctx, short, 3); return err }},
+		{"ShardSet.Range/nan-eps", func() error { _, err := set.Range(ctx, setQueries[0], math.NaN()); return err }},
+		{"ShardSet.Range/wrong-dim", func() error { _, err := set.Range(ctx, short, 1); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,18 +146,6 @@ func TestBadQueryAllEntryPoints(t *testing.T) {
 				t.Fatalf("err = %v, does not wrap ErrBadQuery", err)
 			}
 		})
-	}
-	// A malformed query inside an otherwise valid batch surfaces on
-	// that entry only, also as ErrBadQuery.
-	res, err := eng.BatchKNN([]Histogram{good, short}, 3, 2)
-	if err != nil {
-		t.Fatalf("batch with one bad query failed wholesale: %v", err)
-	}
-	if res[0].Err != nil {
-		t.Fatalf("good batch entry errored: %v", res[0].Err)
-	}
-	if !errors.Is(res[1].Err, ErrBadQuery) {
-		t.Fatalf("bad batch entry err = %v, want ErrBadQuery", res[1].Err)
 	}
 }
 
@@ -157,14 +196,14 @@ func TestPanicContainment(t *testing.T) {
 			// channel.
 			goroutines, panicsBefore := runtime.NumGoroutine(), eng.Metrics().QueryPanics
 			calls := 0
-			_, _, err = eng.KNNWhere(q, 5, func(int) bool {
+			_, _, err = knnWhere(eng, q, 5, func(int) bool {
 				if calls++; calls == 3 {
 					panic("injected predicate fault")
 				}
 				return true
 			})
 			if !errors.Is(err, ErrInternal) {
-				t.Fatalf("KNNWhere with a panicking predicate: err = %v, want ErrInternal", err)
+				t.Fatalf("k-NN with a panicking predicate: err = %v, want ErrInternal", err)
 			}
 			if got := eng.Metrics().QueryPanics; got != panicsBefore+1 {
 				t.Fatalf("QueryPanics = %d after the predicate fault, want %d", got, panicsBefore+1)
@@ -253,7 +292,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 			t.Fatalf("fault %d: err = %v, want ErrInternal", i, err)
 		}
 	}
-	if st := gate.BreakerState(); st != "open" {
+	if st := gate.Metrics().BreakerState; st != "open" {
 		t.Fatalf("breaker %s after %d faults, want open", st, 2)
 	}
 
@@ -275,11 +314,12 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		}
 	}
 	// Open: range queries have no solve-free form, so they shed.
-	if _, _, err := gate.Range(ctx, q, 0.5); !errors.Is(err, ErrOverloaded) {
+	rq := Query{Hist: q, Range: true, Eps: 0.5}
+	if _, err := gate.Search(ctx, rq); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Range with breaker open: err = %v, want ErrOverloaded", err)
 	}
 	var oe *OverloadError
-	_, _, err = gate.Range(ctx, q, 0.5)
+	_, err = gate.Search(ctx, rq)
 	if !errors.As(err, &oe) || oe.RetryAfter <= 0 {
 		t.Fatalf("breaker-open shed carries no retry-after: %v", err)
 	}
@@ -295,7 +335,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if ans.Degraded {
 		t.Fatal("probe query degraded, want exact")
 	}
-	if st := gate.BreakerState(); st != "closed" {
+	if st := gate.Metrics().BreakerState; st != "closed" {
 		t.Fatalf("breaker %s after clean probe, want closed", st)
 	}
 	if got := gate.Metrics().BreakerTrips; got != 1 {
@@ -304,11 +344,11 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 }
 
 // TestGateChaosUnderMutation is the race harness for the whole
-// overload layer: gate-admitted KNN, Range and BatchKNN run against
-// concurrent Add, Delete and Checkpoint with randomly injected solver
-// panics, and every single query must resolve to exactly one of a
-// full result, a certified degraded answer, or a typed error. Run
-// with -race in CI.
+// overload layer: gate-admitted k-NN, range, membership and concurrent
+// pairs of k-NN queries run against concurrent Add, Delete and
+// Checkpoint with randomly injected solver panics, and every single
+// query must resolve to exactly one of a full result, a certified
+// degraded answer, or a typed error. Run with -race in CI.
 func TestGateChaosUnderMutation(t *testing.T) {
 	var ctr atomic.Uint64
 	var chaos atomic.Bool
@@ -355,7 +395,7 @@ func TestGateChaosUnderMutation(t *testing.T) {
 		unresolved atomic.Int64
 		outcomes   [4]atomic.Int64 // ok, degraded, typed error, shed
 	)
-	classifyKNN := func(ans *KNNAnswer, err error) {
+	classify := func(ans *KNNAnswer, err error) {
 		switch {
 		case err == nil && ans != nil && !ans.Degraded:
 			outcomes[0].Add(1)
@@ -405,36 +445,16 @@ func TestGateChaosUnderMutation(t *testing.T) {
 			for i := 0; i < queriesPer; i++ {
 				q := randHist(qrng, d)
 				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
-					classifyKNN(gate.KNN(ctx, q, 5))
+					classify(gate.KNN(ctx, q, 5))
 				case 1:
-					res, _, err := gate.Range(ctx, q, 0.3)
-					switch {
-					case err == nil:
-						outcomes[0].Add(1)
-						_ = res
-					case errors.Is(err, ErrOverloaded):
-						outcomes[3].Add(1)
-					case errors.Is(err, ErrInternal), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-						outcomes[2].Add(1)
-					default:
-						unresolved.Add(1)
-					}
+					classify(gate.Search(ctx, Query{Hist: q, Range: true, Eps: 0.3}))
 				case 2:
-					batch, err := gate.BatchKNN(ctx, []Histogram{q, randHist(qrng, d)}, 3, 2)
-					if err != nil {
-						if errors.Is(err, ErrOverloaded) {
-							outcomes[3].Add(1)
-						} else {
-							unresolved.Add(1)
-						}
-						cancel()
-						continue
-					}
-					for _, br := range batch {
-						classifyKNN(br.Answer, br.Err)
-					}
+					classify(gate.Search(ctx, Query{Hist: q, Range: true, Eps: 0.3, IDsOnly: true}))
+				case 3:
+					pair := []Histogram{q, randHist(qrng, d)}
+					concurrently(len(pair), func(j int) { classify(gate.KNN(ctx, pair[j], 3)) })
 				}
 				cancel()
 			}
@@ -449,7 +469,7 @@ func TestGateChaosUnderMutation(t *testing.T) {
 	}
 	t.Logf("outcomes: ok=%d degraded=%d typed-error=%d shed=%d breaker=%s trips=%d",
 		outcomes[0].Load(), outcomes[1].Load(), outcomes[2].Load(), outcomes[3].Load(),
-		gate.BreakerState(), gate.Metrics().BreakerTrips)
+		gate.Metrics().BreakerState, gate.Metrics().BreakerTrips)
 	if outcomes[0].Load() == 0 {
 		t.Fatal("no query ever fully succeeded under chaos")
 	}
@@ -535,12 +555,13 @@ func TestGateShedsFast(t *testing.T) {
 	}
 }
 
-// TestGateBatchKNNMixedOutcomes drives a batch through a gate sized
-// for exactly one running and one queued query, with slow refinements
-// and an aggressive degrade policy, so one batch mixes all three
-// per-query outcomes: served in full, served degraded, and shed with
-// ErrOverloaded. Each entry must resolve independently — no error or
-// partial answer may leak into a sibling's slot.
+// TestGateBatchKNNMixedOutcomes drives a batch of concurrent k-NN
+// queries through a gate sized for exactly one running and one queued
+// query, with slow refinements and an aggressive degrade policy, so one
+// batch mixes all three per-query outcomes: served in full, served
+// degraded, and shed with ErrOverloaded. Each entry must resolve
+// independently — no error or partial answer may leak into a sibling's
+// slot.
 func TestGateBatchKNNMixedOutcomes(t *testing.T) {
 	d := 8
 	rng := rand.New(rand.NewSource(31))
@@ -572,19 +593,18 @@ func TestGateBatchKNNMixedOutcomes(t *testing.T) {
 	for i := range queries {
 		queries[i] = randHist(rng, d)
 	}
-	out, err := gate.BatchKNN(context.Background(), queries, k, batch)
-	if err != nil {
-		t.Fatal(err)
+	type entry struct {
+		Answer *KNNAnswer
+		Err    error
 	}
-	if len(out) != batch {
-		t.Fatalf("%d entries for %d queries", len(out), batch)
-	}
+	out := make([]entry, batch)
+	concurrently(batch, func(i int) {
+		ans, err := gate.Search(context.Background(), Query{Hist: queries[i], K: k})
+		out[i] = entry{ans, err}
+	})
 
 	ok, degraded, shed := 0, 0, 0
 	for i, r := range out {
-		if r.Query != i {
-			t.Fatalf("entry %d labeled query %d", i, r.Query)
-		}
 		switch {
 		case r.Err != nil:
 			if !errors.Is(r.Err, ErrOverloaded) {

@@ -1,6 +1,7 @@
 package emdsearch
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -79,7 +80,7 @@ func TestHierarchyCascadeMonotoneQuick(t *testing.T) {
 					}
 					prev = d
 				}
-				exact, err := eng.Distance(q, vi)
+				exact, err := eng.Distance(context.Background(), q, vi)
 				if err != nil {
 					t.Log(err)
 					return false
@@ -100,7 +101,7 @@ func TestHierarchyCascadeMonotoneQuick(t *testing.T) {
 			}
 			want := make([]Result, len(vecs))
 			for i := range vecs {
-				d, err := eng.Distance(q, i)
+				d, err := eng.Distance(context.Background(), q, i)
 				if err != nil {
 					t.Log(err)
 					return false

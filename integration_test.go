@@ -2,6 +2,7 @@ package emdsearch
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -94,27 +95,24 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	// 2. Batch queries agree with individual ones.
-	batch, err := loaded.BatchKNN(queries, k, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, br := range batch {
-		if br.Err != nil {
-			t.Fatalf("batch query %d: %v", qi, br.Err)
+	batch, errs := batchKNN(loaded, queries, k)
+	for qi := range queries {
+		if errs[qi] != nil {
+			t.Fatalf("batch query %d: %v", qi, errs[qi])
 		}
 		single, _, err := loaded.KNN(queries[qi], k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range single {
-			if br.Results[i] != single[i] {
+			if batch[qi][i] != single[i] {
 				t.Fatalf("batch query %d result %d mismatch", qi, i)
 			}
 		}
 	}
 
 	// 3. Epsilon targeting and range queries.
-	eps, err := loaded.EpsilonForCount(q, 10)
+	eps, err := loaded.EpsilonForCount(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +123,16 @@ func TestFullLifecycle(t *testing.T) {
 	if len(rangeResults) < 10 {
 		t.Fatalf("EpsilonForCount(10) radius returned %d results", len(rangeResults))
 	}
-	ids, err := loaded.RangeIDs(q, eps)
+	ids, err := rangeIDs(context.Background(), loaded, q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != len(rangeResults) {
-		t.Fatalf("RangeIDs %d vs Range %d", len(ids), len(rangeResults))
+		t.Fatalf("ids-only range %d vs Range %d", len(ids), len(rangeResults))
 	}
 
 	// 4. Approximate search certificate brackets the true k-th.
-	_, cert, err := loaded.ApproxKNN(q, k)
+	_, cert, err := loaded.ApproxKNN(context.Background(), q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +169,7 @@ func TestFullLifecycle(t *testing.T) {
 
 	// 6. Faceted query stays within the label.
 	label := loaded.Label(want[0].Index)
-	faceted, _, err := loaded.KNNWithLabel(q, 3, label)
+	faceted, _, err := resultsOf(loaded.Search(context.Background(), Query{Hist: q, K: 3, Where: labelIs(label)}))
 	if err != nil {
 		t.Fatal(err)
 	}

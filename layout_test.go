@@ -125,7 +125,7 @@ func sameResults(t *testing.T, layout, api string, got, want []Result) {
 // live database, covering every item rather than just the top k.
 func fullRanking(t *testing.T, eng *Engine, q Histogram) []Result {
 	t.Helper()
-	r, err := eng.Rank(q)
+	r, err := eng.Rank(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 		}
 		wantKNN, wantWhere := brute[:k], bruteForce(t, oracle, q, pred)[:k]
 		wantBatch[qi] = wantKNN
-		eps, err := oracle.EpsilonForCount(q, 15)
+		eps, err := oracle.EpsilonForCount(context.Background(), q, 15)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 			}
 			sameResults(t, name, "Range", gotRange, wantRange)
 
-			gotWhere, _, err := eng.KNNWhere(q, k, pred)
+			gotWhere, _, err := knnWhere(eng, q, k, pred)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,18 +220,15 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 		}
 	}
 
-	// BatchKNN across all queries at once, per variant.
+	// All queries at once, concurrently, per variant.
 	for vi, eng := range engines {
 		name := variants[vi].name
-		gotBatch, err := eng.BatchKNN(queries, k, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for bi, b := range gotBatch {
-			if b.Err != nil {
-				t.Fatalf("%s: batch query %d: %v", name, bi, b.Err)
+		gotBatch, errs := batchKNN(eng, queries, k)
+		for bi := range queries {
+			if errs[bi] != nil {
+				t.Fatalf("%s: batch query %d: %v", name, bi, errs[bi])
 			}
-			sameResults(t, name, "BatchKNN", b.Results, wantBatch[bi])
+			sameResults(t, name, "BatchKNN", gotBatch[bi], wantBatch[bi])
 		}
 	}
 }

@@ -29,9 +29,8 @@ type StageMetrics struct {
 // ShardSet.PublishExpvar do the same for their layers).
 type Metrics struct {
 	// KNNQueries, RangeQueries and RankQueries count successfully
-	// served queries by kind (BatchKNN contributes to KNNQueries, one
-	// per query in the batch; KNNWhere and KNNWithLabel also count as
-	// KNN queries).
+	// served queries by kind (a Search with a predicate counts under
+	// its verb; an ids-only query is a range query).
 	KNNQueries   int64 `json:"knn_queries"`
 	RangeQueries int64 `json:"range_queries"`
 	RankQueries  int64 `json:"rank_queries"`

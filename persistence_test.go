@@ -123,7 +123,7 @@ func TestSaveLoadPersistsDeletes(t *testing.T) {
 			t.Fatalf("KNN over loaded engine returned deleted item %d", r.Index)
 		}
 	}
-	if eps, err := loaded.EpsilonForCount(q, 10); err != nil {
+	if eps, err := loaded.EpsilonForCount(context.Background(), q, 10); err != nil {
 		t.Fatal(err)
 	} else {
 		rr, _, err := loaded.Range(q, eps)

@@ -21,19 +21,18 @@ import (
 // snapshot, so this is cheap).
 type Ranking struct {
 	inner search.Ranking
-	// ctx, when set by RankCtx, stops the stream early: once it is
-	// cancelled Next reports exhaustion before refining anything
-	// further. Checked before each pull, never mid-solve, so every
-	// yielded distance is exact.
+	// ctx stops the stream early: once it is cancelled Next reports
+	// exhaustion before refining anything further. Checked before each
+	// pull, never mid-solve, so every yielded distance is exact.
 	ctx context.Context
 }
 
 // Next returns the next closest item and its exact EMD, or ok = false
-// when the database is exhausted (or, for a RankCtx stream, when the
-// context has been cancelled).
+// when the database is exhausted or the ranking's context has been
+// cancelled.
 func (r *Ranking) Next() (index int, dist float64, ok bool) {
 	for {
-		if r.ctx != nil && r.ctx.Err() != nil {
+		if r.ctx.Err() != nil {
 			return 0, 0, false
 		}
 		c, ok := r.inner.Next()
@@ -52,7 +51,12 @@ func (r *Ranking) Next() (index int, dist float64, ok bool) {
 // "filter" is the exact EMD itself — since every prior stage
 // lower-bounds it, the chained ranking (Figure 12 of the paper) emits
 // items in true EMD order while refining lazily.
-func (e *Engine) Rank(q Histogram) (*Ranking, error) {
+//
+// The stream is bound to ctx: once ctx is cancelled Next reports
+// exhaustion at the next pull, so an abandoned browse stops doing
+// exact-EMD work. Cancellation never truncates a solve mid-flight on
+// this path, so every item yielded before it is exact.
+func (e *Engine) Rank(ctx context.Context, q Histogram) (*Ranking, error) {
 	if err := e.validateQuery(q); err != nil {
 		e.metrics.queryError()
 		return nil, err
@@ -77,5 +81,5 @@ func (e *Engine) Rank(q Histogram) (*Ranking, error) {
 		return s.refine(q, i, math.Inf(1), nil).Dist, false
 	}, nil)
 	e.metrics.rankStarted()
-	return &Ranking{inner: exact}, nil
+	return &Ranking{inner: exact, ctx: ctx}, nil
 }

@@ -1,6 +1,7 @@
 package emdsearch
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -9,7 +10,7 @@ import (
 func TestRankStreamsInExactOrder(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 100)
 	q := queries[0]
-	r, err := eng.Rank(q)
+	r, err := eng.Rank(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestRankMatchesKNNPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := eng.Rank(q)
+	r, err := eng.Rank(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestRankMatchesKNNPrefix(t *testing.T) {
 
 func TestRankScanEngine(t *testing.T) {
 	eng, queries := buildEngine(t, Options{}, 40)
-	r, err := eng.Rank(queries[0])
+	r, err := eng.Rank(context.Background(), queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRankScanEngine(t *testing.T) {
 
 func TestRankValidation(t *testing.T) {
 	eng, _ := buildEngine(t, Options{ReducedDims: 4, SampleSize: 8}, 20)
-	if _, err := eng.Rank(Histogram{0.5, 0.5}); err == nil {
+	if _, err := eng.Rank(context.Background(), Histogram{0.5, 0.5}); err == nil {
 		t.Error("accepted wrong-dimensional query")
 	}
 }

@@ -1,6 +1,7 @@
 package emdsearch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -20,7 +21,7 @@ func TestEpsilonForCountAfterDelete(t *testing.T) {
 
 	// Delete the 40 items nearest to q — exactly the ones whose small
 	// upper bounds used to drag the radius down after deletion.
-	rank, err := eng.Rank(q)
+	rank, err := eng.Rank(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestEpsilonForCountAfterDelete(t *testing.T) {
 	}
 
 	const count = 30
-	eps, err := eng.EpsilonForCount(q, count)
+	eps, err := eng.EpsilonForCount(context.Background(), q, count)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +58,10 @@ func TestEpsilonForCountAfterDelete(t *testing.T) {
 	if live != eng.Len()-40 {
 		t.Fatalf("Alive() = %d, want %d", live, eng.Len()-40)
 	}
-	if _, err := eng.EpsilonForCount(q, live); err != nil {
+	if _, err := eng.EpsilonForCount(context.Background(), q, live); err != nil {
 		t.Fatalf("EpsilonForCount(live=%d): %v", live, err)
 	}
-	if _, err := eng.EpsilonForCount(q, live+1); err == nil {
+	if _, err := eng.EpsilonForCount(context.Background(), q, live+1); err == nil {
 		t.Fatalf("EpsilonForCount accepted count %d > live %d", live+1, live)
 	}
 }
@@ -89,7 +90,7 @@ func TestDistanceDistributionExcludesDeleted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, err := eng.DistanceDistribution(q, 50)
+	d, err := eng.DistanceDistribution(context.Background(), q, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestDistanceDistributionStrideAfterDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, err := eng.DistanceDistribution(q, 40)
+	d, err := eng.DistanceDistribution(context.Background(), q, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestDistanceDistributionStrideAfterDelete(t *testing.T) {
 			}
 		}
 	}
-	if _, err := eng.DistanceDistribution(q, 10); err == nil {
+	if _, err := eng.DistanceDistribution(context.Background(), q, 10); err == nil {
 		t.Fatal("DistanceDistribution on an all-deleted database did not error")
 	}
 }
@@ -159,7 +160,7 @@ func TestKNNWithLabelConcurrentAdd(t *testing.T) {
 			defer wg.Done()
 			q := queries[w%len(queries)]
 			for iter := 0; iter < 60; iter++ {
-				res, _, err := eng.KNNWithLabel(q, 5, label)
+				res, _, err := resultsOf(eng.Search(context.Background(), Query{Hist: q, K: 5, Where: labelIs(label)}))
 				if err != nil {
 					errs <- err
 					return
@@ -168,7 +169,7 @@ func TestKNNWithLabelConcurrentAdd(t *testing.T) {
 					// Labels are immutable once assigned, so the live
 					// read is safe for verification here.
 					if got := eng.Label(r.Index); got != label {
-						errs <- fmt.Errorf("KNNWithLabel(%q) returned item %d labelled %q", label, r.Index, got)
+						errs <- fmt.Errorf("k-NN within label %q returned item %d labelled %q", label, r.Index, got)
 						return
 					}
 				}
@@ -223,12 +224,12 @@ func TestKNNWhereBoundedMatchesUnbounded(t *testing.T) {
 
 	pred := func(i int) bool { return i%3 != 0 }
 	for _, q := range queries {
-		want, _, err := engU.KNNWhere(q, 7, pred)
+		want, _, err := knnWhere(engU, q, 7, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, eng := range map[string]*Engine{"bounded": engB, "parallel": engP} {
-			got, _, err := eng.KNNWhere(q, 7, pred)
+			got, _, err := knnWhere(eng, q, 7, pred)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,13 +270,13 @@ func TestRangeIDsBoundedMatchesUnbounded(t *testing.T) {
 	engP, _ := buildEngine(t, optsP, n)
 
 	q := queries[0]
-	dd, err := engB.DistanceDistribution(q, 32)
+	dd, err := engB.DistanceDistribution(context.Background(), q, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []float64{0.1, 0.3, 0.6} {
 		eps := dd.Quantile(p)
-		want, err := engU.RangeIDs(q, eps)
+		want, err := rangeIDs(context.Background(), engU, q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +294,7 @@ func TestRangeIDsBoundedMatchesUnbounded(t *testing.T) {
 			t.Fatalf("eps %v: Range finds %d items, unbounded RangeIDs %d", eps, len(fromRange), len(want))
 		}
 		for name, eng := range map[string]*Engine{"bounded": engB, "parallel": engP} {
-			got, err := eng.RangeIDs(q, eps)
+			got, err := rangeIDs(context.Background(), eng, q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -269,7 +269,7 @@ func TestReplicaLaggingFollowerDegraded(t *testing.T) {
 	// The stale slice is still exact over what the follower holds:
 	// byte-identical to the reference excluding exactly the missed
 	// mutations.
-	want, _, err := single.KNNWhere(q, k, func(gid int) bool { return !missed[gid] })
+	want, _, err := knnWhere(single, q, k, func(gid int) bool { return !missed[gid] })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func assertSoundIntervals(t *testing.T, tag string, single *Engine, q Histogram,
 // the single engine's KNN over only the surviving shards' items.
 func restrictedKNN(t *testing.T, single *Engine, q Histogram, k, shards int, failed map[int]bool) []Result {
 	t.Helper()
-	res, _, err := single.KNNWhere(q, k, func(gid int) bool { return !failed[gid%shards] })
+	res, _, err := knnWhere(single, q, k, func(gid int) bool { return !failed[gid%shards] })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,13 +214,6 @@ type ShardRangeAnswer struct {
 	Outcomes   []ShardOutcome
 }
 
-// ShardBatchResult is the outcome of one query in a sharded batch.
-type ShardBatchResult struct {
-	Query  int
-	Answer *ShardAnswer
-	Err    error
-}
-
 // ShardSet partitions a corpus across N gated engines and serves
 // scatter-gather queries over the union. Placement is round-robin by
 // insertion order: global id g lives on shard g % N at local index
@@ -497,7 +490,7 @@ func (s *ShardSet) account(outs []shardset.Outcome[shardServe]) []ShardOutcome {
 			HedgeWon:   o.HedgeWon,
 			Skipped:    o.Skipped,
 			FailedOver: o.FailedOver,
-			Degraded:   o.Err == nil && o.Value.degraded,
+			Degraded:   o.Err == nil && o.Value.ans.Degraded,
 		}
 		if o.Err != nil {
 			rendered[i].Err = o.Err.Error()
@@ -506,18 +499,14 @@ func (s *ShardSet) account(outs []shardset.Outcome[shardServe]) []ShardOutcome {
 	return rendered
 }
 
-// shardServe is one shard's served answer inside a scatter: exactly
-// one of knn/rng is set, plus whether the shard degraded. appliedLSN
-// is meaningful only on a failed-over outcome: the follower's applied
-// LSN captured BEFORE its query dispatched, so the snapshot the
-// follower served from contains at least those mutations and the
-// freshness bound computed against the primary's LSN at merge time is
-// sound.
+// shardServe is one shard's served answer inside a scatter.
+// appliedLSN is meaningful only on a failed-over outcome: the
+// follower's applied LSN captured BEFORE its query dispatched, so the
+// snapshot the follower served from contains at least those mutations
+// and the freshness bound computed against the primary's LSN at merge
+// time is sound.
 type shardServe struct {
-	knn        *KNNAnswer
-	rng        []Result
-	rngStats   *QueryStats
-	degraded   bool
+	ans        *KNNAnswer
 	appliedLSN int64
 }
 
@@ -527,16 +516,36 @@ type shardServe struct {
 // other condition — including every shard degrading — returns a
 // certified (possibly partial) answer with a nil error.
 func (s *ShardSet) KNN(ctx context.Context, q Histogram, k int) (*ShardAnswer, error) {
-	if err := s.engineAt(0).validateKNN(q, k); err != nil {
+	return s.search(ctx, Query{Hist: q, K: k})
+}
+
+// Range answers a range query across all shards: the union of the
+// shards' certified results, sorted by (distance, global id). Every
+// returned item is individually certified within eps, so degraded
+// answers are sound, only possibly incomplete. Errors are as for KNN.
+func (s *ShardSet) Range(ctx context.Context, q Histogram, eps float64) (*ShardRangeAnswer, error) {
+	ans, err := s.search(ctx, Query{Hist: q, Range: true, Eps: eps})
+	if ans == nil {
+		return nil, err
+	}
+	return &ShardRangeAnswer{Results: ans.Results, Degraded: ans.Degraded, Coverage: ans.Coverage,
+		Stats: ans.Stats, ShardStats: ans.ShardStats, Outcomes: ans.Outcomes}, err
+}
+
+// search is the one scatter-gather path: k-NN and range queries share
+// the scatter, the failover closure and the merge. A k-NN scatter joins
+// every shard to one cross-shard neighbor set, so each prunes against
+// the global k-th distance.
+func (s *ShardSet) search(ctx context.Context, q Query) (*ShardAnswer, error) {
+	if err := s.engineAt(0).validate(q); err != nil {
 		return nil, err
 	}
 	s.queries.Add(1)
-	var shared *search.SharedKNN
-	if !s.opts.disableSharedThreshold {
-		var err error
-		if shared, err = search.NewSharedKNN(k); err != nil {
-			return nil, badQueryf("%v", err)
-		}
+	op := "knn"
+	if q.Range {
+		op = "range"
+	} else if !s.opts.disableSharedThreshold {
+		q.shared, _ = search.NewSharedKNN(q.K) // cannot fail: K >= 1 was validated
 	}
 	sctx, cancel := shardset.CarveBudget(ctx, s.opts.MergeReserve, s.opts.ShardTimeout)
 	defer cancel()
@@ -544,23 +553,46 @@ func (s *ShardSet) KNN(ctx context.Context, q Histogram, k int) (*ShardAnswer, e
 	outs := shardset.ScatterFailover(sctx, len(s.gates), s.health, s.scatterConfig(),
 		func(ctx context.Context, shard, try int) (shardServe, error) {
 			if h := s.opts.ShardHook; h != nil {
-				if err := h(ctx, shard, try, "knn"); err != nil {
+				if err := h(ctx, shard, try, op); err != nil {
 					return shardServe{}, err
 				}
 			}
-			ans, err := s.gateAt(shard).knnShared(ctx, q, k, shared, s.toGlobal(shard))
-			if err != nil {
-				if ans != nil && ans.Degraded {
-					// The budget expired mid-query: the certified partial
-					// answer is the shard's contribution, not a failure.
-					return shardServe{knn: ans, degraded: true}, nil
-				}
-				return shardServe{}, err
-			}
-			return shardServe{knn: ans, degraded: ans.Degraded}, nil
+			return s.serve(ctx, s.gateAt(shard), shard, q)
 		},
-		s.knnFailover(q, k, shared))
+		s.failover(q, op+"-failover"))
+	return s.merge(ctx, q, outs)
+}
 
+// serve runs q on one shard's gate — primary or follower — under the
+// shard's id mapping. A budget that expired mid-query leaves a
+// certified partial answer: that is the shard's contribution, not a
+// failure.
+func (s *ShardSet) serve(ctx context.Context, g *Gate, shard int, q Query) (shardServe, error) {
+	q.toGlobal = s.toGlobal(shard)
+	ans, err := g.Search(ctx, q)
+	if err != nil && (ans == nil || !ans.Degraded) {
+		return shardServe{}, err
+	}
+	return shardServe{ans: ans}, nil
+}
+
+// merge composes the shards' outcomes into one answer and its coverage
+// certificate. The rules are the same for both verbs:
+//
+//   - The pool of confirmed results is the union of the shards' results
+//     under global ids, plus — for k-NN — the shared set's, which keeps
+//     the sound contributions of shards that failed after offering.
+//     The union of per-shard local top-k contains the global top-k: an
+//     item with fewer than k better items globally has fewer than k
+//     better on its own shard. For range the union is the answer.
+//   - A failed shard is charged its whole slice minus the confirmed ids
+//     of its slice in the pool (for range there are none, so it is
+//     charged in full); a degraded shard is charged what it never
+//     pulled; a lagging follower its replication lag.
+//
+// The verbs differ only in the end: k-NN trims to k and, when
+// degraded, assembles the certified interval view.
+func (s *ShardSet) merge(ctx context.Context, q Query, outs []shardset.Outcome[shardServe]) (*ShardAnswer, error) {
 	ans := &ShardAnswer{
 		Stats:      &QueryStats{},
 		ShardStats: make([]*QueryStats, len(outs)),
@@ -569,30 +601,26 @@ func (s *ShardSet) KNN(ctx context.Context, q Histogram, k int) (*ShardAnswer, e
 	s.mu.Lock()
 	ans.Coverage = ShardCoverage{Shards: len(s.engines), ItemsTotal: s.total}
 	s.mu.Unlock()
+	cov := &ans.Coverage
 
-	// Merge: the union of per-shard local top-k (mapped to global ids)
-	// contains the global top-k — an item with fewer than k better
-	// items globally has fewer than k better on its own shard. The
-	// shared set's confirmed results join the pool too, preserving
-	// sound contributions from shards that failed after offering.
 	pool := map[int]float64{}
 	var anytime []AnytimeItem
 	for i, o := range outs {
 		if o.Err != nil {
-			ans.Coverage.ShardsFailed++
-			ans.Coverage.FailedShards = append(ans.Coverage.FailedShards, o.Shard)
+			cov.ShardsFailed++
+			cov.FailedShards = append(cov.FailedShards, o.Shard)
 			continue
 		}
-		sa := o.Value.knn
+		sa := o.Value.ans
 		toG := s.toGlobal(o.Shard)
 		for _, r := range sa.Results {
 			pool[toG(r.Index)] = r.Dist
 		}
-		lagging := s.certifyFreshness(&ans.Coverage, o)
-		if o.Value.degraded || lagging {
-			ans.Coverage.ShardsDegraded++
-			if o.Value.degraded {
-				ans.Coverage.ItemsUncovered += sa.Unpulled
+		lagging := s.certifyFreshness(cov, o)
+		if sa.Degraded || lagging {
+			cov.ShardsDegraded++
+			if sa.Degraded {
+				cov.ItemsUncovered += sa.Unpulled
 			}
 			for _, it := range sa.Anytime {
 				anytime = append(anytime, AnytimeItem{
@@ -600,21 +628,21 @@ func (s *ShardSet) KNN(ctx context.Context, q Histogram, k int) (*ShardAnswer, e
 				})
 			}
 		} else {
-			ans.Coverage.ShardsOK++
+			cov.ShardsOK++
 		}
 		ans.ShardStats[i] = sa.Stats
 		addStats(ans.Stats, sa.Stats)
 	}
-	if shared != nil {
-		for _, r := range shared.Results() {
+	if q.shared != nil {
+		for _, r := range q.shared.Results() {
 			pool[r.Index] = r.Dist
 		}
 	}
-	if ans.Coverage.ShardsOK+ans.Coverage.ShardsDegraded == 0 {
+	if cov.ShardsOK+cov.ShardsDegraded == 0 {
 		// No shard served: nothing from the pool is returned, so the
 		// certificate counts every failed shard in full.
-		for _, f := range ans.Coverage.FailedShards {
-			ans.Coverage.ItemsUncovered += shardLen(ans.Coverage.ItemsTotal, len(s.engines), f)
+		for _, f := range cov.FailedShards {
+			cov.ItemsUncovered += shardLen(cov.ItemsTotal, len(s.engines), f)
 		}
 		ans.Degraded = true
 		if err := firstHardErr(outs); err != nil {
@@ -623,20 +651,20 @@ func (s *ShardSet) KNN(ctx context.Context, q Histogram, k int) (*ShardAnswer, e
 		return ans, ctx.Err()
 	}
 	// Failed-shard coverage, counted against the completed pool: a
-	// shard that confirmed neighbors into the shared set before
-	// failing did examine them, and they survive into the merged
-	// answer — so they are not uncovered. What the shard examined
-	// without confirming is unknowable and stays counted (the
-	// certificate's conservative direction).
-	for _, f := range ans.Coverage.FailedShards {
-		uncovered := shardLen(ans.Coverage.ItemsTotal, len(s.engines), f)
+	// shard that confirmed neighbors into the shared set before failing
+	// did examine them, and they survive into the merged answer — so
+	// they are not uncovered. What the shard examined without confirming
+	// is unknowable and stays counted (the certificate's conservative
+	// direction).
+	for _, f := range cov.FailedShards {
+		uncovered := shardLen(cov.ItemsTotal, len(s.engines), f)
 		for gid := range pool {
 			if gid%len(s.engines) == f {
 				uncovered--
 			}
 		}
 		if uncovered > 0 {
-			ans.Coverage.ItemsUncovered += uncovered
+			cov.ItemsUncovered += uncovered
 		}
 	}
 
@@ -650,36 +678,42 @@ func (s *ShardSet) KNN(ctx context.Context, q Histogram, k int) (*ShardAnswer, e
 		}
 		return merged[a].Index < merged[b].Index
 	})
-	if len(merged) > k {
-		merged = merged[:k]
+	if !q.Range && len(merged) > q.K {
+		merged = merged[:q.K]
 	}
 	ans.Results = merged
 
-	if ans.Coverage.ShardsFailed > 0 || ans.Coverage.ShardsDegraded > 0 {
+	if cov.ShardsFailed > 0 || cov.ShardsDegraded > 0 {
 		ans.Degraded = true
 		s.degraded.Add(1)
-		// Compose the certified-interval view: every confirmed
-		// neighbor as a tight interval, plus the degraded shards'
-		// interval items, ranked by guaranteed worst case and trimmed
-		// to k — the same order assembleAnytime uses per engine.
-		for _, r := range merged {
-			anytime = append(anytime, AnytimeItem{Index: r.Index, Lower: r.Dist, Upper: r.Dist, Refined: true})
+		if !q.Range {
+			ans.Anytime = mergeAnytime(anytime, merged, q.K)
 		}
-		seen := map[int]bool{}
-		dedup := anytime[:0]
-		for _, it := range sortAnytime(anytime) {
-			if seen[it.Index] {
-				continue
-			}
-			seen[it.Index] = true
-			dedup = append(dedup, it)
-		}
-		if len(dedup) > k {
-			dedup = dedup[:k]
-		}
-		ans.Anytime = dedup
 	}
 	return ans, nil
+}
+
+// mergeAnytime composes a degraded k-NN scatter's certified-interval
+// view: every confirmed neighbor as a tight interval, plus the degraded
+// shards' interval items, ranked by guaranteed worst case and trimmed
+// to k — the same order assembleAnytime uses per engine.
+func mergeAnytime(anytime []AnytimeItem, confirmed []Result, k int) []AnytimeItem {
+	for _, r := range confirmed {
+		anytime = append(anytime, AnytimeItem{Index: r.Index, Lower: r.Dist, Upper: r.Dist, Refined: true})
+	}
+	seen := map[int]bool{}
+	dedup := anytime[:0]
+	for _, it := range sortAnytime(anytime) {
+		if seen[it.Index] {
+			continue
+		}
+		seen[it.Index] = true
+		dedup = append(dedup, it)
+	}
+	if len(dedup) > k {
+		dedup = dedup[:k]
+	}
+	return dedup
 }
 
 // sortAnytime orders interval items by (Upper, Lower, Index) with
@@ -760,114 +794,6 @@ func addStats(dst, src *QueryStats) {
 	if src.Workers > dst.Workers {
 		dst.Workers = src.Workers
 	}
-}
-
-// Range answers a range query across all shards: the union of the
-// shards' certified results, sorted by (distance, global id). Every
-// returned item is individually certified within eps, so degraded
-// answers are sound, only possibly incomplete.
-func (s *ShardSet) Range(ctx context.Context, q Histogram, eps float64) (*ShardRangeAnswer, error) {
-	if err := s.engineAt(0).validateRange(q, eps); err != nil {
-		return nil, err
-	}
-	s.queries.Add(1)
-	sctx, cancel := shardset.CarveBudget(ctx, s.opts.MergeReserve, s.opts.ShardTimeout)
-	defer cancel()
-
-	outs := shardset.ScatterFailover(sctx, len(s.gates), s.health, s.scatterConfig(),
-		func(ctx context.Context, shard, try int) (shardServe, error) {
-			if h := s.opts.ShardHook; h != nil {
-				if err := h(ctx, shard, try, "range"); err != nil {
-					return shardServe{}, err
-				}
-			}
-			res, stats, err := s.gateAt(shard).Range(ctx, q, eps)
-			if err != nil {
-				if stats != nil && stats.Cancelled {
-					return shardServe{rng: res, rngStats: stats, degraded: true}, nil
-				}
-				return shardServe{}, err
-			}
-			return shardServe{rng: res, rngStats: stats, degraded: stats != nil && stats.Cancelled}, nil
-		},
-		s.rangeFailover(q, eps))
-
-	ans := &ShardRangeAnswer{
-		Stats:      &QueryStats{},
-		ShardStats: make([]*QueryStats, len(outs)),
-		Outcomes:   s.account(outs),
-	}
-	s.mu.Lock()
-	ans.Coverage = ShardCoverage{Shards: len(s.engines), ItemsTotal: s.total}
-	s.mu.Unlock()
-
-	var merged []Result
-	for i, o := range outs {
-		if o.Err != nil {
-			ans.Coverage.ShardsFailed++
-			ans.Coverage.FailedShards = append(ans.Coverage.FailedShards, o.Shard)
-			ans.Coverage.ItemsUncovered += shardLen(ans.Coverage.ItemsTotal, len(s.engines), o.Shard)
-			continue
-		}
-		toG := s.toGlobal(o.Shard)
-		for _, r := range o.Value.rng {
-			merged = append(merged, Result{Index: toG(r.Index), Dist: r.Dist})
-		}
-		lagging := s.certifyFreshness(&ans.Coverage, o)
-		if o.Value.degraded || lagging {
-			ans.Coverage.ShardsDegraded++
-			if st := o.Value.rngStats; o.Value.degraded && st != nil {
-				// The unexamined tail of the snapshot this shard
-				// actually searched — not live engine state, which
-				// races concurrent Adds and would mis-count.
-				if unpulled := st.SnapshotLen - st.Pulled; unpulled > 0 {
-					ans.Coverage.ItemsUncovered += unpulled
-				}
-			}
-		} else {
-			ans.Coverage.ShardsOK++
-		}
-		ans.ShardStats[i] = o.Value.rngStats
-		addStats(ans.Stats, o.Value.rngStats)
-	}
-	if ans.Coverage.ShardsOK+ans.Coverage.ShardsDegraded == 0 {
-		ans.Degraded = true
-		if err := firstHardErr(outs); err != nil {
-			return ans, err
-		}
-		return ans, ctx.Err()
-	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].Dist != merged[b].Dist {
-			return merged[a].Dist < merged[b].Dist
-		}
-		return merged[a].Index < merged[b].Index
-	})
-	ans.Results = merged
-	if ans.Coverage.ShardsFailed > 0 || ans.Coverage.ShardsDegraded > 0 {
-		ans.Degraded = true
-		s.degraded.Add(1)
-	}
-	return ans, nil
-}
-
-// BatchKNN answers many k-NN queries, each scattered across all
-// shards, using up to workers client goroutines (0 means GOMAXPROCS).
-// Entries resolve independently: one query's shed, degraded or failed
-// shards never contaminate another's answer.
-func (s *ShardSet) BatchKNN(ctx context.Context, queries []Histogram, k, workers int) ([]ShardBatchResult, error) {
-	if len(queries) == 0 {
-		return nil, badQueryf("empty batch")
-	}
-	if k < 1 {
-		return nil, badQueryf("k = %d, want >= 1", k)
-	}
-	out := make([]ShardBatchResult, len(queries))
-	runBatch(queries, workers, func(qi int) {
-		ans, err := s.KNN(ctx, queries[qi], k)
-		out[qi] = ShardBatchResult{Query: qi, Answer: ans, Err: err}
-	})
-	return out, nil
 }
 
 // ShardHealth is a point-in-time view of one shard's availability
@@ -1053,47 +979,4 @@ func OpenShardSet(dir string, cost CostMatrix, engOpts Options, opts ShardSetOpt
 	s.backoff = &shardset.Backoff{Base: opts.RetryBase, Cap: opts.RetryCap, Seed: opts.Seed}
 	s.initReplicas()
 	return s, stats, nil
-}
-
-// knnShared is the Gate's shard-path k-NN: Gate.KNN's admission,
-// degrade and breaker semantics with the engine search joined to the
-// cross-shard shared threshold. A nil shared set degenerates to
-// Gate.KNN exactly.
-func (g *Gate) knnShared(ctx context.Context, q Histogram, k int, shared *search.SharedKNN, toGlobal func(int) int) (*KNNAnswer, error) {
-	if err := g.e.validateKNN(q, k); err != nil {
-		g.e.metrics.queryError()
-		return nil, err
-	}
-	tk, err := g.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer tk.Release()
-
-	if !g.brk.Allow() {
-		g.degraded.Add(1)
-		return g.e.knnLBOnly(q, k)
-	}
-
-	qctx, cancel, gateOwned := g.budgetCtx(ctx, tk)
-	if cancel != nil {
-		defer cancel()
-	}
-	ans, err := g.e.knnSharedCtx(qctx, q, k, shared, toGlobal)
-	g.settle(err)
-	if err != nil && gateOwned && ans != nil && ans.Degraded && ctx.Err() == nil {
-		g.degraded.Add(1)
-		return ans, nil
-	}
-	return ans, err
-}
-
-// knnSharedCtx is Engine.KNNCtx joined to a cross-shard shared
-// neighbor set; with a nil shared set it is Engine.KNNCtx exactly.
-func (e *Engine) knnSharedCtx(ctx context.Context, q Histogram, k int, shared *search.SharedKNN, toGlobal func(int) int) (*KNNAnswer, error) {
-	s, err := e.knnSnapshot(q, k)
-	if err != nil {
-		return nil, err
-	}
-	return e.knnCtxOnSnap(ctx, s, search.KNNQuery{Q: q, K: k, Shared: shared, ToGlobal: toGlobal})
 }

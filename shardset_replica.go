@@ -8,7 +8,6 @@ import (
 
 	"emdsearch/internal/persist"
 	"emdsearch/internal/replica"
-	"emdsearch/internal/search"
 	"emdsearch/internal/shardset"
 )
 
@@ -185,12 +184,13 @@ func (s *ShardSet) replicaAt(shard int) *shardReplica {
 	return s.replicas[shard]
 }
 
-// knnFailover builds this query's follower re-dispatch closure, nil
-// when the set runs without replicas. The follower's applied LSN is
-// captured BEFORE its query dispatches: the snapshot the follower
-// serves from can only contain more, so the freshness bound computed
-// at merge time (primary LSN then, applied LSN now) is sound.
-func (s *ShardSet) knnFailover(q Histogram, k int, shared *search.SharedKNN) shardset.Failover[shardServe] {
+// failover builds this query's follower re-dispatch closure, nil when
+// the set runs without replicas; op is the ShardHook operation it
+// reports. The follower's applied LSN is captured BEFORE its query
+// dispatches: the snapshot the follower serves from can only contain
+// more, so the freshness bound computed at merge time (primary LSN
+// then, applied LSN now) is sound.
+func (s *ShardSet) failover(q Query, op string) shardset.Failover[shardServe] {
 	if s.replicas == nil {
 		return nil
 	}
@@ -202,46 +202,13 @@ func (s *ShardSet) knnFailover(q Histogram, k int, shared *search.SharedKNN) sha
 		}
 		applied := s.replicaAt(shard).ship.Status().AppliedLSN
 		if h := s.opts.ShardHook; h != nil {
-			if err := h(ctx, shard, 0, "knn-failover"); err != nil {
+			if err := h(ctx, shard, 0, op); err != nil {
 				return shardServe{}, err
 			}
 		}
-		ans, err := g.knnShared(ctx, q, k, shared, s.toGlobal(shard))
-		if err != nil {
-			if ans != nil && ans.Degraded {
-				return shardServe{knn: ans, degraded: true, appliedLSN: applied}, nil
-			}
-			return shardServe{}, err
-		}
-		return shardServe{knn: ans, degraded: ans.Degraded, appliedLSN: applied}, nil
-	}
-}
-
-// rangeFailover is knnFailover for range queries.
-func (s *ShardSet) rangeFailover(q Histogram, eps float64) shardset.Failover[shardServe] {
-	if s.replicas == nil {
-		return nil
-	}
-	return func(ctx context.Context, shard int) (shardServe, error) {
-		s.failovers.Add(1)
-		g := s.followerGate(shard)
-		if g == nil {
-			return shardServe{}, fmt.Errorf("emdsearch: shard %d follower not bootstrapped", shard)
-		}
-		applied := s.replicaAt(shard).ship.Status().AppliedLSN
-		if h := s.opts.ShardHook; h != nil {
-			if err := h(ctx, shard, 0, "range-failover"); err != nil {
-				return shardServe{}, err
-			}
-		}
-		res, stats, err := g.Range(ctx, q, eps)
-		if err != nil {
-			if stats != nil && stats.Cancelled {
-				return shardServe{rng: res, rngStats: stats, degraded: true, appliedLSN: applied}, nil
-			}
-			return shardServe{}, err
-		}
-		return shardServe{rng: res, rngStats: stats, degraded: stats != nil && stats.Cancelled, appliedLSN: applied}, nil
+		sv, err := s.serve(ctx, g, shard, q)
+		sv.appliedLSN = applied
+		return sv, err
 	}
 }
 

@@ -144,29 +144,25 @@ func TestShardSetRangeIdentity(t *testing.T) {
 	}
 }
 
-// TestShardSetBatchKNNIdentity: every batch entry matches the single
-// engine, and entries are independent.
+// TestShardSetBatchKNNIdentity: a batch of concurrent scatters — each
+// with its own cross-shard threshold — matches the single engine entry
+// by entry.
 func TestShardSetBatchKNNIdentity(t *testing.T) {
 	set, single, queries := buildShardPair(t, 3, 50, ShardSetOptions{})
-	out, err := set.BatchKNN(context.Background(), queries, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(queries) {
-		t.Fatalf("%d batch entries for %d queries", len(out), len(queries))
-	}
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("entry %d: %v", i, r.Err)
-		}
-		if r.Query != i {
-			t.Fatalf("entry %d labeled query %d", i, r.Query)
+	answers, errs := make([]*ShardAnswer, len(queries)), make([]error, len(queries))
+	concurrently(len(queries), func(i int) { answers[i], errs[i] = set.KNN(context.Background(), queries[i], 4) })
+	for i, ans := range answers {
+		if errs[i] != nil {
+			t.Fatalf("entry %d: %v", i, errs[i])
 		}
 		want, _, err := single.KNN(queries[i], 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResultBytes(t, "batch", r.Answer.Results, want)
+		if ans.Degraded {
+			t.Fatalf("entry %d degraded: %+v", i, ans.Coverage)
+		}
+		sameResultBytes(t, "batch", ans.Results, want)
 	}
 }
 
@@ -348,9 +344,6 @@ func TestShardSetValidation(t *testing.T) {
 	}
 	if _, err := set.Range(ctx, queries[0], -1); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("negative eps: %v", err)
-	}
-	if _, err := set.BatchKNN(ctx, nil, 3, 1); !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("empty batch: %v", err)
 	}
 	if m := set.Metrics(); m.Shards != 2 || m.Items != set.Len() {
 		t.Fatalf("metrics = %+v", m)

@@ -1,6 +1,7 @@
 package emdsearch
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -108,7 +109,7 @@ func TestEngineMetrics(t *testing.T) {
 	if _, _, err := eng.Range(q, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Rank(q); err != nil {
+	if _, err := eng.Rank(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := eng.KNN(Histogram{1}, 1); err == nil {
@@ -176,21 +177,21 @@ func TestEngineMetrics(t *testing.T) {
 func TestEngineDistanceErrors(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 4, SampleSize: 8}, 30)
 	q := queries[0]
-	if _, err := eng.Distance(Histogram{0.5, 0.5}, 0); err == nil {
+	if _, err := eng.Distance(context.Background(), Histogram{0.5, 0.5}, 0); err == nil {
 		t.Error("wrong-dimensional query accepted")
 	}
 	bad := make(Histogram, eng.Dim())
 	bad[0] = 2
-	if _, err := eng.Distance(bad, 0); err == nil {
+	if _, err := eng.Distance(context.Background(), bad, 0); err == nil {
 		t.Error("unnormalized query accepted")
 	}
-	if _, err := eng.Distance(q, -1); err == nil {
+	if _, err := eng.Distance(context.Background(), q, -1); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, err := eng.Distance(q, eng.Len()); err == nil {
+	if _, err := eng.Distance(context.Background(), q, eng.Len()); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	got, err := eng.Distance(q, 3)
+	got, err := eng.Distance(context.Background(), q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestThresholdAwareChainIdentity(t *testing.T) {
 		if a.knn, a.knnStats, err = eng.KNN(q, k); err != nil {
 			t.Fatal(err)
 		}
-		if a.where, a.whereStats, err = eng.KNNWhere(q, k, pred); err != nil {
+		if a.where, a.whereStats, err = knnWhere(eng, q, k, pred); err != nil {
 			t.Fatal(err)
 		}
 		if eps < 0 {
@@ -154,13 +154,11 @@ func TestThresholdAwareChainIdentity(t *testing.T) {
 				t.Fatalf("%s: no filter evaluation was answered by a bound; the suite proves nothing", name)
 			}
 
-			batch, err := eng.BatchKNN(queries, k, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			batch, errs := make([]*KNNAnswer, len(queries)), make([]error, len(queries))
+			concurrently(len(queries), func(i int) { batch[i], errs[i] = eng.KNNCtx(context.Background(), queries[i], k) })
 			for bi, b := range batch {
-				if b.Err != nil {
-					t.Fatalf("%s: batch query %d: %v", name, bi, b.Err)
+				if errs[bi] != nil {
+					t.Fatalf("%s: batch query %d: %v", name, bi, errs[bi])
 				}
 				sameResults(t, name, "BatchKNN", b.Results, wants[bi].knn)
 				if sequential {
@@ -243,19 +241,18 @@ func TestShardSetThresholdAwareIdentity(t *testing.T) {
 	if aborts == 0 {
 		t.Fatal("no shard answered a filter evaluation with a bound; the test proves nothing")
 	}
-	batch, err := set.BatchKNN(ctx, queries[3:], 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range batch {
-		if r.Err != nil {
-			t.Fatalf("batch entry %d: %v", i, r.Err)
+	batch := queries[3:]
+	answers, errs := make([]*ShardAnswer, len(batch)), make([]error, len(batch))
+	concurrently(len(batch), func(i int) { answers[i], errs[i] = set.KNN(ctx, batch[i], 4) })
+	for i, ans := range answers {
+		if errs[i] != nil {
+			t.Fatalf("batch entry %d: %v", i, errs[i])
 		}
-		want, _, err := oracle.KNN(queries[3+i], 4)
+		want, _, err := oracle.KNN(batch[i], 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResultBytes(t, "batch", r.Answer.Results, want)
+		sameResultBytes(t, "batch", ans.Results, want)
 	}
 }
 

@@ -1,6 +1,8 @@
 package emdsearch
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -11,7 +13,7 @@ func TestKNNWhereMatchesFilteredScan(t *testing.T) {
 	// Constrain to even indices; verify against a brute-force scan
 	// over the same subset.
 	pred := func(i int) bool { return i%2 == 0 }
-	got, _, err := eng.KNNWhere(q, 5, pred)
+	got, _, err := knnWhere(eng, q, 5, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestKNNWithLabel(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 120)
 	// Pick the label of item 0 and query within it.
 	label := eng.Label(0)
-	got, _, err := eng.KNNWithLabel(queries[0], 4, label)
+	got, _, err := resultsOf(eng.Search(context.Background(), Query{Hist: queries[0], K: 4, Where: labelIs(label)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestKNNWithLabel(t *testing.T) {
 		}
 	}
 	// Nonexistent label: empty result, no error.
-	none, _, err := eng.KNNWithLabel(queries[0], 4, "no-such-label")
+	none, _, err := resultsOf(eng.Search(context.Background(), Query{Hist: queries[0], K: 4, Where: labelIs("no-such-label")}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,31 +73,39 @@ func TestKNNWithLabel(t *testing.T) {
 	}
 }
 
+// TestKNNWhereValidation: a malformed histogram is rejected whatever
+// the predicate, and a nil Where is no restriction at all.
 func TestKNNWhereValidation(t *testing.T) {
 	eng, queries := buildEngine(t, Options{}, 20)
-	if _, _, err := eng.KNNWhere(queries[0], 3, nil); err == nil {
-		t.Error("accepted nil predicate")
+	if _, _, err := knnWhere(eng, Histogram{1}, 3, func(int) bool { return true }); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("bad query with a predicate: err = %v, want ErrBadQuery", err)
 	}
-	if _, _, err := eng.KNNWhere(Histogram{1}, 3, func(int) bool { return true }); err == nil {
-		t.Error("accepted bad query")
+	got, _, err := resultsOf(eng.Search(context.Background(), Query{Hist: queries[0], K: 3}))
+	if err != nil {
+		t.Fatal(err)
 	}
+	want, _, err := eng.KNN(queries[0], 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "nil-where", "Search", got, want)
 }
 
 func TestKNNWhereRespectsDeletion(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 6, SampleSize: 8}, 40)
 	q := queries[0]
-	all, _, err := eng.KNNWhere(q, 1, func(int) bool { return true })
+	all, _, err := knnWhere(eng, q, 1, func(int) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Delete(all[0].Index); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := eng.KNNWhere(q, 1, func(int) bool { return true })
+	after, _, err := knnWhere(eng, q, 1, func(int) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(after) > 0 && after[0].Index == all[0].Index {
-		t.Error("deleted item returned by KNNWhere")
+		t.Error("deleted item returned by a k-NN query with a predicate")
 	}
 }
