@@ -106,17 +106,20 @@ type Options struct {
 	// over the reduced EMD (under the metric closure of its ground
 	// matrix, so pruning is sound). Candidates are emitted in
 	// nondecreasing lower-bound order, so answers are provably
-	// identical to the scan path's. IndexAuto ("") builds an M-tree
+	// identical to the scan path's. IndexAuto ("") builds a VP-tree
 	// when the corpus looks indexable and falls back to the scan per
-	// query when it does not; IndexMTree/IndexVPTree force a kind;
-	// IndexOff disables the stage.
+	// query when it does not; after an Add the scan serves until a
+	// background rebuild lands. IndexMTree/IndexVPTree force a kind
+	// (the M-tree grows by insertion instead of rebuilding); IndexOff
+	// disables the stage.
 	IndexKind string
 	// FourPoint additionally enables supermetric (four-point property)
 	// pruning in the VP-tree traversal. The reduced EMD is not
 	// guaranteed supermetric, so the property is verified on sampled
 	// data quadruples at build time and the stronger pruning is
-	// silently dropped if any sample violates it. Only meaningful with
-	// IndexKind == IndexVPTree.
+	// silently dropped if any sample violates it. Only meaningful when
+	// a VP-tree is built (IndexVPTree, or IndexAuto on an indexable
+	// corpus).
 	FourPoint bool
 	// Workers bounds the goroutines used for the exact-EMD refinement
 	// stage of a single query, of any shape: 0 or 1 runs sequentially,

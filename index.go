@@ -16,14 +16,17 @@ import (
 
 // IndexKind values for Options.IndexKind.
 const (
-	// IndexAuto (the zero value) builds an M-tree over the reduced EMD
+	// IndexAuto (the zero value) builds a VP-tree over the reduced EMD
 	// when the corpus is large enough and its intrinsic dimensionality
 	// low enough for metric indexing to pay off, and falls back to the
 	// columnar scan otherwise. Per query, the index declines shapes a
 	// scan serves better (open-ended rankings, k-NN with k close to n).
+	// The VP-tree has no incremental insert: after an Add the scan chain
+	// serves until a background rebuild lands.
 	IndexAuto = ""
 	// IndexMTree forces an M-tree candidate generator for every
-	// eligible query regardless of the selectivity heuristics.
+	// eligible query regardless of the selectivity heuristics. Unlike
+	// the VP-tree it grows by insertion after an Add.
 	IndexMTree = "mtree"
 	// IndexVPTree forces a vantage-point tree candidate generator.
 	IndexVPTree = "vptree"
@@ -54,6 +57,14 @@ const (
 	// indexFourPointSample is the number of random quadruples checked
 	// before trusting the four-point property on this data.
 	indexFourPointSample = 64
+	// indexMetricSlack bounds, relative to the largest ground cost of
+	// the index metric, how far the metric's reported value may sit
+	// below its exact one. The metric evaluates through the kernel's
+	// lower-bound exit, which is provably within (1e-10 + 1e-12)·Cmax
+	// for unit mass; 4e-10 leaves a margin for trees persisted with
+	// canonical values. The tree streams subtract it from every
+	// triangle key (DESIGN.md §13, "Tree slack").
+	indexMetricSlack = 4e-10
 )
 
 // savedIndex is a metric index retained across pipeline rebuilds (and
@@ -109,6 +120,10 @@ type engineIndex struct {
 	// the EMD under the metric closure of that matrix. Either way it
 	// lower-bounds the exact EMD, so emissions feed KNOP losslessly.
 	metric func(xr, yr Histogram) float64
+	// slack bounds how far metric may under-report (indexMetricSlack
+	// times the metric's largest ground cost); the streams subtract it
+	// from their triangle keys.
+	slack float64
 }
 
 // queryDist returns the per-query distance id -> metric(q', reduced_id).
@@ -146,7 +161,7 @@ func (ix *engineIndex) open(s *snapshot, q Histogram) search.IndexRanking {
 		skip = func(id int) bool { return s.deleted[id] }
 	}
 	if ix.kind == IndexMTree {
-		st := ix.mt.Stream(mtree.QueryDistFunc(qd), skip)
+		st := ix.mt.Stream(mtree.QueryDistFunc(qd), skip, ix.slack)
 		return &indexRanking{
 			label: "MTree(Red-EMD)",
 			nodes: ix.mt.Nodes(),
@@ -160,7 +175,7 @@ func (ix *engineIndex) open(s *snapshot, q Histogram) search.IndexRanking {
 			},
 		}
 	}
-	st := ix.vt.Stream(vptree.QueryDistFunc(qd), skip, ix.fourPoint)
+	st := ix.vt.Stream(vptree.QueryDistFunc(qd), skip, ix.fourPoint, ix.slack)
 	return &indexRanking{
 		label: "VPTree(Red-EMD)",
 		nodes: ix.vt.Nodes(),
@@ -211,18 +226,21 @@ func (r *indexRanking) Label() string { return r.label }
 // already metric the closure is a bit-exact fixpoint and the snapshot's
 // own reduced-EMD evaluator is used, so index filter values match the
 // scan path bit for bit; otherwise the closure's compiled EMD joins the
-// snapshot's SSP-fallback counters.
-func indexMetric(snap *snapshot) (func(xr, yr Histogram) float64, error) {
+// snapshot's SSP-fallback counters. Either way the metric evaluates
+// through the kernel's lower-bound exit — nothing reports its value —
+// and slack is the bound on how far below the exact metric it may sit.
+func indexMetric(snap *snapshot) (metric func(xr, yr Histogram) float64, slack float64, err error) {
 	closed, changed := core.MetricClosure(snap.reduced.Cost())
+	slack = indexMetricSlack * maxCost(closed)
 	if !changed {
-		return snap.reduced.DistanceReduced, nil
+		return snap.reduced.DistanceReduced, slack, nil
 	}
 	md, err := emd.NewDist(closed)
 	if err != nil {
-		return nil, fmt.Errorf("emdsearch: metric closure of reduced cost invalid: %w", err)
+		return nil, 0, fmt.Errorf("emdsearch: metric closure of reduced cost invalid: %w", err)
 	}
 	snap.sspCounters = append(snap.sspCounters, md.SSPFallbacks)
-	return md.Distance, nil
+	return func(xr, yr Histogram) float64 { return md.LowerBound(xr, yr, math.Inf(1)).Value }, slack, nil
 }
 
 // intrinsicDim estimates the intrinsic dimensionality rho =
@@ -349,13 +367,13 @@ func (e *Engine) attachIndexLocked(snap *snapshot, s *search.Searcher) error {
 		if live < indexAutoMinN {
 			return nil
 		}
-		kind = IndexMTree
+		kind = IndexVPTree
 	}
 	if live == 0 {
 		return nil
 	}
 
-	metric, err := indexMetric(snap)
+	metric, slack, err := indexMetric(snap)
 	if err != nil {
 		return err
 	}
@@ -484,6 +502,7 @@ func (e *Engine) attachIndexLocked(snap *snapshot, s *search.Searcher) error {
 		vt:        vt,
 		live:      live,
 		metric:    metric,
+		slack:     slack,
 	}
 	snap.index = ix
 	s.Index = func(q Histogram, hint search.IndexHint) (search.IndexRanking, error) {

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"emdsearch/internal/data"
 	"emdsearch/internal/persist"
 )
 
@@ -708,4 +710,171 @@ func TestIndexRebuildFailureClearsLatch(t *testing.T) {
 		t.Fatal("index not used after the recovered rebuild")
 	}
 	sameResults(t, "vptree-recovered", "KNN", got, want)
+}
+
+// autoIndexSnapshot is a saved engine just above the IndexAuto size
+// gate on a low-intrinsic-dimension corpus (the index_gm shape scaled
+// down to d = 16, d' = 8), built once and shared by the IndexAuto tests
+// through LoadEngine, together with its options, cost and held-out
+// queries.
+var autoIndexSnapshot struct {
+	once    sync.Once
+	raw     []byte
+	opts    Options
+	cost    CostMatrix
+	queries []Histogram
+	err     error
+}
+
+// loadAutoIndexEngine returns a fresh engine over the shared corpus
+// with the given index kind; no tree is built until its first query.
+func loadAutoIndexEngine(t *testing.T, kind string) (*Engine, []Histogram) {
+	t.Helper()
+	s := &autoIndexSnapshot
+	s.once.Do(func() {
+		ds, err := data.GaussianMixtures(indexAutoMinN+68, 16, 2, 42)
+		if err != nil {
+			s.err = err
+			return
+		}
+		vecs, queries, err := ds.Split(4)
+		if err != nil {
+			s.err = err
+			return
+		}
+		s.opts, s.cost, s.queries = Options{ReducedDims: 8, SampleSize: 16, Seed: 42, IndexKind: IndexOff}, ds.Cost, queries
+		eng, err := NewEngine(ds.Cost, s.opts)
+		if err != nil {
+			s.err = err
+			return
+		}
+		for i, h := range vecs {
+			if _, err := eng.Add(ds.Items[i].Label, h); err != nil {
+				s.err = err
+				return
+			}
+		}
+		if s.err = eng.Build(); s.err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		s.err = eng.Save(&buf)
+		s.raw = buf.Bytes()
+	})
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	opts := s.opts
+	opts.IndexKind = kind
+	eng, err := LoadEngine(bytes.NewReader(s.raw), s.cost, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, s.queries
+}
+
+// checkExactKNN runs a k-NN query and compares it with brute force over
+// emd.Dist; it returns the query's stats.
+func checkExactKNN(t *testing.T, name string, eng *Engine, q Histogram, k int) *QueryStats {
+	t.Helper()
+	got, stats, err := eng.KNN(q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, name, "KNN", got, bruteForce(t, eng, q, nil)[:k])
+	return stats
+}
+
+// stageNames lists the filter stages a query ran.
+func stageNames(stats *QueryStats) []string {
+	names := make([]string, len(stats.Stages))
+	for i, st := range stats.Stages {
+		names[i] = st.Name
+	}
+	return names
+}
+
+// TestIndexAutoBuildsVPTree: above the size gate on a corpus of low
+// intrinsic dimension, auto mode builds a VP-tree, and its answers
+// equal brute force over the exact EMD bit for bit.
+func TestIndexAutoBuildsVPTree(t *testing.T) {
+	eng, queries := loadAutoIndexEngine(t, IndexAuto)
+	for qi, q := range queries {
+		stats := checkExactKNN(t, fmt.Sprintf("auto query %d", qi), eng, q, 5)
+		if names := stageNames(stats); !stats.IndexUsed || len(names) != 1 || names[0] != "VPTree(Red-EMD)" {
+			t.Fatalf("query %d: index used %v, stages %v, want [VPTree(Red-EMD)]", qi, stats.IndexUsed, names)
+		}
+	}
+	if m := eng.Metrics(); m.IndexBuilds != 1 {
+		t.Fatalf("IndexBuilds = %d, want 1", m.IndexBuilds)
+	}
+}
+
+// TestIndexAutoAddServesScanUntilRebuild: the VP-tree has no
+// incremental insert, so after an Add the next query of an auto engine
+// is served, exactly, by the scan chain while the tree is rebuilt in
+// the background — counted in index_deferred_builds — and the index
+// serves again once the rebuild lands.
+func TestIndexAutoAddServesScanUntilRebuild(t *testing.T) {
+	eng, queries := loadAutoIndexEngine(t, IndexAuto)
+	if stats := checkExactKNN(t, "auto before Add", eng, queries[0], 5); !stats.IndexUsed {
+		t.Fatal("auto engine did not index before the Add")
+	}
+	deferred := eng.Metrics().IndexDeferredBuilds
+	// The new item copies the query: an answer that missed it would
+	// differ from brute force.
+	if _, err := eng.Add("new", queries[0]); err != nil {
+		t.Fatal(err)
+	}
+	if stats := checkExactKNN(t, "auto after Add", eng, queries[0], 5); stats.IndexUsed {
+		t.Fatal("the query after an Add used the stale tree")
+	}
+	if m := eng.Metrics(); m.IndexDeferredBuilds != deferred+1 {
+		t.Fatalf("index_deferred_builds %d, want %d", m.IndexDeferredBuilds, deferred+1)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for eng.Metrics().IndexBuilds < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("background rebuild did not land: builds=%d", eng.Metrics().IndexBuilds)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for qi, q := range queries {
+		if stats := checkExactKNN(t, fmt.Sprintf("auto rebuilt query %d", qi), eng, q, 5); !stats.IndexUsed {
+			t.Fatalf("query %d: index not used after the background rebuild", qi)
+		}
+	}
+}
+
+// TestIndexAutoLoadsMTreeSnapshot: a snapshot saved with an M-tree
+// section — what an auto engine wrote while auto built M-trees — loads
+// under IndexAuto, which rebuilds a VP-tree once on the first query
+// instead of adopting the saved tree, and answers exactly.
+func TestIndexAutoLoadsMTreeSnapshot(t *testing.T) {
+	mt, queries := loadAutoIndexEngine(t, IndexMTree)
+	if stats := checkExactKNN(t, "mtree", mt, queries[0], 5); !stats.IndexUsed {
+		t.Fatal("forced M-tree not used")
+	}
+	var buf bytes.Buffer
+	if err := mt.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := persist.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil || snap.Index == nil || snap.Index.Kind != IndexMTree {
+		t.Fatalf("fixture snapshot carries no M-tree section (err=%v)", err)
+	}
+	opts := autoIndexSnapshot.opts
+	opts.IndexKind = IndexAuto
+	eng, err := LoadEngine(bytes.NewReader(buf.Bytes()), autoIndexSnapshot.cost, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range queries {
+		stats := checkExactKNN(t, fmt.Sprintf("auto from mtree snapshot, query %d", qi), eng, q, 5)
+		if names := stageNames(stats); len(names) != 1 || names[0] != "VPTree(Red-EMD)" {
+			t.Fatalf("query %d: stages %v, want [VPTree(Red-EMD)]", qi, names)
+		}
+	}
+	if m := eng.Metrics(); m.IndexBuilds != 1 || m.IndexReuses != 0 {
+		t.Fatalf("builds=%d reuses=%d, want 1/0 (the saved M-tree is replaced once)", m.IndexBuilds, m.IndexReuses)
+	}
 }

@@ -173,6 +173,12 @@ func ReduceCost(c emd.CostMatrix, r1, r2 *Reduction) (emd.CostMatrix, error) {
 // ReducedEMD bundles a pair of reductions with their optimal reduced
 // cost matrix (Definition 4). Its Distance lower-bounds the original
 // EMD for all valid histogram pairs.
+//
+// A reduced EMD is only ever a filter, so every method evaluates
+// through the kernel's lower-bound exit (emd.Dist.LowerBound): the
+// value is a certified lower bound on the reduced EMD, at most
+// ~1e-10·Cmax' below it, which lower-bounds the original EMD all the
+// more. It is not the canonical reduced EMD; nothing reports it.
 type ReducedEMD struct {
 	r1, r2 *Reduction
 	dist   *emd.Dist
@@ -209,21 +215,22 @@ func (re *ReducedEMD) SSPFallbacks() int64 { return re.dist.SSPFallbacks() }
 // Distance computes EMD_{C'}(x*R1, y*R2) from original-dimensional
 // histograms.
 func (re *ReducedEMD) Distance(x, y emd.Histogram) float64 {
-	return re.dist.Distance(re.r1.Apply(x), re.r2.Apply(y))
+	return re.DistanceReduced(re.r1.Apply(x), re.r2.Apply(y))
 }
 
 // DistanceReduced computes the reduced EMD from already-reduced
 // histograms, the fast path when reduced database vectors are
 // precomputed.
 func (re *ReducedEMD) DistanceReduced(xr, yr emd.Histogram) float64 {
-	return re.dist.Distance(xr, yr)
+	return re.dist.LowerBound(xr, yr, math.Inf(1)).Value
 }
 
 // DistanceReducedBounded is the threshold-aware form of DistanceReduced
 // for a filter stage that knows the query's live pruning threshold: the
 // solve stops as soon as a certified lower bound on the reduced EMD
 // exceeds abortAbove (see emd.Dist.DistanceBounded). The reduced EMD
-// lower-bounds the original one, so an aborted Value does too.
+// lower-bounds the original one, so an aborted Value does too. A
+// completed Value is bit-identical to DistanceReduced's.
 func (re *ReducedEMD) DistanceReducedBounded(xr, yr emd.Histogram, abortAbove float64) emd.BoundedDistance {
-	return re.dist.DistanceBounded(xr, yr, abortAbove)
+	return re.dist.LowerBound(xr, yr, abortAbove)
 }

@@ -51,29 +51,41 @@ func (w solveBoundedWorkload) solve(i int, abortAbove float64) float64 {
 	return w.dist.DistanceBounded(p[0], p[1], abortAbove).Value
 }
 
+// solveLower is solve through the lower-bound exit, the call every
+// Red-EMD filter stage and index metric makes.
+func (w solveBoundedWorkload) solveLower(i int, abortAbove float64) float64 {
+	p := w.pairs[i%len(w.pairs)]
+	return w.dist.LowerBound(p[0], p[1], abortAbove).Value
+}
+
 var solveBoundedSink float64
 
 // BenchmarkSolveBounded prices one call into the transport kernel the
 // way the engine makes it — through a compiled Dist — at the shapes the
 // pipeline solves (reduced 8 and 16, full 32 and 64). "exact" runs
-// every solve to optimality (index distance calls, Red-EMD filter
+// every solve to optimality and reports the canonical value (a
+// refinement that completes); "lower" runs every solve to optimality
+// through the lower-bound exit (index distance calls, Red-EMD filter
 // evaluations); "abort" gives the solver the median optimum as its
 // threshold, so about half the solves may stop on a certified bound
-// (refinement). It uses only NewDist, Distance and DistanceBounded, so
-// the same file measures the commits before it too.
+// (refinement). exact and abort use only NewDist, Distance and
+// DistanceBounded, so they measure the commits before LowerBound too.
 func BenchmarkSolveBounded(b *testing.B) {
-	for _, mode := range []string{"exact", "abort"} {
+	for _, mode := range []string{"exact", "lower", "abort"} {
 		for _, d := range []int{8, 16, 32, 64} {
 			b.Run(fmt.Sprintf("%s/%d", mode, d), func(b *testing.B) {
 				w := newSolveBoundedWorkload(b, d)
-				thr := math.Inf(1)
-				if mode == "abort" {
+				thr, solve := math.Inf(1), w.solve
+				switch mode {
+				case "lower":
+					solve = w.solveLower
+				case "abort":
 					thr = w.median
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					solveBoundedSink += w.solve(i, thr)
+					solveBoundedSink += solve(i, thr)
 				}
 			})
 		}

@@ -232,6 +232,23 @@ func (d *Dist) DistanceBounded(x, y Histogram, abortAbove float64) BoundedDistan
 	return res
 }
 
+// LowerBound is DistanceBounded for a caller that never reports the
+// value — a filter stage or an index metric, whose only job is to
+// lower-bound the EMD. Aborts behave exactly as in DistanceBounded; a
+// completed solve skips the kernel's polish and canonical value and
+// returns a certified lower bound on the EMD instead, never above
+// Distance's value and at most (1e-10 + 1e-12)·Cmax below it for unit
+// mass (in practice 1e-12·Cmax). The value is a pure function of x, y
+// and the cost matrix, so two callers with the same operands agree bit
+// for bit. Operands are trusted, as in Distance.
+func (d *Dist) LowerBound(x, y Histogram, abortAbove float64) BoundedDistance {
+	res, err := d.solver.SolveLowerBound(x, y, abortAbove)
+	if err != nil {
+		panic(fmt.Sprintf("emd: solver failed on trusted input: %v", err))
+	}
+	return res
+}
+
 // DistanceBoundedIntr is DistanceBounded with a cooperative interrupt
 // flag polled inside the simplex pivot loop: once intr is set the
 // solve stops within one pivot's worth of work and the result carries

@@ -47,9 +47,16 @@ func (g *GreedyUpper) Clone() *GreedyUpper {
 	}
 }
 
+// greedyGuard is the relative margin Distance rounds its total up by:
+// the flow cost is a float sum of at most m+n-1 non-negative products,
+// whose rounding error stays below (m+n)·2^-53 of the total — far
+// inside the guard for any shape the engine solves.
+const greedyGuard = 1e-12
+
 // Distance returns the cost of the greedy feasible flow from x to y —
-// an upper bound of EMD_C(x, y). Histograms are trusted to be valid
-// operands of equal total mass.
+// an upper bound of EMD_C(x, y), rounded up so that it never falls
+// below the exact EMD by float error. Histograms are trusted to be
+// valid operands of equal total mass.
 func (g *GreedyUpper) Distance(x, y emd.Histogram) float64 {
 	copy(g.remaining, y)
 	var total float64
@@ -59,7 +66,8 @@ func (g *GreedyUpper) Distance(x, y emd.Histogram) float64 {
 		}
 		need := xi
 		row := g.cost[i]
-		for _, j := range g.rowOrder[i] {
+		order := g.rowOrder[i]
+		for _, j := range order {
 			cap := g.remaining[j]
 			if cap == 0 {
 				continue
@@ -74,9 +82,13 @@ func (g *GreedyUpper) Distance(x, y emd.Histogram) float64 {
 			g.remaining[j] = 0
 			need -= cap
 		}
-		// Numerical residue of at most a few ulps may remain; it is
-		// dropped, which can only lower the bound by the same ulps —
-		// callers treat the result with standard float tolerance.
+		// Float normalization can leave a residue of a few ulps that
+		// no column has room for. Dropping it would undercut the
+		// optimum, so it is charged at the row's largest cost, which
+		// bounds wherever it would have gone.
+		if need > 0 {
+			total += need * row[order[len(order)-1]]
+		}
 	}
-	return total
+	return total * (1 + greedyGuard)
 }

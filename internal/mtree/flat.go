@@ -17,7 +17,7 @@ func (t *Tree) Clone(dist DistFunc, rng *rand.Rand) (*Tree, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("mtree: nil rng")
 	}
-	nt := &Tree{dist: dist, capacity: t.capacity, size: t.size, nodes: t.nodes, rng: rng}
+	nt := &Tree{dist: dist, capacity: t.capacity, size: t.size, nodes: t.nodes, height: t.height, rng: rng}
 	nt.root = cloneNode(t.root, nil)
 	return nt, nil
 }
@@ -144,5 +144,17 @@ func RestoreFlat(f *Flat, n int, rng *rand.Rand) (*Tree, error) {
 	if leafEntries != f.Size {
 		return nil, fmt.Errorf("mtree: flat size %d, but %d leaf entries", f.Size, leafEntries)
 	}
-	return &Tree{capacity: f.Capacity, root: nodes[0], size: f.Size, nodes: len(f.Nodes), rng: rng}, nil
+	// Preorder puts every parent before its children, so one forward
+	// pass yields each node's depth; the height is the deepest one.
+	depth := make([]int, len(f.Nodes))
+	height := 0
+	for i, fn := range f.Nodes {
+		height = max(height, depth[i])
+		for _, e := range fn.Entries {
+			if !fn.Leaf {
+				depth[e.Child] = depth[i] + 1
+			}
+		}
+	}
+	return &Tree{capacity: f.Capacity, root: nodes[0], size: f.Size, nodes: len(f.Nodes), height: height, rng: rng}, nil
 }

@@ -35,6 +35,7 @@ type Tree struct {
 	root     *node
 	size     int
 	nodes    int // total node count, for pruning statistics
+	height   int // levels above the leaves: 0 while the root is a leaf
 	rng      *rand.Rand
 	// DistanceCalls counts metric evaluations during construction.
 	DistanceCalls int
@@ -221,6 +222,7 @@ func (t *Tree) split(n *node) {
 		nodeA.parent = root
 		nodeB.parent = root
 		t.root = root
+		t.height++
 		return
 	}
 	// Replace n's entry in the parent with entryA, append entryB. The

@@ -41,19 +41,35 @@ type Stream struct {
 	t     *Tree
 	qdist QueryDistFunc
 	skip  func(id int) bool
-	heap  *heapx.Heap[frame]
-	memo  map[int32]float64
-	stats Stats
+	// itemSlack and nodeSlack are subtracted from the triangle keys of
+	// leaf objects and of subtrees (see Stream).
+	itemSlack, nodeSlack float64
+	heap                 *heapx.Heap[frame]
+	memo                 map[int32]float64
+	stats                Stats
 }
 
 // Stream starts a best-first traversal for the query described by
 // qdist. skip, when non-nil, filters objects (e.g. soft deletes) at
 // emission time — skipped objects cost no distance evaluation.
-func (t *Tree) Stream(qdist QueryDistFunc, skip func(id int) bool) *Stream {
+//
+// slack bounds how far the metric may under-report: every distance the
+// tree stores and every query distance must lie in [d − slack, d] of
+// the exact metric d. A leaf object's key |d(q,P) − d(P,o)| combines
+// two such values and can overshoot its exact lower bound by slack. A
+// subtree's key also subtracts a covering radius, and a radius formed
+// at a split is a sum of one distance per level below it, so it can
+// fall short of the exact radius by slack per level: a tree of height
+// h needs (h+1)·slack on subtree keys. The stream subtracts those
+// amounts, which keeps every emitted Dist at or below the object's
+// exact metric distance. Pass 0 for an exactly evaluated metric.
+func (t *Tree) Stream(qdist QueryDistFunc, skip func(id int) bool, slack float64) *Stream {
 	s := &Stream{
-		t:     t,
-		qdist: qdist,
-		skip:  skip,
+		t:         t,
+		qdist:     qdist,
+		skip:      skip,
+		itemSlack: slack,
+		nodeSlack: float64(t.height+1) * slack,
 		heap: heapx.New(64, func(a, b frame) bool {
 			if a.key != b.key {
 				return a.key < b.key
@@ -98,7 +114,7 @@ func (s *Stream) expand(n *node, dqr, key float64) {
 			e := &n.entries[i]
 			k := key
 			if !math.IsNaN(dqr) && !math.IsNaN(e.distPar) {
-				if b := math.Abs(dqr - e.distPar); b > k {
+				if b := math.Abs(dqr-e.distPar) - s.itemSlack; b > k {
 					k = b
 				}
 			}
@@ -110,7 +126,7 @@ func (s *Stream) expand(n *node, dqr, key float64) {
 		e := &n.entries[i]
 		k := key
 		if !math.IsNaN(dqr) && !math.IsNaN(e.distPar) {
-			if b := math.Abs(dqr-e.distPar) - e.radius; b > k {
+			if b := math.Abs(dqr-e.distPar) - e.radius - s.nodeSlack; b > k {
 				k = b
 			}
 		}
@@ -119,8 +135,10 @@ func (s *Stream) expand(n *node, dqr, key float64) {
 }
 
 // Next returns the next object in nondecreasing lower-bound order, or
-// ok = false when the tree is exhausted. The emitted Dist is the exact
-// index metric distance (never less than any earlier emission), so a
+// ok = false when the tree is exhausted. The emitted Dist is the
+// reported metric distance, raised to the frame key where that is
+// larger (only ever within the slack); it never exceeds the exact
+// metric distance and never falls below an earlier emission, so a
 // consumer may stop as soon as it exceeds its search threshold without
 // losing any qualifying object.
 func (s *Stream) Next() (Result, bool) {
@@ -136,7 +154,7 @@ func (s *Stream) Next() (Result, bool) {
 			// bound no longer wins.
 			d := s.qd(f.idx)
 			key := f.key
-			if k := d - f.radius; k > key {
+			if k := d - f.radius - s.nodeSlack; k > key {
 				key = k
 			}
 			if h.Len() > 0 && key > h.Peek().key {
@@ -151,7 +169,7 @@ func (s *Stream) Next() (Result, bool) {
 			}
 			d := s.qd(f.idx)
 			if f.key > d {
-				d = f.key // float slack only; keeps emissions monotone
+				d = f.key // within the slack only; keeps emissions monotone
 			}
 			if h.Len() == 0 || d <= h.Peek().key {
 				return Result{Index: id, Dist: d}, true

@@ -3,6 +3,7 @@ package mtree
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -61,7 +62,7 @@ func TestStreamEmitsAllInOrder(t *testing.T) {
 		qdist := func(i int) float64 {
 			return math.Hypot(q[0]-pts[i][0], q[1]-pts[i][1])
 		}
-		got := drainStream(t, tr.Stream(qdist, nil))
+		got := drainStream(t, tr.Stream(qdist, nil, 0))
 		if len(got) != n {
 			t.Fatalf("trial %d: %d emissions, want %d", trial, len(got), n)
 		}
@@ -101,7 +102,7 @@ func TestStreamSkipsDeleted(t *testing.T) {
 	qdist := func(i int) float64 {
 		return math.Hypot(q[0]-pts[i][0], q[1]-pts[i][1])
 	}
-	got := drainStream(t, tr.Stream(qdist, func(id int) bool { return deleted[id] }))
+	got := drainStream(t, tr.Stream(qdist, func(id int) bool { return deleted[id] }, 0))
 	if len(got) != n-len(deleted) {
 		t.Fatalf("%d emissions, want %d", len(got), n-len(deleted))
 	}
@@ -128,7 +129,7 @@ func TestStreamPrefixMatchesKNN(t *testing.T) {
 		if err != nil {
 			t.Fatalf("KNN: %v", err)
 		}
-		s := tr.Stream(qdist, nil)
+		s := tr.Stream(qdist, nil, 0)
 		for i := 0; i < k; i++ {
 			r, ok := s.Next()
 			if !ok {
@@ -171,8 +172,8 @@ func TestFlattenRestoreRoundTrip(t *testing.T) {
 		qdist := func(i int) float64 {
 			return math.Hypot(q[0]-pts[i][0], q[1]-pts[i][1])
 		}
-		a := drainStream(t, tr.Stream(qdist, nil))
-		b := drainStream(t, re.Stream(qdist, nil))
+		a := drainStream(t, tr.Stream(qdist, nil, 0))
+		b := drainStream(t, re.Stream(qdist, nil, 0))
 		if len(a) != len(b) {
 			t.Fatalf("n=%d: %d vs %d emissions after restore", n, len(a), len(b))
 		}
@@ -252,7 +253,7 @@ func TestCloneInsertExtends(t *testing.T) {
 	qdist := func(i int) float64 {
 		return math.Hypot(q[0]-pts[i][0], q[1]-pts[i][1])
 	}
-	got := drainStream(t, cl.Stream(qdist, nil))
+	got := drainStream(t, cl.Stream(qdist, nil, 0))
 	if len(got) != total {
 		t.Fatalf("%d emissions, want %d", len(got), total)
 	}
@@ -266,4 +267,154 @@ func TestCloneInsertExtends(t *testing.T) {
 			t.Fatalf("index %d: Dist %g, want %g", r.Index, r.Dist, qdist(r.Index))
 		}
 	}
+}
+
+// lineMetric places items at integer positions on a line, several per
+// position so exact distance ties abound. The exact metric is
+// |pos_i - pos_j|; the reported one subtracts u·delta, u in [0, 1],
+// from every stored (item-item) and every query distance — the shape
+// of an index metric evaluated through a certified lower-bound exit.
+type lineMetric struct {
+	pos   []float64 // the query sits at 0, left of every item
+	delta float64
+	// uPair and uQuery give u per item pair and per item.
+	uPair  func(i, j int) float64
+	uQuery func(i int) float64
+}
+
+func (m *lineMetric) exact(i int) float64 { return m.pos[i] }
+
+func (m *lineMetric) pair(i, j int) float64 {
+	return math.Abs(m.pos[i]-m.pos[j]) - m.uPair(min(i, j), max(i, j))*m.delta
+}
+
+func (m *lineMetric) query(i int) float64 { return m.exact(i) - m.uQuery(i)*m.delta }
+
+// newLineMetric spreads n items over positions 1..n/2 with the query at
+// 0. adversarial sets every stored distance short by the full delta and
+// every query distance exact — the collinear case where q = 0, p = 10,
+// o = 5 and a stored d(p, o) = 5 - delta give the key 5 + delta >
+// d(q, o); otherwise u is drawn per pair and per item from seed.
+func newLineMetric(n int, delta float64, adversarial bool, seed int64) *lineMetric {
+	m := &lineMetric{pos: make([]float64, n), delta: delta}
+	for i := range m.pos {
+		m.pos[i] = float64(1 + i/2)
+	}
+	if adversarial {
+		m.uPair = func(i, j int) float64 { return 1 }
+		m.uQuery = func(i int) float64 { return 0 }
+		return m
+	}
+	// u on a 2^-20 grid keeps every distance, key and sum exact in
+	// float64 for a power-of-two delta, so the checks need no tolerance.
+	rng := rand.New(rand.NewSource(seed))
+	draw := func() float64 { return float64(rng.Intn(1<<20+1)) / (1 << 20) }
+	pair := make([]float64, n*n)
+	for k := range pair {
+		pair[k] = draw()
+	}
+	query := make([]float64, n)
+	for k := range query {
+		query[k] = draw()
+	}
+	m.uPair = func(i, j int) float64 { return pair[i*n+j] }
+	m.uQuery = func(i int) float64 { return query[i] }
+	return m
+}
+
+// checkApproxStream drains a stream over the reported metric and
+// checks what the engine's candidate loop relies on: every item is
+// emitted once, emissions never decrease and never exceed the item's
+// exact distance. It then runs the multistep k-NN over a second stream
+// — refine each emission with the exact distance, stop once the next
+// emission exceeds the k-th exact distance — and compares the set of
+// items within the final k-th distance, ties included, with brute
+// force.
+func checkApproxStream(tr *Tree, m *lineMetric, slack float64, k int) error {
+	s := tr.Stream(m.query, nil, slack)
+	seen := make(map[int]bool)
+	prev := math.Inf(-1)
+	for {
+		r, ok := s.Next()
+		if !ok {
+			break
+		}
+		if seen[r.Index] {
+			return fmt.Errorf("item %d emitted twice", r.Index)
+		}
+		seen[r.Index] = true
+		if r.Dist < prev {
+			return fmt.Errorf("emission of item %d: %v after %v", r.Index, r.Dist, prev)
+		}
+		prev = r.Dist
+		if r.Dist > m.exact(r.Index) {
+			return fmt.Errorf("item %d emitted at %v above its exact distance %v", r.Index, r.Dist, m.exact(r.Index))
+		}
+	}
+	if len(seen) != len(m.pos) {
+		return fmt.Errorf("%d of %d items emitted", len(seen), len(m.pos))
+	}
+
+	exact := make([]float64, len(m.pos))
+	for i := range exact {
+		exact[i] = m.exact(i)
+	}
+	sorted := append([]float64(nil), exact...)
+	sort.Float64s(sorted)
+	kth := sorted[k-1]
+	var refined []float64
+	got := map[int]bool{}
+	s = tr.Stream(m.query, nil, slack)
+	for {
+		r, ok := s.Next()
+		if !ok || len(refined) >= k && r.Dist > refined[k-1] {
+			break
+		}
+		refined = append(refined, exact[r.Index])
+		sort.Float64s(refined)
+		got[r.Index] = true
+	}
+	for i, d := range exact {
+		if want := d <= kth; want != (got[i] && d <= refined[k-1]) {
+			return fmt.Errorf("k=%d: item %d at exact distance %v (k-th %v): in answer %v, want %v", k, i, d, kth, !want, want)
+		}
+	}
+	return nil
+}
+
+// TestStreamApproximateMetricSlack: under a metric that under-reports
+// by up to delta, a stream given slack delta stays sound — emissions
+// at or below the exact distance, in order, and multistep k-NN equal to
+// brute force over the exact metric, ties included. Capacity 4 makes
+// trees several levels deep, so covering radii built from sums of
+// stored distances are exercised. With slack 0 the adversarial collinear
+// metric breaks it: a parent-distance key overshoots an exact
+// distance.
+func TestStreamApproximateMetricSlack(t *testing.T) {
+	const n, delta = 40, 0x1p-10
+	broken := 0
+	for seed := int64(0); seed < 20; seed++ {
+		for _, adversarial := range []bool{false, true} {
+			m := newLineMetric(n, delta, adversarial, seed)
+			tr, err := New(m.pair, 4, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				tr.Insert(i)
+			}
+			for _, k := range []int{1, 3, 10} {
+				if err := checkApproxStream(tr, m, delta, k); err != nil {
+					t.Fatalf("seed %d adversarial=%v slack delta: %v", seed, adversarial, err)
+				}
+			}
+			if adversarial && checkApproxStream(tr, m, 0, 1) != nil {
+				broken++
+			}
+		}
+	}
+	if broken == 0 {
+		t.Fatal("slack 0 passed on every adversarial tree; the test no longer reaches the overshoot")
+	}
+	t.Logf("slack 0 broke %d of 20 adversarial trees", broken)
 }

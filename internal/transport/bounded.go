@@ -14,6 +14,14 @@ import (
 // results).
 const boundGuard = 1e-9
 
+// lowerGuard is the relative margin the lower-bound exit subtracts from
+// the repaired dual objective of its optimal potentials. It covers the
+// float rounding of that objective: at optimality every potential is
+// bounded by the cost scale, so for unit mass the summation error is
+// below (m+n)·2^-52·scale — 3e-14·scale at m+n = 128 — well inside the
+// guard.
+const lowerGuard = 1e-12
+
 // polishTol is the reduced-cost threshold of the post-optimality
 // polish phase, relative to the cost scale. The float pivot loop stops
 // at tolerance 1e-10·scale, so alternate terminal bases can differ in
@@ -30,7 +38,10 @@ type BoundedResult struct {
 	// Value is the exact optimal objective when the solve ran to
 	// optimality, or a certified lower bound on it when Aborted or
 	// Interrupted (possibly 0, the trivial bound, when the interrupt
-	// landed before any duals existed).
+	// landed before any duals existed). A completed lower-bound solve
+	// (Solver.SolveLowerBound) reports a certified lower bound too: the
+	// repaired dual objective of its optimal potentials minus
+	// lowerGuard·scale.
 	Value float64
 	// Aborted reports that the solve stopped early because the
 	// certified lower bound exceeded the caller's threshold.
@@ -50,14 +61,25 @@ type BoundedResult struct {
 // a pre-simplex abort on the cached duals of the previous optimal
 // solve, a Vogel start, early abandon against abortAbove inside the
 // pivot loop, and — on optimal completion — the canonical
-// double-double objective. Inputs are trusted (not validated).
+// double-double objective when report is set, or else the certified
+// lower bound of the optimal potentials. Inputs are trusted (not
+// validated).
+//
+// A caller that only needs a lower bound on the optimum (a filter, an
+// index metric) passes report = false: the solve then skips polish and
+// the canonical value — a quarter of a completed solve at 8 and 16
+// dimensions, an eighth at 32 — and returns feasibleDualBound of the
+// float-optimal potentials minus lowerGuard·scale. By weak duality that
+// never exceeds the optimum; it sits below it by at most the pivot
+// tolerance times the mass plus the guard, and in practice by the guard
+// alone.
 //
 // intr, when non-nil, is a cooperative cancellation flag polled at
 // solve entry and once per pivot iteration: setting it makes the solve
 // return within one pivot's worth of work, carrying Interrupted=true
 // and a certified (possibly trivial) lower bound on the optimum as
 // Value. An interrupted solve never touches the cached duals.
-func (st *simplexState) solveBounded(cc *compiledCost, supply, demand []float64, abortAbove float64, intr *atomic.Bool) (BoundedResult, error) {
+func (st *simplexState) solveBounded(cc *compiledCost, supply, demand []float64, abortAbove float64, intr *atomic.Bool, report bool) (BoundedResult, error) {
 	supply, demand = st.reduceProblem(cc, supply, demand)
 	res := BoundedResult{Rows: st.m, Cols: st.n}
 	if st.m == 0 || st.n == 0 {
@@ -99,6 +121,10 @@ func (st *simplexState) solveBounded(cc *compiledCost, supply, demand []float64,
 		return res, nil
 	}
 	st.saveWarmDuals()
+	if !report {
+		res.Value = max(st.feasibleDualBound(supply, demand)-lowerGuard*st.scale, 0)
+		return res, nil
+	}
 	ddFresh := st.polish(supply, demand)
 	res.Value = st.canonicalValue(supply, demand, ddFresh)
 	return res, nil

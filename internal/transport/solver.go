@@ -168,11 +168,31 @@ func (s *Solver) SolveValueBounded(supply, demand []float64, abortAbove float64)
 // Interrupted solves never update the pooled dual cache. A nil intr is
 // byte-identical to SolveValueBounded.
 func (s *Solver) SolveValueBoundedIntr(supply, demand []float64, abortAbove float64, intr *atomic.Bool) (BoundedResult, error) {
+	return s.solveBounded(supply, demand, abortAbove, intr, true)
+}
+
+// SolveLowerBound is SolveValueBounded for a caller that needs only a
+// certified lower bound on the optimum — a filter or an index metric,
+// whose value no answer reports. Pre-abort, pivot-loop abort and the
+// cached duals behave exactly as in SolveValueBounded; a solve that
+// reaches optimality skips the polish and the canonical value and
+// reports the repaired dual objective of its optimal potentials minus
+// a guard (see solveBounded). That value is never above SolveValue's
+// for the same problem, lies at most (1e-10·mass + 1e-12)·scale below
+// it, and is a pure function of the problem: the pivot path does not
+// depend on the pooled state.
+func (s *Solver) SolveLowerBound(supply, demand []float64, abortAbove float64) (BoundedResult, error) {
+	return s.solveBounded(supply, demand, abortAbove, nil, false)
+}
+
+// solveBounded runs one bounded solve on a pooled state; report selects
+// the canonical value over the lower-bound exit on completion.
+func (s *Solver) solveBounded(supply, demand []float64, abortAbove float64, intr *atomic.Bool, report bool) (BoundedResult, error) {
 	if err := s.checkShape(supply, demand); err != nil {
 		return BoundedResult{}, err
 	}
 	st := s.get()
-	res, err := st.solveBounded(s.cc, supply, demand, abortAbove, intr)
+	res, err := st.solveBounded(s.cc, supply, demand, abortAbove, intr, report)
 	s.pool.Put(st)
 	if err != nil {
 		sol, err := s.fallback(err, supply, demand)

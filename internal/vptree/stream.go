@@ -35,6 +35,7 @@ type Stream struct {
 	qdist     QueryDistFunc
 	skip      func(id int) bool
 	fourPoint bool
+	slack     float64
 	heap      *heapx.Heap[frame]
 	stats     Stats
 }
@@ -45,12 +46,21 @@ type Stream struct {
 // fourPoint must only be enabled when the metric has the four-point
 // property (see internal/fourpoint) — the engine verifies this on
 // sampled quadruples before switching it on.
-func (t *Tree) Stream(qdist QueryDistFunc, skip func(id int) bool, fourPoint bool) *Stream {
+//
+// slack bounds how far the metric may under-report: every distance the
+// tree stores and every query distance must lie in [d − slack, d] of
+// the exact metric d. Each triangle key combines one stored and one
+// query distance, so it can overshoot the exact lower bound by up to
+// slack; the stream subtracts slack from every key, which keeps every
+// emitted Dist at or below the item's exact metric distance. Pass 0
+// for an exactly evaluated metric.
+func (t *Tree) Stream(qdist QueryDistFunc, skip func(id int) bool, fourPoint bool, slack float64) *Stream {
 	s := &Stream{
 		t:         t,
 		qdist:     qdist,
 		skip:      skip,
 		fourPoint: fourPoint,
+		slack:     slack,
 		heap: heapx.New(64, func(a, b frame) bool {
 			if a.key != b.key {
 				return a.key < b.key
@@ -74,20 +84,20 @@ func (s *Stream) Stats() Stats { return s.stats }
 // items lie within [lo, hi] of nd's vantage (query distance dv) and
 // within [nd.plo, nd.phi] of nd's parent vantage (query distance
 // f.dqp): the triangle bound against the annulus, optionally maxed
-// with the supermetric two-pivot bound.
+// with the supermetric two-pivot bound, each less the metric slack.
 func (s *Stream) childKey(f *frame, nd *node, dv, lo, hi float64) float64 {
 	k := f.key
-	if b := dv - hi; b > k {
+	if b := dv - hi - s.slack; b > k {
 		k = b
 	}
-	if b := lo - dv; b > k {
+	if b := lo - dv - s.slack; b > k {
 		k = b
 	}
 	if s.fourPoint && !math.IsNaN(nd.dvp) && !math.IsNaN(f.dqp) {
 		// Pivots: p = parent vantage, v = nd's vantage. nd.plo/phi cover
 		// nd's whole subtree, a superset of the child's — looser but
 		// still a sound annulus for the planar bound.
-		if b := fourpoint.LowerBound(nd.dvp, f.dqp, dv, nd.plo, nd.phi, lo, hi); b > k {
+		if b := fourpoint.LowerBound(nd.dvp, f.dqp, dv, nd.plo, nd.phi, lo, hi) - s.slack; b > k {
 			k = b
 		}
 	}
@@ -95,8 +105,10 @@ func (s *Stream) childKey(f *frame, nd *node, dv, lo, hi float64) float64 {
 }
 
 // Next returns the next item in nondecreasing lower-bound order, or
-// ok = false when the tree is exhausted. Emitted Dist values are exact
-// index metric distances and never decrease, so a consumer may stop at
+// ok = false when the tree is exhausted. Emitted Dist values are the
+// reported metric distances (raised to the frame key where the key is
+// larger, which it can be only within the slack), never exceed the
+// exact metric distance and never decrease, so a consumer may stop at
 // its threshold without losing any qualifying item.
 func (s *Stream) Next() (Result, bool) {
 	h := s.heap
@@ -110,7 +122,7 @@ func (s *Stream) Next() (Result, bool) {
 				for i, it := range nd.bucket {
 					k := f.key
 					if nd.bdist != nil && !math.IsNaN(f.dqp) {
-						if b := math.Abs(f.dqp - nd.bdist[i]); b > k {
+						if b := math.Abs(f.dqp-nd.bdist[i]) - s.slack; b > k {
 							k = b
 						}
 					}
@@ -123,7 +135,7 @@ func (s *Stream) Next() (Result, bool) {
 			if s.skip == nil || !s.skip(nd.vantage) {
 				k := dv
 				if f.key > k {
-					k = f.key // float slack only; keeps emissions monotone
+					k = f.key // within the slack only; keeps emissions monotone
 				}
 				h.Push(frame{key: k, kind: frameEval, idx: int32(nd.vantage)})
 			}
