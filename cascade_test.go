@@ -31,8 +31,6 @@ func cascadeVariants() []cascadeVariant {
 	hier2 := Options{Hierarchy: []int{8, 2}, SampleSize: 10}
 	hier3 := Options{Hierarchy: []int{8, 4, 2}, SampleSize: 10}
 	auto := Options{ReducedDims: 8, SampleSize: 10, AutoCascade: true}
-	hier2mt := hier2
-	hier2mt.IndexKind = IndexMTree
 	hier3vp := hier3
 	hier3vp.IndexKind = IndexVPTree
 	autovp := auto
@@ -46,7 +44,6 @@ func cascadeVariants() []cascadeVariant {
 		// Cascades decline the metric index (the tree orders by the
 		// finest level only), so these must quietly serve the scan chain
 		// and still answer identically.
-		{"hier-2level+mtree", hier2mt, nil},
 		{"hier-3level+vptree", hier3vp, nil},
 		{"auto-3level+vptree", autovp, []int{2, 4, 8}},
 	}

@@ -23,12 +23,12 @@ type indexConfig struct {
 
 // indexRun is one measured (engine kind, corpus size, k) cell.
 type indexRun struct {
-	Kind string `json:"kind"` // scan | mtree | vptree
+	Kind string `json:"kind"` // scan | vptree
 	N    int    `json:"n"`
 	K    int    `json:"k"`
 
 	// BuildMS is the one-off snapshot-build cost paid at the first
-	// query — for the index kinds that includes constructing the tree.
+	// query — for the VP-tree that includes constructing the tree.
 	BuildMS float64 `json:"build_ms"`
 	QueryNS int64   `json:"query_ns"` // summed end-to-end KNN wall time
 	QPS     float64 `json:"queries_per_sec"`
@@ -47,13 +47,13 @@ type indexRun struct {
 // -out as JSON (the CI benchmark smoke job archives it as
 // BENCH_index.json).
 type indexReport struct {
-	D       int     `json:"d"`
-	DPrime  int     `json:"dprime"`
-	Modes   int     `json:"modes"`
-	Queries int     `json:"queries"`
-	Scales  []int   `json:"scales"`
-	Ks      []int   `json:"ks"`
-	Seed    int64   `json:"seed"`
+	D       int        `json:"d"`
+	DPrime  int        `json:"dprime"`
+	Modes   int        `json:"modes"`
+	Queries int        `json:"queries"`
+	Scales  []int      `json:"scales"`
+	Ks      []int      `json:"ks"`
+	Seed    int64      `json:"seed"`
 	Runs    []indexRun `json:"runs"`
 
 	// BestSpeedup is the largest end-to-end index speedup at the
@@ -62,9 +62,9 @@ type indexReport struct {
 	BestSpeedup   float64 `json:"best_speedup"`
 	SpeedupTarget float64 `json:"speedup_target"`
 
-	// SublinearNodes reports whether, for each index kind at the
-	// default k, nodes expanded per query grew strictly slower than the
-	// corpus between the smallest and largest scale.
+	// SublinearNodes reports whether, at the default k, the VP-tree's
+	// nodes expanded per query grew strictly slower than the corpus
+	// between the smallest and largest scale.
 	SublinearNodes   bool `json:"sublinear_nodes"`
 	ResultsIdentical bool `json:"results_identical"`
 }
@@ -78,8 +78,8 @@ const indexSpeedupTarget = 3.0
 const indexDefaultK = 10
 
 // runIndex benchmarks the metric-index candidate generator end to end:
-// the default scan pipeline versus the M-tree and VP-tree first stages
-// over the same corpora, across corpus sizes and k. Answers must stay
+// the default scan pipeline versus the VP-tree first stage over the
+// same corpora, across corpus sizes and k. Answers must stay
 // bit-identical to the scan baseline — the index is a candidate
 // *generator*, never an approximation — so any divergence fails the
 // run. The sublinearity signal is nodes expanded per query growing
@@ -121,8 +121,8 @@ func runIndex(cfg indexConfig) error {
 		if err := eng.Build(); err != nil {
 			return nil, 0, err
 		}
-		// The snapshot (and, for the index kinds, the tree) is built
-		// lazily at the first query — time it as the build cost.
+		// The snapshot (and, for the VP-tree, the tree) is built lazily
+		// at the first query — time it as the build cost.
 		start := time.Now()
 		if _, _, err := eng.KNN(queries[0], indexDefaultK); err != nil {
 			return nil, 0, err
@@ -165,8 +165,8 @@ func runIndex(cfg indexConfig) error {
 		SublinearNodes:   true,
 		ResultsIdentical: true,
 	}
-	// nodesAt[kind][n] at the default k, for the sublinearity check.
-	nodesAt := map[string]map[int]float64{"mtree": {}, "vptree": {}}
+	// nodesAt[n] at the default k, for the sublinearity check.
+	nodesAt := map[int]float64{}
 
 	for _, n := range cfg.scales {
 		scanEng, scanBuild, err := build(n, emdsearch.IndexOff)
@@ -178,14 +178,11 @@ func runIndex(cfg indexConfig) error {
 			eng  *emdsearch.Engine
 			ms   float64
 		}
-		variants := []variant{{"scan", scanEng, scanBuild}}
-		for _, kind := range []string{emdsearch.IndexMTree, emdsearch.IndexVPTree} {
-			eng, ms, err := build(n, kind)
-			if err != nil {
-				return fmt.Errorf("%s build n=%d: %w", kind, n, err)
-			}
-			variants = append(variants, variant{kind, eng, ms})
+		vpEng, vpBuild, err := build(n, emdsearch.IndexVPTree)
+		if err != nil {
+			return fmt.Errorf("vptree build n=%d: %w", n, err)
 		}
+		variants := []variant{{"scan", scanEng, scanBuild}, {emdsearch.IndexVPTree, vpEng, vpBuild}}
 		for _, k := range cfg.ks {
 			var scanRes [][]emdsearch.Result
 			var scanNS int64
@@ -206,7 +203,7 @@ func runIndex(cfg indexConfig) error {
 						rep.ResultsIdentical = false
 					}
 					if k == indexDefaultK {
-						nodesAt[v.name][n] = r.NodesPerQuery
+						nodesAt[n] = r.NodesPerQuery
 						if n == maxN && r.ResultsIdentical && r.SpeedupVsScan > rep.BestSpeedup {
 							rep.BestSpeedup = r.SpeedupVsScan
 						}
@@ -224,17 +221,10 @@ func runIndex(cfg indexConfig) error {
 	if len(cfg.scales) >= 2 {
 		minN := cfg.scales[0]
 		growth := float64(maxN) / float64(minN)
-		for kind, at := range nodesAt {
-			lo, hi := at[minN], at[maxN]
-			if lo <= 0 || hi <= 0 {
-				continue
-			}
+		if lo, hi := nodesAt[minN], nodesAt[maxN]; lo > 0 && hi > 0 {
 			ratio := hi / lo
-			ok := ratio < growth
-			if !ok {
-				rep.SublinearNodes = false
-			}
-			fmt.Printf("%-8s nodes grew %.2fx while n grew %.2fx — sublinear=%v\n", kind, ratio, growth, ok)
+			rep.SublinearNodes = ratio < growth
+			fmt.Printf("vptree   nodes grew %.2fx while n grew %.2fx — sublinear=%v\n", ratio, growth, rep.SublinearNodes)
 		}
 	}
 
@@ -253,7 +243,7 @@ func runIndex(cfg indexConfig) error {
 		fmt.Printf("wrote %s\n", cfg.out)
 	}
 	if !rep.ResultsIdentical {
-		return fmt.Errorf("an index kind diverged from the scan baseline")
+		return fmt.Errorf("the VP-tree diverged from the scan baseline")
 	}
 	return nil
 }

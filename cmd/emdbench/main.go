@@ -22,8 +22,8 @@
 // tail, and the report counts how many degraded.
 //
 // -exp index benchmarks the metric-index candidate generator: the
-// default scan pipeline versus the M-tree and VP-tree first stages
-// over the same corpora, across corpus sizes and k. It verifies the
+// default scan pipeline versus the VP-tree first stage over the same
+// corpora, across corpus sizes and k. It verifies the
 // answers stay bit-identical to the scan baseline, checks nodes
 // expanded per query grow sublinearly in n, and (with -out) writes a
 // JSON report with the end-to-end speedups.

@@ -101,26 +101,18 @@ type Options struct {
 	// PositionNorm is the Lp order of the position-based ground
 	// distance (default 2). Ignored without Positions.
 	PositionNorm float64
-	// IndexKind selects the metric-index candidate generator that can
-	// replace the linear filter scan with a best-first tree traversal
-	// over the reduced EMD (under the metric closure of its ground
-	// matrix, so pruning is sound). Candidates are emitted in
-	// nondecreasing lower-bound order, so answers are provably
-	// identical to the scan path's. IndexAuto ("") builds a VP-tree
-	// when the corpus looks indexable and falls back to the scan per
-	// query when it does not; after an Add the scan serves until a
-	// background rebuild lands. IndexMTree/IndexVPTree force a kind
-	// (the M-tree grows by insertion instead of rebuilding); IndexOff
-	// disables the stage.
+	// IndexKind selects when the metric index — a VP-tree over the
+	// reduced EMD, under the metric closure of its ground matrix so
+	// pruning is sound — replaces the linear filter scan with a
+	// best-first traversal. Candidates are emitted in nondecreasing
+	// lower-bound order, so answers are provably identical to the scan
+	// path's. IndexAuto ("") builds the tree when the corpus looks
+	// indexable and falls back to the scan per query when it does not;
+	// IndexVPTree builds it on any corpus and serves every eligible
+	// query with it; IndexOff disables the stage. The tree has no
+	// incremental insert: after an Add the scan serves until a
+	// background rebuild lands.
 	IndexKind string
-	// FourPoint additionally enables supermetric (four-point property)
-	// pruning in the VP-tree traversal. The reduced EMD is not
-	// guaranteed supermetric, so the property is verified on sampled
-	// data quadruples at build time and the stronger pruning is
-	// silently dropped if any sample violates it. Only meaningful when
-	// a VP-tree is built (IndexVPTree, or IndexAuto on an indexable
-	// corpus).
-	FourPoint bool
 	// Workers bounds the goroutines used for the exact-EMD refinement
 	// stage of a single query, of any shape: 0 or 1 runs sequentially,
 	// n > 1 uses up to n goroutines, and a negative value uses
@@ -229,9 +221,9 @@ type Engine struct {
 	// Test hooks (set only by in-package tests, before the engine is
 	// shared): fault injection and accounting probes on the index build
 	// paths. All nil in production.
-	testHookSyncIndexBuild func(kind string) // a tree is built synchronously on the query path
-	testHookIntrinsicEval  func()            // one intrinsic-dim metric evaluation
-	testHookIndexRebuild   func()            // start of a background rebuild's build phase
+	testHookSyncIndexBuild func() // a tree is built synchronously on the query path
+	testHookIntrinsicEval  func() // one intrinsic-dim metric evaluation
+	testHookIndexRebuild   func() // start of a background rebuild's build phase
 }
 
 // snapshot is an immutable view of everything the query path needs:

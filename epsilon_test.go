@@ -87,7 +87,6 @@ func TestRangeIDsMatchesRange(t *testing.T) {
 		{"hierarchy", Options{Hierarchy: []int{16, 4}, SampleSize: 16}},
 		{"asymmetric", Options{ReducedDims: 8, SampleSize: 16, AsymmetricQuery: true}},
 		{"vptree", Options{ReducedDims: 8, SampleSize: 16, IndexKind: IndexVPTree}},
-		{"mtree", Options{ReducedDims: 8, SampleSize: 16, IndexKind: IndexMTree}},
 		{"no-reduction", Options{}},
 	}
 	for _, plan := range plans {

@@ -3,9 +3,11 @@ package emdsearch
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"errors"
 	"fmt"
-	"math"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"emdsearch/internal/data"
 	"emdsearch/internal/persist"
+	"emdsearch/internal/vptree"
 )
 
 // indexOpts returns a forced-index engine configuration over the
@@ -22,10 +25,12 @@ func indexOpts(kind string) Options {
 }
 
 func TestNewEngineIndexKindValidation(t *testing.T) {
-	if _, err := NewEngine(LinearCost(4), Options{ReducedDims: 2, IndexKind: "bogus"}); err == nil {
-		t.Error("accepted unknown IndexKind")
+	for _, kind := range []string{"bogus", "mtree"} {
+		if _, err := NewEngine(LinearCost(4), Options{ReducedDims: 2, IndexKind: kind}); err == nil {
+			t.Errorf("accepted unknown IndexKind %q", kind)
+		}
 	}
-	for _, kind := range []string{IndexAuto, IndexMTree, IndexVPTree, IndexOff} {
+	for _, kind := range []string{IndexAuto, IndexVPTree, IndexOff} {
 		if _, err := NewEngine(LinearCost(4), Options{ReducedDims: 2, IndexKind: kind}); err != nil {
 			t.Errorf("rejected valid IndexKind %q: %v", kind, err)
 		}
@@ -39,46 +44,42 @@ func TestNewEngineIndexKindValidation(t *testing.T) {
 // deletes bit for bit.
 func TestIndexDeleteThenKNN(t *testing.T) {
 	const n, k = 120, 6
-	for _, kind := range []string{IndexMTree, IndexVPTree} {
-		t.Run(kind, func(t *testing.T) {
-			scan, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10}, n)
-			eng, _ := buildEngine(t, indexOpts(kind), n)
-			// First query builds the tree over all live items...
-			if _, _, err := eng.KNN(queries[0], k); err != nil {
-				t.Fatal(err)
-			}
-			// ...then deletes punch holes the traversal must skip.
-			dead := []int{3, 11, 42, 43, 77}
+	scan, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10}, n)
+	eng, _ := buildEngine(t, indexOpts(IndexVPTree), n)
+	// First query builds the tree over all live items...
+	if _, _, err := eng.KNN(queries[0], k); err != nil {
+		t.Fatal(err)
+	}
+	// ...then deletes punch holes the traversal must skip.
+	dead := []int{3, 11, 42, 43, 77}
+	for _, id := range dead {
+		if err := eng.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := scan.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for qi, q := range queries {
+		want, _, err := scan.KNN(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, err := eng.KNN(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.IndexUsed {
+			t.Fatalf("query %d: forced index not used", qi)
+		}
+		sameResults(t, "vptree", "KNN", got, want)
+		for _, r := range got {
 			for _, id := range dead {
-				if err := eng.Delete(id); err != nil {
-					t.Fatal(err)
-				}
-				if err := scan.Delete(id); err != nil {
-					t.Fatal(err)
+				if r.Index == id {
+					t.Fatalf("query %d returned deleted item %d", qi, id)
 				}
 			}
-			for qi, q := range queries {
-				want, _, err := scan.KNN(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, stats, err := eng.KNN(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !stats.IndexUsed {
-					t.Fatalf("query %d: forced %s index not used", qi, kind)
-				}
-				sameResults(t, kind, "KNN", got, want)
-				for _, r := range got {
-					for _, id := range dead {
-						if r.Index == id {
-							t.Fatalf("query %d returned deleted item %d", qi, id)
-						}
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -113,65 +114,12 @@ func TestIndexOffDisables(t *testing.T) {
 	}
 }
 
-// TestIndexIncrementalReuse: mutations must not throw the M-tree away.
-// Adding items reuses the stashed tree via clone-and-insert; the
-// grown index answers identically to a scan engine over the same data.
-func TestIndexIncrementalReuse(t *testing.T) {
-	const n, k = 100, 5
-	eng, queries := buildEngine(t, indexOpts(IndexMTree), n)
-	scan, _ := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10}, n)
-	if _, _, err := eng.KNN(queries[0], k); err != nil {
-		t.Fatal(err)
-	}
-	if m := eng.Metrics(); m.IndexBuilds != 1 || m.IndexReuses != 0 {
-		t.Fatalf("after first query: builds=%d reuses=%d, want 1/0", m.IndexBuilds, m.IndexReuses)
-	}
-	// Grow both engines with identical new items.
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 10; i++ {
-		h := randHist(rng, eng.Dim())
-		if _, err := eng.Add(fmt.Sprintf("new%d", i), h); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := scan.Add(fmt.Sprintf("new%d", i), h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, q := range queries {
-		want, _, err := scan.KNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := eng.KNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !stats.IndexUsed {
-			t.Fatal("index not used after incremental growth")
-		}
-		sameResults(t, "mtree-grown", "KNN", got, want)
-	}
-	m := eng.Metrics()
-	if m.IndexBuilds != 1 {
-		t.Errorf("IndexBuilds = %d, want 1 (growth must reuse, not rebuild)", m.IndexBuilds)
-	}
-	if m.IndexReuses < 1 {
-		t.Errorf("IndexReuses = %d, want >= 1", m.IndexReuses)
-	}
-	if m.IndexQueries < int64(len(queries)) {
-		t.Errorf("IndexQueries = %d, want >= %d", m.IndexQueries, len(queries))
-	}
-	if m.IndexNodesVisited <= 0 {
-		t.Errorf("IndexNodesVisited = %d, want > 0", m.IndexNodesVisited)
-	}
-}
-
 // TestIndexChurnBackgroundRebuild: deleting past the churn threshold
 // triggers a background rebuild that compacts the soft-deleted tail
 // out of the tree; queries stay correct before, during and after.
 func TestIndexChurnBackgroundRebuild(t *testing.T) {
 	const n, k = 90, 4
-	eng, queries := buildEngine(t, indexOpts(IndexMTree), n)
+	eng, queries := buildEngine(t, indexOpts(IndexVPTree), n)
 	scan, _ := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10}, n)
 	if _, _, err := eng.KNN(queries[0], k); err != nil {
 		t.Fatal(err)
@@ -198,7 +146,7 @@ func TestIndexChurnBackgroundRebuild(t *testing.T) {
 	if !stats.IndexUsed {
 		t.Fatal("index not used on the churned tree")
 	}
-	sameResults(t, "mtree-churned", "KNN", got, want)
+	sameResults(t, "vptree-churned", "KNN", got, want)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for eng.Metrics().IndexBuilds < 2 {
@@ -220,17 +168,17 @@ func TestIndexChurnBackgroundRebuild(t *testing.T) {
 		if !stats.IndexUsed {
 			t.Fatal("index not used after rebuild")
 		}
-		sameResults(t, "mtree-rebuilt", "KNN", got, want)
+		sameResults(t, "vptree-rebuilt", "KNN", got, want)
 	}
 }
 
-// TestSaveLoadIndexSection round-trips the metric index through the
+// TestSaveLoadIndexSection round-trips the VP-tree through the
 // version-3 snapshot: the saved tree must be adopted on load (no
-// rebuild), the loaded engine must answer identically, and a kind or
+// rebuild), the loaded engine must answer identically, and a
 // fingerprint mismatch must fall back to a silent rebuild — never an
 // error, never a wrong answer.
 func TestSaveLoadIndexSection(t *testing.T) {
-	opts := indexOpts(IndexMTree)
+	opts := indexOpts(IndexVPTree)
 	eng, queries := buildEngine(t, opts, 80)
 	q := queries[0]
 	want, _, err := eng.KNN(q, 5)
@@ -250,8 +198,8 @@ func TestSaveLoadIndexSection(t *testing.T) {
 	if snap.Index == nil {
 		t.Fatal("snapshot of a queried indexed engine carries no index section")
 	}
-	if snap.Index.Kind != IndexMTree || snap.Index.N != eng.Len() {
-		t.Fatalf("index section kind=%q N=%d, want %q/%d", snap.Index.Kind, snap.Index.N, IndexMTree, eng.Len())
+	if snap.Index.Kind != IndexVPTree || snap.Index.N != eng.Len() {
+		t.Fatalf("index section kind=%q N=%d, want %q/%d", snap.Index.Kind, snap.Index.N, IndexVPTree, eng.Len())
 	}
 
 	loaded, err := LoadEngine(bytes.NewReader(raw), eng.Cost(), opts)
@@ -268,25 +216,6 @@ func TestSaveLoadIndexSection(t *testing.T) {
 	sameResults(t, "loaded", "KNN", got, want)
 	if m := loaded.Metrics(); m.IndexReuses != 1 || m.IndexBuilds != 0 {
 		t.Errorf("loaded engine reuses=%d builds=%d, want 1/0 (saved tree adopted)", m.IndexReuses, m.IndexBuilds)
-	}
-
-	// Kind mismatch: the caller now wants a VP-tree; the saved M-tree
-	// is silently discarded and a fresh tree built.
-	vpOpts := indexOpts(IndexVPTree)
-	vpLoaded, err := LoadEngine(bytes.NewReader(raw), eng.Cost(), vpOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err = vpLoaded.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.IndexUsed {
-		t.Fatal("kind-mismatched load did not build a fresh index")
-	}
-	sameResults(t, "vp-rebuilt", "KNN", got, want)
-	if m := vpLoaded.Metrics(); m.IndexReuses != 0 || m.IndexBuilds != 1 {
-		t.Errorf("kind mismatch reuses=%d builds=%d, want 0/1", m.IndexReuses, m.IndexBuilds)
 	}
 
 	// Fingerprint mismatch: a snapshot whose index section carries a
@@ -337,7 +266,7 @@ func snapshotAsV2(t *testing.T, v3 []byte) []byte {
 // must load cleanly; an index-configured engine rebuilds the tree from
 // the items and answers identically.
 func TestLoadV2SnapshotIndexCompat(t *testing.T) {
-	opts := indexOpts(IndexMTree)
+	opts := indexOpts(IndexVPTree)
 	eng, queries := buildEngine(t, opts, 50)
 	q := queries[0]
 	want, _, err := eng.KNN(q, 5)
@@ -379,7 +308,7 @@ func TestLoadV2SnapshotIndexCompat(t *testing.T) {
 // re-validation stands between the bytes and a structurally broken
 // tree in the query path. Every case must fail with ErrCorrupt.
 func TestLoadRejectsBadIndexSection(t *testing.T) {
-	opts := indexOpts(IndexMTree)
+	opts := indexOpts(IndexVPTree)
 	eng, _ := buildEngine(t, opts, 40)
 	if _, _, err := eng.KNN(randHist(rand.New(rand.NewSource(3)), eng.Dim()), 3); err != nil {
 		t.Fatal(err)
@@ -408,6 +337,25 @@ func TestLoadRejectsBadIndexSection(t *testing.T) {
 		{"negative deleted count", func(s *persist.Snapshot) { s.Index.DeletedAtBuild = -1 }},
 		{"garbage blob", func(s *persist.Snapshot) { s.Index.Blob = []byte{0xff, 0x00, 0x13} }},
 		{"truncated blob", func(s *persist.Snapshot) { s.Index.Blob = s.Index.Blob[:len(s.Index.Blob)/2] }},
+		// The root's inside annulus swapped end for end: every field is
+		// finite and the tree well formed, but triangle keys built from
+		// it overshoot exact distances.
+		{"inverted annulus", func(s *persist.Snapshot) {
+			var f vptree.Flat
+			if err := gob.NewDecoder(bytes.NewReader(s.Index.Blob)).Decode(&f); err != nil {
+				t.Fatal(err)
+			}
+			r := &f.Nodes[0]
+			if r.Inside < 0 || r.ILo >= r.IHi {
+				t.Fatalf("fixture root has no nondegenerate inside annulus: %+v", *r)
+			}
+			r.ILo, r.IHi = r.IHi, r.ILo
+			var blob bytes.Buffer
+			if err := gob.NewEncoder(&blob).Encode(&f); err != nil {
+				t.Fatal(err)
+			}
+			s.Index.Blob = blob.Bytes()
+		}},
 	}
 	for _, c := range cases {
 		s := fresh()
@@ -416,39 +364,12 @@ func TestLoadRejectsBadIndexSection(t *testing.T) {
 		if err := persist.WriteSnapshot(&mut, s); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadEngine(bytes.NewReader(mut.Bytes()), eng.Cost(), opts); err == nil {
-			t.Errorf("%s: load accepted a damaged index section", c.name)
+		if _, err := LoadEngine(bytes.NewReader(mut.Bytes()), eng.Cost(), opts); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: load err = %v, want ErrCorrupt", c.name, err)
 		}
 	}
 	if _, err := LoadEngine(bytes.NewReader(good), eng.Cost(), opts); err != nil {
 		t.Fatalf("unmutated snapshot rejected: %v", err)
-	}
-}
-
-// TestFourPointGateRejectsNonSupermetric drives the engine's sampled
-// four-point gate directly: the C4 cycle's shortest-path metric is a
-// genuine metric without the four-point property, so the gate must
-// refuse it, while a line metric (isometrically embeddable in R) must
-// pass.
-func TestFourPointGateRejectsNonSupermetric(t *testing.T) {
-	c4 := func(i, j int) float64 {
-		d := i - j
-		if d < 0 {
-			d = -d
-		}
-		if 4-d < d {
-			d = 4 - d
-		}
-		return float64(d)
-	}
-	rng := rand.New(rand.NewSource(7))
-	if fourPointHolds([]int{0, 1, 2, 3}, c4, rng) {
-		t.Error("gate accepted the C4 shortest-path metric")
-	}
-	line := func(i, j int) float64 { return math.Abs(float64(i - j)) }
-	ids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if !fourPointHolds(ids, line, rand.New(rand.NewSource(8))) {
-		t.Error("gate rejected a line metric, which embeds in R")
 	}
 }
 
@@ -461,7 +382,7 @@ func TestTortureSnapshotIndexFlipMatrix(t *testing.T) {
 	d := 8
 	cost := LinearCost(d)
 	rng := rand.New(rand.NewSource(83))
-	opts := Options{ReducedDims: 4, SampleSize: 6, IndexKind: IndexMTree}
+	opts := Options{ReducedDims: 4, SampleSize: 6, IndexKind: IndexVPTree}
 	eng, err := NewEngine(cost, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -511,7 +432,7 @@ func TestVPTreeAddDefersRebuild(t *testing.T) {
 	eng, queries := buildEngine(t, indexOpts(IndexVPTree), n)
 	scan, _ := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10}, n)
 	syncBuilds := 0
-	eng.testHookSyncIndexBuild = func(string) { syncBuilds++ }
+	eng.testHookSyncIndexBuild = func() { syncBuilds++ }
 
 	if _, _, err := eng.KNN(queries[0], k); err != nil {
 		t.Fatal(err)
@@ -846,35 +767,94 @@ func TestIndexAutoAddServesScanUntilRebuild(t *testing.T) {
 	}
 }
 
-// TestIndexAutoLoadsMTreeSnapshot: a snapshot saved with an M-tree
-// section — what an auto engine wrote while auto built M-trees — loads
-// under IndexAuto, which rebuilds a VP-tree once on the first query
-// instead of adopting the saved tree, and answers exactly.
-func TestIndexAutoLoadsMTreeSnapshot(t *testing.T) {
-	mt, queries := loadAutoIndexEngine(t, IndexMTree)
-	if stats := checkExactKNN(t, "mtree", mt, queries[0], 5); !stats.IndexUsed {
-		t.Fatal("forced M-tree not used")
-	}
-	var buf bytes.Buffer
-	if err := mt.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if snap, err := persist.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil || snap.Index == nil || snap.Index.Kind != IndexMTree {
-		t.Fatalf("fixture snapshot carries no M-tree section (err=%v)", err)
-	}
-	opts := autoIndexSnapshot.opts
-	opts.IndexKind = IndexAuto
-	eng, err := LoadEngine(bytes.NewReader(buf.Bytes()), autoIndexSnapshot.cost, opts)
+// TestLoadLegacyMTreeSnapshot loads testdata/v4_mtree_index.snap,
+// written while the engine still had an M-tree (IndexKind "mtree", 80
+// items of d = 8 from rand source 31, d' = 4, seed 11). Its index
+// section is dropped without being decoded. Under IndexVPTree the first
+// query builds a VP-tree — one build, no reuse — answers equal brute
+// force, and saving again writes a "vptree" section equal to
+// testdata/v4_vptree_index.snap, which the M-tree code wrote for the
+// same engine, so the VP-tree wire format did not move. Under IndexOff
+// no tree is built and the section is gone from the next save.
+func TestLoadLegacyMTreeSnapshot(t *testing.T) {
+	const d = 8
+	cost := LinearCost(d)
+	raw, err := os.ReadFile("testdata/v4_mtree_index.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for qi, q := range queries {
-		stats := checkExactKNN(t, fmt.Sprintf("auto from mtree snapshot, query %d", qi), eng, q, 5)
-		if names := stageNames(stats); len(names) != 1 || names[0] != "VPTree(Red-EMD)" {
-			t.Fatalf("query %d: stages %v, want [VPTree(Red-EMD)]", qi, names)
+	if snap, err := persist.ReadSnapshot(bytes.NewReader(raw)); err != nil || snap.Index == nil || snap.Index.Kind != "mtree" {
+		t.Fatalf("fixture carries no M-tree section (err=%v)", err)
+	}
+	golden, err := os.ReadFile("testdata/v4_vptree_index.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	queries := make([]Histogram, 4)
+	for i := range queries {
+		queries[i] = randHist(rng, d)
+	}
+	for _, kind := range []string{IndexVPTree, IndexOff} {
+		eng, err := LoadEngine(bytes.NewReader(raw), cost, Options{ReducedDims: 4, SampleSize: 6, Seed: 11, IndexKind: kind})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		for qi, q := range queries {
+			stats := checkExactKNN(t, fmt.Sprintf("%s query %d", kind, qi), eng, q, 5)
+			if stats.IndexUsed != (kind == IndexVPTree) {
+				t.Fatalf("%s query %d: index used %v", kind, qi, stats.IndexUsed)
+			}
+		}
+		m := eng.Metrics()
+		var buf bytes.Buffer
+		if err := eng.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := persist.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == IndexOff {
+			if m.IndexBuilds != 0 || snap.Index != nil {
+				t.Fatalf("IndexOff: builds=%d, re-save index section %v; want none", m.IndexBuilds, snap.Index != nil)
+			}
+			continue
+		}
+		if m.IndexBuilds != 1 || m.IndexReuses != 0 {
+			t.Fatalf("builds=%d reuses=%d, want 1/0 (the M-tree section is dropped, a VP-tree built once)", m.IndexBuilds, m.IndexReuses)
+		}
+		if snap.Index == nil || snap.Index.Kind != IndexVPTree {
+			t.Fatalf("re-save carries no vptree section")
+		}
+		if !bytes.Equal(gobCanonical(t, buf.Bytes()), gobCanonical(t, golden)) {
+			t.Fatalf("re-save differs from testdata/v4_vptree_index.snap")
 		}
 	}
-	if m := eng.Metrics(); m.IndexBuilds != 1 || m.IndexReuses != 0 {
-		t.Fatalf("builds=%d reuses=%d, want 1/0 (the saved M-tree is replaced once)", m.IndexBuilds, m.IndexReuses)
+}
+
+// gobCanonical re-encodes a snapshot carrying a VP-tree section in this
+// process. gob numbers types in the order a process first meets them,
+// so snapshots of equal content written by processes with different
+// histories can differ in those numbers alone; re-encoding both sides
+// of a comparison here leaves only content differences.
+func gobCanonical(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	s, err := persist.ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
 	}
+	var f vptree.Flat
+	if err := gob.NewDecoder(bytes.NewReader(s.Index.Blob)).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+	var blob, out bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(&f); err != nil {
+		t.Fatal(err)
+	}
+	s.Index.Blob = blob.Bytes()
+	if err := persist.WriteSnapshot(&out, s); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }

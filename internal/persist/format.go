@@ -133,7 +133,8 @@ type QuantSection struct {
 // strictly an optimization — a reader that cannot reuse it (kind,
 // fingerprint or coverage mismatch) rebuilds from the items.
 type IndexSection struct {
-	// Kind is the tree kind, "mtree" or "vptree".
+	// Kind is the tree kind: "vptree", or "mtree" in files written
+	// while the engine still had an M-tree.
 	Kind string
 	// N is the store length the index covers (every live id < N is in
 	// the tree); DeletedAtBuild is the soft-deleted count at build

@@ -47,7 +47,7 @@ type IndexRanking interface {
 	// consumer stops pulling.
 	IndexStats() IndexStats
 	// Label names the index for per-stage statistics, e.g.
-	// "MTree(Red-EMD)".
+	// "VPTree(Red-EMD)".
 	Label() string
 }
 

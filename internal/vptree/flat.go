@@ -127,6 +127,16 @@ func RestoreFlat(f *Flat, n int) (*Tree, error) {
 			nd.bucket = fn.Bucket
 			nd.bdist = fn.BDist
 		}
+		// A present child's annulus feeds the stream's triangle keys, so
+		// an inverted one, or one on the wrong side of the median radius,
+		// would push keys above exact distances. The negated comparisons
+		// reject NaN too.
+		if fn.Inside != -1 && !(fn.ILo <= fn.IHi && fn.IHi <= fn.Radius) {
+			return nil, fmt.Errorf("vptree: node %d inside annulus [%g, %g] not within radius %g", i, fn.ILo, fn.IHi, fn.Radius)
+		}
+		if fn.Outside != -1 && !(fn.OLo <= fn.OHi && fn.Radius <= fn.OLo) {
+			return nil, fmt.Errorf("vptree: node %d outside annulus [%g, %g] not beyond radius %g", i, fn.OLo, fn.OHi, fn.Radius)
+		}
 		for _, c := range [2]int32{fn.Inside, fn.Outside} {
 			if c == -1 {
 				continue

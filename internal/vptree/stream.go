@@ -3,7 +3,6 @@ package vptree
 import (
 	"math"
 
-	"emdsearch/internal/fourpoint"
 	"emdsearch/internal/heapx"
 )
 
@@ -26,26 +25,20 @@ type frame struct {
 
 // Stream is an incremental best-first traversal emitting items in
 // nondecreasing distance order, pruning with the triangle inequality
-// against the stored subtree annuli and — when fourPoint is enabled —
-// with the supermetric planar bound over (parent vantage, vantage)
-// pivot pairs. It is not safe for concurrent use; the Tree is never
-// mutated and can serve many Streams.
+// against the stored subtree annuli. It is not safe for concurrent
+// use; the Tree is never mutated and can serve many Streams.
 type Stream struct {
-	t         *Tree
-	qdist     QueryDistFunc
-	skip      func(id int) bool
-	fourPoint bool
-	slack     float64
-	heap      *heapx.Heap[frame]
-	stats     Stats
+	t     *Tree
+	qdist QueryDistFunc
+	skip  func(id int) bool
+	slack float64
+	heap  *heapx.Heap[frame]
+	stats Stats
 }
 
 // Stream starts a best-first traversal. skip, when non-nil, filters
 // items (e.g. soft deletes) before their distance is evaluated; a
 // skipped vantage still serves as a pruning pivot but is not emitted.
-// fourPoint must only be enabled when the metric has the four-point
-// property (see internal/fourpoint) — the engine verifies this on
-// sampled quadruples before switching it on.
 //
 // slack bounds how far the metric may under-report: every distance the
 // tree stores and every query distance must lie in [d − slack, d] of
@@ -54,13 +47,12 @@ type Stream struct {
 // slack; the stream subtracts slack from every key, which keeps every
 // emitted Dist at or below the item's exact metric distance. Pass 0
 // for an exactly evaluated metric.
-func (t *Tree) Stream(qdist QueryDistFunc, skip func(id int) bool, fourPoint bool, slack float64) *Stream {
+func (t *Tree) Stream(qdist QueryDistFunc, skip func(id int) bool, slack float64) *Stream {
 	s := &Stream{
-		t:         t,
-		qdist:     qdist,
-		skip:      skip,
-		fourPoint: fourPoint,
-		slack:     slack,
+		t:     t,
+		qdist: qdist,
+		skip:  skip,
+		slack: slack,
 		heap: heapx.New(64, func(a, b frame) bool {
 			if a.key != b.key {
 				return a.key < b.key
@@ -81,25 +73,16 @@ func (t *Tree) Stream(qdist QueryDistFunc, skip func(id int) bool, fourPoint boo
 func (s *Stream) Stats() Stats { return s.stats }
 
 // childKey lower-bounds the query distance to a child subtree whose
-// items lie within [lo, hi] of nd's vantage (query distance dv) and
-// within [nd.plo, nd.phi] of nd's parent vantage (query distance
-// f.dqp): the triangle bound against the annulus, optionally maxed
-// with the supermetric two-pivot bound, each less the metric slack.
-func (s *Stream) childKey(f *frame, nd *node, dv, lo, hi float64) float64 {
+// items lie within [lo, hi] of its parent's vantage (query distance
+// dv): the triangle bound against the annulus, less the metric slack,
+// and never below the parent frame's key.
+func (s *Stream) childKey(f *frame, dv, lo, hi float64) float64 {
 	k := f.key
 	if b := dv - hi - s.slack; b > k {
 		k = b
 	}
 	if b := lo - dv - s.slack; b > k {
 		k = b
-	}
-	if s.fourPoint && !math.IsNaN(nd.dvp) && !math.IsNaN(f.dqp) {
-		// Pivots: p = parent vantage, v = nd's vantage. nd.plo/phi cover
-		// nd's whole subtree, a superset of the child's — looser but
-		// still a sound annulus for the planar bound.
-		if b := fourpoint.LowerBound(nd.dvp, f.dqp, dv, nd.plo, nd.phi, lo, hi) - s.slack; b > k {
-			k = b
-		}
 	}
 	return k
 }
@@ -141,13 +124,13 @@ func (s *Stream) Next() (Result, bool) {
 			}
 			if nd.inside != nil {
 				h.Push(frame{
-					key:  s.childKey(&f, nd, dv, nd.ilo, nd.ihi),
+					key:  s.childKey(&f, dv, nd.ilo, nd.ihi),
 					kind: frameNode, node: nd.inside, dqp: dv,
 				})
 			}
 			if nd.outside != nil {
 				h.Push(frame{
-					key:  s.childKey(&f, nd, dv, nd.olo, nd.ohi),
+					key:  s.childKey(&f, dv, nd.olo, nd.ohi),
 					kind: frameNode, node: nd.outside, dqp: dv,
 				})
 			}

@@ -10,9 +10,7 @@ import (
 	"testing"
 )
 
-// points2D builds an n-point 2-D Euclidean test metric. Euclidean
-// spaces have the four-point property, so both stream modes must be
-// exact on this data.
+// points2D builds an n-point 2-D Euclidean test metric.
 func points2D(rng *rand.Rand, n int) ([][2]float64, DistFunc) {
 	pts := make([][2]float64, n)
 	for i := range pts {
@@ -54,31 +52,28 @@ func TestStreamEmitsAllInOrder(t *testing.T) {
 		qdist := func(i int) float64 {
 			return math.Hypot(q[0]-pts[i][0], q[1]-pts[i][1])
 		}
-		for _, fourPoint := range []bool{false, true} {
-			got := drainStream(t, tr.Stream(qdist, nil, fourPoint, 0))
-			if len(got) != n {
-				t.Fatalf("trial %d fp=%v: %d emissions, want %d", trial, fourPoint, len(got), n)
+		got := drainStream(t, tr.Stream(qdist, nil, 0))
+		if len(got) != n {
+			t.Fatalf("trial %d: %d emissions, want %d", trial, len(got), n)
+		}
+		want := make([]Result, n)
+		for i := range want {
+			want[i] = Result{Index: i, Dist: qdist(i)}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Dist != want[j].Dist {
+				return want[i].Dist < want[j].Dist
 			}
-			want := make([]Result, n)
-			for i := range want {
-				want[i] = Result{Index: i, Dist: qdist(i)}
+			return want[i].Index < want[j].Index
+		})
+		seen := make(map[int]bool, n)
+		for i, r := range got {
+			if seen[r.Index] {
+				t.Fatalf("trial %d: index %d emitted twice", trial, r.Index)
 			}
-			sort.Slice(want, func(i, j int) bool {
-				if want[i].Dist != want[j].Dist {
-					return want[i].Dist < want[j].Dist
-				}
-				return want[i].Index < want[j].Index
-			})
-			seen := make(map[int]bool, n)
-			for i, r := range got {
-				if seen[r.Index] {
-					t.Fatalf("trial %d fp=%v: index %d emitted twice", trial, fourPoint, r.Index)
-				}
-				seen[r.Index] = true
-				if math.Abs(r.Dist-want[i].Dist) > 1e-9 {
-					t.Fatalf("trial %d fp=%v emission %d: Dist = %g, want %g",
-						trial, fourPoint, i, r.Dist, want[i].Dist)
-				}
+			seen[r.Index] = true
+			if math.Abs(r.Dist-want[i].Dist) > 1e-9 {
+				t.Fatalf("trial %d emission %d: Dist = %g, want %g", trial, i, r.Dist, want[i].Dist)
 			}
 		}
 	}
@@ -99,7 +94,7 @@ func TestStreamSkipsDeleted(t *testing.T) {
 	qdist := func(i int) float64 {
 		return math.Hypot(5-pts[i][0], 5-pts[i][1])
 	}
-	got := drainStream(t, tr.Stream(qdist, func(id int) bool { return deleted[id] }, false, 0))
+	got := drainStream(t, tr.Stream(qdist, func(id int) bool { return deleted[id] }, 0))
 	if len(got) != n-len(deleted) {
 		t.Fatalf("%d emissions, want %d", len(got), n-len(deleted))
 	}
@@ -108,53 +103,6 @@ func TestStreamSkipsDeleted(t *testing.T) {
 			t.Fatalf("deleted index %d emitted", r.Index)
 		}
 	}
-}
-
-// TestStreamFourPointPrunesMore: on Euclidean data the supermetric
-// bound must visit no more nodes than plain triangle pruning for the
-// same emissions, and typically fewer distance calls over a short
-// prefix.
-func TestStreamFourPointPrunesMore(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	n := 2000
-	pts, dist := points2D(rng, n)
-	tr, err := Build(n, dist, rand.New(rand.NewSource(6)))
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	var callsTri, callsFP int
-	for trial := 0; trial < 20; trial++ {
-		q := [2]float64{rng.Float64() * 10, rng.Float64() * 10}
-		qdist := func(i int) float64 {
-			return math.Hypot(q[0]-pts[i][0], q[1]-pts[i][1])
-		}
-		sTri := tr.Stream(qdist, nil, false, 0)
-		sFP := tr.Stream(qdist, nil, true, 0)
-		for i := 0; i < 10; i++ {
-			a, okA := sTri.Next()
-			b, okB := sFP.Next()
-			if !okA || !okB {
-				t.Fatalf("trial %d: stream dry at %d", trial, i)
-			}
-			// The four-point emission can carry ~1e-15 of planar rounding
-			// slack above the exact distance; compare with tolerance and
-			// allow index swaps only between genuine distance ties.
-			if math.Abs(a.Dist-b.Dist) > 1e-9 {
-				t.Fatalf("trial %d emission %d: tri (%d, %g) vs fourpoint (%d, %g)",
-					trial, i, a.Index, a.Dist, b.Index, b.Dist)
-			}
-			if a.Index != b.Index && math.Abs(qdist(a.Index)-qdist(b.Index)) > 1e-9 {
-				t.Fatalf("trial %d emission %d: tri index %d vs fourpoint index %d at non-tied distances",
-					trial, i, a.Index, b.Index)
-			}
-		}
-		callsTri += sTri.Stats().DistanceCalls
-		callsFP += sFP.Stats().DistanceCalls
-	}
-	if callsFP > callsTri {
-		t.Fatalf("four-point pruning cost MORE distance calls: %d vs %d", callsFP, callsTri)
-	}
-	t.Logf("distance calls over 20 queries x 10-NN prefix: triangle %d, four-point %d", callsTri, callsFP)
 }
 
 func TestFlattenRestoreRoundTrip(t *testing.T) {
@@ -183,17 +131,14 @@ func TestFlattenRestoreRoundTrip(t *testing.T) {
 		qdist := func(i int) float64 {
 			return math.Hypot(3-pts[i][0], 7-pts[i][1])
 		}
-		for _, fourPoint := range []bool{false, true} {
-			a := drainStream(t, tr.Stream(qdist, nil, fourPoint, 0))
-			b := drainStream(t, re.Stream(qdist, nil, fourPoint, 0))
-			if len(a) != len(b) {
-				t.Fatalf("n=%d fp=%v: %d vs %d emissions", n, fourPoint, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("n=%d fp=%v emission %d: %+v vs %+v (must be bit-identical)",
-						n, fourPoint, i, a[i], b[i])
-				}
+		a := drainStream(t, tr.Stream(qdist, nil, 0))
+		b := drainStream(t, re.Stream(qdist, nil, 0))
+		if len(a) != len(b) {
+			t.Fatalf("n=%d: %d vs %d emissions", n, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("n=%d emission %d: %+v vs %+v (must be bit-identical)", n, i, a[i], b[i])
 			}
 		}
 	}
@@ -221,6 +166,9 @@ func TestRestoreFlatRejectsCorruption(t *testing.T) {
 	if leafIdx < 0 || internalIdx < 0 {
 		t.Fatal("fixture tree lacks a leaf or internal node")
 	}
+	if root := fresh().Nodes[0]; root.Inside < 0 || root.Outside < 0 || root.ILo >= root.IHi || root.OLo >= root.OHi {
+		t.Fatalf("fixture root lacks two children with nondegenerate annuli: %+v", root)
+	}
 	cases := []struct {
 		name   string
 		mutate func(f *Flat)
@@ -238,6 +186,10 @@ func TestRestoreFlatRejectsCorruption(t *testing.T) {
 		{"child self-loop", func(f *Flat) { f.Nodes[internalIdx].Inside = int32(internalIdx) }},
 		{"leaf with children", func(f *Flat) { f.Nodes[leafIdx].Inside = int32(leafIdx + 1) }},
 		{"infinite radius", func(f *Flat) { f.Nodes[internalIdx].Radius = math.Inf(1) }},
+		{"inverted inside annulus", func(f *Flat) { r := &f.Nodes[0]; r.ILo, r.IHi = r.IHi, r.ILo }},
+		{"inverted outside annulus", func(f *Flat) { r := &f.Nodes[0]; r.OLo, r.OHi = r.OHi, r.OLo }},
+		{"inside annulus beyond radius", func(f *Flat) { r := &f.Nodes[0]; r.IHi = r.Radius + 1 }},
+		{"outside annulus within radius", func(f *Flat) { r := &f.Nodes[0]; r.OLo = r.Radius - 1 }},
 	}
 	for _, c := range cases {
 		f := fresh()
@@ -313,7 +265,7 @@ func newLineMetric(n int, delta float64, adversarial bool, seed int64) *lineMetr
 // items within the final k-th distance, ties included, with brute
 // force.
 func checkApproxStream(tr *Tree, m *lineMetric, slack float64, k int) error {
-	s := tr.Stream(m.query, nil, false, slack)
+	s := tr.Stream(m.query, nil, slack)
 	seen := make(map[int]bool)
 	prev := math.Inf(-1)
 	for {
@@ -346,7 +298,7 @@ func checkApproxStream(tr *Tree, m *lineMetric, slack float64, k int) error {
 	kth := sorted[k-1]
 	var refined []float64
 	got := map[int]bool{}
-	s = tr.Stream(m.query, nil, false, slack)
+	s = tr.Stream(m.query, nil, slack)
 	for {
 		r, ok := s.Next()
 		if !ok || len(refined) >= k && r.Dist > refined[k-1] {

@@ -1,7 +1,7 @@
 // Package vptree implements a vantage-point tree, the classic metric
 // index the multimedia-retrieval literature compares filter-and-refine
-// architectures against. It answers exact k-NN and range queries for
-// any metric distance using triangle-inequality pruning, and exposes a
+// architectures against. It answers exact k-NN queries for any metric
+// distance using triangle-inequality pruning, and exposes a
 // best-first Stream that emits items in nondecreasing lower-bound
 // order for use as an incremental candidate generator.
 //
@@ -50,10 +50,13 @@ type node struct {
 	ilo, ihi float64
 	olo, ohi float64
 
-	// Subtree annuli to the PARENT's vantage (covering this node's
+	// Subtree annulus to the PARENT's vantage (covering this node's
 	// entire subtree, vantage included) and the vantage's own distance
-	// to it. They feed the optional supermetric four-point bound, which
-	// needs two pivots with known query distances. NaN at the root.
+	// to it; NaN at the root. No traversal reads them. They are built,
+	// persisted and restored only to keep the Flat wire format fixed:
+	// a snapshot must stay byte-identical to one written by releases
+	// that still had the four-point bound, and such a release reading
+	// it prunes with these values, so they must stay correct.
 	plo, phi float64
 	dvp      float64
 
@@ -261,50 +264,6 @@ func (t *Tree) KNN(qdist QueryDistFunc, k int) ([]Result, *Stats, error) {
 	for best.Len() > 0 {
 		out = append(out, best.Pop())
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out, stats, nil
-}
-
-// Range returns all items within eps of the query, exactly.
-func (t *Tree) Range(qdist QueryDistFunc, eps float64) ([]Result, *Stats, error) {
-	if eps < 0 {
-		return nil, nil, fmt.Errorf("vptree: eps = %g, want >= 0", eps)
-	}
-	stats := &Stats{}
-	var out []Result
-	var visit func(nd *node)
-	visit = func(nd *node) {
-		if nd == nil {
-			return
-		}
-		stats.NodesVisited++
-		if nd.vantage < 0 {
-			for _, it := range nd.bucket {
-				stats.DistanceCalls++
-				if d := qdist(int(it)); d <= eps {
-					out = append(out, Result{Index: int(it), Dist: d})
-				}
-			}
-			return
-		}
-		stats.DistanceCalls++
-		dv := qdist(nd.vantage)
-		if dv <= eps {
-			out = append(out, Result{Index: nd.vantage, Dist: dv})
-		}
-		if dv-eps <= nd.radius {
-			visit(nd.inside)
-		}
-		if dv+eps >= nd.radius {
-			visit(nd.outside)
-		}
-	}
-	visit(t.root)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dist != out[j].Dist {
 			return out[i].Dist < out[j].Dist

@@ -107,50 +107,11 @@ func TestKNNPrunesOnLowDimensionalData(t *testing.T) {
 	}
 }
 
-func TestRangeMatchesBruteForce(t *testing.T) {
-	pts, dist := fixture(400, 9)
-	tree, err := Build(len(pts), dist, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{3, 7}
-	qd := func(i int) float64 { return vecmath.L2(q, pts[i]) }
-	for _, eps := range []float64{0, 0.5, 2, 20} {
-		got, _, err := tree.Range(qd, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []Result
-		for i := range pts {
-			if d := qd(i); d <= eps {
-				want = append(want, Result{Index: i, Dist: d})
-			}
-		}
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].Dist != want[j].Dist {
-				return want[i].Dist < want[j].Dist
-			}
-			return want[i].Index < want[j].Index
-		})
-		if len(got) != len(want) {
-			t.Fatalf("eps=%g: %d results, want %d", eps, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("eps=%g result %d: got %+v, want %+v", eps, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestQueryValidation(t *testing.T) {
 	pts, dist := fixture(10, 1)
 	tree, _ := Build(len(pts), dist, rand.New(rand.NewSource(1)))
 	if _, _, err := tree.KNN(func(int) float64 { return 0 }, 0); err == nil {
 		t.Error("accepted k=0")
-	}
-	if _, _, err := tree.Range(func(int) float64 { return 0 }, -1); err == nil {
-		t.Error("accepted negative eps")
 	}
 }
 

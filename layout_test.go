@@ -32,12 +32,8 @@ func layoutVariants() []layoutVariant {
 	base := Options{ReducedDims: 8, SampleSize: 10}
 	oddBlock := base
 	oddBlock.FilterBlockSize = 17
-	mt := base
-	mt.IndexKind = IndexMTree
 	vp := base
 	vp.IndexKind = IndexVPTree
-	vp4 := vp
-	vp4.FourPoint = true
 	oblivious := base
 	oblivious.unboundedRefine = true
 	return []layoutVariant{
@@ -52,9 +48,7 @@ func layoutVariants() []layoutVariant {
 		// with a best-first tree traversal. Emissions stay a
 		// nondecreasing lower-bounding order, so the *answers* must
 		// still be bit-identical; only the work counters may differ.
-		{"mtree-index", mt},
 		{"vptree-index", vp},
-		{"vptree-index+4pt", vp4},
 	}
 }
 
@@ -242,9 +236,7 @@ func TestCrossLayoutStageChains(t *testing.T) {
 		"columnar+quantized":  {"Q-Red-IM", "Red-IM", "Red-EMD"},
 		"columnar+block17":    {"Q-Red-IM", "Red-IM", "Red-EMD"},
 		"threshold-oblivious": {"Q-Red-IM", "Red-IM", "Red-EMD"},
-		"mtree-index":         {"MTree(Red-EMD)"},
 		"vptree-index":        {"VPTree(Red-EMD)"},
-		"vptree-index+4pt":    {"VPTree(Red-EMD)"},
 	}
 	for _, v := range layoutVariants() {
 		eng, queries := buildLayoutEngine(t, v, 60)

@@ -7,7 +7,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"slices"
 	"sort"
@@ -17,7 +16,6 @@ import (
 	"emdsearch/internal/colscan"
 	"emdsearch/internal/core"
 	"emdsearch/internal/db"
-	"emdsearch/internal/mtree"
 	"emdsearch/internal/persist"
 	"emdsearch/internal/shardset"
 	"emdsearch/internal/vptree"
@@ -110,16 +108,9 @@ func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
 	var index *persist.IndexSection
 	if si := e.savedIndex; si != nil && si.n == n {
 		var blob bytes.Buffer
-		var encErr error
-		switch si.kind {
-		case IndexMTree:
-			encErr = gob.NewEncoder(&blob).Encode(si.mt.Flatten())
-		case IndexVPTree:
-			encErr = gob.NewEncoder(&blob).Encode(si.vt.Flatten())
-		}
-		if encErr == nil && blob.Len() > 0 {
+		if err := gob.NewEncoder(&blob).Encode(si.vt.Flatten()); err == nil {
 			index = &persist.IndexSection{
-				Kind:           si.kind,
+				Kind:           IndexVPTree,
 				N:              si.n,
 				DeletedAtBuild: si.deletedAtBuild,
 				RedHash:        si.redHash,
@@ -340,7 +331,7 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 		if err != nil {
 			return nil, fmt.Errorf("emdsearch: %w: metric index: %v", ErrCorrupt, err)
 		}
-		e.savedIndex = si
+		e.savedIndex = si // nil for a legacy M-tree section
 	}
 	if s.Cascade != nil {
 		levels, err := restoreCascadeSection(s.Cascade, chain, e.Dim())
@@ -439,51 +430,37 @@ func restoreCascadeSection(cs *persist.CascadeSection, engChain []*core.Reductio
 	return chain, nil
 }
 
-// restoreIndexSection validates and materializes a persisted metric
-// index. A CRC-valid but semantically damaged section must fail the
-// load, never reach a traversal; RestoreFlat re-checks every
-// structural invariant of the tree. Whether the stash is actually
-// reused is decided at pipeline build time by matching its kind and
-// reduction fingerprint — a stale index is silently rebuilt.
+// restoreIndexSection validates and materializes a persisted VP-tree.
+// A CRC-valid but semantically damaged section must fail the load,
+// never reach a traversal; RestoreFlat re-checks every structural
+// invariant of the tree. Whether the stash is actually reused is
+// decided at pipeline build time by matching its reduction fingerprint
+// — a stale index is silently rebuilt. A section of kind "mtree",
+// written while the engine still had an M-tree, is dropped without
+// being decoded (nil, nil): the first query builds a VP-tree instead.
 func restoreIndexSection(is *persist.IndexSection, items int) (*savedIndex, error) {
+	switch is.Kind {
+	case "mtree":
+		return nil, nil
+	case IndexVPTree:
+	default:
+		return nil, fmt.Errorf("unknown index kind %q", is.Kind)
+	}
 	if is.N != items {
 		return nil, fmt.Errorf("covers %d items, snapshot carries %d", is.N, items)
 	}
 	if is.DeletedAtBuild < 0 || is.DeletedAtBuild > is.N {
 		return nil, fmt.Errorf("deleted-at-build %d out of range [0, %d]", is.DeletedAtBuild, is.N)
 	}
-	si := &savedIndex{
-		kind:           is.Kind,
-		n:              is.N,
-		deletedAtBuild: is.DeletedAtBuild,
-		redHash:        is.RedHash,
+	var f vptree.Flat
+	if err := gob.NewDecoder(bytes.NewReader(is.Blob)).Decode(&f); err != nil {
+		return nil, fmt.Errorf("decode vp-tree: %v", err)
 	}
-	dec := gob.NewDecoder(bytes.NewReader(is.Blob))
-	switch is.Kind {
-	case IndexMTree:
-		var f mtree.Flat
-		if err := dec.Decode(&f); err != nil {
-			return nil, fmt.Errorf("decode m-tree: %v", err)
-		}
-		mt, err := mtree.RestoreFlat(&f, items, rand.New(rand.NewSource(0x6d726573)))
-		if err != nil {
-			return nil, err
-		}
-		si.mt = mt
-	case IndexVPTree:
-		var f vptree.Flat
-		if err := dec.Decode(&f); err != nil {
-			return nil, fmt.Errorf("decode vp-tree: %v", err)
-		}
-		vt, err := vptree.RestoreFlat(&f, items)
-		if err != nil {
-			return nil, err
-		}
-		si.vt = vt
-	default:
-		return nil, fmt.Errorf("unknown index kind %q", is.Kind)
+	vt, err := vptree.RestoreFlat(&f, items)
+	if err != nil {
+		return nil, err
 	}
-	return si, nil
+	return &savedIndex{vt: vt, n: is.N, deletedAtBuild: is.DeletedAtBuild, redHash: is.RedHash}, nil
 }
 
 // loadLegacyEngine is the version-0 fallback: a raw gob database

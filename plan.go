@@ -49,10 +49,10 @@ func compilePlan(o Options, dim int) (*plan, error) {
 		return nil, fmt.Errorf("emdsearch: ReducedDims %d out of range [0, %d]", o.ReducedDims, dim)
 	}
 	switch o.IndexKind {
-	case IndexAuto, IndexMTree, IndexVPTree, IndexOff:
+	case IndexAuto, IndexVPTree, IndexOff:
 	default:
-		return nil, fmt.Errorf("emdsearch: IndexKind %q, want one of %q, %q, %q, %q",
-			o.IndexKind, IndexAuto, IndexMTree, IndexVPTree, IndexOff)
+		return nil, fmt.Errorf("emdsearch: IndexKind %q, want one of %q, %q, %q",
+			o.IndexKind, IndexAuto, IndexVPTree, IndexOff)
 	}
 	if o.SampleSize < 0 {
 		return nil, fmt.Errorf("emdsearch: SampleSize %d, want >= 0", o.SampleSize)

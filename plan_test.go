@@ -198,7 +198,10 @@ func TestOptionCountsPinned(t *testing.T) {
 		got  int
 		pin  int
 	}{
-		{"Options", exported(Options{}), 14},
+		// 13: the four-point pruning switch went with the four-point
+		// bound, the one index pruning rule without a losslessness
+		// proof (DESIGN.md §13).
+		{"Options", exported(Options{}), 13},
 		{"ShardSetOptions", exported(ShardSetOptions{}), 14},
 		{"GateOptions", exported(GateOptions{}), 6},
 	} {
