@@ -43,44 +43,46 @@ func TestNewEngineIndexKindValidation(t *testing.T) {
 // answer, and the answers must match a scan engine with the same
 // deletes bit for bit.
 func TestIndexDeleteThenKNN(t *testing.T) {
-	const n, k = 120, 6
-	scan, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10}, n)
-	eng, _ := buildEngine(t, indexOpts(IndexVPTree), n)
-	// First query builds the tree over all live items...
-	if _, _, err := eng.KNN(queries[0], k); err != nil {
-		t.Fatal(err)
-	}
-	// ...then deletes punch holes the traversal must skip.
-	dead := []int{3, 11, 42, 43, 77}
-	for _, id := range dead {
-		if err := eng.Delete(id); err != nil {
+	t.Run("vptree", func(t *testing.T) {
+		const n, k = 120, 6
+		scan, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10}, n)
+		eng, _ := buildEngine(t, indexOpts(IndexVPTree), n)
+		// First query builds the tree over all live items...
+		if _, _, err := eng.KNN(queries[0], k); err != nil {
 			t.Fatal(err)
 		}
-		if err := scan.Delete(id); err != nil {
-			t.Fatal(err)
+		// ...then deletes punch holes the traversal must skip.
+		dead := []int{3, 11, 42, 43, 77}
+		for _, id := range dead {
+			if err := eng.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := scan.Delete(id); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for qi, q := range queries {
-		want, _, err := scan.KNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := eng.KNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !stats.IndexUsed {
-			t.Fatalf("query %d: forced index not used", qi)
-		}
-		sameResults(t, "vptree", "KNN", got, want)
-		for _, r := range got {
-			for _, id := range dead {
-				if r.Index == id {
-					t.Fatalf("query %d returned deleted item %d", qi, id)
+		for qi, q := range queries {
+			want, _, err := scan.KNN(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := eng.KNN(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stats.IndexUsed {
+				t.Fatalf("query %d: forced index not used", qi)
+			}
+			sameResults(t, "vptree", "KNN", got, want)
+			for _, r := range got {
+				for _, id := range dead {
+					if r.Index == id {
+						t.Fatalf("query %d returned deleted item %d", qi, id)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestIndexAutoDeclinesSmallCorpus: auto mode must not pay tree-build
