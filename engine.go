@@ -195,9 +195,11 @@ type Engine struct {
 	// savedIndex is the metric index retained across pipeline rebuilds
 	// (and restored from persisted snapshots), reused when its
 	// fingerprint still matches the live data; indexRebuilding
-	// serializes the churn-triggered background rebuild.
-	savedIndex      *savedIndex
-	indexRebuilding bool
+	// serializes the background rebuilds, and indexRebuildWanted
+	// records that a snapshot wanted one while the latch was held.
+	savedIndex         *savedIndex
+	indexRebuilding    bool
+	indexRebuildWanted bool
 
 	// savedIntrinsic caches the auto-mode intrinsic-dimensionality
 	// estimate across snapshot rebuilds; it is keyed by the same

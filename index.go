@@ -322,9 +322,8 @@ func (e *Engine) attachIndexLocked(snap *snapshot, s *search.Searcher) error {
 		// that traversal must skip item by item. Rebuild over live ids
 		// in the background and invalidate the snapshot when done.
 		churn := len(snap.deleted) - saved.deletedAtBuild
-		if float64(churn) > indexChurnFraction*float64(n) && !e.indexRebuilding {
-			e.indexRebuilding = true
-			go e.rebuildIndex(snap, metric, redHash, n)
+		if float64(churn) > indexChurnFraction*float64(n) {
+			e.scheduleRebuildLocked(snap, metric, redHash, n)
 		}
 	case saved != nil && saved.n < n:
 		// The VP-tree has no incremental insert, and rebuilding it here
@@ -334,10 +333,7 @@ func (e *Engine) attachIndexLocked(snap *snapshot, s *search.Searcher) error {
 		// invalidates the snapshot, so the index returns at the next
 		// query after the rebuild lands.
 		e.metrics.indexDeferred()
-		if !e.indexRebuilding {
-			e.indexRebuilding = true
-			go e.rebuildIndex(snap, metric, redHash, n)
-		}
+		e.scheduleRebuildLocked(snap, metric, redHash, n)
 		return nil
 	default:
 		if vt, err = buildVPTree(snap, n, metric, rng); err != nil {
@@ -361,28 +357,49 @@ func (e *Engine) attachIndexLocked(snap *snapshot, s *search.Searcher) error {
 	return nil
 }
 
+// scheduleRebuildLocked starts a background rebuild over snap, or,
+// while one runs, records that another is wanted: the running one
+// cannot serve snap's state, and its release reschedules. Caller holds
+// e.mu for writing.
+func (e *Engine) scheduleRebuildLocked(snap *snapshot, metric func(xr, yr Histogram) float64, redHash uint64, n int) {
+	if e.indexRebuilding {
+		e.indexRebuildWanted = true
+		return
+	}
+	e.indexRebuilding = true
+	go e.rebuildIndex(snap, metric, redHash, n)
+}
+
 // rebuildIndex rebuilds the VP-tree over the live ids of a captured
 // (immutable) snapshot off the engine lock, then installs the result if
 // the engine still matches the state it was built from. Runs on its own
-// goroutine; e.indexRebuilding serializes rebuilds.
+// goroutine; e.indexRebuilding serializes rebuilds. When another
+// rebuild was wanted while this one ran, or this one finished stale,
+// releasing the latch invalidates the snapshot, so the next query's
+// snapshot build schedules a rebuild against the current store.
 func (e *Engine) rebuildIndex(snap *snapshot, metric func(xr, yr Histogram) float64, redHash uint64, n int) {
 	failed := false
 	defer func() {
 		// The latch MUST be released on every exit — error, stale race
 		// or panic — or deep-churn rebuilds are disabled for the
-		// engine's lifetime. And this goroutine is detached: a solver
-		// or tree invariant panic here would kill the whole process if
-		// it escaped, so it is contained and counted like a query-path
-		// panic.
+		// engine's lifetime. It is released before a failure is
+		// counted, so whoever waits for the count finds it free. This
+		// goroutine is detached: a solver or tree invariant panic here
+		// would kill the whole process if it escaped, so it is
+		// contained and counted like a query-path panic.
 		if r := recover(); r != nil {
 			failed = true
 		}
+		e.mu.Lock()
+		e.indexRebuilding = false
+		if e.indexRebuildWanted {
+			e.indexRebuildWanted = false
+			e.snap = nil
+		}
+		e.mu.Unlock()
 		if failed {
 			e.metrics.indexRebuildFailed()
 		}
-		e.mu.Lock()
-		e.indexRebuilding = false
-		e.mu.Unlock()
 	}()
 	if hook := e.testHookIndexRebuild; hook != nil {
 		hook()
@@ -397,7 +414,11 @@ func (e *Engine) rebuildIndex(snap *snapshot, metric func(xr, yr Histogram) floa
 	// Install only if the engine still matches what was indexed: same
 	// reduction and no items added since (deletes are fine — the fresh
 	// tree simply excludes the ones deleted before the rebuild began).
-	if red := e.plan.finest(); red == nil || e.store.Len() != n || reductionHash(red) != redHash {
+	if red := e.plan.finest(); red == nil || reductionHash(red) != redHash {
+		return
+	}
+	if e.store.Len() != n {
+		e.indexRebuildWanted = true
 		return
 	}
 	e.savedIndex = &savedIndex{vt: vt, n: n, deletedAtBuild: len(snap.deleted), redHash: redHash}

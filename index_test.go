@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sync"
@@ -219,6 +220,14 @@ func TestSaveLoadIndexSection(t *testing.T) {
 	if m := loaded.Metrics(); m.IndexReuses != 1 || m.IndexBuilds != 0 {
 		t.Errorf("loaded engine reuses=%d builds=%d, want 1/0 (saved tree adopted)", m.IndexReuses, m.IndexBuilds)
 	}
+	// The restored tree flattens to the saved one, ancestor rows and
+	// the older fields derived from them included.
+	if f := decodeFlat(t, snap.Index.Blob); len(f.Nodes) < 2 || len(f.Nodes[1].Rows) == 0 {
+		t.Fatal("saved tree carries no ancestor rows")
+	}
+	if a, b := flatBytes(t, eng.savedIndex.vt), flatBytes(t, loaded.savedIndex.vt); !bytes.Equal(a, b) {
+		t.Error("restored tree flattens differently from the saved one")
+	}
 
 	// Fingerprint mismatch: a snapshot whose index section carries a
 	// foreign reduction hash decodes fine but must be rebuilt, not
@@ -330,6 +339,18 @@ func TestLoadRejectsBadIndexSection(t *testing.T) {
 		}
 		return s
 	}
+	// editFlat mutates the decoded tree of the section and re-encodes it.
+	editFlat := func(edit func(f *vptree.Flat)) func(s *persist.Snapshot) {
+		return func(s *persist.Snapshot) {
+			f := decodeFlat(t, s.Index.Blob)
+			edit(f)
+			var blob bytes.Buffer
+			if err := gob.NewEncoder(&blob).Encode(f); err != nil {
+				t.Fatal(err)
+			}
+			s.Index.Blob = blob.Bytes()
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(s *persist.Snapshot)
@@ -342,22 +363,21 @@ func TestLoadRejectsBadIndexSection(t *testing.T) {
 		// The root's inside annulus swapped end for end: every field is
 		// finite and the tree well formed, but triangle keys built from
 		// it overshoot exact distances.
-		{"inverted annulus", func(s *persist.Snapshot) {
-			var f vptree.Flat
-			if err := gob.NewDecoder(bytes.NewReader(s.Index.Blob)).Decode(&f); err != nil {
-				t.Fatal(err)
-			}
+		{"inverted annulus", editFlat(func(f *vptree.Flat) {
 			r := &f.Nodes[0]
 			if r.Inside < 0 || r.ILo >= r.IHi {
 				t.Fatalf("fixture root has no nondegenerate inside annulus: %+v", *r)
 			}
 			r.ILo, r.IHi = r.IHi, r.ILo
-			var blob bytes.Buffer
-			if err := gob.NewEncoder(&blob).Encode(&f); err != nil {
-				t.Fatal(err)
-			}
-			s.Index.Blob = blob.Bytes()
-		}},
+		})},
+		// The ancestor rows the stream's keys derive from: one entry
+		// short, a NaN entry, and an older field the rows contradict.
+		{"short row", editFlat(func(f *vptree.Flat) {
+			rows := &f.Nodes[len(f.Nodes)-1].Rows
+			*rows = (*rows)[:len(*rows)-1]
+		})},
+		{"NaN row entry", editFlat(func(f *vptree.Flat) { f.Nodes[len(f.Nodes)-1].Rows[0] = math.NaN() })},
+		{"legacy field disagrees with rows", editFlat(func(f *vptree.Flat) { f.Nodes[1].PHi += 0.5 })},
 	}
 	for _, c := range cases {
 		s := fresh()
@@ -635,6 +655,51 @@ func TestIndexRebuildFailureClearsLatch(t *testing.T) {
 	sameResults(t, "vptree-recovered", "KNN", got, want)
 }
 
+// TestIndexStaleRebuildReschedules: a background rebuild that
+// finishes stale — an Add landed while it ran — must not leave the
+// index off. The snapshot built after that Add found the rebuild latch
+// held and could not schedule one of its own; releasing the latch
+// must reschedule against the current store, and the index must serve
+// again without any further mutation.
+func TestIndexStaleRebuildReschedules(t *testing.T) {
+	const n, k = 100, 5
+	eng, queries := buildEngine(t, indexOpts(IndexVPTree), n)
+	release := make(chan struct{})
+	var rebuilds atomic.Int32
+	eng.testHookIndexRebuild = func() {
+		if rebuilds.Add(1) == 1 {
+			<-release
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	if stats := checkExactKNN(t, "before Add", eng, queries[0], k); !stats.IndexUsed {
+		t.Fatal("index not used before the Add")
+	}
+	// The first Add defers to a background rebuild, held in its hook;
+	// the second makes it stale, and its snapshot finds the latch held.
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Add(fmt.Sprintf("new%d", i), randHist(rng, eng.Dim())); err != nil {
+			t.Fatal(err)
+		}
+		if stats := checkExactKNN(t, fmt.Sprintf("after Add %d", i), eng, queries[0], k); stats.IndexUsed {
+			t.Fatalf("query after Add %d used the stale tree", i)
+		}
+	}
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for q := 0; ; q++ {
+		if stats := checkExactKNN(t, fmt.Sprintf("after release %d", q), eng, queries[q%len(queries)], k); stats.IndexUsed {
+			break
+		}
+		if time.Now().After(deadline) {
+			m := eng.Metrics()
+			t.Fatalf("index never served again: %d queries, builds=%d deferred=%d rebuild calls=%d",
+				q+1, m.IndexBuilds, m.IndexDeferredBuilds, rebuilds.Load())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // autoIndexSnapshot is a saved engine just above the IndexAuto size
 // gate on a low-intrinsic-dimension corpus (the index_gm shape scaled
 // down to d = 16, d' = 8), built once and shared by the IndexAuto tests
@@ -769,25 +834,21 @@ func TestIndexAutoAddServesScanUntilRebuild(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyMTreeSnapshot loads testdata/v4_mtree_index.snap,
-// written while the engine still had an M-tree (IndexKind "mtree", 80
-// items of d = 8 from rand source 31, d' = 4, seed 11). Its index
-// section is dropped without being decoded. Under IndexVPTree the first
-// query builds a VP-tree — one build, no reuse — answers equal brute
-// force, and saving again writes a "vptree" section equal to
-// testdata/v4_vptree_index.snap, which the M-tree code wrote for the
-// same engine, so the VP-tree wire format did not move. Under IndexOff
-// no tree is built and the section is gone from the next save.
+// TestLoadLegacyMTreeSnapshot loads the two legacy index fixtures, both
+// saved for the same engine (80 items of d = 8 from rand source 31,
+// d' = 4, seed 11): testdata/v4_mtree_index.snap, written while the
+// engine still had an M-tree (IndexKind "mtree"), and
+// testdata/v4_vptree_index.snap, a VP-tree written before the tree kept
+// its ancestor rows. Either index section is dropped on load. Under
+// IndexVPTree the first query builds a VP-tree — one build, no reuse —
+// answers equal brute force, and saving again writes a "vptree" section
+// that carries rows and whose older fields equal the legacy VP-tree
+// fixture's, so a reader from before the rows loads it as the same
+// tree; loading that re-save reuses the tree. Under IndexOff no tree is
+// built and the section is gone from the next save.
 func TestLoadLegacyMTreeSnapshot(t *testing.T) {
 	const d = 8
 	cost := LinearCost(d)
-	raw, err := os.ReadFile("testdata/v4_mtree_index.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap, err := persist.ReadSnapshot(bytes.NewReader(raw)); err != nil || snap.Index == nil || snap.Index.Kind != "mtree" {
-		t.Fatalf("fixture carries no M-tree section (err=%v)", err)
-	}
 	golden, err := os.ReadFile("testdata/v4_vptree_index.snap")
 	if err != nil {
 		t.Fatal(err)
@@ -797,61 +858,109 @@ func TestLoadLegacyMTreeSnapshot(t *testing.T) {
 	for i := range queries {
 		queries[i] = randHist(rng, d)
 	}
-	for _, kind := range []string{IndexVPTree, IndexOff} {
-		eng, err := LoadEngine(bytes.NewReader(raw), cost, Options{ReducedDims: 4, SampleSize: 6, Seed: 11, IndexKind: kind})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		for qi, q := range queries {
-			stats := checkExactKNN(t, fmt.Sprintf("%s query %d", kind, qi), eng, q, 5)
-			if stats.IndexUsed != (kind == IndexVPTree) {
-				t.Fatalf("%s query %d: index used %v", kind, qi, stats.IndexUsed)
-			}
-		}
-		m := eng.Metrics()
-		var buf bytes.Buffer
-		if err := eng.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := persist.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	for _, fixture := range []struct{ file, kind string }{
+		{"testdata/v4_mtree_index.snap", "mtree"},
+		{"testdata/v4_vptree_index.snap", IndexVPTree},
+	} {
+		raw, err := os.ReadFile(fixture.file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind == IndexOff {
-			if m.IndexBuilds != 0 || snap.Index != nil {
-				t.Fatalf("IndexOff: builds=%d, re-save index section %v; want none", m.IndexBuilds, snap.Index != nil)
+		if snap, err := persist.ReadSnapshot(bytes.NewReader(raw)); err != nil || snap.Index == nil || snap.Index.Kind != fixture.kind {
+			t.Fatalf("%s carries no %s section (err=%v)", fixture.file, fixture.kind, err)
+		}
+		for _, kind := range []string{IndexVPTree, IndexOff} {
+			opts := Options{ReducedDims: 4, SampleSize: 6, Seed: 11, IndexKind: kind}
+			eng, err := LoadEngine(bytes.NewReader(raw), cost, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", fixture.file, kind, err)
 			}
-			continue
-		}
-		if m.IndexBuilds != 1 || m.IndexReuses != 0 {
-			t.Fatalf("builds=%d reuses=%d, want 1/0 (the M-tree section is dropped, a VP-tree built once)", m.IndexBuilds, m.IndexReuses)
-		}
-		if snap.Index == nil || snap.Index.Kind != IndexVPTree {
-			t.Fatalf("re-save carries no vptree section")
-		}
-		if !bytes.Equal(gobCanonical(t, buf.Bytes()), gobCanonical(t, golden)) {
-			t.Fatalf("re-save differs from testdata/v4_vptree_index.snap")
+			for qi, q := range queries {
+				stats := checkExactKNN(t, fmt.Sprintf("%s %s query %d", fixture.file, kind, qi), eng, q, 5)
+				if stats.IndexUsed != (kind == IndexVPTree) {
+					t.Fatalf("%s %s query %d: index used %v", fixture.file, kind, qi, stats.IndexUsed)
+				}
+			}
+			m := eng.Metrics()
+			var buf bytes.Buffer
+			if err := eng.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := persist.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind == IndexOff {
+				if m.IndexBuilds != 0 || snap.Index != nil {
+					t.Fatalf("%s IndexOff: builds=%d, re-save index section %v; want none", fixture.file, m.IndexBuilds, snap.Index != nil)
+				}
+				continue
+			}
+			if m.IndexBuilds != 1 || m.IndexReuses != 0 {
+				t.Fatalf("%s: builds=%d reuses=%d, want 1/0 (the legacy section is dropped, a VP-tree built once)", fixture.file, m.IndexBuilds, m.IndexReuses)
+			}
+			if snap.Index == nil || snap.Index.Kind != IndexVPTree {
+				t.Fatalf("%s: re-save carries no vptree section", fixture.file)
+			}
+			if f := decodeFlat(t, snap.Index.Blob); len(f.Nodes) < 2 || len(f.Nodes[1].Rows) == 0 {
+				t.Fatalf("%s: re-saved tree carries no ancestor rows", fixture.file)
+			}
+			if !bytes.Equal(gobCanonical(t, buf.Bytes(), true), gobCanonical(t, golden, false)) {
+				t.Fatalf("%s: re-save without its rows differs from testdata/v4_vptree_index.snap", fixture.file)
+			}
+			again, err := LoadEngine(bytes.NewReader(buf.Bytes()), cost, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExactKNN(t, fixture.file+" reloaded", again, queries[0], 5)
+			if m := again.Metrics(); m.IndexBuilds != 0 || m.IndexReuses != 1 {
+				t.Fatalf("%s reloaded: builds=%d reuses=%d, want 0/1", fixture.file, m.IndexBuilds, m.IndexReuses)
+			}
 		}
 	}
 }
 
+// flatBytes gob-encodes a tree's flat form; within one process equal
+// forms encode to equal bytes, NaN fields included.
+func flatBytes(t *testing.T, vt *vptree.Tree) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(vt.Flatten()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeFlat decodes the gob-encoded flat tree of an index section.
+func decodeFlat(t *testing.T, blob []byte) *vptree.Flat {
+	t.Helper()
+	var f vptree.Flat
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+	return &f
+}
+
 // gobCanonical re-encodes a snapshot carrying a VP-tree section in this
-// process. gob numbers types in the order a process first meets them,
-// so snapshots of equal content written by processes with different
-// histories can differ in those numbers alone; re-encoding both sides
-// of a comparison here leaves only content differences.
-func gobCanonical(t *testing.T, raw []byte) []byte {
+// process, without the tree's ancestor rows when stripRows is set. gob
+// numbers types in the order a process first meets them, so snapshots
+// of equal content written by processes with different histories can
+// differ in those numbers alone; re-encoding both sides of a comparison
+// here leaves only content differences.
+func gobCanonical(t *testing.T, raw []byte, stripRows bool) []byte {
 	t.Helper()
 	s, err := persist.ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f vptree.Flat
-	if err := gob.NewDecoder(bytes.NewReader(s.Index.Blob)).Decode(&f); err != nil {
-		t.Fatal(err)
+	f := decodeFlat(t, s.Index.Blob)
+	if stripRows {
+		for i := range f.Nodes {
+			f.Nodes[i].Rows = nil
+		}
 	}
 	var blob, out bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(&f); err != nil {
+	if err := gob.NewEncoder(&blob).Encode(f); err != nil {
 		t.Fatal(err)
 	}
 	s.Index.Blob = blob.Bytes()

@@ -17,22 +17,28 @@ const (
 // on the query distance of everything beneath it.
 type frame struct {
 	key  float64
+	node *node // subtree (node frames)
+	idx  int32 // item id (item frames)
+	// qrow is the offset in Stream.qanc of the query's distances to
+	// the node's ancestor vantages, root first (node frames).
+	qrow int32
 	kind int8
-	idx  int32   // item id (item frames)
-	node *node   // subtree (node frames)
-	dqp  float64 // d(query, node's parent vantage), NaN at root
 }
 
 // Stream is an incremental best-first traversal emitting items in
 // nondecreasing distance order, pruning with the triangle inequality
-// against the stored subtree annuli. It is not safe for concurrent
-// use; the Tree is never mutated and can serve many Streams.
+// against every ancestor vantage. It is not safe for concurrent use;
+// the Tree is never mutated and can serve many Streams.
 type Stream struct {
 	t     *Tree
 	qdist QueryDistFunc
 	skip  func(id int) bool
 	slack float64
 	heap  *heapx.Heap[frame]
+	// qanc is the stream's one slab of query-to-ancestor rows: each
+	// expanded internal node appends its parent's row and its own
+	// vantage distance, the row its children's frames point at.
+	qanc  []float64
 	stats Stats
 }
 
@@ -42,9 +48,9 @@ type Stream struct {
 //
 // slack bounds how far the metric may under-report: every distance the
 // tree stores and every query distance must lie in [d − slack, d] of
-// the exact metric d. Each triangle key combines one stored and one
+// the exact metric d. Each triangle term combines one stored and one
 // query distance, so it can overshoot the exact lower bound by up to
-// slack; the stream subtracts slack from every key, which keeps every
+// slack; the stream subtracts slack from every term, which keeps every
 // emitted Dist at or below the item's exact metric distance. Pass 0
 // for an exactly evaluated metric.
 func (t *Tree) Stream(qdist QueryDistFunc, skip func(id int) bool, slack float64) *Stream {
@@ -62,9 +68,12 @@ func (t *Tree) Stream(qdist QueryDistFunc, skip func(id int) bool, slack float64
 			}
 			return a.idx < b.idx
 		}),
+		// Room for 64 expanded internal nodes' rows; a k-NN for small
+		// k over a few thousand items expands about 50.
+		qanc: make([]float64, 0, 64*(t.depth+1)),
 	}
 	if t.root != nil {
-		s.heap.Push(frame{kind: frameNode, node: t.root, dqp: math.NaN()})
+		s.heap.Push(frame{kind: frameNode, node: t.root})
 	}
 	return s
 }
@@ -72,17 +81,19 @@ func (t *Tree) Stream(qdist QueryDistFunc, skip func(id int) bool, slack float64
 // Stats reports the traversal work so far.
 func (s *Stream) Stats() Stats { return s.stats }
 
-// childKey lower-bounds the query distance to a child subtree whose
-// items lie within [lo, hi] of its parent's vantage (query distance
-// dv): the triangle bound against the annulus, less the metric slack,
-// and never below the parent frame's key.
-func (s *Stream) childKey(f *frame, dv, lo, hi float64) float64 {
-	k := f.key
-	if b := dv - hi - s.slack; b > k {
-		k = b
-	}
-	if b := lo - dv - s.slack; b > k {
-		k = b
+// ancKey raises k to the triangle bound of every ancestor pivot: for
+// the query at distances q from the ancestor vantages and items at
+// distances within the annuli anc (lo, hi pairs, root first) of them,
+// each pivot bounds the query distance below by q − hi and by lo − q,
+// less the metric slack.
+func (s *Stream) ancKey(k float64, q, anc []float64) float64 {
+	for a, qa := range q {
+		if b := qa - anc[2*a+1] - s.slack; b > k {
+			k = b
+		}
+		if b := anc[2*a] - qa - s.slack; b > k {
+			k = b
+		}
 	}
 	return k
 }
@@ -101,11 +112,15 @@ func (s *Stream) Next() (Result, bool) {
 		case frameNode:
 			nd := f.node
 			s.stats.NodesVisited++
+			q := s.qanc[f.qrow : int(f.qrow)+nd.level()]
 			if nd.vantage < 0 {
+				// A bucket item's own row is the degenerate annulus
+				// [x, x] of each pivot: the bound is |q − x| − slack.
 				for i, it := range nd.bucket {
+					row := s.t.row(nd, i)
 					k := f.key
-					if nd.bdist != nil && !math.IsNaN(f.dqp) {
-						if b := math.Abs(f.dqp-nd.bdist[i]) - s.slack; b > k {
+					for a, qa := range q {
+						if b := math.Abs(qa-row[a]) - s.slack; b > k {
 							k = b
 						}
 					}
@@ -122,17 +137,13 @@ func (s *Stream) Next() (Result, bool) {
 				}
 				h.Push(frame{key: k, kind: frameEval, idx: int32(nd.vantage)})
 			}
-			if nd.inside != nil {
-				h.Push(frame{
-					key:  s.childKey(&f, dv, nd.ilo, nd.ihi),
-					kind: frameNode, node: nd.inside, dqp: dv,
-				})
-			}
-			if nd.outside != nil {
-				h.Push(frame{
-					key:  s.childKey(&f, dv, nd.olo, nd.ohi),
-					kind: frameNode, node: nd.outside, dqp: dv,
-				})
+			qrow := int32(len(s.qanc))
+			s.qanc = append(append(s.qanc, q...), dv)
+			q = s.qanc[qrow:]
+			for _, c := range [2]*node{nd.inside, nd.outside} {
+				if c != nil {
+					h.Push(frame{key: s.ancKey(f.key, q, c.anc), kind: frameNode, node: c, qrow: qrow})
+				}
 			}
 		case frameUneval:
 			id := int(f.idx)

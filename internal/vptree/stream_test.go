@@ -3,6 +3,7 @@ package vptree
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -190,16 +191,69 @@ func TestRestoreFlatRejectsCorruption(t *testing.T) {
 		{"inverted outside annulus", func(f *Flat) { r := &f.Nodes[0]; r.OLo, r.OHi = r.OHi, r.OLo }},
 		{"inside annulus beyond radius", func(f *Flat) { r := &f.Nodes[0]; r.IHi = r.Radius + 1 }},
 		{"outside annulus within radius", func(f *Flat) { r := &f.Nodes[0]; r.OLo = r.Radius - 1 }},
+		{"short row", func(f *Flat) { r := &f.Nodes[leafIdx]; r.Rows = r.Rows[:len(r.Rows)-1] }},
+		{"long row", func(f *Flat) { r := &f.Nodes[leafIdx]; r.Rows = append(r.Rows, 1) }},
+		{"rows on the root", func(f *Flat) { f.Nodes[0].Rows = []float64{1} }},
+		{"NaN row entry", func(f *Flat) { f.Nodes[leafIdx].Rows[0] = math.NaN() }},
+		{"infinite row entry", func(f *Flat) { f.Nodes[leafIdx].Rows[0] = math.Inf(1) }},
+		{"negative row entry", func(f *Flat) { f.Nodes[leafIdx].Rows[0] = -1 }},
+		{"one node without rows", func(f *Flat) { f.Nodes[leafIdx].Rows = nil }},
+		{"deeper than a build", func(f *Flat) {
+			// Hang a one-item leaf below the deepest leaf, which
+			// becomes an internal node with that leaf as its child.
+			deepest, level := 0, map[int32]int{0: 0}
+			for i, fn := range f.Nodes {
+				for _, c := range [2]int32{fn.Inside, fn.Outside} {
+					if c >= 0 {
+						level[c] = level[int32(i)] + 1
+					}
+				}
+				if fn.Vantage < 0 && level[int32(i)] > level[int32(deepest)] {
+					deepest = i
+				}
+			}
+			r := &f.Nodes[deepest]
+			l := level[int32(deepest)]
+			leaf := FlatNode{Vantage: -1, Bucket: r.Bucket[1:], Inside: -1, Outside: -1}
+			leaf.Rows = make([]float64, len(leaf.Bucket)*(l+1))
+			r.Vantage, r.Bucket, r.BDist, r.Rows = r.Bucket[0], nil, nil, r.Rows[:l]
+			r.Inside = int32(len(f.Nodes))
+			f.Nodes = append(f.Nodes, leaf)
+		}},
+		{"empty leaf", func(f *Flat) { r := &f.Nodes[leafIdx]; r.Bucket, r.BDist, r.Rows = nil, nil, nil }},
+		// Older fields the rows contradict: a reader from before the
+		// rows would prune with them.
+		{"parent annulus disagrees with rows", func(f *Flat) { f.Nodes[leafIdx].PLo += 0.25 }},
+		{"vantage distance disagrees with rows", func(f *Flat) {
+			for i := range f.Nodes {
+				if i > 0 && f.Nodes[i].Vantage >= 0 {
+					f.Nodes[i].DVP += 0.25
+					return
+				}
+			}
+			t.Fatal("fixture tree has one internal node")
+		}},
+		{"bucket distance disagrees with rows", func(f *Flat) { f.Nodes[leafIdx].BDist[0] += 0.25 }},
+		{"child annulus disagrees with rows", func(f *Flat) { f.Nodes[0].OHi += 0.25 }},
 	}
 	for _, c := range cases {
 		f := fresh()
 		c.mutate(f)
-		if _, err := RestoreFlat(f, n); err == nil {
-			t.Errorf("%s: RestoreFlat accepted corrupted input", c.name)
+		if _, err := RestoreFlat(f, n); err == nil || errors.Is(err, ErrNoRows) {
+			t.Errorf("%s: RestoreFlat err = %v, want a corruption error", c.name, err)
 		}
 	}
 	if _, err := RestoreFlat(fresh(), n); err != nil {
 		t.Fatalf("unmutated flat rejected: %v", err)
+	}
+	// A form from before the rows existed is refused as such, not as
+	// corruption: its owner rebuilds the tree.
+	legacy := fresh()
+	for i := range legacy.Nodes {
+		legacy.Nodes[i].Rows = nil
+	}
+	if _, err := RestoreFlat(legacy, n); !errors.Is(err, ErrNoRows) {
+		t.Fatalf("flat without rows: err = %v, want ErrNoRows", err)
 	}
 }
 
@@ -321,29 +375,35 @@ func checkApproxStream(tr *Tree, m *lineMetric, slack float64, k int) error {
 // at or below the exact distance, in order, and multistep k-NN equal to
 // brute force over the exact metric, ties included. With slack 0 the
 // adversarial collinear metric breaks it: a triangle key overshoots an
-// exact distance.
+// exact distance. The deep trees (at least 4 levels) put every item
+// under several ancestor pivots, each of whose keys must stay sound.
 func TestStreamApproximateMetricSlack(t *testing.T) {
-	const n, delta = 40, 0x1p-10
-	broken := 0
-	for seed := int64(0); seed < 20; seed++ {
-		for _, adversarial := range []bool{false, true} {
-			m := newLineMetric(n, delta, adversarial, seed)
-			tr, err := Build(n, m.pair, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range []int{1, 3, 10} {
-				if err := checkApproxStream(tr, m, delta, k); err != nil {
-					t.Fatalf("seed %d adversarial=%v slack delta: %v", seed, adversarial, err)
+	const delta = 0x1p-10
+	for _, size := range []struct{ n, minDepth int }{{40, 2}, {200, 4}} {
+		broken := 0
+		for seed := int64(0); seed < 20; seed++ {
+			for _, adversarial := range []bool{false, true} {
+				m := newLineMetric(size.n, delta, adversarial, seed)
+				tr, err := Build(size.n, m.pair, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.depth < size.minDepth {
+					t.Fatalf("n=%d: tree depth %d, want at least %d", size.n, tr.depth, size.minDepth)
+				}
+				for _, k := range []int{1, 3, 10, size.n / 4} {
+					if err := checkApproxStream(tr, m, delta, k); err != nil {
+						t.Fatalf("n=%d seed %d adversarial=%v slack delta: %v", size.n, seed, adversarial, err)
+					}
+				}
+				if adversarial && checkApproxStream(tr, m, 0, 1) != nil {
+					broken++
 				}
 			}
-			if adversarial && checkApproxStream(tr, m, 0, 1) != nil {
-				broken++
-			}
 		}
+		if broken == 0 {
+			t.Fatalf("n=%d: slack 0 passed on every adversarial tree; the test no longer reaches the overshoot", size.n)
+		}
+		t.Logf("n=%d: slack 0 broke %d of 20 adversarial trees", size.n, broken)
 	}
-	if broken == 0 {
-		t.Fatal("slack 0 passed on every adversarial tree; the test no longer reaches the overshoot")
-	}
-	t.Logf("slack 0 broke %d of 20 adversarial trees", broken)
 }

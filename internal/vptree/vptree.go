@@ -36,42 +36,74 @@ type Tree struct {
 	root  *node
 	n     int
 	nodes int
+
+	// rows holds every item's distances to its ancestor vantages, one
+	// row of stride depth per item: the item at build position p (the
+	// vantage of an internal node, or a bucket item) keeps its distance
+	// to the vantage at tree depth a in rows[p·depth + a], for a below
+	// the depth of its node. The build computes these distances anyway
+	// to partition each subtree; keeping them lets the stream bound an
+	// item by every ancestor pivot, not just its parent.
+	rows  []float64
+	depth int
 }
 
 type node struct {
 	vantage int     // item index of the vantage point, -1 for leaves
 	radius  float64 // median distance of the subtree items to vantage
 
-	// Subtree annuli to this node's vantage, recorded at build time
-	// from distances the construction computes anyway: the inside
-	// (resp. outside) child's items all lie within [ilo, ihi] (resp.
-	// [olo, ohi]) of the vantage. They give the best-first stream a
-	// tighter child bound than the single median radius.
-	ilo, ihi float64
-	olo, ohi float64
-
-	// Subtree annulus to the PARENT's vantage (covering this node's
-	// entire subtree, vantage included) and the vantage's own distance
-	// to it; NaN at the root. No traversal reads them. They are built,
-	// persisted and restored only to keep the Flat wire format fixed:
-	// a snapshot must stay byte-identical to one written by releases
-	// that still had the four-point bound, and such a release reading
-	// it prunes with these values, so they must stay correct.
-	plo, phi float64
-	dvp      float64
+	// anc is the annulus of the whole subtree (vantage included) around
+	// every ancestor vantage, root first: the subtree's items all lie
+	// within [anc[2a], anc[2a+1]] of the vantage at depth a. Its length
+	// is twice the node's depth.
+	anc []float64
 
 	inside  *node // items with d(vantage, x) <= radius
 	outside *node // items with d(vantage, x) > radius
 
-	// bucket holds the items of small leaves (including the vantage);
-	// bdist holds each bucket item's distance to the parent vantage
-	// (nil when the whole tree is one leaf).
+	// rows are the ancestor rows of the node's items in the tree's
+	// slab (stride Tree.depth, depth(node) entries used per row): the
+	// vantage's one row at an internal node, one row per bucket item at
+	// a leaf.
+	rows []float64
+	// bucket holds the items of small leaves.
 	bucket []int32
-	bdist  []float64
+}
+
+// level returns the node's depth, the number of its ancestors.
+func (nd *node) level() int { return len(nd.anc) / 2 }
+
+// width returns the number of items the node holds rows for: its
+// vantage, or its bucket.
+func (nd *node) width() int {
+	if nd.vantage < 0 {
+		return len(nd.bucket)
+	}
+	return 1
 }
 
 // leafSize is the bucket size below which subtrees are stored flat.
 const leafSize = 8
+
+// split returns the item counts of the inside and outside children of
+// an internal node over m items: the vantage, then the median split of
+// the rest, whose lower half (median included) goes inside.
+func split(m int) (in, out int) {
+	mid := (m - 1) / 2
+	return mid + 1, m - 2 - mid
+}
+
+// treeDepth returns the depth of the deepest node of a tree over m
+// items. The split sizes depend on m alone and the inside child is
+// never the smaller, so it follows the inside chain.
+func treeDepth(m int) int {
+	d := 0
+	for m > leafSize {
+		m, _ = split(m)
+		d++
+	}
+	return d
+}
 
 // Build constructs a VP-tree over items 0..n-1 with the given pairwise
 // metric. dist is called O(n log n) times; rng picks vantage points.
@@ -96,92 +128,118 @@ func BuildIDs(ids []int32, dist DistFunc, rng *rand.Rand) (*Tree, error) {
 	if dist == nil {
 		return nil, fmt.Errorf("vptree: nil distance")
 	}
-	t := &Tree{n: len(ids)}
-	t.root = t.build(ids, nil, dist, rng)
+	depth := treeDepth(len(ids))
+	t := &Tree{n: len(ids), depth: depth, rows: make([]float64, len(ids)*depth)}
+	b := &buildState{t: t, ids: ids, dist: dist, rng: rng, order: make([]int, len(ids))}
+	t.root = b.build(0, len(ids), 0)
 	return t, nil
 }
 
-// build constructs the subtree over items; pdists[i] is the distance
-// of items[i] to the parent's vantage (nil at the root).
-func (t *Tree) build(items []int32, pdists []float64, dist DistFunc, rng *rand.Rand) *node {
-	if len(items) == 0 {
+// buildState holds one build's inputs and its working buffers, shared
+// by every level: ids and the tree's rows are partitioned in place, so
+// an item's row moves with it and each level writes one more entry.
+type buildState struct {
+	t      *Tree
+	ids    []int32
+	dist   DistFunc
+	rng    *rand.Rand
+	order  []int
+	idTmp  []int32
+	rowTmp []float64
+}
+
+// row returns the full-stride ancestor row of the item at build
+// position p.
+func (b *buildState) row(p int) []float64 {
+	D := b.t.depth
+	return b.t.rows[p*D : p*D+D]
+}
+
+// build constructs the subtree over build positions [lo, hi) at depth
+// level; the rows of those items hold their distances to the level
+// ancestor vantages above.
+func (b *buildState) build(lo, hi, level int) *node {
+	if lo == hi {
 		return nil
 	}
+	t := b.t
 	t.nodes++
-	nd := &node{plo: math.NaN(), phi: math.NaN(), dvp: math.NaN()}
-	if pdists != nil {
-		nd.plo, nd.phi = minMax(pdists)
-	}
-	if len(items) <= leafSize {
+	nd := &node{anc: make([]float64, 2*level)}
+	if hi-lo <= leafSize {
 		nd.vantage = -1
-		nd.bucket = items
-		if pdists != nil {
-			nd.bdist = pdists
-		}
+		nd.bucket = b.ids[lo:hi]
+		nd.rows = t.rows[lo*t.depth : hi*t.depth]
+		t.bound(nd)
 		return nd
 	}
-	// Choose a random vantage and swap it to the front.
-	vi := rng.Intn(len(items))
-	items[0], items[vi] = items[vi], items[0]
-	if pdists != nil {
-		pdists[0], pdists[vi] = pdists[vi], pdists[0]
-		nd.dvp = pdists[0]
+	// Choose a random vantage and swap it, row and all, to the front.
+	vi := lo + b.rng.Intn(hi-lo)
+	b.ids[lo], b.ids[vi] = b.ids[vi], b.ids[lo]
+	rv, ri := b.row(lo)[:level], b.row(vi)[:level]
+	for a := range rv {
+		rv[a], ri[a] = ri[a], rv[a]
 	}
-	vantage := int(items[0])
-	rest := items[1:]
+	vantage := int(b.ids[lo])
 
-	// Partition the rest by the median distance to the vantage.
-	dists := make([]float64, len(rest))
-	for i, it := range rest {
-		dists[i] = dist(vantage, int(it))
+	// Record every other item's distance to the vantage as its row
+	// entry at this level, then partition by the median of it.
+	rest, m, w := lo+1, hi-lo-1, level+1
+	for p := rest; p < hi; p++ {
+		b.row(p)[level] = b.dist(vantage, int(b.ids[p]))
 	}
-	order := make([]int, len(rest))
+	order := b.order[:m]
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
-	mid := len(rest) / 2
-	radius := dists[order[mid]]
-
-	insideItems := make([]int32, 0, mid+1)
-	insideDists := make([]float64, 0, mid+1)
-	outsideItems := make([]int32, 0, len(rest)-mid)
-	outsideDists := make([]float64, 0, len(rest)-mid)
-	for _, oi := range order {
-		if dists[oi] <= radius && len(insideItems) <= mid {
-			insideItems = append(insideItems, rest[oi])
-			insideDists = append(insideDists, dists[oi])
-		} else {
-			outsideItems = append(outsideItems, rest[oi])
-			outsideDists = append(outsideDists, dists[oi])
-		}
+	sort.Slice(order, func(x, y int) bool { return b.row(rest + order[x])[level] < b.row(rest + order[y])[level] })
+	b.idTmp = append(b.idTmp[:0], b.ids[rest:hi]...)
+	b.rowTmp = b.rowTmp[:0]
+	for p := rest; p < hi; p++ {
+		b.rowTmp = append(b.rowTmp, b.row(p)[:w]...)
 	}
+	for j, oi := range order {
+		b.ids[rest+j] = b.idTmp[oi]
+		copy(b.row(rest+j), b.rowTmp[oi*w:oi*w+w])
+	}
+	in, _ := split(hi - lo)
 	nd.vantage = vantage
-	nd.radius = radius
-	nd.ilo, nd.ihi = minMax(insideDists)
-	nd.olo, nd.ohi = minMax(outsideDists)
-	nd.inside = t.build(insideItems, insideDists, dist, rng)
-	nd.outside = t.build(outsideItems, outsideDists, dist, rng)
+	nd.radius = b.row(rest + in - 1)[level]
+	nd.rows = b.row(lo)
+	nd.inside = b.build(rest, rest+in, w)
+	nd.outside = b.build(rest+in, hi, w)
+	t.bound(nd)
 	return nd
 }
 
-// minMax returns the minimum and maximum of a slice, or (0, 0) when it
-// is empty (an empty child is never descended into, so the annulus is
-// never read).
-func minMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
+// row returns the ancestor row of a node's i-th item: the vantage of
+// an internal node (i = 0) or a bucket item of a leaf.
+func (t *Tree) row(nd *node, i int) []float64 {
+	return nd.rows[i*t.depth : i*t.depth+nd.level()]
+}
+
+// bound sets nd.anc from the rows of the node's own items and the
+// annuli of its children, which must be bound already.
+func (t *Tree) bound(nd *node) {
+	anc := nd.anc
+	for a := 0; a < len(anc); a += 2 {
+		anc[a], anc[a+1] = math.Inf(1), math.Inf(-1)
 	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
+	widen := func(a int, lo, hi float64) {
+		anc[2*a] = min(anc[2*a], lo)
+		anc[2*a+1] = max(anc[2*a+1], hi)
+	}
+	for i := range nd.width() {
+		for a, x := range t.row(nd, i) {
+			widen(a, x, x)
 		}
 	}
-	return lo, hi
+	for _, c := range [2]*node{nd.inside, nd.outside} {
+		if c != nil {
+			for a := 0; a < nd.level(); a++ {
+				widen(a, c.anc[2*a], c.anc[2*a+1])
+			}
+		}
+	}
 }
 
 // Len returns the number of indexed items.

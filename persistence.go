@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -331,7 +332,7 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 		if err != nil {
 			return nil, fmt.Errorf("emdsearch: %w: metric index: %v", ErrCorrupt, err)
 		}
-		e.savedIndex = si // nil for a legacy M-tree section
+		e.savedIndex = si // nil for a legacy section
 	}
 	if s.Cascade != nil {
 		levels, err := restoreCascadeSection(s.Cascade, chain, e.Dim())
@@ -435,9 +436,11 @@ func restoreCascadeSection(cs *persist.CascadeSection, engChain []*core.Reductio
 // never reach a traversal; RestoreFlat re-checks every structural
 // invariant of the tree. Whether the stash is actually reused is
 // decided at pipeline build time by matching its reduction fingerprint
-// — a stale index is silently rebuilt. A section of kind "mtree",
-// written while the engine still had an M-tree, is dropped without
-// being decoded (nil, nil): the first query builds a VP-tree instead.
+// — a stale index is silently rebuilt. Two legacy sections are dropped
+// (nil, nil), and the first query builds a VP-tree instead: one of kind
+// "mtree", written while the engine still had an M-tree, without being
+// decoded, and a VP-tree written before the tree kept its ancestor rows
+// (vptree.ErrNoRows), whose keys could not be derived.
 func restoreIndexSection(is *persist.IndexSection, items int) (*savedIndex, error) {
 	switch is.Kind {
 	case "mtree":
@@ -457,6 +460,9 @@ func restoreIndexSection(is *persist.IndexSection, items int) (*savedIndex, erro
 		return nil, fmt.Errorf("decode vp-tree: %v", err)
 	}
 	vt, err := vptree.RestoreFlat(&f, items)
+	if errors.Is(err, vptree.ErrNoRows) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
