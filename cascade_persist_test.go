@@ -2,7 +2,6 @@ package emdsearch
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"slices"
@@ -172,21 +171,14 @@ func TestLoadAutoCascadeRelaxesDPrimeCheck(t *testing.T) {
 }
 
 // snapshotAsV3 rewrites a current-format snapshot as a version-3 file:
-// the version word is patched and the seventh (cascade) frame dropped.
-// Frame lengths are self-describing.
-func snapshotAsV3(t *testing.T, v4 []byte) []byte {
+// the version word is patched, the cascade frame dropped, and an empty
+// frame put where a version-3 file carried its quantized filter, which
+// readers skip without decoding.
+func snapshotAsV3(t *testing.T, v5 []byte) []byte {
 	t.Helper()
-	off := len(persist.Magic) + 4
-	for f := 0; f < 6; f++ {
-		if off+12 > len(v4) {
-			t.Fatalf("snapshot too short walking frame %d", f)
-		}
-		length := binary.LittleEndian.Uint32(v4[off:])
-		off += 12 + int(length)
-	}
-	v3 := append([]byte(nil), v4[:off]...)
-	binary.LittleEndian.PutUint32(v3[len(persist.Magic):], 3)
-	return v3
+	f := snapshotFrames(t, v5)
+	empty := []byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0} // length 0, ^0, CRC32 of nothing
+	return forgeSnapshot(3, f[0], f[1], f[2], f[3], empty, f[4])
 }
 
 // TestLoadV3SnapshotCascadeCompat: a version-3 file (no cascade frame)

@@ -1,10 +1,11 @@
 // Command emdgen generates one of the synthetic evaluation corpora and
-// writes it as a binary database file that cmd/emdquery (and any code
-// using internal/db.Load) can open.
+// writes it as an unreduced engine snapshot that cmd/emdquery (and any
+// code calling emdsearch.LoadEngineFile with the corpus's cost matrix)
+// can open.
 //
 // Usage:
 //
-//	emdgen -dataset retina|irma|color|music|words|gaussian -n 1000 -seed 1 -out retina.db
+//	emdgen -dataset retina|irma|color|music|words|gaussian -n 1000 -seed 1 -out retina.snap
 package main
 
 import (
@@ -13,6 +14,8 @@ import (
 	"os"
 
 	"emdsearch/internal/data"
+
+	emdsearch "emdsearch"
 )
 
 func main() {
@@ -49,24 +52,25 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "emdgen: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 
-	database, err := ds.ToDatabase()
+	eng, err := emdsearch.NewEngine(ds.Cost, emdsearch.Options{})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "emdgen: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "emdgen: %v\n", err)
-		os.Exit(1)
+	for i, item := range ds.Items {
+		if _, err := eng.Add(item.Label, item.Vector); err != nil {
+			fail(fmt.Errorf("item %d: %w", i, err))
+		}
 	}
-	defer f.Close()
-	if err := database.Save(f); err != nil {
-		fmt.Fprintf(os.Stderr, "emdgen: %v\n", err)
-		os.Exit(1)
+	if err := eng.SaveFile(*out); err != nil {
+		fail(err)
 	}
-	fmt.Printf("wrote %s: %d objects, %d dimensions (%s)\n", *out, database.Len(), database.Dim(), ds.Name)
+	fmt.Printf("wrote %s: %d objects, %d dimensions (%s)\n", *out, eng.Len(), eng.Dim(), ds.Name)
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "emdgen: %v\n", err)
+	os.Exit(1)
 }

@@ -1,26 +1,27 @@
-// Command emdquery opens a corpus written by emdgen, builds a
-// filter-and-refine search engine over it and answers k-NN queries,
+// Command emdquery opens an engine snapshot written by emdgen, builds
+// the filter-and-refine reduction over it and answers k-NN queries,
 // printing the neighbors (with class labels) and the multistep filter
 // statistics.
 //
 // The ground-distance matrix is not serialized with the data; it is
 // reconstructed from the corpus type exactly as emdgen built it, so
 // -dataset (and -dim/-seed for the music/words corpora) must match the
-// generation parameters.
+// generation parameters. The snapshot's cost-matrix fingerprint catches
+// a mismatch.
 //
 // Usage:
 //
-//	emdgen  -dataset color -n 2000 -out color.db
-//	emdquery -db color.db -dataset color -dprime 8 -k 10 -query 17
+//	emdgen  -dataset color -n 2000 -out color.snap
+//	emdquery -db color.snap -dataset color -dprime 8 -k 10 -query 17
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"emdsearch/internal/data"
-	"emdsearch/internal/db"
 	"emdsearch/internal/emd"
 
 	emdsearch "emdsearch"
@@ -55,7 +56,7 @@ func costFor(dataset string, dim int, seed int64) (emd.CostMatrix, error) {
 
 func main() {
 	var (
-		dbPath  = flag.String("db", "", "database file written by emdgen (required)")
+		dbPath  = flag.String("db", "", "snapshot file written by emdgen (required)")
 		dataset = flag.String("dataset", "retina", "corpus type used at generation time")
 		dim     = flag.Int("dim", 48, "dimensionality used at generation time (music/words)")
 		seed    = flag.Int64("seed", 1, "seed used at generation time (color/words cost reconstruction)")
@@ -70,39 +71,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	f, err := os.Open(*dbPath)
-	if err != nil {
-		fail(err)
-	}
-	store, err := db.Load(f)
-	f.Close()
-	if err != nil {
-		fail(err)
-	}
 	cost, err := costFor(*dataset, *dim, *seed)
 	if err != nil {
 		fail(err)
 	}
-	if cost.Rows() != store.Dim() {
-		fail(fmt.Errorf("cost matrix is %dx%d but database stores %d dimensions — check -dataset/-dim",
-			cost.Rows(), cost.Cols(), store.Dim()))
-	}
-	if *queryI < 0 || *queryI >= store.Len() {
-		fail(fmt.Errorf("query index %d out of range [0, %d)", *queryI, store.Len()))
-	}
-
-	eng, err := emdsearch.NewEngine(cost, emdsearch.Options{
+	eng, err := emdsearch.LoadEngineFile(*dbPath, cost, emdsearch.Options{
 		ReducedDims: *dprime,
 		Method:      emdsearch.ReductionMethod(*method),
 	})
+	if errors.Is(err, emdsearch.ErrConfigMismatch) {
+		fail(fmt.Errorf("%w — check -dataset/-dim/-seed", err))
+	}
 	if err != nil {
 		fail(err)
 	}
-	for i := 0; i < store.Len(); i++ {
-		item := store.Item(i)
-		if _, err := eng.Add(item.Label, item.Vector); err != nil {
-			fail(err)
-		}
+	if *queryI < 0 || *queryI >= eng.Len() {
+		fail(fmt.Errorf("query index %d out of range [0, %d)", *queryI, eng.Len()))
 	}
 	if *dprime > 0 {
 		fmt.Printf("building %s reduction to d'=%d over %d objects...\n", *method, *dprime, eng.Len())
@@ -111,15 +95,15 @@ func main() {
 		}
 	}
 
-	q := store.Vector(*queryI)
-	fmt.Printf("query: object %d (label %q)\n", *queryI, store.Item(*queryI).Label)
+	q := eng.Vector(*queryI)
+	fmt.Printf("query: object %d (label %q)\n", *queryI, eng.Label(*queryI))
 	results, stats, err := eng.KNN(q, *k)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("\n%-6s  %-10s  %s\n", "rank", "distance", "object")
 	for rank, r := range results {
-		fmt.Printf("%-6d  %-10.5f  #%d (%s)\n", rank+1, r.Dist, r.Index, store.Item(r.Index).Label)
+		fmt.Printf("%-6d  %-10.5f  #%d (%s)\n", rank+1, r.Dist, r.Index, eng.Label(r.Index))
 	}
 	fmt.Printf("\nfilter statistics: %d refinements of %d objects", stats.Refinements, eng.Len())
 	for i, e := range stats.StageEvaluations {

@@ -185,10 +185,10 @@ type Engine struct {
 	snap    *snapshot    // current immutable query pipeline, nil after mutations
 	wal     *persist.WAL // open write-ahead log, nil when not logging
 
-	// savedQuant is a quantized filter restored from a persisted
-	// snapshot, reused by the next pipeline build when it still matches
-	// the live data (see quantizeLocked); savedQuantHash fingerprints
-	// the reduction it was built under.
+	// savedQuant is the quantized filter the last pipeline build made,
+	// reused by the next one (after a delete or an index install) when
+	// it still matches the live data (see quantizeLocked);
+	// savedQuantHash fingerprints the reduction it was built under.
 	savedQuant     *colscan.Quantized
 	savedQuantHash uint64
 
@@ -747,14 +747,13 @@ func maxCost(c emd.CostMatrix) float64 {
 }
 
 // quantizeLocked returns the certified quantized filter for cols, the
-// columnar data of reduction red. The stashed one (restored from a
-// persisted snapshot, or built by a previous pipeline assembly) is
-// reused if it provably matches what Quantize would produce: same item
-// count and geometry, and the same reduction fingerprint. The store is
-// append-only and deletes are soft, so (item count, reduction) pins the
-// reduced content exactly; the cost maximum is a function of the
-// reduction, covered by the fingerprint. The result is stashed for Save
-// and for the next rebuild. Caller holds e.mu.
+// columnar data of reduction red. The stashed one, built by a previous
+// pipeline assembly, is reused if it provably matches what Quantize
+// would produce: same item count and geometry, and the same reduction
+// fingerprint. The store is append-only and deletes are soft, so (item
+// count, reduction) pins the reduced content exactly; the cost maximum
+// is a function of the reduction, covered by the fingerprint. The
+// result is stashed for the next rebuild. Caller holds e.mu.
 func (e *Engine) quantizeLocked(cols *colscan.Columns, red *core.Reduction, im *lb.IM) (*colscan.Quantized, error) {
 	hash := reductionHash(red)
 	if qz := e.savedQuant; qz != nil && e.savedQuantHash == hash &&

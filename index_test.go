@@ -2,13 +2,13 @@ package emdsearch
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -255,41 +255,18 @@ func TestSaveLoadIndexSection(t *testing.T) {
 	}
 }
 
-// snapshotAsV2 rewrites a current-format snapshot as a version-2 file:
-// the version word is patched and the sixth (metric index) frame
-// dropped. Frame lengths are self-describing.
-func snapshotAsV2(t *testing.T, v3 []byte) []byte {
-	t.Helper()
-	off := len(persist.Magic) + 4
-	for f := 0; f < 5; f++ {
-		if off+12 > len(v3) {
-			t.Fatalf("snapshot too short walking frame %d", f)
-		}
-		length := binary.LittleEndian.Uint32(v3[off:])
-		off += 12 + int(length)
-	}
-	v2 := append([]byte(nil), v3[:off]...)
-	binary.LittleEndian.PutUint32(v2[len(persist.Magic):], 2)
-	return v2
-}
-
 // TestLoadV2SnapshotIndexCompat: a version-2 file (no index frame)
-// must load cleanly; an index-configured engine rebuilds the tree from
-// the items and answers identically.
+// must load cleanly; an index-configured engine builds the tree from
+// the items and answers equal brute force. The file is forged from a
+// committed version-4 fixture (see TestLoadLegacyMTreeSnapshot) by
+// keeping its first five frames, the fifth being the quantized filter
+// a version-2 file carries.
 func TestLoadV2SnapshotIndexCompat(t *testing.T) {
-	opts := indexOpts(IndexVPTree)
-	eng, queries := buildEngine(t, opts, 50)
-	q := queries[0]
-	want, _, err := eng.KNN(q, 5)
+	raw, err := os.ReadFile("testdata/v4_vptree_index.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v2 := snapshotAsV2(t, buf.Bytes())
-
+	v2 := forgeSnapshot(2, snapshotFrames(t, raw)[:5]...)
 	snap, err := persist.ReadSnapshot(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatalf("version-2 snapshot rejected: %v", err)
@@ -297,18 +274,15 @@ func TestLoadV2SnapshotIndexCompat(t *testing.T) {
 	if snap.Index != nil {
 		t.Fatal("version-2 snapshot decoded an index section")
 	}
-	loaded, err := LoadEngine(bytes.NewReader(v2), eng.Cost(), opts)
+	opts := Options{ReducedDims: 4, SampleSize: 6, Seed: 11, IndexKind: IndexVPTree}
+	loaded, err := LoadEngine(bytes.NewReader(v2), LinearCost(8), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := loaded.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
+	q := randHist(rand.New(rand.NewSource(7)), 8)
+	if stats := checkExactKNN(t, "v2", loaded, q, 5); !stats.IndexUsed {
+		t.Fatal("v2-loaded engine did not build the index")
 	}
-	if !stats.IndexUsed {
-		t.Fatal("v2-loaded engine did not rebuild the index")
-	}
-	sameResults(t, "v2", "KNN", got, want)
 	if m := loaded.Metrics(); m.IndexBuilds != 1 || m.IndexReuses != 0 {
 		t.Errorf("v2 load builds=%d reuses=%d, want 1/0", m.IndexBuilds, m.IndexReuses)
 	}
@@ -844,8 +818,9 @@ func TestIndexAutoAddServesScanUntilRebuild(t *testing.T) {
 // answers equal brute force, and saving again writes a "vptree" section
 // that carries rows and whose older fields equal the legacy VP-tree
 // fixture's, so a reader from before the rows loads it as the same
-// tree; loading that re-save reuses the tree. Under IndexOff no tree is
-// built and the section is gone from the next save.
+// tree; every other section decodes equal to the fixture's, two saves
+// are byte-identical, and loading the re-save reuses the tree. Under
+// IndexOff no tree is built and the section is gone from the next save.
 func TestLoadLegacyMTreeSnapshot(t *testing.T) {
 	const d = 8
 	cost := LinearCost(d)
@@ -905,8 +880,15 @@ func TestLoadLegacyMTreeSnapshot(t *testing.T) {
 			if f := decodeFlat(t, snap.Index.Blob); len(f.Nodes) < 2 || len(f.Nodes[1].Rows) == 0 {
 				t.Fatalf("%s: re-saved tree carries no ancestor rows", fixture.file)
 			}
-			if !bytes.Equal(gobCanonical(t, buf.Bytes(), true), gobCanonical(t, golden, false)) {
-				t.Fatalf("%s: re-save without its rows differs from testdata/v4_vptree_index.snap", fixture.file)
+			if !reflect.DeepEqual(gobCanonical(t, buf.Bytes(), true), gobCanonical(t, golden, false)) {
+				t.Fatalf("%s: re-save without its rows decodes unequal to testdata/v4_vptree_index.snap", fixture.file)
+			}
+			var second bytes.Buffer
+			if err := eng.Save(&second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(second.Bytes(), buf.Bytes()) {
+				t.Fatalf("%s: two saves of one engine differ", fixture.file)
 			}
 			again, err := LoadEngine(bytes.NewReader(buf.Bytes()), cost, opts)
 			if err != nil {
@@ -941,13 +923,14 @@ func decodeFlat(t *testing.T, blob []byte) *vptree.Flat {
 	return &f
 }
 
-// gobCanonical re-encodes a snapshot carrying a VP-tree section in this
-// process, without the tree's ancestor rows when stripRows is set. gob
-// numbers types in the order a process first meets them, so snapshots
-// of equal content written by processes with different histories can
-// differ in those numbers alone; re-encoding both sides of a comparison
-// here leaves only content differences.
-func gobCanonical(t *testing.T, raw []byte, stripRows bool) []byte {
+// gobCanonical decodes a snapshot carrying a VP-tree section and
+// re-encodes the tree blob in this process, without the tree's ancestor
+// rows when stripRows is set. gob numbers types in the order a process
+// first meets them, so trees of equal content written by processes
+// with different histories can differ in those numbers alone;
+// re-encoding both sides of a comparison here leaves only content
+// differences.
+func gobCanonical(t *testing.T, raw []byte, stripRows bool) *persist.Snapshot {
 	t.Helper()
 	s, err := persist.ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
@@ -959,13 +942,10 @@ func gobCanonical(t *testing.T, raw []byte, stripRows bool) []byte {
 			f.Nodes[i].Rows = nil
 		}
 	}
-	var blob, out bytes.Buffer
+	var blob bytes.Buffer
 	if err := gob.NewEncoder(&blob).Encode(f); err != nil {
 		t.Fatal(err)
 	}
 	s.Index.Blob = blob.Bytes()
-	if err := persist.WriteSnapshot(&out, s); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	return s
 }

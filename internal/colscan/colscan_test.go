@@ -193,23 +193,23 @@ func TestQuantizeFloorAndMargins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qz.Len() != 200 || qz.Dims() != 8 || qz.BlockSize() != 32 || qz.CostMax() != 10 {
-		t.Fatalf("geometry = (%d,%d,%d,%g)", qz.Len(), qz.Dims(), qz.BlockSize(), qz.CostMax())
+	if qz.Len() != 200 || qz.Dims() != 8 || qz.BlockSize() != 32 || qz.costMax != 10 {
+		t.Fatalf("geometry = (%d,%d,%d,%g)", qz.Len(), qz.Dims(), qz.BlockSize(), qz.costMax)
 	}
-	for b, margin := range qz.Margins() {
+	for b, margin := range qz.margins {
 		if margin < 0 || math.IsNaN(margin) {
 			t.Fatalf("block %d margin %g", b, margin)
 		}
-		if s := qz.Scales()[b]; s < 0 {
+		if s := qz.scales[b]; s < 0 {
 			t.Fatalf("block %d scale %g", b, s)
 		}
 	}
 	for i, v := range vecs {
 		b := i / 32
-		scale := qz.Scales()[b]
+		scale := qz.scales[b]
 		var resid float64
 		for j := range v {
-			deq := float64(qz.Data()[j][i]) * scale
+			deq := float64(qz.cols[j][i]) * scale
 			if deq > v[j] {
 				t.Fatalf("item %d dim %d: dequantized %v > true %v", i, j, deq, v[j])
 			}
@@ -219,8 +219,8 @@ func TestQuantizeFloorAndMargins(t *testing.T) {
 		// evaluation's certified budget (the block residual maximum is
 		// >= this item's residual).
 		want := 10 * 9 * resid
-		if qz.Margins()[b] < want {
-			t.Fatalf("item %d: margin %g below required %g", i, qz.Margins()[b], want)
+		if qz.margins[b] < want {
+			t.Fatalf("item %d: margin %g below required %g", i, qz.margins[b], want)
 		}
 	}
 }
@@ -285,75 +285,6 @@ func TestQuantizeRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Quantize(bad, 1); err == nil {
 		t.Error("negative column value accepted")
-	}
-}
-
-func TestRestoreQuantizedValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	_, _, cols := buildFixture(t, 20, 3, 8, rng)
-	qz, err := Quantize(cols, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := RestoreQuantized(qz.Len(), qz.Dims(), qz.BlockSize(), qz.CostMax(), qz.Scales(), qz.Margins(), qz.Data())
-	if err != nil {
-		t.Fatalf("round trip rejected: %v", err)
-	}
-	if rt.Len() != 20 || rt.Dims() != 3 || rt.BlockSize() != 8 {
-		t.Fatalf("round trip geometry (%d,%d,%d)", rt.Len(), rt.Dims(), rt.BlockSize())
-	}
-	cases := []struct {
-		name string
-		mut  func() error
-	}{
-		{"negative n", func() error {
-			_, err := RestoreQuantized(-1, 3, 8, 5, qz.Scales(), qz.Margins(), qz.Data())
-			return err
-		}},
-		{"zero block", func() error {
-			_, err := RestoreQuantized(20, 3, 0, 5, qz.Scales(), qz.Margins(), qz.Data())
-			return err
-		}},
-		{"scale count", func() error {
-			_, err := RestoreQuantized(20, 3, 8, 5, qz.Scales()[:1], qz.Margins(), qz.Data())
-			return err
-		}},
-		{"NaN margin", func() error {
-			m := append([]float64(nil), qz.Margins()...)
-			m[0] = math.NaN()
-			_, err := RestoreQuantized(20, 3, 8, 5, qz.Scales(), m, qz.Data())
-			return err
-		}},
-		{"negative scale", func() error {
-			s := append([]float64(nil), qz.Scales()...)
-			s[0] = -1
-			_, err := RestoreQuantized(20, 3, 8, 5, s, qz.Margins(), qz.Data())
-			return err
-		}},
-		{"column count", func() error {
-			_, err := RestoreQuantized(20, 3, 8, 5, qz.Scales(), qz.Margins(), qz.Data()[:2])
-			return err
-		}},
-		{"column length", func() error {
-			d := append([][]int16(nil), qz.Data()...)
-			d[1] = d[1][:19]
-			_, err := RestoreQuantized(20, 3, 8, 5, qz.Scales(), qz.Margins(), d)
-			return err
-		}},
-		{"negative quantum", func() error {
-			d := make([][]int16, 3)
-			for j := range d {
-				d[j] = append([]int16(nil), qz.Data()[j]...)
-			}
-			d[2][4] = -7
-			_, err := RestoreQuantized(20, 3, 8, 5, qz.Scales(), qz.Margins(), d)
-			return err
-		}},
-	}
-	for _, tc := range cases {
-		if tc.mut() == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
 	}
 }
 

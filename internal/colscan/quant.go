@@ -33,8 +33,7 @@ const quantLevels = 32766
 //
 // plus a small Cmax-relative slack for float arithmetic. ref[b] is the
 // block's normalized mean histogram — the tangent point — derived from
-// the quantized data itself (never serialized, so it cannot drift out
-// of sync with the columns).
+// the quantized data itself.
 type Quantized struct {
 	n, dims, block int
 	costMax        float64
@@ -136,8 +135,7 @@ func certifiedMargin(costMax float64, dims int, maxResid float64) float64 {
 // deriveRefs computes each block's tangent point: the block's mean
 // dequantized histogram, normalized onto the unit simplex (the
 // forward bound is only convex there; see compileTangent). Derived
-// deterministically from the quantized data so Quantize and
-// RestoreQuantized always agree.
+// deterministically from the quantized data.
 func deriveRefs(q *Quantized) [][]float64 {
 	nb := blocksFor(q.n, q.block)
 	refs := make([][]float64, nb)
@@ -184,22 +182,6 @@ func (q *Quantized) Dims() int { return q.dims }
 // BlockSize returns the block partition length.
 func (q *Quantized) BlockSize() int { return q.block }
 
-// CostMax returns the reduced-cost maximum the margins were
-// calibrated for.
-func (q *Quantized) CostMax() float64 { return q.costMax }
-
-// Scales returns the per-block dequantization steps. Shared,
-// read-only — exposed for serialization.
-func (q *Quantized) Scales() []float64 { return q.scales }
-
-// Margins returns the per-block certified error margins. Shared,
-// read-only — exposed for serialization.
-func (q *Quantized) Margins() []float64 { return q.margins }
-
-// Data returns the int16 columns. Shared, read-only — exposed for
-// serialization.
-func (q *Quantized) Data() [][]int16 { return q.cols }
-
 // blocksFor returns the block count for n items at the given block
 // length.
 func blocksFor(n, block int) int {
@@ -207,53 +189,6 @@ func blocksFor(n, block int) int {
 		return 0
 	}
 	return (n + block - 1) / block
-}
-
-// RestoreQuantized reassembles a Quantized from its serialized parts,
-// validating every structural and semantic invariant: dimensions and
-// block geometry, per-block metadata lengths, finite non-negative
-// scales and margins, and non-negative quantum values. A corrupted or
-// hand-edited snapshot section fails here with a descriptive error
-// (which persistence wraps as ErrCorrupt) instead of producing a
-// silently wrong — i.e. potentially unsound — filter.
-func RestoreQuantized(n, dims, block int, costMax float64, scales, margins []float64, cols [][]int16) (*Quantized, error) {
-	if n < 0 || dims < 1 || block < 1 {
-		return nil, fmt.Errorf("colscan: restore with n=%d dims=%d block=%d", n, dims, block)
-	}
-	if math.IsNaN(costMax) || math.IsInf(costMax, 0) || costMax < 0 {
-		return nil, fmt.Errorf("colscan: restore with cost maximum %g", costMax)
-	}
-	nb := blocksFor(n, block)
-	if len(scales) != nb || len(margins) != nb {
-		return nil, fmt.Errorf("colscan: restore with %d scales, %d margins for %d blocks", len(scales), len(margins), nb)
-	}
-	for b, s := range scales {
-		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
-			return nil, fmt.Errorf("colscan: restore with scale %g at block %d", s, b)
-		}
-		if m := margins[b]; math.IsNaN(m) || math.IsInf(m, 0) || m < 0 {
-			return nil, fmt.Errorf("colscan: restore with margin %g at block %d", m, b)
-		}
-	}
-	if len(cols) != dims {
-		return nil, fmt.Errorf("colscan: restore with %d columns for %d dims", len(cols), dims)
-	}
-	for j, col := range cols {
-		if len(col) != n {
-			return nil, fmt.Errorf("colscan: restore column %d has %d items, want %d", j, len(col), n)
-		}
-		for _, v := range col {
-			if v < 0 {
-				return nil, fmt.Errorf("colscan: restore column %d holds negative quantum %d", j, v)
-			}
-		}
-	}
-	q := &Quantized{
-		n: n, dims: dims, block: block, costMax: costMax,
-		cols: cols, scales: scales, margins: margins,
-	}
-	q.refs = deriveRefs(q)
-	return q, nil
 }
 
 // QuantScanner evaluates the certified quantized Red-IM bound over a

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"emdsearch/internal/db"
 	"emdsearch/internal/emd"
 	"emdsearch/internal/vecmath"
 )
@@ -43,20 +42,6 @@ func (ds *Dataset) Histograms() []emd.Histogram {
 		out[i] = ds.Items[i].Vector
 	}
 	return out
-}
-
-// ToDatabase loads the data set into a fresh database.
-func (ds *Dataset) ToDatabase() (*db.Database, error) {
-	d, err := db.New(ds.Dim)
-	if err != nil {
-		return nil, err
-	}
-	for i, item := range ds.Items {
-		if _, err := d.Add(item.Label, item.Vector); err != nil {
-			return nil, fmt.Errorf("data: item %d: %w", i, err)
-		}
-	}
-	return d, nil
 }
 
 // Split partitions the data set into a database part and nQueries

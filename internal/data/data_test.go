@@ -183,23 +183,6 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-func TestToDatabase(t *testing.T) {
-	ds, err := ColorImages(12, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	database, err := ds.ToDatabase()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if database.Len() != 12 || database.Dim() != ColorDim {
-		t.Fatalf("database %d items, dim %d", database.Len(), database.Dim())
-	}
-	if database.Item(3).Label != ds.Items[3].Label {
-		t.Error("labels lost")
-	}
-}
-
 func TestIRMAGrayLevelSpread(t *testing.T) {
 	// Radiography histograms must use a reasonable part of the gray
 	// range, not collapse into a couple of bins.

@@ -1,20 +1,13 @@
-// Package db provides the in-memory histogram database used by the
-// search layer: original feature vectors plus precomputed reduced
-// representations for any number of registered reductions, with binary
-// persistence. Precomputing the reduced database vectors once is what
-// makes the reduced-EMD filters cheap at query time (the paper's
-// Figure 10 setup applies R2 to the database offline and only R1 to the
-// query online).
+// Package db provides the in-memory histogram store behind the engine:
+// validated original feature vectors with their labels. The reduced
+// database vectors the paper's Figure 10 setup computes offline live in
+// the engine's columnar filter layout, not here.
 package db
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
-	"emdsearch/internal/core"
 	"emdsearch/internal/emd"
-	"emdsearch/internal/persist"
 )
 
 // Item is one database object: a feature histogram plus an optional
@@ -25,13 +18,10 @@ type Item struct {
 	Vector emd.Histogram
 }
 
-// Database stores items of one fixed dimensionality along with reduced
-// representations per registered reduction.
+// Database stores validated items of one fixed dimensionality.
 type Database struct {
-	dim     int
-	items   []Item
-	reduced map[string][]emd.Histogram
-	reds    map[string]*core.Reduction
+	dim   int
+	items []Item
 }
 
 // New creates an empty database for dim-dimensional histograms.
@@ -39,11 +29,7 @@ func New(dim int) (*Database, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("db: dimensionality %d, want >= 1", dim)
 	}
-	return &Database{
-		dim:     dim,
-		reduced: make(map[string][]emd.Histogram),
-		reds:    make(map[string]*core.Reduction),
-	}, nil
+	return &Database{dim: dim}, nil
 }
 
 // Check validates a histogram against the database's dimensionality
@@ -57,18 +43,13 @@ func (d *Database) Check(h emd.Histogram) error {
 	return emd.Validate(h)
 }
 
-// Add validates and appends a histogram, returning its index. Adding
-// invalidates no existing reduced vectors: the new item is reduced
-// under every registered reduction immediately.
+// Add validates and appends a histogram, returning its index.
 func (d *Database) Add(label string, h emd.Histogram) (int, error) {
 	if err := d.Check(h); err != nil {
 		return 0, err
 	}
 	id := len(d.items)
 	d.items = append(d.items, Item{ID: id, Label: label, Vector: h})
-	for name, r := range d.reds {
-		d.reduced[name] = append(d.reduced[name], r.Apply(h))
-	}
 	return id, nil
 }
 
@@ -91,107 +72,4 @@ func (d *Database) Vectors() []emd.Histogram {
 		out[i] = d.items[i].Vector
 	}
 	return out
-}
-
-// Precompute registers reduction r under the given name and stores the
-// reduced representation of every current and future item.
-func (d *Database) Precompute(name string, r *core.Reduction) error {
-	if r.OriginalDims() != d.dim {
-		return fmt.Errorf("db: reduction expects %d dimensions, database stores %d", r.OriginalDims(), d.dim)
-	}
-	if _, exists := d.reds[name]; exists {
-		return fmt.Errorf("db: reduction %q already registered", name)
-	}
-	vecs := make([]emd.Histogram, len(d.items))
-	for i := range d.items {
-		vecs[i] = r.Apply(d.items[i].Vector)
-	}
-	d.reds[name] = r.Clone()
-	d.reduced[name] = vecs
-	return nil
-}
-
-// Reduced returns the precomputed reduced vectors registered under
-// name.
-func (d *Database) Reduced(name string) ([]emd.Histogram, bool) {
-	v, ok := d.reduced[name]
-	return v, ok
-}
-
-// Reduction returns the reduction registered under name.
-func (d *Database) Reduction(name string) (*core.Reduction, bool) {
-	r, ok := d.reds[name]
-	return r, ok
-}
-
-// Reductions returns the registered reductions by name. The map is a
-// copy; the *core.Reduction values are the stored ones and must be
-// treated as read-only.
-func (d *Database) Reductions() map[string]*core.Reduction {
-	out := make(map[string]*core.Reduction, len(d.reds))
-	for name, r := range d.reds {
-		out[name] = r
-	}
-	return out
-}
-
-// snapshot is the gob wire format.
-type snapshot struct {
-	Dim        int
-	Items      []Item
-	Reductions map[string]snapshotReduction
-}
-
-type snapshotReduction struct {
-	Assign  []int
-	Reduced int
-}
-
-// Save writes the database (items and registered reductions; reduced
-// vectors are recomputed on load) to w.
-func (d *Database) Save(w io.Writer) error {
-	snap := snapshot{
-		Dim:        d.dim,
-		Items:      d.items,
-		Reductions: make(map[string]snapshotReduction, len(d.reds)),
-	}
-	for name, r := range d.reds {
-		snap.Reductions[name] = snapshotReduction{Assign: r.Assignment(), Reduced: r.ReducedDims()}
-	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("db: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a database written by Save. Undecodable bytes and decoded
-// data that fails validation (dimensionality, histogram mass, reduction
-// shape) are both reported as persist.ErrCorrupt: a tampered or
-// bit-flipped file must never surface as a raw gob error, and — more
-// importantly — never load silently-invalid histograms into query paths
-// that assume validated data.
-func Load(r io.Reader) (*Database, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("%w: db: load: %v", persist.ErrCorrupt, err)
-	}
-	d, err := New(snap.Dim)
-	if err != nil {
-		return nil, fmt.Errorf("%w: db: load: %v", persist.ErrCorrupt, err)
-	}
-	for _, item := range snap.Items {
-		if _, err := d.Add(item.Label, item.Vector); err != nil {
-			return nil, fmt.Errorf("%w: db: load item %d: %v", persist.ErrCorrupt, item.ID, err)
-		}
-	}
-	for name, sr := range snap.Reductions {
-		red, err := core.NewReduction(sr.Assign, sr.Reduced)
-		if err != nil {
-			return nil, fmt.Errorf("%w: db: load reduction %q: %v", persist.ErrCorrupt, name, err)
-		}
-		if err := d.Precompute(name, red); err != nil {
-			return nil, fmt.Errorf("%w: db: load reduction %q: %v", persist.ErrCorrupt, name, err)
-		}
-	}
-	return d, nil
 }

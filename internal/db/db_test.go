@@ -1,11 +1,8 @@
 package db
 
 import (
-	"bytes"
-	"math"
 	"testing"
 
-	"emdsearch/internal/core"
 	"emdsearch/internal/emd"
 )
 
@@ -45,44 +42,6 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
-func TestPrecomputeBeforeAndAfterAdd(t *testing.T) {
-	d, _ := New(4)
-	if _, err := d.Add("x", emd.Histogram{0.25, 0.25, 0.25, 0.25}); err != nil {
-		t.Fatal(err)
-	}
-	r, err := core.Adjacent(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Precompute("half", r); err != nil {
-		t.Fatal(err)
-	}
-	// Items added after registration are reduced automatically.
-	if _, err := d.Add("y", emd.Histogram{0.5, 0, 0, 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	vecs, ok := d.Reduced("half")
-	if !ok || len(vecs) != 2 {
-		t.Fatalf("reduced vectors: %v ok=%v", vecs, ok)
-	}
-	if math.Abs(vecs[0][0]-0.5) > 1e-12 || math.Abs(vecs[1][0]-0.5) > 1e-12 {
-		t.Errorf("reduced vectors wrong: %v", vecs)
-	}
-	if got, ok := d.Reduction("half"); !ok || !got.Equal(r) {
-		t.Error("registered reduction not retrievable")
-	}
-	if err := d.Precompute("half", r); err == nil {
-		t.Error("accepted duplicate registration")
-	}
-	wrong := core.Identity(5)
-	if err := d.Precompute("other", wrong); err == nil {
-		t.Error("accepted reduction of wrong dimensionality")
-	}
-	if _, ok := d.Reduced("missing"); ok {
-		t.Error("found unregistered reduction")
-	}
-}
-
 func TestVectors(t *testing.T) {
 	d, _ := New(2)
 	d.Add("a", emd.Histogram{1, 0})
@@ -93,43 +52,5 @@ func TestVectors(t *testing.T) {
 	}
 	if v := d.Vector(1); v[1] != 1 {
 		t.Errorf("Vector(1) = %v", v)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	d, _ := New(4)
-	d.Add("a", emd.Histogram{0.25, 0.25, 0.25, 0.25})
-	d.Add("b", emd.Histogram{0.7, 0.1, 0.1, 0.1})
-	r, _ := core.Adjacent(4, 2)
-	if err := d.Precompute("r2", r); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 2 || loaded.Dim() != 4 {
-		t.Fatalf("loaded len %d dim %d", loaded.Len(), loaded.Dim())
-	}
-	if loaded.Item(1).Label != "b" {
-		t.Errorf("label = %q", loaded.Item(1).Label)
-	}
-	vecs, ok := loaded.Reduced("r2")
-	if !ok {
-		t.Fatal("reduction lost in round trip")
-	}
-	if math.Abs(vecs[1][0]-0.8) > 1e-12 {
-		t.Errorf("reduced vector after load: %v", vecs[1])
-	}
-}
-
-func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a database"))); err == nil {
-		t.Error("loaded garbage successfully")
 	}
 }

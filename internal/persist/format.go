@@ -39,16 +39,19 @@ import (
 	"math"
 )
 
-// Magic identifies a versioned snapshot file. Files that do not start
-// with it are treated as legacy (version-0) gob streams by the engine.
+// Magic identifies a snapshot file; a stream without it is corrupt.
 const Magic = "EMDSNAP\x00"
 
-// SnapshotVersion is the current snapshot format version. Version 2
-// added the optional quantized-filter section, version 3 the optional
-// metric-index section, version 4 the optional cascade/plan section;
-// older versions are still read (the engine rebuilds the missing
-// structures from the items, and re-plans a missing cascade).
-const SnapshotVersion = 4
+// SnapshotVersion is the current snapshot format version. Version 5
+// carries six frames: header, items, reductions, deleted, index and
+// cascade. Versions 2 to 4 are still read: their fifth frame, a cached
+// quantized filter, is checked and skipped, version 2 has no index
+// frame and versions 2 and 3 no cascade frame (the engine rebuilds the
+// index from the items and re-plans a missing cascade).
+const SnapshotVersion = 5
+
+// minSnapshotVersion is the oldest snapshot format this build reads.
+const minSnapshotVersion = 2
 
 // maxFrame bounds a single frame body; larger declared lengths can
 // only come from damage.
@@ -91,9 +94,6 @@ type Header struct {
 	// Items is the number of persisted histograms; cross-checked
 	// against the items section.
 	Items int
-	// ReducedDims is the d' of the persisted engine reduction, 0 when
-	// the engine runs unreduced.
-	ReducedDims int
 }
 
 // Item is one persisted database object.
@@ -110,28 +110,11 @@ type Reduction struct {
 	Reduced int
 }
 
-// QuantSection is the persisted quantized columnar filter: the int16
-// column data plus the per-block scales and certified error margins,
-// the geometry they describe, the cost maximum the margins were
-// calibrated for, and the fingerprint (ReductionHash) of the reduction
-// the columns were quantized under. Reusing it on load skips
-// requantization; it is strictly an optimization, so a reader that
-// cannot reuse it (fingerprint or geometry mismatch after further
-// mutations) simply rebuilds.
-type QuantSection struct {
-	N, Dims, Block int
-	CostMax        float64
-	RedHash        uint64
-	Scales         []float64
-	Margins        []float64
-	Cols           [][]int16
-}
-
 // IndexSection is the persisted metric index: the serialized tree
 // (the kind-specific flat form, gob-encoded into Blob) plus the state
-// fingerprint it was built under. Like the quantized filter it is
-// strictly an optimization — a reader that cannot reuse it (kind,
-// fingerprint or coverage mismatch) rebuilds from the items.
+// fingerprint it was built under. It is strictly an optimization — a
+// reader that cannot reuse it (kind, fingerprint or coverage mismatch)
+// rebuilds from the items.
 type IndexSection struct {
 	// Kind is the tree kind: "vptree", or "mtree" in files written
 	// while the engine still had an M-tree.
@@ -173,17 +156,11 @@ type CascadeSection struct {
 type Snapshot struct {
 	Header Header
 	Items  []Item
-	// Reductions are the store-registered reductions by name (legacy
-	// engines smuggled the engine reduction through here).
-	Reductions map[string]Reduction
 	// EngineReduction is the engine's active reduction, nil when
 	// unreduced or not yet built.
 	EngineReduction *Reduction
 	// Deleted lists soft-deleted item ids, ascending.
 	Deleted []int
-	// Quant is the quantized columnar filter, nil when the engine had
-	// none built (and always nil in version-1 files).
-	Quant *QuantSection
 	// Index is the metric index, nil when the engine had none built
 	// (and always nil in files before version 3).
 	Index *IndexSection
@@ -194,25 +171,19 @@ type Snapshot struct {
 }
 
 // reductionsSection is the gob payload of the third snapshot section.
+// Files before version 5 may also carry a Named map here; gob drops it.
 type reductionsSection struct {
-	Named  map[string]Reduction
 	Engine *Reduction
 }
 
-// quantSection is the gob payload of the fifth snapshot section; the
-// pointer encodes presence.
-type quantSection struct {
-	Quant *QuantSection
-}
-
-// indexSection is the gob payload of the sixth snapshot section; the
-// pointer encodes presence.
+// indexSection is the gob payload of the index section; the pointer
+// encodes presence.
 type indexSection struct {
 	Index *IndexSection
 }
 
-// cascadeSection is the gob payload of the seventh snapshot section;
-// the pointer encodes presence.
+// cascadeSection is the gob payload of the cascade section; the
+// pointer encodes presence.
 type cascadeSection struct {
 	Cascade *CascadeSection
 }
@@ -325,15 +296,24 @@ func gobFrame(w io.Writer, v interface{}) error {
 	return writeFrame(w, buf.Bytes())
 }
 
-// readGobFrame reads one frame and gob-decodes it into v. Torn frames
-// are corruption here: the snapshot format is written atomically.
-func readGobFrame(r io.Reader, v interface{}, section string) error {
+// readSnapshotFrame reads one frame of a snapshot. Torn frames are
+// corruption here: the snapshot format is written atomically.
+func readSnapshotFrame(r io.Reader, section string) ([]byte, error) {
 	body, err := readFrame(r)
 	if err == io.EOF || err == errTorn {
-		return fmt.Errorf("%w: snapshot truncated in %s section", ErrCorrupt, section)
+		return nil, fmt.Errorf("%w: snapshot truncated in %s section", ErrCorrupt, section)
 	}
 	if err != nil {
-		return fmt.Errorf("%s section: %w", section, err)
+		return nil, fmt.Errorf("%s section: %w", section, err)
+	}
+	return body, nil
+}
+
+// readGobFrame reads one snapshot frame and gob-decodes it into v.
+func readGobFrame(r io.Reader, v interface{}, section string) error {
+	body, err := readSnapshotFrame(r, section)
+	if err != nil {
+		return err
 	}
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
 		return fmt.Errorf("%w: decode %s section: %v", ErrCorrupt, section, err)
@@ -343,8 +323,8 @@ func readGobFrame(r io.Reader, v interface{}, section string) error {
 
 // WriteSnapshot writes s to w in the versioned format: magic, version
 // word, then one CRC-framed gob section each for the header, the
-// items, the reductions, the deleted set, and the (possibly absent)
-// quantized filter, metric index, and reduction cascade.
+// items, the engine reduction, the deleted set, and the (possibly
+// absent) metric index and reduction cascade.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if s.Header.Items != len(s.Items) {
 		return fmt.Errorf("persist: header declares %d items, snapshot carries %d", s.Header.Items, len(s.Items))
@@ -363,13 +343,10 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if err := gobFrame(w, s.Items); err != nil {
 		return err
 	}
-	if err := gobFrame(w, reductionsSection{Named: s.Reductions, Engine: s.EngineReduction}); err != nil {
+	if err := gobFrame(w, reductionsSection{Engine: s.EngineReduction}); err != nil {
 		return err
 	}
 	if err := gobFrame(w, s.Deleted); err != nil {
-		return err
-	}
-	if err := gobFrame(w, quantSection{Quant: s.Quant}); err != nil {
 		return err
 	}
 	if err := gobFrame(w, indexSection{Index: s.Index}); err != nil {
@@ -390,8 +367,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	version := binary.LittleEndian.Uint32(preamble[len(Magic):])
-	if version < 1 || version > SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads 1..%d", ErrVersion, version, SnapshotVersion)
+	if version < minSnapshotVersion || version > SnapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d..%d", ErrVersion, version, minSnapshotVersion, SnapshotVersion)
 	}
 	s := &Snapshot{}
 	if err := readGobFrame(r, &s.Header, "header"); err != nil {
@@ -404,16 +381,15 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := readGobFrame(r, &reds, "reductions"); err != nil {
 		return nil, err
 	}
-	s.Reductions, s.EngineReduction = reds.Named, reds.Engine
+	s.EngineReduction = reds.Engine
 	if err := readGobFrame(r, &s.Deleted, "deleted"); err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		var qs quantSection
-		if err := readGobFrame(r, &qs, "quantized filter"); err != nil {
+	if version < 5 {
+		// The cached quantized filter: checked, never decoded.
+		if _, err := readSnapshotFrame(r, "quantized filter"); err != nil {
 			return nil, err
 		}
-		s.Quant = qs.Quant
 	}
 	if version >= 3 {
 		var is indexSection

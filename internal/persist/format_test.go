@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -20,11 +21,8 @@ func testSnapshot() *Snapshot {
 		{ID: 2, Label: "", Vector: []float64{1, 0, 0}},
 	}
 	return &Snapshot{
-		Header: Header{Dim: 3, CostHash: 0xdeadbeefcafef00d, Items: len(items), ReducedDims: 2},
-		Items:  items,
-		Reductions: map[string]Reduction{
-			"engine": {Assign: []int{0, 0, 1}, Reduced: 2},
-		},
+		Header:          Header{Dim: 3, CostHash: 0xdeadbeefcafef00d, Items: len(items)},
+		Items:           items,
 		EngineReduction: &Reduction{Assign: []int{0, 0, 1}, Reduced: 2},
 		Deleted:         []int{1},
 	}
@@ -106,11 +104,43 @@ func TestSnapshotTrailingGarbage(t *testing.T) {
 
 func TestSnapshotVersionRejected(t *testing.T) {
 	enc := encodeSnapshot(t, testSnapshot())
-	bad := append([]byte(nil), enc...)
-	bad[len(Magic)] = 99 // version word (little-endian low byte)
-	_, err := ReadSnapshot(bytes.NewReader(bad))
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: got %v, want ErrVersion", err)
+	for _, v := range []byte{0, 1, 99} {
+		bad := append([]byte(nil), enc...)
+		bad[len(Magic)] = v // version word (little-endian low byte)
+		if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
+		}
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(enc[len(Magic):])); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("no magic: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSnapshotSkipsLegacyQuantFrame forges a version-4 file, whose
+// fifth frame cached the quantized filter: the reader checks that
+// frame's CRC, skips it without decoding, and reads the rest. A
+// damaged skipped frame still fails typed.
+func TestSnapshotSkipsLegacyQuantFrame(t *testing.T) {
+	want := testSnapshot()
+	enc := encodeSnapshot(t, want)
+	off := len(Magic) + 4
+	for f := 0; f < 4; f++ {
+		off += frameOverhead + int(binary.LittleEndian.Uint32(enc[off:]))
+	}
+	v4 := append([]byte(nil), enc[:off]...)
+	binary.LittleEndian.PutUint32(v4[len(Magic):], 4)
+	v4 = appendFrame(v4, []byte("not gob at all"))
+	v4 = append(v4, enc[off:]...)
+	got, err := ReadSnapshot(bytes.NewReader(v4))
+	if err != nil {
+		t.Fatalf("version-4 file: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("version-4 file decoded %+v, want %+v", got, want)
+	}
+	v4[off+frameOverhead] ^= 0xff
+	if _, err := ReadSnapshot(bytes.NewReader(v4)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("damaged quant frame: got %v, want ErrCorrupt", err)
 	}
 }
 

@@ -260,3 +260,32 @@ func TestCrossLayoutStageChains(t *testing.T) {
 		checkStageAccounting(t, eng, stats, w)
 	}
 }
+
+// TestQuantizedStashReuse: the quantized filter one pipeline build makes
+// is reused by the next build while the item count and reduction still
+// match — after a delete — and requantized once an Add grows the store.
+// Answers equal brute force either way.
+func TestQuantizedStashReuse(t *testing.T) {
+	eng, queries := buildEngine(t, Options{ReducedDims: 6, SampleSize: 8}, 50)
+	q := queries[0]
+	checkExactKNN(t, "first build", eng, q, 5)
+	if m := eng.Metrics(); m.QuantizedReuses != 0 {
+		t.Fatalf("QuantizedReuses = %d after the first build, want 0", m.QuantizedReuses)
+	}
+	if err := eng.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	if stats := checkExactKNN(t, "after delete", eng, q, 5); stats.Stages[0].Name != "Q-Red-IM" {
+		t.Fatalf("stage chain starts with %q, want Q-Red-IM", stats.Stages[0].Name)
+	}
+	if m := eng.Metrics(); m.QuantizedReuses != 1 {
+		t.Fatalf("QuantizedReuses = %d after a delete, want 1", m.QuantizedReuses)
+	}
+	if _, err := eng.Add("fresh", queries[1]); err != nil {
+		t.Fatal(err)
+	}
+	checkExactKNN(t, "after add", eng, q, 5)
+	if m := eng.Metrics(); m.QuantizedReuses != 1 {
+		t.Fatalf("QuantizedReuses = %d after an add, want still 1 (requantized)", m.QuantizedReuses)
+	}
+}

@@ -57,8 +57,8 @@ type Metrics struct {
 	SnapshotBuilds int64 `json:"snapshot_builds"`
 	// ColumnBuilds counts columnar filter layouts assembled during
 	// snapshot builds (one per filter level). QuantizedReuses counts
-	// pipeline builds that reused a quantized filter restored from a
-	// persisted snapshot instead of requantizing.
+	// pipeline builds that reused the previous build's quantized filter
+	// (after a delete or an index install) instead of requantizing.
 	ColumnBuilds    int64 `json:"column_builds"`
 	QuantizedReuses int64 `json:"quantized_reuses"`
 

@@ -1,7 +1,6 @@
 package emdsearch
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/gob"
@@ -14,9 +13,7 @@ import (
 	"time"
 
 	"emdsearch/internal/cascadeplan"
-	"emdsearch/internal/colscan"
 	"emdsearch/internal/core"
-	"emdsearch/internal/db"
 	"emdsearch/internal/persist"
 	"emdsearch/internal/shardset"
 	"emdsearch/internal/vptree"
@@ -54,8 +51,8 @@ var (
 func (e *Engine) costHash() uint64 { return persist.CostHash(e.cost) }
 
 // snapshotRecordLocked assembles the persistable engine state: items,
-// registered and engine reductions, and the soft-deleted set. The
-// caller must hold e.mu. Vectors are shared, not copied — they are
+// the engine reduction, the soft-deleted set, the metric index and the
+// cascade. The caller must hold e.mu. Vectors are shared, not copied — they are
 // immutable once added, so the record stays valid after the lock is
 // released.
 func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
@@ -65,47 +62,21 @@ func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
 		it := e.store.Item(i)
 		items[i] = persist.Item{ID: it.ID, Label: it.Label, Vector: it.Vector}
 	}
-	var named map[string]persist.Reduction
-	if reds := e.store.Reductions(); len(reds) > 0 {
-		named = make(map[string]persist.Reduction, len(reds))
-		for name, r := range reds {
-			named[name] = persistReduction(r)
-		}
-	}
 	chain := e.plan.reductions() // coarse→fine; empty while unreduced
 	var engRed *persist.Reduction
-	redDims := 0
 	if n := len(chain); n > 0 {
 		r := persistReduction(chain[n-1])
-		engRed, redDims = &r, r.Reduced
+		engRed = &r
 	}
 	deleted := make([]int, 0, len(e.deleted))
 	for id := range e.deleted {
 		deleted = append(deleted, id)
 	}
 	sort.Ints(deleted)
-	// Persist the quantized columnar filter when the stash matches the
-	// current item count (it can lag behind after mutations that have
-	// not been followed by a query; the filter is an optimization, so
-	// a stale one is simply omitted rather than saved dead). The slices
-	// are shared with the immutable Quantized, never mutated.
-	var quant *persist.QuantSection
-	if qz := e.savedQuant; qz != nil && qz.Len() == n {
-		quant = &persist.QuantSection{
-			N:       qz.Len(),
-			Dims:    qz.Dims(),
-			Block:   qz.BlockSize(),
-			CostMax: qz.CostMax(),
-			RedHash: e.savedQuantHash,
-			Scales:  qz.Scales(),
-			Margins: qz.Margins(),
-			Cols:    qz.Data(),
-		}
-	}
-	// Persist the metric index under the same policy as the quantized
-	// filter: only when the stash covers the current item count, so a
-	// restored tree never needs patching — it is either reusable as-is
-	// (or by appending new items) or rebuilt.
+	// Persist the metric index only when the stash covers the current
+	// item count (it can lag behind after mutations that have not been
+	// followed by a query), so a restored tree never needs patching — it
+	// is either reusable as-is or rebuilt.
 	var index *persist.IndexSection
 	if si := e.savedIndex; si != nil && si.n == n {
 		var blob bytes.Buffer
@@ -120,7 +91,7 @@ func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
 		}
 	}
 	// Persist the reduction cascade and the auto-cascade plan. Unlike
-	// the quantized filter and the index, these are not rebuildable
+	// the index, these are not rebuildable
 	// optimizations — re-deriving a cascade consumes randomness and an
 	// auto plan encodes observed workload history — so they are saved
 	// whenever present and validated structurally on load. The section
@@ -141,16 +112,13 @@ func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
 	}
 	return &persist.Snapshot{
 		Header: persist.Header{
-			Dim:         e.store.Dim(),
-			CostHash:    e.costHash(),
-			Items:       n,
-			ReducedDims: redDims,
+			Dim:      e.store.Dim(),
+			CostHash: e.costHash(),
+			Items:    n,
 		},
 		Items:           items,
-		Reductions:      named,
 		EngineReduction: engRed,
 		Deleted:         deleted,
-		Quant:           quant,
 		Index:           index,
 		Cascade:         cascade,
 	}
@@ -161,7 +129,7 @@ func persistReduction(r *core.Reduction) persist.Reduction {
 }
 
 // Save writes the engine's full persistent state — items, reduction,
-// and the soft-deleted set — to w in the versioned, checksummed
+// the soft-deleted set, the metric index and the cascade — to w in the versioned, checksummed
 // snapshot format (magic, format version, configuration fingerprint,
 // per-section CRC32 trailers). Prefer SaveFile for writing to disk: it
 // additionally guarantees the file is replaced atomically.
@@ -200,30 +168,21 @@ func (e *Engine) saveFileLocked(path string) error {
 // opts must match the saved engine's configuration (they are not
 // serialized — the snapshot carries a fingerprint that is verified,
 // and a mismatch fails with ErrConfigMismatch). Damaged input fails
-// with ErrCorrupt and a future format with ErrVersion; loaded
-// histograms are re-validated, so a tampered snapshot can never plant
-// invalid data in the validated refinement path.
-//
-// Streams that do not start with the snapshot magic are read as legacy
-// (version-0) gob databases, as written by emdgen and by Engine.Save
-// before the versioned format existed. The legacy format carries no
-// checksums and no soft-deleted set; undecodable legacy bytes fail
-// with ErrCorrupt.
+// with ErrCorrupt, and a format older than version 2 or newer than
+// this build with ErrVersion; loaded histograms are re-validated, so a
+// tampered snapshot can never plant invalid data in the validated
+// refinement path. The quantized filter is not persisted: the first
+// query recomputes it from the reduced columns.
 //
 // Snapshots carry the full reduction cascade and the auto-cascade
-// plan (format version 4). A Hierarchy engine whose configured levels
-// match the saved chain, and any AutoCascade engine, resume the full
-// cascade immediately; otherwise — including files written before
+// plan (since format version 4). A Hierarchy engine whose configured
+// levels match the saved chain, and any AutoCascade engine, resume the
+// full cascade immediately; otherwise — including files written before
 // version 4 — the engine answers queries exactly after loading but
 // runs the single-level filter until Build re-derives the cascade (or
 // the auto planner re-plans one).
 func LoadEngine(r io.Reader, cost CostMatrix, opts Options) (*Engine, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(persist.Magic))
-	if err != nil || !bytes.Equal(head, []byte(persist.Magic)) {
-		return loadLegacyEngine(br, cost, opts)
-	}
-	snap, err := persist.ReadSnapshot(br)
+	snap, err := persist.ReadSnapshot(r)
 	if err != nil {
 		return nil, fmt.Errorf("emdsearch: load: %w", err)
 	}
@@ -231,7 +190,7 @@ func LoadEngine(r io.Reader, cost CostMatrix, opts Options) (*Engine, error) {
 }
 
 // LoadEngineFile restores an engine from a snapshot file written by
-// SaveFile (or Save, or a legacy gob file).
+// SaveFile (or Save).
 func LoadEngineFile(path string, cost CostMatrix, opts Options) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -271,15 +230,6 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 			return nil, fmt.Errorf("emdsearch: %w: snapshot item %d: %v", ErrCorrupt, i, err)
 		}
 	}
-	for name, rr := range s.Reductions {
-		red, err := core.NewReduction(rr.Assign, rr.Reduced)
-		if err != nil {
-			return nil, fmt.Errorf("emdsearch: %w: snapshot reduction %q: %v", ErrCorrupt, name, err)
-		}
-		if err := e.store.Precompute(name, red); err != nil {
-			return nil, fmt.Errorf("emdsearch: %w: snapshot reduction %q: %v", ErrCorrupt, name, err)
-		}
-	}
 	var chain []*core.Reduction // coarse→fine; stays nil when the snapshot is unreduced
 	if s.EngineReduction != nil {
 		red, err := core.NewReduction(s.EngineReduction.Assign, s.EngineReduction.Reduced)
@@ -309,23 +259,6 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 			e.deleted = make(map[int]bool, len(s.Deleted))
 		}
 		e.deleted[id] = true
-	}
-	if s.Quant != nil {
-		// Revalidate every structural invariant of the quantized filter
-		// before stashing it: a CRC-valid but semantically damaged
-		// section must fail the load, never reach a scan. Whether the
-		// stash is actually reused is decided at pipeline build time by
-		// matching its geometry and reduction fingerprint.
-		if s.Quant.N != e.store.Len() {
-			return nil, fmt.Errorf("emdsearch: %w: quantized filter covers %d items, snapshot carries %d",
-				ErrCorrupt, s.Quant.N, e.store.Len())
-		}
-		qz, err := colscan.RestoreQuantized(s.Quant.N, s.Quant.Dims, s.Quant.Block,
-			s.Quant.CostMax, s.Quant.Scales, s.Quant.Margins, s.Quant.Cols)
-		if err != nil {
-			return nil, fmt.Errorf("emdsearch: %w: quantized filter: %v", ErrCorrupt, err)
-		}
-		e.savedQuant, e.savedQuantHash = qz, s.Quant.RedHash
 	}
 	if s.Index != nil {
 		si, err := restoreIndexSection(s.Index, e.store.Len())
@@ -467,34 +400,6 @@ func restoreIndexSection(is *persist.IndexSection, items int) (*savedIndex, erro
 		return nil, err
 	}
 	return &savedIndex{vt: vt, n: is.N, deletedAtBuild: is.DeletedAtBuild, redHash: is.RedHash}, nil
-}
-
-// loadLegacyEngine is the version-0 fallback: a raw gob database
-// stream from before the versioned snapshot format. db.Load re-runs
-// full validation over every decoded histogram and wraps decode
-// failures in ErrCorrupt.
-func loadLegacyEngine(r io.Reader, cost CostMatrix, opts Options) (*Engine, error) {
-	e, err := NewEngine(cost, opts)
-	if err != nil {
-		return nil, err
-	}
-	store, err := db.Load(r)
-	if err != nil {
-		return nil, fmt.Errorf("emdsearch: load: %w", err)
-	}
-	if store.Dim() != e.Dim() {
-		return nil, fmt.Errorf("emdsearch: %w: saved data has %d dimensions, cost matrix has %d",
-			ErrConfigMismatch, store.Dim(), e.Dim())
-	}
-	e.store = store
-	if red, ok := store.Reduction("engine"); ok {
-		if dims := e.plan.dims(); len(dims) > 0 && red.ReducedDims() != dims[len(dims)-1] {
-			return nil, fmt.Errorf("emdsearch: %w: saved reduction has d'=%d, options request %d",
-				ErrConfigMismatch, red.ReducedDims(), dims[len(dims)-1])
-		}
-		e.plan = e.plan.withChain([]*core.Reduction{red})
-	}
-	return e, nil
 }
 
 // OpenWAL attaches a write-ahead log at path to the engine: every

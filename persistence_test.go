@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -14,8 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"emdsearch/internal/core"
-	"emdsearch/internal/db"
 	"emdsearch/internal/persist"
 )
 
@@ -139,47 +136,22 @@ func TestSaveLoadPersistsDeletes(t *testing.T) {
 }
 
 // TestLoadValidatesVectors asserts that tampered persisted histograms
-// — both in the legacy gob format and in the versioned snapshot format
-// — fail loading with ErrCorrupt instead of planting NaN/invalid data
+// fail loading with ErrCorrupt instead of planting NaN/invalid data
 // into the validated query paths.
 func TestLoadValidatesVectors(t *testing.T) {
 	d := 6
 	cost := LinearCost(d)
 
-	// Legacy gob stream carrying a NaN histogram. The struct mirrors
-	// db's unexported wire format; gob matches fields by name.
-	type legacyItem struct {
-		ID     int
-		Label  string
-		Vector []float64
-	}
-	type legacyRed struct {
-		Assign  []int
-		Reduced int
-	}
-	type legacySnap struct {
-		Dim        int
-		Items      []legacyItem
-		Reductions map[string]legacyRed
-	}
+	// A snapshot carrying a NaN histogram: the section CRC is valid
+	// (the writer was fed bad data), so only re-validation on load can
+	// catch it.
 	nan := make([]float64, d)
 	nan[0] = math.NaN()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacySnap{Dim: d, Items: []legacyItem{{ID: 0, Vector: nan}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadEngine(&buf, cost, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("legacy NaN vector: err = %v, want ErrCorrupt", err)
-	}
-
-	// Versioned snapshot carrying a NaN histogram: the section CRC is
-	// valid (the writer was fed bad data), so only re-validation on
-	// load can catch it.
 	snap := &persist.Snapshot{
 		Header: persist.Header{Dim: d, CostHash: persist.CostHash(cost), Items: 1},
 		Items:  []persist.Item{{ID: 0, Label: "bad", Vector: nan}},
 	}
-	buf.Reset()
+	var buf bytes.Buffer
 	if err := persist.WriteSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
@@ -214,68 +186,6 @@ func TestLoadValidatesVectors(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyFallback exercises the version-0 path: a raw gob
-// database written by the db layer (the pre-versioned Save format)
-// must load through LoadEngine, restore the engine reduction, and fail
-// with typed errors — never a raw gob error.
-func TestLoadLegacyFallback(t *testing.T) {
-	d := 8
-	rng := rand.New(rand.NewSource(11))
-	cost := LinearCost(d)
-	store, err := db.New(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		if _, err := store.Add("item", randHist(rng, d)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assign := []int{0, 0, 1, 1, 2, 2, 3, 3}
-	red, err := core.NewReduction(assign, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Precompute("engine", red); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	legacy := buf.Bytes()
-
-	loaded, err := LoadEngine(bytes.NewReader(legacy), cost, Options{ReducedDims: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 12 {
-		t.Fatalf("legacy load: %d items, want 12", loaded.Len())
-	}
-	got := loaded.Reduction()
-	if len(got) != d {
-		t.Fatalf("legacy load: reduction covers %d dims, want %d", len(got), d)
-	}
-	for i := range assign {
-		if got[i] != assign[i] {
-			t.Fatalf("legacy load: reduction assignment %v, want %v", got, assign)
-		}
-	}
-
-	// d' disagreement between the saved reduction and Options.
-	if _, err := LoadEngine(bytes.NewReader(legacy), cost, Options{ReducedDims: 3}); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("legacy d' mismatch: err = %v, want ErrConfigMismatch", err)
-	}
-	// Dimensionality disagreement with the supplied cost matrix.
-	if _, err := LoadEngine(bytes.NewReader(legacy), LinearCost(d+1), Options{}); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("legacy dim mismatch: err = %v, want ErrConfigMismatch", err)
-	}
-	// Bytes that are neither the snapshot magic nor decodable gob.
-	if _, err := LoadEngine(bytes.NewReader([]byte("definitely not a database")), cost, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("garbage stream: err = %v, want ErrCorrupt", err)
-	}
-}
-
 // TestLoadTypedErrors walks the snapshot-level failure taxonomy at the
 // engine API: damage is ErrCorrupt, future formats are ErrVersion, and
 // configuration disagreements are ErrConfigMismatch.
@@ -297,6 +207,10 @@ func TestLoadTypedErrors(t *testing.T) {
 
 	if _, err := LoadEngine(bytes.NewReader(good[:len(good)-7]), cost, opts); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated snapshot: err = %v, want ErrCorrupt", err)
+	}
+
+	if _, err := LoadEngine(bytes.NewReader([]byte("definitely not a snapshot")), cost, opts); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("stream without the magic: err = %v, want ErrCorrupt", err)
 	}
 
 	future := append([]byte(nil), good...)
@@ -655,183 +569,48 @@ func TestConcurrentMutateCheckpointQuery(t *testing.T) {
 	assertSameState(t, rec, eng, randHist(seed, d))
 }
 
-// snapshotAsV1 rewrites a current-format snapshot as a version-1 file:
-// the version word is patched and the fifth (quantized filter) frame is
-// dropped. Frame lengths are self-describing, so the first four frames
-// can be walked without decoding them.
-func snapshotAsV1(t *testing.T, v2 []byte) []byte {
+// snapshotFrames splits a snapshot file into its framed sections,
+// each with its length words and checksum. Frame lengths are
+// self-describing, so no section is decoded.
+func snapshotFrames(t *testing.T, raw []byte) [][]byte {
 	t.Helper()
-	off := len(persist.Magic) + 4
-	for f := 0; f < 4; f++ {
-		if off+12 > len(v2) {
-			t.Fatalf("snapshot too short walking frame %d", f)
+	var frames [][]byte
+	for off := len(persist.Magic) + 4; off < len(raw); {
+		if off+12 > len(raw) {
+			t.Fatalf("snapshot too short walking frame %d", len(frames))
 		}
-		length := binary.LittleEndian.Uint32(v2[off:])
-		off += 12 + int(length)
+		end := off + 12 + int(binary.LittleEndian.Uint32(raw[off:]))
+		frames = append(frames, raw[off:end])
+		off = end
 	}
-	v1 := append([]byte(nil), v2[:off]...)
-	binary.LittleEndian.PutUint32(v1[len(persist.Magic):], 1)
-	return v1
+	return frames
 }
 
-// TestSaveLoadQuantFilter round-trips the quantized columnar filter:
-// the saved section must be adopted on load (no requantization), the
-// loaded engine must answer identically through the full stage chain,
-// and a mutation after load must invalidate the adopted section rather
-// than reuse stale data.
-func TestSaveLoadQuantFilter(t *testing.T) {
-	opts := Options{ReducedDims: 6, SampleSize: 8}
-	eng, queries := buildEngine(t, opts, 50)
-	q := queries[0]
-	// Force a snapshot build so the engine stashes the quantized filter.
-	want, _, err := eng.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
+// forgeSnapshot assembles a snapshot file of the given format version
+// from framed sections.
+func forgeSnapshot(version uint32, frames ...[]byte) []byte {
+	out := binary.LittleEndian.AppendUint32([]byte(persist.Magic), version)
+	for _, f := range frames {
+		out = append(out, f...)
 	}
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	// The snapshot must actually carry the section.
-	snap, err := persist.ReadSnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Quant == nil {
-		t.Fatal("snapshot of a queried reduced engine carries no quantized filter section")
-	}
-	if snap.Quant.N != eng.Len() {
-		t.Fatalf("quant section covers %d items, engine has %d", snap.Quant.N, eng.Len())
-	}
-
-	loaded, err := LoadEngine(bytes.NewReader(raw), eng.Cost(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := loaded.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Stages[0].Name != "Q-Red-IM" {
-		t.Fatalf("loaded engine stage chain starts with %q, want Q-Red-IM", stats.Stages[0].Name)
-	}
-	for i := range want {
-		if got[i].Index != want[i].Index || got[i].Dist != want[i].Dist {
-			t.Fatalf("result %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	m := loaded.Metrics()
-	if m.QuantizedReuses != 1 {
-		t.Errorf("QuantizedReuses = %d, want 1 (saved section adopted)", m.QuantizedReuses)
-	}
-
-	// A mutation changes the item count: the adopted section no longer
-	// matches and must be requantized, not reused.
-	if _, err := loaded.Add("fresh", randHist(rand.New(rand.NewSource(5)), loaded.Dim())); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := loaded.KNN(q, 5); err != nil {
-		t.Fatal(err)
-	}
-	if m := loaded.Metrics(); m.QuantizedReuses != 1 {
-		t.Errorf("QuantizedReuses after mutation = %d, want still 1", m.QuantizedReuses)
-	}
+	return out
 }
 
-// TestLoadV1Snapshot exercises backward compatibility: a version-1
-// file (no quantized-filter frame) must load, rebuild the filter from
-// the items, and answer identically to the engine that wrote it.
+// TestLoadV1Snapshot: version-1 files (four frames, no quantized
+// filter) are no longer read; loading one fails with ErrVersion.
 func TestLoadV1Snapshot(t *testing.T) {
 	opts := Options{ReducedDims: 6, SampleSize: 8}
-	eng, queries := buildEngine(t, opts, 40)
-	q := queries[0]
-	want, _, err := eng.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, _ := buildEngine(t, opts, 40)
 	var buf bytes.Buffer
 	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v1 := snapshotAsV1(t, buf.Bytes())
-
-	snap, err := persist.ReadSnapshot(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("version-1 snapshot rejected: %v", err)
+	v1 := forgeSnapshot(1, snapshotFrames(t, buf.Bytes())[:4]...)
+	if _, err := persist.ReadSnapshot(bytes.NewReader(v1)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("ReadSnapshot of a version-1 file: err = %v, want ErrVersion", err)
 	}
-	if snap.Quant != nil {
-		t.Fatal("version-1 snapshot decoded a quantized filter section")
-	}
-
-	loaded, err := LoadEngine(bytes.NewReader(v1), eng.Cost(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := loaded.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Stages[0].Name != "Q-Red-IM" {
-		t.Fatalf("v1-loaded engine stage chain starts with %q, want Q-Red-IM (rebuilt)", stats.Stages[0].Name)
-	}
-	for i := range want {
-		if got[i].Index != want[i].Index || got[i].Dist != want[i].Dist {
-			t.Fatalf("result %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if m := loaded.Metrics(); m.QuantizedReuses != 0 {
-		t.Errorf("QuantizedReuses = %d, want 0 (nothing to adopt in a v1 file)", m.QuantizedReuses)
-	}
-}
-
-// TestLoadRejectsBadQuantSection covers CRC-valid but semantically
-// invalid quantized-filter sections: the frame decodes fine, so only
-// load-time re-validation stands between the bytes and a silently
-// wrong (or panicking) first filter stage. Every case must fail with
-// ErrCorrupt.
-func TestLoadRejectsBadQuantSection(t *testing.T) {
-	opts := Options{ReducedDims: 6, SampleSize: 8}
-	eng, queries := buildEngine(t, opts, 30)
-	if _, _, err := eng.KNN(queries[0], 3); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if snap, err := persist.ReadSnapshot(bytes.NewReader(raw)); err != nil || snap.Quant == nil {
-		t.Fatalf("fixture snapshot unusable: err=%v", err)
-	}
-
-	cases := []struct {
-		name   string
-		mutate func(q *persist.QuantSection)
-	}{
-		{"item count mismatch", func(q *persist.QuantSection) { q.N++ }},
-		{"negative scale", func(q *persist.QuantSection) { q.Scales[0] = -1 }},
-		{"NaN margin", func(q *persist.QuantSection) { q.Margins[0] = math.NaN() }},
-		{"missing column", func(q *persist.QuantSection) { q.Cols = q.Cols[:len(q.Cols)-1] }},
-		{"negative quantum", func(q *persist.QuantSection) { q.Cols[0][0] = -5 }},
-		{"infinite cost maximum", func(q *persist.QuantSection) { q.CostMax = math.Inf(1) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			snap, err := persist.ReadSnapshot(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.mutate(snap.Quant)
-			var out bytes.Buffer
-			if err := persist.WriteSnapshot(&out, snap); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := LoadEngine(&out, eng.Cost(), opts); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("err = %v, want ErrCorrupt", err)
-			}
-		})
+	if _, err := LoadEngine(bytes.NewReader(v1), eng.Cost(), opts); !errors.Is(err, ErrVersion) {
+		t.Fatalf("LoadEngine of a version-1 file: err = %v, want ErrVersion", err)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"emdsearch/internal/persist"
 )
 
 // planShape renders a plan's level list as "name@d'" strings, the form
@@ -109,8 +111,10 @@ func TestCompilePlan(t *testing.T) {
 // the TestTortureSnapshotCascadeFlipMatrix fixture: 12 items, d=8,
 // seed 11, rand source 29) and checks that they restore to the plan —
 // level list and every reduction — that this code derives for the same
-// engine from scratch, and that saving again reproduces the parent's
-// bytes: the format did not move in either direction.
+// engine from scratch. Saving either engine writes the current format:
+// every section that remains decodes equal to the parent's (the cached
+// quantized filter is gone), and two saves are byte-identical. The
+// loaded engine answers equal to brute force.
 func TestLoadParentSnapshotEqualPlan(t *testing.T) {
 	const d = 8
 	cost := LinearCost(d)
@@ -168,14 +172,31 @@ func TestLoadParentSnapshotEqualPlan(t *testing.T) {
 		if loaded.plan.id() != fresh.plan.id() {
 			t.Errorf("%s: plan id %x, want %x", c.file, loaded.plan.id(), fresh.plan.id())
 		}
+		want, err := persist.ReadSnapshot(bytes.NewReader(golden))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, eng := range []*Engine{loaded, fresh} {
-			var buf bytes.Buffer
-			if err := eng.Save(&buf); err != nil {
+			var first, second bytes.Buffer
+			if err := eng.Save(&first); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(buf.Bytes(), golden) {
-				t.Errorf("%s: saving again wrote %d bytes that differ from the parent's %d", c.file, buf.Len(), len(golden))
+			if err := eng.Save(&second); err != nil {
+				t.Fatal(err)
 			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Errorf("%s: two saves of one engine differ", c.file)
+			}
+			got, err := persist.ReadSnapshot(bytes.NewReader(first.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: saving again decodes to\n%+v\nwant the parent's\n%+v", c.file, got, want)
+			}
+		}
+		for qi := 0; qi < 3; qi++ {
+			checkExactKNN(t, fmt.Sprintf("%s query %d", c.file, qi), loaded, randHist(rng, d), 5)
 		}
 	}
 }

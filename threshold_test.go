@@ -262,6 +262,9 @@ func TestShardSetThresholdAwareIdentity(t *testing.T) {
 // the degraded answer's certificate: every [Lower, Upper] interval,
 // whatever mixture of filter distances, aborted filter bounds and
 // interrupted solver bounds its Lower came from, contains the exact EMD.
+// The engine learns of the cancel through a watcher goroutine, so a
+// query may complete before it does; KNNAnswer's contract then asks for
+// the exact answer, undegraded, and the test holds it to that.
 func TestKNNCtxAnytimeThresholdAware(t *testing.T) {
 	const k = 5
 	// The hook runs on the refinement workers: it cancels the running
@@ -281,20 +284,38 @@ func TestKNNCtxAnytimeThresholdAware(t *testing.T) {
 		eng.SetWorkers(workers)
 		degraded, aborts := 0, 0
 		for qi, q := range queries {
-			ctx, cancel := context.WithCancel(context.Background())
-			refined.Store(0)
-			cancelQuery.Store(cancel)
-			ans, err := eng.KNNCtx(ctx, q, k)
-			cancel()
-			if err == nil && refined.Load() <= k {
-				continue // the filters left nothing to refine past the k-th
+			// A query that refined past the k-th but completed before the
+			// watcher saw the cancel is run again, a bounded number of
+			// times, until one attempt degrades.
+			for attempt := 0; attempt < 50; attempt++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				refined.Store(0)
+				cancelQuery.Store(cancel)
+				ans, err := eng.KNNCtx(ctx, q, k)
+				cancel()
+				pastK := refined.Load() > k
+				if err == nil {
+					if ans.Degraded {
+						t.Fatalf("workers %d q%d: a completed query returned a degraded answer", workers, qi)
+					}
+					want, _, err := eng.KNN(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResultBytes(t, fmt.Sprintf("workers %d q%d completed", workers, qi), ans.Results, want)
+					if !pastK {
+						break // the filters left nothing to refine past the k-th
+					}
+					continue
+				}
+				if !errors.Is(err, context.Canceled) || ans == nil || !ans.Degraded {
+					t.Fatalf("workers %d q%d: err %v, answer %+v; want a degraded answer with context.Canceled", workers, qi, err, ans)
+				}
+				degraded++
+				checkAnytimeSoundness(t, eng, q, ans)
+				aborts += filterAborts(ans.Stats)
+				break
 			}
-			if !errors.Is(err, context.Canceled) || ans == nil || !ans.Degraded {
-				t.Fatalf("workers %d q%d: err %v, answer %+v; want a degraded answer with context.Canceled", workers, qi, err, ans)
-			}
-			degraded++
-			checkAnytimeSoundness(t, eng, q, ans)
-			aborts += filterAborts(ans.Stats)
 		}
 		if degraded == 0 {
 			t.Fatalf("workers %d: no query was cancelled mid-refinement", workers)

@@ -191,9 +191,8 @@ func TestTortureWALFlipMatrix(t *testing.T) {
 }
 
 // TestTortureSnapshotFlipMatrix flips every byte of a snapshot file.
-// Loading must fail typed every time — including flips in the magic,
-// which reroute the stream to the legacy decoder and still must not
-// surface a raw gob error.
+// Loading must fail typed every time — including flips in the magic
+// and the version word — and never surface a raw gob error.
 func TestTortureSnapshotFlipMatrix(t *testing.T) {
 	d := 6
 	cost := LinearCost(d)
@@ -307,46 +306,32 @@ func copyIfExists(t *testing.T, src, dst string) {
 	}
 }
 
-// TestTortureSnapshotQuantFlipMatrix repeats the snapshot flip matrix
-// over a file that carries the version-2 quantized-filter section, so
-// the damage sweep covers the int16 column frames too. Every flip must
-// fail typed — a flip the CRC somehow forgave would plant a wrong
-// filter into the first stage and silently corrupt query answers.
+// TestTortureSnapshotQuantFlipMatrix flips every byte of the fifth
+// frame of a version-4 fixture, the cached quantized filter that
+// readers skip without decoding. Skipping must not mean trusting: the
+// frame's length words and checksum are still checked, so every flip
+// fails typed.
 func TestTortureSnapshotQuantFlipMatrix(t *testing.T) {
-	d := 8
-	cost := LinearCost(d)
-	rng := rand.New(rand.NewSource(79))
-	eng, err := NewEngine(cost, Options{ReducedDims: 4, SampleSize: 6})
+	raw, err := os.ReadFile("testdata/v4_auto_2_4.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if _, err := eng.Add(fmt.Sprintf("q%d", i), randHist(rng, d)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Build(); err != nil {
+	opts := Options{ReducedDims: 4, SampleSize: 6, AutoCascade: true, Seed: 11}
+	cost := LinearCost(8)
+	if _, err := LoadEngine(bytes.NewReader(raw), cost, opts); err != nil {
 		t.Fatal(err)
 	}
-	// Query once so the engine stashes the quantized filter for Save.
-	if _, _, err := eng.KNN(randHist(rng, d), 3); err != nil {
-		t.Fatal(err)
+	frames := snapshotFrames(t, raw)
+	start := len(persist.Magic) + 4
+	for _, f := range frames[:4] {
+		start += len(f)
 	}
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	if snap, err := persist.ReadSnapshot(bytes.NewReader(good)); err != nil || snap.Quant == nil {
-		t.Fatalf("fixture snapshot carries no quantized filter (err=%v)", err)
-	}
-
-	for i := 0; i < len(good); i++ {
-		mut := append([]byte(nil), good...)
+	for i := start; i < start+len(frames[4]); i++ {
+		mut := append([]byte(nil), raw...)
 		mut[i] ^= 0xff
-		_, err := LoadEngine(bytes.NewReader(mut), cost, Options{ReducedDims: 4, SampleSize: 6})
+		_, err := LoadEngine(bytes.NewReader(mut), cost, opts)
 		if err == nil {
-			t.Fatalf("flip at byte %d: load accepted a damaged snapshot", i)
+			t.Fatalf("flip at byte %d: load accepted a damaged quantized-filter frame", i)
 		}
 		if !typedPersistErr(err) {
 			t.Fatalf("flip at byte %d: err = %v, want a typed persistence error", i, err)
