@@ -287,15 +287,3 @@ func cascadeWindow(base, cur Metrics, p *plan, dim int) cascadeplan.Workload {
 	}
 	return w
 }
-
-// CascadePlan returns the active auto-cascade chain (per-level
-// reduced dimensionalities, ascending coarse→fine) or nil when no
-// auto plan is active (AutoCascade off, or Build not yet called).
-func (e *Engine) CascadePlan() []int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if !e.plan.auto || e.plan.finest() == nil {
-		return nil
-	}
-	return e.plan.dims()
-}

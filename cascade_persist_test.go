@@ -52,7 +52,7 @@ func TestSaveLoadCascadeSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := loaded.CascadePlan(); !slices.Equal(plan, []int{2, 4, 8}) {
+	if plan := loaded.Metrics().CascadePlan; !slices.Equal(plan, []int{2, 4, 8}) {
 		t.Fatalf("loaded plan %v, want [2 4 8]", plan)
 	}
 	got, _, err := loaded.KNN(q, 5)
@@ -155,7 +155,7 @@ func TestLoadAutoCascadeRelaxesDPrimeCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AutoCascade load with re-planned d' rejected: %v", err)
 	}
-	if plan := loaded.CascadePlan(); !slices.Equal(plan, []int{4, 12}) {
+	if plan := loaded.Metrics().CascadePlan; !slices.Equal(plan, []int{4, 12}) {
 		t.Fatalf("loaded plan %v, want [4 12]", plan)
 	}
 	got, _, err := loaded.KNN(q, 5)

@@ -87,10 +87,7 @@ func TestCascadePlanBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eps, err := ref.EpsilonForCount(context.Background(), q, 15)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eps := knnRadius(t, ref, q, 15)
 		wantRange, _, err := ref.Range(q, eps)
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +282,7 @@ func TestReplanKeepsAnswersIdentical(t *testing.T) {
 	const n, k = 100, 6
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10, AutoCascade: true}, n)
 
-	if plan := eng.CascadePlan(); len(plan) != 1 || plan[0] != 8 {
+	if plan := eng.Metrics().CascadePlan; len(plan) != 1 || plan[0] != 8 {
 		t.Fatalf("fresh AutoCascade plan = %v, want [8]", plan)
 	}
 	before := make([][]Result, len(queries))
@@ -299,7 +296,7 @@ func TestReplanKeepsAnswersIdentical(t *testing.T) {
 	if _, err := eng.Replan(); err != nil {
 		t.Fatalf("Replan: %v", err)
 	}
-	plan := eng.CascadePlan()
+	plan := eng.Metrics().CascadePlan
 	if len(plan) == 0 {
 		t.Fatal("no active plan after Replan")
 	}

@@ -181,7 +181,7 @@ func runCascade(cfg cascadeConfig) error {
 		if err != nil {
 			return fmt.Errorf("auto run n=%d: %w", n, err)
 		}
-		autoRun.Plan = autoEng.CascadePlan()
+		autoRun.Plan = autoEng.Metrics().CascadePlan
 		autoRun.SpeedupVsFixed = float64(fixedRun.QueryNS) / float64(autoRun.QueryNS)
 		autoRun.ResultsIdentical = sameResults(fixedRes, autoRes)
 		if !autoRun.ResultsIdentical {

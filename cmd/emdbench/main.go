@@ -44,8 +44,8 @@
 // -wal gives the serve benchmark a write-ahead log: the background
 // writer's Adds then pay a durable (fsynced) log append each, the way
 // a crash-safe ingest would. If the log latches broken mid-run the
-// writer heals it with Engine.ReopenWAL under capped exponential
-// backoff instead of dying.
+// writer heals it with Engine.ReopenWALRetry (jittered capped
+// exponential backoff) instead of dying.
 //
 // -gate routes serve-mode queries through an admission Gate
 // (bounded concurrency, bounded deadline-aware wait queue, load

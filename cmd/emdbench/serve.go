@@ -43,12 +43,6 @@ type serveConfig struct {
 	out string
 }
 
-// reopenWALBackoff heals a broken write-ahead log via the engine's
-// jittered capped-exponential retry loop.
-func reopenWALBackoff(eng *emdsearch.Engine, attempts int) error {
-	return eng.ReopenWALRetry(context.Background(), attempts)
-}
-
 // runServe benchmarks the engine as a concurrent query server: it
 // builds one engine and fires k-NN queries from `concurrency` client
 // goroutines, each query refining with `workers` goroutines, while a
@@ -132,7 +126,7 @@ func runServe(cfg serveConfig) error {
 			case <-tick.C:
 				if _, err := eng.Add("ingest", vecs[i%len(vecs)]); err != nil {
 					if errors.Is(err, emdsearch.ErrWALBroken) {
-						if rerr := reopenWALBackoff(eng, 10); rerr != nil {
+						if rerr := eng.ReopenWALRetry(context.Background(), 10); rerr != nil {
 							fmt.Printf("serve: WAL stayed broken after backoff: %v\n", rerr)
 							return
 						}

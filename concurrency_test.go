@@ -77,33 +77,6 @@ func TestEngineParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEngineSetWorkers flips the worker bound at runtime and checks it
-// takes effect (and keeps results correct).
-func TestEngineSetWorkers(t *testing.T) {
-	eng, queries := buildEngine(t, Options{ReducedDims: 6, SampleSize: 10}, 60)
-	q := queries[0]
-	want, stats, err := eng.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers != 1 {
-		t.Fatalf("default workers = %d, want 1", stats.Workers)
-	}
-	eng.SetWorkers(3)
-	got, stats, err := eng.KNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers != 3 {
-		t.Fatalf("after SetWorkers(3): stats report %d workers", stats.Workers)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("result %d changed after SetWorkers: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestEngineConcurrentStress runs a mixed read workload — KNN, Range,
 // concurrent KNN pairs, Rank, ApproxKNN, ids-only range — against an engine that another
 // goroutine is simultaneously growing (Add), re-deriving (Build) and

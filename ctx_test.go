@@ -233,11 +233,7 @@ func TestKNNCtxMidQueryCancelReturnsPromptly(t *testing.T) {
 func TestRangeCtx(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 150)
 	q := queries[0]
-	dd, err := eng.DistanceDistribution(context.Background(), q, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := dd.Quantile(0.3)
+	eps := knnRadius(t, eng, q, 45) // 30% of the 150 items
 
 	want, _, err := eng.Range(q, eps)
 	if err != nil {
@@ -361,27 +357,6 @@ func TestAuxiliaryCtxVariants(t *testing.T) {
 		t.Fatalf("ApproxKNN(expired): err = %v", err)
 	}
 
-	// EpsilonForCount: the radius returns at least the count.
-	eps, err := eng.EpsilonForCount(bg, q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, _, err := eng.Range(q, eps); err != nil || len(res) < 10 {
-		t.Fatalf("Range at EpsilonForCount(10) = %v: %d results, err %v", eps, len(res), err)
-	}
-	if _, err := eng.EpsilonForCount(dead, q, 10); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EpsilonForCount(expired): err = %v", err)
-	}
-
-	// DistanceDistribution
-	dd, err := eng.DistanceDistribution(bg, q, 20)
-	if err != nil || dd.Count() != 20 {
-		t.Fatalf("DistanceDistribution(Background): err %v", err)
-	}
-	if _, err := eng.DistanceDistribution(dead, q, 20); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DistanceDistribution(expired): err = %v", err)
-	}
-
 	// Distance: both solves — plain under Background, interruptible
 	// under a cancellable context — give the same bits.
 	d, err := eng.Distance(bg, q, 3)
@@ -395,15 +370,6 @@ func TestAuxiliaryCtxVariants(t *testing.T) {
 	}
 	if _, err := eng.Distance(dead, q, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Distance(expired): err = %v", err)
-	}
-
-	// Explain decomposes the same distance.
-	exp, err := eng.Explain(bg, q, 3, 4)
-	if err != nil || math.Abs(exp.Distance-d) > 1e-9 {
-		t.Fatalf("Explain(Background) = %+v, %v; want distance %v", exp, err, d)
-	}
-	if _, err := eng.Explain(dead, q, 3, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Explain(expired): err = %v", err)
 	}
 
 	// Search with a predicate, by index and by label.
@@ -428,7 +394,11 @@ func TestAuxiliaryCtxVariants(t *testing.T) {
 		t.Fatalf("Search with a label (expired): err = %v", err)
 	}
 
-	// The membership query.
+	// The membership query: the 10-NN radius admits at least 10 ids.
+	eps := knnRadius(t, eng, q, 10)
+	if ids, err := rangeIDs(bg, eng, q, eps); err != nil || len(ids) < 10 {
+		t.Fatalf("ids-only Search(Background) at the 10-NN radius: %d ids, err %v", len(ids), err)
+	}
 	if _, err := rangeIDs(dead, eng, q, eps); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ids-only Search (expired): err = %v", err)
 	}

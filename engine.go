@@ -245,17 +245,12 @@ type snapshot struct {
 	plan *plan
 	// The finest level's symmetric bounds and columnar reduced database
 	// (nil when unreduced); they also serve the certified approximate
-	// and upper-bound query paths (ApproxKNN, EpsilonForCount).
+	// query path (ApproxKNN) and the index metric.
 	reduced     *core.ReducedEMD
-	redUpper    *core.ReducedEMDUpper
 	reducedCols *colscan.Columns
-	// quant is the coarsest level's certified quantized filter, nil
-	// when the quantized stage is not in play. Persistence serializes
-	// it so a reopened engine skips requantization.
-	quant *colscan.Quantized
 
 	// sspCounters read the SSP-fallback counters of every compiled EMD
-	// this snapshot built (reduced levels, upper bound, index metric);
+	// this snapshot built (reduced levels, index metric);
 	// Engine.Metrics sums them into ssp_fallbacks.
 	sspCounters []func() int64
 
@@ -414,16 +409,6 @@ func (e *Engine) Vector(i int) Histogram {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.store.Vector(i)
-}
-
-// SetWorkers changes the refinement worker bound (see Options.Workers)
-// at runtime. It invalidates the prepared pipeline; the next query
-// rebuilds it with the new bound.
-func (e *Engine) SetWorkers(workers int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.opts.Workers = workers
-	e.snap = nil
 }
 
 // Build derives the reduction chain from the indexed data according
@@ -655,10 +640,11 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 				}
 			}
 			if lv.kind == kindQuantIM {
-				if snap.quant, err = e.quantizeLocked(cols, red, im); err != nil {
+				qz, err := e.quantizeLocked(cols, red, im)
+				if err != nil {
 					return nil, err
 				}
-				qsc, err := colscan.NewQuantScanner(im, snap.quant)
+				qsc, err := colscan.NewQuantScanner(im, qz)
 				if err != nil {
 					return nil, err
 				}
@@ -690,10 +676,6 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 	if reduced != nil {
 		// The loop ends on the finest level.
 		snap.reduced, snap.reducedCols = reduced, cols
-		if snap.redUpper, err = core.NewReducedEMDUpper(e.cost, red, red); err != nil {
-			return nil, err
-		}
-		snap.sspCounters = append(snap.sspCounters, snap.redUpper.SSPFallbacks)
 	}
 	if err := e.attachIndexLocked(snap, s); err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 // exact path a /debug/vars scraper takes.
 func TestPublishExpvarRoundTrip(t *testing.T) {
 	set, _, queries := buildShardPair(t, 2, 20, ShardSetOptions{})
-	eng, gate := set.Engine(0), set.Gate(0)
+	eng, gate := set.Engine(0), set.gateAt(0)
 
 	if err := eng.PublishExpvar("test_engine_metrics"); err != nil {
 		t.Fatal(err)

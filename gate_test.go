@@ -113,17 +113,9 @@ func TestBadQueryAllEntryPoints(t *testing.T) {
 		{"Rank/wrong-dim", func() error { _, err := eng.Rank(ctx, short); return err }},
 		{"ApproxKNN/k=0", func() error { _, _, err := eng.ApproxKNN(ctx, good, 0); return err }},
 		{"ApproxKNN/wrong-dim", func() error { _, _, err := eng.ApproxKNN(ctx, short, 3); return err }},
-		{"EpsilonForCount/count=0", func() error { _, err := eng.EpsilonForCount(ctx, good, 0); return err }},
-		{"EpsilonForCount/wrong-dim", func() error { _, err := eng.EpsilonForCount(ctx, short, 3); return err }},
-		{"DistanceDistribution/sample=0", func() error { _, err := eng.DistanceDistribution(ctx, good, 0); return err }},
-		{"DistanceDistribution/wrong-dim", func() error { _, err := eng.DistanceDistribution(ctx, short, 3); return err }},
 		{"Distance/out-of-range", func() error { _, err := eng.Distance(ctx, good, 10_000); return err }},
 		{"Distance/negative-index", func() error { _, err := eng.Distance(ctx, good, -1); return err }},
 		{"DistanceCtx/wrong-dim", func() error { _, err := eng.Distance(ctx, short, 0); return err }},
-		{"Explain/out-of-range", func() error { _, err := eng.Explain(ctx, good, 10_000, 0); return err }},
-		{"Explain/negative-index", func() error { _, err := eng.Explain(ctx, good, -1, 0); return err }},
-		{"Explain/topK=-1", func() error { _, err := eng.Explain(ctx, good, 0, -1); return err }},
-		{"Explain/wrong-dim", func() error { _, err := eng.Explain(ctx, short, 0, 0); return err }},
 		{"Gate.KNN/wrong-dim", func() error { _, err := gate.KNN(ctx, short, 3); return err }},
 		{"Gate.KNN/k=0", func() error { _, err := gate.KNN(ctx, good, 0); return err }},
 		{"Gate.Range/negative-eps", gateSearch(Query{Hist: good, Range: true, Eps: -1})},

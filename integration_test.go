@@ -111,17 +111,14 @@ func TestFullLifecycle(t *testing.T) {
 		}
 	}
 
-	// 3. Epsilon targeting and range queries.
-	eps, err := loaded.EpsilonForCount(context.Background(), q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// 3. Range queries at the 10th neighbour's distance.
+	eps := knnRadius(t, loaded, q, 10)
 	rangeResults, _, err := loaded.Range(q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rangeResults) < 10 {
-		t.Fatalf("EpsilonForCount(10) radius returned %d results", len(rangeResults))
+		t.Fatalf("the 10-NN radius returned %d results", len(rangeResults))
 	}
 	ids, err := rangeIDs(context.Background(), loaded, q, eps)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"emdsearch/internal/core"
 	"emdsearch/internal/emd"
+	"emdsearch/internal/lb"
 )
 
 func TestRangeIDsValidation(t *testing.T) {
@@ -32,7 +33,11 @@ func TestRangeIDsMatchesScanAndSavesRefinements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := core.NewEnvelope(cost, red, red)
+	lower, err := core.NewReducedEMD(cost, red, red)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper, err := lb.NewGreedyUpper(cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +50,12 @@ func TestRangeIDsMatchesScanAndSavesRefinements(t *testing.T) {
 	q := randomHistogram(rng, d)
 	qr := red.Apply(q)
 	refine := func(i int) float64 { return dist.Distance(q, data[i]) }
-	upperFn := func(i int) float64 { return env.Upper.DistanceReduced(qr, reduced[i]) }
+	upperFn := func(i int) float64 { return upper.Distance(q, data[i]) }
 
 	for _, eps := range []float64{0.2, 0.5, 1.0, 2.5} {
 		lowers := make([]float64, n)
 		for i := range lowers {
-			lowers[i] = env.Lower.DistanceReduced(qr, reduced[i])
+			lowers[i] = lower.DistanceReduced(qr, reduced[i])
 		}
 		ids, stats, err := RangeIDs(NewScanRanking(lowers), refine, upperFn, eps)
 		if err != nil {

@@ -27,8 +27,8 @@ type Certificate struct {
 
 // ApproxKNN answers a k-nearest-neighbor query *without a single
 // exact EMD computation*, using a lower-bound ranking plus a matching
-// upper-bound function (e.g. the min-cost/max-cost reduced EMD pair of
-// core.Envelope). It is the guaranteed-approximation counterpart to
+// upper-bound function (Engine.ApproxKNN pairs the reduced EMD with
+// lb.GreedyUpper). It is the guaranteed-approximation counterpart to
 // the exact multistep KNN, in the spirit of the upper-bound-based
 // approximate EMD retrieval the paper cites as related work.
 //

@@ -7,6 +7,7 @@ import (
 
 	"emdsearch/internal/core"
 	"emdsearch/internal/emd"
+	"emdsearch/internal/lb"
 )
 
 func TestApproxKNNValidation(t *testing.T) {
@@ -43,7 +44,11 @@ func TestApproxKNNGuarantees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := core.NewEnvelope(cost, red, red)
+	lower, err := core.NewReducedEMD(cost, red, red)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper, err := lb.NewGreedyUpper(cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +64,10 @@ func TestApproxKNNGuarantees(t *testing.T) {
 		qr := red.Apply(q)
 		lowers := make([]float64, n)
 		for i := range lowers {
-			lowers[i] = env.Lower.DistanceReduced(qr, reduced[i])
+			lowers[i] = lower.DistanceReduced(qr, reduced[i])
 		}
 		results, cert, err := ApproxKNN(NewScanRanking(lowers), func(i int) float64 {
-			return env.Upper.DistanceReduced(qr, reduced[i])
+			return upper.Distance(q, data[i])
 		}, k)
 		if err != nil {
 			t.Fatal(err)
@@ -126,9 +131,10 @@ func TestApproxKNNPullsPrefixOnly(t *testing.T) {
 	}
 }
 
-// TestApproxKNNExactWhenBoundsCoincide: identity reduction makes both
-// bounds equal to the exact EMD, so the approximate answer IS the
-// exact answer with a zero-width certificate.
+// TestApproxKNNExactWhenBoundsCoincide: under the identity reduction
+// the lower bound is the exact EMD; with the exact EMD as the upper
+// bound too, the approximate answer IS the exact answer with a
+// zero-width certificate.
 func TestApproxKNNExactWhenBoundsCoincide(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const d, n, k = 8, 80, 5
@@ -138,7 +144,7 @@ func TestApproxKNNExactWhenBoundsCoincide(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := core.Identity(d)
-	env, err := core.NewEnvelope(cost, id, id)
+	lower, err := core.NewReducedEMD(cost, id, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +155,10 @@ func TestApproxKNNExactWhenBoundsCoincide(t *testing.T) {
 	q := randomHistogram(rng, d)
 	lowers := make([]float64, n)
 	for i := range lowers {
-		lowers[i] = env.Lower.Distance(q, data[i])
+		lowers[i] = lower.Distance(q, data[i])
 	}
 	results, cert, err := ApproxKNN(NewScanRanking(lowers), func(i int) float64 {
-		return env.Upper.Distance(q, data[i])
+		return dist.Distance(q, data[i])
 	}, k)
 	if err != nil {
 		t.Fatal(err)

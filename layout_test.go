@@ -78,6 +78,21 @@ func bruteForce(t *testing.T, eng *Engine, q Histogram, keep func(int) bool) []R
 	return all
 }
 
+// knnRadius is the distance of q's m-th nearest live item in eng's
+// exact k-NN answer: a range radius that lands on an item's exact
+// distance and admits at least m items.
+func knnRadius(t *testing.T, eng *Engine, q Histogram, m int) float64 {
+	t.Helper()
+	res, _, err := eng.KNN(q, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != m {
+		t.Fatalf("KNN(q, %d) returned %d results", m, len(res))
+	}
+	return res[m-1].Dist
+}
+
 // within cuts a sorted result list at distance eps.
 func within(rs []Result, eps float64) []Result {
 	return rs[:sort.Search(len(rs), func(i int) bool { return rs[i].Dist > eps })]
@@ -154,10 +169,7 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 		}
 		wantKNN, wantWhere := brute[:k], bruteForce(t, oracle, q, pred)[:k]
 		wantBatch[qi] = wantKNN
-		eps, err := oracle.EpsilonForCount(context.Background(), q, 15)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eps := knnRadius(t, oracle, q, 15)
 		wantRange := within(brute, eps)
 		var wantStats *QueryStats
 

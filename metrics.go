@@ -110,9 +110,6 @@ type Metrics struct {
 	// RefinesAborted sums the refinements the threshold-aware solver
 	// abandoned early on a certified bound.
 	RefinesAborted int64 `json:"refines_aborted"`
-	// WarmStartHits is retired in PR 12, always 0: the solver's basis
-	// warm start was deleted. The key stays for readers of the JSON.
-	WarmStartHits int64 `json:"warm_start_hits"`
 	// SSPFallbacks counts transport solves — exact refinements and
 	// reduced-EMD filter, bound and index-metric evaluations alike —
 	// that exhausted the simplex pivot budget and were answered by the

@@ -39,7 +39,7 @@ var (
 	// ErrWALBroken reports a write-ahead log latched unusable: an append
 	// failed AND rolling the partial frame back failed too, so the
 	// file's tail state is unknown. Every further logged mutation fails
-	// with this error until ReopenWAL succeeds (reopening re-scans the
+	// with this error until ReopenWALRetry succeeds (reopening re-scans the
 	// file and truncates the damage). The engine's in-memory state stays
 	// correct throughout — a mutation that failed durability was never
 	// applied.
@@ -421,6 +421,12 @@ func (e *Engine) OpenWAL(path string) error {
 	if e.wal != nil {
 		return fmt.Errorf("emdsearch: engine already has an open WAL at %s", e.wal.Path())
 	}
+	return e.openWALLocked(path)
+}
+
+// openWALLocked opens and integrity-checks the log at path and
+// attaches it; on failure e.wal is left as it was. Caller holds e.mu.
+func (e *Engine) openWALLocked(path string) error {
 	w, scan, err := persist.OpenWAL(path, persist.WALHeader{Dim: e.store.Dim(), CostHash: e.costHash()})
 	if err != nil {
 		return fmt.Errorf("emdsearch: open WAL: %w", err)
@@ -434,50 +440,35 @@ func (e *Engine) OpenWAL(path string) error {
 	return nil
 }
 
-// ReopenWAL recovers a broken write-ahead log in place: it closes the
-// current log file and reopens the same path, re-running the open-time
-// integrity scan (which truncates any torn tail the failed rollback
-// left behind). On success the engine resumes durable logging exactly
-// where the last acknowledged mutation left off — the log's valid
-// prefix always equals the acknowledged mutations, because a mutation
-// whose append failed was never applied in memory either.
-//
-// It is safe to call on a healthy WAL too (the scan is a no-op then),
-// and callers typically invoke it with backoff after Add/Delete starts
-// failing with ErrWALBroken — transient storage faults (full disk,
-// remounted volume) heal, permanent ones keep failing here and keep
-// the engine read-only-durable rather than silently non-durable.
-func (e *Engine) ReopenWAL() error {
+// reopenWAL is one attempt of ReopenWALRetry: it closes the attached
+// log and reopens the same path. A failed attempt leaves the closed
+// handle attached, so logged mutations keep failing rather than going
+// unlogged, and the next attempt still knows the path.
+func (e *Engine) reopenWAL() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.wal == nil {
-		return fmt.Errorf("emdsearch: ReopenWAL: engine has no WAL attached")
+		return fmt.Errorf("emdsearch: reopen WAL: engine has no WAL attached")
 	}
-	path := e.wal.Path()
-	// Close the old handle first; its buffered state is unusable and a
-	// close error on a broken file adds nothing actionable.
+	// The old handle's buffered state is unusable, and a close error on
+	// a broken file adds nothing actionable.
 	_ = e.wal.Close()
-	e.wal = nil
-	w, scan, err := persist.OpenWAL(path, persist.WALHeader{Dim: e.store.Dim(), CostHash: e.costHash()})
-	if err != nil {
-		return fmt.Errorf("emdsearch: reopen WAL: %w", err)
-	}
-	if scan.MaxAddID >= e.store.Len() {
-		cerr := w.Close()
-		return fmt.Errorf("emdsearch: WAL %s holds mutations beyond the engine's %d items; recover with RecoverEngine before reopening (close: %v)",
-			path, e.store.Len(), cerr)
-	}
-	e.wal = w
-	return nil
+	return e.openWALLocked(e.wal.Path())
 }
 
-// ReopenWALRetry is ReopenWAL under a jittered capped exponential
-// backoff: up to attempts tries (<= 0 defaults to 10), sleeping a
-// uniformly jittered delay drawn from the 1ms, 2ms, 4ms ... schedule
-// capped at 256ms between them. The jitter desynchronizes many
-// processes healing a shared disk fault at once. It returns nil as
-// soon as one reopen succeeds, ctx.Err() if the context ends first,
-// and otherwise the last reopen error.
+// ReopenWALRetry heals a broken write-ahead log in place: it closes
+// the log and reopens the same path, whose integrity scan truncates any
+// torn tail a failed rollback left. The log's valid prefix always
+// equals the acknowledged mutations (a mutation whose append failed was
+// never applied in memory), so durable logging resumes where it left
+// off. It is safe on a healthy WAL too.
+//
+// It makes up to attempts tries (<= 0 defaults to 10), sleeping a
+// uniformly jittered delay from the 1ms, 2ms, 4ms ... schedule, capped
+// at 256ms, between them; the jitter desynchronizes processes healing
+// a shared disk fault. It returns nil on the first success, ctx.Err()
+// if the context ends first, and otherwise the last reopen error: a
+// permanent fault keeps mutations failing rather than going unlogged.
 func (e *Engine) ReopenWALRetry(ctx context.Context, attempts int) error {
 	if attempts <= 0 {
 		attempts = 10
@@ -485,7 +476,7 @@ func (e *Engine) ReopenWALRetry(ctx context.Context, attempts int) error {
 	b := &shardset.Backoff{Base: time.Millisecond, Cap: 256 * time.Millisecond}
 	var err error
 	for i := 0; i < attempts; i++ {
-		if err = e.ReopenWAL(); err == nil {
+		if err = e.reopenWAL(); err == nil {
 			return nil
 		}
 		if i == attempts-1 {

@@ -120,17 +120,13 @@ func TestSaveLoadPersistsDeletes(t *testing.T) {
 			t.Fatalf("KNN over loaded engine returned deleted item %d", r.Index)
 		}
 	}
-	if eps, err := loaded.EpsilonForCount(context.Background(), q, 10); err != nil {
+	rr, _, err := loaded.Range(q, knnRadius(t, loaded, q, 10))
+	if err != nil {
 		t.Fatal(err)
-	} else {
-		rr, _, err := loaded.Range(q, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rr {
-			if loaded.Deleted(r.Index) {
-				t.Fatalf("Range over loaded engine returned deleted item %d", r.Index)
-			}
+	}
+	for _, r := range rr {
+		if loaded.Deleted(r.Index) {
+			t.Fatalf("Range over loaded engine returned deleted item %d", r.Index)
 		}
 	}
 }

@@ -127,7 +127,7 @@ func TestEngineBoundedCountersAggregate(t *testing.T) {
 		cols += stats.RefineCols
 	}
 	m := eng.Metrics()
-	if m.RefinesAborted != aborted || m.WarmStartHits != 0 ||
+	if m.RefinesAborted != aborted ||
 		m.RefineRows != rows || m.RefineCols != cols {
 		t.Fatalf("metrics %+v do not match summed query stats (aborted %d, rows %d, cols %d)",
 			m, aborted, rows, cols)

@@ -10,136 +10,6 @@ import (
 	"testing"
 )
 
-// TestEpsilonForCountAfterDelete is the regression test for the
-// soft-delete bug in EpsilonForCount: the upper-bound distribution used
-// to include deleted items, so deleting the query's nearest neighbors
-// shrank the radius below what `count` live results require. The
-// guarantee must hold against the live set only.
-func TestEpsilonForCountAfterDelete(t *testing.T) {
-	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 120)
-	q := queries[0]
-
-	// Delete the 40 items nearest to q — exactly the ones whose small
-	// upper bounds used to drag the radius down after deletion.
-	rank, err := eng.Rank(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d < 40; d++ {
-		i, _, ok := rank.Next()
-		if !ok {
-			t.Fatal("ranking exhausted early")
-		}
-		if err := eng.Delete(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	const count = 30
-	eps, err := eng.EpsilonForCount(context.Background(), q, count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, _, err := eng.Range(q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) < count {
-		t.Fatalf("Range(q, EpsilonForCount(q, %d)) returned %d live results after deletions", count, len(results))
-	}
-	for _, r := range results {
-		if eng.Deleted(r.Index) {
-			t.Fatalf("deleted item %d in range results", r.Index)
-		}
-	}
-
-	// The count bound must track the live population, not the indexed one.
-	live := eng.Alive()
-	if live != eng.Len()-40 {
-		t.Fatalf("Alive() = %d, want %d", live, eng.Len()-40)
-	}
-	if _, err := eng.EpsilonForCount(context.Background(), q, live); err != nil {
-		t.Fatalf("EpsilonForCount(live=%d): %v", live, err)
-	}
-	if _, err := eng.EpsilonForCount(context.Background(), q, live+1); err == nil {
-		t.Fatalf("EpsilonForCount accepted count %d > live %d", live+1, live)
-	}
-}
-
-// TestDistanceDistributionExcludesDeleted is the regression test for
-// the soft-delete bug in DistanceDistribution: the stride sampler used
-// to walk all indexed items, so deleted vectors leaked into the
-// distribution. The sample must come from live items only, and
-// deletions must not shrink it below min(sampleSize, live).
-func TestDistanceDistributionExcludesDeleted(t *testing.T) {
-	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 60)
-	q := queries[0]
-
-	// Delete everything but five survivors; the distribution must then
-	// be exactly their five exact distances.
-	survivors := []int{3, 17, 29, 41, 55}
-	keep := make(map[int]bool)
-	for _, i := range survivors {
-		keep[i] = true
-	}
-	for i := 0; i < eng.Len(); i++ {
-		if keep[i] {
-			continue
-		}
-		if err := eng.Delete(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := eng.DistanceDistribution(context.Background(), q, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Count() != len(survivors) {
-		t.Fatalf("sampled %d distances, want the %d live items", d.Count(), len(survivors))
-	}
-	want := make([]float64, 0, len(survivors))
-	for _, i := range survivors {
-		want = append(want, exactDist(t, eng, q, i))
-	}
-	sort.Float64s(want)
-	for k, w := range want {
-		if got := d.KthSmallest(k + 1); math.Abs(got-w) > 1e-9 {
-			t.Fatalf("distance %d: sampled %v, want %v (a deleted vector leaked in)", k, got, w)
-		}
-	}
-}
-
-// TestDistanceDistributionStrideAfterDelete checks the sample-size leg
-// of the same bug: with 80 live items a request for 40 must still yield
-// 40 — the stride adapts to the live population.
-func TestDistanceDistributionStrideAfterDelete(t *testing.T) {
-	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 100)
-	q := queries[1]
-	for i := 0; i < 20; i++ {
-		if err := eng.Delete(i * 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := eng.DistanceDistribution(context.Background(), q, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Count() != 40 {
-		t.Fatalf("sampled %d distances from 80 live items, want 40", d.Count())
-	}
-	// Degenerate live set: all items deleted errors out cleanly.
-	for i := 0; i < eng.Len(); i++ {
-		if !eng.Deleted(i) {
-			if err := eng.Delete(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := eng.DistanceDistribution(context.Background(), q, 10); err == nil {
-		t.Fatal("DistanceDistribution on an all-deleted database did not error")
-	}
-}
-
 // TestKNNWithLabelConcurrentAdd is the regression test for the label
 // race: KNNWithLabel used to call Engine.Label per candidate — an
 // RLock in the hot loop reading the *live* store, so concurrent Adds
@@ -270,12 +140,8 @@ func TestRangeIDsBoundedMatchesUnbounded(t *testing.T) {
 	engP, _ := buildEngine(t, optsP, n)
 
 	q := queries[0]
-	dd, err := engB.DistanceDistribution(context.Background(), q, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []float64{0.1, 0.3, 0.6} {
-		eps := dd.Quantile(p)
+	for _, m := range []int{12, 36, 72} { // 10%, 30% and 60% of the items
+		eps := knnRadius(t, engB, q, m)
 		want, err := rangeIDs(context.Background(), engU, q, eps)
 		if err != nil {
 			t.Fatal(err)

@@ -292,9 +292,6 @@ func (s *ShardSet) Shards() int { return len(s.engines) }
 // mutation-side operations the set does not wrap.
 func (s *ShardSet) Engine(i int) *Engine { return s.engineAt(i) }
 
-// Gate returns shard i's admission gate.
-func (s *ShardSet) Gate(i int) *Gate { return s.gateAt(i) }
-
 // engineAt and gateAt read a shard's current primary under the swap
 // lock: Promote replaces these slice elements, and an unsynchronized
 // read would race it.

@@ -150,12 +150,9 @@ func TestEngineMetrics(t *testing.T) {
 	if err != nil {
 		t.Errorf("Metrics not JSON-marshalable: %v", err)
 	}
-	// The retired warm-start key stays readable (always 0); the SSP
-	// fallback counter is exported and, on ordinary data, still 0.
-	for _, key := range []string{`"warm_start_hits":0`, `"ssp_fallbacks":0`} {
-		if !strings.Contains(string(buf), key) {
-			t.Errorf("Metrics JSON lacks %s: %s", key, buf)
-		}
+	// The SSP fallback counter is exported and, on ordinary data, still 0.
+	if key := `"ssp_fallbacks":0`; !strings.Contains(string(buf), key) {
+		t.Errorf("Metrics JSON lacks %s: %s", key, buf)
 	}
 
 	// A mutation invalidates the snapshot; the next query rebuilds it.

@@ -105,10 +105,9 @@ func TestThresholdAwareChainIdentity(t *testing.T) {
 		return a
 	}
 	for _, cfg := range configs {
-		eng, queries := buildThresholdEngine(t, cfg.opts, n)
 		oracleOpts := cfg.opts
 		oracleOpts.unboundedRefine = true
-		oracle, _ := buildThresholdEngine(t, oracleOpts, n)
+		oracle, queries := buildThresholdEngine(t, oracleOpts, n)
 		wants, brutes := make([]answer, len(queries)), make([]answer, len(queries))
 		for qi, q := range queries {
 			wants[qi] = ask(oracle, q, -1)
@@ -121,7 +120,9 @@ func TestThresholdAwareChainIdentity(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 4} {
-			eng.SetWorkers(workers)
+			opts := cfg.opts
+			opts.Workers = workers
+			eng, _ := buildThresholdEngine(t, opts, n)
 			name := fmt.Sprintf("%s/workers=%d", cfg.name, workers)
 			sequential := workers == 1
 			aborts := 0
@@ -271,17 +272,16 @@ func TestKNNCtxAnytimeThresholdAware(t *testing.T) {
 	// query's context at its (k+1)-th refinement.
 	var refined atomic.Int64
 	var cancelQuery atomic.Value
-	eng, queries := buildThresholdEngine(t, Options{Hierarchy: []int{32, 8}, Method: Adjacent,
-		RefineHook: func(int) {
-			if refined.Add(1) == k+1 {
-				cancelQuery.Load().(context.CancelFunc)()
-				// The engine learns of it through a watcher goroutine;
-				// let that run.
-				time.Sleep(2 * time.Millisecond)
-			}
-		}}, 100)
 	for _, workers := range []int{1, 4} {
-		eng.SetWorkers(workers)
+		eng, queries := buildThresholdEngine(t, Options{Hierarchy: []int{32, 8}, Method: Adjacent, Workers: workers,
+			RefineHook: func(int) {
+				if refined.Add(1) == k+1 {
+					cancelQuery.Load().(context.CancelFunc)()
+					// The engine learns of it through a watcher goroutine;
+					// let that run.
+					time.Sleep(2 * time.Millisecond)
+				}
+			}}, 100)
 		degraded, aborts := 0, 0
 		for qi, q := range queries {
 			// A query that refined past the k-th but completed before the

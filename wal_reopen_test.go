@@ -1,9 +1,11 @@
 package emdsearch
 
 import (
+	"context"
 	"errors"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -27,7 +29,7 @@ func (f *faultWALFile) Close() error                { return nil }
 // TestReopenWALAfterBreak drives an engine's WAL into the broken state
 // with injected write+truncate faults, asserts mutations fail loudly
 // with ErrWALBroken while the in-memory state stays consistent, then
-// heals the log with ReopenWAL and verifies durable logging resumes —
+// heals the log with ReopenWALRetry and verifies durable logging resumes —
 // including that a post-recovery crash replay sees every acknowledged
 // mutation and nothing else.
 func TestReopenWALAfterBreak(t *testing.T) {
@@ -73,8 +75,8 @@ func TestReopenWALAfterBreak(t *testing.T) {
 	if err := real.Close(); err != nil {
 		t.Fatalf("close displaced wal file: %v", err)
 	}
-	if err := eng.ReopenWAL(); err != nil {
-		t.Fatalf("ReopenWAL: %v", err)
+	if err := eng.ReopenWALRetry(context.Background(), 1); err != nil {
+		t.Fatalf("ReopenWALRetry: %v", err)
 	}
 	if _, err := eng.Add("post", randHist(rng, d)); err != nil {
 		t.Fatalf("post-recovery add: %v", err)
@@ -112,7 +114,65 @@ func TestReopenWALWithoutWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.ReopenWAL(); err == nil {
-		t.Fatal("ReopenWAL without an attached WAL succeeded")
+	if err := eng.ReopenWALRetry(context.Background(), 1); err == nil {
+		t.Fatal("ReopenWALRetry without an attached WAL succeeded")
+	}
+}
+
+// TestReopenWALFailedAttemptKeepsLog: a reopen attempt that cannot open
+// the file leaves the log attached, so mutations fail instead of going
+// unlogged, and a later attempt reopens the same path once it heals.
+func TestReopenWALFailedAttemptKeepsLog(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const d = 4
+	walPath := filepath.Join(t.TempDir(), "wal")
+	eng, err := NewEngine(LinearCost(d), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.OpenWAL(walPath); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.CloseWAL()
+	if _, err := eng.Add("pre", randHist(rng, d)); err != nil {
+		t.Fatal(err)
+	}
+
+	// The path stops being a file: the reopen attempt fails.
+	if err := os.Rename(walPath, walPath+".moved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(walPath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ReopenWALRetry(context.Background(), 1); err == nil {
+		t.Fatal("reopen over a directory succeeded")
+	}
+	if _, err := eng.Add("unlogged", randHist(rng, d)); err == nil {
+		t.Fatal("Add succeeded while the log could not be reopened")
+	}
+	if eng.Len() != 1 {
+		t.Fatalf("engine holds %d items after a failed add, want 1", eng.Len())
+	}
+
+	// The fault heals: the next attempt reopens the same path.
+	if err := os.Remove(walPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(walPath+".moved", walPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ReopenWALRetry(context.Background(), 1); err != nil {
+		t.Fatalf("reopen after the fault healed: %v", err)
+	}
+	if _, err := eng.Add("post", randHist(rng, d)); err != nil {
+		t.Fatalf("add after reopen: %v", err)
+	}
+	recs, _, err := persist.ReplayWAL(walPath, persist.WALHeader{Dim: d, CostHash: persist.CostHash(eng.Cost())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Label != "pre" || recs[1].Label != "post" {
+		t.Fatalf("log holds %+v, want the pre and post adds", recs)
 	}
 }
