@@ -1,0 +1,300 @@
+package emdsearch
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// callerAllowlist names the exported declarations that may stand
+// without a caller in a non-test file, each with the reason it stays.
+// Keys are "pkg.Name" or "pkg.Type.Method", pkg being the import path
+// of the declaring package.
+var callerAllowlist = map[string]string{
+	"emdsearch.EMD":                                  "the package overview and README promise the one-shot exact distance; cmd/emddist calls its internal twin",
+	"emdsearch.EMDWithFlow":                          "the one-shot exact distance with its flow, promised beside EMD; cmd/emddist calls its internal twin",
+	"emdsearch.Engine.Rank":                          "the paper's getNext (Figure 12): the incremental ranking a caller pulls from",
+	"emdsearch.ShardSet.Promote":                     "the only way to make a follower primary; the replica chaos tests drive it",
+	"emdsearch/internal/emd.CostMatrix.IsMetric":     "oracle that tests in vptree, emd, core and flowred call",
+	"emdsearch/internal/core.Reduction.Groups":       "oracle that tests in core and flowred call",
+	"emdsearch/internal/transport.CheckFeasible":     "oracle that tests in transport and emd call; CheckOptimal in transport's tests builds on it",
+	"emdsearch/internal/persist.WAL.SwapFileForTest": "the fault hook of the root package's WAL tests",
+}
+
+// interfaceMethods are method names a program calls through a standard
+// library interface rather than through a selector of its own.
+var interfaceMethods = map[string]string{
+	"Unwrap": "satisfies errors.Is and errors.As, which call it through an interface",
+}
+
+// goFile is one parsed non-test file: its package's import path and
+// the import path each of its import names resolves to.
+type goFile struct {
+	fset    *token.FileSet
+	pkg     string
+	imports map[string]string
+	file    *ast.File
+}
+
+// exportedDecl is one checked declaration.
+type exportedDecl struct {
+	key    string // "pkg.Name" or "pkg.Type.Method"
+	pkg    string
+	name   string // the referenced name: the declared name or the method name
+	method bool
+	pos    string // file:line
+}
+
+// TestEveryExportHasACaller fails on every exported declaration of the
+// root and internal/ packages that no non-test file in the repository
+// references. A qualified reference pkg.Name counts when pkg resolves to
+// the declaring package; an unqualified one counts inside the declaring
+// package; a method counts when any non-test file selects its name. The
+// declaring identifier and a method's receiver type are not references,
+// so a dead type is not kept alive by its own methods.
+func TestEveryExportHasACaller(t *testing.T) {
+	files := parseRepo(t)
+
+	var decls []exportedDecl
+	for _, f := range files {
+		if f.file.Name.Name == "main" || !(f.pkg == "emdsearch" || strings.HasPrefix(f.pkg, "emdsearch/internal/")) {
+			continue
+		}
+		decls = append(decls, exportedDecls(f)...)
+	}
+
+	refs := map[string]bool{}     // "pkg.Name"
+	selected := map[string]bool{} // every selector name
+	for _, f := range files {
+		collectRefs(f, refs, selected)
+	}
+
+	declared := map[string]bool{}
+	declaredMethods := map[string]bool{}
+	var missing []string
+	for _, d := range decls {
+		declared[d.key] = true
+		if d.method {
+			declaredMethods[d.name] = true
+		}
+		used := refs[d.pkg+"."+d.name]
+		if d.method {
+			used = selected[d.name] || interfaceMethods[d.name] != ""
+		}
+		if reason, ok := callerAllowlist[d.key]; ok {
+			if used {
+				t.Errorf("allowlist entry %s has a caller now; delete the entry (%q)", d.key, reason)
+			}
+			continue
+		}
+		if !used {
+			missing = append(missing, d.pos+": "+d.key)
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s has no caller in a non-test file: delete it, move it into a _test.go file, or allowlist it with a reason", m)
+	}
+	for key := range callerAllowlist {
+		if !declared[key] {
+			t.Errorf("allowlist entry %s is not declared any more; delete the entry", key)
+		}
+	}
+	for name := range interfaceMethods {
+		if !declaredMethods[name] {
+			t.Errorf("interface method %s is not declared any more; delete the entry", name)
+		}
+		if selected[name] {
+			t.Errorf("interface method %s is selected by a non-test file; delete the entry", name)
+		}
+	}
+}
+
+// parseRepo parses every non-test Go file under the repository root,
+// skipping testdata and dot-directories. Each directory's import path
+// comes from the nearest go.mod above it.
+func parseRepo(t *testing.T) []*goFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	modules := map[string]string{} // module root dir → module path
+	var files []*goFile
+	err := filepath.WalkDir(".", func(path string, de fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := de.Name()
+		if de.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if mod, err := os.ReadFile(filepath.Join(path, "go.mod")); err == nil {
+				modules[path] = modulePath(string(mod))
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		af, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		f := &goFile{fset: fset, pkg: importPath(modules, filepath.Dir(path)), imports: map[string]string{}, file: af}
+		for _, spec := range af.Imports {
+			p, _ := strconv.Unquote(spec.Path.Value)
+			local := p[strings.LastIndex(p, "/")+1:]
+			if spec.Name != nil {
+				local = spec.Name.Name
+			}
+			f.imports[local] = p
+		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// modulePath returns the path a go.mod file declares.
+func modulePath(gomod string) string {
+	for _, line := range strings.Split(gomod, "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(rest)
+		}
+	}
+	return ""
+}
+
+// importPath derives dir's import path from the nearest module root at
+// or above it.
+func importPath(modules map[string]string, dir string) string {
+	for root := dir; ; root = filepath.Dir(root) {
+		if mod, ok := modules[root]; ok {
+			rel, _ := filepath.Rel(root, dir)
+			if rel == "." {
+				return mod
+			}
+			return mod + "/" + filepath.ToSlash(rel)
+		}
+		if root == "." {
+			return ""
+		}
+	}
+}
+
+// exportedDecls lists f's exported top-level funcs, types, consts and
+// vars, and the exported methods of its exported types.
+func exportedDecls(f *goFile) []exportedDecl {
+	var out []exportedDecl
+	add := func(id *ast.Ident, key, name string, method bool) {
+		pos := f.fset.Position(id.Pos())
+		out = append(out, exportedDecl{key: key, pkg: f.pkg, name: name, method: method,
+			pos: filepath.ToSlash(pos.Filename) + ":" + strconv.Itoa(pos.Line)})
+	}
+	for _, decl := range f.file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			if d.Recv == nil {
+				add(d.Name, f.pkg+"."+d.Name.Name, d.Name.Name, false)
+				continue
+			}
+			if recv := receiverType(d.Recv.List[0].Type); recv != nil && recv.IsExported() {
+				add(d.Name, f.pkg+"."+recv.Name+"."+d.Name.Name, d.Name.Name, true)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						add(s.Name, f.pkg+"."+s.Name.Name, s.Name.Name, false)
+					}
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						if id.IsExported() {
+							add(id, f.pkg+"."+id.Name, id.Name, false)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// receiverType is the named type of a method receiver: T, *T, T[P] or
+// *T[P].
+func receiverType(x ast.Expr) *ast.Ident {
+	if star, ok := x.(*ast.StarExpr); ok {
+		x = star.X
+	}
+	switch t := x.(type) {
+	case *ast.IndexExpr:
+		x = t.X
+	case *ast.IndexListExpr:
+		x = t.X
+	}
+	id, _ := x.(*ast.Ident)
+	return id
+}
+
+// collectRefs records f's references: refs gets "pkg.Name" for each
+// selector whose qualifier is one of f's imports, and f's own package
+// path with every other identifier, selector names included; selected
+// gets every selector name. Declaring identifiers and receivers are not
+// references.
+func collectRefs(f *goFile, refs, selected map[string]bool) {
+	skip := map[*ast.Ident]bool{}
+	skipAll := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				skip[id] = true
+			}
+			return true
+		})
+	}
+	ast.Inspect(f.file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			skip[n.Name] = true
+			if n.Recv != nil {
+				skipAll(n.Recv)
+			}
+		case *ast.TypeSpec:
+			skip[n.Name] = true
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				skip[id] = true
+			}
+		case *ast.Field:
+			for _, id := range n.Names {
+				skip[id] = true
+			}
+		case *ast.SelectorExpr:
+			selected[n.Sel.Name] = true
+			if x, ok := n.X.(*ast.Ident); ok {
+				if p, ok := f.imports[x.Name]; ok {
+					refs[p+"."+n.Sel.Name] = true
+				}
+			}
+		}
+		return true
+	})
+	ast.Inspect(f.file, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !skip[id] {
+			refs[f.pkg+"."+id.Name] = true
+		}
+		return true
+	})
+}

@@ -20,6 +20,7 @@ import (
 
 	"emdsearch/internal/data"
 	"emdsearch/internal/emd"
+	"emdsearch/internal/vecmath"
 )
 
 func main() {
@@ -64,9 +65,12 @@ func main() {
 		}
 	}
 	if *normalize {
-		for _, hs := range [][]emd.Histogram{left, right} {
-			for i := range hs {
-				hs[i] = emd.Normalize(hs[i])
+		if err := normalizeAll(left); err != nil {
+			fail(err)
+		}
+		if !within {
+			if err := normalizeAll(right); err != nil {
+				fail(err)
 			}
 		}
 	}
@@ -110,6 +114,18 @@ func main() {
 			}
 		}
 	}
+}
+
+// normalizeAll scales each histogram of hs to total mass 1 in place. A
+// histogram without positive mass has no normalized form.
+func normalizeAll(hs []emd.Histogram) error {
+	for i, h := range hs {
+		if vecmath.Sum(h) <= 0 {
+			return fmt.Errorf("histogram %d has no mass", i)
+		}
+		hs[i] = emd.Normalize(h)
+	}
+	return nil
 }
 
 func buildCost(kind, positionsFile string, p float64, d int) (emd.CostMatrix, error) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -63,14 +64,36 @@ func (s *server) queryCtx(r *http.Request, timeoutMS int) (context.Context, cont
 	return context.WithCancel(r.Context())
 }
 
+// readRequest decodes r's JSON body into v and reports whether it
+// succeeded; on failure it has written the error response. A body
+// longer than 64 bytes per histogram bin plus 4 KiB gets 413: no valid
+// query is that long, and the bound keeps one request from making the
+// server buffer an unbounded body.
+func (s *server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	limit := int64(64*s.set.Engine(0).Dim() + 4<<10)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, fmt.Sprintf("bad request body: %v", err), code)
+	return false
+}
+
 func (s *server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req knnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if !s.readRequest(w, r, &req) {
 		return
 	}
 	ctx, cancel := s.queryCtx(r, req.TimeoutMS)
@@ -89,8 +112,7 @@ func (s *server) handleRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req rangeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if !s.readRequest(w, r, &req) {
 		return
 	}
 	ctx, cancel := s.queryCtx(r, req.TimeoutMS)

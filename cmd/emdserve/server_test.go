@@ -117,6 +117,32 @@ func TestServeKNN(t *testing.T) {
 	}
 }
 
+// TestServeBodyLimit: a valid /knn body padded with whitespace past the
+// bound the served dimension sets gets 413, and the server answers the
+// next request normally.
+func TestServeBodyLimit(t *testing.T) {
+	ts, set, queries := testServer(t, nil)
+	body, err := json.Marshal(knnRequest{Q: queries[0], K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := 64*set.Engine(0).Dim() + 4<<10
+	padded := append(body, bytes.Repeat([]byte(" "), pad)...)
+	resp, err := http.Post(ts.URL+"/knn", "application/json", bytes.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded body status %d, want 413", resp.StatusCode)
+	}
+	resp = postJSON(t, ts.URL+"/knn", knnRequest{Q: queries[0], K: 4})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d after an over-limit body, want 200", resp.StatusCode)
+	}
+}
+
 func TestServeRange(t *testing.T) {
 	ts, set, queries := testServer(t, nil)
 	probe, err := set.KNN(context.Background(), queries[1], 6)

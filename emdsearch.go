@@ -88,29 +88,3 @@ func GridCost(rows, cols int, p float64) (CostMatrix, error) {
 func PositionCost(source, target [][]float64, p float64) (CostMatrix, error) {
 	return emd.PositionCost(source, target, p)
 }
-
-// Signature is the sparse EMD representation from the original
-// computer-vision formulation: feature-space cluster positions with
-// non-negative weights. Signatures of different sizes compare
-// directly.
-type Signature = emd.Signature
-
-// SignatureEMD computes the EMD between two equal-mass signatures
-// under the Lp ground distance between their cluster positions.
-func SignatureEMD(a, b Signature, p float64) (float64, error) {
-	return emd.SignatureDistance(a, b, p)
-}
-
-// PartialEMD computes the unequal-mass partial EMD between two
-// non-negative histograms: the minimal cost of transporting the
-// smaller total mass, surplus free.
-func PartialEMD(x, y Histogram, cost CostMatrix) (float64, error) {
-	return emd.PartialDistance(x, y, cost)
-}
-
-// PenalizedEMD is the EMD-hat style unequal-mass distance: the partial
-// EMD plus penalty per unit of surplus mass. For penalty >= max(cost)/2
-// with a metric ground distance it is itself a metric.
-func PenalizedEMD(x, y Histogram, cost CostMatrix, penalty float64) (float64, error) {
-	return emd.PenalizedDistance(x, y, cost, penalty)
-}

@@ -419,23 +419,6 @@ func TestEngineCentroidRejectsMismatchedPositions(t *testing.T) {
 	}
 }
 
-func TestFacadeSignatureAndPartial(t *testing.T) {
-	a := Signature{Positions: [][]float64{{0, 0}}, Weights: []float64{1}}
-	b := Signature{Positions: [][]float64{{3, 4}}, Weights: []float64{1}}
-	d, err := SignatureEMD(a, b, 2)
-	if err != nil || math.Abs(d-5) > 1e-12 {
-		t.Errorf("SignatureEMD = %g, %v", d, err)
-	}
-	p, err := PartialEMD(Histogram{2, 0}, Histogram{0, 1}, LinearCost(2))
-	if err != nil || math.Abs(p-1) > 1e-12 {
-		t.Errorf("PartialEMD = %g, %v", p, err)
-	}
-	ph, err := PenalizedEMD(Histogram{2, 0}, Histogram{0, 1}, LinearCost(2), 0.5)
-	if err != nil || math.Abs(ph-1.5) > 1e-12 {
-		t.Errorf("PenalizedEMD = %g, %v", ph, err)
-	}
-}
-
 func TestEngineAsymmetricQueryExactAndTighter(t *testing.T) {
 	sym, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 150)
 	asym, _ := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16, AsymmetricQuery: true}, 150)

@@ -47,30 +47,3 @@ func ExampleEngine() {
 	// mid 1.00
 	// low 2.20
 }
-
-// Signatures compare sparse cluster sets of different sizes directly.
-func ExampleSignatureEMD() {
-	a := emdsearch.Signature{
-		Positions: [][]float64{{0, 0}},
-		Weights:   []float64{1},
-	}
-	b := emdsearch.Signature{
-		Positions: [][]float64{{0, 0}, {3, 4}},
-		Weights:   []float64{0.5, 0.5},
-	}
-	d, _ := emdsearch.SignatureEMD(a, b, 2)
-	fmt.Printf("%.1f\n", d)
-	// Output:
-	// 2.5
-}
-
-// Partial matching compares histograms of unequal total mass: only
-// the smaller mass must be transported.
-func ExamplePartialEMD() {
-	x := emdsearch.Histogram{2, 0, 0}
-	y := emdsearch.Histogram{0, 0, 1}
-	d, _ := emdsearch.PartialEMD(x, y, emdsearch.LinearCost(3))
-	fmt.Printf("%.1f\n", d)
-	// Output:
-	// 2.0
-}

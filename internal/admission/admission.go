@@ -155,9 +155,6 @@ func New(cfg Config) *Limiter {
 	}
 }
 
-// Config returns the limiter's effective (defaulted) configuration.
-func (l *Limiter) Config() Config { return l.cfg }
-
 // Ticket is one admitted request's lease on a slot. Release must be
 // called exactly once when the request finishes (it is idempotent —
 // extra calls are no-ops).
@@ -165,7 +162,6 @@ type Ticket struct {
 	l        *Limiter
 	level    Level
 	start    time.Time
-	waited   time.Duration
 	released atomic.Bool
 }
 
@@ -173,10 +169,6 @@ type Ticket struct {
 // LevelQueue, or LevelDegrade (waited under high pressure; serve
 // degraded).
 func (t *Ticket) Level() Level { return t.level }
-
-// Waited is the time the request spent in the queue (0 for
-// LevelAdmit).
-func (t *Ticket) Waited() time.Duration { return t.waited }
 
 // Release returns the slot and feeds the observed service time into
 // the limiter's estimate.
@@ -268,31 +260,13 @@ func (l *Limiter) Acquire(ctx context.Context) (*Ticket, error) {
 		l.waitNS.Add(int64(waited))
 		l.queued.Add(1)
 		l.inflight.Add(1)
-		return &Ticket{l: l, level: level, start: time.Now(), waited: waited}, nil
+		return &Ticket{l: l, level: level, start: time.Now()}, nil
 	case <-ctx.Done():
 		l.waiting.Add(-1)
 		l.shed.Add(1)
 		ov := l.overload("cancelled while queued")
 		ov.Reason = fmt.Sprintf("cancelled while queued: %v", ctx.Err())
 		return nil, ov
-	}
-}
-
-// Pressure reports the limiter's current pressure level: LevelAdmit
-// with a free slot, then LevelQueue / LevelDegrade / LevelShed as the
-// wait queue fills.
-func (l *Limiter) Pressure() Level {
-	if len(l.slots) < cap(l.slots) {
-		return LevelAdmit
-	}
-	depth := l.waiting.Load()
-	switch {
-	case depth >= int64(l.cfg.MaxQueue):
-		return LevelShed
-	case depth >= l.degradeAt && l.cfg.DegradeAt < 1:
-		return LevelDegrade
-	default:
-		return LevelQueue
 	}
 }
 

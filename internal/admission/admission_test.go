@@ -18,9 +18,6 @@ func TestLimiterAdmitFastPath(t *testing.T) {
 	if t1.Level() != LevelAdmit {
 		t.Fatalf("level = %v, want admit", t1.Level())
 	}
-	if t1.Waited() != 0 {
-		t.Fatalf("waited = %v, want 0", t1.Waited())
-	}
 	t1.Release()
 	st := l.Stats()
 	if st.Admitted != 1 || st.InFlight != 0 {
@@ -51,9 +48,6 @@ func TestLimiterQueueFullSheds(t *testing.T) {
 	}
 	if l.Stats().QueueDepth != 1 {
 		t.Fatalf("queue depth = %d, want 1", l.Stats().QueueDepth)
-	}
-	if got := l.Pressure(); got != LevelShed {
-		t.Fatalf("pressure = %v, want shed at full queue", got)
 	}
 
 	start := time.Now()

@@ -96,10 +96,6 @@ func (c *Columns) BlockBounds(b int) (lo, hi int) {
 	return lo, hi
 }
 
-// Col returns column j (all items' value of reduced dimension j).
-// Shared and read-only.
-func (c *Columns) Col(j int) []float64 { return c.cols[j] }
-
 // Gather reconstructs item i's reduced vector into dst (which must
 // have length dims) and returns it. The values are the ones Build
 // stored, bit-for-bit.

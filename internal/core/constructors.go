@@ -50,26 +50,6 @@ func Adjacent(d, reduced int) (*Reduction, error) {
 	return NewReduction(assign, reduced)
 }
 
-// GridAdjacent returns a reduction for a rows x cols tiling (row-major
-// bins) that merges rectangular blocks of tiles, the direct
-// generalization of the image-tiling hierarchy of [14]. blockRows and
-// blockCols give the size of each merged block; partial blocks at the
-// borders are allowed.
-func GridAdjacent(rows, cols, blockRows, blockCols int) (*Reduction, error) {
-	if rows < 1 || cols < 1 || blockRows < 1 || blockCols < 1 {
-		return nil, fmt.Errorf("core: GridAdjacent(%d, %d, %d, %d): all arguments must be positive", rows, cols, blockRows, blockCols)
-	}
-	outRows := (rows + blockRows - 1) / blockRows
-	outCols := (cols + blockCols - 1) / blockCols
-	assign := make([]int, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			assign[r*cols+c] = (r/blockRows)*outCols + (c / blockCols)
-		}
-	}
-	return NewReduction(assign, outRows*outCols)
-}
-
 // Random returns a uniformly random combining reduction from d to
 // reduced dimensions. The first `reduced` original dimensions are
 // spread over distinct groups to guarantee restriction (8); the rest
@@ -89,39 +69,6 @@ func Random(d, reduced int, rng *rand.Rand) (*Reduction, error) {
 		assign[i] = rng.Intn(reduced)
 	}
 	return NewReduction(assign, reduced)
-}
-
-// FromGroups builds a reduction from explicit groups of original
-// dimensions. Each original dimension in [0, d) must appear in exactly
-// one group.
-func FromGroups(d int, groups [][]int) (*Reduction, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("core: FromGroups: no groups")
-	}
-	assign := make([]int, d)
-	for i := range assign {
-		assign[i] = -1
-	}
-	for g, members := range groups {
-		if len(members) == 0 {
-			return nil, fmt.Errorf("core: FromGroups: group %d is empty", g)
-		}
-		for _, i := range members {
-			if i < 0 || i >= d {
-				return nil, fmt.Errorf("core: FromGroups: dimension %d out of range [0, %d)", i, d)
-			}
-			if assign[i] != -1 {
-				return nil, fmt.Errorf("core: FromGroups: dimension %d assigned to groups %d and %d", i, assign[i], g)
-			}
-			assign[i] = g
-		}
-	}
-	for i, g := range assign {
-		if g == -1 {
-			return nil, fmt.Errorf("core: FromGroups: dimension %d not assigned to any group", i)
-		}
-	}
-	return NewReduction(assign, len(groups))
 }
 
 // Compose chains two combining reductions: outer reduces d to m, inner

@@ -60,31 +60,3 @@ func MetricClosure(c emd.CostMatrix) (emd.CostMatrix, bool) {
 	}
 	return emd.CostMatrix(m), changed
 }
-
-// VerifyMetric reports whether c satisfies the pseudometric axioms
-// exactly: zero diagonal, non-negativity, symmetry, and the triangle
-// inequality. It exists for tests and assertions; MetricClosure
-// constructs a matrix for which it holds by construction.
-func VerifyMetric(c emd.CostMatrix) bool {
-	n := c.Rows()
-	for i := 0; i < n; i++ {
-		if c[i][i] != 0 {
-			return false
-		}
-		for j := 0; j < n; j++ {
-			if c[i][j] < 0 || c[i][j] != c[j][i] {
-				return false
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if c[i][j] > c[i][k]+c[k][j] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}

@@ -43,8 +43,8 @@ func TestMinLinkageViolatesTriangle(t *testing.T) {
 	if got := reduced[0][1]; got != 10 {
 		t.Fatalf("c'(A,B) = %g, want 10", got)
 	}
-	if VerifyMetric(reduced) {
-		t.Fatal("VerifyMetric accepted a matrix violating the triangle inequality")
+	if reduced.IsMetric(0) {
+		t.Fatal("IsMetric accepted a matrix violating the triangle inequality")
 	}
 }
 
@@ -54,7 +54,7 @@ func TestMetricClosureRepairsCounterexample(t *testing.T) {
 	if !changed {
 		t.Fatal("MetricClosure reported no change on a non-metric input")
 	}
-	if !VerifyMetric(closed) {
+	if !closed.IsMetric(0) {
 		t.Fatal("closure is not a pseudometric")
 	}
 	for i := range closed {
@@ -83,8 +83,8 @@ func TestMetricClosureFixpointOnMetricInput(t *testing.T) {
 			}
 		}
 	}
-	if !VerifyMetric(closed) {
-		t.Fatal("fixpoint closure fails VerifyMetric")
+	if !closed.IsMetric(0) {
+		t.Fatal("fixpoint closure fails IsMetric")
 	}
 }
 

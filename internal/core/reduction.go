@@ -65,9 +65,6 @@ func (r *Reduction) Assignment() []int {
 	return append([]int(nil), r.assign...)
 }
 
-// AssignmentOf returns the reduced dimension of original dimension i.
-func (r *Reduction) AssignmentOf(i int) int { return r.assign[i] }
-
 // Groups returns, for each reduced dimension, the original dimensions
 // assigned to it (the sets {i | r_{ii'} = 1}).
 func (r *Reduction) Groups() [][]int {
@@ -76,16 +73,6 @@ func (r *Reduction) Groups() [][]int {
 		groups[g] = append(groups[g], i)
 	}
 	return groups
-}
-
-// Matrix returns the explicit d x d' 0/1 reduction matrix of
-// Definition 3, for interoperability with the general linear form.
-func (r *Reduction) Matrix() [][]float64 {
-	m := vecmath.NewMatrix(len(r.assign), r.reduced)
-	for i, g := range r.assign {
-		m[i][g] = 1
-	}
-	return m
 }
 
 // Apply reduces histogram x to d' dimensions: x' = x * R. Mass is
@@ -100,21 +87,6 @@ func (r *Reduction) Apply(x emd.Histogram) emd.Histogram {
 		out[r.assign[i]] += v
 	}
 	return out
-}
-
-// ApplyInto is Apply writing into a caller-provided buffer of length
-// d', avoiding allocation in query loops. It returns the buffer.
-func (r *Reduction) ApplyInto(dst, x emd.Histogram) emd.Histogram {
-	if len(dst) != r.reduced {
-		panic(fmt.Sprintf("core: ApplyInto buffer has length %d, want %d", len(dst), r.reduced))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i, v := range x {
-		dst[r.assign[i]] += v
-	}
-	return dst
 }
 
 // Equal reports whether r and s describe the same reduction.
@@ -201,9 +173,6 @@ func NewReducedEMD(c emd.CostMatrix, r1, r2 *Reduction) (*ReducedEMD, error) {
 
 // Source returns the query-side reduction R1.
 func (re *ReducedEMD) Source() *Reduction { return re.r1 }
-
-// Target returns the database-side reduction R2.
-func (re *ReducedEMD) Target() *Reduction { return re.r2 }
 
 // Cost returns the optimal reduced cost matrix C'.
 func (re *ReducedEMD) Cost() emd.CostMatrix { return re.dist.Cost() }

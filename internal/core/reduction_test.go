@@ -57,21 +57,8 @@ func TestApplyConservesMass(t *testing.T) {
 	}
 }
 
-func TestApplyInto(t *testing.T) {
-	r, _ := NewReduction([]int{0, 1, 0}, 2)
-	buf := make(emd.Histogram, 2)
-	x := emd.Histogram{0.5, 0.25, 0.25}
-	got := r.ApplyInto(buf, x)
-	if got[0] != 0.75 || got[1] != 0.25 {
-		t.Fatalf("ApplyInto = %v, want [0.75 0.25]", got)
-	}
-	// Buffer must be reset between calls.
-	got = r.ApplyInto(buf, emd.Histogram{1, 0, 0})
-	if got[0] != 1 || got[1] != 0 {
-		t.Fatalf("ApplyInto second call = %v, want [1 0]", got)
-	}
-}
-
+// TestMatrixMatchesApply: Apply equals x·R for the explicit d x d'
+// 0/1 reduction matrix R of Definition 3.
 func TestMatrixMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r, err := Random(9, 4, rng)
@@ -83,7 +70,11 @@ func TestMatrixMatchesApply(t *testing.T) {
 		x[i] = rng.Float64()
 	}
 	vecmath.Normalize(x)
-	viaMatrix := vecmath.MatVec(x, r.Matrix())
+	m := vecmath.NewMatrix(r.OriginalDims(), r.ReducedDims())
+	for i, g := range r.Assignment() {
+		m[i][g] = 1
+	}
+	viaMatrix := vecmath.MatVec(x, m)
 	viaApply := r.Apply(x)
 	for i := range viaApply {
 		if math.Abs(viaMatrix[i]-viaApply[i]) > 1e-12 {
@@ -408,34 +399,6 @@ func TestAdjacent(t *testing.T) {
 	}
 }
 
-func TestGridAdjacent(t *testing.T) {
-	// 4x4 grid merged in 2x2 blocks -> 4 reduced dims, the factor-4
-	// hierarchy step of [14].
-	r, err := GridAdjacent(4, 4, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ReducedDims() != 4 {
-		t.Fatalf("reduced dims = %d, want 4", r.ReducedDims())
-	}
-	// Tile (0,0) and (1,1) share block 0; tile (2,3) is in block 3.
-	a := r.Assignment()
-	if a[0] != a[1*4+1] {
-		t.Error("tiles (0,0) and (1,1) should share a block")
-	}
-	if a[2*4+3] != 3 {
-		t.Errorf("tile (2,3) in block %d, want 3", a[2*4+3])
-	}
-	// Partial blocks: 3x3 grid with 2x2 blocks -> 4 blocks.
-	r, err = GridAdjacent(3, 3, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ReducedDims() != 4 {
-		t.Fatalf("3x3/2x2 reduced dims = %d, want 4", r.ReducedDims())
-	}
-}
-
 func TestRandomReductionCoversAllGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
@@ -457,25 +420,6 @@ func TestRandomReductionCoversAllGroups(t *testing.T) {
 	}
 }
 
-func TestFromGroups(t *testing.T) {
-	r, err := FromGroups(5, [][]int{{0, 2}, {1, 3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.AssignmentOf(2) != 0 || r.AssignmentOf(4) != 1 {
-		t.Errorf("unexpected assignment %v", r.Assignment())
-	}
-	if _, err := FromGroups(3, [][]int{{0, 1}}); err == nil {
-		t.Error("accepted uncovered dimension")
-	}
-	if _, err := FromGroups(3, [][]int{{0, 1}, {1, 2}}); err == nil {
-		t.Error("accepted double assignment")
-	}
-	if _, err := FromGroups(3, [][]int{{0, 1, 2}, {}}); err == nil {
-		t.Error("accepted empty group")
-	}
-}
-
 func TestCloneAndEqual(t *testing.T) {
 	r, _ := NewReduction([]int{0, 1, 1, 0}, 2)
 	s := r.Clone()
@@ -486,7 +430,7 @@ func TestCloneAndEqual(t *testing.T) {
 	if r.Equal(s) {
 		t.Error("mutated clone still equal")
 	}
-	if r.AssignmentOf(0) != 0 {
+	if r.Assignment()[0] != 0 {
 		t.Error("clone mutation leaked into original")
 	}
 }

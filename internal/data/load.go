@@ -4,11 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
-
-	"emdsearch/internal/emd"
 )
 
 // ReadVectors parses whitespace-separated numeric vectors, one per
@@ -61,41 +58,4 @@ func ReadVectors(r io.Reader) (vectors [][]float64, labels []string, err error) 
 		return nil, nil, fmt.Errorf("data: no vectors found")
 	}
 	return vectors, labels, nil
-}
-
-// LoadDataset reads histograms from path, normalizes them, and wraps
-// them as a Dataset under the given ground distance. Positions may be
-// nil for non-positional costs.
-func LoadDataset(path, name string, cost emd.CostMatrix, positions [][]float64) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	vectors, labels, err := ReadVectors(f)
-	if err != nil {
-		return nil, fmt.Errorf("data: %s: %w", path, err)
-	}
-	if err := cost.Validate(); err != nil {
-		return nil, err
-	}
-	dim := len(vectors[0])
-	if cost.Rows() != dim || cost.Cols() != dim {
-		return nil, fmt.Errorf("data: cost matrix is %dx%d, vectors are %d-dimensional", cost.Rows(), cost.Cols(), dim)
-	}
-	items := make([]Item, len(vectors))
-	for i, v := range vectors {
-		h := emd.Normalize(v)
-		if err := emd.Validate(h); err != nil {
-			return nil, fmt.Errorf("data: %s: vector %d: %w", path, i, err)
-		}
-		items[i] = Item{Label: labels[i], Vector: h}
-	}
-	return &Dataset{
-		Name:      name,
-		Dim:       dim,
-		Cost:      cost,
-		Positions: positions,
-		Items:     items,
-	}, nil
 }

@@ -87,26 +87,6 @@ func GridCost(rows, cols int, p float64) (CostMatrix, error) {
 	return PositionCost(pos, pos, p)
 }
 
-// ThresholdedCost returns a copy of c with every entry capped at t.
-// Thresholded ground distances are common in robust retrieval: beyond
-// some dissimilarity all moves are "equally far". Capping preserves
-// metric properties for t > 0 and keeps the EMD comparable.
-func ThresholdedCost(c CostMatrix, t float64) (CostMatrix, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if t <= 0 {
-		return nil, fmt.Errorf("emd: threshold must be positive, got %g", t)
-	}
-	out := vecmath.NewMatrix(c.Rows(), c.Cols())
-	for i, row := range c {
-		for j, v := range row {
-			out[i][j] = math.Min(v, t)
-		}
-	}
-	return out, nil
-}
-
 // ScaleCost returns a copy of c with every entry multiplied by s >= 0.
 // By EMD monotony (Theorem 2), scaling the ground distance scales every
 // EMD value by the same factor.

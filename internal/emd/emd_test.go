@@ -256,25 +256,6 @@ func TestPositionCostErrors(t *testing.T) {
 	}
 }
 
-func TestThresholdedCost(t *testing.T) {
-	c, err := ThresholdedCost(LinearCost(5), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c[0][4] != 2 {
-		t.Errorf("thresholded c[0][4] = %g, want 2", c[0][4])
-	}
-	if c[0][1] != 1 {
-		t.Errorf("thresholded c[0][1] = %g, want 1", c[0][1])
-	}
-	if _, err := ThresholdedCost(LinearCost(3), 0); err == nil {
-		t.Error("accepted non-positive threshold")
-	}
-	if !c.IsMetric(1e-12) {
-		t.Error("thresholded linear cost should remain a metric")
-	}
-}
-
 func TestScaleCost(t *testing.T) {
 	base := LinearCost(4)
 	c2, err := ScaleCost(base, 2)

@@ -38,11 +38,8 @@ func TestTableRendering(t *testing.T) {
 	if !strings.HasPrefix(csv, "a,bb\n") {
 		t.Errorf("CSV header wrong: %q", csv)
 	}
-	if tab.Cell(0, 1) != "2.5" {
-		t.Errorf("Cell(0,1) = %q", tab.Cell(0, 1))
-	}
-	if tab.Cell(5, 5) != "" {
-		t.Error("out-of-range Cell not empty")
+	if tab.Rows[0][1] != "2.5" {
+		t.Errorf("row 0 column 1 = %q", tab.Rows[0][1])
 	}
 }
 
@@ -180,8 +177,8 @@ func TestFig20PCAWorse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range tab.Rows {
-		pcaTight, err1 := strconv.ParseFloat(tab.Cell(i, 1), 64)
-		fbTight, err2 := strconv.ParseFloat(tab.Cell(i, 2), 64)
+		pcaTight, err1 := strconv.ParseFloat(tab.Rows[i][1], 64)
+		fbTight, err2 := strconv.ParseFloat(tab.Rows[i][2], 64)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("row %d unparsable: %v", i, tab.Rows[i])
 		}
@@ -205,8 +202,8 @@ func TestFig21AsymTighter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range tab.Rows {
-		sym, err1 := strconv.ParseFloat(tab.Cell(i, 1), 64)
-		asym, err2 := strconv.ParseFloat(tab.Cell(i, 2), 64)
+		sym, err1 := strconv.ParseFloat(tab.Rows[i][1], 64)
+		asym, err2 := strconv.ParseFloat(tab.Rows[i][2], 64)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("row %d unparsable: %v", i, tab.Rows[i])
 		}

@@ -21,7 +21,7 @@ func TestFillSweepRowsOrdersByDPrime(t *testing.T) {
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	if tab.Cell(0, 0) != "4" || tab.Cell(1, 0) != "8" || tab.Cell(2, 0) != "16" {
+	if tab.Rows[0][0] != "4" || tab.Rows[1][0] != "8" || tab.Rows[2][0] != "16" {
 		t.Errorf("rows not ordered by d': %v", tab.Rows)
 	}
 }

@@ -91,12 +91,3 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
-
-// Cell returns the cell at (row, col) or an empty string if out of
-// range; used by tests to assert on experiment output.
-func (t *Table) Cell(row, col int) string {
-	if row < 0 || row >= len(t.Rows) || col < 0 || col >= len(t.Rows[row]) {
-		return ""
-	}
-	return t.Rows[row][col]
-}

@@ -136,20 +136,6 @@ func AverageFlows(sample []emd.Histogram, dist *emd.Dist) ([][]float64, error) {
 	return f, nil
 }
 
-// AggrFlow returns the flow aggregated from reduced dimension i' to j'
-// under reduction r (Eq. 11): the sum of all original flows F[i][j]
-// with i assigned to i' and j assigned to j'.
-func AggrFlow(f [][]float64, r *core.Reduction, iRed, jRed int) float64 {
-	var sum float64
-	groups := r.Groups()
-	for _, i := range groups[iRed] {
-		for _, j := range groups[jRed] {
-			sum += f[i][j]
-		}
-	}
-	return sum
-}
-
 // Tightness is the reference implementation of the paper's calcTight
 // (Figure 7, without the temporary reassignment): the expected
 // lower-bound tightness of reduction r given average flows f and

@@ -11,6 +11,20 @@ import (
 	"emdsearch/internal/vecmath"
 )
 
+// AggrFlow returns the flow aggregated from reduced dimension i' to j'
+// under reduction r (Eq. 11): the sum of all original flows F[i][j]
+// with i assigned to i' and j assigned to j'.
+func AggrFlow(f [][]float64, r *core.Reduction, iRed, jRed int) float64 {
+	var sum float64
+	groups := r.Groups()
+	for _, i := range groups[iRed] {
+		for _, j := range groups[jRed] {
+			sum += f[i][j]
+		}
+	}
+	return sum
+}
+
 func randomHistogram(rng *rand.Rand, d int) emd.Histogram {
 	h := make(emd.Histogram, d)
 	for i := range h {

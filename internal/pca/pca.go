@@ -181,9 +181,6 @@ func reduceCostSoft(cost emd.CostMatrix, r1, r2 [][]float64) (emd.CostMatrix, er
 // ReducedDims returns d'.
 func (s *SoftReduction) ReducedDims() int { return len(s.r[0]) }
 
-// Matrix returns the underlying row-stochastic reduction matrix.
-func (s *SoftReduction) Matrix() [][]float64 { return vecmath.CloneMatrix(s.r) }
-
 // Cost returns the lower-bounding reduced cost matrix.
 func (s *SoftReduction) Cost() emd.CostMatrix { return s.dist.Cost() }
 

@@ -49,8 +49,7 @@ func TestRowStochastic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.Matrix()
-	for i, row := range m {
+	for i, row := range s.r {
 		var sum float64
 		for _, v := range row {
 			if v < 0 {

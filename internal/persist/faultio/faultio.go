@@ -1,8 +1,7 @@
 // Package faultio provides fault-injecting io.Writer / io.Reader
 // wrappers for exercising persistence error paths: writers that fail
 // or go short after a byte budget (simulating a full disk or a crash
-// mid-write), flaky writers that fail selected calls (transient I/O
-// errors), and readers that error or truncate mid-stream. The torture
+// mid-write), and readers that error mid-stream. The torture
 // tests drive every save/load/WAL code path through these to assert
 // that persistence either succeeds, fails loudly with a typed error,
 // or — for crash-shaped faults — leaves bytes that recovery handles.
@@ -51,31 +50,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return n, fail
 }
 
-// Written reports how many bytes reached the underlying writer.
-func (w *Writer) Written() int64 { return w.written }
-
-// Flaky fails the Write calls whose 1-based sequence numbers are in
-// FailCalls — without writing anything — and passes every other call
-// through, modeling transient I/O errors a caller may retry around.
-type Flaky struct {
-	W         io.Writer
-	FailCalls map[int]bool
-	Err       error
-
-	call int
-}
-
-func (f *Flaky) Write(p []byte) (int, error) {
-	f.call++
-	if f.FailCalls[f.call] {
-		if f.Err != nil {
-			return 0, f.Err
-		}
-		return 0, ErrInjected
-	}
-	return f.W.Write(p)
-}
-
 // Reader yields bytes from R until Budget bytes have been read, then
 // fails with Err (default ErrInjected) — a read fault, not an EOF.
 type Reader struct {
@@ -102,7 +76,3 @@ func (r *Reader) Read(p []byte) (int, error) {
 	r.read += int64(n)
 	return n, err
 }
-
-// Truncated yields only the first n bytes of r and then reports EOF,
-// modeling a file cut short by a crash.
-func Truncated(r io.Reader, n int64) io.Reader { return io.LimitReader(r, n) }

@@ -245,15 +245,6 @@ func (w *WAL) Reset() error {
 	return nil
 }
 
-// Broken reports the sticky error that latched the log broken, nil
-// while the log is healthy. A broken log rejects every Append with
-// ErrWALBroken until it is reopened.
-func (w *WAL) Broken() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.broken
-}
-
 // SwapFileForTest replaces the log's underlying file with f and
 // returns the previous one. It exists for fault injection: tests swap
 // in a faultio-backed file to drive the WAL into its broken state and

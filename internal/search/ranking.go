@@ -61,29 +61,6 @@ func (r *ScanRanking) Next() (Candidate, bool) {
 	return r.h.Pop(), true
 }
 
-// SliceRanking yields a fixed, already-ordered candidate list. It is
-// used in tests and to replay rankings.
-type SliceRanking struct {
-	cands []Candidate
-	pos   int
-}
-
-// NewSliceRanking wraps cands, which must already be in ascending Dist
-// order.
-func NewSliceRanking(cands []Candidate) *SliceRanking {
-	return &SliceRanking{cands: cands}
-}
-
-// Next returns the next candidate in order.
-func (r *SliceRanking) Next() (Candidate, bool) {
-	if r.pos >= len(r.cands) {
-		return Candidate{}, false
-	}
-	c := r.cands[r.pos]
-	r.pos++
-	return c, true
-}
-
 // ChainedRanking implements Figure 12 of the paper: it consumes a base
 // ranking ordered by a filter distance f1 and re-ranks by a second
 // filter distance f2, evaluating f2 lazily — items are pulled from the

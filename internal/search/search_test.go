@@ -10,6 +10,28 @@ import (
 	"emdsearch/internal/lb"
 )
 
+// SliceRanking yields a fixed, already-ordered candidate list.
+type SliceRanking struct {
+	cands []Candidate
+	pos   int
+}
+
+// NewSliceRanking wraps cands, which must already be in ascending Dist
+// order.
+func NewSliceRanking(cands []Candidate) *SliceRanking {
+	return &SliceRanking{cands: cands}
+}
+
+// Next returns the next candidate in order.
+func (r *SliceRanking) Next() (Candidate, bool) {
+	if r.pos >= len(r.cands) {
+		return Candidate{}, false
+	}
+	c := r.cands[r.pos]
+	r.pos++
+	return c, true
+}
+
 func randomHistogram(rng *rand.Rand, d int) emd.Histogram {
 	h := make(emd.Histogram, d)
 	for i := range h {

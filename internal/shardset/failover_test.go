@@ -53,7 +53,7 @@ func TestScatterFailoverOnHardFault(t *testing.T) {
 func TestScatterFailoverOnQuarantineSkip(t *testing.T) {
 	h := NewHealth(1, time.Minute)
 	h.Fault(errPrimaryDown) // trip the quarantine
-	if !h.Quarantined() {
+	if !quarantined(h) {
 		t.Fatal("setup: shard not quarantined")
 	}
 	var primaryCalls atomic.Int64

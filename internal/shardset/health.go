@@ -95,11 +95,6 @@ func (h *Health) Fault(err error) {
 	h.mu.Unlock()
 }
 
-// Quarantined reports whether the shard is currently held out of
-// dispatch (the breaker reads open; a just-cooled quarantine still
-// reports true until the next Allow admits its probe).
-func (h *Health) Quarantined() bool { return h.brk.State() == admission.BreakerOpen }
-
 // State returns the quarantine state string: "closed" (healthy),
 // "open" (quarantined) or "half-open" (probing re-admission).
 func (h *Health) State() string { return h.brk.State().String() }

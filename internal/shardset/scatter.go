@@ -98,35 +98,32 @@ type Outcome[T any] struct {
 // arrive past the deadline anyway.
 type Failover[T any] func(ctx context.Context, shard int) (T, error)
 
-// Scatter dispatches call to shards 0..n-1 concurrently and gathers
-// every outcome. Each shard runs its own attempt loop: quarantine
-// check, panic-contained call, retry with jittered backoff on
-// retryable errors (within ctx's budget), and optional hedged
-// re-dispatch of stragglers. Scatter returns when every shard's loop
-// has resolved. The deadline bound is cooperative: provided call
-// honors its context's cancellation (the engine query paths poll it
-// once per candidate and once per simplex pivot), each loop resolves
-// no later than ctx's deadline plus one cancellation latency. A call
-// that ignores its context — a stuck syscall, a hook that never
-// checks ctx — blocks its shard's loop, and therefore the gather,
-// until it returns; Scatter deliberately waits rather than abandon
-// it, because a cooperative call that outlives its deadline by one
-// poll interval is how certified degraded partial answers arrive.
+// ScatterFailover dispatches call to shards 0..n-1 concurrently and
+// gathers every outcome. Each shard runs its own attempt loop:
+// quarantine check, panic-contained call, retry with jittered backoff
+// on retryable errors (within ctx's budget), and optional hedged
+// re-dispatch of stragglers. ScatterFailover returns when every
+// shard's loop has resolved. The deadline bound is cooperative:
+// provided call honors its context's cancellation (the engine query
+// paths poll it once per candidate and once per simplex pivot), each
+// loop resolves no later than ctx's deadline plus one cancellation
+// latency. A call that ignores its context — a stuck syscall, a hook
+// that never checks ctx — blocks its shard's loop, and therefore the
+// gather, until it returns; ScatterFailover deliberately waits rather
+// than abandon it, because a cooperative call that outlives its
+// deadline by one poll interval is how certified degraded partial
+// answers arrive.
 //
-// health may be nil (no quarantine tracking) or hold one tracker per
-// shard.
-func Scatter[T any](ctx context.Context, n int, health []*Health, cfg Config, call func(ctx context.Context, shard, try int) (T, error)) []Outcome[T] {
-	return ScatterFailover[T](ctx, n, health, cfg, call, nil)
-}
-
-// ScatterFailover is Scatter with a follower re-dispatch: when a
-// shard's loop resolves to a hard fault or a quarantine skip and
-// failover is non-nil, the shard's slice is served by its replica
+// When a shard's loop resolves to a hard fault or a quarantine skip
+// and failover is non-nil, the shard's slice is served by its replica
 // instead of being written off. A failover success clears the
 // outcome's error and sets FailedOver; a failover failure annotates
 // the primary's error (errors.Is still matches the primary fault).
 // Health tracking is unaffected — the primary's fault is recorded
 // either way, so quarantine and probing see the true primary state.
+//
+// health may be nil (no quarantine tracking) or hold one tracker per
+// shard; failover may be nil (no follower).
 func ScatterFailover[T any](ctx context.Context, n int, health []*Health, cfg Config, call func(ctx context.Context, shard, try int) (T, error), failover Failover[T]) []Outcome[T] {
 	cfg = cfg.withDefaults()
 	out := make([]Outcome[T], n)
@@ -208,7 +205,7 @@ func tryFailover[T any](ctx context.Context, shard int, failover Failover[T], ou
 // attempt budget allows, a single hedge after HedgeAfter; the first
 // success wins and the loser's context is cancelled. With no success,
 // it returns after all launched attempts finish (each bounded by ctx
-// only insofar as call honors its cancellation — see Scatter's doc).
+// only insofar as call honors its cancellation — see ScatterFailover's doc).
 // Panics in call are contained to a PanicError.
 func hedgedAttempt[T any](ctx context.Context, shard int, try *int, cfg Config, call func(ctx context.Context, shard, try int) (T, error), out *Outcome[T]) (T, error) {
 	type res struct {

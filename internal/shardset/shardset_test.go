@@ -7,7 +7,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"emdsearch/internal/admission"
 )
+
+// quarantined reports whether h holds its shard out of dispatch.
+func quarantined(h *Health) bool { return h.brk.State() == admission.BreakerOpen }
 
 // TestBackoffBounds pins the delay schedule: attempt i's delay lies in
 // [nominal·(1−Jitter), nominal] with nominal = min(Cap, Base·2^i), for
@@ -111,7 +116,7 @@ func TestHealthQuarantineLifecycle(t *testing.T) {
 		}
 		h.Fault(errBoom)
 	}
-	if !h.Quarantined() {
+	if !quarantined(h) {
 		t.Fatal("not quarantined after 3 consecutive faults")
 	}
 	if h.Allow() {
@@ -150,7 +155,7 @@ func TestHealthSuccessResetsStreak(t *testing.T) {
 		h.Fault(errors.New("x"))
 		h.Success()
 	}
-	if h.Quarantined() {
+	if quarantined(h) {
 		t.Fatal("quarantined despite success resetting every streak")
 	}
 }
@@ -158,9 +163,9 @@ func TestHealthSuccessResetsStreak(t *testing.T) {
 // TestScatterAllHealthy: every shard answers, outcomes are positional,
 // no retries or hedges fire.
 func TestScatterAllHealthy(t *testing.T) {
-	out := Scatter(context.Background(), 4, nil, Config{}, func(_ context.Context, shard, try int) (int, error) {
+	out := ScatterFailover(context.Background(), 4, nil, Config{}, func(_ context.Context, shard, try int) (int, error) {
 		return shard * 10, nil
-	})
+	}, nil)
 	for s, o := range out {
 		if o.Err != nil || o.Value != s*10 || o.Tries != 1 || o.Retries != 0 || o.Hedged {
 			t.Fatalf("shard %d outcome = %+v", s, o)
@@ -180,14 +185,14 @@ func TestScatterRetryHonorsRetryAfter(t *testing.T) {
 			return true, 15 * time.Millisecond
 		},
 	}
-	out := Scatter(context.Background(), 1, nil, cfg, func(_ context.Context, shard, try int) (string, error) {
+	out := ScatterFailover(context.Background(), 1, nil, cfg, func(_ context.Context, shard, try int) (string, error) {
 		if calls.Add(1) == 1 {
 			firstFail = time.Now()
 			return "", errors.New("overloaded")
 		}
 		retryAt = time.Now()
 		return "ok", nil
-	})
+	}, nil)
 	o := out[0]
 	if o.Err != nil || o.Value != "ok" || o.Retries != 1 || o.Tries != 2 {
 		t.Fatalf("outcome = %+v", o)
@@ -206,17 +211,17 @@ func TestScatterNonRetryableFailsFast(t *testing.T) {
 		MaxAttempts: 5,
 		Retryable:   func(err error) (bool, time.Duration) { return false, 0 },
 	}
-	out := Scatter(context.Background(), 1, health, cfg, func(_ context.Context, shard, try int) (int, error) {
+	out := ScatterFailover(context.Background(), 1, health, cfg, func(_ context.Context, shard, try int) (int, error) {
 		calls.Add(1)
 		return 0, errors.New("hard failure")
-	})
+	}, nil)
 	if calls.Load() != 1 {
 		t.Fatalf("non-retryable error was attempted %d times", calls.Load())
 	}
 	if out[0].Err == nil {
 		t.Fatal("error swallowed")
 	}
-	if !health[0].Quarantined() {
+	if !quarantined(health[0]) {
 		t.Fatal("hard failure did not reach the health tracker")
 	}
 }
@@ -227,10 +232,10 @@ func TestScatterQuarantineSkips(t *testing.T) {
 	health := []*Health{NewHealth(1, time.Minute), NewHealth(1, time.Minute)}
 	health[0].Fault(errors.New("dead"))
 	var calls [2]atomic.Int32
-	out := Scatter(context.Background(), 2, health, Config{}, func(_ context.Context, shard, try int) (int, error) {
+	out := ScatterFailover(context.Background(), 2, health, Config{}, func(_ context.Context, shard, try int) (int, error) {
 		calls[shard].Add(1)
 		return shard, nil
-	})
+	}, nil)
 	if !out[0].Skipped || !errors.Is(out[0].Err, ErrQuarantined) || calls[0].Load() != 0 {
 		t.Fatalf("quarantined shard outcome = %+v, calls = %d", out[0], calls[0].Load())
 	}
@@ -242,12 +247,12 @@ func TestScatterQuarantineSkips(t *testing.T) {
 // TestScatterPanicContained: a panicking shard resolves to a typed
 // PanicError; the process and sibling shards are unaffected.
 func TestScatterPanicContained(t *testing.T) {
-	out := Scatter(context.Background(), 2, nil, Config{}, func(_ context.Context, shard, try int) (int, error) {
+	out := ScatterFailover(context.Background(), 2, nil, Config{}, func(_ context.Context, shard, try int) (int, error) {
 		if shard == 0 {
 			panic("injected shard fault")
 		}
 		return 7, nil
-	})
+	}, nil)
 	var pe *PanicError
 	if !errors.As(out[0].Err, &pe) || pe.Shard != 0 || len(pe.Stack) == 0 {
 		t.Fatalf("panic outcome = %+v", out[0])
@@ -262,14 +267,14 @@ func TestScatterPanicContained(t *testing.T) {
 func TestScatterHedgeWins(t *testing.T) {
 	cfg := Config{MaxAttempts: 2, HedgeAfter: 5 * time.Millisecond}
 	var primaryCancelled atomic.Bool
-	out := Scatter(context.Background(), 1, nil, cfg, func(ctx context.Context, shard, try int) (string, error) {
+	out := ScatterFailover(context.Background(), 1, nil, cfg, func(ctx context.Context, shard, try int) (string, error) {
 		if try == 0 {
 			<-ctx.Done() // straggle until the winner cancels us
 			primaryCancelled.Store(true)
 			return "", ctx.Err()
 		}
 		return "hedge", nil
-	})
+	}, nil)
 	o := out[0]
 	if o.Err != nil || o.Value != "hedge" || !o.Hedged || !o.HedgeWon || o.Tries != 2 {
 		t.Fatalf("outcome = %+v", o)
@@ -290,10 +295,10 @@ func TestScatterDeadlineBound(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	out := Scatter(ctx, 1, nil, Config{}, func(ctx context.Context, shard, try int) (int, error) {
+	out := ScatterFailover(ctx, 1, nil, Config{}, func(ctx context.Context, shard, try int) (int, error) {
 		<-ctx.Done()
 		return 0, ctx.Err()
-	})
+	}, nil)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("scatter blocked %v past a 20ms deadline", elapsed)
 	}
@@ -367,7 +372,7 @@ func TestScatterManyShardsStress(t *testing.T) {
 		Backoff:     &Backoff{Base: time.Microsecond, Cap: 10 * time.Microsecond, Seed: 5},
 		Retryable:   func(err error) (bool, time.Duration) { return err.Error() == "transient", 0 },
 	}
-	out := Scatter(context.Background(), n, health, cfg, func(_ context.Context, shard, try int) (int, error) {
+	out := ScatterFailover(context.Background(), n, health, cfg, func(_ context.Context, shard, try int) (int, error) {
 		switch {
 		case shard == 3:
 			t.Error("quarantined shard was dispatched")
@@ -382,7 +387,7 @@ func TestScatterManyShardsStress(t *testing.T) {
 		default:
 			return shard, nil
 		}
-	})
+	}, nil)
 	for s, o := range out {
 		switch {
 		case s == 3:

@@ -163,35 +163,3 @@ func CheckFeasible(p Problem, flow [][]float64, tol float64) error {
 	}
 	return nil
 }
-
-// CheckOptimal verifies a simplex solution via strong duality: the
-// duals must be feasible (u_i + v_j <= c_ij everywhere up to tol) and
-// the dual objective sum_i supply_i*u_i + sum_j demand_j*v_j must match
-// the primal objective. A solution passing both checks is provably
-// optimal irrespective of how it was computed.
-func CheckOptimal(p Problem, sol *Solution, tol float64) error {
-	if sol.DualU == nil || sol.DualV == nil {
-		return errors.New("transport: solution carries no duals")
-	}
-	if err := CheckFeasible(p, sol.Flow, tol); err != nil {
-		return err
-	}
-	for i, u := range sol.DualU {
-		for j, v := range sol.DualV {
-			if u+v > p.Cost[i][j]+tol {
-				return fmt.Errorf("transport: infeasible dual u[%d]+v[%d] = %g > cost %g", i, j, u+v, p.Cost[i][j])
-			}
-		}
-	}
-	var dual float64
-	for i, u := range sol.DualU {
-		dual += p.Supply[i] * u
-	}
-	for j, v := range sol.DualV {
-		dual += p.Demand[j] * v
-	}
-	if math.Abs(dual-sol.Objective) > tol*(1+math.Abs(sol.Objective)) {
-		return fmt.Errorf("transport: duality gap: primal %g, dual %g", sol.Objective, dual)
-	}
-	return nil
-}

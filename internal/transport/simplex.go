@@ -156,7 +156,7 @@ func compileCost(cost [][]float64) *compiledCost {
 
 // SolveSimplex solves p with the transportation simplex from a Vogel
 // start. The returned solution carries optimal dual potentials;
-// CheckOptimal can verify it independently. If the pivot count exceeds
+// the package tests verify them independently (CheckOptimal). If the pivot count exceeds
 // the iteration budget, an error wrapping ErrIterationLimit is
 // returned.
 //

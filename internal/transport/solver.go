@@ -48,9 +48,6 @@ func NewSolver(cost [][]float64) (*Solver, error) {
 	return s, nil
 }
 
-// Shape returns the problem shape this solver accepts.
-func (s *Solver) Shape() (m, n int) { return s.cc.m, s.cc.n }
-
 // SSPFallbacks returns how many solves of this Solver exceeded the
 // simplex pivot budget and were answered by the SSP solver instead.
 func (s *Solver) SSPFallbacks() int64 { return s.sspFallbacks.Load() }

@@ -1,12 +1,45 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 )
+
+// CheckOptimal verifies a simplex solution via strong duality: the
+// duals must be feasible (u_i + v_j <= c_ij everywhere up to tol) and
+// the dual objective sum_i supply_i*u_i + sum_j demand_j*v_j must match
+// the primal objective. A solution passing both checks is provably
+// optimal irrespective of how it was computed.
+func CheckOptimal(p Problem, sol *Solution, tol float64) error {
+	if sol.DualU == nil || sol.DualV == nil {
+		return errors.New("transport: solution carries no duals")
+	}
+	if err := CheckFeasible(p, sol.Flow, tol); err != nil {
+		return err
+	}
+	for i, u := range sol.DualU {
+		for j, v := range sol.DualV {
+			if u+v > p.Cost[i][j]+tol {
+				return fmt.Errorf("transport: infeasible dual u[%d]+v[%d] = %g > cost %g", i, j, u+v, p.Cost[i][j])
+			}
+		}
+	}
+	var dual float64
+	for i, u := range sol.DualU {
+		dual += p.Supply[i] * u
+	}
+	for j, v := range sol.DualV {
+		dual += p.Demand[j] * v
+	}
+	if math.Abs(dual-sol.Objective) > tol*(1+math.Abs(sol.Objective)) {
+		return fmt.Errorf("transport: duality gap: primal %g, dual %g", sol.Objective, dual)
+	}
+	return nil
+}
 
 // randomProblem builds a random balanced transportation instance with
 // the given shape. Costs are uniform in [0, 10); masses normalize to 1.
@@ -417,8 +450,8 @@ func TestSolverShapeMismatch(t *testing.T) {
 	if _, err := NewSolver([][]float64{{0, 1}, {1}}); err == nil {
 		t.Error("accepted ragged cost matrix")
 	}
-	if m, n := s.Shape(); m != 3 || n != 3 {
-		t.Errorf("Shape = %d, %d", m, n)
+	if m, n := s.cc.m, s.cc.n; m != 3 || n != 3 {
+		t.Errorf("shape = %d, %d", m, n)
 	}
 }
 

@@ -23,19 +23,6 @@ func Sum(xs []float64) float64 {
 	return sum
 }
 
-// Dot returns the inner product of a and b. It panics if the lengths
-// differ, since that is always a programming error in this code base.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vecmath: Dot length mismatch %d != %d", len(a), len(b)))
-	}
-	var sum float64
-	for i, x := range a {
-		sum += x * b[i]
-	}
-	return sum
-}
-
 // L1 returns the Manhattan distance between a and b.
 func L1(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -182,30 +169,4 @@ func AlmostEqual(a, b, tol float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= tol*scale
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
-
-// MinMax returns the smallest and largest element of xs. It panics on
-// an empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		panic("vecmath: MinMax of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }

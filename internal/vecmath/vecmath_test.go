@@ -21,18 +21,6 @@ func TestSumCompensated(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %g, want 32", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Dot length mismatch did not panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
 func TestNorms(t *testing.T) {
 	a := []float64{0, 0}
 	b := []float64{3, 4}
@@ -141,19 +129,6 @@ func TestAlmostEqual(t *testing.T) {
 	}
 	if AlmostEqual(1, 2, 1e-9) {
 		t.Error("large difference accepted")
-	}
-}
-
-func TestMeanMinMax(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
-	min, max := MinMax([]float64{3, 1, 2})
-	if min != 1 || max != 3 {
-		t.Errorf("MinMax = %g, %g", min, max)
 	}
 }
 
