@@ -11,7 +11,6 @@ import (
 	"emdsearch/internal/eval"
 	"emdsearch/internal/flowred"
 	"emdsearch/internal/lb"
-	"emdsearch/internal/transport"
 )
 
 // ---------------------------------------------------------------------
@@ -98,29 +97,6 @@ func BenchmarkEMD(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkEMDSolvers compares the two exact solvers.
-func BenchmarkEMDSolvers(b *testing.B) {
-	const d = 64
-	rng := rand.New(rand.NewSource(1))
-	x := randomHistogramB(rng, d)
-	y := randomHistogramB(rng, d)
-	p := transport.Problem{Supply: x, Demand: y, Cost: emd.LinearCost(d)}
-	b.Run("simplex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := transport.SolveSimplex(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ssp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := transport.SolveSSP(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkReducedEMD measures the filter distance at typical d'.

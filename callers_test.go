@@ -71,7 +71,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 
 	refs := map[string]bool{}     // "pkg.Name"
-	selected := map[string]bool{} // every selector name
+	selected := map[string]bool{} // every selector name an import does not qualify
 	for _, f := range files {
 		collectRefs(f, refs, selected)
 	}
@@ -252,7 +252,7 @@ func receiverType(x ast.Expr) *ast.Ident {
 // collectRefs records f's references: refs gets "pkg.Name" for each
 // selector whose qualifier is one of f's imports, and f's own package
 // path with every other identifier, selector names included; selected
-// gets every selector name. Declaring identifiers and receivers are not
+// gets the name of every other selector. Declaring identifiers and receivers are not
 // references.
 func collectRefs(f *goFile, refs, selected map[string]bool) {
 	skip := map[*ast.Ident]bool{}
@@ -282,12 +282,15 @@ func collectRefs(f *goFile, refs, selected map[string]bool) {
 				skip[id] = true
 			}
 		case *ast.SelectorExpr:
-			selected[n.Sel.Name] = true
 			if x, ok := n.X.(*ast.Ident); ok {
 				if p, ok := f.imports[x.Name]; ok {
+					// A package-qualified name (admission.Config) is
+					// no use of a method that shares the name.
 					refs[p+"."+n.Sel.Name] = true
+					return true
 				}
 			}
+			selected[n.Sel.Name] = true
 		}
 		return true
 	})

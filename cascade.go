@@ -194,7 +194,7 @@ func (e *Engine) adoptLevels(cur *plan, levels []int, flows [][]float64, vectors
 		return false, err
 	}
 	e.plan, e.snap, e.buildFlows = p, snap, flows
-	e.metrics.snapshotBuilt(snap)
+	e.metrics.snapshotBuilt()
 	e.anchorPlanLocked(expPulled, true)
 	return true, nil
 }

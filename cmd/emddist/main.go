@@ -20,7 +20,6 @@ import (
 
 	"emdsearch/internal/data"
 	"emdsearch/internal/emd"
-	"emdsearch/internal/vecmath"
 )
 
 func main() {
@@ -117,13 +116,14 @@ func main() {
 }
 
 // normalizeAll scales each histogram of hs to total mass 1 in place. A
-// histogram without positive mass has no normalized form.
+// histogram without positive, finite mass has no normalized form.
 func normalizeAll(hs []emd.Histogram) error {
 	for i, h := range hs {
-		if vecmath.Sum(h) <= 0 {
-			return fmt.Errorf("histogram %d has no mass", i)
+		n, err := emd.Normalize(h)
+		if err != nil {
+			return fmt.Errorf("histogram %d: %w", i, err)
 		}
-		hs[i] = emd.Normalize(h)
+		hs[i] = n
 	}
 	return nil
 }

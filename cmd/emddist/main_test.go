@@ -11,8 +11,8 @@ import (
 func TestNormalizeAllRejectsMasslessHistogram(t *testing.T) {
 	hs := []emd.Histogram{{1, 2, 3}, {0, 0, 0}}
 	err := normalizeAll(hs)
-	if err == nil || err.Error() != "histogram 1 has no mass" {
-		t.Fatalf("normalizeAll = %v, want histogram 1 has no mass", err)
+	if want := "histogram 1: emd: histogram mass 0 is not positive and finite"; err == nil || err.Error() != want {
+		t.Fatalf("normalizeAll = %v, want %s", err, want)
 	}
 	if hs[0][0] != 1.0/6 {
 		t.Errorf("histogram 0 = %v, want it normalized before the error", hs[0])

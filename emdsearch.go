@@ -66,9 +66,9 @@ func EMDWithFlow(x, y Histogram, cost CostMatrix) (float64, [][]float64, error) 
 	return emd.DistanceWithFlow(x, y, cost)
 }
 
-// Normalize returns a total-mass-1 copy of h. It panics if h has no
-// positive mass.
-func Normalize(h Histogram) Histogram { return emd.Normalize(h) }
+// Normalize returns a total-mass-1 copy of h, or an error when the mass
+// of h is not positive and finite.
+func Normalize(h Histogram) (Histogram, error) { return emd.Normalize(h) }
 
 // LinearCost is the |i-j| ground distance between 1-D ordered bins.
 func LinearCost(d int) CostMatrix { return emd.LinearCost(d) }

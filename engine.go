@@ -249,11 +249,6 @@ type snapshot struct {
 	reduced     *core.ReducedEMD
 	reducedCols *colscan.Columns
 
-	// sspCounters read the SSP-fallback counters of every compiled EMD
-	// this snapshot built (reduced levels, index metric);
-	// Engine.Metrics sums them into ssp_fallbacks.
-	sspCounters []func() int64
-
 	// hook is Options.RefineHook, captured at build time; nil outside
 	// fault-injection runs.
 	hook func(index int)
@@ -540,7 +535,7 @@ func (e *Engine) snapshot() (*snapshot, error) {
 			return nil, err
 		}
 		e.snap = s
-		e.metrics.snapshotBuilt(s)
+		e.metrics.snapshotBuilt()
 	}
 	return e.snap, nil
 }
@@ -622,7 +617,6 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 			if reduced, err = core.NewReducedEMD(e.cost, red, red); err != nil {
 				return nil, err
 			}
-			snap.sspCounters = append(snap.sspCounters, reduced.SSPFallbacks)
 			apply := red.Apply
 			cols, err = colscan.Build(len(vectors), red.ReducedDims(), e.opts.FilterBlockSize,
 				func(i int, dst []float64) { copy(dst, apply(vectors[i])) })
@@ -667,7 +661,6 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 			if err != nil {
 				return nil, err
 			}
-			snap.sspCounters = append(snap.sspCounters, asym.SSPFallbacks)
 			stage.PrepareQuery = func(q Histogram) Histogram { return q }
 			redEMDStage(&stage, asym, cols)
 		}

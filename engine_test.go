@@ -296,9 +296,12 @@ func TestEMDTopLevel(t *testing.T) {
 	if len(flow) != 6 {
 		t.Errorf("flow rows %d, want 6", len(flow))
 	}
-	h := Normalize(Histogram{2, 6})
-	if h[1] != 0.75 {
-		t.Errorf("Normalize = %v", h)
+	h, err := Normalize(Histogram{2, 6})
+	if err != nil || h[1] != 0.75 {
+		t.Errorf("Normalize = %v, %v", h, err)
+	}
+	if _, err := Normalize(Histogram{0, 0}); err == nil {
+		t.Error("Normalize accepted a histogram without mass")
 	}
 }
 

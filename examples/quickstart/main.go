@@ -38,7 +38,11 @@ func main() {
 			d := float64(b - center)
 			h[b] = 1/(1+d*d/9) + 0.05*rng.Float64()
 		}
-		if _, err := eng.Add(fmt.Sprintf("proto-%d", proto), emdsearch.Normalize(h)); err != nil {
+		h, err := emdsearch.Normalize(h)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if _, err := eng.Add(fmt.Sprintf("proto-%d", proto), h); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -52,7 +56,9 @@ func main() {
 		d := float64(b - 16)
 		q[b] = 1 / (1 + d*d/9)
 	}
-	q = emdsearch.Normalize(q)
+	if q, err = emdsearch.Normalize(q); err != nil {
+		log.Fatal(err)
+	}
 
 	results, stats, err := eng.KNN(q, 5)
 	if err != nil {

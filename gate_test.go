@@ -7,11 +7,15 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
+
+	"emdsearch/internal/transport"
 )
 
 // chaosEngine builds a small engine whose refinements panic while
@@ -43,6 +47,63 @@ func chaosEngine(t *testing.T, n, d, workers int, panics *atomic.Bool) *Engine {
 		t.Fatal(err)
 	}
 	return eng
+}
+
+// starveExactSolver sets the pivot cap of e's exact transport solver to
+// one pivot through the solver's unexported test seam, so that every
+// later exact solve needing two pivots crosses the cap: the one failure
+// the pivot rule rules out by construction, forced.
+func starveExactSolver(e *Engine) {
+	solver := reflect.ValueOf(e.dist).Elem().FieldByName("solver").Elem()
+	maxIter := solver.FieldByName("maxIter")
+	reflect.NewAt(maxIter.Type(), unsafe.Pointer(maxIter.UnsafeAddr())).Elem().SetInt(1)
+}
+
+// TestPanicContainmentCapHit forces the transport solver across its
+// pivot cap. No value comes back and the process survives: Build's flow
+// sample reports the cap hit as an error, and a query or a Distance
+// call fails with ErrInternal and ticks QueryPanics.
+func TestPanicContainmentCapHit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const d = 16
+	newEngine := func() *Engine {
+		eng, err := NewEngine(LinearCost(d), Options{ReducedDims: 4, SampleSize: 16, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if _, err := eng.Add(fmt.Sprintf("item-%d", i), randHist(rng, d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return eng
+	}
+
+	starved := newEngine()
+	starveExactSolver(starved)
+	if err := starved.Build(); !errors.Is(err, transport.ErrIterationLimit) {
+		t.Fatalf("Build with a starved solver: err = %v, want ErrIterationLimit", err)
+	}
+
+	eng := newEngine()
+	if err := eng.Build(); err != nil {
+		t.Fatal(err)
+	}
+	starveExactSolver(eng)
+	q := randHist(rng, d)
+	res, _, err := eng.KNN(q, 5)
+	if !errors.Is(err, ErrInternal) || res != nil {
+		t.Fatalf("KNN with a starved solver: %d results, err = %v, want none and ErrInternal", len(res), err)
+	}
+	if got := eng.Metrics().QueryPanics; got != 1 {
+		t.Fatalf("QueryPanics = %d after the cap hit, want 1", got)
+	}
+	if v, err := eng.Distance(context.Background(), q, 0); !errors.Is(err, ErrInternal) || v != 0 {
+		t.Fatalf("Distance with a starved solver = %v, err = %v, want 0 and ErrInternal", v, err)
+	}
+	if got := eng.Metrics().QueryPanics; got != 2 {
+		t.Fatalf("QueryPanics = %d after the second cap hit, want 2", got)
+	}
 }
 
 // TestBadQueryAllEntryPoints drives every public query method of

@@ -183,8 +183,8 @@ func (r *indexRanking) Label() string { return "VPTree(Red-EMD)" }
 // the index metric is a valid lower bound either way. When C' is
 // already metric the closure is a bit-exact fixpoint and the snapshot's
 // own reduced-EMD evaluator is used, so index filter values match the
-// scan path bit for bit; otherwise the closure's compiled EMD joins the
-// snapshot's SSP-fallback counters. Either way the metric evaluates
+// scan path bit for bit; otherwise the closure gets a compiled EMD of
+// its own. Either way the metric evaluates
 // through the kernel's lower-bound exit — nothing reports its value —
 // and slack is the bound on how far below the exact metric it may sit.
 func indexMetric(snap *snapshot) (metric func(xr, yr Histogram) float64, slack float64, err error) {
@@ -197,7 +197,6 @@ func indexMetric(snap *snapshot) (metric func(xr, yr Histogram) float64, slack f
 	if err != nil {
 		return nil, 0, fmt.Errorf("emdsearch: metric closure of reduced cost invalid: %w", err)
 	}
-	snap.sspCounters = append(snap.sspCounters, md.SSPFallbacks)
 	return func(xr, yr Histogram) float64 { return md.LowerBound(xr, yr, math.Inf(1)).Value }, slack, nil
 }
 

@@ -177,10 +177,6 @@ func (re *ReducedEMD) Source() *Reduction { return re.r1 }
 // Cost returns the optimal reduced cost matrix C'.
 func (re *ReducedEMD) Cost() emd.CostMatrix { return re.dist.Cost() }
 
-// SSPFallbacks reports the SSP fallbacks of the underlying compiled
-// EMD; see emd.Dist.SSPFallbacks.
-func (re *ReducedEMD) SSPFallbacks() int64 { return re.dist.SSPFallbacks() }
-
 // Distance computes EMD_{C'}(x*R1, y*R2) from original-dimensional
 // histograms.
 func (re *ReducedEMD) Distance(x, y emd.Histogram) float64 {

@@ -125,7 +125,9 @@ func TestGeneratorsRejectBadArgs(t *testing.T) {
 
 // TestClassStructure verifies the property the flow-based reduction
 // relies on: same-class objects are, on average, closer under the EMD
-// than cross-class objects.
+// than cross-class objects. The averages need the EMD only to ~1e-10,
+// so they sum the kernel's lower-bound exit, which skips the polish
+// that dominates an exact solve at IRMA's 199 bins.
 func TestClassStructure(t *testing.T) {
 	for _, g := range generators() {
 		t.Run(g.name, func(t *testing.T) {
@@ -141,7 +143,7 @@ func TestClassStructure(t *testing.T) {
 			var nIntra, nInter int
 			for i := 0; i < len(ds.Items); i++ {
 				for j := i + 1; j < len(ds.Items); j++ {
-					d := dist.Distance(ds.Items[i].Vector, ds.Items[j].Vector)
+					d := dist.LowerBound(ds.Items[i].Vector, ds.Items[j].Vector, math.Inf(1)).Value
 					if ds.Items[i].Label == ds.Items[j].Label {
 						intra += d
 						nIntra++

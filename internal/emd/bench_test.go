@@ -31,7 +31,7 @@ func newSolveBoundedWorkload(tb testing.TB, d int) solveBoundedWorkload {
 		for i := range h {
 			h[i] = rng.Float64()
 		}
-		return Normalize(h)
+		return normalized(h)
 	}
 	w := solveBoundedWorkload{dist: dist, pairs: make([][2]Histogram, 64)}
 	opt := make([]float64, len(w.pairs))

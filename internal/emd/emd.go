@@ -122,10 +122,15 @@ func Validate(h Histogram) error {
 	return nil
 }
 
-// Normalize returns a normalized copy of h (total mass one). It panics
-// if h has no positive mass.
-func Normalize(h Histogram) Histogram {
-	return vecmath.Normalize(vecmath.Clone(h))
+// Normalize returns a normalized copy of h (total mass one). A
+// histogram whose mass is not positive and finite has no normalized
+// form and is reported as an error.
+func Normalize(h Histogram) (Histogram, error) {
+	mass := vecmath.Sum(h)
+	if !(mass > 0) || math.IsInf(mass, 0) {
+		return nil, fmt.Errorf("emd: histogram mass %g is not positive and finite", mass)
+	}
+	return vecmath.Scale(vecmath.Clone(h), 1/mass), nil
 }
 
 // Distance computes the Earth Mover's Distance between x and y under
@@ -192,12 +197,6 @@ func (d *Dist) Cost() CostMatrix { return d.cost }
 // Dims returns the expected source and target dimensionality.
 func (d *Dist) Dims() (rows, cols int) { return d.cost.Rows(), d.cost.Cols() }
 
-// SSPFallbacks returns how many computations of d exceeded the simplex
-// pivot budget and were answered by the (slow, allocating) SSP solver
-// instead. Nonzero values mean the fallback is not dead code on this
-// workload.
-func (d *Dist) SSPFallbacks() int64 { return d.solver.SSPFallbacks() }
-
 // Distance computes the EMD between x and y. The histograms are
 // trusted to be valid operands (non-negative, normalized) and are not
 // re-validated; this is the fast path for inner loops — no allocation
@@ -205,11 +204,7 @@ func (d *Dist) SSPFallbacks() int64 { return d.solver.SSPFallbacks() }
 // solving. Use DistanceValidated when the operands are not under the
 // caller's control.
 func (d *Dist) Distance(x, y Histogram) float64 {
-	res, err := d.solver.SolveValueBounded(x, y, math.Inf(1))
-	if err != nil {
-		panic(fmt.Sprintf("emd: solver failed on trusted input: %v", err))
-	}
-	return res.Value
+	return d.DistanceBoundedIntr(x, y, math.Inf(1), nil).Value
 }
 
 // BoundedDistance is the outcome of a threshold-aware EMD computation;
@@ -225,11 +220,7 @@ type BoundedDistance = transport.BoundedResult
 // discarding it cannot change results. With abortAbove = +Inf it
 // behaves exactly like Distance. Operands are trusted, as in Distance.
 func (d *Dist) DistanceBounded(x, y Histogram, abortAbove float64) BoundedDistance {
-	res, err := d.solver.SolveValueBounded(x, y, abortAbove)
-	if err != nil {
-		panic(fmt.Sprintf("emd: solver failed on trusted input: %v", err))
-	}
-	return res
+	return d.DistanceBoundedIntr(x, y, abortAbove, nil)
 }
 
 // LowerBound is DistanceBounded for a caller that never reports the
@@ -283,11 +274,13 @@ func (d *Dist) DistanceValidated(x, y Histogram) (float64, error) {
 
 // DistanceWithFlow computes the EMD and the optimal flow matrix on the
 // compiled solver of d. Operands are trusted, as in Distance; the
-// returned flow is the caller's own.
-func (d *Dist) DistanceWithFlow(x, y Histogram) (float64, [][]float64) {
+// returned flow is the caller's own. A solver invariant failure is
+// returned as an error rather than a panic, because the flow
+// collection that calls it fans out over goroutines of its own.
+func (d *Dist) DistanceWithFlow(x, y Histogram) (float64, [][]float64, error) {
 	sol, err := d.solver.SolveFlow(x, y)
 	if err != nil {
-		panic(fmt.Sprintf("emd: solver failed on trusted input: %v", err))
+		return 0, nil, err
 	}
-	return sol.Objective, sol.Flow
+	return sol.Objective, sol.Flow, nil
 }

@@ -300,8 +300,21 @@ func TestNewDistRejectsBadCost(t *testing.T) {
 	}
 }
 
+// normalized is Normalize for a histogram the test knows has mass.
+func normalized(h Histogram) Histogram {
+	n, err := Normalize(h)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func TestNormalize(t *testing.T) {
-	h := Normalize(Histogram{2, 2, 4})
+	in := Histogram{2, 2, 4}
+	h, err := Normalize(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := Histogram{0.25, 0.25, 0.5}
 	for i := range h {
 		if math.Abs(h[i]-want[i]) > 1e-12 {
@@ -310,6 +323,27 @@ func TestNormalize(t *testing.T) {
 	}
 	if err := Validate(h); err != nil {
 		t.Fatal(err)
+	}
+	if in[2] != 4 {
+		t.Errorf("Normalize wrote into its operand: %v", in)
+	}
+}
+
+// TestNormalizeRejectsMasslessHistogram: a histogram whose mass is not
+// positive and finite has no normalized form, and Normalize says so
+// with an error instead of a panic.
+func TestNormalizeRejectsMasslessHistogram(t *testing.T) {
+	for _, h := range []Histogram{
+		{},
+		{0, 0, 0},
+		{1, -1},
+		{1, math.NaN()},
+		{1, math.Inf(1)},
+		{math.MaxFloat64, math.MaxFloat64},
+	} {
+		if got, err := Normalize(h); err == nil {
+			t.Errorf("Normalize(%v) = %v, want an error", h, got)
+		}
 	}
 }
 
@@ -331,9 +365,12 @@ func TestDistDistanceWithFlowPooled(t *testing.T) {
 		y := randomHistogram(rng, d)
 		if trial%2 == 0 {
 			x[rng.Intn(d)], y[rng.Intn(d)] = 0, 0
-			x, y = Normalize(x), Normalize(y)
+			x, y = normalized(x), normalized(y)
 		}
-		got, flow := dist.DistanceWithFlow(x, y)
+		got, flow, err := dist.DistanceWithFlow(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantValue, wantFlow, err := DistanceWithFlow(x, y, c)
 		if err != nil {
 			t.Fatal(err)
@@ -363,7 +400,10 @@ func TestDistDistanceWithFlowPooled(t *testing.T) {
 		// The pool has one state: these solves reuse the memory the flow
 		// above was computed in.
 		dist.Distance(y, x)
-		_, again := dist.DistanceWithFlow(x, y)
+		_, again, err := dist.DistanceWithFlow(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range again {
 			for j := range again[i] {
 				if again[i][j] != keep[i][j] {
@@ -374,8 +414,5 @@ func TestDistDistanceWithFlowPooled(t *testing.T) {
 		if !math.IsNaN(flow[0][0]) {
 			t.Fatalf("trial %d: a later solve wrote into a returned flow", trial)
 		}
-	}
-	if n := dist.SSPFallbacks(); n != 0 {
-		t.Fatalf("%d SSP fallbacks on 12-bin histograms", n)
 	}
 }

@@ -41,7 +41,7 @@ func lowerBoundHist(rng *rand.Rand, d int, sparse bool) Histogram {
 	for i := range h {
 		h[i] = 0.01 + rng.Float64()
 	}
-	return Normalize(h)
+	return normalized(h)
 }
 
 // checkLowerBound checks the lower-bound exit on one pair against the

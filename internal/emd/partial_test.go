@@ -116,8 +116,7 @@ func TestQuickPartialLowerBoundsScaled(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		normX := Normalize(x)
-		normY := Normalize(y)
+		normX, normY := normalized(x), normalized(y)
 		full, err := Distance(normX, normY, c)
 		if err != nil {
 			return false

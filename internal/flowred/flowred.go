@@ -16,6 +16,7 @@
 package flowred
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -87,53 +88,38 @@ func Sample(data []emd.Histogram, n int, rng *rand.Rand) []emd.Histogram {
 // in the paper; the normalization only scales Eq. 12 and does not
 // affect which reduction maximizes it.
 func AverageFlows(sample []emd.Histogram, dist *emd.Dist) ([][]float64, error) {
-	if len(sample) < 2 {
-		return nil, fmt.Errorf("flowred: sample of size %d, need at least 2", len(sample))
+	return AverageFlowsParallel(sample, dist, 1)
+}
+
+// addFlows adds the optimal flow of (x, y) to acc, and that of (y, x):
+// as its transpose when the ground distance is symmetric, by a second
+// solve otherwise.
+func addFlows(acc [][]float64, dist *emd.Dist, x, y emd.Histogram, symmetric bool) error {
+	_, flow, err := dist.DistanceWithFlow(x, y)
+	if err != nil {
+		return err
 	}
-	rows, cols := dist.Dims()
-	if rows != cols {
-		return nil, fmt.Errorf("flowred: ground distance is %dx%d, want square", rows, cols)
-	}
-	d := rows
-	for k, h := range sample {
-		if len(h) != d {
-			return nil, fmt.Errorf("flowred: sample histogram %d has %d dimensions, want %d", k, len(h), d)
-		}
-	}
-	f := make([][]float64, d)
-	backing := make([]float64, d*d)
-	for i := range f {
-		f[i] = backing[i*d : (i+1)*d]
-	}
-	symmetric := dist.Cost().IsSymmetric()
-	for a := 0; a < len(sample); a++ {
-		for b := a + 1; b < len(sample); b++ {
-			_, flow := dist.DistanceWithFlow(sample[a], sample[b])
-			for i := 0; i < d; i++ {
-				for j := 0; j < d; j++ {
-					f[i][j] += flow[i][j]
-					if symmetric {
-						f[j][i] += flow[i][j]
-					}
-				}
-			}
-			if !symmetric {
-				_, back := dist.DistanceWithFlow(sample[b], sample[a])
-				for i := 0; i < d; i++ {
-					for j := 0; j < d; j++ {
-						f[i][j] += back[i][j]
-					}
-				}
+	for i, row := range flow {
+		for j, f := range row {
+			acc[i][j] += f
+			if symmetric {
+				acc[j][i] += f
 			}
 		}
 	}
-	norm := 1 / float64(len(sample)*len(sample))
-	for i := range f {
-		for j := range f[i] {
-			f[i][j] *= norm
+	if symmetric {
+		return nil
+	}
+	_, back, err := dist.DistanceWithFlow(y, x)
+	if err != nil {
+		return err
+	}
+	for i, row := range back {
+		for j, f := range row {
+			acc[i][j] += f
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // Tightness is the reference implementation of the paper's calcTight
@@ -321,8 +307,9 @@ func finishSearch(st *searchState, stats *Stats) (*core.Reduction, *Stats, error
 // preprocessing cost of the flow-based reductions (|S|^2/2 exact EMD
 // solves), and the pairs are independent, so it parallelizes
 // perfectly. The result is identical to AverageFlows up to float
-// summation order; the accumulation per worker keeps that
-// non-determinism to one final reduction.
+// summation order (bit for bit with one worker); the accumulation per
+// worker keeps that non-determinism to one final reduction. A solver
+// failure on any pair is returned as an error.
 func AverageFlowsParallel(sample []emd.Histogram, dist *emd.Dist, workers int) ([][]float64, error) {
 	if len(sample) < 2 {
 		return nil, fmt.Errorf("flowred: sample of size %d, need at least 2", len(sample))
@@ -345,6 +332,7 @@ func AverageFlowsParallel(sample []emd.Histogram, dist *emd.Dist, workers int) (
 	type pair struct{ a, b int }
 	pairs := make(chan pair)
 	partials := make([][][]float64, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -357,22 +345,8 @@ func AverageFlowsParallel(sample []emd.Histogram, dist *emd.Dist, workers int) (
 				local[i] = backing[i*d : (i+1)*d]
 			}
 			for p := range pairs {
-				_, flow := dist.DistanceWithFlow(sample[p.a], sample[p.b])
-				for i := 0; i < d; i++ {
-					for j := 0; j < d; j++ {
-						local[i][j] += flow[i][j]
-						if symmetric {
-							local[j][i] += flow[i][j]
-						}
-					}
-				}
-				if !symmetric {
-					_, back := dist.DistanceWithFlow(sample[p.b], sample[p.a])
-					for i := 0; i < d; i++ {
-						for j := 0; j < d; j++ {
-							local[i][j] += back[i][j]
-						}
-					}
+				if errs[w] == nil {
+					errs[w] = addFlows(local, dist, sample[p.a], sample[p.b], symmetric)
 				}
 			}
 			partials[w] = local
@@ -385,6 +359,9 @@ func AverageFlowsParallel(sample []emd.Histogram, dist *emd.Dist, workers int) (
 	}
 	close(pairs)
 	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, fmt.Errorf("flowred: sample flows: %w", err)
+	}
 
 	f := make([][]float64, d)
 	backing := make([]float64, d*d)

@@ -33,7 +33,7 @@ func TestAnalytic2x2(t *testing.T) {
 		}
 		want := tOpt*c[0][0] + (a-tOpt)*c[0][1] + (b-tOpt)*c[1][0] + (1-a-b+tOpt)*c[1][1]
 
-		sol, err := SolveSimplex(Problem{
+		sol, err := Solve(Problem{
 			Supply: []float64{a, 1 - a},
 			Demand: []float64{b, 1 - b},
 			Cost:   c,
@@ -70,7 +70,7 @@ func TestAnalytic1xN(t *testing.T) {
 			cost[0][j] = rng.Float64() * 3
 			want += demand[j] * cost[0][j]
 		}
-		sol, err := SolveSimplex(Problem{Supply: []float64{1}, Demand: demand, Cost: cost})
+		sol, err := Solve(Problem{Supply: []float64{1}, Demand: demand, Cost: cost})
 		if err != nil {
 			return false
 		}
@@ -101,7 +101,7 @@ func TestAnalyticAssignment(t *testing.T) {
 			}
 			mass[i] = 1 / float64(d)
 		}
-		sol, err := SolveSimplex(Problem{Supply: mass, Demand: mass, Cost: cost})
+		sol, err := Solve(Problem{Supply: mass, Demand: mass, Cost: cost})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestAnalyticEarthLine(t *testing.T) {
 			cumY += y[i]
 			want += math.Abs(cumX - cumY)
 		}
-		sol, err := SolveSimplex(Problem{Supply: x, Demand: y, Cost: cost})
+		sol, err := Solve(Problem{Supply: x, Demand: y, Cost: cost})
 		if err != nil {
 			return false
 		}

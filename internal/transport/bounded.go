@@ -108,7 +108,7 @@ func (st *simplexState) solveBounded(cc *compiledCost, supply, demand []float64,
 	st.patchBasis()
 	_, stop, bound, err := st.pivotLoop(supply, demand, abortAbove, intr)
 	if err != nil {
-		return res, err
+		return BoundedResult{}, err
 	}
 	switch stop {
 	case stopAborted:

@@ -14,9 +14,9 @@ func solveCold(t *testing.T, p Problem) float64 {
 	if err != nil {
 		t.Fatalf("NewSolver: %v", err)
 	}
-	res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
+	res, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
 	if err != nil {
-		t.Fatalf("SolveValueBounded: %v", err)
+		t.Fatalf("SolveValueBoundedIntr: %v", err)
 	}
 	if res.Aborted {
 		t.Fatalf("aborted with abortAbove = +Inf")
@@ -45,9 +45,9 @@ func TestSolveValueBoundedMatchesSolveValue(t *testing.T) {
 		// Repeat on the same pooled state; every repetition must stay
 		// bit-identical.
 		for rep := 0; rep < 3; rep++ {
-			res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
+			res, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
 			if err != nil {
-				t.Fatalf("SolveValueBounded: %v", err)
+				t.Fatalf("SolveValueBoundedIntr: %v", err)
 			}
 			if res.Aborted {
 				t.Fatalf("trial %d rep %d: aborted with abortAbove = +Inf", trial, rep)
@@ -81,9 +81,9 @@ func TestSolveValueBoundedHistoryIndependent(t *testing.T) {
 		for cand := 0; cand < 30; cand++ {
 			p := randomMarginals(rng, cost, cand%3 == 0)
 			cold := solveCold(t, p)
-			res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
+			res, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
 			if err != nil {
-				t.Fatalf("SolveValueBounded: %v", err)
+				t.Fatalf("SolveValueBoundedIntr: %v", err)
 			}
 			if res.Aborted || res.Value != cold {
 				t.Fatalf("seq %d cand %d: pooled %v (aborted=%v) != fresh %v (diff %g)",
@@ -95,13 +95,13 @@ func TestSolveValueBoundedHistoryIndependent(t *testing.T) {
 			// from an unrelated problem solved in between.
 			if cand%2 == 0 {
 				q := randomMarginals(rng, cost, false)
-				if _, err := s.SolveValueBounded(q.Supply, q.Demand, math.Inf(1)); err != nil {
-					t.Fatalf("SolveValueBounded: %v", err)
+				if _, err := s.SolveValueBoundedIntr(q.Supply, q.Demand, math.Inf(1), nil); err != nil {
+					t.Fatalf("SolveValueBoundedIntr: %v", err)
 				}
 			}
-			lo, err := s.SolveValueBounded(p.Supply, p.Demand, 0.7*cold)
+			lo, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, 0.7*cold, nil)
 			if err != nil {
-				t.Fatalf("SolveValueBounded(0.7 opt): %v", err)
+				t.Fatalf("SolveValueBoundedIntr(0.7 opt): %v", err)
 			}
 			if lo.Aborted {
 				preAborts++
@@ -142,9 +142,9 @@ func TestSolveValueBoundedSparsity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
+		res, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
 		if err != nil {
-			t.Fatalf("SolveValueBounded: %v", err)
+			t.Fatalf("SolveValueBoundedIntr: %v", err)
 		}
 		if res.Rows != rows || res.Cols != cols {
 			t.Fatalf("trial %d: reduced shape %dx%d, want %dx%d",
@@ -183,9 +183,9 @@ func TestSolveValueBoundedAbortSoundness(t *testing.T) {
 
 		// Threshold at or above the optimum: must run to optimality and
 		// stay bit-identical.
-		res, err := s.SolveValueBounded(p.Supply, p.Demand, opt)
+		res, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, opt, nil)
 		if err != nil {
-			t.Fatalf("SolveValueBounded(opt): %v", err)
+			t.Fatalf("SolveValueBoundedIntr(opt): %v", err)
 		}
 		if res.Aborted {
 			t.Fatalf("trial %d: aborted with abortAbove = optimum (bound %v, opt %v)",
@@ -198,9 +198,9 @@ func TestSolveValueBoundedAbortSoundness(t *testing.T) {
 		// Threshold well below the optimum: abort is allowed (and
 		// expected for most instances); the certified bound must be
 		// sound either way.
-		lo, err := s.SolveValueBounded(p.Supply, p.Demand, 0.5*opt)
+		lo, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, 0.5*opt, nil)
 		if err != nil {
-			t.Fatalf("SolveValueBounded(opt/2): %v", err)
+			t.Fatalf("SolveValueBoundedIntr(opt/2): %v", err)
 		}
 		if lo.Aborted {
 			aborted++
@@ -234,9 +234,9 @@ func TestSolveValueBoundedDegenerate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
+		res, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
 		if err != nil {
-			t.Fatalf("SolveValueBounded: %v", err)
+			t.Fatalf("SolveValueBoundedIntr: %v", err)
 		}
 		want, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
@@ -287,7 +287,7 @@ func TestBoundedSolveCostsNothingUntilItAborts(t *testing.T) {
 		early := 0
 		for trial := 0; trial < 24; trial++ {
 			p := randomMarginals(rng, cost, false)
-			exact, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
+			exact, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +298,7 @@ func TestBoundedSolveCostsNothingUntilItAborts(t *testing.T) {
 			}
 
 			above := opt * (1 + 1e-6)
-			res, err := s.SolveValueBounded(p.Supply, p.Demand, above)
+			res, err := s.SolveValueBoundedIntr(p.Supply, p.Demand, above, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +310,7 @@ func TestBoundedSolveCostsNothingUntilItAborts(t *testing.T) {
 			}
 
 			below := opt * (1 - 1e-6)
-			res, err = s.SolveValueBounded(p.Supply, p.Demand, below)
+			res, err = s.SolveValueBoundedIntr(p.Supply, p.Demand, below, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

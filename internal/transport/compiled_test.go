@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -230,7 +231,7 @@ func TestRootedTreeMatchesRecomputation(t *testing.T) {
 		st.computeDuals()
 		tol := 1e-10 * st.scale
 		for pivots := 0; ; pivots++ {
-			ei, ej, bound, ok := st.entering(tol, p.Supply, p.Demand)
+			ei, ej, bound, ok := st.entering(tol, p.Supply, p.Demand, false)
 			// A full scan's certificate is the feasibility-repaired dual
 			// objective up to the -tol floor of the row repair.
 			if !math.IsInf(bound, -1) {
@@ -280,7 +281,7 @@ func TestRootedTreeMatchesRecomputation(t *testing.T) {
 // TestSolveFlowCertifiedAndPrivate checks the flow-copying entry of the
 // pooled solver: the returned solution carries a flow and duals that
 // pass the independent feasibility and strong-duality checks, equals
-// what the one-shot SolveSimplex returns, and shares no memory with the
+// what the one-shot Solve returns, and shares no memory with the
 // pool — scribbling over it changes no later answer.
 func TestSolveFlowCertifiedAndPrivate(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
@@ -298,7 +299,7 @@ func TestSolveFlowCertifiedAndPrivate(t *testing.T) {
 			if err := CheckOptimal(p, sol, 1e-9); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			oneShot, err := SolveSimplex(p)
+			oneShot, err := Solve(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,11 +349,12 @@ func TestSolveFlowCertifiedAndPrivate(t *testing.T) {
 	}
 }
 
-// TestSolverCountsSSPFallback forces the simplex's iteration-limit
-// fallback with a pivot budget of one and checks that every entry point
-// counts it and still answers exactly (the SSP solver is independent of
-// the simplex, so agreement is up to float summation only).
-func TestSolverCountsSSPFallback(t *testing.T) {
+// TestStarvedSolverReturnsIterationLimit forces a cap hit with a pivot
+// cap of one and checks that every entry point reports it as an error
+// wrapping ErrIterationLimit and returns no value with it: no second
+// solver answers in its place. A problem whose Vogel start needs at most
+// one pivot completes under the cap and must be exact.
+func TestStarvedSolverReturnsIterationLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	cost := randomProblem(rng, 10, 10, false).Cost
 	ref, err := NewSolver(cost)
@@ -364,59 +366,61 @@ func TestSolverCountsSSPFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	starved.maxIter = 1
-	tol := 1e-12 * ref.cc.scale
-	fallbacks := map[string]int{}
+	capHits := map[string]int{}
 
 	for trial := 0; trial < 20; trial++ {
 		p := randomMarginals(rng, cost, trial%2 == 0)
-		want, err := ref.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
+		want, err := ref.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Each entry point reports its value and whether it fell back (a
-		// start that needs at most one pivot does not).
-		fell := func(solve func() (float64, error)) (float64, bool) {
-			before := starved.SSPFallbacks()
-			v, err := solve()
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			return v, starved.SSPFallbacks() > before
-		}
-		entries := map[string]func() (float64, error){
-			"SolveValueBounded": func() (float64, error) {
-				res, err := starved.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
-				return res.Value, err
+		// Each entry point reports its value, whether it returned one,
+		// and its error.
+		entries := map[string]func() (float64, bool, error){
+			"SolveValueBoundedIntr": func() (float64, bool, error) {
+				res, err := starved.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
+				return res.Value, res != BoundedResult{}, err
 			},
-			"SolveValue": func() (float64, error) { return starved.SolveValue(p.Supply, p.Demand) },
-			"SolveFlow": func() (float64, error) {
+			"SolveLowerBound": func() (float64, bool, error) {
+				res, err := starved.SolveLowerBound(p.Supply, p.Demand, math.Inf(1))
+				return res.Value, res != BoundedResult{}, err
+			},
+			"SolveValue": func() (float64, bool, error) {
+				v, err := starved.SolveValue(p.Supply, p.Demand)
+				return v, v != 0, err
+			},
+			"SolveFlow": func() (float64, bool, error) {
 				sol, err := starved.SolveFlow(p.Supply, p.Demand)
-				if err != nil {
-					return 0, err
+				if sol == nil {
+					return 0, false, err
 				}
-				if err := CheckFeasible(p, sol.Flow, 1e-9); err != nil {
-					return 0, err
-				}
-				return sol.Objective, nil
+				return sol.Objective, true, err
 			},
 		}
 		for name, solve := range entries {
-			v, fallback := fell(solve)
-			if fallback {
-				fallbacks[name]++
+			v, valued, err := solve()
+			if err != nil {
+				if !errors.Is(err, ErrIterationLimit) {
+					t.Fatalf("trial %d: %s: %v, want ErrIterationLimit", trial, name, err)
+				}
+				if valued {
+					t.Fatalf("trial %d: %s returned a value (%v) with its cap hit", trial, name, v)
+				}
+				capHits[name]++
+				continue
 			}
-			if math.Abs(v-want.Value) > tol {
-				t.Fatalf("trial %d: %s (fallback=%v) returned %v, simplex %v (diff %g > %g)",
-					trial, name, fallback, v, want.Value, v-want.Value, tol)
+			if name == "SolveLowerBound" {
+				if v > want || v < want-(1e-10+1e-12)*ref.cc.scale {
+					t.Fatalf("trial %d: %s returned %v, exact %v", trial, name, v, want)
+				}
+			} else if math.Abs(v-want) > 1e-12*ref.cc.scale {
+				t.Fatalf("trial %d: %s returned %v under the cap, exact %v", trial, name, v, want)
 			}
 		}
 	}
-	for _, name := range []string{"SolveValueBounded", "SolveValue", "SolveFlow"} {
-		if fallbacks[name] == 0 {
-			t.Errorf("%s: a pivot budget of 1 never forced the SSP fallback over 20 problems", name)
+	for _, name := range []string{"SolveValueBoundedIntr", "SolveLowerBound", "SolveValue", "SolveFlow"} {
+		if capHits[name] == 0 {
+			t.Errorf("%s: a pivot cap of 1 was never hit over 20 problems", name)
 		}
-	}
-	if ref.SSPFallbacks() != 0 {
-		t.Fatalf("the default budget fell back %d times on 10x10 problems", ref.SSPFallbacks())
 	}
 }

@@ -64,8 +64,8 @@ func decodeProblem(data []byte) (Problem, bool) {
 }
 
 // FuzzTransportSolve checks the solver's contracts on arbitrary valid
-// instances: the flow must be feasible, simplex solutions must carry a
-// dual optimality certificate, the independent SSP solver must agree on
+// instances: the flow must be feasible and carry a dual optimality
+// certificate, the independent SSP solver must agree on
 // the objective, and the objective must be invariant under transposing
 // the problem (an LP symmetry no correct solver can break).
 func FuzzTransportSolve(f *testing.F) {
@@ -91,15 +91,13 @@ func FuzzTransportSolve(f *testing.F) {
 		if err := CheckFeasible(p, sol.Flow, tol); err != nil {
 			t.Fatalf("infeasible flow: %v", err)
 		}
-		if sol.Method == "simplex" {
-			if err := CheckOptimal(p, sol, tol); err != nil {
-				t.Fatalf("simplex solution fails duality certificate: %v", err)
-			}
+		if err := CheckOptimal(p, sol, tol); err != nil {
+			t.Fatalf("simplex solution fails duality certificate: %v", err)
 		}
 		// Independent solver cross-check.
-		ssp, err := SolveSSP(p)
+		ssp, err := solveSSP(p)
 		if err != nil {
-			t.Fatalf("SolveSSP: %v", err)
+			t.Fatalf("solveSSP: %v", err)
 		}
 		if err := CheckFeasible(p, ssp.Flow, tol); err != nil {
 			t.Fatalf("infeasible SSP flow: %v", err)
@@ -114,9 +112,9 @@ func FuzzTransportSolve(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		full, err := solver.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
+		full, err := solver.SolveValueBoundedIntr(p.Supply, p.Demand, math.Inf(1), nil)
 		if err != nil {
-			t.Fatalf("SolveValueBounded(+Inf): %v", err)
+			t.Fatalf("SolveValueBoundedIntr(+Inf): %v", err)
 		}
 		if full.Aborted {
 			t.Fatalf("aborted with abortAbove = +Inf")
@@ -124,9 +122,9 @@ func FuzzTransportSolve(f *testing.F) {
 		if math.Abs(full.Value-sol.Objective) > tol*(1+math.Abs(sol.Objective)) {
 			t.Fatalf("bounded kernel disagreement: %g vs %g", full.Value, sol.Objective)
 		}
-		bounded, err := solver.SolveValueBounded(p.Supply, p.Demand, 0.5*full.Value)
+		bounded, err := solver.SolveValueBoundedIntr(p.Supply, p.Demand, 0.5*full.Value, nil)
 		if err != nil {
-			t.Fatalf("SolveValueBounded(opt/2): %v", err)
+			t.Fatalf("SolveValueBoundedIntr(opt/2): %v", err)
 		}
 		if bounded.Aborted {
 			if bounded.Value > full.Value+tol*(1+math.Abs(full.Value)) {

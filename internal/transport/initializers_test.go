@@ -22,8 +22,8 @@ const (
 	Russell
 )
 
-// SolveSimplexFrom is SolveSimplex starting from the given initializer.
-func SolveSimplexFrom(p Problem, init Initializer) (*Solution, error) {
+// solveFrom is Solve starting from the given initializer.
+func solveFrom(p Problem, init Initializer) (*Solution, error) {
 	if err := Validate(p); err != nil {
 		return nil, err
 	}

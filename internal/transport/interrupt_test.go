@@ -10,7 +10,7 @@ import (
 
 // TestSolveValueBoundedIntrNilIdentity checks the contract that a nil
 // interrupt flag leaves the bounded kernel byte-identical: same values
-// as SolveValueBounded and SolveValue, never Interrupted.
+// as SolveValue, never Interrupted.
 func TestSolveValueBoundedIntrNilIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {

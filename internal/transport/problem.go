@@ -1,18 +1,20 @@
-// Package transport provides exact solvers for the balanced
+// Package transport provides the exact solver for the balanced
 // transportation problem, the linear program underlying the Earth
 // Mover's Distance (Definition 1 of Wichterich et al., SIGMOD 2008):
 //
 //	minimize   sum_ij c_ij f_ij
 //	subject to f_ij >= 0, sum_j f_ij = supply_i, sum_i f_ij = demand_j
 //
-// Two independent solvers are provided. SolveSimplex implements the
-// transportation simplex (Vogel initialization, MODI/u-v dual updates,
-// spanning-tree basis, deterministic pivoting) and is the default.
-// SolveSSP implements a successive-shortest-path min-cost-flow solver
-// with Johnson potentials; it is used as a cross-check in tests and as
-// an automatic fallback should the simplex hit its iteration cap on a
-// degenerate instance. Both return the optimal flow matrix, which the
-// flow-based reduction heuristics of the paper consume.
+// The solver is the transportation simplex: Vogel initialization,
+// MODI/u-v dual updates, a spanning-tree basis and deterministic
+// pivoting. It terminates by construction. A pivot that moves flow
+// strictly lowers the objective, so no basis repeats across one; once
+// m+n consecutive pivots move none, pricing switches to Bland's rule
+// (smallest-index entering cell, smallest-index leaving cell) until
+// the next pivot that does, and Bland's rule cannot cycle. The pivot
+// cap that remains is an invariant check: crossing it is a bug and
+// returns ErrIterationLimit. Solutions carry the optimal flow matrix,
+// which the flow-based reduction heuristics of the paper consume.
 package transport
 
 import (
@@ -42,20 +44,16 @@ type Solution struct {
 	// Flow is the optimal flow matrix (len(Supply) x len(Demand)).
 	Flow [][]float64
 	// DualU and DualV are optimal dual potentials satisfying
-	// DualU[i]+DualV[j] <= Cost[i][j] for all cells. They are filled
-	// by the simplex solver and serve as an optimality certificate via
-	// strong duality; the SSP solver leaves them nil.
+	// DualU[i]+DualV[j] <= Cost[i][j] for all cells. They serve as an
+	// optimality certificate via strong duality.
 	DualU, DualV []float64
-	// Iterations counts simplex pivots or SSP augmentations.
+	// Iterations counts simplex pivots.
 	Iterations int
-	// Method names the solver that produced the solution
-	// ("simplex" or "ssp").
-	Method string
 }
 
-// ErrIterationLimit is returned (wrapped) when a solver exceeds its
-// iteration budget, which on non-adversarial inputs indicates a bug or
-// severe degeneracy.
+// ErrIterationLimit is returned (wrapped) when a solve crosses the
+// pivot cap. The pivot rule terminates by construction, so this is an
+// invariant failure, never an expected outcome.
 var ErrIterationLimit = errors.New("transport: iteration limit exceeded")
 
 // Validate checks that p is a well-formed balanced transportation
@@ -103,18 +101,21 @@ func Validate(p Problem) error {
 	return nil
 }
 
-// Solve solves p with the transportation simplex and falls back to the
-// successive-shortest-path solver if the simplex exceeds its iteration
-// budget. This is the entry point the rest of the library uses.
+// Solve validates p and solves it with the transportation simplex from
+// a Vogel start. The returned solution carries optimal dual potentials.
+//
+// Every call compiles p.Cost afresh, which costs about as much as the
+// solve itself: callers that solve many problems over one cost matrix
+// use a Solver.
 func Solve(p Problem) (*Solution, error) {
-	sol, err := SolveSimplex(p)
-	if err != nil {
-		if errors.Is(err, ErrIterationLimit) {
-			return SolveSSP(p)
-		}
+	if err := Validate(p); err != nil {
 		return nil, err
 	}
-	return sol, nil
+	s, err := NewSolver(p.Cost)
+	if err != nil {
+		return nil, err
+	}
+	return s.SolveFlow(p.Supply, p.Demand)
 }
 
 // objective computes sum_ij cost_ij * flow_ij.

@@ -15,7 +15,7 @@ func TestRobustnessAllZeroCosts(t *testing.T) {
 			p.Cost[i][j] = 0
 		}
 	}
-	sol, err := SolveSimplex(p)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRobustnessUniformCosts(t *testing.T) {
 			p.Cost[i][j] = c
 		}
 	}
-	sol, err := SolveSimplex(p)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestRobustnessExtremeMagnitudes(t *testing.T) {
 				p.Cost[i][j] *= scale
 			}
 		}
-		a, err := SolveSimplex(p)
+		a, err := Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d (scale %g): %v", trial, scale, err)
 		}
-		b, err := SolveSSP(p)
+		b, err := solveSSP(p)
 		if err != nil {
 			t.Fatalf("trial %d ssp: %v", trial, err)
 		}
@@ -82,7 +82,7 @@ func TestRobustnessTinyMasses(t *testing.T) {
 	supply := []float64{1 - 3e-15, 1e-15, 1e-15, 1e-15}
 	demand := []float64{1e-15, 1 - 3e-15, 1e-15, 1e-15}
 	p := Problem{Supply: supply, Demand: demand, Cost: manhattanCost(4)}
-	sol, err := SolveSimplex(p)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestRobustnessManyEqualCosts(t *testing.T) {
 				p.Cost[i][j] = float64(rng.Intn(3))
 			}
 		}
-		a, err := SolveSimplex(p)
+		a, err := Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		b, err := SolveSSP(p)
+		b, err := solveSSP(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -127,7 +127,7 @@ func TestRobustnessSingleActiveCell(t *testing.T) {
 	demand := make([]float64, d)
 	supply[3] = 1
 	demand[17] = 1
-	sol, err := SolveSimplex(Problem{Supply: supply, Demand: demand, Cost: manhattanCost(d)})
+	sol, err := Solve(Problem{Supply: supply, Demand: demand, Cost: manhattanCost(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestRobustnessSingleActiveCell(t *testing.T) {
 func TestRobustnessDeterministicFlows(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	p := randomProblem(rng, 10, 10, true)
-	a, err := SolveSimplex(p)
+	a, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveSimplex(p)
+	b, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}

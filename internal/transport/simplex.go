@@ -39,8 +39,14 @@ type simplexState struct {
 	depth  []int32
 	queue  []int32
 	scale  float64 // magnitude of the largest cost, for tolerances
-	// maxIter, when positive, replaces pivotLoop's default budget.
-	maxIter int
+	// maxIter, when positive, replaces pivotLoop's pivot cap, and
+	// forceBland prices every pivot by Bland's rule: test seams.
+	// pivots and blandSwitches record what the last pivotLoop did — its
+	// pivot count and how many degenerate streaks reached the switch to
+	// Bland's rule — for the tests to read.
+	maxIter               int
+	forceBland            bool
+	pivots, blandSwitches int
 
 	flowBacking []float64
 	flowRows    [][]float64
@@ -154,27 +160,6 @@ func compileCost(cost [][]float64) *compiledCost {
 	return cc
 }
 
-// SolveSimplex solves p with the transportation simplex from a Vogel
-// start. The returned solution carries optimal dual potentials;
-// the package tests verify them independently (CheckOptimal). If the pivot count exceeds
-// the iteration budget, an error wrapping ErrIterationLimit is
-// returned.
-//
-// Every call compiles p.Cost afresh, which costs about as much as the
-// solve itself: callers that solve many problems over one cost matrix
-// use a Solver.
-func SolveSimplex(p Problem) (*Solution, error) {
-	if err := Validate(p); err != nil {
-		return nil, err
-	}
-	st := newSimplexState(len(p.Supply), len(p.Demand))
-	iter, err := st.run(compileCost(p.Cost), p.Supply, p.Demand)
-	if err != nil {
-		return nil, err
-	}
-	return st.solution(iter), nil
-}
-
 // solution packages the flow and duals a finished pivot loop left
 // behind into a Solution that shares no memory with the (possibly
 // pooled) state.
@@ -189,7 +174,6 @@ func (st *simplexState) solution(iter int) *Solution {
 		DualU:      append([]float64(nil), st.u[:st.m]...),
 		DualV:      append([]float64(nil), st.v[:st.n]...),
 		Iterations: iter,
-		Method:     "simplex",
 	}
 }
 
@@ -307,18 +291,28 @@ const (
 	stopInterrupted
 )
 
-// pivotLoop pivots until optimality, the iteration budget, or — when
-// abortAbove is finite — until a certified dual lower bound on the
-// optimum exceeds abortAbove. The certificate costs no pass of its own:
-// every full pricing scan of entering (the one before the first pivot
-// and the final, optimality-certifying one included) returns the dual
-// objective of a feasibility-repaired copy of the current potentials;
-// by weak duality that value never exceeds the true optimum, so once it
-// clears abortAbove the caller may discard the candidate without
-// finishing the solve. Pivots priced off the candidate list carry no
-// certificate and are not checked. The bound is reported minus a small
-// guard so that float error in the repair can never certify past a true
-// optimum that ties abortAbove.
+// pivotLoop pivots until optimality or — when abortAbove is finite —
+// until a certified dual lower bound on the optimum exceeds abortAbove.
+// The certificate costs no pass of its own: every full pricing scan of
+// entering (the one before the first pivot and the final,
+// optimality-certifying one included) returns the dual objective of a
+// feasibility-repaired copy of the current potentials; by weak duality
+// that value never exceeds the true optimum, so once it clears
+// abortAbove the caller may discard the candidate without finishing the
+// solve. Pivots priced off the candidate list carry no certificate and
+// are not checked. The bound is reported minus a small guard so that
+// float error in the repair can never certify past a true optimum that
+// ties abortAbove.
+//
+// The loop terminates by construction. A pivot that moves flow
+// (theta > 0) strictly lowers the objective, so no basis repeats across
+// one. Degenerate pivots (theta == 0) are counted, and once m+n of them
+// run in a row, pricing switches to Bland's rule (blandEntering: the
+// smallest-index cell with a negative reduced cost, against pivot's
+// smallest-index leaving cell) until the next pivot that moves flow;
+// within such a streak Bland's rule cannot cycle (Bland 1977). The cap of
+// 200·(m+n+10) pivots is therefore an invariant check, not a budget:
+// crossing it returns ErrIterationLimit.
 //
 // intr, when non-nil, is polled once per iteration: an observed
 // interrupt stops the loop within one pivot's worth of work (O(m·n))
@@ -327,32 +321,45 @@ const (
 // this is what makes a query deadline take effect inside a single large
 // solve instead of only between solves.
 func (st *simplexState) pivotLoop(supply, demand []float64, abortAbove float64, intr *atomic.Bool) (iter int, stop stopCause, bound float64, err error) {
-	// The budget is generous: well-behaved instances pivot O(m+n) times.
 	maxIter := 200 * (st.m + st.n + 10)
 	if st.maxIter > 0 {
 		maxIter = st.maxIter
 	}
 	tol := 1e-10 * st.scale
 	guard := boundGuard * st.scale
+	streak, blandAt := 0, st.m+st.n
+	if st.forceBland {
+		blandAt = 0
+	}
+	st.blandSwitches = 0
 	st.computeDuals()
 	for iter = 0; iter < maxIter; iter++ {
 		if intr != nil && intr.Load() {
-			b := st.feasibleDualBound(supply, demand) - guard
-			if b < 0 {
-				b = 0
-			}
-			return iter, stopInterrupted, b, nil
+			stop, bound = stopInterrupted, max(st.feasibleDualBound(supply, demand)-guard, 0)
+			break
 		}
-		ei, ej, scanBound, ok := st.entering(tol, supply, demand)
+		if streak == blandAt {
+			st.blandSwitches++
+		}
+		ei, ej, scanBound, ok := st.entering(tol, supply, demand, streak >= blandAt)
 		if b := scanBound - guard; b > abortAbove {
-			return iter, stopAborted, b, nil
+			stop, bound = stopAborted, b
+			break
 		}
 		if !ok {
-			return iter, stopOptimal, 0, nil
+			break
 		}
-		st.pivot(ei, ej)
+		if st.pivot(ei, ej) > 0 {
+			streak = 0
+		} else {
+			streak++
+		}
 	}
-	return maxIter, stopOptimal, 0, fmt.Errorf("transport: simplex on %dx%d problem: %w", st.m, st.n, ErrIterationLimit)
+	st.pivots = iter
+	if iter == maxIter {
+		return iter, stopOptimal, 0, fmt.Errorf("transport: simplex on %dx%d problem: %w", st.m, st.n, ErrIterationLimit)
+	}
+	return iter, stop, bound, nil
 }
 
 func newMatrix(rows, cols int) [][]float64 {
@@ -646,7 +653,8 @@ func (st *simplexState) hang(root int32) {
 // candidate list (cells negative at the last full scan) and picks the
 // most negative still-valid entry; only when the list is exhausted
 // does it rescan the whole matrix, refilling the list. Optimality is
-// still certified by a clean full scan, so the result is exact.
+// still certified by a clean full scan, so the result is exact. With
+// bland set it prices by blandEntering instead.
 //
 // A full scan also yields the abort certificate of pivotLoop as
 // bound; a pivot priced off the candidate list has none (-Inf). The
@@ -660,7 +668,10 @@ func (st *simplexState) hang(root int32) {
 // optimum — at most tol·Σs below feasibleDualBound's value for the same
 // potentials, for one compare per *negative* cell and O(m+n) flops per
 // scan instead of a second O(m·n) pass.
-func (st *simplexState) entering(tol float64, supply, demand []float64) (ei, ej int, bound float64, ok bool) {
+func (st *simplexState) entering(tol float64, supply, demand []float64, bland bool) (ei, ej int, bound float64, ok bool) {
+	if bland {
+		return st.blandEntering(tol)
+	}
 	// Price the surviving candidates.
 	if len(st.cand) > 0 {
 		bi, bj := -1, -1
@@ -725,6 +736,24 @@ func (st *simplexState) entering(tol float64, supply, demand []float64) (ei, ej 
 	return bi, bj, bound, bi >= 0
 }
 
+// blandEntering is Bland's entering rule: the first non-basic cell in
+// row-major order whose reduced cost is below -tol, or ok=false when the
+// basis is optimal. The scan stops at that cell, so it carries no abort
+// certificate (bound = -Inf).
+func (st *simplexState) blandEntering(tol float64) (ei, ej int, bound float64, ok bool) {
+	n := st.n
+	v := st.v[:n]
+	for i := 0; i < st.m; i++ {
+		ui, basic := st.u[i], st.basic[i*n:i*n+n]
+		for j, c := range st.cost[i][:n] {
+			if !basic[j] && c-ui-v[j] < -tol {
+				return i, j, math.Inf(-1), true
+			}
+		}
+	}
+	return -1, -1, math.Inf(-1), false
+}
+
 // appendPath appends to st.cycle the cells of the tree path from node x
 // up to its ancestor top, with alternating signs starting at minus.
 func (st *simplexState) appendPath(x, top int32) {
@@ -743,9 +772,10 @@ func (st *simplexState) appendPath(x, top int32) {
 // pivot brings cell (ei,ej) into the basis: it finds the unique cycle
 // the cell closes in the basis tree, shifts the maximal flow theta
 // around it, removes the blocking cell and re-hangs the subtree that
-// cell cut off below the entering one. The tree must be rooted (parent,
-// depth and duals current), which pivot maintains.
-func (st *simplexState) pivot(ei, ej int) {
+// cell cut off below the entering one, and returns theta (0 for a
+// degenerate pivot). The tree must be rooted (parent, depth and duals
+// current), which pivot maintains.
+func (st *simplexState) pivot(ei, ej int) (theta float64) {
 	// Find the common ancestor of the entering cell's two ends, then
 	// record the tree path from either end up to it. The entering cell
 	// has sign +; path cells alternate starting with - next to the end.
@@ -764,8 +794,8 @@ func (st *simplexState) pivot(ei, ej int) {
 	st.appendPath(m+int32(ej), a)
 
 	// theta is the minimal flow on a minus cell; ties break toward the
-	// lexicographically smallest cell for deterministic pivoting.
-	theta := math.Inf(1)
+	// lexicographically smallest cell, which is Bland's leaving rule.
+	theta = math.Inf(1)
 	li, lj, lk := -1, -1, -1
 	for k, c := range st.cycle {
 		if c.plus {
@@ -802,4 +832,5 @@ func (st *simplexState) pivot(ei, ej int) {
 		st.v[ej] = st.cost[ei][ej] - st.u[ei]
 	}
 	st.hang(sub)
+	return theta
 }

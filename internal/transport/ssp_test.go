@@ -5,13 +5,12 @@ import (
 	"math"
 )
 
-// SolveSSP solves p with a successive-shortest-path min-cost-flow
+// solveSSP solves p with a successive-shortest-path min-cost-flow
 // algorithm over the bipartite residual graph, using Johnson potentials
 // so every Dijkstra run sees non-negative reduced costs. It is slower
 // than the simplex on large instances but entirely independent of it,
-// which makes it a valuable cross-check; Solve also uses it as a
-// fallback when the simplex hits its iteration cap.
-func SolveSSP(p Problem) (*Solution, error) {
+// which makes it the tests' cross-check oracle for the simplex.
+func solveSSP(p Problem) (*Solution, error) {
 	if err := Validate(p); err != nil {
 		return nil, err
 	}
@@ -199,6 +198,5 @@ func SolveSSP(p Problem) (*Solution, error) {
 		Objective:  objective(p.Cost, flow),
 		Flow:       flow,
 		Iterations: iter,
-		Method:     "ssp",
 	}, nil
 }

@@ -140,16 +140,16 @@ func TestSimplexPaperExample(t *testing.T) {
 	z := []float64{1, 0, 0, 0, 0, 0}
 	c := manhattanCost(6)
 
-	sol, err := SolveSimplex(Problem{Supply: x, Demand: y, Cost: c})
+	sol, err := Solve(Problem{Supply: x, Demand: y, Cost: c})
 	if err != nil {
-		t.Fatalf("SolveSimplex(x,y): %v", err)
+		t.Fatalf("Solve(x,y): %v", err)
 	}
 	if math.Abs(sol.Objective-1.0) > 1e-12 {
 		t.Errorf("EMD(x,y) = %g, want 1.0", sol.Objective)
 	}
-	sol, err = SolveSimplex(Problem{Supply: x, Demand: z, Cost: c})
+	sol, err = Solve(Problem{Supply: x, Demand: z, Cost: c})
 	if err != nil {
-		t.Fatalf("SolveSimplex(x,z): %v", err)
+		t.Fatalf("Solve(x,z): %v", err)
 	}
 	if math.Abs(sol.Objective-1.6) > 1e-12 {
 		t.Errorf("EMD(x,z) = %g, want 1.6", sol.Objective)
@@ -158,7 +158,7 @@ func TestSimplexPaperExample(t *testing.T) {
 
 func TestSimplexIdenticalHistograms(t *testing.T) {
 	x := []float64{0.25, 0.25, 0.25, 0.25}
-	sol, err := SolveSimplex(Problem{Supply: x, Demand: x, Cost: manhattanCost(4)})
+	sol, err := Solve(Problem{Supply: x, Demand: x, Cost: manhattanCost(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSimplexIdenticalHistograms(t *testing.T) {
 }
 
 func TestSimplexSingleBin(t *testing.T) {
-	sol, err := SolveSimplex(Problem{
+	sol, err := Solve(Problem{
 		Supply: []float64{1},
 		Demand: []float64{1},
 		Cost:   [][]float64{{3}},
@@ -189,7 +189,7 @@ func TestSimplexRectangular(t *testing.T) {
 		Demand: []float64{0.3, 0.3, 0.4},
 		Cost:   [][]float64{{0, 1, 2}, {2, 1, 0}},
 	}
-	sol, err := SolveSimplex(p)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestSimplexDegenerateMasses(t *testing.T) {
 		Demand: []float64{0, 0, 0, 0, 1},
 		Cost:   manhattanCost(5),
 	}
-	sol, err := SolveSimplex(p)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestSimplexMatchesSSPRandom(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
 			sparse := trial%2 == 0
 			p := randomProblem(rng, sh.m, sh.n, sparse)
-			s1, err := SolveSimplex(p)
+			s1, err := Solve(p)
 			if err != nil {
 				t.Fatalf("simplex %dx%d trial %d: %v", sh.m, sh.n, trial, err)
 			}
-			s2, err := SolveSSP(p)
+			s2, err := solveSSP(p)
 			if err != nil {
 				t.Fatalf("ssp %dx%d trial %d: %v", sh.m, sh.n, trial, err)
 			}
@@ -256,11 +256,11 @@ func TestNorthwestStartReachesSameOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
 		p := randomProblem(rng, 6+trial%5, 6+(trial/2)%5, trial%3 == 0)
-		a, err := SolveSimplexFrom(p, Vogel)
+		a, err := solveFrom(p, Vogel)
 		if err != nil {
 			t.Fatalf("vogel trial %d: %v", trial, err)
 		}
-		b, err := SolveSimplexFrom(p, Northwest)
+		b, err := solveFrom(p, Northwest)
 		if err != nil {
 			t.Fatalf("northwest trial %d: %v", trial, err)
 		}
@@ -278,11 +278,11 @@ func TestVogelNeedsFewerPivotsThanNorthwest(t *testing.T) {
 	var vogel, northwest int
 	for trial := 0; trial < 30; trial++ {
 		p := randomProblem(rng, 12, 12, false)
-		a, err := SolveSimplexFrom(p, Vogel)
+		a, err := solveFrom(p, Vogel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SolveSimplexFrom(p, Northwest)
+		b, err := solveFrom(p, Northwest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,9 +322,6 @@ func TestSolutionFlowShape(t *testing.T) {
 	if len(sol.Flow) != 2 || len(sol.Flow[0]) != 3 {
 		t.Errorf("flow shape %dx%d, want 2x3", len(sol.Flow), len(sol.Flow[0]))
 	}
-	if sol.Method != "simplex" {
-		t.Errorf("method = %q, want simplex", sol.Method)
-	}
 }
 
 func TestCheckFeasibleRejectsBadFlow(t *testing.T) {
@@ -349,7 +346,7 @@ func TestCheckOptimalRejectsSuboptimal(t *testing.T) {
 		Demand: []float64{0, 1},
 		Cost:   [][]float64{{0, 1}, {1, 0}},
 	}
-	sol, err := SolveSimplex(p)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +365,7 @@ func TestSimplexHighlyDegenerateGrid(t *testing.T) {
 	for i := range x {
 		x[i] = 1.0 / d
 	}
-	sol, err := SolveSimplex(Problem{Supply: x, Demand: x, Cost: manhattanCost(d)})
+	sol, err := Solve(Problem{Supply: x, Demand: x, Cost: manhattanCost(d)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +378,7 @@ func TestSSPMassConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
 		p := randomProblem(rng, 10, 14, true)
-		sol, err := SolveSSP(p)
+		sol, err := solveSSP(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,11 +394,11 @@ func TestSimplexLargerInstanceAgainstSSP(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	p := randomProblem(rng, 64, 64, false)
-	a, err := SolveSimplex(p)
+	a, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveSSP(p)
+	b, err := solveSSP(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +420,7 @@ func TestSolverPooledMatchesUnpooled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SolveSimplex(p)
+		want, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +463,7 @@ func TestSolverConcurrent(t *testing.T) {
 	wants := make([]float64, 16)
 	for i := range problems {
 		problems[i] = randomMarginals(rng, cost, false)
-		sol, err := SolveSimplex(problems[i])
+		sol, err := Solve(problems[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,11 +502,11 @@ func TestRussellStartReachesSameOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
 		p := randomProblem(rng, 5+trial%6, 5+(trial/3)%6, trial%3 == 0)
-		a, err := SolveSimplexFrom(p, Vogel)
+		a, err := solveFrom(p, Vogel)
 		if err != nil {
 			t.Fatalf("vogel trial %d: %v", trial, err)
 		}
-		b, err := SolveSimplexFrom(p, Russell)
+		b, err := solveFrom(p, Russell)
 		if err != nil {
 			t.Fatalf("russell trial %d: %v", trial, err)
 		}
@@ -524,11 +521,11 @@ func TestRussellBetterStartThanNorthwest(t *testing.T) {
 	var russell, northwest int
 	for trial := 0; trial < 25; trial++ {
 		p := randomProblem(rng, 12, 12, false)
-		a, err := SolveSimplexFrom(p, Russell)
+		a, err := solveFrom(p, Russell)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SolveSimplexFrom(p, Northwest)
+		b, err := solveFrom(p, Northwest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,5 +534,23 @@ func TestRussellBetterStartThanNorthwest(t *testing.T) {
 	}
 	if russell >= northwest {
 		t.Errorf("russell start used %d total pivots, northwest %d; expected fewer", russell, northwest)
+	}
+}
+
+// BenchmarkEMDSolvers compares the simplex with the SSP oracle on one
+// d = 64 problem over the line ground distance.
+func BenchmarkEMDSolvers(b *testing.B) {
+	p := randomMarginals(rand.New(rand.NewSource(1)), manhattanCost(64), false)
+	for _, s := range []struct {
+		name  string
+		solve func(Problem) (*Solution, error)
+	}{{"simplex", Solve}, {"ssp", solveSSP}} {
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := s.solve(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -110,12 +110,6 @@ type Metrics struct {
 	// RefinesAborted sums the refinements the threshold-aware solver
 	// abandoned early on a certified bound.
 	RefinesAborted int64 `json:"refines_aborted"`
-	// SSPFallbacks counts transport solves — exact refinements and
-	// reduced-EMD filter, bound and index-metric evaluations alike —
-	// that exhausted the simplex pivot budget and were answered by the
-	// slow successive-shortest-path solver instead. Expected to stay 0;
-	// a moving value means degenerate inputs are cycling the simplex.
-	SSPFallbacks int64 `json:"ssp_fallbacks"`
 	// RefineRows and RefineCols accumulate the reduced (zero-mass bins
 	// stripped) problem shapes of all refinements; divide by
 	// Refinements for the average solved shape.
@@ -152,22 +146,6 @@ const (
 type engineMetrics struct {
 	mu sync.Mutex
 	m  Metrics
-	// sspLive reads the SSP-fallback counters of the installed
-	// snapshot's compiled EMDs; sspRetired is what the counters of
-	// replaced snapshots read when they were replaced.
-	sspLive    []func() int64
-	sspRetired int64
-}
-
-// sspFilterFallbacks sums the SSP fallbacks of every snapshot-owned
-// compiled EMD so far. A query still running on a replaced snapshot
-// that falls back after the replacement is not counted.
-func (em *engineMetrics) sspFilterFallbacks() int64 {
-	total := em.sspRetired
-	for _, read := range em.sspLive {
-		total += read()
-	}
-	return total
 }
 
 func (em *engineMetrics) observe(kind metricKind, stats *QueryStats) {
@@ -238,11 +216,9 @@ func (em *engineMetrics) queryError() {
 	em.mu.Unlock()
 }
 
-func (em *engineMetrics) snapshotBuilt(s *snapshot) {
+func (em *engineMetrics) snapshotBuilt() {
 	em.mu.Lock()
 	em.m.SnapshotBuilds++
-	em.sspRetired = em.sspFilterFallbacks()
-	em.sspLive = s.sspCounters
 	em.mu.Unlock()
 }
 
@@ -330,7 +306,6 @@ func (e *Engine) Metrics() Metrics {
 	e.metrics.mu.Lock()
 	defer e.metrics.mu.Unlock()
 	out := e.metrics.m
-	out.SSPFallbacks = e.dist.SSPFallbacks() + e.metrics.sspFilterFallbacks()
 	if e.metrics.m.Stages != nil {
 		out.Stages = make(map[string]StageMetrics, len(e.metrics.m.Stages))
 		for name, st := range e.metrics.m.Stages {
