@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"emdsearch/internal/data"
 )
 
 // A batch is any number of queries in flight on one engine at once: the
@@ -51,44 +49,6 @@ func TestBatchKNNSurfacesPerQueryErrors(t *testing.T) {
 		if i != 1 && (errs[i] != nil || len(batch[i]) != 2) {
 			t.Errorf("valid query %d: %d results, err %v", i, len(batch[i]), errs[i])
 		}
-	}
-}
-
-func TestBatchKNNWithIndexedCentroidBase(t *testing.T) {
-	// Exercises the k-d tree base ranking under concurrency (run with
-	// -race in CI): the tree and stage closures are shared read-only.
-	ds, err := data.ColorImages(160, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecs, queries, err := ds.Split(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(ds.Cost, Options{
-		ReducedDims: 8,
-		SampleSize:  16,
-		Positions:   ds.Positions,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range vecs {
-		eng.Add(ds.Items[i].Label, h)
-	}
-	if err := eng.Build(); err != nil {
-		t.Fatal(err)
-	}
-	batch, errs := batchKNN(eng, queries, 4)
-	for qi := range queries {
-		if errs[qi] != nil {
-			t.Fatalf("query %d: %v", qi, errs[qi])
-		}
-		want, _, err := eng.KNN(queries[qi], 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, "centroid", "KNN", batch[qi], want)
 	}
 }
 

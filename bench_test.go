@@ -330,20 +330,14 @@ func BenchmarkEngineKNN(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name      string
-		dprime    int
-		positions bool
+		name   string
+		dprime int
 	}{
-		{"scan", 0, false},
-		{"filtered-dprime8", 8, false},
-		{"indexed-centroid-dprime8", 8, true},
+		{"scan", 0},
+		{"filtered-dprime8", 8},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			opts := Options{ReducedDims: tc.dprime, SampleSize: 24}
-			if tc.positions {
-				opts.Positions = ds.Positions
-			}
-			eng, err := NewEngine(ds.Cost, opts)
+			eng, err := NewEngine(ds.Cost, Options{ReducedDims: tc.dprime, SampleSize: 24})
 			if err != nil {
 				b.Fatal(err)
 			}

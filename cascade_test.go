@@ -261,9 +261,6 @@ func TestAutoCascadeValidation(t *testing.T) {
 	if _, err := NewEngine(cost, Options{AutoCascade: true, ReducedDims: 4, Hierarchy: []int{4, 2}}); err == nil {
 		t.Error("accepted AutoCascade with a fixed Hierarchy")
 	}
-	if _, err := NewEngine(cost, Options{AutoCascade: true, ReducedDims: 4, AsymmetricQuery: true}); err == nil {
-		t.Error("accepted AutoCascade with AsymmetricQuery")
-	}
 	eng, err := NewEngine(cost, Options{ReducedDims: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"emdsearch/internal/data"
@@ -78,41 +79,75 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	mode := pairMode{partial: *partial, penalty: *penalty, flow: *withFlow}
+	if err := printPairs(os.Stdout, left, right, within, cost, mode); err != nil {
+		fail(err)
+	}
+}
 
+// pairMode selects what printPairs computes for each pair.
+type pairMode struct {
+	partial bool    // unequal-mass partial EMD
+	penalty float64 // with partial: per-unit surplus penalty (EMD-hat)
+	flow    bool    // also print the optimal flow (not with partial)
+}
+
+// printPairs writes one "i<TAB>j<TAB>distance" line per pair of left
+// and right (each unordered pair once when within), followed by the
+// pair's flow lines in flow mode. The cost matrix is compiled once for
+// the run, and each pair is solved once. An exact pair is solved for
+// its flow whether or not the flow is printed: that solve's value is
+// the one-shot emd.Distance's bit for bit, and it skips the canonical
+// polish that DistanceValidated pays.
+func printPairs(w io.Writer, left, right []emd.Histogram, within bool, cost emd.CostMatrix, mode pairMode) error {
+	dist, err := emd.NewDist(cost)
+	if err != nil {
+		return err
+	}
 	for i, x := range left {
 		for j, y := range right {
 			if within && j <= i {
 				continue
 			}
-			var dist float64
-			var err error
+			var value float64
+			var flow [][]float64
 			switch {
-			case *partial && *penalty > 0:
-				dist, err = emd.PenalizedDistance(x, y, cost, *penalty)
-			case *partial:
-				dist, err = emd.PartialDistance(x, y, cost)
+			case mode.partial && mode.penalty > 0:
+				value, err = emd.PenalizedDistance(x, y, cost, mode.penalty)
+			case mode.partial:
+				value, err = emd.PartialDistance(x, y, cost)
 			default:
-				dist, err = emd.Distance(x, y, cost)
+				value, flow, err = validatedFlow(dist, x, y)
 			}
 			if err != nil {
-				fail(fmt.Errorf("pair (%d, %d): %w", i, j, err))
+				return fmt.Errorf("pair (%d, %d): %w", i, j, err)
 			}
-			fmt.Printf("%d\t%d\t%.9g\n", i, j, dist)
-			if *withFlow && !*partial {
-				_, flow, err := emd.DistanceWithFlow(x, y, cost)
-				if err != nil {
-					fail(err)
-				}
-				for fi, row := range flow {
-					for fj, f := range row {
-						if f > 1e-12 {
-							fmt.Printf("  flow %d -> %d: %.9g\n", fi, fj, f)
-						}
+			fmt.Fprintf(w, "%d\t%d\t%.9g\n", i, j, value)
+			if !mode.flow {
+				continue
+			}
+			for fi, row := range flow {
+				for fj, f := range row {
+					if f > 1e-12 {
+						fmt.Fprintf(w, "  flow %d -> %d: %.9g\n", fi, fj, f)
 					}
 				}
 			}
 		}
 	}
+	return nil
+}
+
+// validatedFlow validates both operands, as emd.Distance does, and
+// solves the pair once for its distance and optimal flow.
+func validatedFlow(dist *emd.Dist, x, y emd.Histogram) (float64, [][]float64, error) {
+	if err := emd.Validate(x); err != nil {
+		return 0, nil, fmt.Errorf("emd: source: %w", err)
+	}
+	if err := emd.Validate(y); err != nil {
+		return 0, nil, fmt.Errorf("emd: target: %w", err)
+	}
+	return dist.DistanceWithFlow(x, y)
 }
 
 // normalizeAll scales each histogram of hs to total mass 1 in place. A

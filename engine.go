@@ -15,11 +15,9 @@ import (
 	"emdsearch/internal/db"
 	"emdsearch/internal/emd"
 	"emdsearch/internal/flowred"
-	"emdsearch/internal/kdtree"
 	"emdsearch/internal/lb"
 	"emdsearch/internal/persist"
 	"emdsearch/internal/search"
-	"emdsearch/internal/vecmath"
 )
 
 // ReductionMethod selects how the Engine constructs its combining
@@ -48,11 +46,9 @@ const (
 // a Hierarchy level outside the histogram dimensionality, repeated
 // Hierarchy levels, a ReducedDims that is not the largest Hierarchy
 // level, a negative SampleSize, an unknown Method or IndexKind,
-// AutoCascade without ReducedDims, and any two of Hierarchy,
-// AutoCascade and AsymmetricQuery together. The metric index
-// (IndexKind) serves chains it can reproduce the candidate order of —
-// one symmetric reduced level, no Positions; every other chain is
-// scanned.
+// AutoCascade without ReducedDims, and AutoCascade with a Hierarchy.
+// The metric index (IndexKind) serves chains it can reproduce the
+// candidate order of — one reduced level; every other chain is scanned.
 type Options struct {
 	// ReducedDims is d', the filter dimensionality. 0 disables
 	// filtering: queries degrade to an exact sequential scan.
@@ -68,12 +64,6 @@ type Options struct {
 	// pruning) at slightly more per-block overhead. Exposed mainly for
 	// benchmarking; the default is right for nearly everyone.
 	FilterBlockSize int
-	// AsymmetricQuery keeps the query at full dimensionality in the
-	// Red-EMD filter (R1 = identity, R2 = the built reduction;
-	// Section 3.2 of the paper). The filter becomes a rectangular
-	// d x d' EMD: tighter (fewer refinements) but costlier per
-	// evaluation — worthwhile when refinement dominates, i.e. large d.
-	AsymmetricQuery bool
 	// Hierarchy configures a multi-level filter cascade (generalizing
 	// the fixed factor-4 hierarchy of the prior grid-tiling approach):
 	// the listed reduced dimensionalities are built as *nested*
@@ -92,15 +82,6 @@ type Options struct {
 	// byte-identical across all plans; only the work distribution
 	// changes. Engine.Replan forces a synchronous planning pass.
 	AutoCascade bool
-	// Positions optionally gives the feature-space position of each
-	// histogram bin. When set — and only when the cost matrix is the
-	// PositionNorm distance between these positions — the engine adds
-	// Rubner's centroid lower bound as a near-free first filter stage.
-	// The correspondence is verified at Build/first-query time.
-	Positions [][]float64
-	// PositionNorm is the Lp order of the position-based ground
-	// distance (default 2). Ignored without Positions.
-	PositionNorm float64
 	// IndexKind selects when the metric index — a VP-tree over the
 	// reduced EMD, under the metric closure of its ground matrix so
 	// pruning is sound — replaces the linear filter scan with a
@@ -151,9 +132,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SampleSize == 0 {
 		o.SampleSize = 64
-	}
-	if o.PositionNorm == 0 {
-		o.PositionNorm = 2
 	}
 	return o
 }
@@ -603,12 +581,6 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 		im      *lb.IM
 	)
 	for _, lv := range p.levels {
-		if lv.kind == kindCentroid {
-			if s.BaseRanking, err = e.centroidBase(vectors); err != nil {
-				return nil, err
-			}
-			continue
-		}
 		if lv.red == nil {
 			break // Build has not bound the chain yet: exact scan
 		}
@@ -653,16 +625,6 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 		case kindRedEMD:
 			// Each level lower-bounds the next finer one by nesting.
 			redEMDStage(&stage, reduced, cols)
-		case kindAsymRedEMD:
-			// Rectangular filter EMD: unreduced query against reduced
-			// database vectors. It dominates the symmetric reduced EMD
-			// item-wise, so chaining after Red-IM stays valid.
-			asym, err := core.NewReducedEMD(e.cost, core.Identity(e.store.Dim()), red)
-			if err != nil {
-				return nil, err
-			}
-			stage.PrepareQuery = func(q Histogram) Histogram { return q }
-			redEMDStage(&stage, asym, cols)
 		}
 		s.Stages = append(s.Stages, stage)
 	}
@@ -675,36 +637,6 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 	}
 	snap.searcher = s
 	return snap, nil
-}
-
-// centroidBase verifies Options.Positions against the cost matrix and
-// indexes the database centroids in a k-d tree: the centroid distance
-// lower-bounds the EMD, so an incremental nearest-centroid stream is a
-// valid base ranking — no filter stage ever scans all n items.
-func (e *Engine) centroidBase(vectors []Histogram) (func(Histogram) (search.Ranking, error), error) {
-	positions := e.opts.Positions
-	cb, err := lb.NewCentroid(positions, positions, e.opts.PositionNorm)
-	if err != nil {
-		return nil, err
-	}
-	if err := cb.CheckAgainst(e.cost, 1e-6); err != nil {
-		return nil, fmt.Errorf("emdsearch: Positions do not match the cost matrix: %w", err)
-	}
-	centroids := make([][]float64, len(vectors))
-	for i, v := range vectors {
-		centroids[i] = vecmath.Centroid(v, positions)
-	}
-	tree, err := kdtree.Build(centroids, e.opts.PositionNorm)
-	if err != nil {
-		return nil, err
-	}
-	return func(q Histogram) (search.Ranking, error) {
-		stream, err := tree.Query(vecmath.Centroid(q, positions))
-		if err != nil {
-			return nil, err
-		}
-		return &centroidRanking{stream: stream}, nil
-	}, nil
 }
 
 // maxCost returns the largest entry of a cost matrix — the Cmax the
@@ -822,19 +754,4 @@ func (e *Engine) Distance(ctx context.Context, q Histogram, i int) (d float64, e
 		return 0, ctx.Err()
 	}
 	return r.Value, nil
-}
-
-// centroidRanking adapts an incremental k-d tree stream over database
-// centroids to the search.Ranking interface.
-type centroidRanking struct {
-	stream *kdtree.Stream
-}
-
-// Next yields the next-nearest centroid's item.
-func (r *centroidRanking) Next() (search.Candidate, bool) {
-	id, dist, ok := r.stream.Next()
-	if !ok {
-		return search.Candidate{}, false
-	}
-	return search.Candidate{Index: id, Dist: dist}, true
 }

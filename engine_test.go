@@ -344,106 +344,3 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 }
-
-func TestEngineCentroidPreFilter(t *testing.T) {
-	ds, err := data.ColorImages(160, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecs, queries, err := ds.Split(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withCentroid, err := NewEngine(ds.Cost, Options{
-		ReducedDims: 8,
-		SampleSize:  16,
-		Positions:   ds.Positions,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewEngine(ds.Cost, Options{ReducedDims: 8, SampleSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range vecs {
-		withCentroid.Add(ds.Items[i].Label, h)
-		plain.Add(ds.Items[i].Label, h)
-	}
-	if err := withCentroid.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Build(); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		got, gotStats, err := withCentroid.KNN(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := plain.KNN(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("got %d results, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Index != want[i].Index {
-				t.Fatalf("result %d: got %+v, want %+v", i, got[i], want[i])
-			}
-		}
-		if len(gotStats.StageEvaluations) != 2 {
-			t.Fatalf("expected 2 chained stages (Red-IM, Red-EMD) over the k-d tree base, got %v", gotStats.StageEvaluations)
-		}
-		// With the incremental centroid base ranking, no stage scans
-		// the whole database.
-		for si, evals := range gotStats.StageEvaluations {
-			if evals >= withCentroid.Len() {
-				t.Errorf("stage %d evaluated %d of %d items — base ranking not lazy", si, evals, withCentroid.Len())
-			}
-		}
-	}
-}
-
-func TestEngineCentroidRejectsMismatchedPositions(t *testing.T) {
-	// Linear |i-j| cost with 2-D positions that do not generate it.
-	pos := make([][]float64, 8)
-	for i := range pos {
-		pos[i] = []float64{float64(i) * 2, 0}
-	}
-	eng, err := NewEngine(LinearCost(8), Options{Positions: pos})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Add("", Histogram{1, 0, 0, 0, 0, 0, 0, 0})
-	if _, _, err := eng.KNN(Histogram{1, 0, 0, 0, 0, 0, 0, 0}, 1); err == nil {
-		t.Error("mismatched positions accepted")
-	}
-}
-
-func TestEngineAsymmetricQueryExactAndTighter(t *testing.T) {
-	sym, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16}, 150)
-	asym, _ := buildEngine(t, Options{ReducedDims: 8, SampleSize: 16, AsymmetricQuery: true}, 150)
-	var symRefine, asymRefine int
-	for _, q := range queries {
-		got, aStats, err := asym.KNN(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, sStats, err := sym.KNN(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i].Index != want[i].Index || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-				t.Fatalf("result %d: asym %+v vs sym %+v", i, got[i], want[i])
-			}
-		}
-		symRefine += sStats.Refinements
-		asymRefine += aStats.Refinements
-	}
-	if asymRefine > symRefine {
-		t.Errorf("asymmetric filter refined more (%d) than symmetric (%d)", asymRefine, symRefine)
-	}
-}

@@ -164,56 +164,3 @@ func TestHierarchySingleLevelEqualsPlain(t *testing.T) {
 		}
 	}
 }
-
-func TestHierarchyWithIndexedCentroidBase(t *testing.T) {
-	// Cascade stages chained over the k-d tree centroid base ranking:
-	// every component of the pipeline composed at once, still exact.
-	ds, err := data.ColorImages(140, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecs, queries, err := ds.Split(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(ds.Cost, Options{
-		Hierarchy:  []int{16, 4},
-		SampleSize: 16,
-		Positions:  ds.Positions,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := NewEngine(ds.Cost, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range vecs {
-		eng.Add(ds.Items[i].Label, h)
-		scan.Add(ds.Items[i].Label, h)
-	}
-	if err := eng.Build(); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		got, stats, err := eng.KNN(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := scan.KNN(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i].Index != want[i].Index || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-				t.Fatalf("result %d: got %+v, want %+v", i, got[i], want[i])
-			}
-		}
-		// All stages lazy over the indexed base.
-		for si, e := range stats.StageEvaluations {
-			if e >= eng.Len() {
-				t.Errorf("stage %d evaluated all %d items", si, e)
-			}
-		}
-	}
-}

@@ -26,12 +26,10 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Build with the full feature set: reduction, IM chaining, and the
-	// k-d-tree-indexed centroid base ranking.
+	// Build with the full filter chain: reduction and IM chaining.
 	eng, err := NewEngine(ds.Cost, Options{
 		ReducedDims: 8,
 		SampleSize:  24,
-		Positions:   ds.Positions,
 		Seed:        5,
 	})
 	if err != nil {
@@ -54,7 +52,6 @@ func TestFullLifecycle(t *testing.T) {
 	loaded, err := LoadEngine(&buf, ds.Cost, Options{
 		ReducedDims: 8,
 		SampleSize:  24,
-		Positions:   ds.Positions,
 		Seed:        5,
 	})
 	if err != nil {

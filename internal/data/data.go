@@ -23,16 +23,13 @@ type Item struct {
 	Vector emd.Histogram
 }
 
-// Dataset is a generated corpus: histograms with class labels, the
-// ground-distance matrix of its feature space, and (for position-based
-// ground distances) the bin positions, which the centroid lower bound
-// needs.
+// Dataset is a generated corpus: histograms with class labels and the
+// ground-distance matrix of its feature space.
 type Dataset struct {
-	Name      string
-	Dim       int
-	Cost      emd.CostMatrix
-	Positions [][]float64
-	Items     []Item
+	Name  string
+	Dim   int
+	Cost  emd.CostMatrix
+	Items []Item
 }
 
 // Histograms returns the item vectors (shared, not copied).

@@ -53,9 +53,6 @@ func TestGeneratorsProduceValidHistograms(t *testing.T) {
 					t.Fatalf("item %d has no label", i)
 				}
 			}
-			if ds.Positions != nil && len(ds.Positions) != g.dim {
-				t.Errorf("positions: %d, want %d", len(ds.Positions), g.dim)
-			}
 		})
 	}
 }

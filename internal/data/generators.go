@@ -84,11 +84,10 @@ func Retina(n int, seed int64) (*Dataset, error) {
 		items[i] = Item{Label: cl.name, Vector: tileHistogram(img, RetinaTileRows, RetinaTileCols)}
 	}
 	return &Dataset{
-		Name:      "retina-sim",
-		Dim:       RetinaDim,
-		Cost:      cost,
-		Positions: pos,
-		Items:     items,
+		Name:  "retina-sim",
+		Dim:   RetinaDim,
+		Cost:  cost,
+		Items: items,
 	}, nil
 }
 
@@ -109,10 +108,6 @@ func IRMA(n int, seed int64) (*Dataset, error) {
 	cost, err := emd.ScaleCost(emd.LinearCost(IRMADim), 1.0/float64(IRMADim-1))
 	if err != nil {
 		return nil, err
-	}
-	pos := make([][]float64, IRMADim)
-	for i := range pos {
-		pos[i] = []float64{float64(i) / float64(IRMADim-1)}
 	}
 	classes := []struct {
 		name   string
@@ -161,11 +156,10 @@ func IRMA(n int, seed int64) (*Dataset, error) {
 		items[i] = Item{Label: cl.name, Vector: vecmath.Normalize(hist)}
 	}
 	return &Dataset{
-		Name:      "irma-sim",
-		Dim:       IRMADim,
-		Cost:      cost,
-		Positions: pos,
-		Items:     items,
+		Name:  "irma-sim",
+		Dim:   IRMADim,
+		Cost:  cost,
+		Items: items,
 	}, nil
 }
 
@@ -243,11 +237,10 @@ func ColorImages(n int, seed int64) (*Dataset, error) {
 		items[i] = Item{Label: cl.name, Vector: vecmath.Normalize(hist)}
 	}
 	return &Dataset{
-		Name:      "color-sim",
-		Dim:       ColorDim,
-		Cost:      cost,
-		Positions: pos,
-		Items:     items,
+		Name:  "color-sim",
+		Dim:   ColorDim,
+		Cost:  cost,
+		Items: items,
 	}, nil
 }
 
@@ -274,10 +267,6 @@ func MusicSpectra(n, d int, seed int64) (*Dataset, error) {
 	cost, err := emd.ScaleCost(emd.LinearCost(d), 1.0/float64(d-1))
 	if err != nil {
 		return nil, err
-	}
-	pos := make([][]float64, d)
-	for i := range pos {
-		pos[i] = []float64{float64(i) / float64(d-1)}
 	}
 	classes := []struct {
 		name        string
@@ -320,11 +309,10 @@ func MusicSpectra(n, d int, seed int64) (*Dataset, error) {
 		items[i] = Item{Label: cl.name, Vector: vecmath.Normalize(h)}
 	}
 	return &Dataset{
-		Name:      "music-sim",
-		Dim:       d,
-		Cost:      cost,
-		Positions: pos,
-		Items:     items,
+		Name:  "music-sim",
+		Dim:   d,
+		Cost:  cost,
+		Items: items,
 	}, nil
 }
 
@@ -386,11 +374,10 @@ func Words(n, vocab int, seed int64) (*Dataset, error) {
 		items[i] = Item{Label: names[tp], Vector: vecmath.Normalize(h)}
 	}
 	return &Dataset{
-		Name:      "words-sim",
-		Dim:       vocab,
-		Cost:      cost,
-		Positions: pos,
-		Items:     items,
+		Name:  "words-sim",
+		Dim:   vocab,
+		Cost:  cost,
+		Items: items,
 	}, nil
 }
 
@@ -429,10 +416,6 @@ func GaussianMixtures(n, d, modes int, seed int64) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	pos := make([][]float64, d)
-	for i := range pos {
-		pos[i] = []float64{float64(i) / float64(d-1)}
-	}
 	const classes = 5
 	// Class prototypes: mode centers and widths drawn once per class.
 	type proto struct {
@@ -467,10 +450,9 @@ func GaussianMixtures(n, d, modes int, seed int64) (*Dataset, error) {
 		items[i] = Item{Label: fmt.Sprintf("class-%d", c), Vector: vecmath.Normalize(h)}
 	}
 	return &Dataset{
-		Name:      "gaussian-sim",
-		Dim:       d,
-		Cost:      cost,
-		Positions: pos,
-		Items:     items,
+		Name:  "gaussian-sim",
+		Dim:   d,
+		Cost:  cost,
+		Items: items,
 	}, nil
 }

@@ -1,8 +1,8 @@
-// Package lb provides classic lower-bounding filter distances for the
-// Earth Mover's Distance that the paper chains with its dimensionality
-// reduction (Section 4, Figure 10):
+// Package lb provides the classic bounds of the Earth Mover's Distance
+// that the paper chains with its dimensionality reduction (Section 4,
+// Figure 10):
 //
-//   - IM, the independent-minimization bound LB_IM of Assent et
+//   - IM, the independent-minimization lower bound LB_IM of Assent et
 //     al. ([1] in the paper): the transportation LP relaxed so that
 //     each source bin routes its mass to the cheapest target bins
 //     independently, subject only to the individual target capacities.
@@ -12,18 +12,15 @@
 //     matrix of a combining reduction, which yields the Red-IM filter
 //     of the paper's chained pipeline.
 //
-//   - Centroid, Rubner's centroid distance: for ground distances that
-//     are norms of bin-position differences, the norm distance between
-//     the mass centroids lower-bounds the EMD (triangle inequality
-//     applied to the flow decomposition).
+//   - GreedyUpper, the cost of a greedily built feasible flow: an upper
+//     bound of the EMD, the other side of the approximate-search
+//     envelope.
 package lb
 
 import (
-	"fmt"
 	"sort"
 
 	"emdsearch/internal/emd"
-	"emdsearch/internal/vecmath"
 )
 
 // IM is the independent-minimization lower bound LB_IM, precompiled for
@@ -154,65 +151,4 @@ func (im *IM) backward(x, y emd.Histogram) float64 {
 		}
 	}
 	return total
-}
-
-// Centroid is Rubner's centroid lower bound for position-based ground
-// distances: EMD_C(x,y) >= ||sum_i x_i p_i - sum_j y_j q_j||_p whenever
-// C[i][j] = ||p_i - q_j||_p. Source and target bins may use different
-// position sets (rectangular costs).
-type Centroid struct {
-	source, target [][]float64
-	p              float64
-}
-
-// NewCentroid validates the positions and returns the compiled bound.
-// The caller is responsible for using it only with an EMD whose ground
-// distance is the corresponding Lp position distance; CheckAgainst
-// verifies that correspondence.
-func NewCentroid(source, target [][]float64, p float64) (*Centroid, error) {
-	if len(source) == 0 || len(target) == 0 {
-		return nil, fmt.Errorf("lb: empty position set")
-	}
-	dim := len(source[0])
-	for i, pos := range source {
-		if len(pos) != dim {
-			return nil, fmt.Errorf("lb: source position %d has %d coordinates, want %d", i, len(pos), dim)
-		}
-	}
-	for j, pos := range target {
-		if len(pos) != dim {
-			return nil, fmt.Errorf("lb: target position %d has %d coordinates, want %d", j, len(pos), dim)
-		}
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("lb: p = %g is not a norm order (need p >= 1)", p)
-	}
-	return &Centroid{source: source, target: target, p: p}, nil
-}
-
-// Distance returns the centroid lower bound for histograms x over the
-// source positions and y over the target positions.
-func (cb *Centroid) Distance(x, y emd.Histogram) float64 {
-	cx := vecmath.Centroid(x, cb.source)
-	cy := vecmath.Centroid(y, cb.target)
-	return vecmath.Lp(cx, cy, cb.p)
-}
-
-// CheckAgainst verifies that cost c matches the Lp position distance
-// this bound assumes, up to tol. Using Centroid with a non-matching
-// cost matrix silently loses the lower-bound guarantee; call this once
-// when wiring a pipeline.
-func (cb *Centroid) CheckAgainst(c emd.CostMatrix, tol float64) error {
-	if c.Rows() != len(cb.source) || c.Cols() != len(cb.target) {
-		return fmt.Errorf("lb: cost matrix is %dx%d, positions are %dx%d",
-			c.Rows(), c.Cols(), len(cb.source), len(cb.target))
-	}
-	for i, pi := range cb.source {
-		for j, qj := range cb.target {
-			if want := vecmath.Lp(pi, qj, cb.p); !vecmath.AlmostEqual(c[i][j], want, tol) {
-				return fmt.Errorf("lb: cost[%d][%d] = %g, position distance is %g", i, j, c[i][j], want)
-			}
-		}
-	}
-	return nil
 }

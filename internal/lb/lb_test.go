@@ -182,105 +182,13 @@ func TestNewIMValidation(t *testing.T) {
 	}
 }
 
-// TestQuickCentroidLowerBound: the centroid bound never exceeds the
-// exact EMD when the ground distance is the matching Lp position
-// distance.
-func TestQuickCentroidLowerBound(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := 3 + rng.Intn(8)
-		dims := 1 + rng.Intn(3)
-		pos := make([][]float64, d)
-		for i := range pos {
-			pos[i] = make([]float64, dims)
-			for k := range pos[i] {
-				pos[i][k] = rng.Float64() * 10
-			}
-		}
-		p := []float64{1, 2}[rng.Intn(2)]
-		c, err := emd.PositionCost(pos, pos, p)
-		if err != nil {
-			return false
-		}
-		cb, err := NewCentroid(pos, pos, p)
-		if err != nil {
-			return false
-		}
-		x := randomHistogram(rng, d)
-		y := randomHistogram(rng, d)
-		exact, err := emd.Distance(x, y, c)
-		if err != nil {
-			return false
-		}
-		return cb.Distance(x, y) <= exact+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCentroidExactForTranslatedPointMasses(t *testing.T) {
-	// Point masses: the EMD equals the position distance, and so does
-	// the centroid bound.
-	pos := [][]float64{{0, 0}, {3, 4}}
-	cb, err := NewCentroid(pos, pos, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := emd.Histogram{1, 0}
-	y := emd.Histogram{0, 1}
-	if got := cb.Distance(x, y); math.Abs(got-5) > 1e-12 {
-		t.Errorf("centroid distance %g, want 5", got)
-	}
-}
-
-func TestCentroidCheckAgainst(t *testing.T) {
-	pos := [][]float64{{0}, {1}, {2}}
-	cb, err := NewCentroid(pos, pos, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := emd.PositionCost(pos, pos, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cb.CheckAgainst(good, 1e-9); err != nil {
-		t.Errorf("CheckAgainst rejected matching cost: %v", err)
-	}
-	bad := emd.CostMatrix{{0, 5, 5}, {5, 0, 5}, {5, 5, 0}}
-	if err := cb.CheckAgainst(bad, 1e-9); err == nil {
-		t.Error("CheckAgainst accepted non-matching cost")
-	}
-	small := emd.CostMatrix{{0, 1}, {1, 0}}
-	if err := cb.CheckAgainst(small, 1e-9); err == nil {
-		t.Error("CheckAgainst accepted wrong shape")
-	}
-}
-
-func TestNewCentroidValidation(t *testing.T) {
-	if _, err := NewCentroid(nil, [][]float64{{0}}, 2); err == nil {
-		t.Error("accepted empty source positions")
-	}
-	if _, err := NewCentroid([][]float64{{0, 1}}, [][]float64{{0, 1}, {2}}, 2); err == nil {
-		t.Error("accepted ragged target positions")
-	}
-	if _, err := NewCentroid([][]float64{{0}}, [][]float64{{1}}, 0.5); err == nil {
-		t.Error("accepted p < 1")
-	}
-}
-
 // TestChainOrdering asserts the full filter chain ordering on which the
-// multistep completeness proof rests:
-// Centroid <= EMD and Red-IM <= Red-EMD <= EMD.
+// multistep completeness proof rests: Red-IM <= Red-EMD <= EMD.
 func TestChainOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const d, dr = 16, 4
 	pos := emd.GridPositions(4, 4)
 	c, err := emd.PositionCost(pos, pos, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := NewCentroid(pos, pos, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +212,6 @@ func TestChainOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		xr, yr := r.Apply(x), r.Apply(y)
-		if got := cb.Distance(x, y); got > full+1e-9 {
-			t.Fatalf("centroid %g > EMD %g", got, full)
-		}
 		redIM := im.Distance(xr, yr)
 		redEMD := red.DistanceReduced(xr, yr)
 		if redIM > redEMD+1e-9 || redEMD > full+1e-9 {

@@ -19,10 +19,19 @@ func adaptRefine(refine func(index int) float64) BoundedRefine {
 	return func(i int, _ float64) Refinement { return Refinement{Dist: refine(i)} }
 }
 
+// bareRanking serves a hand-built ranking through Searcher.Index, the
+// one way to hand a Searcher a ready ranking.
+type bareRanking struct{ Ranking }
+
+func (bareRanking) IndexStats() IndexStats { return IndexStats{} }
+func (bareRanking) Label() string          { return "bare" }
+
 func bareSearcher(ranking Ranking, refine BoundedRefine, workers int) *Searcher {
 	s := &Searcher{
-		BaseRanking: func(emd.Histogram) (Ranking, error) { return ranking, nil },
-		Workers:     workers,
+		Index: func(emd.Histogram, IndexHint) (IndexRanking, error) {
+			return bareRanking{ranking}, nil
+		},
+		Workers: workers,
 	}
 	if refine != nil {
 		s.Refine = func(_ emd.Histogram, i int, abortAbove float64, _ *atomic.Bool) Refinement {

@@ -70,8 +70,8 @@ func (r *ScanRanking) Next() (Candidate, bool) {
 // Each emitted candidate carries max(f1, f2), which is itself a lower
 // bound whenever both filters are. Taking the maximum makes the chain
 // correct for *any* pair of lower bounds — f2 need not dominate f1
-// item-wise (e.g. a centroid bound chained with Red-IM, neither of
-// which dominates the other) — and is a free tightening when it does.
+// item-wise (two unrelated lower bounds, neither of which dominates
+// the other) — and is a free tightening when it does.
 //
 // The chain is threshold-aware. Its consumer (the KNOP and range loops)
 // publishes the query's live pruning threshold in *bound before each

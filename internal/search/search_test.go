@@ -480,7 +480,7 @@ func TestKNNTieHandling(t *testing.T) {
 
 // TestChainedRankingNonDominatingFilters: the max-combination makes
 // the chain correct even when the second filter does NOT dominate the
-// first item-wise (e.g. a centroid bound after Red-IM).
+// first item-wise (two unrelated lower bounds of the exact distance).
 func TestChainedRankingNonDominatingFilters(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const n = 300

@@ -34,12 +34,12 @@ type FilterStage struct {
 	// ScanAll, when set, computes the stage's distance for every item
 	// in one batched pass, writing item i's distance to out[i] and
 	// returning the number of items evaluated. It is used only when
-	// the stage runs eagerly at the bottom of the chain (stage 0 with
-	// no BaseRanking), where a columnar kernel beats n calls through
-	// Distance. It must agree with Distance item-wise: same values, or
-	// at minimum the same lower-bounding contract against later
-	// stages. Distance remains required — lazy chained use and
-	// auxiliary query paths still call it.
+	// the stage runs eagerly at the bottom of the chain (stage 0),
+	// where a columnar kernel beats n calls through Distance. It must
+	// agree with Distance item-wise: same values, or at minimum the
+	// same lower-bounding contract against later stages. Distance
+	// remains required — lazy chained use and auxiliary query paths
+	// still call it.
 	ScanAll func(prepared emd.Histogram, out []float64) int
 }
 
@@ -82,17 +82,9 @@ type Searcher struct {
 	// IndexRanking — candidates in nondecreasing lower-bound order,
 	// produced WITHOUT an O(n) scan — or declines with (nil, nil), in
 	// which case the normal chain below runs. When an index ranking is
-	// used it replaces the whole filter chain (BaseRanking and Stages),
-	// so its emissions must lower-bound Refine directly.
+	// used it replaces the whole filter chain, so its emissions must
+	// lower-bound Refine directly.
 	Index func(q emd.Histogram, hint IndexHint) (IndexRanking, error)
-	// BaseRanking, when set, supplies the bottom of the filter chain
-	// as an incremental ranking (e.g. a k-d tree stream over database
-	// centroids) instead of an eager scan of Stages[0]. Its distances
-	// must lower-bound the first stage in Stages (or Refine, if Stages
-	// is empty). This removes the last O(n) component from the query
-	// path, realizing the paper's note that the reduced representation
-	// can be indexed in a multidimensional structure.
-	BaseRanking func(q emd.Histogram) (Ranking, error)
 	// Stages is the filter chain, cheapest and loosest first.
 	Stages []FilterStage
 	// Refine computes the exact distance (full-dimensional EMD) between
@@ -163,11 +155,7 @@ func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint, bound *float64)
 	}
 	chainFrom := 0
 	probes = make([]stageProbe, 0, len(s.Stages))
-	if s.BaseRanking != nil {
-		if ranking, err = s.BaseRanking(q); err != nil {
-			return nil, nil, err
-		}
-	} else if len(s.Stages) == 0 {
+	if len(s.Stages) == 0 {
 		// Trivial all-zero filter: a valid lower bound that prunes
 		// nothing, yielding the sequential-scan behavior.
 		ranking = NewScanRanking(make([]float64, s.N))

@@ -1,6 +1,6 @@
 // Package vecmath provides small dense vector and matrix helpers used
-// throughout the emdsearch library: compensated summation, norms,
-// centroid computation and a Jacobi eigendecomposition for the PCA
+// throughout the emdsearch library: compensated summation, norms and
+// a Jacobi eigendecomposition for the PCA
 // ablation study. All functions operate on plain []float64 and
 // [][]float64 values so that callers stay free of wrapper types.
 package vecmath
@@ -132,28 +132,6 @@ func MatVec(x []float64, m [][]float64) []float64 {
 		row := m[i]
 		for j, r := range row {
 			out[j] += xi * r
-		}
-	}
-	return out
-}
-
-// Centroid returns the mass-weighted centroid of the given bin
-// positions: sum_i w_i * pos_i. Positions must all share one length.
-func Centroid(weights []float64, positions [][]float64) []float64 {
-	if len(weights) != len(positions) {
-		panic(fmt.Sprintf("vecmath: Centroid length mismatch %d != %d", len(weights), len(positions)))
-	}
-	if len(positions) == 0 {
-		return nil
-	}
-	out := make([]float64, len(positions[0]))
-	for i, w := range weights {
-		if w == 0 {
-			continue
-		}
-		p := positions[i]
-		for k, pk := range p {
-			out[k] += w * pk
 		}
 	}
 	return out

@@ -85,15 +85,6 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	pos := [][]float64{{0, 0}, {2, 0}, {0, 2}}
-	w := []float64{0.5, 0.25, 0.25}
-	got := Centroid(w, pos)
-	if got[0] != 0.5 || got[1] != 0.5 {
-		t.Errorf("Centroid = %v, want [0.5 0.5]", got)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := []float64{1, 2}
 	b := Clone(a)

@@ -13,16 +13,14 @@ import (
 type levelKind uint8
 
 const (
-	kindCentroid   levelKind = iota // lazy k-d tree stream over Rubner centroids (Options.Positions)
-	kindQuantIM                     // int16-quantized under-estimator of Red-IM
-	kindIM                          // Red-IM
-	kindRedEMD                      // symmetric reduced EMD at d'
-	kindAsymRedEMD                  // full-dimensional query against d'-reduced data
+	kindQuantIM levelKind = iota // int16-quantized under-estimator of Red-IM
+	kindIM                       // Red-IM
+	kindRedEMD                   // reduced EMD at d'
 )
 
 // planLevel is one chained lower bound: what it evaluates, the reduced
-// dimensionality it works at (0 for the centroid stream) and the
-// reduction itself, nil until Build or a snapshot load binds it.
+// dimensionality it works at and the reduction itself, nil until Build
+// or a snapshot load binds it.
 type planLevel struct {
 	kind levelKind
 	dims int
@@ -86,57 +84,41 @@ func compilePlan(o Options, dim int) (*plan, error) {
 		return nil, fmt.Errorf("emdsearch: AutoCascade conflicts with a fixed Hierarchy")
 	case o.AutoCascade && o.ReducedDims == 0:
 		return nil, fmt.Errorf("emdsearch: AutoCascade requires ReducedDims > 0")
-	case o.AutoCascade && o.AsymmetricQuery:
-		return nil, fmt.Errorf("emdsearch: AutoCascade conflicts with AsymmetricQuery")
-	case o.AsymmetricQuery && len(o.Hierarchy) > 0:
-		return nil, fmt.Errorf("emdsearch: AsymmetricQuery conflicts with a Hierarchy")
 	}
 	chain := make([]planLevel, len(dims))
 	for i, d := range dims {
 		chain[i].dims = d
 	}
-	return newPlan(chain, o.Positions != nil, o.AsymmetricQuery, o.AutoCascade), nil
+	return newPlan(chain, o.AutoCascade), nil
 }
 
 // newPlan lays out the levels over a chain of reductions (coarse→fine;
 // each entry gives dims and, when bound, red): the IM prefix on the
 // coarsest reduction, then one reduced EMD per entry.
-func newPlan(chain []planLevel, centroid, asym, auto bool) *plan {
+func newPlan(chain []planLevel, auto bool) *plan {
 	p := &plan{auto: auto}
-	if centroid {
-		p.levels = append(p.levels, planLevel{kind: kindCentroid})
-	}
 	for i, lv := range chain {
 		add := func(kind levelKind) {
 			lv.kind = kind
 			p.levels = append(p.levels, lv)
 		}
 		if i == 0 {
-			// The quantized scan accelerates an eager first pass over all
-			// items; above a lazy centroid stream there is none, and its
-			// per-item tangent recompilation would cost more than it prunes.
-			if !centroid {
-				add(kindQuantIM)
-			}
+			add(kindQuantIM)
 			add(kindIM)
 		}
-		if asym {
-			add(kindAsymRedEMD)
-		} else {
-			add(kindRedEMD)
-		}
+		add(kindRedEMD)
 	}
 	return p
 }
 
-// withChain returns p's layout (base ranking, query symmetry, auto)
-// over a chain of built reductions, coarse→fine.
+// withChain returns p's layout over a chain of built reductions,
+// coarse→fine.
 func (p *plan) withChain(chain []*core.Reduction) *plan {
 	levels := make([]planLevel, len(chain))
 	for i, r := range chain {
 		levels[i] = planLevel{dims: r.ReducedDims(), red: r}
 	}
-	return newPlan(levels, p.has(kindCentroid), p.has(kindAsymRedEMD), p.auto)
+	return newPlan(levels, p.auto)
 }
 
 // chainDims lists a chain's reduced dimensionalities.
@@ -148,21 +130,12 @@ func chainDims(chain []*core.Reduction) []int {
 	return dims
 }
 
-func (p *plan) has(kind levelKind) bool {
-	for _, lv := range p.levels {
-		if lv.kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // reductions returns the chain's bound reductions, coarse→fine: one
 // per reduced-EMD level, none before Build.
 func (p *plan) reductions() []*core.Reduction {
 	var out []*core.Reduction
 	for _, lv := range p.levels {
-		if (lv.kind == kindRedEMD || lv.kind == kindAsymRedEMD) && lv.red != nil {
+		if lv.kind == kindRedEMD && lv.red != nil {
 			out = append(out, lv.red)
 		}
 	}
@@ -174,7 +147,7 @@ func (p *plan) reductions() []*core.Reduction {
 func (p *plan) dims() []int {
 	var out []int
 	for _, lv := range p.levels {
-		if lv.kind == kindRedEMD || lv.kind == kindAsymRedEMD {
+		if lv.kind == kindRedEMD {
 			out = append(out, lv.dims)
 		}
 	}
@@ -194,10 +167,9 @@ func (p *plan) finest() *core.Reduction {
 }
 
 // indexEligible reports whether a metric tree over the reduced EMD can
-// stand in for the chain: exactly one symmetric level and no base
-// ranking with an order of its own.
+// stand in for the chain: exactly one reduced level.
 func (p *plan) indexEligible() bool {
-	return !p.has(kindCentroid) && !p.has(kindAsymRedEMD) && len(p.dims()) == 1
+	return len(p.dims()) == 1
 }
 
 // stageName is the level's label in QueryStats and Metrics.
@@ -207,13 +179,9 @@ func (p *plan) stageName(lv planLevel) string {
 		return "Q-Red-IM"
 	case kindIM:
 		return "Red-IM"
-	case kindAsymRedEMD:
-		return "Asym-Red-EMD"
-	case kindRedEMD:
-		if len(p.dims()) > 1 {
-			return fmt.Sprintf("Red-EMD-%d", lv.dims)
-		}
-		return "Red-EMD"
 	}
-	return "Centroid"
+	if len(p.dims()) > 1 {
+		return fmt.Sprintf("Red-EMD-%d", lv.dims)
+	}
+	return "Red-EMD"
 }

@@ -18,11 +18,7 @@ import (
 func planShape(p *plan) []string {
 	var out []string
 	for _, lv := range p.levels {
-		name := p.stageName(lv)
-		if lv.kind != kindCentroid {
-			name = fmt.Sprintf("%s@%d", name, lv.dims)
-		}
-		out = append(out, name)
+		out = append(out, fmt.Sprintf("%s@%d", p.stageName(lv), lv.dims))
 	}
 	return out
 }
@@ -32,10 +28,6 @@ func planShape(p *plan) []string {
 // and which Options combinations are not a chain at all.
 func TestCompilePlan(t *testing.T) {
 	const d = 64
-	positions := make([][]float64, d)
-	for i := range positions {
-		positions[i] = []float64{float64(i)}
-	}
 	cases := []struct {
 		name      string
 		opts      Options
@@ -55,12 +47,6 @@ func TestCompilePlan(t *testing.T) {
 			want: []string{"Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}, indexable: true},
 		{name: "auto-cascade", opts: Options{ReducedDims: 8, AutoCascade: true},
 			want: []string{"Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}, auto: true, indexable: true},
-		{name: "asymmetric", opts: Options{ReducedDims: 8, AsymmetricQuery: true},
-			want: []string{"Q-Red-IM@8", "Red-IM@8", "Asym-Red-EMD@8"}},
-		{name: "positions", opts: Options{ReducedDims: 8, Positions: positions},
-			want: []string{"Centroid", "Red-IM@8", "Red-EMD@8"}},
-		{name: "positions-unreduced", opts: Options{Positions: positions},
-			want: []string{"Centroid"}},
 
 		{name: "d' above d", opts: Options{ReducedDims: d + 1}, wantErr: "ReducedDims"},
 		{name: "negative d'", opts: Options{ReducedDims: -1}, wantErr: "ReducedDims"},
@@ -74,16 +60,12 @@ func TestCompilePlan(t *testing.T) {
 		{name: "d' not the finest level", opts: Options{Hierarchy: []int{8, 2}, ReducedDims: 4}, wantErr: "conflicts"},
 		{name: "auto without d'", opts: Options{AutoCascade: true}, wantErr: "requires ReducedDims"},
 		{name: "auto+hierarchy", opts: Options{Hierarchy: []int{8, 2}, AutoCascade: true}, wantErr: "conflicts"},
-		{name: "auto+asymmetric", opts: Options{ReducedDims: 8, AutoCascade: true, AsymmetricQuery: true}, wantErr: "conflicts"},
-		{name: "asymmetric+hierarchy", opts: Options{Hierarchy: []int{8, 2}, AsymmetricQuery: true}, wantErr: "conflicts"},
-		{name: "asymmetric+hierarchy of one", opts: Options{Hierarchy: []int{8}, AsymmetricQuery: true}, wantErr: "conflicts"},
 	}
 	for _, c := range cases {
 		if c.wantErr != "" {
 			// Rejected where the caller meets it. Negative SampleSize used
 			// to pass NewEngine and panic inside Build with the engine lock
-			// held, an unknown Method failed only at Build, and
-			// AsymmetricQuery with a Hierarchy was silently half-ignored.
+			// held, and an unknown Method failed only at Build.
 			if _, err := NewEngine(LinearCost(d), c.opts); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("%s: NewEngine err = %v, want one naming %q", c.name, err, c.wantErr)
 			}
@@ -221,10 +203,10 @@ func TestOptionCountsPinned(t *testing.T) {
 		got  int
 		pin  int
 	}{
-		// 13: the four-point pruning switch went with the four-point
-		// bound, the one index pruning rule without a losslessness
-		// proof (DESIGN.md §13).
-		{"Options fields", exported(Options{}), 13},
+		// 10: AsymmetricQuery, Positions and PositionNorm went with the
+		// asymmetric level and the centroid stream; no caller set them
+		// (TestEveryOptionIsSet).
+		{"Options fields", exported(Options{}), 10},
 		{"ShardSetOptions fields", exported(ShardSetOptions{}), 14},
 		{"GateOptions fields", exported(GateOptions{}), 6},
 		// 27: four methods nothing called went, and two that duplicated

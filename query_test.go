@@ -185,7 +185,6 @@ func TestRangeIDsMatchesRange(t *testing.T) {
 	}{
 		{"single-level", Options{ReducedDims: 8, SampleSize: 16}},
 		{"hierarchy", Options{Hierarchy: []int{16, 4}, SampleSize: 16}},
-		{"asymmetric", Options{ReducedDims: 8, SampleSize: 16, AsymmetricQuery: true}},
 		{"vptree", Options{ReducedDims: 8, SampleSize: 16, IndexKind: IndexVPTree}},
 		{"no-reduction", Options{}},
 	}

@@ -66,8 +66,8 @@ func (e *Engine) Rank(ctx context.Context, q Histogram) (*Ranking, error) {
 		e.metrics.queryError()
 		return nil, err
 	}
-	// Build the filter ranking exactly as a query would (including an
-	// indexed base ranking, if configured)...
+	// Build the filter ranking exactly as a query would (including the
+	// metric index, when it serves the request)...
 	base, err := s.searcher.Ranking(q)
 	if err != nil {
 		e.metrics.queryError()

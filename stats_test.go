@@ -40,9 +40,9 @@ func checkStageAccounting(t *testing.T, eng *Engine, stats *QueryStats, wantName
 				i, st.Evaluations, st.Pruned, consumed)
 		}
 	}
-	// The first stage scans the whole database (no centroid pre-filter
-	// in these tests) — unless an index-backed ranking replaced the
-	// scan, whose whole point is evaluating fewer than n items.
+	// The first stage scans the whole database — unless an index-backed
+	// ranking replaced the scan, whose whole point is evaluating fewer
+	// than n items.
 	if !stats.IndexUsed && stats.Stages[0].Evaluations != eng.Len() {
 		t.Errorf("first stage evaluated %d of %d items", stats.Stages[0].Evaluations, eng.Len())
 	}
@@ -71,15 +71,6 @@ func TestQueryStatsStagesDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkStageAccounting(t, eng, stats, []string{"Q-Red-IM", "Red-IM", "Red-EMD"})
-}
-
-func TestQueryStatsStagesAsymmetric(t *testing.T) {
-	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10, AsymmetricQuery: true}, 100)
-	_, stats, err := eng.KNN(queries[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStageAccounting(t, eng, stats, []string{"Q-Red-IM", "Red-IM", "Asym-Red-EMD"})
 }
 
 func TestQueryStatsStagesHierarchy(t *testing.T) {

@@ -81,7 +81,6 @@ func TestThresholdAwareChainIdentity(t *testing.T) {
 	}{
 		{"single-level", Options{ReducedDims: 12, Method: Adjacent}},
 		{"hierarchy-32-8", Options{Hierarchy: []int{32, 8}, Method: Adjacent}},
-		{"asymmetric", Options{ReducedDims: 12, Method: Adjacent, AsymmetricQuery: true}},
 	}
 	// answer is one query's results and counters per API.
 	type answer struct {
