@@ -33,6 +33,11 @@ var callerAllowlist = map[string]string{
 // of the declaring package.
 var optionTypes = []string{
 	"emdsearch.Options",
+	"emdsearch.ShardSetOptions",
+	"emdsearch.GateOptions",
+	"emdsearch/internal/admission.Config",
+	"emdsearch/internal/shardset.Config",
+	"emdsearch/internal/shardset.Backoff",
 }
 
 // optionAllowlist names the checked fields that may stand without a
@@ -132,12 +137,9 @@ func TestEveryExportHasACaller(t *testing.T) {
 }
 
 // TestEveryOptionIsSet fails on every exported field of the
-// optionTypes that no non-test file in the repository sets. A field is
-// set by a key in a composite literal of its type (Options{F: …} in the
-// declaring package, emdsearch.Options{F: …} elsewhere) or by an
-// assignment to a selector x.F, matched by name. A method of the type
-// itself (its defaulting) sets nothing. An option nothing sets is a
-// configuration no caller runs.
+// optionTypes that no non-test file in the repository sets (see
+// optionWrites). An option nothing sets is a configuration no caller
+// runs.
 func TestEveryOptionIsSet(t *testing.T) {
 	files := parseRepo(t)
 
@@ -180,50 +182,10 @@ func TestEveryOptionIsSet(t *testing.T) {
 		}
 	}
 
-	keyed := map[string]bool{}    // "pkg.Type.Field" written in a composite literal
-	assigned := map[string]bool{} // every selector name on the left of an assignment
-	for _, f := range files {
-		ast.Inspect(f.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Recv != nil {
-					if recv := receiverType(n.Recv.List[0].Type); recv != nil {
-						_, own := checked[f.pkg+"."+recv.Name]
-						return !own
-					}
-				}
-			case *ast.CompositeLit:
-				var typ string
-				switch x := n.Type.(type) {
-				case *ast.Ident:
-					typ = f.pkg + "." + x.Name
-				case *ast.SelectorExpr:
-					if q, ok := x.X.(*ast.Ident); ok {
-						typ = f.imports[q.Name] + "." + x.Sel.Name
-					}
-				}
-				for _, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							keyed[typ+"."+id.Name] = true
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						assigned[sel.Sel.Name] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-
+	written := optionWrites(files, checked)
 	var missing []string
 	for key, pos := range fields {
-		name := key[strings.LastIndex(key, ".")+1:]
-		set := keyed[key] || assigned[name]
+		set := written[key]
 		if reason, ok := optionAllowlist[key]; ok {
 			if set {
 				t.Errorf("allowlist entry %s is set by a non-test file now; delete the entry (%q)", key, reason)
@@ -243,6 +205,197 @@ func TestEveryOptionIsSet(t *testing.T) {
 			t.Errorf("allowlist entry %s is not a checked field any more; delete the entry", key)
 		}
 	}
+}
+
+// TestOptionWritesTyped pins how optionWrites attributes a write to a
+// type: by a composite literal key, or by an assignment x.F = … where
+// x is declared in the same function with the type.
+func TestOptionWritesTyped(t *testing.T) {
+	const src = `package p
+
+type T struct{ Key, Param, Ptr, Closure, Var, Lit, Addr, Other, Method, Own, Untyped int }
+
+type U struct{ Other, Method int }
+
+var _ = T{Key: 1}
+
+func param(t T, p *T) { t.Param, p.Ptr = 1, 1 }
+
+func local() {
+	var t T
+	t.Var = 1
+	l := T{}
+	l.Lit = 1
+	a := &T{}
+	a.Addr = 1
+	u := U{}
+	u.Other = 1
+	f := func(x *T) { x.Closure = 1 }
+	_ = f
+}
+
+func (u *U) set() { u.Method = 1 }
+
+func (t *T) withDefaults() { t.Own = 1 }
+
+func untyped(v struct{ Untyped int }) {
+	v.Untyped = 1
+	w := v
+	w.Untyped = 1
+}
+`
+	af, err := parser.ParseFile(token.NewFileSet(), "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := optionWrites([]*goFile{{pkg: "p", imports: map[string]string{}, file: af}}, map[string]bool{"p.T": true})
+	for _, c := range []struct {
+		field string
+		want  bool
+	}{
+		{"Key", true},      // composite literal key
+		{"Param", true},    // parameter of type T
+		{"Ptr", true},      // parameter of type *T
+		{"Closure", true},  // parameter of a function literal
+		{"Var", true},      // var t T
+		{"Lit", true},      // := from a T{…} literal
+		{"Addr", true},     // := from a &T{…} literal
+		{"Other", false},   // a same-named field of another type
+		{"Method", false},  // another type's method setting its own field
+		{"Own", false},     // T's own method (its defaulting) sets nothing
+		{"Untyped", false}, // a variable not declared with type T
+	} {
+		if got := written["p.T."+c.field]; got != c.want {
+			t.Errorf("T.%s written = %v, want %v", c.field, got, c.want)
+		}
+	}
+	if !written["p.U.Other"] || !written["p.U.Method"] {
+		t.Errorf("writes to U's fields not attributed to U: %v", written)
+	}
+}
+
+// optionWrites returns the "pkg.Type.Field" keys the files set: a key
+// in a composite literal of the type (Options{F: …} in the declaring
+// package, emdsearch.Options{F: …} elsewhere), or an assignment x.F = …
+// where x is declared in the same function with the type, as a
+// parameter or receiver, as a var, or by := from a T{…} or &T{…}
+// literal. A method of a checked type itself (its defaulting) sets
+// nothing.
+func optionWrites(files []*goFile, checked map[string]bool) map[string]bool {
+	written := map[string]bool{}
+	for _, f := range files {
+		for _, decl := range f.file.Decls {
+			vars := map[string]string{} // variable → "pkg.Type"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if fn.Recv != nil {
+					if recv := receiverType(fn.Recv.List[0].Type); recv != nil {
+						if _, own := checked[f.pkg+"."+recv.Name]; own {
+							continue
+						}
+					}
+				}
+				vars = typedVars(f, fn)
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := f.typeName(n.Type)
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written[typ+"."+id.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							if x, ok := sel.X.(*ast.Ident); ok && vars[x.Name] != "" {
+								written[vars[x.Name]+"."+sel.Sel.Name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return written
+}
+
+// typedVars maps each variable fn declares with a named type — as a
+// parameter or receiver, as a var, or by := from a T{…} or &T{…}
+// literal — to "pkg.Type".
+func typedVars(f *goFile, fn *ast.FuncDecl) map[string]string {
+	vars := map[string]string{}
+	declare := func(id *ast.Ident, typ string) {
+		if typ != "" {
+			vars[id.Name] = typ
+		}
+	}
+	params := func(fl *ast.FieldList) {
+		if fl == nil {
+			return
+		}
+		for _, field := range fl.List {
+			for _, id := range field.Names {
+				declare(id, f.typeName(field.Type))
+			}
+		}
+	}
+	params(fn.Recv)
+	ast.Inspect(fn, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncType:
+			params(n.Params)
+		case *ast.ValueSpec:
+			for i, id := range n.Names {
+				if n.Type != nil {
+					declare(id, f.typeName(n.Type))
+				} else if i < len(n.Values) {
+					declare(id, f.literalType(n.Values[i]))
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE && len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok {
+						declare(id, f.literalType(n.Rhs[i]))
+					}
+				}
+			}
+		}
+		return true
+	})
+	return vars
+}
+
+// typeName resolves a type expression T, *T or pkg.T to "pkg.Type",
+// "" for any other type.
+func (f *goFile) typeName(x ast.Expr) string {
+	switch t := x.(type) {
+	case *ast.StarExpr:
+		return f.typeName(t.X)
+	case *ast.Ident:
+		return f.pkg + "." + t.Name
+	case *ast.SelectorExpr:
+		if q, ok := t.X.(*ast.Ident); ok && f.imports[q.Name] != "" {
+			return f.imports[q.Name] + "." + t.Sel.Name
+		}
+	}
+	return ""
+}
+
+// literalType is the type of a T{…} or &T{…} literal, "" for any other
+// expression.
+func (f *goFile) literalType(x ast.Expr) string {
+	if u, ok := x.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		x = u.X
+	}
+	if lit, ok := x.(*ast.CompositeLit); ok && lit.Type != nil {
+		return f.typeName(lit.Type)
+	}
+	return ""
 }
 
 // parseRepo parses every non-test Go file under the repository root,

@@ -20,7 +20,7 @@
 //	POST /knn        {"q": [...], "k": 5, "timeout_ms": 50}
 //	POST /range      {"q": [...], "eps": 0.25, "timeout_ms": 50}
 //	GET  /healthz    per-shard availability and replica lag; 503 once every shard is quarantined
-//	GET  /metrics    ShardSetMetrics JSON (scatter, retry, hedge, quarantine, failover counters)
+//	GET  /metrics    ShardSetMetrics JSON (scatter, retry, quarantine, failover counters)
 //	GET  /debug/vars expvar, including the published shard-set metrics
 //
 // Usage:

@@ -21,31 +21,25 @@ type GateOptions struct {
 	// 2 × MaxConcurrent. Kept deliberately small: a deep queue converts
 	// overload into tail latency instead of fast, typed rejection.
 	MaxQueue int
-	// DegradeAt is the queue-occupancy fraction past which admitted
-	// k-NN queries are served through the anytime machinery under a
-	// tightened budget; <= 0 defaults to 0.5, >= 1 disables the degrade
-	// level.
-	DegradeAt float64
-	// DegradeBudget is the per-query time budget imposed on queries
-	// admitted at the degrade level; default 25ms. The budget drives
-	// the engine's certified anytime machinery, so degraded answers
-	// still carry sound [Lower, Upper] intervals.
-	DegradeBudget time.Duration
-	// BreakerThreshold is the number of consecutive contained internal
-	// faults (solver panics) that trips the engine into lower-bound-only
-	// degraded serving; default 3. BreakerCooldown is how long it stays
-	// there before probing the full path again; default 1s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long the fault breaker, once tripped by 3
+	// consecutive contained internal faults (solver panics), holds the
+	// engine in lower-bound-only degraded serving before probing the
+	// full path again; default 1s.
+	BreakerCooldown time.Duration
 }
 
+const (
+	// gateDegradeBudget is the per-query time budget imposed on
+	// queries admitted at the degrade level (past half the queue). The
+	// budget drives the engine's certified anytime machinery, so
+	// degraded answers still carry sound [Lower, Upper] intervals.
+	gateDegradeBudget = 25 * time.Millisecond
+	// gateBreakerThreshold is the number of consecutive contained
+	// internal faults that trips the fault breaker.
+	gateBreakerThreshold = 3
+)
+
 func (o GateOptions) withDefaults() GateOptions {
-	if o.DegradeBudget <= 0 {
-		o.DegradeBudget = 25 * time.Millisecond
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = time.Second
 	}
@@ -118,9 +112,8 @@ func NewGate(e *Engine, opts GateOptions) *Gate {
 		lim: admission.New(admission.Config{
 			MaxConcurrent: opts.MaxConcurrent,
 			MaxQueue:      opts.MaxQueue,
-			DegradeAt:     opts.DegradeAt,
 		}),
-		brk: admission.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+		brk: admission.NewBreaker(gateBreakerThreshold, opts.BreakerCooldown),
 	}
 }
 
@@ -143,17 +136,17 @@ func (g *Gate) acquire(ctx context.Context) (*admission.Ticket, error) {
 }
 
 // budgetCtx derives the query context for an admitted ticket: at the
-// degrade level the gate imposes its DegradeBudget (unless the caller's
+// degrade level the gate imposes gateDegradeBudget (unless the caller's
 // own deadline is already tighter). The bool reports whether the gate,
 // not the caller, owns the resulting deadline.
 func (g *Gate) budgetCtx(ctx context.Context, tk *admission.Ticket) (context.Context, context.CancelFunc, bool) {
 	if tk.Level() != admission.LevelDegrade {
 		return ctx, nil, false
 	}
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= g.opts.DegradeBudget {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= gateDegradeBudget {
 		return ctx, nil, false
 	}
-	qctx, cancel := context.WithTimeout(ctx, g.opts.DegradeBudget)
+	qctx, cancel := context.WithTimeout(ctx, gateDegradeBudget)
 	return qctx, cancel, true
 }
 
@@ -172,8 +165,8 @@ func (g *Gate) settle(err error) {
 // Search answers q through the gate: validate → acquire → breaker →
 // budget → settle, one sequence for every query shape. Under normal
 // load it is Engine.Search with admission accounting. Under pressure it
-// degrades rather than drops: past the DegradeAt queue threshold the
-// query runs under DegradeBudget, and a budget-expired answer is
+// degrades rather than drops: past half the queue the query runs
+// under gateDegradeBudget, and a budget-expired answer is
 // returned as a certified degraded KNNAnswer with a nil error (the
 // caller asked the gate to keep serving under load; a sound partial
 // answer is the contract, not a failure). With the fault breaker open,

@@ -331,22 +331,19 @@ func TestChaosBitIdentity(t *testing.T) {
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	var panics atomic.Bool
 	eng := chaosEngine(t, 40, 4, 1, &panics)
-	gate := NewGate(eng, GateOptions{
-		BreakerThreshold: 2,
-		BreakerCooldown:  30 * time.Millisecond,
-	})
+	gate := NewGate(eng, GateOptions{BreakerCooldown: 30 * time.Millisecond})
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(4))
 	q := randHist(rng, 4)
 
 	panics.Store(true)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < gateBreakerThreshold; i++ {
 		if _, err := gate.KNN(ctx, q, 5); !errors.Is(err, ErrInternal) {
 			t.Fatalf("fault %d: err = %v, want ErrInternal", i, err)
 		}
 	}
 	if st := gate.Metrics().BreakerState; st != "open" {
-		t.Fatalf("breaker %s after %d faults, want open", st, 2)
+		t.Fatalf("breaker %s after %d faults, want open", st, gateBreakerThreshold)
 	}
 
 	// Open: k-NN degrades to certified LB-only answers — no exact
@@ -431,10 +428,9 @@ func TestGateChaosUnderMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := NewGate(eng, GateOptions{
-		MaxConcurrent:    4,
-		MaxQueue:         8,
-		BreakerThreshold: 3,
-		BreakerCooldown:  5 * time.Millisecond,
+		MaxConcurrent:   4,
+		MaxQueue:        8,
+		BreakerCooldown: 5 * time.Millisecond,
 	})
 	chaos.Store(true)
 
@@ -610,9 +606,10 @@ func TestGateShedsFast(t *testing.T) {
 
 // TestGateBatchKNNMixedOutcomes drives a batch of concurrent k-NN
 // queries through a gate sized for exactly one running and one queued
-// query, with slow refinements and an aggressive degrade policy, so one
-// batch mixes all three per-query outcomes: served in full, served
-// degraded, and shed with ErrOverloaded. Each entry must resolve
+// query, with slow refinements, so one batch mixes the per-query
+// outcomes: served in full, served degraded (at MaxQueue 1 the degrade
+// depth is one waiter, so a queued query runs under the degrade
+// budget), and shed with ErrOverloaded. Each entry must resolve
 // independently — no error or partial answer may leak into a sibling's
 // slot.
 func TestGateBatchKNNMixedOutcomes(t *testing.T) {
@@ -634,12 +631,7 @@ func TestGateBatchKNNMixedOutcomes(t *testing.T) {
 	if err := eng.Build(); err != nil {
 		t.Fatal(err)
 	}
-	gate := NewGate(eng, GateOptions{
-		MaxConcurrent: 1,
-		MaxQueue:      1,
-		DegradeAt:     0.01, // any queue occupancy degrades admitted queries
-		DegradeBudget: 4 * time.Millisecond,
-	})
+	gate := NewGate(eng, GateOptions{MaxConcurrent: 1, MaxQueue: 1})
 
 	const batch, k = 10, 3
 	queries := make([]Histogram, batch)

@@ -87,11 +87,11 @@ type Config struct {
 	// to 2 × MaxConcurrent. Small on purpose: a deep queue converts
 	// overload into latency instead of fast failure.
 	MaxQueue int
-	// DegradeAt is the queue-occupancy fraction at which admitted
-	// requests are flagged LevelDegrade; <= 0 defaults to 0.5, >= 1
-	// disables degradation (queue → shed directly).
-	DegradeAt float64
 }
+
+// degradeFraction is the queue-occupancy fraction at which admitted
+// requests are flagged LevelDegrade.
+const degradeFraction = 0.5
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
@@ -99,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 2 * c.MaxConcurrent
-	}
-	if c.DegradeAt <= 0 {
-		c.DegradeAt = 0.5
 	}
 	return c
 }
@@ -144,7 +141,7 @@ type Limiter struct {
 // New creates a limiter from cfg (zero-value fields take defaults).
 func New(cfg Config) *Limiter {
 	cfg = cfg.withDefaults()
-	da := int64(cfg.DegradeAt * float64(cfg.MaxQueue))
+	da := int64(degradeFraction * float64(cfg.MaxQueue))
 	if da < 1 {
 		da = 1
 	}
@@ -248,7 +245,7 @@ func (l *Limiter) Acquire(ctx context.Context) (*Ticket, error) {
 		}
 	}
 	level := LevelQueue
-	if depth >= l.degradeAt && l.cfg.DegradeAt < 1 {
+	if depth >= l.degradeAt {
 		level = LevelDegrade
 	}
 

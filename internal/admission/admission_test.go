@@ -150,8 +150,8 @@ func TestLimiterCancelWhileQueued(t *testing.T) {
 }
 
 func TestLimiterDegradeLevel(t *testing.T) {
-	// MaxQueue 4, DegradeAt 0.5 → degrade from queue depth 2.
-	l := New(Config{MaxConcurrent: 1, MaxQueue: 4, DegradeAt: 0.5})
+	// MaxQueue 4 at the 0.5 degrade fraction → degrade from queue depth 2.
+	l := New(Config{MaxConcurrent: 1, MaxQueue: 4})
 	t1 := l.TryAcquire()
 	if t1 == nil {
 		t.Fatal("no initial slot")

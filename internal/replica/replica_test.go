@@ -13,7 +13,7 @@ import (
 )
 
 func testBackoff() *shardset.Backoff {
-	return &shardset.Backoff{Base: 100 * time.Microsecond, Cap: time.Millisecond, Seed: 1}
+	return &shardset.Backoff{Base: 100 * time.Microsecond, Cap: time.Millisecond}
 }
 
 // collectLink applies shipped records to a slice, optionally failing
@@ -181,7 +181,7 @@ func TestShipperRebase(t *testing.T) {
 func TestShipperCloseMidRetry(t *testing.T) {
 	link := newCollectLink()
 	link.setFailAll(true)
-	s := NewShipper(link, &shardset.Backoff{Base: time.Hour, Cap: time.Hour, Seed: 1})
+	s := NewShipper(link, &shardset.Backoff{Base: time.Hour, Cap: time.Hour})
 	s.Ack(rec(0))
 	time.Sleep(5 * time.Millisecond) // let the drain enter its retry sleep
 	done := make(chan struct{})

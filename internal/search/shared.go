@@ -40,14 +40,13 @@ func (g *SharedKNN) Threshold() float64 { return g.best.Threshold() }
 // Offer records a confirmed exact distance for the item with the given
 // global id. Infinite distances (deleted items on some shard) are
 // ignored — they can never enter the answer and must not loosen the
-// set. Offers are deduplicated by global id: a hedged re-dispatch runs
-// the same shard search twice (and a cancelled straggler keeps
-// offering briefly before it stops), so the same item can arrive more
-// than once; were it allowed to occupy two of the k slots, the
-// published threshold would drop below the true global k-th distance
-// and other shards would prune true neighbors. Of two confirmations of
-// one item (attempts that ran against different snapshots) the tighter
-// is kept.
+// set. Offers are deduplicated by global id: a shard's primary can
+// confirm neighbors and then fail, and its follower searches the same
+// slice again (a failover), so the same item can arrive more than once;
+// were it allowed to occupy two of the k slots, the published
+// threshold would drop below the true global k-th distance and other
+// shards would prune true neighbors. Of two confirmations of one item
+// (searches that ran against different snapshots) the tighter is kept.
 func (g *SharedKNN) Offer(globalIndex int, dist float64) {
 	if math.IsInf(dist, 1) {
 		return

@@ -194,18 +194,18 @@ func TestSharedKNNOfferIgnoresInf(t *testing.T) {
 	}
 }
 
-// TestSharedKNNOfferDedup: a hedged re-dispatch runs the same shard
-// search twice, so the same (global id, dist) pair arrives from both
-// attempts. A duplicate must not occupy a second top-k slot — that
-// would publish a threshold tighter than the true global k-th
-// distance and make other shards prune true neighbors.
+// TestSharedKNNOfferDedup: a failover runs the same shard search
+// twice, on the primary and on its follower, so the same (global id,
+// dist) pair arrives from both. A duplicate must not occupy a second
+// top-k slot — that would publish a threshold tighter than the true
+// global k-th distance and make other shards prune true neighbors.
 func TestSharedKNNOfferDedup(t *testing.T) {
 	g, err := NewSharedKNN(2)
 	if err != nil {
 		t.Fatalf("NewSharedKNN: %v", err)
 	}
 	g.Offer(7, 1.0)
-	g.Offer(7, 1.0) // the hedge's identical confirmation
+	g.Offer(7, 1.0) // the follower's identical confirmation
 	if !math.IsInf(g.Threshold(), 1) {
 		t.Fatalf("duplicate offers filled the set: threshold = %v, want +Inf with one of two slots taken", g.Threshold())
 	}

@@ -2,8 +2,7 @@
 // public ShardSet type: jittered capped retry backoff, a per-shard
 // health tracker with quarantine and probing re-admission, and a
 // scatter executor that dispatches one query to many shards under
-// carved deadline budgets with retries, optional hedging, and panic
-// containment.
+// carved deadline budgets with retries and panic containment.
 //
 // The package is deliberately ignorant of EMD search: it moves
 // opaque results around so its policies can be unit-tested (and bound
@@ -17,13 +16,16 @@ import (
 	"time"
 )
 
+// jitter is the fraction of a nominal backoff delay randomized away.
+const jitter = 0.5
+
 // Backoff computes jittered, capped exponential retry delays. The
 // nominal delay of attempt i (0-based) is min(Cap, Base·2^i); the
-// returned delay is drawn uniformly from [nominal·(1−Jitter), nominal].
-// Jitter decorrelates retries across shards and callers — N shards
-// reopening their WALs or retrying an overloaded peer after the same
-// fault would otherwise stampede in lockstep at exactly Base, 2·Base,
-// 4·Base, ...
+// returned delay is drawn uniformly from [nominal/2, nominal], seeded
+// from the clock. The jitter decorrelates retries across shards and
+// callers — N shards reopening their WALs or retrying an overloaded
+// peer after the same fault would otherwise stampede in lockstep at
+// exactly Base, 2·Base, 4·Base, ...
 //
 // A Backoff is safe for concurrent use.
 type Backoff struct {
@@ -31,14 +33,6 @@ type Backoff struct {
 	Base time.Duration
 	// Cap bounds the nominal delay; <= 0 defaults to 250ms.
 	Cap time.Duration
-	// Jitter is the fraction of the nominal delay randomized away,
-	// in [0, 1]; the delay for attempt i is uniform in
-	// [nominal·(1−Jitter), nominal]. Values outside [0, 1] are
-	// clamped; an untouched zero value defaults to 0.5.
-	Jitter float64
-	// Seed fixes the jitter stream for reproducible tests; 0 seeds
-	// from the clock at first use.
-	Seed int64
 
 	once sync.Once
 	mu   sync.Mutex
@@ -53,20 +47,7 @@ func (b *Backoff) init() {
 		if b.Cap <= 0 {
 			b.Cap = 250 * time.Millisecond
 		}
-		if b.Jitter == 0 {
-			b.Jitter = 0.5
-		}
-		if b.Jitter < 0 {
-			b.Jitter = 0
-		}
-		if b.Jitter > 1 {
-			b.Jitter = 1
-		}
-		seed := b.Seed
-		if seed == 0 {
-			seed = time.Now().UnixNano()
-		}
-		b.rng = rand.New(rand.NewSource(seed))
+		b.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	})
 }
 
@@ -91,17 +72,13 @@ func (b *Backoff) Nominal(attempt int) time.Duration {
 }
 
 // Delay returns the jittered delay for attempt i, uniform in
-// [Nominal·(1−Jitter), Nominal].
+// [Nominal/2, Nominal].
 func (b *Backoff) Delay(attempt int) time.Duration {
-	b.init()
 	nominal := b.Nominal(attempt)
-	if b.Jitter == 0 {
-		return nominal
-	}
 	b.mu.Lock()
 	f := b.rng.Float64()
 	b.mu.Unlock()
-	lo := float64(nominal) * (1 - b.Jitter)
+	lo := float64(nominal) * (1 - jitter)
 	return time.Duration(lo + f*(float64(nominal)-lo))
 }
 

@@ -15,14 +15,14 @@ import (
 // wraps int64; every attempt past the overflow point must clamp to
 // Cap, never go zero or negative.
 func TestBackoffOverflowPastShiftPoint(t *testing.T) {
-	b := &Backoff{Base: time.Millisecond, Cap: time.Second, Jitter: 0, Seed: 1}
+	b := &Backoff{Base: time.Millisecond, Cap: time.Second}
 	for _, attempt := range []int{62, 63, 64, 100, 1 << 20} {
 		if got := b.Nominal(attempt); got != time.Second {
 			t.Fatalf("Nominal(%d) = %v, want cap %v", attempt, got, time.Second)
 		}
 	}
 	// A base already huge enough that the FIRST doubling overflows.
-	huge := &Backoff{Base: time.Duration(1) << 62, Cap: time.Second, Jitter: 0, Seed: 1}
+	huge := &Backoff{Base: time.Duration(1) << 62, Cap: time.Second}
 	if got := huge.Nominal(1); got != time.Second {
 		t.Fatalf("huge base Nominal(1) = %v, want cap", got)
 	}
@@ -34,15 +34,13 @@ func TestBackoffOverflowPastShiftPoint(t *testing.T) {
 // TestBackoffCapBelowBase: a cap smaller than the base clamps every
 // attempt — including attempt 0 — to the cap.
 func TestBackoffCapBelowBase(t *testing.T) {
-	// Jitter < 0 clamps to 0 (an exact 0 means "default to 0.5"), so
-	// Delay must equal Nominal here.
-	b := &Backoff{Base: 100 * time.Millisecond, Cap: 10 * time.Millisecond, Jitter: -1, Seed: 1}
+	b := &Backoff{Base: 100 * time.Millisecond, Cap: 10 * time.Millisecond}
 	for attempt := 0; attempt < 5; attempt++ {
 		if got := b.Nominal(attempt); got != 10*time.Millisecond {
 			t.Fatalf("Nominal(%d) = %v, want cap 10ms", attempt, got)
 		}
-		if got := b.Delay(attempt); got != 10*time.Millisecond {
-			t.Fatalf("Delay(%d) = %v, want cap 10ms (jitter clamped to 0)", attempt, got)
+		if got := b.Delay(attempt); got < 5*time.Millisecond || got > 10*time.Millisecond {
+			t.Fatalf("Delay(%d) = %v, want within [5ms, 10ms] of the 10ms cap", attempt, got)
 		}
 	}
 }
@@ -51,7 +49,7 @@ func TestBackoffCapBelowBase(t *testing.T) {
 // defaults as zero — the scatter loop must never compute from a
 // negative schedule.
 func TestBackoffNegativeConfigDefaults(t *testing.T) {
-	b := &Backoff{Base: -time.Second, Cap: -time.Second, Jitter: 0.0001, Seed: 1}
+	b := &Backoff{Base: -time.Second, Cap: -time.Second}
 	if got := b.Nominal(0); got != time.Millisecond {
 		t.Fatalf("negative base Nominal(0) = %v, want default 1ms", got)
 	}
@@ -67,29 +65,9 @@ func TestBackoffNegativeConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestBackoffJitterClamped: Jitter outside [0, 1] is clamped, keeping
-// Delay inside [0, Nominal].
-func TestBackoffJitterClamped(t *testing.T) {
-	over := &Backoff{Base: 8 * time.Millisecond, Cap: time.Second, Jitter: 3.5, Seed: 1}
-	for attempt := 0; attempt < 8; attempt++ {
-		n := over.Nominal(attempt)
-		d := over.Delay(attempt)
-		if d < 0 || d > n {
-			t.Fatalf("jitter>1 Delay(%d) = %v outside [0, %v]", attempt, d, n)
-		}
-	}
-	under := &Backoff{Base: 8 * time.Millisecond, Cap: time.Second, Jitter: -2, Seed: 1}
-	for attempt := 0; attempt < 8; attempt++ {
-		// Clamped to 0: the delay is exactly the nominal.
-		if d, n := under.Delay(attempt), under.Nominal(attempt); d != n {
-			t.Fatalf("jitter<0 Delay(%d) = %v, want nominal %v", attempt, d, n)
-		}
-	}
-}
-
 // TestBackoffNegativeAttempt: attempts < 0 count as attempt 0.
 func TestBackoffNegativeAttempt(t *testing.T) {
-	b := &Backoff{Base: 4 * time.Millisecond, Cap: time.Second, Jitter: 0, Seed: 1}
+	b := &Backoff{Base: 4 * time.Millisecond, Cap: time.Second}
 	if got := b.Nominal(-5); got != 4*time.Millisecond {
 		t.Fatalf("Nominal(-5) = %v, want base", got)
 	}
@@ -100,7 +78,7 @@ func TestBackoffNegativeAttempt(t *testing.T) {
 // bound on when a retry can succeed, and truncating it to the cap
 // would guarantee a wasted attempt.
 func TestBackoffSleepFloorAboveCap(t *testing.T) {
-	b := &Backoff{Base: time.Microsecond, Cap: 2 * time.Microsecond, Jitter: 0, Seed: 1}
+	b := &Backoff{Base: time.Microsecond, Cap: 2 * time.Microsecond}
 	floor := 30 * time.Millisecond
 	start := time.Now()
 	if !b.Sleep(context.Background(), 0, floor) {
@@ -115,11 +93,11 @@ func TestBackoffSleepFloorAboveCap(t *testing.T) {
 // clamping) still sleeps and returns promptly, and a pre-cancelled
 // context stops a long sleep immediately.
 func TestBackoffSleepTinyDelay(t *testing.T) {
-	b := &Backoff{Base: time.Nanosecond, Cap: time.Nanosecond, Jitter: -1, Seed: 1}
+	b := &Backoff{Base: time.Nanosecond, Cap: time.Nanosecond}
 	if !b.Sleep(context.Background(), 0, 0) {
 		t.Fatal("Sleep with live context reported cancellation")
 	}
-	long := &Backoff{Base: time.Hour, Cap: time.Hour, Jitter: 0, Seed: 1}
+	long := &Backoff{Base: time.Hour, Cap: time.Hour}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()

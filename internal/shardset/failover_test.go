@@ -15,7 +15,7 @@ var errPrimaryDown = errors.New("primary down")
 func failoverCfg() Config {
 	return Config{
 		MaxAttempts: 1,
-		Backoff:     &Backoff{Base: time.Microsecond, Cap: time.Microsecond, Seed: 1},
+		Backoff:     &Backoff{Base: time.Microsecond, Cap: time.Microsecond},
 	}
 }
 

@@ -30,18 +30,11 @@ func (e *PanicError) Error() string {
 // Config is the scatter executor's per-query policy.
 type Config struct {
 	// MaxAttempts bounds the dispatch attempts per shard, counting the
-	// first try and any hedges; < 1 defaults to 2 (one retry or one
-	// hedge).
+	// first try and its retries; < 1 defaults to 2 (one retry).
 	MaxAttempts int
 	// Backoff paces retries; nil uses a default jittered 1ms..250ms
 	// schedule.
 	Backoff *Backoff
-	// HedgeAfter, when > 0, re-dispatches a shard that has not
-	// answered after this delay and takes whichever attempt finishes
-	// first. The straggler keeps running under a cancelled context
-	// (cooperative engines stop within microseconds) and its result is
-	// discarded. Hedges consume MaxAttempts.
-	HedgeAfter time.Duration
 	// Retryable classifies an attempt error: retry reports whether a
 	// fresh attempt is worthwhile (transient overload, not a bad
 	// query), and after is a server-supplied floor for the backoff
@@ -72,16 +65,13 @@ type Outcome[T any] struct {
 	// Err is the last attempt's error; nil on success. ErrQuarantined
 	// when the dispatch was suppressed without an attempt.
 	Err error
-	// Tries counts dispatch attempts actually launched, including
-	// hedges; 0 when quarantined. A failover re-dispatch is not a try
-	// — it goes to a different replica (see FailedOver).
+	// Tries counts dispatch attempts actually launched, the first and
+	// every retry; 0 when quarantined. A failover re-dispatch is not a
+	// try — it goes to a different replica (see FailedOver).
 	Tries int
 	// Retries counts backoff-paced re-attempts after a retryable
 	// error.
 	Retries int
-	// Hedged reports a hedge was launched; HedgeWon that the hedge,
-	// not the primary, produced the accepted result.
-	Hedged, HedgeWon bool
 	// Skipped reports the quarantine suppressed the dispatch.
 	Skipped bool
 	// FailedOver reports Value came from the shard's follower replica
@@ -101,13 +91,12 @@ type Failover[T any] func(ctx context.Context, shard int) (T, error)
 // ScatterFailover dispatches call to shards 0..n-1 concurrently and
 // gathers every outcome. Each shard runs its own attempt loop:
 // quarantine check, panic-contained call, retry with jittered backoff
-// on retryable errors (within ctx's budget), and optional hedged
-// re-dispatch of stragglers. ScatterFailover returns when every
-// shard's loop has resolved. The deadline bound is cooperative:
-// provided call honors its context's cancellation (the engine query
-// paths poll it once per candidate and once per simplex pivot), each
-// loop resolves no later than ctx's deadline plus one cancellation
-// latency. A call that ignores its context — a stuck syscall, a hook
+// on retryable errors (within ctx's budget). ScatterFailover returns
+// when every shard's loop has resolved. The deadline bound is
+// cooperative: provided call honors its context's cancellation (the
+// engine query paths poll it once per candidate and once per simplex
+// pivot), each loop resolves no later than ctx's deadline plus one
+// cancellation latency. A call that ignores its context — a stuck syscall, a hook
 // that never checks ctx — blocks its shard's loop, and therefore the
 // gather, until it returns; ScatterFailover deliberately waits rather
 // than abandon it, because a cooperative call that outlives its
@@ -152,9 +141,9 @@ func runShard[T any](ctx context.Context, shard int, h *Health, cfg Config, call
 		tryFailover(ctx, shard, failover, &out)
 		return out
 	}
-	try := 0
 	for {
-		v, err := hedgedAttempt(ctx, shard, &try, cfg, call, &out)
+		v, err := safeCall(ctx, shard, out.Tries, call)
+		out.Tries++
 		if err == nil {
 			if h != nil {
 				h.Success()
@@ -164,7 +153,7 @@ func runShard[T any](ctx context.Context, shard int, h *Health, cfg Config, call
 			return out
 		}
 		out.Err = err
-		if cfg.Retryable != nil && try < cfg.MaxAttempts && ctx.Err() == nil {
+		if cfg.Retryable != nil && out.Tries < cfg.MaxAttempts && ctx.Err() == nil {
 			if retry, after := cfg.Retryable(err); retry {
 				if cfg.Backoff.Sleep(ctx, out.Retries, after) {
 					out.Retries++
@@ -201,69 +190,6 @@ func tryFailover[T any](ctx context.Context, shard int, failover Failover[T], ou
 	out.FailedOver = true
 }
 
-// hedgedAttempt launches one attempt and, when configured and the
-// attempt budget allows, a single hedge after HedgeAfter; the first
-// success wins and the loser's context is cancelled. With no success,
-// it returns after all launched attempts finish (each bounded by ctx
-// only insofar as call honors its cancellation — see ScatterFailover's doc).
-// Panics in call are contained to a PanicError.
-func hedgedAttempt[T any](ctx context.Context, shard int, try *int, cfg Config, call func(ctx context.Context, shard, try int) (T, error), out *Outcome[T]) (T, error) {
-	type res struct {
-		v   T
-		err error
-		try int
-	}
-	primary := *try
-	*try++
-	out.Tries++
-	actx, acancel := context.WithCancel(ctx)
-	defer acancel()
-	ch := make(chan res, 2) // buffered: a losing straggler never blocks
-	launch := func(t int) {
-		go func() {
-			v, err := safeCall(actx, shard, t, call)
-			ch <- res{v, err, t}
-		}()
-	}
-	launch(primary)
-	inflight := 1
-
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	if cfg.HedgeAfter > 0 && *try < cfg.MaxAttempts {
-		hedgeTimer = time.NewTimer(cfg.HedgeAfter)
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
-	}
-
-	var lastErr error
-	for {
-		select {
-		case r := <-ch:
-			inflight--
-			if r.err == nil {
-				if r.try != primary {
-					out.HedgeWon = true
-				}
-				return r.v, nil
-			}
-			lastErr = r.err
-			if inflight == 0 {
-				var zero T
-				return zero, lastErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			hedge := *try
-			*try++
-			out.Tries++
-			out.Hedged = true
-			launch(hedge)
-			inflight++
-		}
-	}
-}
-
 // safeCall invokes call with panic containment.
 func safeCall[T any](ctx context.Context, shard, try int, call func(ctx context.Context, shard, try int) (T, error)) (v T, err error) {
 	defer func() {
@@ -278,23 +204,15 @@ func safeCall[T any](ctx context.Context, shard, try int, call func(ctx context.
 // with a caller deadline, the shard budget ends `reserve` before it so
 // the gather and merge finish inside the caller's deadline (but never
 // less than half the remaining time, so a tight deadline still reaches
-// the shards); shardTimeout, when > 0, additionally caps any single
-// scatter — the defense against a hung shard when the caller gave no
-// deadline at all.
-func CarveBudget(ctx context.Context, reserve, shardTimeout time.Duration) (context.Context, context.CancelFunc) {
+// the shards); without one, the shards run unbounded but cancellable.
+func CarveBudget(ctx context.Context, reserve time.Duration) (context.Context, context.CancelFunc) {
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl)
 		budget := remaining - reserve
 		if budget < remaining/2 {
 			budget = remaining / 2
 		}
-		if shardTimeout > 0 && budget > shardTimeout {
-			budget = shardTimeout
-		}
 		return context.WithTimeout(ctx, budget)
-	}
-	if shardTimeout > 0 {
-		return context.WithTimeout(ctx, shardTimeout)
 	}
 	return context.WithCancel(ctx)
 }

@@ -15,11 +15,11 @@ import (
 func quarantined(h *Health) bool { return h.brk.State() == admission.BreakerOpen }
 
 // TestBackoffBounds pins the delay schedule: attempt i's delay lies in
-// [nominal·(1−Jitter), nominal] with nominal = min(Cap, Base·2^i), for
+// [nominal/2, nominal] with nominal = min(Cap, Base·2^i), for
 // every attempt and across many draws. This is the thundering-herd
 // contract — retries are capped AND decorrelated.
 func TestBackoffBounds(t *testing.T) {
-	b := &Backoff{Base: time.Millisecond, Cap: 8 * time.Millisecond, Jitter: 0.5, Seed: 42}
+	b := &Backoff{Base: time.Millisecond, Cap: 8 * time.Millisecond}
 	wantNominal := []time.Duration{
 		1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
 		8 * time.Millisecond, 8 * time.Millisecond, 8 * time.Millisecond,
@@ -41,7 +41,7 @@ func TestBackoffBounds(t *testing.T) {
 // TestBackoffJitterVaries asserts the delays are actually randomized:
 // 50 draws of the same attempt must not all collapse to one value.
 func TestBackoffJitterVaries(t *testing.T) {
-	b := &Backoff{Base: time.Millisecond, Cap: time.Second, Jitter: 0.5, Seed: 7}
+	b := &Backoff{Base: time.Millisecond, Cap: time.Second}
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 50; i++ {
 		seen[b.Delay(3)] = true
@@ -51,10 +51,10 @@ func TestBackoffJitterVaries(t *testing.T) {
 	}
 }
 
-// TestBackoffZeroValueDefaults pins the defaults the production path
-// relies on: 1ms base, 250ms cap, half jitter.
+// TestBackoffZeroValueDefaults pins the defaults a zero Backoff takes:
+// 1ms base, 250ms cap, half jitter.
 func TestBackoffZeroValueDefaults(t *testing.T) {
-	b := &Backoff{Seed: 1}
+	b := &Backoff{}
 	if got := b.Nominal(0); got != time.Millisecond {
 		t.Fatalf("default base = %v, want 1ms", got)
 	}
@@ -70,7 +70,7 @@ func TestBackoffZeroValueDefaults(t *testing.T) {
 // TestBackoffNoOverflow: very large attempt numbers must clamp to Cap,
 // not wrap negative.
 func TestBackoffNoOverflow(t *testing.T) {
-	b := &Backoff{Base: time.Millisecond, Cap: time.Second, Jitter: 0, Seed: 1}
+	b := &Backoff{Base: time.Millisecond, Cap: time.Second}
 	if got := b.Nominal(200); got != time.Second {
 		t.Fatalf("Nominal(200) = %v, want cap 1s", got)
 	}
@@ -79,7 +79,7 @@ func TestBackoffNoOverflow(t *testing.T) {
 // TestBackoffSleepHonorsFloor: a server-supplied retry-after below the
 // jittered delay leaves the delay alone; above it, the floor wins.
 func TestBackoffSleepHonorsFloor(t *testing.T) {
-	b := &Backoff{Base: time.Microsecond, Cap: 2 * time.Microsecond, Jitter: 0, Seed: 1}
+	b := &Backoff{Base: time.Microsecond, Cap: 2 * time.Microsecond}
 	start := time.Now()
 	if !b.Sleep(context.Background(), 0, 20*time.Millisecond) {
 		t.Fatal("Sleep returned false without cancellation")
@@ -92,7 +92,7 @@ func TestBackoffSleepHonorsFloor(t *testing.T) {
 // TestBackoffSleepCancels: a cancelled context cuts the sleep short
 // and reports false.
 func TestBackoffSleepCancels(t *testing.T) {
-	b := &Backoff{Base: time.Minute, Cap: time.Minute, Jitter: 0, Seed: 1}
+	b := &Backoff{Base: time.Minute, Cap: time.Minute}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -161,13 +161,13 @@ func TestHealthSuccessResetsStreak(t *testing.T) {
 }
 
 // TestScatterAllHealthy: every shard answers, outcomes are positional,
-// no retries or hedges fire.
+// no retries fire.
 func TestScatterAllHealthy(t *testing.T) {
 	out := ScatterFailover(context.Background(), 4, nil, Config{}, func(_ context.Context, shard, try int) (int, error) {
 		return shard * 10, nil
 	}, nil)
 	for s, o := range out {
-		if o.Err != nil || o.Value != s*10 || o.Tries != 1 || o.Retries != 0 || o.Hedged {
+		if o.Err != nil || o.Value != s*10 || o.Tries != 1 || o.Retries != 0 {
 			t.Fatalf("shard %d outcome = %+v", s, o)
 		}
 	}
@@ -180,7 +180,7 @@ func TestScatterRetryHonorsRetryAfter(t *testing.T) {
 	var firstFail, retryAt time.Time
 	cfg := Config{
 		MaxAttempts: 3,
-		Backoff:     &Backoff{Base: time.Microsecond, Cap: time.Microsecond, Jitter: 0, Seed: 1},
+		Backoff:     &Backoff{Base: time.Microsecond, Cap: time.Microsecond},
 		Retryable: func(err error) (bool, time.Duration) {
 			return true, 15 * time.Millisecond
 		},
@@ -262,33 +262,6 @@ func TestScatterPanicContained(t *testing.T) {
 	}
 }
 
-// TestScatterHedgeWins: a straggling primary is hedged and the fast
-// hedge's answer is accepted; the primary is cancelled.
-func TestScatterHedgeWins(t *testing.T) {
-	cfg := Config{MaxAttempts: 2, HedgeAfter: 5 * time.Millisecond}
-	var primaryCancelled atomic.Bool
-	out := ScatterFailover(context.Background(), 1, nil, cfg, func(ctx context.Context, shard, try int) (string, error) {
-		if try == 0 {
-			<-ctx.Done() // straggle until the winner cancels us
-			primaryCancelled.Store(true)
-			return "", ctx.Err()
-		}
-		return "hedge", nil
-	}, nil)
-	o := out[0]
-	if o.Err != nil || o.Value != "hedge" || !o.Hedged || !o.HedgeWon || o.Tries != 2 {
-		t.Fatalf("outcome = %+v", o)
-	}
-	// The straggler observes cancellation shortly after the win.
-	deadline := time.Now().Add(time.Second)
-	for !primaryCancelled.Load() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !primaryCancelled.Load() {
-		t.Fatal("losing primary never saw cancellation")
-	}
-}
-
 // TestScatterDeadlineBound: with a hung shard and a ctx deadline, the
 // scatter resolves promptly after the deadline instead of hanging.
 func TestScatterDeadlineBound(t *testing.T) {
@@ -308,12 +281,12 @@ func TestScatterDeadlineBound(t *testing.T) {
 }
 
 // TestCarveBudget pins the carving rules: reserve comes off the top,
-// but never more than half the remaining time; ShardTimeout caps the
-// budget with or without a caller deadline.
+// but never more than half the remaining time; without a caller
+// deadline the budget is unbounded but cancellable.
 func TestCarveBudget(t *testing.T) {
 	parent, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	sctx, scancel := CarveBudget(parent, 10*time.Millisecond, 0)
+	sctx, scancel := CarveBudget(parent, 10*time.Millisecond)
 	defer scancel()
 	dl, ok := sctx.Deadline()
 	if !ok {
@@ -326,26 +299,15 @@ func TestCarveBudget(t *testing.T) {
 	// Reserve larger than the budget: keep half, not zero.
 	tight, tcancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer tcancel()
-	sctx2, scancel2 := CarveBudget(tight, time.Hour, 0)
+	sctx2, scancel2 := CarveBudget(tight, time.Hour)
 	defer scancel2()
 	dl2, _ := sctx2.Deadline()
 	if rem := time.Until(dl2); rem < 2*time.Millisecond || rem > 10*time.Millisecond {
 		t.Fatalf("half-floor remaining = %v, want ~5ms", rem)
 	}
 
-	// No caller deadline: ShardTimeout alone bounds the dispatch.
-	sctx3, scancel3 := CarveBudget(context.Background(), time.Minute, 30*time.Millisecond)
-	defer scancel3()
-	dl3, ok3 := sctx3.Deadline()
-	if !ok3 {
-		t.Fatal("ShardTimeout did not impose a deadline")
-	}
-	if rem := time.Until(dl3); rem > 31*time.Millisecond {
-		t.Fatalf("shard-timeout remaining = %v, want <= 30ms", rem)
-	}
-
-	// Neither: unbounded but cancellable.
-	sctx4, scancel4 := CarveBudget(context.Background(), 0, 0)
+	// No caller deadline: unbounded but cancellable.
+	sctx4, scancel4 := CarveBudget(context.Background(), 0)
 	if _, ok := sctx4.Deadline(); ok {
 		t.Fatal("deadline appeared from nowhere")
 	}
@@ -369,7 +331,7 @@ func TestScatterManyShardsStress(t *testing.T) {
 	var failed atomic.Int32
 	cfg := Config{
 		MaxAttempts: 3,
-		Backoff:     &Backoff{Base: time.Microsecond, Cap: 10 * time.Microsecond, Seed: 5},
+		Backoff:     &Backoff{Base: time.Microsecond, Cap: 10 * time.Microsecond},
 		Retryable:   func(err error) (bool, time.Duration) { return err.Error() == "transient", 0 },
 	}
 	out := ScatterFailover(context.Background(), n, health, cfg, func(_ context.Context, shard, try int) (int, error) {

@@ -207,8 +207,15 @@ func TestOptionCountsPinned(t *testing.T) {
 		// asymmetric level and the centroid stream; no caller set them
 		// (TestEveryOptionIsSet).
 		{"Options fields", exported(Options{}), 10},
-		{"ShardSetOptions fields", exported(ShardSetOptions{}), 14},
-		{"GateOptions fields", exported(GateOptions{}), 6},
+		// 5: HedgeAfter went with hedging; MergeReserve, RetryMax,
+		// RetryBase, RetryCap and QuarantineCooldown became constants;
+		// ShardTimeout and Seed went and ReplicaShipHook became an
+		// unexported test seam. No non-test file set any of them
+		// (TestEveryOptionIsSet).
+		{"ShardSetOptions fields", exported(ShardSetOptions{}), 5},
+		// 3: DegradeAt, DegradeBudget and BreakerThreshold became
+		// constants; no non-test file set them.
+		{"GateOptions fields", exported(GateOptions{}), 3},
 		// 27: four methods nothing called went, and two that duplicated
 		// Metrics().CascadePlan and ReopenWALRetry.
 		{"*Engine methods", methods(&Engine{}), 27},

@@ -65,15 +65,17 @@ func concurrently(n int, call func(i int)) {
 func TestSearchBreakerOpenHonoursPredicate(t *testing.T) {
 	var panics atomic.Bool
 	eng := chaosEngine(t, 60, 4, 1, &panics)
-	gate := NewGate(eng, GateOptions{BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	gate := NewGate(eng, GateOptions{BreakerCooldown: time.Hour})
 	ctx := context.Background()
 	q := Histogram{0.1, 0.2, 0.3, 0.4}
 	panics.Store(true)
-	if _, err := gate.KNN(ctx, q, 5); !errors.Is(err, ErrInternal) {
-		t.Fatalf("fault: err = %v, want ErrInternal", err)
+	for i := 0; i < gateBreakerThreshold; i++ {
+		if _, err := gate.KNN(ctx, q, 5); !errors.Is(err, ErrInternal) {
+			t.Fatalf("fault %d: err = %v, want ErrInternal", i, err)
+		}
 	}
 	if st := gate.Metrics().BreakerState; st != "open" {
-		t.Fatalf("breaker %s after the fault, want open", st)
+		t.Fatalf("breaker %s after the faults, want open", st)
 	}
 
 	odd := func(i int, label string) bool { return i%2 == 1 && label == fmt.Sprintf("item-%d", i) }

@@ -24,18 +24,11 @@ import (
 // lagging one is honestly Degraded with an exact Freshness bound, and
 // nothing is ever silently stale.
 
-// replicaSetOpts is the common chaos config: one follower per shard,
-// a quarantine threshold high enough that repeated injected faults
-// keep dispatching to the (failing) primary, and a microsecond ship
-// backoff so lag scenarios drain quickly once healed.
+// replicaSetOpts is the common chaos config: one follower per shard
+// and a quarantine threshold high enough that repeated injected faults
+// keep dispatching to the (failing) primary.
 func replicaSetOpts() ShardSetOptions {
-	return ShardSetOptions{
-		Replicas:        1,
-		QuarantineAfter: 100,
-		RetryBase:       100 * time.Microsecond,
-		RetryCap:        time.Millisecond,
-		Seed:            1,
-	}
+	return ShardSetOptions{Replicas: 1, QuarantineAfter: 100}
 }
 
 // extraVectors returns m fresh histograms compatible with the chaos
@@ -160,7 +153,6 @@ func TestReplicaQuarantineFailover(t *testing.T) {
 	kill.Store(true)
 	opts := replicaSetOpts()
 	opts.QuarantineAfter = 1
-	opts.QuarantineCooldown = time.Hour
 	opts.ShardHook = func(ctx context.Context, shard, try int, op string) error {
 		if op == "knn" && shard == b && kill.Load() {
 			return errors.New("injected primary crash")
@@ -205,7 +197,7 @@ func TestReplicaLaggingFollowerDegraded(t *testing.T) {
 	const shards, b = 3, 0
 	var blockShip, killPrimary atomic.Bool
 	opts := replicaSetOpts()
-	opts.ReplicaShipHook = func(shard int, lsn int64) error {
+	opts.replicaShipHook = func(shard int, lsn int64) error {
 		if blockShip.Load() {
 			return errors.New("ship link down")
 		}
@@ -305,7 +297,7 @@ func TestReplicaShipLinkFlapping(t *testing.T) {
 	var bad atomic.Int64
 	bad.Store(-1)
 	opts := replicaSetOpts()
-	opts.ReplicaShipHook = func(shard int, lsn int64) error {
+	opts.replicaShipHook = func(shard int, lsn int64) error {
 		mu.Lock()
 		defer mu.Unlock()
 		key := [2]int64{int64(shard), lsn}

@@ -286,7 +286,7 @@ func TestShardChaosOverloadRetry(t *testing.T) {
 		return nil
 	}
 	set, single, queries := buildChaosSet(t, shards, 36, Options{ReducedDims: 4, Seed: 1},
-		ShardSetOptions{ShardHook: hook, Seed: 7})
+		ShardSetOptions{ShardHook: hook})
 	q, k := queries[0], 4
 	start := time.Now()
 	ans, err := set.KNN(context.Background(), q, k)
@@ -324,7 +324,6 @@ func TestShardChaosOverloadRetry(t *testing.T) {
 // the probe succeeds.
 func TestShardChaosQuarantineFlapping(t *testing.T) {
 	const shards, bad = 3, 1
-	cooldown := 50 * time.Millisecond
 	var failing atomic.Bool
 	failing.Store(true)
 	hook := func(ctx context.Context, shard, try int, op string) error {
@@ -334,7 +333,7 @@ func TestShardChaosQuarantineFlapping(t *testing.T) {
 		return nil
 	}
 	set, single, queries := buildChaosSet(t, shards, 36, Options{ReducedDims: 4, Seed: 1},
-		ShardSetOptions{ShardHook: hook, RetryMax: 1, QuarantineAfter: 2, QuarantineCooldown: cooldown})
+		ShardSetOptions{ShardHook: hook, QuarantineAfter: 2})
 	ctx, q, k := context.Background(), queries[0], 4
 
 	// Two faulting queries reach the threshold.
@@ -372,7 +371,7 @@ func TestShardChaosQuarantineFlapping(t *testing.T) {
 	// Heal, wait out the cooldown: the probe query is re-admitted,
 	// succeeds, and closes the breaker.
 	failing.Store(false)
-	time.Sleep(cooldown + 20*time.Millisecond)
+	time.Sleep(quarantineCooldown + 20*time.Millisecond)
 	ans, err = set.KNN(ctx, q, k)
 	if err != nil {
 		t.Fatal(err)
@@ -394,99 +393,62 @@ func TestShardChaosQuarantineFlapping(t *testing.T) {
 	}
 }
 
-// TestShardChaosHedgeWins: a straggling first attempt is hedged after
-// HedgeAfter; the hedge answers, the straggler is cancelled, and the
-// answer is a full healthy one.
-func TestShardChaosHedgeWins(t *testing.T) {
-	const shards, slow = 3, 1
-	hook := func(ctx context.Context, shard, try int, op string) error {
-		if shard == slow && try == 0 {
-			<-ctx.Done() // straggler: answers only when cancelled
-			return ctx.Err()
+// TestShardChaosFailoverAfterOffers: a primary confirms neighbors
+// into the shared k-NN set, then faults, and its follower searches the
+// same slice again — offering the same (global id, dist) pairs a
+// second time. Duplicate offers must collapse to one top-k slot each;
+// were they to occupy two, the published threshold would drop below
+// the true global k-th distance and the healthy shards would prune
+// true neighbors, silently corrupting a non-Degraded answer.
+func TestShardChaosFailoverAfterOffers(t *testing.T) {
+	const shards, bad, k = 3, 1, 6
+	// The 2nd refinement panics once: the bad shard's primary has
+	// confirmed and offered its 1st. The other shards' hooks hold them
+	// until the follower has started its k-th refinement (it refines at
+	// least k items of its slice), so the follower's repeated offers
+	// are in the shared set before any other shard reads its threshold.
+	var refinements atomic.Int64
+	offered := make(chan struct{})
+	engOpts := Options{ReducedDims: 4, Seed: 1, RefineHook: func(int) {
+		switch refinements.Add(1) {
+		case 2:
+			panic("injected fault after an offer")
+		case 2 + k:
+			close(offered)
 		}
-		return nil
-	}
-	set, single, queries := buildChaosSet(t, shards, 36, Options{ReducedDims: 4, Seed: 1},
-		ShardSetOptions{ShardHook: hook, HedgeAfter: 5 * time.Millisecond, RetryMax: 2})
-	q, k := queries[1], 4
-	ans, err := set.KNN(context.Background(), q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := ans.Outcomes[slow]
-	if !o.Hedged || !o.HedgeWon || o.Tries != 2 || o.Err != "" {
-		t.Fatalf("straggler outcome = %+v, want a winning hedge", o)
-	}
-	if ans.Degraded {
-		t.Fatalf("hedged query degraded: %+v", ans.Coverage)
-	}
-	assertFullCoverage(t, "hedge", ans.Coverage, shards, set.Len())
-	want, _, err := single.KNN(q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResultBytes(t, "hedge", ans.Results, want)
-	// Lower bounds, not equality: under scheduler load a healthy
-	// shard's primary can also outlive HedgeAfter and hedge.
-	if m := set.Metrics(); m.Hedges < 1 || m.HedgeWins < 1 {
-		t.Fatalf("set metrics hedges=%d hedgeWins=%d, want >= 1 each", m.Hedges, m.HedgeWins)
-	}
-}
-
-// TestShardChaosHedgeMidSearch: the hedge fires while the primary
-// attempt is still about to search, so BOTH attempts run the same
-// shard search concurrently and offer identical (global id, dist)
-// pairs to the shared k-NN set — the straggler keeps offering until
-// the winner's completion cancels it. Duplicate offers must collapse
-// to one top-k slot each; were they to occupy two, the published
-// threshold would drop below the true global k-th distance and the
-// healthy shards would prune true neighbors, silently corrupting a
-// non-Degraded answer.
-func TestShardChaosHedgeMidSearch(t *testing.T) {
-	const shards, slow = 3, 1
-	// The straggler's hook blocks (deliberately ignoring ctx) until the
-	// hedge's hook has run, so primary and hedge enter the engine
-	// search together; slowed refinements keep both mid-search long
-	// enough that each confirms — and offers — overlapping neighbors.
-	primaryGate := make(chan struct{})
+	}}
 	hook := func(ctx context.Context, shard, try int, op string) error {
-		if shard != slow {
+		if shard == bad || op != "knn" {
 			return nil
 		}
-		if try == 0 {
-			select {
-			case <-primaryGate:
-				return nil
-			case <-time.After(5 * time.Second):
-				return errors.New("hedge never launched")
-			}
+		select {
+		case <-offered:
+			return nil
+		case <-time.After(5 * time.Second):
+			return errors.New("the bad shard's follower never re-offered")
 		}
-		close(primaryGate)
-		return nil
 	}
-	engOpts := Options{ReducedDims: 4, Seed: 1,
-		RefineHook: func(int) { time.Sleep(time.Millisecond) }}
 	set, single, queries := buildChaosSet(t, shards, 36, engOpts,
-		ShardSetOptions{ShardHook: hook, HedgeAfter: time.Millisecond, RetryMax: 2,
-			Gate: GateOptions{MaxConcurrent: 4}})
-	q, k := queries[2], 6
+		ShardSetOptions{ShardHook: hook, Replicas: 1})
+	defer set.Close()
+	q := queries[2]
 	ans, err := set.KNN(context.Background(), q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := ans.Outcomes[slow]
-	if !o.Hedged || o.Tries != 2 || o.Err != "" {
-		t.Fatalf("straggler outcome = %+v, want a clean hedged dispatch", o)
+	o := ans.Outcomes[bad]
+	if !o.FailedOver || o.Tries != 1 || o.Err != "" {
+		t.Fatalf("bad shard outcome = %+v, want a clean failover", o)
 	}
 	if ans.Degraded {
-		t.Fatalf("hedged query degraded: %+v", ans.Coverage)
+		t.Fatalf("caught-up failover degraded: %+v", ans.Coverage)
 	}
-	assertFullCoverage(t, "hedge-mid-search", ans.Coverage, shards, set.Len())
+	assertFullCoverage(t, "failover-after-offers", ans.Coverage, shards, set.Len())
 	want, _, err := single.KNN(q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResultBytes(t, "hedge-mid-search", ans.Results, want)
+	sameResultBytes(t, "failover-after-offers", ans.Results, want)
 }
 
 // TestShardChaosAllShardsFail: with every shard failing, the query

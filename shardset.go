@@ -23,41 +23,21 @@ type ShardSetOptions struct {
 	// Gate configures each shard's admission gate (zero value takes
 	// GateOptions defaults).
 	Gate GateOptions
-	// MergeReserve is carved off the caller's deadline for gathering
-	// and merging shard answers (but never more than half the
-	// remaining time); default 2ms.
-	MergeReserve time.Duration
-	// ShardTimeout, when > 0, caps any single shard dispatch even when
-	// the caller supplied no deadline — the defense against a hung
-	// shard turning an undeadlined query into a hung query.
-	ShardTimeout time.Duration
-	// RetryMax bounds dispatch attempts per shard per query (first try
-	// plus retries and hedges); <= 0 defaults to 2. Only transient
-	// errors (ErrOverloaded) are retried, honoring their RetryAfter and
-	// paced by jittered exponential backoff.
-	RetryMax int
-	// RetryBase and RetryCap bound the backoff schedule; defaults 1ms
-	// and 250ms.
-	RetryBase, RetryCap time.Duration
-	// HedgeAfter, when > 0, re-dispatches a shard that has not answered
-	// after this delay and accepts whichever attempt finishes first.
-	HedgeAfter time.Duration
 	// QuarantineAfter is the number of consecutive hard failures
 	// (errors, panics — not overload shedding or deadline-degraded
-	// answers) after which a shard is quarantined, default 3;
-	// QuarantineCooldown is how long it sits out before a probe query
-	// is re-admitted, default 1s. A quarantined shard is skipped —
-	// counted as failed coverage — instead of burning the query budget.
-	QuarantineAfter    int
-	QuarantineCooldown time.Duration
+	// answers) after which a shard is quarantined, default 3. A
+	// quarantined shard sits out a 1s cooldown before a probe query is
+	// re-admitted; meanwhile it is skipped — counted as failed coverage
+	// — instead of burning the query budget.
+	QuarantineAfter int
 	// ShardHook, when non-nil, runs before every shard dispatch
-	// (including retries and hedges) with the attempt's context, the
-	// shard number, the 0-based attempt, and the operation ("knn",
-	// "range", or — for a follower re-dispatch — "knn-failover",
-	// "range-failover"). A returned error fails that attempt — the
-	// fault-injection seam the chaos suite drives delayed, erroring,
-	// panicking and flapping shards through. A delay-injecting hook
-	// must watch ctx, exactly as a real slow shard would.
+	// (including retries) with the attempt's context, the shard number,
+	// the 0-based attempt, and the operation ("knn", "range", or — for
+	// a follower re-dispatch — "knn-failover", "range-failover"). A
+	// returned error fails that attempt — the fault-injection seam the
+	// chaos suite drives delayed, erroring, panicking and flapping
+	// shards through. A delay-injecting hook must watch ctx, exactly as
+	// a real slow shard would.
 	ShardHook func(ctx context.Context, shard, try int, op string) error
 	// Replicas, when 1, gives every shard a follower replica: each
 	// acknowledged mutation is shipped (LSN-sequenced, idempotently
@@ -70,15 +50,6 @@ type ShardSetOptions struct {
 	// follower per shard today; the ship seam is replica.Link-shaped,
 	// so more replicas and network transports slot in later).
 	Replicas int
-	// ReplicaShipHook, when non-nil, runs before each shipped record
-	// is applied to a shard's follower, with the record's LSN. An
-	// error fails that delivery attempt — the shipper retries it with
-	// jittered backoff — making this the fault-injection seam for
-	// flapping replication links.
-	ReplicaShipHook func(shard int, lsn int64) error
-	// Seed fixes the retry jitter stream for reproducible tests; 0
-	// seeds from the clock.
-	Seed int64
 
 	// disableSharedThreshold turns off the cross-shard k-NN threshold:
 	// every shard then computes its full local top-k independently.
@@ -86,23 +57,39 @@ type ShardSetOptions struct {
 	// changes work counters); only the in-package identity suite sets
 	// it, as the deterministic-work reference.
 	disableSharedThreshold bool
+	// replicaShipHook, when non-nil, runs before each shipped record is
+	// applied to a shard's follower, with the record's LSN. An error
+	// fails that delivery attempt — the shipper retries it with
+	// jittered backoff. Only the replica chaos suite sets it, to flap
+	// and block replication links.
+	replicaShipHook func(shard int, lsn int64) error
 }
+
+// The scatter-gather policy every ShardSet serves with.
+const (
+	// mergeReserve is carved off the caller's deadline for gathering
+	// and merging shard answers (but never more than half the
+	// remaining time).
+	mergeReserve = 2 * time.Millisecond
+	// retryMax bounds dispatch attempts per shard per query: the first
+	// try and one retry. Only transient errors (ErrOverloaded) are
+	// retried, honoring their RetryAfter.
+	retryMax = 2
+	// retryBase and retryCap bound the jittered exponential backoff of
+	// shard retries and replica shipping.
+	retryBase = time.Millisecond
+	retryCap  = 250 * time.Millisecond
+	// quarantineCooldown is how long a quarantined shard sits out
+	// before a probe query is re-admitted.
+	quarantineCooldown = time.Second
+)
 
 func (o ShardSetOptions) withDefaults() ShardSetOptions {
 	if o.Shards <= 0 {
 		o.Shards = 2
 	}
-	if o.MergeReserve <= 0 {
-		o.MergeReserve = 2 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2
-	}
 	if o.QuarantineAfter <= 0 {
 		o.QuarantineAfter = 3
-	}
-	if o.QuarantineCooldown <= 0 {
-		o.QuarantineCooldown = time.Second
 	}
 	if o.Replicas > 1 {
 		o.Replicas = 1
@@ -180,7 +167,7 @@ type ShardAnswer struct {
 	// Stats sums the per-shard query counters of every shard that
 	// answered; ShardStats holds each serving shard's own (nil for
 	// failed shards). Outcomes reports each shard's dispatch
-	// disposition: retries, hedges, quarantine skips, final error.
+	// disposition: retries, quarantine skips, final error.
 	Stats      *QueryStats
 	ShardStats []*QueryStats
 	Outcomes   []ShardOutcome
@@ -191,8 +178,6 @@ type ShardOutcome struct {
 	Shard    int  `json:"shard"`
 	Tries    int  `json:"tries"`
 	Retries  int  `json:"retries"`
-	Hedged   bool `json:"hedged,omitempty"`
-	HedgeWon bool `json:"hedge_won,omitempty"`
 	Skipped  bool `json:"skipped,omitempty"`
 	Degraded bool `json:"degraded,omitempty"`
 	// FailedOver reports the shard's slice was served by its follower
@@ -228,9 +213,9 @@ type ShardRangeAnswer struct {
 // and the merged top-k inherits the deterministic (Dist, Index)
 // tie-break. Failures degrade the answer instead of failing the
 // query: per-shard deadline budgets, retry with jittered backoff on
-// overload, optional hedged re-dispatch of stragglers, quarantine of
-// repeatedly failing shards with probing re-admission, and certified
-// partial answers with per-shard coverage accounting.
+// overload, quarantine of repeatedly failing shards with probing
+// re-admission, failover to a follower replica, and certified partial
+// answers with per-shard coverage accounting.
 //
 // Queries are safe for concurrent use. Mutations (Add, Delete, Build)
 // follow the Engine's discipline: safe to interleave with queries,
@@ -257,10 +242,8 @@ type ShardSet struct {
 	queries        atomic.Int64
 	degraded       atomic.Int64
 	retries        atomic.Int64
-	hedges         atomic.Int64
 	failures       atomic.Int64
 	skips          atomic.Int64
-	hedgeWins      atomic.Int64
 	failovers      atomic.Int64 // follower re-dispatches attempted
 	failoverServes atomic.Int64 // shard slices a follower served
 	walReopens     atomic.Int64 // broken-WAL heals on the ingest path
@@ -270,19 +253,30 @@ type ShardSet struct {
 // with its own gate, all sharing cost and engOpts.
 func NewShardSet(cost CostMatrix, engOpts Options, opts ShardSetOptions) (*ShardSet, error) {
 	opts = opts.withDefaults()
-	s := &ShardSet{opts: opts, cost: cost, engOpts: engOpts}
-	for i := 0; i < opts.Shards; i++ {
+	engines := make([]*Engine, opts.Shards)
+	for i := range engines {
 		e, err := NewEngine(cost, engOpts)
 		if err != nil {
 			return nil, fmt.Errorf("emdsearch: shard %d: %w", i, err)
 		}
-		s.engines = append(s.engines, e)
-		s.gates = append(s.gates, NewGate(e, opts.Gate))
-		s.health = append(s.health, shardset.NewHealth(opts.QuarantineAfter, opts.QuarantineCooldown))
+		engines[i] = e
 	}
-	s.backoff = &shardset.Backoff{Base: opts.RetryBase, Cap: opts.RetryCap, Seed: opts.Seed}
+	return newShardSet(cost, engOpts, opts, engines, 0), nil
+}
+
+// newShardSet wraps engines, holding total items between them, in the
+// serving state both constructors share: a gate and a health tracker
+// per shard, the retry backoff and, with Replicas, each shard's
+// shipper.
+func newShardSet(cost CostMatrix, engOpts Options, opts ShardSetOptions, engines []*Engine, total int) *ShardSet {
+	s := &ShardSet{opts: opts, cost: cost, engOpts: engOpts, engines: engines, total: total,
+		backoff: &shardset.Backoff{Base: retryBase, Cap: retryCap}}
+	for _, e := range engines {
+		s.gates = append(s.gates, NewGate(e, opts.Gate))
+		s.health = append(s.health, shardset.NewHealth(opts.QuarantineAfter, quarantineCooldown))
+	}
 	s.initReplicas()
-	return s, nil
+	return s
 }
 
 // Shards returns the partition count.
@@ -440,9 +434,8 @@ func (s *ShardSet) Build() error {
 // healthy shards under tight SLOs); everything else is a hard fault.
 func (s *ShardSet) scatterConfig() shardset.Config {
 	return shardset.Config{
-		MaxAttempts: s.opts.RetryMax,
+		MaxAttempts: retryMax,
 		Backoff:     s.backoff,
-		HedgeAfter:  s.opts.HedgeAfter,
 		Retryable: func(err error) (bool, time.Duration) {
 			var ov *OverloadError
 			if errors.As(err, &ov) {
@@ -464,12 +457,6 @@ func (s *ShardSet) account(outs []shardset.Outcome[shardServe]) []ShardOutcome {
 	rendered := make([]ShardOutcome, len(outs))
 	for i, o := range outs {
 		s.retries.Add(int64(o.Retries))
-		if o.Hedged {
-			s.hedges.Add(1)
-		}
-		if o.HedgeWon {
-			s.hedgeWins.Add(1)
-		}
 		if o.Skipped {
 			s.skips.Add(1)
 		}
@@ -483,8 +470,6 @@ func (s *ShardSet) account(outs []shardset.Outcome[shardServe]) []ShardOutcome {
 			Shard:      o.Shard,
 			Tries:      o.Tries,
 			Retries:    o.Retries,
-			Hedged:     o.Hedged,
-			HedgeWon:   o.HedgeWon,
 			Skipped:    o.Skipped,
 			FailedOver: o.FailedOver,
 			Degraded:   o.Err == nil && o.Value.ans.Degraded,
@@ -544,7 +529,7 @@ func (s *ShardSet) search(ctx context.Context, q Query) (*ShardAnswer, error) {
 	} else if !s.opts.disableSharedThreshold {
 		q.shared, _ = search.NewSharedKNN(q.K) // cannot fail: K >= 1 was validated
 	}
-	sctx, cancel := shardset.CarveBudget(ctx, s.opts.MergeReserve, s.opts.ShardTimeout)
+	sctx, cancel := shardset.CarveBudget(ctx, mergeReserve)
 	defer cancel()
 
 	outs := shardset.ScatterFailover(sctx, len(s.gates), s.health, s.scatterConfig(),
@@ -842,14 +827,14 @@ type ShardSetMetrics struct {
 	Items  int `json:"items"`
 	Alive  int `json:"alive"`
 	// Queries counts scatters started; DegradedAnswers those that
-	// returned with Degraded set. Retries, Hedges, HedgeWins,
-	// ShardFailures and QuarantineSkips count per-shard dispatch
-	// events across all queries.
+	// returned with Degraded set. Retries, ShardFailures and
+	// QuarantineSkips count per-shard dispatch events across all
+	// queries. Hedges is always 0: the set never re-dispatches a
+	// straggler; the field stays for readers of the metrics.
 	Queries         int64 `json:"queries"`
 	DegradedAnswers int64 `json:"degraded_answers"`
 	Retries         int64 `json:"retries"`
 	Hedges          int64 `json:"hedges"`
-	HedgeWins       int64 `json:"hedge_wins"`
 	ShardFailures   int64 `json:"shard_failures"`
 	QuarantineSkips int64 `json:"quarantine_skips"`
 	// Failovers counts follower re-dispatches attempted;
@@ -874,8 +859,6 @@ func (s *ShardSet) Metrics() ShardSetMetrics {
 		Queries:         s.queries.Load(),
 		DegradedAnswers: s.degraded.Load(),
 		Retries:         s.retries.Load(),
-		Hedges:          s.hedges.Load(),
-		HedgeWins:       s.hedgeWins.Load(),
 		ShardFailures:   s.failures.Load(),
 		QuarantineSkips: s.skips.Load(),
 		Failovers:       s.failovers.Load(),
@@ -952,28 +935,22 @@ func (s *ShardSet) CloseWAL() error {
 // after a Checkpoint(dir) — to resume durable logging.
 func OpenShardSet(dir string, cost CostMatrix, engOpts Options, opts ShardSetOptions) (*ShardSet, []*RecoverStats, error) {
 	opts = opts.withDefaults()
-	s := &ShardSet{opts: opts, cost: cost, engOpts: engOpts}
+	engines := make([]*Engine, opts.Shards)
 	stats := make([]*RecoverStats, opts.Shards)
 	total := 0
-	for i := 0; i < opts.Shards; i++ {
+	for i := range engines {
 		e, st, err := RecoverEngine(shardSnapPath(dir, i), shardWALPath(dir, i), cost, engOpts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("emdsearch: recover shard %d: %w", i, err)
 		}
-		stats[i] = st
-		s.engines = append(s.engines, e)
-		s.gates = append(s.gates, NewGate(e, opts.Gate))
-		s.health = append(s.health, shardset.NewHealth(opts.QuarantineAfter, opts.QuarantineCooldown))
+		engines[i], stats[i] = e, st
 		total += e.Len()
 	}
-	for i, e := range s.engines {
+	for i, e := range engines {
 		if want := shardLen(total, opts.Shards, i); e.Len() != want {
 			return nil, nil, fmt.Errorf("emdsearch: recover: shard %d holds %d items but round-robin placement of %d total requires %d — shard persistence diverged",
 				i, e.Len(), total, want)
 		}
 	}
-	s.total = total
-	s.backoff = &shardset.Backoff{Base: opts.RetryBase, Cap: opts.RetryCap, Seed: opts.Seed}
-	s.initReplicas()
-	return s, stats, nil
+	return newShardSet(cost, engOpts, opts, engines, total), stats, nil
 }

@@ -51,18 +51,19 @@ func (s *ShardSet) initReplicas() {
 
 // newShardReplica wires shard's ship link: an in-process
 // replica.Link applying records to the follower engine, with the
-// ReplicaShipHook fault-injection seam in front.
+// replicaShipHook fault-injection seam in front, paced by the set's
+// retry backoff.
 func (s *ShardSet) newShardReplica(shard int) *shardReplica {
 	r := &shardReplica{}
 	link := replica.LinkFunc(func(ctx context.Context, rec replica.Record) error {
-		if h := s.opts.ReplicaShipHook; h != nil {
+		if h := s.opts.replicaShipHook; h != nil {
 			if err := h(shard, rec.LSN); err != nil {
 				return err
 			}
 		}
 		return s.applyToFollower(shard, rec.Rec)
 	})
-	r.ship = replica.NewShipper(link, &shardset.Backoff{Base: s.opts.RetryBase, Cap: s.opts.RetryCap, Seed: s.opts.Seed})
+	r.ship = replica.NewShipper(link, s.backoff)
 	return r
 }
 
