@@ -44,7 +44,10 @@ var optionTypes = []string{
 // non-test writer, each with the reason it stays. Keys are
 // "pkg.Type.Field".
 var optionAllowlist = map[string]string{
-	"emdsearch.Options.FilterBlockSize": "bench/price.go reads it to lay out the columns it prices; it leaves with ROADMAP C1, which needs a bench/ edit",
+	"emdsearch.Options.FilterBlockSize":   "bench/price.go reads it to lay out the columns it prices; it leaves with ROADMAP C1, which needs a bench/ edit",
+	"emdsearch.Options.IndexKind":         "bench/trace.go:162 sets it through a nested selector (offSpec.Opts.IndexKind = IndexOff), which the same-function rule does not attribute",
+	"emdsearch.Options.AutoCascade":       "the auto-planner that ROADMAP N3 re-prices and folds, with Hierarchy, into one plan option",
+	"emdsearch.ShardSetOptions.ShardHook": "cmd/emdserve/server_test.go:35,338 injects shard faults through it from outside the package, where an unexported seam is out of reach",
 }
 
 // interfaceMethods are method names a program calls through a standard

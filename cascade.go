@@ -34,7 +34,7 @@ const (
 	cascadeGain = 0.95
 )
 
-// Replan forces one synchronous cascade-planning pass: fit the cost
+// replan forces one synchronous cascade-planning pass: fit the cost
 // model to the counters observed since the last plan adoption,
 // propose the cheapest chain, and — if it is materially cheaper than
 // the incumbent — derive the new reductions and hot-swap a freshly
@@ -44,12 +44,12 @@ const (
 // flight, and an error when no queries have been observed yet (the
 // model needs at least one window of counters).
 //
-// Replan exists for benchmarks and for callers who know the workload
-// just shifted; in normal operation the engine re-plans by itself
-// when the observed selectivity drifts (see Options.AutoCascade).
-func (e *Engine) Replan() (bool, error) {
+// Only the in-package tests call it, to adopt a plan at a known point;
+// the engine re-plans by itself when the observed selectivity drifts
+// (see Options.AutoCascade).
+func (e *Engine) replan() (bool, error) {
 	if !e.opts.AutoCascade {
-		return false, fmt.Errorf("emdsearch: Replan requires Options.AutoCascade")
+		return false, fmt.Errorf("emdsearch: replan requires Options.AutoCascade")
 	}
 	return e.replanIfNeeded(true)
 }
@@ -79,7 +79,7 @@ func (e *Engine) anchorPlanLocked(expPulled float64, replanned bool) {
 	e.planExpPulled = expPulled
 }
 
-// replanIfNeeded runs one planning pass; force (Engine.Replan) skips
+// replanIfNeeded runs one planning pass; force (Engine.replan) skips
 // the window-size and drift gates but not the is-it-cheaper gate.
 // At most one pass runs at a time (e.replanning); the model fit and
 // reduction derivation run without e.mu, and the final install
@@ -115,7 +115,7 @@ func (e *Engine) replanIfNeeded(force bool) (changed bool, err error) {
 	w := cascadeWindow(base, now, cur, e.Dim())
 	if w.Queries < 1 || len(w.Levels) == 0 {
 		if force {
-			return false, fmt.Errorf("emdsearch: Replan needs at least one observed query with filter counters")
+			return false, fmt.Errorf("emdsearch: replan needs at least one observed query with filter counters")
 		}
 		return false, nil
 	}

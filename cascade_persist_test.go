@@ -217,7 +217,7 @@ func TestLoadV3SnapshotCascadeCompat(t *testing.T) {
 	sameResults(t, "v3", "KNN", got, want)
 	// The planner still works over the loaded engine: a forced pass
 	// runs off the counters the query above produced.
-	if _, err := loaded.Replan(); err != nil {
+	if _, err := loaded.replan(); err != nil {
 		t.Fatalf("Replan over a v3-loaded engine: %v", err)
 	}
 	got, _, err = loaded.KNN(q, 5)

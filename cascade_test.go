@@ -265,7 +265,7 @@ func TestAutoCascadeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Replan(); err == nil {
+	if _, err := eng.replan(); err == nil {
 		t.Error("Replan accepted an engine without AutoCascade")
 	}
 }
@@ -290,7 +290,7 @@ func TestReplanKeepsAnswersIdentical(t *testing.T) {
 		}
 		before[i] = res
 	}
-	if _, err := eng.Replan(); err != nil {
+	if _, err := eng.replan(); err != nil {
 		t.Fatalf("Replan: %v", err)
 	}
 	plan := eng.Metrics().CascadePlan

@@ -1,10 +1,10 @@
 // Command emdserve serves EMD similarity search over HTTP+JSON from a
 // fault-tolerant sharded engine set. It builds a synthetic corpus (the
-// music-spectra generator, as emdbench uses) partitioned round-robin
-// across -shards gated engines and answers scatter-gather queries with
-// certified partial-failure semantics: a slow or failing shard
-// degrades the answer — with exact coverage accounting — instead of
-// failing the query.
+// music-spectra generator, as the serve_http benchmark workload uses)
+// partitioned round-robin across -shards gated engines and answers
+// scatter-gather queries with certified partial-failure semantics: a
+// slow or failing shard degrades the answer — with exact coverage
+// accounting — instead of failing the query.
 //
 // With -wal-dir, mutations are durable: each shard logs to
 // shard-NNN.wal, a background loop checkpoints snapshots every

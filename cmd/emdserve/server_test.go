@@ -32,7 +32,7 @@ func testServer(t *testing.T, hook func(ctx context.Context, shard, try int, op 
 	}
 	set, err := emdsearch.NewShardSet(ds.Cost,
 		emdsearch.Options{ReducedDims: 4, Seed: 1},
-		emdsearch.ShardSetOptions{Shards: 3, ShardHook: hook, QuarantineAfter: 100})
+		emdsearch.ShardSetOptions{Shards: 3, ShardHook: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestServeReplicaFailover(t *testing.T) {
 	}
 	set, err := emdsearch.NewShardSet(ds.Cost,
 		emdsearch.Options{ReducedDims: 4, Seed: 1},
-		emdsearch.ShardSetOptions{Shards: 3, ShardHook: hook, QuarantineAfter: 100, Replicas: 1})
+		emdsearch.ShardSetOptions{Shards: 3, ShardHook: hook, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ type Options struct {
 	// without blocking queries. Every planned level is a certified
 	// lower bound of the next by construction, so answers are
 	// byte-identical across all plans; only the work distribution
-	// changes. Engine.Replan forces a synchronous planning pass.
+	// changes.
 	AutoCascade bool
 	// IndexKind selects when the metric index — a VP-tree over the
 	// reduced EMD, under the metric closure of its ground matrix so
@@ -107,16 +107,16 @@ type Options struct {
 	// Seed drives all randomized components; the default 0 is a valid
 	// fixed seed, so runs are reproducible unless the caller varies it.
 	Seed int64
-	// RefineHook, when set, is invoked at the start of every exact
-	// refinement with the candidate's database index. It exists for
-	// fault injection and chaos testing: a hook that panics exercises
-	// the engine's panic containment exactly as a solver invariant
-	// failure would (the query fails with ErrInternal; the process and
-	// other queries are unaffected), and a hook that sleeps simulates a
-	// slow solve. It runs on refinement worker goroutines and must be
-	// safe for concurrent use. Leave nil in production.
-	RefineHook func(index int)
 
+	// refineHook, when set, is invoked at the start of every exact
+	// refinement with the candidate's database index. Only the
+	// in-package fault-injection tests set it: a hook that panics
+	// exercises the engine's panic containment exactly as a solver
+	// invariant failure would (the query fails with ErrInternal; the
+	// process and other queries are unaffected), and a hook that sleeps
+	// simulates a slow solve. It runs on refinement worker goroutines
+	// and must be safe for concurrent use.
+	refineHook func(index int)
 	// unboundedRefine makes the whole pipeline threshold-oblivious:
 	// every surviving candidate is refined to optimality by the dense,
 	// cold-started, validating solver, and every chained Red-EMD filter
@@ -227,7 +227,7 @@ type snapshot struct {
 	reduced     *core.ReducedEMD
 	reducedCols *colscan.Columns
 
-	// hook is Options.RefineHook, captured at build time; nil outside
+	// hook is Options.refineHook, captured at build time; nil outside
 	// fault-injection runs.
 	hook func(index int)
 
@@ -553,7 +553,7 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 		dist:    e.dist,
 		dim:     e.store.Dim(),
 		plan:    p,
-		hook:    e.opts.RefineHook,
+		hook:    e.opts.refineHook,
 	}
 	greedyBase, err := lb.NewGreedyUpper(e.cost)
 	if err != nil {

@@ -4,8 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"expvar"
+	"fmt"
+	"sync/atomic"
 	"testing"
 )
+
+// expvarRun numbers the invocations of TestPublishExpvarRoundTrip: the
+// expvar registry outlives a run, so each run (-count=N) publishes
+// under names of its own.
+var expvarRun atomic.Int64
 
 // TestPublishExpvarRoundTrip publishes engine, gate and shard-set
 // metrics, reads them back through the expvar registry, and checks
@@ -14,14 +21,18 @@ import (
 func TestPublishExpvarRoundTrip(t *testing.T) {
 	set, _, queries := buildShardPair(t, 2, 20, ShardSetOptions{})
 	eng, gate := set.Engine(0), set.gateAt(0)
+	run := expvarRun.Add(1)
+	engName := fmt.Sprintf("test_engine_metrics_%d", run)
+	gateName := fmt.Sprintf("test_gate_metrics_%d", run)
+	setName := fmt.Sprintf("test_set_metrics_%d", run)
 
-	if err := eng.PublishExpvar("test_engine_metrics"); err != nil {
+	if err := eng.PublishExpvar(engName); err != nil {
 		t.Fatal(err)
 	}
-	if err := gate.PublishExpvar("test_gate_metrics"); err != nil {
+	if err := gate.PublishExpvar(gateName); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.PublishExpvar("test_set_metrics"); err != nil {
+	if err := set.PublishExpvar(setName); err != nil {
 		t.Fatal(err)
 	}
 
@@ -31,7 +42,7 @@ func TestPublishExpvarRoundTrip(t *testing.T) {
 	}
 
 	var em Metrics
-	if err := json.Unmarshal([]byte(expvar.Get("test_engine_metrics").String()), &em); err != nil {
+	if err := json.Unmarshal([]byte(expvar.Get(engName).String()), &em); err != nil {
 		t.Fatalf("engine metrics JSON: %v", err)
 	}
 	if em.KNNQueries < 1 {
@@ -39,7 +50,7 @@ func TestPublishExpvarRoundTrip(t *testing.T) {
 	}
 
 	var gm GateMetrics
-	if err := json.Unmarshal([]byte(expvar.Get("test_gate_metrics").String()), &gm); err != nil {
+	if err := json.Unmarshal([]byte(expvar.Get(gateName).String()), &gm); err != nil {
 		t.Fatalf("gate metrics JSON: %v", err)
 	}
 	if gm.Admitted < 1 {
@@ -47,7 +58,7 @@ func TestPublishExpvarRoundTrip(t *testing.T) {
 	}
 
 	var sm ShardSetMetrics
-	if err := json.Unmarshal([]byte(expvar.Get("test_set_metrics").String()), &sm); err != nil {
+	if err := json.Unmarshal([]byte(expvar.Get(setName).String()), &sm); err != nil {
 		t.Fatalf("shard-set metrics JSON: %v", err)
 	}
 	if sm.Queries != 1 || sm.Shards != 2 || len(sm.PerShard) != 2 {
@@ -59,7 +70,7 @@ func TestPublishExpvarRoundTrip(t *testing.T) {
 
 	// The registry is global and append-only: duplicates and empty
 	// names are errors, not panics.
-	if err := eng.PublishExpvar("test_engine_metrics"); err == nil {
+	if err := eng.PublishExpvar(engName); err == nil {
 		t.Fatal("duplicate publish succeeded")
 	}
 	if err := eng.PublishExpvar(""); err == nil {

@@ -15,17 +15,19 @@ import (
 // has a sensible default.
 type GateOptions struct {
 	// MaxConcurrent bounds the queries running at once; <= 0 defaults
-	// to GOMAXPROCS.
+	// to GOMAXPROCS. At most 2 × MaxConcurrent queries wait for a slot:
+	// a deep queue converts overload into tail latency instead of fast,
+	// typed rejection.
 	MaxConcurrent int
-	// MaxQueue bounds the queries waiting for a slot; <= 0 defaults to
-	// 2 × MaxConcurrent. Kept deliberately small: a deep queue converts
-	// overload into tail latency instead of fast, typed rejection.
-	MaxQueue int
-	// BreakerCooldown is how long the fault breaker, once tripped by 3
-	// consecutive contained internal faults (solver panics), holds the
-	// engine in lower-bound-only degraded serving before probing the
-	// full path again; default 1s.
-	BreakerCooldown time.Duration
+
+	// maxQueue, when > 0, replaces the 2 × MaxConcurrent queue bound.
+	// Only the in-package gate tests set it, to reach the queue's
+	// shed and degrade levels with few queries.
+	maxQueue int
+	// breakerCooldown, when > 0, replaces gateBreakerCooldown. Only the
+	// in-package tests set it, to probe a tripped breaker quickly (or
+	// never).
+	breakerCooldown time.Duration
 }
 
 const (
@@ -37,11 +39,15 @@ const (
 	// gateBreakerThreshold is the number of consecutive contained
 	// internal faults that trips the fault breaker.
 	gateBreakerThreshold = 3
+	// gateBreakerCooldown is how long the tripped fault breaker holds
+	// the engine in lower-bound-only degraded serving before probing
+	// the full path again.
+	gateBreakerCooldown = time.Second
 )
 
 func (o GateOptions) withDefaults() GateOptions {
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = time.Second
+	if o.breakerCooldown <= 0 {
+		o.breakerCooldown = gateBreakerCooldown
 	}
 	return o
 }
@@ -111,9 +117,9 @@ func NewGate(e *Engine, opts GateOptions) *Gate {
 		opts: opts,
 		lim: admission.New(admission.Config{
 			MaxConcurrent: opts.MaxConcurrent,
-			MaxQueue:      opts.MaxQueue,
+			MaxQueue:      opts.maxQueue,
 		}),
-		brk: admission.NewBreaker(gateBreakerThreshold, opts.BreakerCooldown),
+		brk: admission.NewBreaker(gateBreakerThreshold, opts.breakerCooldown),
 	}
 }
 
@@ -224,7 +230,7 @@ func (g *Gate) breakerOpenErr() error {
 	return &OverloadError{
 		QueueDepth: st.QueueDepth,
 		InFlight:   st.InFlight,
-		RetryAfter: g.opts.BreakerCooldown,
+		RetryAfter: g.opts.breakerCooldown,
 		Reason:     "breaker open after repeated internal faults",
 	}
 }

@@ -29,7 +29,7 @@ func chaosEngine(t *testing.T, n, d, workers int, panics *atomic.Bool) *Engine {
 		ReducedDims: 2,
 		Workers:     workers,
 		Seed:        1,
-		RefineHook: func(index int) {
+		refineHook: func(index int) {
 			if panics.Load() {
 				panic(fmt.Sprintf("injected solver fault refining item %d", index))
 			}
@@ -331,7 +331,7 @@ func TestChaosBitIdentity(t *testing.T) {
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	var panics atomic.Bool
 	eng := chaosEngine(t, 40, 4, 1, &panics)
-	gate := NewGate(eng, GateOptions{BreakerCooldown: 30 * time.Millisecond})
+	gate := NewGate(eng, GateOptions{breakerCooldown: 30 * time.Millisecond})
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(4))
 	q := randHist(rng, 4)
@@ -408,7 +408,7 @@ func TestGateChaosUnderMutation(t *testing.T) {
 		ReducedDims: 2,
 		Workers:     2,
 		Seed:        1,
-		RefineHook: func(index int) {
+		refineHook: func(index int) {
 			// Deterministic sparse faults: roughly 1 in 50 refinements
 			// panics once chaos is on.
 			if chaos.Load() && ctr.Add(1)%50 == 0 {
@@ -429,8 +429,8 @@ func TestGateChaosUnderMutation(t *testing.T) {
 	}
 	gate := NewGate(eng, GateOptions{
 		MaxConcurrent:   4,
-		MaxQueue:        8,
-		BreakerCooldown: 5 * time.Millisecond,
+		maxQueue:        8,
+		breakerCooldown: 5 * time.Millisecond,
 	})
 	chaos.Store(true)
 
@@ -537,7 +537,7 @@ func TestGateShedsFast(t *testing.T) {
 	eng, err := NewEngine(LinearCost(d), Options{
 		ReducedDims: 2,
 		Seed:        1,
-		RefineHook: func(int) {
+		refineHook: func(int) {
 			if blockOn.Load() {
 				<-unblock
 			}
@@ -554,7 +554,7 @@ func TestGateShedsFast(t *testing.T) {
 	if err := eng.Build(); err != nil {
 		t.Fatal(err)
 	}
-	gate := NewGate(eng, GateOptions{MaxConcurrent: 1, MaxQueue: 1})
+	gate := NewGate(eng, GateOptions{MaxConcurrent: 1, maxQueue: 1})
 	q := randHist(rng, d)
 
 	blockOn.Store(true)
@@ -607,7 +607,7 @@ func TestGateShedsFast(t *testing.T) {
 // TestGateBatchKNNMixedOutcomes drives a batch of concurrent k-NN
 // queries through a gate sized for exactly one running and one queued
 // query, with slow refinements, so one batch mixes the per-query
-// outcomes: served in full, served degraded (at MaxQueue 1 the degrade
+// outcomes: served in full, served degraded (at maxQueue 1 the degrade
 // depth is one waiter, so a queued query runs under the degrade
 // budget), and shed with ErrOverloaded. Each entry must resolve
 // independently — no error or partial answer may leak into a sibling's
@@ -618,7 +618,7 @@ func TestGateBatchKNNMixedOutcomes(t *testing.T) {
 	eng, err := NewEngine(LinearCost(d), Options{
 		ReducedDims: 2,
 		Seed:        1,
-		RefineHook:  func(int) { time.Sleep(2 * time.Millisecond) },
+		refineHook:  func(int) { time.Sleep(2 * time.Millisecond) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -631,7 +631,7 @@ func TestGateBatchKNNMixedOutcomes(t *testing.T) {
 	if err := eng.Build(); err != nil {
 		t.Fatal(err)
 	}
-	gate := NewGate(eng, GateOptions{MaxConcurrent: 1, MaxQueue: 1})
+	gate := NewGate(eng, GateOptions{MaxConcurrent: 1, maxQueue: 1})
 
 	const batch, k = 10, 3
 	queries := make([]Histogram, batch)

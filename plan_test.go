@@ -203,22 +203,32 @@ func TestOptionCountsPinned(t *testing.T) {
 		got  int
 		pin  int
 	}{
-		// 10: AsymmetricQuery, Positions and PositionNorm went with the
+		// 9: AsymmetricQuery, Positions and PositionNorm went with the
 		// asymmetric level and the centroid stream; no caller set them
-		// (TestEveryOptionIsSet).
-		{"Options fields", exported(Options{}), 10},
-		// 5: HedgeAfter went with hedging; MergeReserve, RetryMax,
+		// (TestEveryOptionIsSet). RefineHook became the unexported
+		// refineHook once cmd/emdbench's overload sweep, its only
+		// non-test setter, went.
+		{"Options fields", exported(Options{}), 9},
+		// 4: HedgeAfter went with hedging; MergeReserve, RetryMax,
 		// RetryBase, RetryCap and QuarantineCooldown became constants;
 		// ShardTimeout and Seed went and ReplicaShipHook became an
 		// unexported test seam. No non-test file set any of them
-		// (TestEveryOptionIsSet).
-		{"ShardSetOptions fields", exported(ShardSetOptions{}), 5},
-		// 3: DegradeAt, DegradeBudget and BreakerThreshold became
-		// constants; no non-test file set them.
-		{"GateOptions fields", exported(GateOptions{}), 3},
-		// 27: four methods nothing called went, and two that duplicated
-		// Metrics().CascadePlan and ReopenWALRetry.
-		{"*Engine methods", methods(&Engine{}), 27},
+		// (TestEveryOptionIsSet). QuarantineAfter became the constant
+		// quarantineAfter (3) with an unexported test override once
+		// cmd/emdbench's shard experiment, its only non-test setter,
+		// went.
+		{"ShardSetOptions fields", exported(ShardSetOptions{}), 4},
+		// 1: DegradeAt, DegradeBudget and BreakerThreshold became
+		// constants; no non-test file set them. MaxQueue and
+		// BreakerCooldown became unexported test seams once
+		// cmd/emdbench's overload sweep, their only non-test setter,
+		// went.
+		{"GateOptions fields", exported(GateOptions{}), 1},
+		// 26: four methods nothing called went, and two that duplicated
+		// Metrics().CascadePlan and ReopenWALRetry. Replan became the
+		// unexported replan once cmd/emdbench's cascade experiment, its
+		// only non-test caller, went.
+		{"*Engine methods", methods(&Engine{}), 26},
 		// 20: Gate(i) went; only a test called it.
 		{"*ShardSet methods", methods(&ShardSet{}), 20},
 		{"*Gate methods", methods(&Gate{}), 5},

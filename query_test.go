@@ -65,7 +65,7 @@ func concurrently(n int, call func(i int)) {
 func TestSearchBreakerOpenHonoursPredicate(t *testing.T) {
 	var panics atomic.Bool
 	eng := chaosEngine(t, 60, 4, 1, &panics)
-	gate := NewGate(eng, GateOptions{BreakerCooldown: time.Hour})
+	gate := NewGate(eng, GateOptions{breakerCooldown: time.Hour})
 	ctx := context.Background()
 	q := Histogram{0.1, 0.2, 0.3, 0.4}
 	panics.Store(true)

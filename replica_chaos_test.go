@@ -28,7 +28,7 @@ import (
 // and a quarantine threshold high enough that repeated injected faults
 // keep dispatching to the (failing) primary.
 func replicaSetOpts() ShardSetOptions {
-	return ShardSetOptions{Replicas: 1, QuarantineAfter: 100}
+	return ShardSetOptions{Replicas: 1, quarantineAfter: 100}
 }
 
 // extraVectors returns m fresh histograms compatible with the chaos
@@ -152,7 +152,7 @@ func TestReplicaQuarantineFailover(t *testing.T) {
 	var kill atomic.Bool
 	kill.Store(true)
 	opts := replicaSetOpts()
-	opts.QuarantineAfter = 1
+	opts.quarantineAfter = 1
 	opts.ShardHook = func(ctx context.Context, shard, try int, op string) error {
 		if op == "knn" && shard == b && kill.Load() {
 			return errors.New("injected primary crash")

@@ -14,7 +14,7 @@ import (
 
 // buildChaosSet is buildShardPair with caller-controlled engine
 // options — the chaos tests inject faults through ShardHook and
-// RefineHook and need both knobs.
+// refineHook and need both knobs.
 func buildChaosSet(t *testing.T, shards, n int, engOpts Options, setOpts ShardSetOptions) (*ShardSet, *Engine, []Histogram) {
 	t.Helper()
 	ds, err := data.MusicSpectra(n+5, 16, 9)
@@ -33,7 +33,7 @@ func buildChaosSet(t *testing.T, shards, n int, engOpts Options, setOpts ShardSe
 	// The reference engine never gets the fault hook: it supplies
 	// ground-truth exact distances and restricted answers.
 	refOpts := engOpts
-	refOpts.RefineHook = nil
+	refOpts.refineHook = nil
 	single, err := NewEngine(ds.Cost, refOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestShardChaosErroringShard(t *testing.T) {
 		return nil
 	}
 	set, single, queries := buildChaosSet(t, shards, 48, Options{ReducedDims: 4, Seed: 1},
-		ShardSetOptions{ShardHook: hook, QuarantineAfter: 100})
+		ShardSetOptions{ShardHook: hook, quarantineAfter: 100})
 	q, k := queries[0], 5
 	ans, err := set.KNN(context.Background(), q, k)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestShardChaosPanickingShard(t *testing.T) {
 		return nil
 	}
 	set, single, queries := buildChaosSet(t, shards, 36, Options{ReducedDims: 4, Seed: 1},
-		ShardSetOptions{ShardHook: hook, QuarantineAfter: 100})
+		ShardSetOptions{ShardHook: hook, quarantineAfter: 100})
 	q, k := queries[1], 4
 	ans, err := set.KNN(context.Background(), q, k)
 	if err != nil {
@@ -224,7 +224,7 @@ func TestShardChaosDelayedShard(t *testing.T) {
 func TestShardChaosDegradedShards(t *testing.T) {
 	const shards = 3
 	engOpts := Options{ReducedDims: 4, Seed: 1,
-		RefineHook: func(int) { time.Sleep(5 * time.Millisecond) }}
+		refineHook: func(int) { time.Sleep(5 * time.Millisecond) }}
 	set, single, queries := buildChaosSet(t, shards, 48, engOpts, ShardSetOptions{})
 	q, k := queries[3], 8
 	deadline := 25 * time.Millisecond
@@ -319,7 +319,7 @@ func TestShardChaosOverloadRetry(t *testing.T) {
 }
 
 // TestShardChaosQuarantineFlapping: a flapping shard is quarantined
-// after QuarantineAfter consecutive faults, skipped (not dispatched)
+// after quarantineAfter consecutive faults, skipped (not dispatched)
 // while quarantined, probed after the cooldown, and re-admitted once
 // the probe succeeds.
 func TestShardChaosQuarantineFlapping(t *testing.T) {
@@ -333,7 +333,7 @@ func TestShardChaosQuarantineFlapping(t *testing.T) {
 		return nil
 	}
 	set, single, queries := buildChaosSet(t, shards, 36, Options{ReducedDims: 4, Seed: 1},
-		ShardSetOptions{ShardHook: hook, QuarantineAfter: 2})
+		ShardSetOptions{ShardHook: hook, quarantineAfter: 2})
 	ctx, q, k := context.Background(), queries[0], 4
 
 	// Two faulting queries reach the threshold.
@@ -409,7 +409,7 @@ func TestShardChaosFailoverAfterOffers(t *testing.T) {
 	// are in the shared set before any other shard reads its threshold.
 	var refinements atomic.Int64
 	offered := make(chan struct{})
-	engOpts := Options{ReducedDims: 4, Seed: 1, RefineHook: func(int) {
+	engOpts := Options{ReducedDims: 4, Seed: 1, refineHook: func(int) {
 		switch refinements.Add(1) {
 		case 2:
 			panic("injected fault after an offer")
@@ -459,7 +459,7 @@ func TestShardChaosAllShardsFail(t *testing.T) {
 		return errors.New("injected total outage")
 	}
 	set, _, queries := buildChaosSet(t, shards, 36, Options{ReducedDims: 4, Seed: 1},
-		ShardSetOptions{ShardHook: hook, QuarantineAfter: 100})
+		ShardSetOptions{ShardHook: hook, quarantineAfter: 100})
 	ans, err := set.KNN(context.Background(), queries[0], 4)
 	if err == nil || !strings.Contains(err.Error(), "total outage") {
 		t.Fatalf("total outage error = %v", err)
@@ -496,7 +496,7 @@ func TestShardChaosBatchIsolation(t *testing.T) {
 		return nil
 	}
 	set, single, queries := buildChaosSet(t, shards, 36, Options{ReducedDims: 4, Seed: 1},
-		ShardSetOptions{ShardHook: hook, QuarantineAfter: 100})
+		ShardSetOptions{ShardHook: hook, quarantineAfter: 100})
 	out := make([]*ShardAnswer, len(queries))
 	for i, q := range queries {
 		qi.Store(int64(i))

@@ -23,13 +23,6 @@ type ShardSetOptions struct {
 	// Gate configures each shard's admission gate (zero value takes
 	// GateOptions defaults).
 	Gate GateOptions
-	// QuarantineAfter is the number of consecutive hard failures
-	// (errors, panics — not overload shedding or deadline-degraded
-	// answers) after which a shard is quarantined, default 3. A
-	// quarantined shard sits out a 1s cooldown before a probe query is
-	// re-admitted; meanwhile it is skipped — counted as failed coverage
-	// — instead of burning the query budget.
-	QuarantineAfter int
 	// ShardHook, when non-nil, runs before every shard dispatch
 	// (including retries) with the attempt's context, the shard number,
 	// the 0-based attempt, and the operation ("knn", "range", or — for
@@ -63,6 +56,10 @@ type ShardSetOptions struct {
 	// jittered backoff. Only the replica chaos suite sets it, to flap
 	// and block replication links.
 	replicaShipHook func(shard int, lsn int64) error
+	// quarantineAfter, when > 0, replaces the quarantineAfter constant.
+	// Only the in-package chaos suites set it: high to keep a faulting
+	// shard dispatched on every query, low to quarantine it at once.
+	quarantineAfter int
 }
 
 // The scatter-gather policy every ShardSet serves with.
@@ -79,6 +76,11 @@ const (
 	// shard retries and replica shipping.
 	retryBase = time.Millisecond
 	retryCap  = 250 * time.Millisecond
+	// quarantineAfter is the number of consecutive hard failures
+	// (errors, panics — not overload shedding or deadline-degraded
+	// answers) after which a shard is quarantined: it is skipped —
+	// counted as failed coverage — instead of burning the query budget.
+	quarantineAfter = 3
 	// quarantineCooldown is how long a quarantined shard sits out
 	// before a probe query is re-admitted.
 	quarantineCooldown = time.Second
@@ -88,8 +90,8 @@ func (o ShardSetOptions) withDefaults() ShardSetOptions {
 	if o.Shards <= 0 {
 		o.Shards = 2
 	}
-	if o.QuarantineAfter <= 0 {
-		o.QuarantineAfter = 3
+	if o.quarantineAfter <= 0 {
+		o.quarantineAfter = quarantineAfter
 	}
 	if o.Replicas > 1 {
 		o.Replicas = 1
@@ -273,7 +275,7 @@ func newShardSet(cost CostMatrix, engOpts Options, opts ShardSetOptions, engines
 		backoff: &shardset.Backoff{Base: retryBase, Cap: retryCap}}
 	for _, e := range engines {
 		s.gates = append(s.gates, NewGate(e, opts.Gate))
-		s.health = append(s.health, shardset.NewHealth(opts.QuarantineAfter, quarantineCooldown))
+		s.health = append(s.health, shardset.NewHealth(opts.quarantineAfter, quarantineCooldown))
 	}
 	s.initReplicas()
 	return s

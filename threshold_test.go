@@ -273,7 +273,7 @@ func TestKNNCtxAnytimeThresholdAware(t *testing.T) {
 	var cancelQuery atomic.Value
 	for _, workers := range []int{1, 4} {
 		eng, queries := buildThresholdEngine(t, Options{Hierarchy: []int{32, 8}, Method: Adjacent, Workers: workers,
-			RefineHook: func(int) {
+			refineHook: func(int) {
 				if refined.Add(1) == k+1 {
 					cancelQuery.Load().(context.CancelFunc)()
 					// The engine learns of it through a watcher goroutine;
