@@ -163,6 +163,15 @@ type Engine struct {
 	snap    *snapshot    // current immutable query pipeline, nil after mutations
 	wal     *persist.WAL // open write-ahead log, nil when not logging
 
+	// pot is the dual-potential bound of the cost matrix, compiled by the
+	// first pipeline build of a reduced plan; potCol holds the m
+	// projections of every stored item, item i at potCol[i·m:(i+1)·m].
+	// The store is append-only and deletes are soft, so each build only
+	// projects the items added since the last one, and a snapshot holds
+	// a prefix of the column.
+	pot    *lb.Potentials
+	potCol []float64
+
 	// savedQuant is the quantized filter the last pipeline build made,
 	// reused by the next one (after a delete or an index install) when
 	// it still matches the live data (see quantizeLocked);
@@ -201,9 +210,10 @@ type Engine struct {
 	// Test hooks (set only by in-package tests, before the engine is
 	// shared): fault injection and accounting probes on the index build
 	// paths. All nil in production.
-	testHookSyncIndexBuild func() // a tree is built synchronously on the query path
-	testHookIntrinsicEval  func() // one intrinsic-dim metric evaluation
-	testHookIndexRebuild   func() // start of a background rebuild's build phase
+	testHookSyncIndexBuild func()      // a tree is built synchronously on the query path
+	testHookIntrinsicEval  func()      // one intrinsic-dim metric evaluation
+	testHookIndexRebuild   func()      // start of a background rebuild's build phase
+	testHookProjected      func(n int) // a pipeline build projected n items into the potential column
 }
 
 // snapshot is an immutable view of everything the query path needs:
@@ -580,9 +590,18 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 		cols    *colscan.Columns
 		im      *lb.IM
 	)
-	for _, lv := range p.levels {
-		if lv.red == nil {
-			break // Build has not bound the chain yet: exact scan
+	levels := p.levels
+	if p.finest() == nil {
+		levels = nil // Build has not bound the chain yet: exact scan
+	}
+	for _, lv := range levels {
+		if lv.kind == kindPotential {
+			stage, err := e.potentialStageLocked(p.stageName(lv), vectors)
+			if err != nil {
+				return nil, err
+			}
+			s.Stages = append(s.Stages, stage)
+			continue
 		}
 		if lv.red != red {
 			red = lv.red
@@ -637,6 +656,42 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 	}
 	snap.searcher = s
 	return snap, nil
+}
+
+// potentialCount is m, the number of dual potentials the first level
+// of a reduced plan evaluates per item.
+const potentialCount = 8
+
+// potentialStageLocked extends the potential column to the stored
+// items and returns the eager potential level over its prefix: the
+// first level of every reduced plan, O(m) per item. ScanAll and
+// Distance evaluate the same Key on the same projections, so they
+// agree bit for bit. Caller holds e.mu for writing.
+func (e *Engine) potentialStageLocked(name string, vectors []Histogram) (search.FilterStage, error) {
+	if e.pot == nil {
+		pot, err := lb.NewPotentials(e.cost, potentialCount)
+		if err != nil {
+			return search.FilterStage{}, err
+		}
+		e.pot = pot
+	}
+	pot, m := e.pot, e.pot.Len()
+	from := len(e.potCol) / m
+	for _, h := range vectors[from:] {
+		e.potCol = pot.Project(e.potCol, h)
+	}
+	if e.testHookProjected != nil {
+		e.testHookProjected(len(vectors) - from)
+	}
+	col := e.potCol[:len(e.potCol):len(e.potCol)]
+	return search.FilterStage{
+		Name:         name,
+		PrepareQuery: func(q Histogram) Histogram { return pot.Project(make([]float64, 0, m), q) },
+		Distance: search.Exact(func(qp Histogram, i int) float64 {
+			return pot.Key(qp, col[i*m:(i+1)*m])
+		}),
+		ScanAll: func(qp Histogram, out []float64) int { return pot.Scan(qp, col, out) },
+	}, nil
 }
 
 // maxCost returns the largest entry of a cost matrix — the Cmax the

@@ -101,7 +101,7 @@ func TestIndexAutoDeclinesSmallCorpus(t *testing.T) {
 	if m := eng.Metrics(); m.IndexBuilds != 0 {
 		t.Fatalf("IndexBuilds = %d, want 0", m.IndexBuilds)
 	}
-	checkStageAccounting(t, eng, stats, []string{"Q-Red-IM", "Red-IM", "Red-EMD"})
+	checkStageAccounting(t, eng, stats, []string{"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"})
 }
 
 // TestIndexOffDisables: IndexOff must behave exactly like the

@@ -26,8 +26,8 @@ func sortResults(results []Result) {
 // during a single query — the per-stage view of the observability
 // layer. Stages appear in chain order (cheapest/loosest first).
 type StageStats struct {
-	// Name identifies the stage (e.g. "Q-Red-IM", "Red-IM", "Red-EMD",
-	// "Red-EMD-8").
+	// Name identifies the stage (e.g. "Potentials", "Q-Red-IM",
+	// "Red-IM", "Red-EMD", "Red-EMD-8").
 	Name string
 	// Evaluations counts how often this stage's filter distance was
 	// computed.

@@ -3,8 +3,11 @@ package emdsearch
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"emdsearch/internal/emd"
 )
@@ -245,9 +248,9 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 // bit-identity of the answers.
 func TestCrossLayoutStageChains(t *testing.T) {
 	want := map[string][]string{
-		"columnar+quantized":  {"Q-Red-IM", "Red-IM", "Red-EMD"},
-		"columnar+block17":    {"Q-Red-IM", "Red-IM", "Red-EMD"},
-		"threshold-oblivious": {"Q-Red-IM", "Red-IM", "Red-EMD"},
+		"columnar+quantized":  {"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"},
+		"columnar+block17":    {"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"},
+		"threshold-oblivious": {"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"},
 		"vptree-index":        {"VPTree(Red-EMD)"},
 	}
 	for _, v := range layoutVariants() {
@@ -287,8 +290,8 @@ func TestQuantizedStashReuse(t *testing.T) {
 	if err := eng.Delete(3); err != nil {
 		t.Fatal(err)
 	}
-	if stats := checkExactKNN(t, "after delete", eng, q, 5); stats.Stages[0].Name != "Q-Red-IM" {
-		t.Fatalf("stage chain starts with %q, want Q-Red-IM", stats.Stages[0].Name)
+	if stats := checkExactKNN(t, "after delete", eng, q, 5); stats.Stages[1].Name != "Q-Red-IM" {
+		t.Fatalf("stage chain %v, want Q-Red-IM behind Potentials", stats.Stages)
 	}
 	if m := eng.Metrics(); m.QuantizedReuses != 1 {
 		t.Fatalf("QuantizedReuses = %d after a delete, want 1", m.QuantizedReuses)
@@ -299,5 +302,98 @@ func TestQuantizedStashReuse(t *testing.T) {
 	checkExactKNN(t, "after add", eng, q, 5)
 	if m := eng.Metrics(); m.QuantizedReuses != 1 {
 		t.Fatalf("QuantizedReuses = %d after an add, want still 1 (requantized)", m.QuantizedReuses)
+	}
+}
+
+// TestCrossLayoutBitIdentityUnderMutation interleaves Adds and Deletes
+// with queries, so every snapshot after the first extends the potential
+// column instead of rebuilding it. Readers run beside a paced writer
+// (every confirmed distance must be exact, whichever snapshot served
+// it); once the writer stops, every layout answers bit-identically to
+// the brute-force scan. The added items are near copies of the
+// queries, so they enter the answers through their new projections.
+func TestCrossLayoutBitIdentityUnderMutation(t *testing.T) {
+	const n, k, rounds = 60, 5, 3
+	for _, v := range layoutVariants() {
+		eng, queries := buildLayoutEngine(t, v, n)
+		rng := rand.New(rand.NewSource(17))
+		d := eng.Dim()
+		for r := 0; r < rounds; r++ {
+			adds := make([]Histogram, 3)
+			for i := range adds {
+				q, noise := queries[rng.Intn(len(queries))], randHist(rng, d)
+				adds[i] = make(Histogram, d)
+				for j := range adds[i] {
+					adds[i][j] = 0.9*q[j] + 0.1*noise[j]
+				}
+			}
+			victim := n + 3*r // the first item this round's writer adds
+			if r == 0 {
+				victim = 11
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for _, h := range adds {
+					if _, err := eng.Add("", h); err != nil {
+						t.Error(err)
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if err := eng.Delete(victim); err != nil {
+					t.Error(err)
+				}
+			}()
+			concurrently(len(queries), func(i int) {
+				res, _, err := eng.KNN(queries[i], k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j, hit := range res {
+					exact, err := eng.Distance(context.Background(), queries[i], hit.Index)
+					if err != nil || math.Float64bits(hit.Dist) != math.Float64bits(exact) {
+						t.Errorf("%s: concurrent result %d dist %v, exact %v (%v)", v.name, hit.Index, hit.Dist, exact, err)
+					}
+					if j > 0 && res[j-1].Dist > hit.Dist {
+						t.Errorf("%s: concurrent results out of order: %v", v.name, res)
+					}
+				}
+			})
+			<-done
+			if t.Failed() {
+				t.FailNow()
+			}
+			for _, q := range queries {
+				checkExactKNN(t, v.name, eng, q, k)
+			}
+		}
+	}
+}
+
+// TestPotentialColumnExtendsOnAdd: a pipeline rebuild projects only
+// the items added since the previous one — one after one Add, none
+// after a Delete or a Build — and answers stay exact throughout.
+func TestPotentialColumnExtendsOnAdd(t *testing.T) {
+	eng, queries := buildEngine(t, Options{ReducedDims: 6, SampleSize: 8}, 50)
+	var projected []int
+	eng.testHookProjected = func(n int) { projected = append(projected, n) }
+	q := queries[0]
+	checkExactKNN(t, "first build", eng, q, 5)
+	if _, err := eng.Add("fresh", queries[1]); err != nil {
+		t.Fatal(err)
+	}
+	checkExactKNN(t, "after add", eng, q, 5)
+	if err := eng.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	checkExactKNN(t, "after delete", eng, q, 5)
+	if err := eng.Build(); err != nil {
+		t.Fatal(err)
+	}
+	checkExactKNN(t, "after build", eng, q, 5)
+	if want := []int{50, 1, 0, 0}; !slices.Equal(projected, want) {
+		t.Fatalf("items projected per rebuild %v, want %v", projected, want)
 	}
 }

@@ -129,7 +129,7 @@ type Metrics struct {
 	QueryTime  time.Duration `json:"query_time_ns"`
 
 	// Stages aggregates per-stage counters by stage name (e.g.
-	// "Q-Red-IM", "Red-IM", "Red-EMD", "Red-EMD-8").
+	// "Potentials", "Q-Red-IM", "Red-IM", "Red-EMD", "Red-EMD-8").
 	Stages map[string]StageMetrics `json:"stages,omitempty"`
 }
 

@@ -13,14 +13,16 @@ import (
 type levelKind uint8
 
 const (
-	kindQuantIM levelKind = iota // int16-quantized under-estimator of Red-IM
-	kindIM                       // Red-IM
-	kindRedEMD                   // reduced EMD at d'
+	kindPotential levelKind = iota // dual-potential projections, at full dimensionality
+	kindQuantIM                    // int16-quantized under-estimator of Red-IM
+	kindIM                         // Red-IM
+	kindRedEMD                     // reduced EMD at d'
 )
 
 // planLevel is one chained lower bound: what it evaluates, the reduced
 // dimensionality it works at and the reduction itself, nil until Build
-// or a snapshot load binds it.
+// or a snapshot load binds it. The potential level works on the
+// original histograms: its dims is 0 and it has no reduction.
 type planLevel struct {
 	kind levelKind
 	dims int
@@ -93,10 +95,14 @@ func compilePlan(o Options, dim int) (*plan, error) {
 }
 
 // newPlan lays out the levels over a chain of reductions (coarse→fine;
-// each entry gives dims and, when bound, red): the IM prefix on the
-// coarsest reduction, then one reduced EMD per entry.
+// each entry gives dims and, when bound, red): the potential level, the
+// IM prefix on the coarsest reduction, then one reduced EMD per entry.
+// An empty chain is the exact scan and has no level at all.
 func newPlan(chain []planLevel, auto bool) *plan {
 	p := &plan{auto: auto}
+	if len(chain) > 0 {
+		p.levels = append(p.levels, planLevel{kind: kindPotential})
+	}
 	for i, lv := range chain {
 		add := func(kind levelKind) {
 			lv.kind = kind
@@ -175,6 +181,8 @@ func (p *plan) indexEligible() bool {
 // stageName is the level's label in QueryStats and Metrics.
 func (p *plan) stageName(lv planLevel) string {
 	switch lv.kind {
+	case kindPotential:
+		return "Potentials"
 	case kindQuantIM:
 		return "Q-Red-IM"
 	case kindIM:

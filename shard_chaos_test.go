@@ -221,13 +221,18 @@ func TestShardChaosDelayedShard(t *testing.T) {
 // until the query deadline expires mid-search. All shards then serve
 // certified partial answers: nil error, Degraded, sound intervals,
 // every confirmed result exact.
+//
+// The slowdown overruns the deadline however well the filter prunes:
+// a full answer confirms k exact distances, so some shard refines at
+// least ⌈k/shards⌉ = 3 items in sequence, and each refinement sleeps
+// half the deadline.
 func TestShardChaosDegradedShards(t *testing.T) {
 	const shards = 3
+	deadline := 25 * time.Millisecond
 	engOpts := Options{ReducedDims: 4, Seed: 1,
-		refineHook: func(int) { time.Sleep(5 * time.Millisecond) }}
+		refineHook: func(int) { time.Sleep(deadline / 2) }}
 	set, single, queries := buildChaosSet(t, shards, 48, engOpts, ShardSetOptions{})
 	q, k := queries[3], 8
-	deadline := 25 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
