@@ -11,17 +11,18 @@ import (
 // pooled solver states and buffers are reallocated at random and the
 // counts below only hold in an ordinary build.
 
-// TestVPTreeKNNAllocs pins the allocations of one forced VP-tree k-NN
-// at n = 1500, through a background and through a cancellable
-// context: 25 and 29, with a margin of one. The tree stream keeps the
-// query's ancestor distances in one slab per stream; a slice per frame
-// would multiply the count.
-func TestVPTreeKNNAllocs(t *testing.T) {
+// TestKNNAllocs pins the allocations of one k-NN through the filter
+// chain at n = 1500, through a background and through a cancellable
+// context: 103 and 107, with a margin of one. The eager potential scan
+// fills one distance slice; the count grows only with the candidates
+// the chained stages pass on, since refinements draw on pooled solver
+// states.
+func TestKNNAllocs(t *testing.T) {
 	const n, k = 1500, 10
-	eng, queries := buildEngine(t, indexOpts(IndexVPTree), n)
+	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10}, n)
 	q := queries[0]
-	if _, stats, err := eng.KNN(q, k); err != nil || !stats.IndexUsed {
-		t.Fatalf("warm-up query: err %v, index used %v", err, stats != nil && stats.IndexUsed)
+	if _, _, err := eng.KNN(q, k); err != nil {
+		t.Fatalf("warm-up query: %v", err)
 	}
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -30,8 +31,8 @@ func TestVPTreeKNNAllocs(t *testing.T) {
 		ctx  context.Context
 		max  float64
 	}{
-		{"background", context.Background(), 26},
-		{"cancellable", cctx, 30},
+		{"background", context.Background(), 104},
+		{"cancellable", cctx, 108},
 	} {
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := eng.KNNCtx(c.ctx, q, k); err != nil {
@@ -40,7 +41,7 @@ func TestVPTreeKNNAllocs(t *testing.T) {
 		})
 		t.Logf("%s: %v allocs per query", c.name, allocs)
 		if allocs > c.max {
-			t.Errorf("%s: %v allocs per VP-tree k-NN, want at most %v", c.name, allocs, c.max)
+			t.Errorf("%s: %v allocs per k-NN, want at most %v", c.name, allocs, c.max)
 		}
 	}
 }

@@ -45,7 +45,7 @@ var optionTypes = []string{
 // "pkg.Type.Field".
 var optionAllowlist = map[string]string{
 	"emdsearch.Options.FilterBlockSize":   "bench/price.go reads it to lay out the columns it prices; it leaves with ROADMAP C1, which needs a bench/ edit",
-	"emdsearch.Options.IndexKind":         "bench/trace.go:162 sets it through a nested selector (offSpec.Opts.IndexKind = IndexOff), which the same-function rule does not attribute",
+	"emdsearch.Options.IndexKind":         "has no effect since the VP-tree left the engine; bench/trace.go:162 still sets it through a nested selector (offSpec.Opts.IndexKind = IndexOff), and it leaves with that bench/ edit (ROADMAP C1)",
 	"emdsearch.Options.AutoCascade":       "the auto-planner that ROADMAP N3 re-prices and folds, with Hierarchy, into one plan option",
 	"emdsearch.ShardSetOptions.ShardHook": "cmd/emdserve/server_test.go:35,338 injects shard faults through it from outside the package, where an unexported seam is out of reach",
 }

@@ -31,21 +31,12 @@ func cascadeVariants() []cascadeVariant {
 	hier2 := Options{Hierarchy: []int{8, 2}, SampleSize: 10}
 	hier3 := Options{Hierarchy: []int{8, 4, 2}, SampleSize: 10}
 	auto := Options{ReducedDims: 8, SampleSize: 10, AutoCascade: true}
-	hier3vp := hier3
-	hier3vp.IndexKind = IndexVPTree
-	autovp := auto
-	autovp.IndexKind = IndexVPTree
 	return []cascadeVariant{
 		{"single-level", base, nil},
 		{"hier-2level", hier2, nil},
 		{"hier-3level", hier3, nil},
 		{"auto-2level", auto, []int{2, 8}},
 		{"auto-3level", auto, []int{2, 4, 8}},
-		// Cascades decline the metric index (the tree orders by the
-		// finest level only), so these must quietly serve the scan chain
-		// and still answer identically.
-		{"hier-3level+vptree", hier3vp, nil},
-		{"auto-3level+vptree", autovp, []int{2, 4, 8}},
 	}
 }
 
@@ -67,8 +58,7 @@ func buildCascadeVariant(t *testing.T, v cascadeVariant, n int) (*Engine, []Hist
 
 // TestCascadePlanBitIdentity extends the cross-layout suite to cascade
 // plans: full-ranking Float64bits equality and identical Refinements
-// counts across fixed hierarchies, adopted auto plans, and index-kind
-// combinations. Every variant shares the same finest d'=8 reduction
+// counts across fixed hierarchies and adopted auto plans. Every variant shares the same finest d'=8 reduction
 // (depth-only changes reuse it by construction), so even the exact-EMD
 // work counters must agree — the coarser levels may only pre-prune
 // what the finest bound would have pruned anyway.
@@ -104,12 +94,8 @@ func TestCascadePlanBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameResults(t, name, "KNN", got, wantKNN)
-			// All variants share the finest reduction, and none of these
-			// queries runs an index traversal (cascades decline it), so
-			// the exact-refinement count is part of the contract.
-			if stats.IndexUsed {
-				t.Fatalf("%s: query %d used an index under a cascade", name, qi)
-			}
+			// All variants share the finest reduction, so the
+			// exact-refinement count is part of the contract.
 			if stats.Refinements != wantStats.Refinements {
 				t.Errorf("%s: query %d refined %d items, reference refined %d",
 					name, qi, stats.Refinements, wantStats.Refinements)

@@ -47,8 +47,6 @@ const (
 // Hierarchy levels, a ReducedDims that is not the largest Hierarchy
 // level, a negative SampleSize, an unknown Method or IndexKind,
 // AutoCascade without ReducedDims, and AutoCascade with a Hierarchy.
-// The metric index (IndexKind) serves chains it can reproduce the
-// candidate order of — one reduced level; every other chain is scanned.
 type Options struct {
 	// ReducedDims is d', the filter dimensionality. 0 disables
 	// filtering: queries degrade to an exact sequential scan.
@@ -82,17 +80,9 @@ type Options struct {
 	// byte-identical across all plans; only the work distribution
 	// changes.
 	AutoCascade bool
-	// IndexKind selects when the metric index — a VP-tree over the
-	// reduced EMD, under the metric closure of its ground matrix so
-	// pruning is sound — replaces the linear filter scan with a
-	// best-first traversal. Candidates are emitted in nondecreasing
-	// lower-bound order, so answers are provably identical to the scan
-	// path's. IndexAuto ("") builds the tree when the corpus looks
-	// indexable and falls back to the scan per query when it does not;
-	// IndexVPTree builds it on any corpus and serves every eligible
-	// query with it; IndexOff disables the stage. The tree has no
-	// incremental insert: after an Add the scan serves until a
-	// background rebuild lands.
+	// IndexKind has no effect: every query is served by the filter
+	// chain. IndexAuto ("") and IndexOff are accepted; "vptree", the
+	// removed VP-tree candidate generator (DESIGN.md §13), is rejected.
 	IndexKind string
 	// Workers bounds the goroutines used for the exact-EMD refinement
 	// stage of a single query, of any shape: 0 or 1 runs sequentially,
@@ -136,6 +126,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// IndexKind values for Options.IndexKind. Neither changes how a query
+// is served.
+const (
+	IndexAuto = ""
+	IndexOff  = "off"
+)
+
 // Engine is the high-level similarity-search index: a histogram
 // database plus a multistep EMD query processor with a reduced-EMD
 // filter chain.
@@ -173,26 +170,11 @@ type Engine struct {
 	potCol []float64
 
 	// savedQuant is the quantized filter the last pipeline build made,
-	// reused by the next one (after a delete or an index install) when
-	// it still matches the live data (see quantizeLocked);
-	// savedQuantHash fingerprints the reduction it was built under.
+	// reused by the next one (after a delete) when it still matches the
+	// live data (see quantizeLocked); savedQuantHash fingerprints the
+	// reduction it was built under.
 	savedQuant     *colscan.Quantized
 	savedQuantHash uint64
-
-	// savedIndex is the metric index retained across pipeline rebuilds
-	// (and restored from persisted snapshots), reused when its
-	// fingerprint still matches the live data; indexRebuilding
-	// serializes the background rebuilds, and indexRebuildWanted
-	// records that a snapshot wanted one while the latch was held.
-	savedIndex         *savedIndex
-	indexRebuilding    bool
-	indexRebuildWanted bool
-
-	// savedIntrinsic caches the auto-mode intrinsic-dimensionality
-	// estimate across snapshot rebuilds; it is keyed by the same
-	// fingerprint that pins the reduced data, so unchanged corpora do
-	// not re-pay the 512 sampled metric solves per rebuild.
-	savedIntrinsic *savedIntrinsic
 
 	// AutoCascade state: the metrics baseline and expected finest-level
 	// selectivity at the active plan's adoption (the drift window), the
@@ -207,13 +189,10 @@ type Engine struct {
 
 	metrics engineMetrics
 
-	// Test hooks (set only by in-package tests, before the engine is
-	// shared): fault injection and accounting probes on the index build
-	// paths. All nil in production.
-	testHookSyncIndexBuild func()      // a tree is built synchronously on the query path
-	testHookIntrinsicEval  func()      // one intrinsic-dim metric evaluation
-	testHookIndexRebuild   func()      // start of a background rebuild's build phase
-	testHookProjected      func(n int) // a pipeline build projected n items into the potential column
+	// testHookProjected, set only by in-package tests before the engine
+	// is shared, observes each pipeline build: it projected n items into
+	// the potential column. Nil in production.
+	testHookProjected func(n int)
 }
 
 // snapshot is an immutable view of everything the query path needs:
@@ -233,17 +212,13 @@ type snapshot struct {
 	plan *plan
 	// The finest level's symmetric bounds and columnar reduced database
 	// (nil when unreduced); they also serve the certified approximate
-	// query path (ApproxKNN) and the index metric.
+	// query path (ApproxKNN).
 	reduced     *core.ReducedEMD
 	reducedCols *colscan.Columns
 
 	// hook is Options.refineHook, captured at build time; nil outside
 	// fault-injection runs.
 	hook func(index int)
-
-	// index is the metric-index candidate generator state, nil when no
-	// index is attached to this snapshot.
-	index *engineIndex
 
 	// greedy hands out per-goroutine clones of the greedy-flow upper
 	// bound (its scratch buffer is not safe for concurrent use).
@@ -651,9 +626,6 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 		// The loop ends on the finest level.
 		snap.reduced, snap.reducedCols = reduced, cols
 	}
-	if err := e.attachIndexLocked(snap, s); err != nil {
-		return nil, err
-	}
 	snap.searcher = s
 	return snap, nil
 }
@@ -717,7 +689,7 @@ func maxCost(c emd.CostMatrix) float64 {
 // is a function of the reduction, covered by the fingerprint. The
 // result is stashed for the next rebuild. Caller holds e.mu.
 func (e *Engine) quantizeLocked(cols *colscan.Columns, red *core.Reduction, im *lb.IM) (*colscan.Quantized, error) {
-	hash := reductionHash(red)
+	hash := persist.ReductionHash(red.Assignment(), red.ReducedDims())
 	if qz := e.savedQuant; qz != nil && e.savedQuantHash == hash &&
 		qz.Len() == cols.Len() && qz.Dims() == cols.Dims() && qz.BlockSize() == cols.BlockSize() {
 		e.metrics.quantizedReused()

@@ -32,7 +32,7 @@ var (
 
 	// ErrInternal marks a query that failed on a contained internal
 	// invariant violation (a recovered panic in the exact solver, a
-	// filter stage, an index traversal or a caller's predicate): the
+	// filter stage or a caller's predicate): the
 	// failing query gets this error, the process and all other in-flight
 	// queries are unaffected. The concrete *InternalError carries the
 	// item index, panic value and stack.
@@ -80,7 +80,7 @@ func overloadError(ov *admission.Overload) *OverloadError {
 // InternalError reports a contained invariant failure: a panic inside
 // the exact refinement (transport simplex invariant checks, or an
 // injected fault hook) or on the candidate-generating side of the query
-// (a filter stage, an index traversal, a predicate) that the engine
+// (a filter stage, a predicate) that the engine
 // recovered and converted into an error on the failing query only.
 // errors.Is(err, ErrInternal) matches it.
 type InternalError struct {

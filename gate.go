@@ -272,11 +272,7 @@ func (e *Engine) knnLBOnly(q Query) (_ *KNNAnswer, err error) {
 		return nil, err
 	}
 	defer e.contain("knn", -1, &err)
-	ranking, err := s.searcher.Ranking(q.Hist)
-	if err != nil {
-		e.metrics.queryError()
-		return nil, err
-	}
+	ranking := s.searcher.Ranking(q.Hist)
 	g := s.greedyUpper()
 	defer s.putGreedy(g)
 

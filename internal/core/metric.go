@@ -10,19 +10,17 @@ import (
 // MetricClosure returns the largest ground-distance matrix m <= c
 // (entrywise) that satisfies the metric axioms: the shortest-path
 // closure of min(c_ij, c_ji) with a zeroed diagonal, computed by
-// Floyd–Warshall.
+// Floyd–Warshall. When c already satisfies the axioms the closure is a
+// fixpoint: m == c entrywise and changed is false.
 //
-// The optimal reduced cost matrix of Definition 5 takes group-wise
-// *minima* of the original costs, which preserves the lower-bounding
-// property but not the triangle inequality: c'(A,B) can exceed
-// c'(A,C) + c'(C,B) when the minimizing dimension pairs differ. A
-// metric index over EMD_{c'} would then prune unsoundly. EMD is
-// monotone in its ground distance, so EMD_{m} <= EMD_{c'} <= EMD for
-// the closure m — still a valid lower bound of the exact EMD — and
-// EMD_{m} is a true pseudometric, which is exactly what triangle-
-// inequality pruning needs. When c' already satisfies the axioms the
-// closure is a fixpoint: m == c' entrywise and changed is false, so
-// index filter distances match the scan path's Red-EMD bit for bit.
+// EMD is monotone in its ground distance, so EMD_m <= EMD_c, and EMD_m
+// is a true pseudometric. Every column of the closure of the full cost
+// matrix is a feasible dual potential; the potential level
+// (lb.Potentials) is built from them. The optimal reduced cost matrix
+// of Definition 5 takes group-wise *minima* of the original costs,
+// which preserves the lower-bounding property but not the triangle
+// inequality: c'(A,B) can exceed c'(A,C) + c'(C,B) when the minimizing
+// dimension pairs differ.
 func MetricClosure(c emd.CostMatrix) (emd.CostMatrix, bool) {
 	n := c.Rows()
 	m := vecmath.NewMatrix(n, n)

@@ -112,9 +112,9 @@ type Reduction struct {
 
 // IndexSection is the persisted metric index: the serialized tree
 // (the kind-specific flat form, gob-encoded into Blob) plus the state
-// fingerprint it was built under. It is strictly an optimization — a
-// reader that cannot reuse it (kind, fingerprint or coverage mismatch)
-// rebuilds from the items.
+// fingerprint it was built under. The engine no longer has a metric
+// index: it writes none, and its loader CRC-checks a section from an
+// older file and drops it. The frame stays so format v5 is unchanged.
 type IndexSection struct {
 	// Kind is the tree kind: "vptree", or "mtree" in files written
 	// while the engine still had an M-tree.
@@ -161,8 +161,9 @@ type Snapshot struct {
 	EngineReduction *Reduction
 	// Deleted lists soft-deleted item ids, ascending.
 	Deleted []int
-	// Index is the metric index, nil when the engine had none built
-	// (and always nil in files before version 3).
+	// Index is a metric index written by an older engine; the engine
+	// writes nil and drops it on load (always nil in files before
+	// version 3).
 	Index *IndexSection
 	// Cascade is the reduction cascade and plan, nil when the engine
 	// ran a single filter level (and always nil in files before

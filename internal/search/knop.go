@@ -93,11 +93,11 @@ type QueryStats struct {
 	// deadline expired). The returned results are then a certified
 	// partial answer, not the complete one.
 	Cancelled bool
-	// IndexUsed reports that a metric-index candidate generator served
-	// this query in place of the scan-based filter chain.
-	IndexUsed bool
-	// IndexNodesVisited and IndexPruned count index nodes expanded and
-	// ruled out during the traversal; zero unless IndexUsed.
+	// IndexUsed, IndexNodesVisited and IndexPruned are always zero:
+	// every query is served by the filter chain, since the metric-index
+	// candidate generator was removed. They stay for the benchmark's
+	// traced pass, which still reads them.
+	IndexUsed         bool
 	IndexNodesVisited int
 	IndexPruned       int
 	// StageEvaluations counts filter evaluations per pipeline stage;

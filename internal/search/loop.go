@@ -295,8 +295,8 @@ func (l *loop) fail(err error) {
 
 // contain is the loop's panic barrier; it must be deferred directly. A
 // panic anywhere below it — the transport simplex's invariant checks,
-// the trusted-input solver wrapper in a refinement or a filter stage, an
-// index traversal, a predicate, a chaos-injection hook — becomes the
+// the trusted-input solver wrapper in a refinement or a filter stage, a
+// predicate, a chaos-injection hook — becomes the
 // query's *PanicError instead of unwinding through the caller (or, on a
 // pool goroutine, killing the process): one poisoned call fails one
 // query. feed defers it around the whole iteration, settle around each

@@ -136,8 +136,8 @@ func TestCandidateLoopEquivalence(t *testing.T) {
 
 // faultySearcher is a two-stage pipeline over n items in which one named
 // site panics on its third call: "scan" (the eager bottom stage), "stage"
-// (the chained second stage's Distance), "index" (an index ranking's
-// Next), "pred", "upper" or "refine". Any other site name panics nowhere.
+// (the chained second stage's Distance), "pred", "upper" or "refine".
+// Any other site name panics nowhere.
 func faultySearcher(n, workers int, site *string) (s *Searcher, pred func(int) bool, upper func(int) float64) {
 	calls := map[string]int{}
 	trip := func(at string) {
@@ -167,12 +167,6 @@ func faultySearcher(n, workers int, site *string) (s *Searcher, pred func(int) b
 				return exact(i) / 2
 			}),
 		}},
-		Index: func(emd.Histogram, IndexHint) (IndexRanking, error) {
-			if *site != "index" {
-				return nil, nil
-			}
-			return faultyIndex{trip: trip, inner: NewScanRanking(make([]float64, n))}, nil
-		},
 		// Refinements run on pool goroutines, so this site faults on a
 		// fixed item instead of sharing the feeder-side call counter.
 		Refine: ExactRefine(func(_ emd.Histogram, i int) float64 {
@@ -187,18 +181,9 @@ func faultySearcher(n, workers int, site *string) (s *Searcher, pred func(int) b
 	return s, pred, upper
 }
 
-type faultyIndex struct {
-	trip  func(string)
-	inner Ranking
-}
-
-func (f faultyIndex) Next() (Candidate, bool) { f.trip("index"); return f.inner.Next() }
-func (f faultyIndex) IndexStats() IndexStats  { return IndexStats{} }
-func (f faultyIndex) Label() string           { return "faulty" }
-
 // TestCandidateLoopContainsPanics: whichever side of the loop a panic
 // comes from — building the ranking, advancing it through a chained
-// stage or an index, the predicate, the upper bound, a refinement — the
+// stage, the predicate, the upper bound, a refinement — the
 // query fails with a *PanicError, inline and over a pool alike, every
 // pool goroutine has exited by then, and the Searcher answers the next
 // query as if nothing had happened.
@@ -206,7 +191,7 @@ func TestCandidateLoopContainsPanics(t *testing.T) {
 	const n, k = 40, 5
 	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
-		for _, site := range []string{"scan", "stage", "index", "pred", "upper", "refine"} {
+		for _, site := range []string{"scan", "stage", "pred", "upper", "refine"} {
 			t.Run(fmt.Sprintf("%s/workers=%d", site, workers), func(t *testing.T) {
 				armed := site
 				s, pred, upper := faultySearcher(n, workers, &armed)

@@ -2,43 +2,21 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"emdsearch/internal/emd"
 )
 
 // The bare-algorithm forms the package used to export — a ranking and a
 // refinement function in, an answer out — kept for the tests that use
-// them as their oracle. The wrappers go through a Searcher that has
-// nothing but the ranking, so they exercise the real entry points; the
-// *Core forms drive the candidate loop directly, for the tests that
-// hand-build the chain and its bound cell.
+// them as their oracle. They hand the ready ranking to the candidate
+// loop, the one consumer of every Searcher query; the *Core forms do the
+// same with a caller-built query value, for the tests that hand-build
+// the chain and its bound cell.
 
 func adaptRefine(refine func(index int) float64) BoundedRefine {
 	return func(i int, _ float64) Refinement { return Refinement{Dist: refine(i)} }
-}
-
-// bareRanking serves a hand-built ranking through Searcher.Index, the
-// one way to hand a Searcher a ready ranking.
-type bareRanking struct{ Ranking }
-
-func (bareRanking) IndexStats() IndexStats { return IndexStats{} }
-func (bareRanking) Label() string          { return "bare" }
-
-func bareSearcher(ranking Ranking, refine BoundedRefine, workers int) *Searcher {
-	s := &Searcher{
-		Index: func(emd.Histogram, IndexHint) (IndexRanking, error) {
-			return bareRanking{ranking}, nil
-		},
-		Workers: workers,
-	}
-	if refine != nil {
-		s.Refine = func(_ emd.Histogram, i int, abortAbove float64, _ *atomic.Bool) Refinement {
-			return refine(i, abortAbove)
-		}
-	}
-	return s
 }
 
 func KNN(ranking Ranking, refine func(index int) float64, k int) ([]Result, *QueryStats, error) {
@@ -50,7 +28,11 @@ func KNNBounded(ranking Ranking, refine BoundedRefine, k int) ([]Result, *QueryS
 }
 
 func ParallelKNNBounded(ranking Ranking, refine BoundedRefine, k, workers int) ([]Result, *QueryStats, error) {
-	return searcherKNN(bareSearcher(ranking, refine, workers), nil, k)
+	if k < 1 {
+		return nil, nil, fmt.Errorf("search: k = %d, want >= 1", k)
+	}
+	results, _, stats, err := parallelKNNBoundedCore(ranking, refine, k, workers, query{})
+	return results, stats, err
 }
 
 func Range(ranking Ranking, refine func(index int) float64, eps float64) ([]Result, *QueryStats, error) {
@@ -62,14 +44,13 @@ func RangeBounded(ranking Ranking, refine BoundedRefine, eps float64) ([]Result,
 }
 
 func ParallelRangeBounded(ranking Ranking, refine BoundedRefine, eps float64, workers int) ([]Result, *QueryStats, error) {
-	return searcherRange(bareSearcher(ranking, refine, workers), nil, eps)
+	return rangeBoundedCore(ranking, refine, eps, query{workers: workers})
 }
 
 // RangeIDs is the membership query: the ascending ids of the items
 // within eps, upper-bound short-cut on.
 func RangeIDs(ranking Ranking, refine, upper func(index int) float64, eps float64) ([]int, *QueryStats, error) {
-	results, stats, err := bareSearcher(ranking, adaptRefine(refine), 1).
-		Range(context.Background(), RangeQuery{Eps: eps, Upper: upper})
+	results, stats, err := rangeBoundedCore(ranking, adaptRefine(refine), eps, query{upper: upper})
 	if err != nil {
 		return nil, nil, err
 	}

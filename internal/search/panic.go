@@ -4,7 +4,7 @@ import "fmt"
 
 // PanicError reports a panic recovered by the candidate loop's barrier
 // (loop.contain): an invariant failure inside the exact solver, a filter
-// stage, an index traversal or a caller-supplied hook that would
+// stage or a caller-supplied hook that would
 // otherwise have killed the whole process — and, on the pool path, every
 // other query sharing it. The barrier converts it into an ordinary error
 // on the failing query only; the engine wraps it into the public typed

@@ -77,14 +77,6 @@ func ExactRefine(dist func(q emd.Histogram, index int) float64) func(emd.Histogr
 type Searcher struct {
 	// N is the database size.
 	N int
-	// Index, when set, is consulted first for every query: given the
-	// query and a hint describing it, the index either returns an
-	// IndexRanking — candidates in nondecreasing lower-bound order,
-	// produced WITHOUT an O(n) scan — or declines with (nil, nil), in
-	// which case the normal chain below runs. When an index ranking is
-	// used it replaces the whole filter chain, so its emissions must
-	// lower-bound Refine directly.
-	Index func(q emd.Histogram, hint IndexHint) (IndexRanking, error)
 	// Stages is the filter chain, cheapest and loosest first.
 	Stages []FilterStage
 	// Refine computes the exact distance (full-dimensional EMD) between
@@ -116,43 +108,19 @@ type Searcher struct {
 }
 
 // stageProbe observes one stage of an assembled per-query chain.
-// index is set only for the index-backed stage and feeds the
-// QueryStats index counters.
 type stageProbe struct {
 	name    string
 	evals   func() int
-	aborted func() int // nil for stages that cannot abort (eager scan, index)
+	aborted func() int // nil for stages that cannot abort (the eager scan)
 	dur     *time.Duration
-	index   func() IndexStats
 }
 
 // buildRanking assembles the filter chain for one query and returns
-// the final ranking plus probes for the per-stage counters. The hint
-// describes the query shape so an attached index can apply its
-// per-query acceptance policy. bound is the cell the chained stages
-// read the query's live pruning threshold from; the candidate loop that
-// consumes the ranking publishes it there (query.bound), and nil leaves
-// every stage running to completion.
-func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint, bound *float64) (ranking Ranking, probes []stageProbe, err error) {
-	if s.Index != nil {
-		idx, err := s.Index(q, hint)
-		if err != nil {
-			return nil, nil, err
-		}
-		if idx != nil {
-			// The index IS the filter: no eager scan, no chained
-			// stages — emissions already carry the tightest available
-			// lower bound in nondecreasing order.
-			dur := new(time.Duration)
-			probe := stageProbe{
-				name:  idx.Label(),
-				evals: func() int { return idx.IndexStats().DistanceCalls },
-				dur:   dur,
-				index: idx.IndexStats,
-			}
-			return &timedRanking{inner: idx, dur: dur}, []stageProbe{probe}, nil
-		}
-	}
+// the final ranking plus probes for the per-stage counters. bound is
+// the cell the chained stages read the query's live pruning threshold
+// from; the candidate loop that consumes the ranking publishes it there
+// (query.bound), and nil leaves every stage running to completion.
+func (s *Searcher) buildRanking(q emd.Histogram, bound *float64) (ranking Ranking, probes []stageProbe) {
 	chainFrom := 0
 	probes = make([]stageProbe, 0, len(s.Stages))
 	if len(s.Stages) == 0 {
@@ -201,7 +169,7 @@ func (s *Searcher) buildRanking(q emd.Histogram, hint IndexHint, bound *float64)
 		})
 		ranking = cr
 	}
-	return ranking, probes, nil
+	return ranking, probes
 }
 
 // finishStats fills the per-stage observability fields of stats from
@@ -236,12 +204,6 @@ func finishStats(stats *QueryStats, probes []stageProbe, total time.Duration) {
 		}
 		stats.StageEvaluations[i] = evals
 		stats.FilterTime += *p.dur
-		if p.index != nil {
-			ist := p.index()
-			stats.IndexUsed = true
-			stats.IndexNodesVisited = ist.NodesVisited
-			stats.IndexPruned = ist.Pruned
-		}
 	}
 }
 
@@ -297,8 +259,7 @@ func (s *Searcher) KNN(ctx context.Context, kq KNNQuery) (*KNNOutcome, error) {
 	}
 	var out KNNOutcome
 	var err error
-	out.Results, out.Pending, out.Stats, err = s.run(ctx, kq.Q, IndexHint{Kind: IndexKNN, K: kq.K},
-		query{k: kq.K, pred: kq.Pred, shared: kq.Shared, toGlobal: kq.ToGlobal})
+	out.Results, out.Pending, out.Stats, err = s.run(ctx, kq.Q, query{k: kq.K, pred: kq.Pred, shared: kq.Shared, toGlobal: kq.ToGlobal})
 	if err != nil {
 		return nil, err
 	}
@@ -332,8 +293,7 @@ type RangeQuery struct {
 // is individually certified, so the partial set is sound, only possibly
 // incomplete — with Stats.Cancelled=true.
 func (s *Searcher) Range(ctx context.Context, rq RangeQuery) ([]Result, *QueryStats, error) {
-	results, _, stats, err := s.run(ctx, rq.Q, IndexHint{Kind: IndexRange, Eps: rq.Eps},
-		query{eps: rq.Eps, pred: rq.Pred, upper: rq.Upper})
+	results, _, stats, err := s.run(ctx, rq.Q, query{eps: rq.Eps, pred: rq.Pred, upper: rq.Upper})
 	return results, stats, err
 }
 
@@ -341,7 +301,7 @@ func (s *Searcher) Range(ctx context.Context, rq RangeQuery) ([]Result, *QuerySt
 // cumulative timer into the refinement seam, hand the loop a way to
 // build the filter ranking under its barrier, and fill in the per-stage
 // statistics afterwards.
-func (s *Searcher) run(ctx context.Context, q emd.Histogram, hint IndexHint, lq query) ([]Result, []PendingCandidate, *QueryStats, error) {
+func (s *Searcher) run(ctx context.Context, q emd.Histogram, lq query) ([]Result, []PendingCandidate, *QueryStats, error) {
 	if s.Refine == nil {
 		return nil, nil, nil, fmt.Errorf("search: Searcher has no refinement distance")
 	}
@@ -361,9 +321,9 @@ func (s *Searcher) run(ctx context.Context, q emd.Histogram, hint IndexHint, lq 
 		return r
 	}
 	var probes []stageProbe
-	results, pending, stats, err := lq.run(func() (ranking Ranking, err error) {
-		ranking, probes, err = s.buildRanking(q, hint, lq.bound)
-		return ranking, err
+	results, pending, stats, err := lq.run(func() (ranking Ranking, _ error) {
+		ranking, probes = s.buildRanking(q, lq.bound)
+		return ranking, nil
 	}, refine)
 	if err != nil {
 		return nil, nil, nil, err
@@ -378,7 +338,7 @@ func (s *Searcher) run(ctx context.Context, q emd.Histogram, hint IndexHint, lq 
 // no threshold published, so every value it yields is the stages' true
 // filter distance. Callers can stack further (larger) lower bounds or
 // the exact distance on top with NewChainedRanking.
-func (s *Searcher) Ranking(q emd.Histogram) (Ranking, error) {
-	ranking, _, err := s.buildRanking(q, IndexHint{Kind: IndexRank}, nil)
-	return ranking, err
+func (s *Searcher) Ranking(q emd.Histogram) Ranking {
+	ranking, _ := s.buildRanking(q, nil)
+	return ranking
 }

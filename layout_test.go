@@ -35,8 +35,6 @@ func layoutVariants() []layoutVariant {
 	base := Options{ReducedDims: 8, SampleSize: 10}
 	oddBlock := base
 	oddBlock.FilterBlockSize = 17
-	vp := base
-	vp.IndexKind = IndexVPTree
 	oblivious := base
 	oblivious.unboundedRefine = true
 	return []layoutVariant{
@@ -47,11 +45,6 @@ func layoutVariants() []layoutVariant {
 		{"threshold-oblivious", oblivious},
 		{"columnar+quantized", base},
 		{"columnar+block17", oddBlock},
-		// Metric-index candidate generation replaces the filter scan
-		// with a best-first tree traversal. Emissions stay a
-		// nondecreasing lower-bounding order, so the *answers* must
-		// still be bit-identical; only the work counters may differ.
-		{"vptree-index", vp},
 	}
 }
 
@@ -183,15 +176,12 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameResults(t, name, "KNN", got, wantKNN)
-			// Refinement counts are part of the contract for the scan
-			// layouts: neither the block geometry of the quantized stage
-			// nor a bounded solve may change which candidates reach the
-			// exact EMD. An index traversal orders candidates by a
-			// (possibly different, still lower-bounding) metric, so only
-			// its answers — not its work counters — must match.
+			// Refinement counts are part of the contract: neither the
+			// block geometry of the quantized stage nor a bounded solve
+			// may change which candidates reach the exact EMD.
 			if vi == 0 {
 				wantStats = stats
-			} else if !stats.IndexUsed {
+			} else {
 				if stats.Refinements != wantStats.Refinements {
 					t.Errorf("%s: query %d refined %d items, oracle refined %d",
 						name, qi, stats.Refinements, wantStats.Refinements)
@@ -244,14 +234,12 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 
 // TestCrossLayoutStageChains pins which stage chain each layout
 // assembles, so a configuration regression (quantized stage silently
-// missing, index silently declined) cannot hide behind the
-// bit-identity of the answers.
+// missing) cannot hide behind the bit-identity of the answers.
 func TestCrossLayoutStageChains(t *testing.T) {
 	want := map[string][]string{
 		"columnar+quantized":  {"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"},
 		"columnar+block17":    {"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"},
 		"threshold-oblivious": {"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"},
-		"vptree-index":        {"VPTree(Red-EMD)"},
 	}
 	for _, v := range layoutVariants() {
 		eng, queries := buildLayoutEngine(t, v, 60)

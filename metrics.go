@@ -58,30 +58,9 @@ type Metrics struct {
 	// ColumnBuilds counts columnar filter layouts assembled during
 	// snapshot builds (one per filter level). QuantizedReuses counts
 	// pipeline builds that reused the previous build's quantized filter
-	// (after a delete or an index install) instead of requantizing.
+	// (after a delete) instead of requantizing.
 	ColumnBuilds    int64 `json:"column_builds"`
 	QuantizedReuses int64 `json:"quantized_reuses"`
-
-	// IndexBuilds counts metric-index constructions (including
-	// churn-triggered background rebuilds); IndexReuses counts pipeline
-	// builds that carried an existing index forward (possibly growing
-	// it incrementally) instead of rebuilding. IndexQueries counts
-	// queries answered through an index-backed candidate generator;
-	// IndexNodesVisited and IndexPruned are their summed traversal
-	// counters.
-	IndexBuilds       int64 `json:"index_builds"`
-	IndexReuses       int64 `json:"index_reuses"`
-	IndexQueries      int64 `json:"index_queries"`
-	IndexNodesVisited int64 `json:"index_nodes_visited"`
-	IndexPruned       int64 `json:"index_pruned"`
-	// IndexDeferredBuilds counts snapshot builds that found a stale
-	// saved tree and handed reconstruction to the background rebuild
-	// path (serving the scan meanwhile) instead of rebuilding
-	// synchronously on the query path. IndexRebuildFailures counts
-	// background rebuilds that errored or panicked — the rebuild latch
-	// is released either way, so a later rebuild can retry.
-	IndexDeferredBuilds  int64 `json:"index_deferred_builds"`
-	IndexRebuildFailures int64 `json:"index_rebuild_failures"`
 
 	// WALAppends counts mutations (Add/Delete) durably appended to an
 	// open write-ahead log; WALReplayed counts log records applied by
@@ -172,11 +151,6 @@ func (em *engineMetrics) observe(kind metricKind, stats *QueryStats) {
 	em.m.FilterTime += stats.FilterTime
 	em.m.RefineTime += stats.RefineTime
 	em.m.QueryTime += stats.TotalTime
-	if stats.IndexUsed {
-		em.m.IndexQueries++
-		em.m.IndexNodesVisited += int64(stats.IndexNodesVisited)
-		em.m.IndexPruned += int64(stats.IndexPruned)
-	}
 	if len(stats.Stages) > 0 {
 		if em.m.Stages == nil {
 			em.m.Stages = make(map[string]StageMetrics, len(stats.Stages))
@@ -231,30 +205,6 @@ func (em *engineMetrics) columnsBuilt() {
 func (em *engineMetrics) quantizedReused() {
 	em.mu.Lock()
 	em.m.QuantizedReuses++
-	em.mu.Unlock()
-}
-
-func (em *engineMetrics) indexBuilt() {
-	em.mu.Lock()
-	em.m.IndexBuilds++
-	em.mu.Unlock()
-}
-
-func (em *engineMetrics) indexReused() {
-	em.mu.Lock()
-	em.m.IndexReuses++
-	em.mu.Unlock()
-}
-
-func (em *engineMetrics) indexDeferred() {
-	em.mu.Lock()
-	em.m.IndexDeferredBuilds++
-	em.mu.Unlock()
-}
-
-func (em *engineMetrics) indexRebuildFailed() {
-	em.mu.Lock()
-	em.m.IndexRebuildFailures++
 	em.mu.Unlock()
 }
 

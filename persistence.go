@@ -1,10 +1,7 @@
 package emdsearch
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,7 +13,6 @@ import (
 	"emdsearch/internal/core"
 	"emdsearch/internal/persist"
 	"emdsearch/internal/shardset"
-	"emdsearch/internal/vptree"
 )
 
 // Typed persistence errors. Every failure of Save, SaveFile,
@@ -51,8 +47,7 @@ var (
 func (e *Engine) costHash() uint64 { return persist.CostHash(e.cost) }
 
 // snapshotRecordLocked assembles the persistable engine state: items,
-// the engine reduction, the soft-deleted set, the metric index and the
-// cascade. The caller must hold e.mu. Vectors are shared, not copied — they are
+// the engine reduction, the soft-deleted set and the cascade. The caller must hold e.mu. Vectors are shared, not copied — they are
 // immutable once added, so the record stays valid after the lock is
 // released.
 func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
@@ -73,28 +68,10 @@ func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
 		deleted = append(deleted, id)
 	}
 	sort.Ints(deleted)
-	// Persist the metric index only when the stash covers the current
-	// item count (it can lag behind after mutations that have not been
-	// followed by a query), so a restored tree never needs patching — it
-	// is either reusable as-is or rebuilt.
-	var index *persist.IndexSection
-	if si := e.savedIndex; si != nil && si.n == n {
-		var blob bytes.Buffer
-		if err := gob.NewEncoder(&blob).Encode(si.vt.Flatten()); err == nil {
-			index = &persist.IndexSection{
-				Kind:           IndexVPTree,
-				N:              si.n,
-				DeletedAtBuild: si.deletedAtBuild,
-				RedHash:        si.redHash,
-				Blob:           blob.Bytes(),
-			}
-		}
-	}
-	// Persist the reduction cascade and the auto-cascade plan. Unlike
-	// the index, these are not rebuildable
-	// optimizations — re-deriving a cascade consumes randomness and an
-	// auto plan encodes observed workload history — so they are saved
-	// whenever present and validated structurally on load. The section
+	// Persist the reduction cascade and the auto-cascade plan. They are
+	// not rebuildable optimizations — re-deriving a cascade consumes
+	// randomness and an auto plan encodes observed workload history — so
+	// they are saved whenever present and validated structurally on load. The section
 	// lists levels finest first; an auto plan adds its dimensionalities
 	// and their fingerprint.
 	var cascade *persist.CascadeSection
@@ -119,7 +96,6 @@ func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
 		Items:           items,
 		EngineReduction: engRed,
 		Deleted:         deleted,
-		Index:           index,
 		Cascade:         cascade,
 	}
 }
@@ -129,7 +105,7 @@ func persistReduction(r *core.Reduction) persist.Reduction {
 }
 
 // Save writes the engine's full persistent state — items, reduction,
-// the soft-deleted set, the metric index and the cascade — to w in the versioned, checksummed
+// the soft-deleted set and the cascade — to w in the versioned, checksummed
 // snapshot format (magic, format version, configuration fingerprint,
 // per-section CRC32 trailers). Prefer SaveFile for writing to disk: it
 // additionally guarantees the file is replaced atomically.
@@ -260,12 +236,11 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 		}
 		e.deleted[id] = true
 	}
-	if s.Index != nil {
-		si, err := restoreIndexSection(s.Index, e.store.Len())
-		if err != nil {
-			return nil, fmt.Errorf("emdsearch: %w: metric index: %v", ErrCorrupt, err)
-		}
-		e.savedIndex = si // nil for a legacy section
+	// A metric-index section, written while the engine still had one, has
+	// passed its CRC in ReadSnapshot; it is dropped undecoded. A kind no
+	// version ever wrote is damage.
+	if s.Index != nil && s.Index.Kind != "vptree" && s.Index.Kind != "mtree" {
+		return nil, fmt.Errorf("emdsearch: %w: metric index: unknown kind %q", ErrCorrupt, s.Index.Kind)
 	}
 	if s.Cascade != nil {
 		levels, err := restoreCascadeSection(s.Cascade, chain, e.Dim())
@@ -362,44 +337,6 @@ func restoreCascadeSection(cs *persist.CascadeSection, engChain []*core.Reductio
 		}
 	}
 	return chain, nil
-}
-
-// restoreIndexSection validates and materializes a persisted VP-tree.
-// A CRC-valid but semantically damaged section must fail the load,
-// never reach a traversal; RestoreFlat re-checks every structural
-// invariant of the tree. Whether the stash is actually reused is
-// decided at pipeline build time by matching its reduction fingerprint
-// — a stale index is silently rebuilt. Two legacy sections are dropped
-// (nil, nil), and the first query builds a VP-tree instead: one of kind
-// "mtree", written while the engine still had an M-tree, without being
-// decoded, and a VP-tree written before the tree kept its ancestor rows
-// (vptree.ErrNoRows), whose keys could not be derived.
-func restoreIndexSection(is *persist.IndexSection, items int) (*savedIndex, error) {
-	switch is.Kind {
-	case "mtree":
-		return nil, nil
-	case IndexVPTree:
-	default:
-		return nil, fmt.Errorf("unknown index kind %q", is.Kind)
-	}
-	if is.N != items {
-		return nil, fmt.Errorf("covers %d items, snapshot carries %d", is.N, items)
-	}
-	if is.DeletedAtBuild < 0 || is.DeletedAtBuild > is.N {
-		return nil, fmt.Errorf("deleted-at-build %d out of range [0, %d]", is.DeletedAtBuild, is.N)
-	}
-	var f vptree.Flat
-	if err := gob.NewDecoder(bytes.NewReader(is.Blob)).Decode(&f); err != nil {
-		return nil, fmt.Errorf("decode vp-tree: %v", err)
-	}
-	vt, err := vptree.RestoreFlat(&f, items)
-	if errors.Is(err, vptree.ErrNoRows) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &savedIndex{vt: vt, n: is.N, deletedAtBuild: is.DeletedAtBuild, redHash: is.RedHash}, nil
 }
 
 // OpenWAL attaches a write-ahead log at path to the engine: every

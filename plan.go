@@ -49,10 +49,11 @@ func compilePlan(o Options, dim int) (*plan, error) {
 		return nil, fmt.Errorf("emdsearch: ReducedDims %d out of range [0, %d]", o.ReducedDims, dim)
 	}
 	switch o.IndexKind {
-	case IndexAuto, IndexVPTree, IndexOff:
+	case IndexAuto, IndexOff:
+	case "vptree":
+		return nil, fmt.Errorf("emdsearch: IndexKind %q: the VP-tree candidate generator was removed; every query is served by the filter chain", o.IndexKind)
 	default:
-		return nil, fmt.Errorf("emdsearch: IndexKind %q, want one of %q, %q, %q",
-			o.IndexKind, IndexAuto, IndexVPTree, IndexOff)
+		return nil, fmt.Errorf("emdsearch: IndexKind %q, want %q or %q", o.IndexKind, IndexAuto, IndexOff)
 	}
 	if o.SampleSize < 0 {
 		return nil, fmt.Errorf("emdsearch: SampleSize %d, want >= 0", o.SampleSize)
@@ -170,12 +171,6 @@ func (p *plan) finest() *core.Reduction {
 		return p.levels[n-1].red
 	}
 	return nil
-}
-
-// indexEligible reports whether a metric tree over the reduced EMD can
-// stand in for the chain: exactly one reduced level.
-func (p *plan) indexEligible() bool {
-	return len(p.dims()) == 1
 }
 
 // stageName is the level's label in QueryStats and Metrics.

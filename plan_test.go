@@ -33,28 +33,28 @@ func planShape(p *plan) []string {
 func TestCompilePlan(t *testing.T) {
 	const d = 64
 	cases := []struct {
-		name      string
-		opts      Options
-		want      []string // nil with wantErr
-		wantErr   string
-		auto      bool
-		indexable bool
+		name    string
+		opts    Options
+		want    []string // nil with wantErr
+		wantErr string
+		auto    bool
 	}{
 		{name: "unreduced", opts: Options{}, want: nil},
 		{name: "single-level", opts: Options{ReducedDims: 8},
-			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}, indexable: true},
+			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}},
 		{name: "hierarchy-32-8", opts: Options{Hierarchy: []int{32, 8}},
 			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD-8@8", "Red-EMD-32@32"}},
 		{name: "hierarchy-8-4-2", opts: Options{Hierarchy: []int{8, 4, 2}, ReducedDims: 8},
 			want: []string{"Potentials", "Q-Red-IM@2", "Red-IM@2", "Red-EMD-2@2", "Red-EMD-4@4", "Red-EMD-8@8"}},
 		{name: "hierarchy-of-one", opts: Options{Hierarchy: []int{8}},
-			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}, indexable: true},
+			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}},
 		{name: "auto-cascade", opts: Options{ReducedDims: 8, AutoCascade: true},
-			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}, auto: true, indexable: true},
+			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}, auto: true},
 
 		{name: "d' above d", opts: Options{ReducedDims: d + 1}, wantErr: "ReducedDims"},
 		{name: "negative d'", opts: Options{ReducedDims: -1}, wantErr: "ReducedDims"},
 		{name: "index kind", opts: Options{ReducedDims: 8, IndexKind: "btree"}, wantErr: "IndexKind"},
+		{name: "removed index kind", opts: Options{ReducedDims: 8, IndexKind: "vptree"}, wantErr: "removed"},
 		{name: "negative sample", opts: Options{ReducedDims: 8, SampleSize: -1}, wantErr: "SampleSize"},
 		{name: "method", opts: Options{ReducedDims: 8, Method: "bogus"}, wantErr: "method"},
 		{name: "method, unreduced", opts: Options{Method: "bogus"}, wantErr: "method"},
@@ -83,8 +83,8 @@ func TestCompilePlan(t *testing.T) {
 		if got := planShape(p); !slices.Equal(got, c.want) {
 			t.Errorf("%s: levels %v, want %v", c.name, got, c.want)
 		}
-		if p.auto != c.auto || p.indexEligible() != c.indexable {
-			t.Errorf("%s: auto=%v indexEligible=%v, want %v/%v", c.name, p.auto, p.indexEligible(), c.auto, c.indexable)
+		if p.auto != c.auto {
+			t.Errorf("%s: auto=%v, want %v", c.name, p.auto, c.auto)
 		}
 		if p.finest() != nil || len(p.reductions()) != 0 {
 			t.Errorf("%s: a compiled plan carries reductions before Build", c.name)

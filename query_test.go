@@ -187,7 +187,6 @@ func TestRangeIDsMatchesRange(t *testing.T) {
 	}{
 		{"single-level", Options{ReducedDims: 8, SampleSize: 16}},
 		{"hierarchy", Options{Hierarchy: []int{16, 4}, SampleSize: 16}},
-		{"vptree", Options{ReducedDims: 8, SampleSize: 16, IndexKind: IndexVPTree}},
 		{"no-reduction", Options{}},
 	}
 	for _, plan := range plans {

@@ -66,13 +66,8 @@ func (e *Engine) Rank(ctx context.Context, q Histogram) (*Ranking, error) {
 		e.metrics.queryError()
 		return nil, err
 	}
-	// Build the filter ranking exactly as a query would (including the
-	// metric index, when it serves the request)...
-	base, err := s.searcher.Ranking(q)
-	if err != nil {
-		e.metrics.queryError()
-		return nil, err
-	}
+	// Build the filter ranking exactly as a query would...
+	base := s.searcher.Ranking(q)
 	// ...and chain the exact EMD on top as the final re-ranker;
 	// soft-deleted items rank at infinity and are skipped by Next. An
 	// open-ended stream has no pruning threshold, so no stage is given

@@ -749,11 +749,12 @@ func addStats(dst, src *QueryStats) {
 	dst.RefinesAborted += src.RefinesAborted
 	dst.RefineRows += src.RefineRows
 	dst.RefineCols += src.RefineCols
+	// The index counters are always zero (see QueryStats); they merge
+	// like the others for the benchmark's traced pass, which reads them.
 	dst.IndexUsed = dst.IndexUsed || src.IndexUsed
 	dst.IndexNodesVisited += src.IndexNodesVisited
 	dst.IndexPruned += src.IndexPruned
-	// Stages merge by name, in order of first appearance: shards run
-	// the same chain unless one of them served the query from its index.
+	// Stages merge by name, in order of first appearance.
 	for _, st := range src.Stages {
 		i := 0
 		for i < len(dst.Stages) && dst.Stages[i].Name != st.Name {

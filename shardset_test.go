@@ -351,14 +351,26 @@ func TestShardSetValidation(t *testing.T) {
 }
 
 // TestShardSetStatsMergeIndexAndStages is the regression test for
-// addStats dropping the index and per-stage counters: ShardAnswer.Stats
-// of an index-served scatter used to claim no index ran. On a 2-shard
-// set whose shards each pass the IndexAuto size gate the merged stats
-// must carry the index flag and the summed traversal counters; on a
-// small scan-served set they must carry every stage by name with the
-// summed evaluations, mirrored in StageEvaluations.
+// addStats dropping the index and per-stage counters. The index
+// counters are always zero now, but the merge still carries them (the
+// benchmark reads them): hand-built shard stats must merge to the
+// index flag and the summed traversal counters. On a scan-served set
+// the merged stats must carry every stage by name with the summed
+// evaluations, mirrored in StageEvaluations.
 func TestShardSetStatsMergeIndexAndStages(t *testing.T) {
 	ctx := context.Background()
+	var merged QueryStats
+	for _, src := range []*QueryStats{
+		{IndexNodesVisited: 3, IndexPruned: 1},
+		nil,
+		{IndexUsed: true, IndexNodesVisited: 4, IndexPruned: 2},
+	} {
+		addStats(&merged, src)
+	}
+	if !merged.IndexUsed || merged.IndexNodesVisited != 7 || merged.IndexPruned != 3 {
+		t.Fatalf("merged index counters %v/%d/%d, want true/7/3", merged.IndexUsed, merged.IndexNodesVisited, merged.IndexPruned)
+	}
+
 	build := func(n int) (*ShardSet, []Histogram) {
 		t.Helper()
 		ds, err := data.GaussianMixtures(n+3, 16, 2, 42)
@@ -394,28 +406,6 @@ func TestShardSetStatsMergeIndexAndStages(t *testing.T) {
 		return total
 	}
 
-	indexed, queries := build(2 * (indexAutoMinN + 4))
-	for qi, q := range queries {
-		ans, err := indexed.KNN(ctx, q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, st := range ans.ShardStats {
-			if st == nil || !st.IndexUsed {
-				t.Fatalf("query %d: shard %d did not serve from its index (stats %+v); the corpus no longer exercises the merge", qi, i, st)
-			}
-		}
-		if !ans.Stats.IndexUsed {
-			t.Fatalf("query %d: merged stats claim no index ran", qi)
-		}
-		if want := sum(ans, func(s *QueryStats) int { return s.IndexNodesVisited }); want == 0 || ans.Stats.IndexNodesVisited != want {
-			t.Fatalf("query %d: merged IndexNodesVisited %d, shards sum to %d", qi, ans.Stats.IndexNodesVisited, want)
-		}
-		if want := sum(ans, func(s *QueryStats) int { return s.IndexPruned }); ans.Stats.IndexPruned != want {
-			t.Fatalf("query %d: merged IndexPruned %d, shards sum to %d", qi, ans.Stats.IndexPruned, want)
-		}
-	}
-
 	scanned, queries := build(300)
 	filterAborts := 0
 	for qi, q := range queries {
@@ -424,7 +414,7 @@ func TestShardSetStatsMergeIndexAndStages(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ans.Stats.IndexUsed {
-			t.Fatalf("query %d: a 150-item shard served from an index", qi)
+			t.Fatalf("query %d: merged stats claim an index ran", qi)
 		}
 		if len(ans.Stats.Stages) == 0 || len(ans.Stats.Stages) != len(ans.ShardStats[0].Stages) ||
 			len(ans.Stats.StageEvaluations) != len(ans.Stats.Stages) {
