@@ -44,8 +44,8 @@ var optionTypes = []string{
 // non-test writer, each with the reason it stays. Keys are
 // "pkg.Type.Field".
 var optionAllowlist = map[string]string{
-	"emdsearch.Options.FilterBlockSize":   "bench/price.go reads it to lay out the columns it prices; it leaves with ROADMAP C1, which needs a bench/ edit",
-	"emdsearch.Options.IndexKind":         "has no effect since the VP-tree left the engine; bench/trace.go:162 still sets it through a nested selector (offSpec.Opts.IndexKind = IndexOff), and it leaves with that bench/ edit (ROADMAP C1)",
+	"emdsearch.Options.FilterBlockSize":   "bench/price.go reads it to lay out the columns it prices; it leaves with ROADMAP N16, which needs a bench/ edit",
+	"emdsearch.Options.IndexKind":         "has no effect since the VP-tree left the engine; bench/trace.go:162 still sets it through a nested selector (offSpec.Opts.IndexKind = IndexOff), and it leaves with that bench/ edit (ROADMAP N16)",
 	"emdsearch.Options.AutoCascade":       "the auto-planner that ROADMAP N3 re-prices and folds, with Hierarchy, into one plan option",
 	"emdsearch.ShardSetOptions.ShardHook": "cmd/emdserve/server_test.go:35,338 injects shard faults through it from outside the package, where an unexported seam is out of reach",
 }

@@ -16,7 +16,8 @@
 //     flow-based local search (FB-Mod / FB-All), flexible in the
 //     number of reduced dimensions.
 //   - Lossless multistep k-NN and range query processing (KNOP) with
-//     chained lower-bounding filters (Red-IM -> Red-EMD -> EMD):
+//     chained lower-bounding filters (dual potentials -> Red-EMD ->
+//     EMD):
 //     exact results, a fraction of the full-dimensional EMD
 //     computations.
 //

@@ -56,11 +56,10 @@ type Options struct {
 	// SampleSize is the database sample used for flow collection by
 	// the flow-based methods; default 64.
 	SampleSize int
-	// FilterBlockSize is the item-block length of the columnar filter
-	// layout; 0 selects the default (256). Smaller blocks give the
-	// quantized filter tighter per-block scales and tangents (better
-	// pruning) at slightly more per-block overhead. Exposed mainly for
-	// benchmarking; the default is right for nearly everyone.
+	// FilterBlockSize is the item-block length of the reduced-EMD
+	// levels' columnar store; 0 selects the default (256). Those levels
+	// read one item at a time, so it changes neither pruning nor
+	// answers.
 	FilterBlockSize int
 	// Hierarchy configures a multi-level filter cascade (generalizing
 	// the fixed factor-4 hierarchy of the prior grid-tiling approach):
@@ -168,13 +167,6 @@ type Engine struct {
 	// a prefix of the column.
 	pot    *lb.Potentials
 	potCol []float64
-
-	// savedQuant is the quantized filter the last pipeline build made,
-	// reused by the next one (after a delete) when it still matches the
-	// live data (see quantizeLocked); savedQuantHash fingerprints the
-	// reduction it was built under.
-	savedQuant     *colscan.Quantized
-	savedQuantHash uint64
 
 	// AutoCascade state: the metrics baseline and expected finest-level
 	// selectivity at the active plan's adoption (the drift window), the
@@ -555,16 +547,6 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 		// always asked for the full distance.
 		s.Refine, s.Oblivious = search.ExactRefine(snap.refineUnbounded), true
 	}
-	// red, reduced and cols are the reduction the current level works
-	// on, its compiled symmetric EMD and its columnar data; neighbouring
-	// levels on the same reduction (the IM prefix and the coarsest
-	// reduced EMD) share them, as the two IM levels share im.
-	var (
-		red     *core.Reduction
-		reduced *core.ReducedEMD
-		cols    *colscan.Columns
-		im      *lb.IM
-	)
 	levels := p.levels
 	if p.finest() == nil {
 		levels = nil // Build has not bound the chain yet: exact scan
@@ -578,52 +560,20 @@ func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 			s.Stages = append(s.Stages, stage)
 			continue
 		}
-		if lv.red != red {
-			red = lv.red
-			if reduced, err = core.NewReducedEMD(e.cost, red, red); err != nil {
-				return nil, err
-			}
-			apply := red.Apply
-			cols, err = colscan.Build(len(vectors), red.ReducedDims(), e.opts.FilterBlockSize,
-				func(i int, dst []float64) { copy(dst, apply(vectors[i])) })
-			if err != nil {
-				return nil, err
-			}
-			e.metrics.columnsBuilt()
+		red := lv.red
+		reduced, err := core.NewReducedEMD(e.cost, red, red)
+		if err != nil {
+			return nil, err
 		}
-		stage := search.FilterStage{Name: p.stageName(lv), PrepareQuery: red.Apply}
-		switch lv.kind {
-		case kindQuantIM, kindIM:
-			if im == nil {
-				if im, err = lb.NewIM(reduced.Cost()); err != nil {
-					return nil, err
-				}
-			}
-			if lv.kind == kindQuantIM {
-				qz, err := e.quantizeLocked(cols, red, im)
-				if err != nil {
-					return nil, err
-				}
-				qsc, err := colscan.NewQuantScanner(im, qz)
-				if err != nil {
-					return nil, err
-				}
-				stage.Distance, stage.ScanAll = search.Exact(qsc.DistanceAt), qsc.ScanAll
-			} else {
-				sc, err := colscan.NewIMScanner(im, cols)
-				if err != nil {
-					return nil, err
-				}
-				stage.Distance, stage.ScanAll = search.Exact(sc.DistanceAt), sc.ScanAll
-			}
-		case kindRedEMD:
-			// Each level lower-bounds the next finer one by nesting.
-			redEMDStage(&stage, reduced, cols)
+		cols, err := colscan.Build(len(vectors), red.ReducedDims(), e.opts.FilterBlockSize,
+			func(i int, dst []float64) { copy(dst, red.Apply(vectors[i])) })
+		if err != nil {
+			return nil, err
 		}
-		s.Stages = append(s.Stages, stage)
-	}
-	if reduced != nil {
-		// The loop ends on the finest level.
+		e.metrics.columnsBuilt()
+		// Each level lower-bounds the next finer one by nesting, and the
+		// loop ends on the finest.
+		s.Stages = append(s.Stages, redEMDStage(p.stageName(lv), red, reduced, cols))
 		snap.reduced, snap.reducedCols = reduced, cols
 	}
 	snap.searcher = s
@@ -666,49 +616,12 @@ func (e *Engine) potentialStageLocked(name string, vectors []Histogram) (search.
 	}, nil
 }
 
-// maxCost returns the largest entry of a cost matrix — the Cmax the
-// quantized filter's error margins are calibrated against.
-func maxCost(c emd.CostMatrix) float64 {
-	var m float64
-	for _, row := range c {
-		for _, v := range row {
-			if v > m {
-				m = v
-			}
-		}
-	}
-	return m
-}
-
-// quantizeLocked returns the certified quantized filter for cols, the
-// columnar data of reduction red. The stashed one, built by a previous
-// pipeline assembly, is reused if it provably matches what Quantize
-// would produce: same item count and geometry, and the same reduction
-// fingerprint. The store is append-only and deletes are soft, so (item
-// count, reduction) pins the reduced content exactly; the cost maximum
-// is a function of the reduction, covered by the fingerprint. The
-// result is stashed for the next rebuild. Caller holds e.mu.
-func (e *Engine) quantizeLocked(cols *colscan.Columns, red *core.Reduction, im *lb.IM) (*colscan.Quantized, error) {
-	hash := persist.ReductionHash(red.Assignment(), red.ReducedDims())
-	if qz := e.savedQuant; qz != nil && e.savedQuantHash == hash &&
-		qz.Len() == cols.Len() && qz.Dims() == cols.Dims() && qz.BlockSize() == cols.BlockSize() {
-		e.metrics.quantizedReused()
-		return qz, nil
-	}
-	qz, err := colscan.Quantize(cols, maxCost(im.Cost()))
-	if err != nil {
-		return nil, err
-	}
-	e.savedQuant, e.savedQuantHash = qz, hash
-	return qz, nil
-}
-
-// redEMDStage fills in the distance functions of a reduced-EMD filter
-// stage over the columnar layout cols. Distance is threshold-aware: it
-// hands the query's live pruning threshold to the transport kernel,
-// which stops on a certified bound above it. The eager ScanAll form has
-// no threshold yet and solves every item to optimality.
-func redEMDStage(stage *search.FilterStage, red *core.ReducedEMD, cols *colscan.Columns) {
+// redEMDStage is a reduced-EMD filter level over the columnar layout
+// cols. Distance is threshold-aware: it hands the query's live pruning
+// threshold to the transport kernel, which stops on a certified bound
+// above it. The level always sits behind the potential scan, so it has
+// no eager form.
+func redEMDStage(name string, red *core.Reduction, reduced *core.ReducedEMD, cols *colscan.Columns) search.FilterStage {
 	// Gather into pooled scratch, evaluate. The closure is shared by all
 	// queries of a snapshot, hence the pool (stage Distance functions
 	// must be concurrency-safe).
@@ -716,23 +629,15 @@ func redEMDStage(stage *search.FilterStage, red *core.ReducedEMD, cols *colscan.
 		b := make([]float64, cols.Dims())
 		return &b
 	}}
-	stage.Distance = func(qr Histogram, i int, abortAbove float64) (float64, bool) {
-		bp := pool.Get().(*[]float64)
-		r := red.DistanceReducedBounded(qr, cols.Gather(i, *bp), abortAbove)
-		pool.Put(bp)
-		return r.Value, r.Aborted
-	}
-	stage.ScanAll = scanGatherAll(cols, red.DistanceReduced)
-}
-
-// scanGatherAll adapts a distance over per-item reduced vectors to the
-// eager batched form used when the stage sits at the bottom of the
-// chain: one block transpose per block instead of n pooled gathers.
-func scanGatherAll(cols *colscan.Columns, dist func(qr, v Histogram) float64) func(Histogram, []float64) int {
-	return func(qr Histogram, out []float64) int {
-		return cols.ScanGather(out, func(i int, row []float64) float64 {
-			return dist(qr, row)
-		})
+	return search.FilterStage{
+		Name:         name,
+		PrepareQuery: red.Apply,
+		Distance: func(qr Histogram, i int, abortAbove float64) (float64, bool) {
+			bp := pool.Get().(*[]float64)
+			r := reduced.DistanceReducedBounded(qr, cols.Gather(i, *bp), abortAbove)
+			pool.Put(bp)
+			return r.Value, r.Aborted
+		},
 	}
 }
 

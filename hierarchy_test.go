@@ -74,13 +74,12 @@ func TestHierarchyExactAcrossMethods(t *testing.T) {
 						t.Fatalf("result %d: got %+v, want %+v", i, got[i], want[i])
 					}
 				}
-				// Stage count: Potentials + Q-Red-IM + Red-IM + one
-				// Red-EMD per level.
-				if len(stats.StageEvaluations) != 6 {
-					t.Fatalf("stage evaluations: %v, want 6 stages", stats.StageEvaluations)
+				// Stage count: Potentials + one Red-EMD per level.
+				if len(stats.StageEvaluations) != 4 {
+					t.Fatalf("stage evaluations: %v, want 4 stages", stats.StageEvaluations)
 				}
 				// Finer stages run on fewer items than the coarse scan.
-				if stats.StageEvaluations[5] > stats.StageEvaluations[0] {
+				if stats.StageEvaluations[3] > stats.StageEvaluations[0] {
 					t.Errorf("finest stage evaluated more than the base scan: %v", stats.StageEvaluations)
 				}
 			}

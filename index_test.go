@@ -3,11 +3,15 @@ package emdsearch
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -85,7 +89,7 @@ func buildGMEngine(t *testing.T, opts Options, n int) (*Engine, *gmData) {
 }
 
 // chainStages is the stage chain of a single-level reduced plan.
-var chainStages = []string{"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"}
+var chainStages = []string{"Potentials", "Red-EMD"}
 
 // checkExactKNN runs a k-NN query and compares it with brute force over
 // emd.Dist; it returns the query's stats.
@@ -353,9 +357,58 @@ func v5Golden(t *testing.T) (raw []byte, cost CostMatrix, queries []Histogram) {
 	return raw, ds.Cost, queries
 }
 
+// indexFrame splits a snapshot file into its frames and returns the
+// position of the metric-index frame: the fifth, or the sixth in
+// versions 3 and 4, whose fifth is the cached quantized filter.
+func indexFrame(t *testing.T, raw []byte) (frames [][]byte, at int, version uint32) {
+	t.Helper()
+	version = binary.LittleEndian.Uint32(raw[len(persist.Magic):])
+	if version < 3 {
+		t.Fatalf("version-%d snapshot has no index frame", version)
+	}
+	at = 4
+	if version < 5 {
+		at = 5
+	}
+	return snapshotFrames(t, raw), at, version
+}
+
+// legacyIndexSection decodes the metric-index section of a snapshot
+// file in full, as an engine that still had a tree did; nil when the
+// section is empty.
+func legacyIndexSection(t *testing.T, raw []byte) *persist.IndexSection {
+	t.Helper()
+	frames, at, _ := indexFrame(t, raw)
+	body := frames[at][8 : len(frames[at])-4]
+	var sec struct{ Index *persist.IndexSection }
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&sec); err != nil {
+		t.Fatal(err)
+	}
+	return sec.Index
+}
+
+// withIndexSection returns raw with its metric-index section replaced
+// by sec (nil empties it), framed and checksummed as the writer frames
+// a section.
+func withIndexSection(t *testing.T, raw []byte, sec *persist.IndexSection) []byte {
+	t.Helper()
+	frames, at, version := indexFrame(t, raw)
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(struct{ Index *persist.IndexSection }{sec}); err != nil {
+		t.Fatal(err)
+	}
+	b := body.Bytes()
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(b)))
+	f = binary.LittleEndian.AppendUint32(f, ^uint32(len(b)))
+	f = append(f, b...)
+	frames = slices.Clone(frames)
+	frames[at] = binary.LittleEndian.AppendUint32(f, crc32.ChecksumIEEE(b))
+	return forgeSnapshot(version, frames...)
+}
+
 // checkResave saves eng twice and checks that the saves are
-// byte-identical, carry no index section, and decode to fixture's
-// sections otherwise.
+// byte-identical, carry an empty index section, and decode to
+// fixture's sections otherwise.
 func checkResave(t *testing.T, name string, eng *Engine, fixture []byte) {
 	t.Helper()
 	var first, second bytes.Buffer
@@ -372,14 +425,13 @@ func checkResave(t *testing.T, name string, eng *Engine, fixture []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Index != nil {
+	if legacyIndexSection(t, first.Bytes()) != nil {
 		t.Fatalf("%s: re-save carries an index section", name)
 	}
 	want, err := persist.ReadSnapshot(bytes.NewReader(fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.Index = nil
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: re-save decodes unequal to the fixture's other sections", name)
 	}
@@ -396,7 +448,7 @@ func TestSaveLoadIndexSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Index == nil || snap.Index.Kind != "vptree" || snap.Index.N != 4108 || len(snap.Deleted) != 3 {
+	if idx := legacyIndexSection(t, raw); idx == nil || idx.Kind != "vptree" || idx.N != 4108 || len(snap.Deleted) != 3 {
 		t.Fatal("testdata/v5_vptree_index.snap is not the golden its doc describes")
 	}
 	for _, kind := range []string{IndexAuto, IndexOff} {
@@ -424,12 +476,8 @@ func TestLoadV2SnapshotIndexCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := forgeSnapshot(2, snapshotFrames(t, raw)[:5]...)
-	snap, err := persist.ReadSnapshot(bytes.NewReader(v2))
-	if err != nil {
+	if _, err := persist.ReadSnapshot(bytes.NewReader(v2)); err != nil {
 		t.Fatalf("version-2 snapshot rejected: %v", err)
-	}
-	if snap.Index != nil {
-		t.Fatal("version-2 snapshot decoded an index section")
 	}
 	loaded, err := LoadEngine(bytes.NewReader(v2), LinearCost(8), Options{ReducedDims: 4, SampleSize: 6, Seed: 11})
 	if err != nil {
@@ -450,27 +498,17 @@ func TestLoadRejectsBadIndexSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost, opts := LinearCost(8), Options{ReducedDims: 4, SampleSize: 6, Seed: 11}
-	fresh := func() *persist.Snapshot {
-		s, err := persist.ReadSnapshot(bytes.NewReader(good))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Index == nil || len(s.Index.Blob) < 64 {
-			t.Fatal("fixture carries no index section")
-		}
-		return s
+	sec := legacyIndexSection(t, good)
+	if sec == nil || len(sec.Blob) < 64 {
+		t.Fatal("fixture carries no index section")
 	}
-	rewrite := func(mutate func(s *persist.Snapshot)) []byte {
-		s := fresh()
-		mutate(s)
-		var buf bytes.Buffer
-		if err := persist.WriteSnapshot(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	rewrite := func(mutate func(s *persist.IndexSection)) []byte {
+		s := *sec
+		mutate(&s)
+		return withIndexSection(t, good, &s)
 	}
 
-	at := bytes.Index(good, fresh().Index.Blob[32:64])
+	at := bytes.Index(good, sec.Blob[32:64])
 	if at < 0 {
 		t.Fatal("index blob not found in the fixture's bytes")
 	}
@@ -479,12 +517,12 @@ func TestLoadRejectsBadIndexSection(t *testing.T) {
 	if _, err := LoadEngine(bytes.NewReader(flipped), cost, opts); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("flipped index byte: load err = %v, want ErrCorrupt", err)
 	}
-	unknown := rewrite(func(s *persist.Snapshot) { s.Index.Kind = "rtree" })
+	unknown := rewrite(func(s *persist.IndexSection) { s.Kind = "rtree" })
 	if _, err := LoadEngine(bytes.NewReader(unknown), cost, opts); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("unknown kind: load err = %v, want ErrCorrupt", err)
 	}
 
-	garbage := rewrite(func(s *persist.Snapshot) { s.Index.Blob = []byte{0xff, 0x00, 0x13} })
+	garbage := rewrite(func(s *persist.IndexSection) { s.Blob = []byte{0xff, 0x00, 0x13} })
 	eng, err := LoadEngine(bytes.NewReader(garbage), cost, opts)
 	if err != nil {
 		t.Fatalf("garbage vptree blob behind a valid CRC: %v", err)
@@ -518,18 +556,9 @@ func TestTortureSnapshotIndexFlipMatrix(t *testing.T) {
 	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s, err := persist.ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	blob := make([]byte, 96)
 	rng.Read(blob)
-	s.Index = &persist.IndexSection{Kind: "vptree", N: 10, RedHash: rng.Uint64(), Blob: blob}
-	buf.Reset()
-	if err := persist.WriteSnapshot(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := withIndexSection(t, buf.Bytes(), &persist.IndexSection{Kind: "vptree", N: 10, RedHash: rng.Uint64(), Blob: blob})
 	if _, err := LoadEngine(bytes.NewReader(good), cost, opts); err != nil {
 		t.Fatalf("undamaged fixture rejected: %v", err)
 	}
@@ -572,8 +601,8 @@ func TestLoadLegacyMTreeSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap, err := persist.ReadSnapshot(bytes.NewReader(raw)); err != nil || snap.Index == nil || snap.Index.Kind != fixture.kind {
-			t.Fatalf("%s carries no %s section (err=%v)", fixture.file, fixture.kind, err)
+		if idx := legacyIndexSection(t, raw); idx == nil || idx.Kind != fixture.kind {
+			t.Fatalf("%s carries no %s section", fixture.file, fixture.kind)
 		}
 		for _, kind := range []string{IndexAuto, IndexOff} {
 			opts := Options{ReducedDims: 4, SampleSize: 6, Seed: 11, IndexKind: kind}

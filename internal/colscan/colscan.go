@@ -1,22 +1,20 @@
-// Package colscan holds the struct-of-arrays filter storage and the
-// batched scan kernels of the first pipeline stage.
+// Package colscan holds the struct-of-arrays store of the reduced
+// database and the batched Red-IM scan kernels.
 //
-// The engine's snapshot used to keep the reduced database as a
-// []Histogram — n small heap slices, one pointer chase per candidate
-// per stage. At production scale the O(n) Red-IM scan over that layout
-// is the query bottleneck: the work per item is tiny (a few dozen
-// flops at d' = 8), so memory layout and loop overhead dominate.
+// Columns stores the reduced vectors transposed: one flat []float64
+// per reduced dimension, so a scan reads each column linearly. The
+// layout is logically partitioned into fixed-size blocks; kernels
+// process one block at a time so their scratch state stays
+// L1-resident, and per-block metadata (the quantization scale and
+// error margin of the int16 filter) attaches naturally. The arrays are
+// immutable after Build — they belong to an engine snapshot and are
+// shared by concurrent queries without synchronization.
 //
-// Columns stores the same data transposed: one flat []float64 per
-// reduced dimension, so a scan reads each column linearly. The layout
-// is logically partitioned into fixed-size blocks; kernels process one
-// block at a time so their scratch state (per-item remaining mass,
-// partial bounds) stays L1-resident, and per-block metadata (the
-// quantization scale and error margin of the int16 filter) attaches
-// naturally. The arrays are immutable after Build — they belong to an
-// engine snapshot and are shared by concurrent queries without
-// synchronization — and the flat layout is exactly what an mmap-able
-// or sharded index needs later.
+// The engine uses Columns only as its reduced-EMD levels' store, read
+// one item at a time through Gather. The quantized and IM scanners
+// (quant.go, imscan.go) no longer run in the engine's chain, which the
+// dual-potential scan now leads; they remain only for bench/price.go,
+// which prices them.
 package colscan
 
 import "fmt"
@@ -75,9 +73,6 @@ func (c *Columns) Len() int { return c.n }
 // Dims returns the number of reduced dimensions.
 func (c *Columns) Dims() int { return c.dims }
 
-// BlockSize returns the block partition length.
-func (c *Columns) BlockSize() int { return c.block }
-
 // Blocks returns the number of blocks covering all items.
 func (c *Columns) Blocks() int {
 	if c.n == 0 {
@@ -104,30 +99,4 @@ func (c *Columns) Gather(i int, dst []float64) []float64 {
 		dst[j] = col[i]
 	}
 	return dst
-}
-
-// ScanGather evaluates eval for every item against a gathered copy of
-// its reduced vector, writing eval's result to out[i] and returning
-// the number of items evaluated (always Len). It transposes one block
-// at a time into a scratch buffer — linear column reads, L1-resident
-// writes — so per-item evaluators that need the row form (the reduced
-// EMD) still scan cache-friendly. The row slice handed to eval is
-// reused across calls; eval must not retain it.
-func (c *Columns) ScanGather(out []float64, eval func(i int, row []float64) float64) int {
-	scratch := make([]float64, c.block*c.dims)
-	for b := 0; b < c.Blocks(); b++ {
-		lo, hi := c.BlockBounds(b)
-		m := hi - lo
-		for j, col := range c.cols {
-			seg := col[lo:hi]
-			for k, v := range seg {
-				scratch[k*c.dims+j] = v
-			}
-		}
-		for k := 0; k < m; k++ {
-			row := scratch[k*c.dims : (k+1)*c.dims]
-			out[lo+k] = eval(lo+k, row)
-		}
-	}
-	return c.n
 }

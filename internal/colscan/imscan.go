@@ -185,54 +185,3 @@ func (s *IMScanner) ScanAll(x emd.Histogram, out []float64) int {
 	}
 	return c.n
 }
-
-// DistanceAt computes the Red-IM bound for a single item from the
-// columns, bit-identical to both ScanAll's out[i] and the scalar
-// im.Distance(x, item). The engine's chained (lazy) stages use it when
-// the stage is not the first of the pipeline.
-func (s *IMScanner) DistanceAt(x emd.Histogram, i int) float64 {
-	var fwd float64
-	for qi, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		remaining := xi
-		rcost := s.rowCost[qi]
-		for t, j := range s.rowOrder[qi] {
-			cap := s.cols.cols[j][i]
-			if cap == 0 {
-				continue
-			}
-			if cap >= remaining {
-				fwd += remaining * rcost[t]
-				break
-			}
-			fwd += cap * rcost[t]
-			remaining -= cap
-		}
-	}
-	var bwd float64
-	for j, col := range s.cols.cols {
-		yj := col[i]
-		if yj == 0 {
-			continue
-		}
-		remaining := yj
-		for _, qi := range s.colOrder[j] {
-			cap := x[qi]
-			if cap == 0 {
-				continue
-			}
-			if cap >= remaining {
-				bwd += remaining * s.cost[qi][j]
-				break
-			}
-			bwd += cap * s.cost[qi][j]
-			remaining -= cap
-		}
-	}
-	if bwd > fwd {
-		return bwd
-	}
-	return fwd
-}

@@ -179,9 +179,6 @@ func (q *Quantized) Len() int { return q.n }
 // Dims returns the number of reduced dimensions.
 func (q *Quantized) Dims() int { return q.dims }
 
-// BlockSize returns the block partition length.
-func (q *Quantized) BlockSize() int { return q.block }
-
 // blocksFor returns the block count for n items at the given block
 // length.
 func blocksFor(n, block int) int {
@@ -404,39 +401,4 @@ func (s *QuantScanner) ScanAll(x emd.Histogram, out []float64) int {
 		}
 	}
 	return q.n
-}
-
-// DistanceAt computes the certified quantized bound for a single
-// item, consistent with ScanAll's out[i] (same tangent planes, same
-// evaluation order). It recompiles the item's block tangent per call,
-// so it is only meant for tests and occasional chained use — the scan
-// path is ScanAll.
-func (s *QuantScanner) DistanceAt(x emd.Histogram, i int) float64 {
-	q := s.q
-	b := i / q.block
-	scale := q.scales[b]
-	if scale == 0 {
-		return 0
-	}
-	bins := compileQuery(x, s.rowOrder, s.rowCost)
-	tabs := makeBwdTabs(q.dims)
-	compileBwd(x, s.cost, s.colOrder, tabs)
-	u := make([]float64, q.dims)
-	w := make([]float64, q.dims)
-	A, B := s.compileTangent(bins, tabs, q.refs[b], u, w)
-	e1, e2 := A, B
-	for j, col := range q.cols {
-		f := float64(col[i])
-		e1 += u[j] * scale * f
-		e2 += w[j] * scale * f
-	}
-	v := e1
-	if e2 > v {
-		v = e2
-	}
-	v -= q.margins[b]
-	if v < 0 {
-		v = 0
-	}
-	return v
 }

@@ -46,8 +46,8 @@ const Magic = "EMDSNAP\x00"
 // carries six frames: header, items, reductions, deleted, index and
 // cascade. Versions 2 to 4 are still read: their fifth frame, a cached
 // quantized filter, is checked and skipped, version 2 has no index
-// frame and versions 2 and 3 no cascade frame (the engine rebuilds the
-// index from the items and re-plans a missing cascade).
+// frame and versions 2 and 3 no cascade frame (the engine re-plans a
+// missing cascade).
 const SnapshotVersion = 5
 
 // minSnapshotVersion is the oldest snapshot format this build reads.
@@ -110,22 +110,22 @@ type Reduction struct {
 	Reduced int
 }
 
-// IndexSection is the persisted metric index: the serialized tree
-// (the kind-specific flat form, gob-encoded into Blob) plus the state
-// fingerprint it was built under. The engine no longer has a metric
-// index: it writes none, and its loader CRC-checks a section from an
-// older file and drops it. The frame stays so format v5 is unchanged.
+// IndexSection is the wire type of the metric-index section, which
+// engines that still had a metric index filled with a serialized tree.
+// The engine now writes the section empty, and gob writes this type's
+// definition into every file, so the type keeps its name and fields for
+// format v5 to stay byte for byte unchanged. ReadSnapshot decodes only
+// Kind from a filled section; the tree blob is checked by the frame's
+// CRC and never decoded.
 type IndexSection struct {
 	// Kind is the tree kind: "vptree", or "mtree" in files written
 	// while the engine still had an M-tree.
 	Kind string
-	// N is the store length the index covers (every live id < N is in
-	// the tree); DeletedAtBuild is the soft-deleted count at build
-	// time, the baseline of the engine's churn heuristic.
+	// N is the store length the index covered; DeletedAtBuild is the
+	// soft-deleted count at build time.
 	N              int
 	DeletedAtBuild int
-	// RedHash fingerprints the reduction the index metric derives from
-	// (see ReductionHash).
+	// RedHash fingerprints the reduction the index metric derived from.
 	RedHash uint64
 	// Blob is the gob-encoded kind-specific flat tree form.
 	Blob []byte
@@ -161,10 +161,6 @@ type Snapshot struct {
 	EngineReduction *Reduction
 	// Deleted lists soft-deleted item ids, ascending.
 	Deleted []int
-	// Index is a metric index written by an older engine; the engine
-	// writes nil and drops it on load (always nil in files before
-	// version 3).
-	Index *IndexSection
 	// Cascade is the reduction cascade and plan, nil when the engine
 	// ran a single filter level (and always nil in files before
 	// version 4).
@@ -178,9 +174,15 @@ type reductionsSection struct {
 }
 
 // indexSection is the gob payload of the index section; the pointer
-// encodes presence.
+// encodes presence, and WriteSnapshot always writes it nil.
 type indexSection struct {
 	Index *IndexSection
+}
+
+// indexKind is what ReadSnapshot decodes of an index section: gob skips
+// the fields it lacks, so a legacy tree blob is never copied out.
+type indexKind struct {
+	Index *struct{ Kind string }
 }
 
 // cascadeSection is the gob payload of the cascade section; the
@@ -204,23 +206,6 @@ func CostHash(cost [][]float64) uint64 {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
 		}
-	}
-	return h.Sum64()
-}
-
-// ReductionHash fingerprints a dimensionality reduction: the reduced
-// dimensionality plus the exact assignment vector. Two reductions hash
-// equal iff they map every original bin to the same reduced bin.
-func ReductionHash(assign []int, reduced int) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(reduced))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(len(assign)))
-	h.Write(b[:])
-	for _, a := range assign {
-		binary.LittleEndian.PutUint64(b[:], uint64(a))
-		h.Write(b[:])
 	}
 	return h.Sum64()
 }
@@ -324,8 +309,8 @@ func readGobFrame(r io.Reader, v interface{}, section string) error {
 
 // WriteSnapshot writes s to w in the versioned format: magic, version
 // word, then one CRC-framed gob section each for the header, the
-// items, the engine reduction, the deleted set, and the (possibly
-// absent) metric index and reduction cascade.
+// items, the engine reduction, the deleted set, the metric index
+// (always empty) and the (possibly absent) reduction cascade.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if s.Header.Items != len(s.Items) {
 		return fmt.Errorf("persist: header declares %d items, snapshot carries %d", s.Header.Items, len(s.Items))
@@ -350,7 +335,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if err := gobFrame(w, s.Deleted); err != nil {
 		return err
 	}
-	if err := gobFrame(w, indexSection{Index: s.Index}); err != nil {
+	if err := gobFrame(w, indexSection{}); err != nil {
 		return err
 	}
 	return gobFrame(w, cascadeSection{Cascade: s.Cascade})
@@ -393,11 +378,15 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		}
 	}
 	if version >= 3 {
-		var is indexSection
+		// A metric-index section written by an older engine is dropped.
+		// A kind no version ever wrote is damage.
+		var is indexKind
 		if err := readGobFrame(r, &is, "metric index"); err != nil {
 			return nil, err
 		}
-		s.Index = is.Index
+		if is.Index != nil && is.Index.Kind != "vptree" && is.Index.Kind != "mtree" {
+			return nil, fmt.Errorf("%w: metric index: unknown kind %q", ErrCorrupt, is.Index.Kind)
+		}
 	}
 	if version >= 4 {
 		var cs cascadeSection

@@ -12,17 +12,14 @@ import (
 	"emdsearch/internal/emd"
 )
 
-// The cross-layout bit-identity suite. The columnar kernels, the
-// quantized pre-filter, the metric indexes and the threshold-aware
-// solves only reorder or skip work: the chained ranking takes the
-// running max of the stage bounds, and no stage exceeds the next, so
-// candidate order, refinement counts, and every returned distance must
-// be *byte-identical* across them — not merely within an epsilon — and
-// identical to a brute-force scan over emd.Dist. Any drift means a
-// kernel changed float semantics, which would silently change answers
-// under workloads with near-ties. (That the columnar kernels compute
-// lb.IM's exact values is pinned where they live: TestIMScannerBitIdentical,
-// FuzzQuantizedLowerBound, TestQuickQuantizedChain.)
+// The cross-layout bit-identity suite. The column block geometry and
+// the threshold-aware solves only reorder or skip work: the chained
+// ranking takes the running max of the stage bounds, and no stage
+// exceeds the next, so candidate order, refinement counts, and every
+// returned distance must be *byte-identical* across them — not merely
+// within an epsilon — and identical to a brute-force scan over
+// emd.Dist. Any drift means a kernel changed float semantics, which
+// would silently change answers under workloads with near-ties.
 
 // layoutVariant is one engine configuration whose answers must match
 // the threshold-oblivious oracle and the brute-force scan bit for bit.
@@ -43,7 +40,7 @@ func layoutVariants() []layoutVariant {
 		// threshold is allowed to change, which is work, never answers
 		// or the Pulled / Refinements counters.
 		{"threshold-oblivious", oblivious},
-		{"columnar+quantized", base},
+		{"columnar", base},
 		{"columnar+block17", oddBlock},
 	}
 }
@@ -177,8 +174,8 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 			}
 			sameResults(t, name, "KNN", got, wantKNN)
 			// Refinement counts are part of the contract: neither the
-			// block geometry of the quantized stage nor a bounded solve
-			// may change which candidates reach the exact EMD.
+			// column block geometry nor a bounded solve may change which
+			// candidates reach the exact EMD.
 			if vi == 0 {
 				wantStats = stats
 			} else {
@@ -233,13 +230,13 @@ func TestCrossLayoutBitIdentity(t *testing.T) {
 }
 
 // TestCrossLayoutStageChains pins which stage chain each layout
-// assembles, so a configuration regression (quantized stage silently
-// missing) cannot hide behind the bit-identity of the answers.
+// assembles, so a configuration regression (a level silently missing)
+// cannot hide behind the bit-identity of the answers.
 func TestCrossLayoutStageChains(t *testing.T) {
 	want := map[string][]string{
-		"columnar+quantized":  {"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"},
-		"columnar+block17":    {"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"},
-		"threshold-oblivious": {"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"},
+		"columnar":            {"Potentials", "Red-EMD"},
+		"columnar+block17":    {"Potentials", "Red-EMD"},
+		"threshold-oblivious": {"Potentials", "Red-EMD"},
 	}
 	for _, v := range layoutVariants() {
 		eng, queries := buildLayoutEngine(t, v, 60)
@@ -261,35 +258,6 @@ func TestCrossLayoutStageChains(t *testing.T) {
 			}
 		}
 		checkStageAccounting(t, eng, stats, w)
-	}
-}
-
-// TestQuantizedStashReuse: the quantized filter one pipeline build makes
-// is reused by the next build while the item count and reduction still
-// match — after a delete — and requantized once an Add grows the store.
-// Answers equal brute force either way.
-func TestQuantizedStashReuse(t *testing.T) {
-	eng, queries := buildEngine(t, Options{ReducedDims: 6, SampleSize: 8}, 50)
-	q := queries[0]
-	checkExactKNN(t, "first build", eng, q, 5)
-	if m := eng.Metrics(); m.QuantizedReuses != 0 {
-		t.Fatalf("QuantizedReuses = %d after the first build, want 0", m.QuantizedReuses)
-	}
-	if err := eng.Delete(3); err != nil {
-		t.Fatal(err)
-	}
-	if stats := checkExactKNN(t, "after delete", eng, q, 5); stats.Stages[1].Name != "Q-Red-IM" {
-		t.Fatalf("stage chain %v, want Q-Red-IM behind Potentials", stats.Stages)
-	}
-	if m := eng.Metrics(); m.QuantizedReuses != 1 {
-		t.Fatalf("QuantizedReuses = %d after a delete, want 1", m.QuantizedReuses)
-	}
-	if _, err := eng.Add("fresh", queries[1]); err != nil {
-		t.Fatal(err)
-	}
-	checkExactKNN(t, "after add", eng, q, 5)
-	if m := eng.Metrics(); m.QuantizedReuses != 1 {
-		t.Fatalf("QuantizedReuses = %d after an add, want still 1 (requantized)", m.QuantizedReuses)
 	}
 }
 

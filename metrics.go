@@ -56,11 +56,8 @@ type Metrics struct {
 	// query. A high rate signals interleaving mutations with queries.
 	SnapshotBuilds int64 `json:"snapshot_builds"`
 	// ColumnBuilds counts columnar filter layouts assembled during
-	// snapshot builds (one per filter level). QuantizedReuses counts
-	// pipeline builds that reused the previous build's quantized filter
-	// (after a delete) instead of requantizing.
-	ColumnBuilds    int64 `json:"column_builds"`
-	QuantizedReuses int64 `json:"quantized_reuses"`
+	// snapshot builds (one per reduced-EMD level).
+	ColumnBuilds int64 `json:"column_builds"`
 
 	// WALAppends counts mutations (Add/Delete) durably appended to an
 	// open write-ahead log; WALReplayed counts log records applied by
@@ -108,7 +105,7 @@ type Metrics struct {
 	QueryTime  time.Duration `json:"query_time_ns"`
 
 	// Stages aggregates per-stage counters by stage name (e.g.
-	// "Potentials", "Q-Red-IM", "Red-IM", "Red-EMD", "Red-EMD-8").
+	// "Potentials", "Red-EMD", "Red-EMD-8").
 	Stages map[string]StageMetrics `json:"stages,omitempty"`
 }
 
@@ -199,12 +196,6 @@ func (em *engineMetrics) snapshotBuilt() {
 func (em *engineMetrics) columnsBuilt() {
 	em.mu.Lock()
 	em.m.ColumnBuilds++
-	em.mu.Unlock()
-}
-
-func (em *engineMetrics) quantizedReused() {
-	em.mu.Lock()
-	em.m.QuantizedReuses++
 	em.mu.Unlock()
 }
 

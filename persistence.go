@@ -147,8 +147,8 @@ func (e *Engine) saveFileLocked(path string) error {
 // with ErrCorrupt, and a format older than version 2 or newer than
 // this build with ErrVersion; loaded histograms are re-validated, so a
 // tampered snapshot can never plant invalid data in the validated
-// refinement path. The quantized filter is not persisted: the first
-// query recomputes it from the reduced columns.
+// refinement path. The filter levels' per-item data is not persisted:
+// the first query recomputes it from the items.
 //
 // Snapshots carry the full reduction cascade and the auto-cascade
 // plan (since format version 4). A Hierarchy engine whose configured
@@ -235,12 +235,6 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 			e.deleted = make(map[int]bool, len(s.Deleted))
 		}
 		e.deleted[id] = true
-	}
-	// A metric-index section, written while the engine still had one, has
-	// passed its CRC in ReadSnapshot; it is dropped undecoded. A kind no
-	// version ever wrote is damage.
-	if s.Index != nil && s.Index.Kind != "vptree" && s.Index.Kind != "mtree" {
-		return nil, fmt.Errorf("emdsearch: %w: metric index: unknown kind %q", ErrCorrupt, s.Index.Kind)
 	}
 	if s.Cascade != nil {
 		levels, err := restoreCascadeSection(s.Cascade, chain, e.Dim())

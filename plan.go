@@ -14,8 +14,6 @@ type levelKind uint8
 
 const (
 	kindPotential levelKind = iota // dual-potential projections, at full dimensionality
-	kindQuantIM                    // int16-quantized under-estimator of Red-IM
-	kindIM                         // Red-IM
 	kindRedEMD                     // reduced EMD at d'
 )
 
@@ -96,24 +94,17 @@ func compilePlan(o Options, dim int) (*plan, error) {
 }
 
 // newPlan lays out the levels over a chain of reductions (coarse→fine;
-// each entry gives dims and, when bound, red): the potential level, the
-// IM prefix on the coarsest reduction, then one reduced EMD per entry.
-// An empty chain is the exact scan and has no level at all.
+// each entry gives dims and, when bound, red): the potential level,
+// then one reduced EMD per entry. An empty chain is the exact scan and
+// has no level at all.
 func newPlan(chain []planLevel, auto bool) *plan {
 	p := &plan{auto: auto}
 	if len(chain) > 0 {
 		p.levels = append(p.levels, planLevel{kind: kindPotential})
 	}
-	for i, lv := range chain {
-		add := func(kind levelKind) {
-			lv.kind = kind
-			p.levels = append(p.levels, lv)
-		}
-		if i == 0 {
-			add(kindQuantIM)
-			add(kindIM)
-		}
-		add(kindRedEMD)
+	for _, lv := range chain {
+		lv.kind = kindRedEMD
+		p.levels = append(p.levels, lv)
 	}
 	return p
 }
@@ -175,13 +166,8 @@ func (p *plan) finest() *core.Reduction {
 
 // stageName is the level's label in QueryStats and Metrics.
 func (p *plan) stageName(lv planLevel) string {
-	switch lv.kind {
-	case kindPotential:
+	if lv.kind == kindPotential {
 		return "Potentials"
-	case kindQuantIM:
-		return "Q-Red-IM"
-	case kindIM:
-		return "Red-IM"
 	}
 	if len(p.dims()) > 1 {
 		return fmt.Sprintf("Red-EMD-%d", lv.dims)

@@ -41,15 +41,15 @@ func TestCompilePlan(t *testing.T) {
 	}{
 		{name: "unreduced", opts: Options{}, want: nil},
 		{name: "single-level", opts: Options{ReducedDims: 8},
-			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}},
+			want: []string{"Potentials", "Red-EMD@8"}},
 		{name: "hierarchy-32-8", opts: Options{Hierarchy: []int{32, 8}},
-			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD-8@8", "Red-EMD-32@32"}},
+			want: []string{"Potentials", "Red-EMD-8@8", "Red-EMD-32@32"}},
 		{name: "hierarchy-8-4-2", opts: Options{Hierarchy: []int{8, 4, 2}, ReducedDims: 8},
-			want: []string{"Potentials", "Q-Red-IM@2", "Red-IM@2", "Red-EMD-2@2", "Red-EMD-4@4", "Red-EMD-8@8"}},
+			want: []string{"Potentials", "Red-EMD-2@2", "Red-EMD-4@4", "Red-EMD-8@8"}},
 		{name: "hierarchy-of-one", opts: Options{Hierarchy: []int{8}},
-			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}},
+			want: []string{"Potentials", "Red-EMD@8"}},
 		{name: "auto-cascade", opts: Options{ReducedDims: 8, AutoCascade: true},
-			want: []string{"Potentials", "Q-Red-IM@8", "Red-IM@8", "Red-EMD@8"}, auto: true},
+			want: []string{"Potentials", "Red-EMD@8"}, auto: true},
 
 		{name: "d' above d", opts: Options{ReducedDims: d + 1}, wantErr: "ReducedDims"},
 		{name: "negative d'", opts: Options{ReducedDims: -1}, wantErr: "ReducedDims"},
@@ -111,9 +111,9 @@ func TestLoadParentSnapshotEqualPlan(t *testing.T) {
 		want  []string
 	}{
 		{"testdata/v4_auto_2_4.snap", Options{ReducedDims: 4, SampleSize: 6, AutoCascade: true, Seed: 11}, []int{2, 4},
-			[]string{"Potentials", "Q-Red-IM@2", "Red-IM@2", "Red-EMD-2@2", "Red-EMD-4@4"}},
+			[]string{"Potentials", "Red-EMD-2@2", "Red-EMD-4@4"}},
 		{"testdata/v4_hierarchy_4_2.snap", Options{Hierarchy: []int{4, 2}, SampleSize: 6, Seed: 11}, nil,
-			[]string{"Potentials", "Q-Red-IM@2", "Red-IM@2", "Red-EMD-2@2", "Red-EMD-4@4"}},
+			[]string{"Potentials", "Red-EMD-2@2", "Red-EMD-4@4"}},
 	} {
 		golden, err := os.ReadFile(c.file)
 		if err != nil {

@@ -65,7 +65,7 @@ func TestQueryStatsStagesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStageAccounting(t, eng, stats, []string{"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD"})
+	checkStageAccounting(t, eng, stats, []string{"Potentials", "Red-EMD"})
 }
 
 func TestQueryStatsStagesHierarchy(t *testing.T) {
@@ -74,7 +74,7 @@ func TestQueryStatsStagesHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStageAccounting(t, eng, stats, []string{"Potentials", "Q-Red-IM", "Red-IM", "Red-EMD-2", "Red-EMD-8"})
+	checkStageAccounting(t, eng, stats, []string{"Potentials", "Red-EMD-2", "Red-EMD-8"})
 }
 
 // TestEngineMetrics exercises the engine-level aggregation: query
