@@ -10,44 +10,31 @@ import (
 	"emdsearch/internal/data"
 )
 
-// The cascade-plan bit-identity suite. A planned chain redistributes
+// The cascade-plan bit-identity suite. A deeper chain redistributes
 // filter work across levels but every level lower-bounds the next, so
 // candidate order by the running-max key, refinement counts, and every
-// returned distance must be byte-identical across plans — the planner
+// returned distance must be byte-identical across chains — the chain
 // may only ever change *where* time is spent, never *what* is
 // answered.
 
-// cascadeVariant is one engine configuration (plus an optional chain
-// adopted after Build) whose answers must match the single-level
-// reference bit for bit.
+// cascadeVariant is one engine configuration whose answers must match
+// the single-level reference bit for bit.
 type cascadeVariant struct {
-	name  string
-	opts  Options
-	adopt []int // adoptChain target for AutoCascade variants
+	name string
+	opts Options
 }
 
 func cascadeVariants() []cascadeVariant {
-	base := Options{ReducedDims: 8, SampleSize: 10}
-	hier2 := Options{Hierarchy: []int{8, 2}, SampleSize: 10}
-	hier3 := Options{Hierarchy: []int{8, 4, 2}, SampleSize: 10}
-	auto := Options{ReducedDims: 8, SampleSize: 10, AutoCascade: true}
 	return []cascadeVariant{
-		{"single-level", base, nil},
-		{"hier-2level", hier2, nil},
-		{"hier-3level", hier3, nil},
-		{"auto-2level", auto, []int{2, 8}},
-		{"auto-3level", auto, []int{2, 4, 8}},
+		{"single-level", Options{ReducedDims: 8, SampleSize: 10}},
+		{"hier-2level", Options{Hierarchy: []int{8, 2}, SampleSize: 10}},
+		{"hier-3level", Options{Hierarchy: []int{8, 4, 2}, SampleSize: 10}},
 	}
 }
 
 func buildCascadeVariant(t *testing.T, v cascadeVariant, n int) (*Engine, []Histogram) {
 	t.Helper()
 	eng, queries := buildEngine(t, v.opts, n)
-	if v.adopt != nil {
-		if err := eng.adoptChain(v.adopt); err != nil {
-			t.Fatalf("%s: adoptChain(%v): %v", v.name, v.adopt, err)
-		}
-	}
 	for _, id := range []int{7, 23} {
 		if err := eng.Delete(id); err != nil {
 			t.Fatal(err)
@@ -58,10 +45,11 @@ func buildCascadeVariant(t *testing.T, v cascadeVariant, n int) (*Engine, []Hist
 
 // TestCascadePlanBitIdentity extends the cross-layout suite to cascade
 // plans: full-ranking Float64bits equality and identical Refinements
-// counts across fixed hierarchies and adopted auto plans. Every variant shares the same finest d'=8 reduction
-// (depth-only changes reuse it by construction), so even the exact-EMD
-// work counters must agree — the coarser levels may only pre-prune
-// what the finest bound would have pruned anyway.
+// counts across hierarchies of one, two and three levels. Every variant
+// shares the same finest d'=8 reduction (Build derives the finest level
+// first, from the same seed), so even the exact-EMD work counters must
+// agree — the coarser levels may only pre-prune what the finest bound
+// would have pruned anyway.
 func TestCascadePlanBitIdentity(t *testing.T) {
 	const n, k = 120, 7
 	variants := cascadeVariants()
@@ -112,11 +100,12 @@ func TestCascadePlanBitIdentity(t *testing.T) {
 }
 
 // TestAdoptedChainLowerBoundQuick is the randomized chaining property
-// over *planned* chains: for random ascending level subsets adopted
-// through the AutoCascade machinery, every planned level's distance
-// must lower-bound the next finer level, the finest must lower-bound
-// the exact EMD, and KNN must equal brute force. This is the invariant
-// that lets the planner swap chains without ever changing an answer.
+// over the chains an engine adopts from Options.Hierarchy: for random
+// level subsets derived with the default flow-based method, every
+// level's distance must lower-bound the next finer level, the finest
+// must lower-bound the exact EMD, and KNN must equal brute force. This
+// is the invariant that lets any configured chain run without ever
+// changing an answer.
 func TestAdoptedChainLowerBoundQuick(t *testing.T) {
 	pool := []int{2, 3, 5, 8, 12}
 	property := func(seed int64, mask uint8) bool {
@@ -139,7 +128,7 @@ func TestAdoptedChainLowerBoundQuick(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		eng, err := NewEngine(ds.Cost, Options{ReducedDims: 8, AutoCascade: true, SampleSize: 10, Seed: seed})
+		eng, err := NewEngine(ds.Cost, Options{Hierarchy: levels, SampleSize: 10, Seed: seed})
 		if err != nil {
 			t.Log(err)
 			return false
@@ -152,10 +141,6 @@ func TestAdoptedChainLowerBoundQuick(t *testing.T) {
 		}
 		if err := eng.Build(); err != nil {
 			t.Log(err)
-			return false
-		}
-		if err := eng.adoptChain(levels); err != nil {
-			t.Logf("adoptChain(%v): %v", levels, err)
 			return false
 		}
 		snap, err := eng.snapshot()
@@ -236,83 +221,5 @@ func TestAdoptedChainLowerBoundQuick(t *testing.T) {
 	}
 	if err := quick.Check(property, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAutoCascadeValidation(t *testing.T) {
-	cost := LinearCost(8)
-	if _, err := NewEngine(cost, Options{AutoCascade: true}); err == nil {
-		t.Error("accepted AutoCascade without ReducedDims")
-	}
-	if _, err := NewEngine(cost, Options{AutoCascade: true, ReducedDims: 4, Hierarchy: []int{4, 2}}); err == nil {
-		t.Error("accepted AutoCascade with a fixed Hierarchy")
-	}
-	eng, err := NewEngine(cost, Options{ReducedDims: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.replan(); err == nil {
-		t.Error("Replan accepted an engine without AutoCascade")
-	}
-}
-
-// TestReplanKeepsAnswersIdentical is the planner's end-to-end safety
-// contract: whatever chain a forced planning pass adopts (or keeps),
-// every answer after the swap is byte-identical to before it, the
-// active plan stays a valid ascending chain, and the metrics report
-// it.
-func TestReplanKeepsAnswersIdentical(t *testing.T) {
-	const n, k = 100, 6
-	eng, queries := buildEngine(t, Options{ReducedDims: 8, SampleSize: 10, AutoCascade: true}, n)
-
-	if plan := eng.Metrics().CascadePlan; len(plan) != 1 || plan[0] != 8 {
-		t.Fatalf("fresh AutoCascade plan = %v, want [8]", plan)
-	}
-	before := make([][]Result, len(queries))
-	for i, q := range queries {
-		res, _, err := eng.KNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[i] = res
-	}
-	if _, err := eng.replan(); err != nil {
-		t.Fatalf("Replan: %v", err)
-	}
-	plan := eng.Metrics().CascadePlan
-	if len(plan) == 0 {
-		t.Fatal("no active plan after Replan")
-	}
-	for i := 1; i < len(plan); i++ {
-		if plan[i] <= plan[i-1] {
-			t.Fatalf("plan %v is not strictly ascending", plan)
-		}
-	}
-	m := eng.Metrics()
-	if len(m.CascadePlan) == 0 || m.CascadePlanID == 0 {
-		t.Fatalf("metrics carry no plan: plan=%v id=%d", m.CascadePlan, m.CascadePlanID)
-	}
-	for i, q := range queries {
-		res, _, err := eng.KNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, "post-replan", "KNN", res, before[i])
-	}
-
-	// An adopted deeper chain is a real plan change: the replan counter
-	// moves and answers still match.
-	if err := eng.adoptChain([]int{2, 8}); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Metrics().CascadeReplans; got < 1 {
-		t.Errorf("CascadeReplans = %d after adoptChain, want >= 1", got)
-	}
-	for i, q := range queries {
-		res, _, err := eng.KNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, "post-adopt", "KNN", res, before[i])
 	}
 }

@@ -96,9 +96,11 @@ type pairMode struct {
 // and right (each unordered pair once when within), followed by the
 // pair's flow lines in flow mode. The cost matrix is compiled once for
 // the run, and each pair is solved once. An exact pair is solved for
-// its flow whether or not the flow is printed: that solve's value is
-// the one-shot emd.Distance's bit for bit, and it skips the canonical
-// polish that DistanceValidated pays.
+// its flow whether or not the flow is printed: that solve skips the
+// canonical polish that the one-shot emd.Distance pays, so its value is
+// the float sum over the flow. It can differ from emd.Distance's in the
+// last bits (around 1e-14 relative), far below the nine significant
+// digits printed.
 func printPairs(w io.Writer, left, right []emd.Histogram, within bool, cost emd.CostMatrix, mode pairMode) error {
 	dist, err := emd.NewDist(cost)
 	if err != nil {

@@ -57,12 +57,14 @@ type QueryStats = search.QueryStats
 
 // EMD computes the exact Earth Mover's Distance between two normalized
 // histograms under the given ground distance. The cost matrix may be
-// rectangular (len(x) rows, len(y) columns).
+// rectangular (len(x) rows, len(y) columns). The value is the one
+// Engine.Distance and Result.Dist report for the same pair, bit for bit.
 func EMD(x, y Histogram, cost CostMatrix) (float64, error) {
 	return emd.Distance(x, y, cost)
 }
 
-// EMDWithFlow additionally returns the optimal flow matrix.
+// EMDWithFlow additionally returns the optimal flow matrix; the
+// distance is EMD's.
 func EMDWithFlow(x, y Histogram, cost CostMatrix) (float64, [][]float64, error) {
 	return emd.DistanceWithFlow(x, y, cost)
 }

@@ -45,8 +45,8 @@ const (
 // engine's filter chain and rejects what cannot be one: ReducedDims or
 // a Hierarchy level outside the histogram dimensionality, repeated
 // Hierarchy levels, a ReducedDims that is not the largest Hierarchy
-// level, a negative SampleSize, an unknown Method or IndexKind,
-// AutoCascade without ReducedDims, and AutoCascade with a Hierarchy.
+// level, a negative SampleSize, and an unknown Method or IndexKind.
+// The filter chain is exactly what ReducedDims and Hierarchy configure.
 type Options struct {
 	// ReducedDims is d', the filter dimensionality. 0 disables
 	// filtering: queries degrade to an exact sequential scan.
@@ -68,17 +68,6 @@ type Options struct {
 	// and queries run them coarsest-first. Example: {32, 8, 2} on
 	// 96-dimensional data.
 	Hierarchy []int
-	// AutoCascade lets the engine choose the cascade depth and
-	// per-level d' itself: it starts from the single ReducedDims level,
-	// fits a cost model to the per-stage timings and selectivities
-	// flowing through Metrics, and re-plans in the background when the
-	// observed selectivity drifts — hot-swapping a freshly built
-	// pipeline (possibly with a different finest d' than ReducedDims)
-	// without blocking queries. Every planned level is a certified
-	// lower bound of the next by construction, so answers are
-	// byte-identical across all plans; only the work distribution
-	// changes.
-	AutoCascade bool
 	// IndexKind has no effect: every query is served by the filter
 	// chain. IndexAuto ("") and IndexOff are accepted; "vptree", the
 	// removed VP-tree candidate generator (DESIGN.md §13), is rejected.
@@ -154,7 +143,7 @@ type Engine struct {
 	// any lock held.
 	mu      sync.RWMutex
 	store   *db.Database
-	plan    *plan        // the filter chain; never nil, replaced whole (Build, re-plan, load)
+	plan    *plan        // the filter chain; never nil, replaced whole (Build, load)
 	deleted map[int]bool // soft-deleted item ids
 	snap    *snapshot    // current immutable query pipeline, nil after mutations
 	wal     *persist.WAL // open write-ahead log, nil when not logging
@@ -167,17 +156,6 @@ type Engine struct {
 	// a prefix of the column.
 	pot    *lb.Potentials
 	potCol []float64
-
-	// AutoCascade state: the metrics baseline and expected finest-level
-	// selectivity at the active plan's adoption (the drift window), the
-	// query countdown to the next drift check, the latch serializing
-	// background re-plans, and the full-dimensional sample flows stashed
-	// by Build for deriving replacement reductions.
-	planBase      Metrics
-	planExpPulled float64
-	planTick      atomic.Int64
-	replanning    bool
-	buildFlows    [][]float64
 
 	metrics engineMetrics
 
@@ -361,13 +339,13 @@ func (e *Engine) Vector(i int) Histogram {
 	return e.store.Vector(i)
 }
 
-// Build derives the reduction chain from the indexed data according
-// to the configured method. It must be called once after the initial
-// bulk load (and may be called again later to re-derive the chain from
-// grown data; under AutoCascade that also resets a planner-grown chain
-// to the configured single level). With ReducedDims == 0 it is a no-op.
-// Build blocks new queries only while installing the result; queries in
-// flight continue on the previous pipeline.
+// Build derives the reduction chain that ReducedDims or Hierarchy
+// configures from the indexed data, with the configured method. It must
+// be called once after the initial bulk load, and may be called again
+// later to re-derive the chain from grown data. With ReducedDims == 0
+// and no Hierarchy it is a no-op. Build blocks new queries only while
+// installing the result; queries in flight continue on the previous
+// pipeline.
 func (e *Engine) Build() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -375,23 +353,38 @@ func (e *Engine) Build() error {
 	if err != nil {
 		return err
 	}
-	var flows [][]float64
 	if dims := p.dims(); len(dims) > 0 {
 		if e.store.Len() == 0 {
 			return fmt.Errorf("emdsearch: Build on empty engine")
 		}
 		rng := rand.New(rand.NewSource(e.opts.Seed))
-		var chain []*core.Reduction
-		if chain, flows, err = e.deriveChain(dims, nil, nil, e.store.Vectors(), rng); err != nil {
+		chain, err := e.deriveChain(dims, e.store.Vectors(), rng)
+		if err != nil {
 			return err
 		}
-		p = p.withChain(chain)
+		p = boundPlan(chain)
 	}
-	e.plan, e.buildFlows, e.snap = p, flows, nil
-	if p.auto {
-		e.anchorPlanLocked(0, false)
-	}
+	e.plan, e.snap = p, nil
 	return nil
+}
+
+// deriveChain materializes the chain for levels (ascending coarse→fine)
+// and returns it in the same order: it collects the sample flows, derives
+// the finest reduction and composes the coarser levels below it.
+func (e *Engine) deriveChain(levels []int, vectors []Histogram, rng *rand.Rand) ([]*core.Reduction, error) {
+	flows, err := e.collectFlows(vectors, rng)
+	if err != nil {
+		return nil, err
+	}
+	n := len(levels)
+	chain := make([]*core.Reduction, n)
+	if chain[n-1], err = e.deriveReduction(e.cost, levels[n-1], flows, rng); err != nil {
+		return nil, err
+	}
+	if err := e.coarsen(chain, levels, flows, rng); err != nil {
+		return nil, err
+	}
+	return chain, nil
 }
 
 // collectFlows gathers the database sample flows the flow-based
@@ -508,8 +501,7 @@ func resolveWorkers(w int) int {
 
 // buildSnapshotLocked assembles the query pipeline of plan p over the
 // current data: one pass over p's levels, cheapest bound first. It does
-// not install anything, so a re-plan can build first and swap after.
-// The caller must hold e.mu for writing.
+// not install anything. The caller must hold e.mu for writing.
 func (e *Engine) buildSnapshotLocked(p *plan) (*snapshot, error) {
 	if e.store.Len() == 0 {
 		return nil, fmt.Errorf("emdsearch: no indexed histograms")

@@ -136,7 +136,8 @@ func Normalize(h Histogram) (Histogram, error) {
 // Distance computes the Earth Mover's Distance between x and y under
 // the ground distance c. The cost matrix must have len(x) rows and
 // len(y) columns. Histograms are validated on every call; use a
-// precompiled Dist for query loops.
+// precompiled Dist for query loops. The value is the canonical
+// objective, bit-identical to Dist.Distance's for the same operands.
 func Distance(x, y Histogram, c CostMatrix) (float64, error) {
 	sol, err := solve(x, y, c)
 	if err != nil {
@@ -147,7 +148,8 @@ func Distance(x, y Histogram, c CostMatrix) (float64, error) {
 
 // DistanceWithFlow computes the EMD and additionally returns the
 // optimal flow matrix F with F[i][j] the mass moved from bin i of x to
-// bin j of y. The flow-based reduction heuristics consume these flows.
+// bin j of y. The distance is Distance's; the flow is the one
+// Dist.DistanceWithFlow returns for the same operands.
 func DistanceWithFlow(x, y Histogram, c CostMatrix) (float64, [][]float64, error) {
 	sol, err := solve(x, y, c)
 	if err != nil {
@@ -167,7 +169,14 @@ func solve(x, y Histogram, c CostMatrix) (*transport.Solution, error) {
 		return nil, fmt.Errorf("emd: cost matrix is %dx%d, histograms are %d and %d dimensional",
 			c.Rows(), c.Cols(), len(x), len(y))
 	}
-	return transport.Solve(transport.Problem{Supply: x, Demand: y, Cost: c})
+	if err := transport.Validate(transport.Problem{Supply: x, Demand: y, Cost: c}); err != nil {
+		return nil, err
+	}
+	s, err := transport.NewSolver(c)
+	if err != nil {
+		return nil, err
+	}
+	return s.SolveFlowCanonical(x, y)
 }
 
 // Dist is a compiled EMD for a fixed cost matrix. It validates and
@@ -274,7 +283,9 @@ func (d *Dist) DistanceValidated(x, y Histogram) (float64, error) {
 
 // DistanceWithFlow computes the EMD and the optimal flow matrix on the
 // compiled solver of d. Operands are trusted, as in Distance; the
-// returned flow is the caller's own. A solver invariant failure is
+// returned flow is the caller's own. The distance is the float sum over
+// the flow, which skips the canonical polish and may differ from
+// Distance's value in the last bits. A solver invariant failure is
 // returned as an error rather than a panic, because the flow
 // collection that calls it fans out over goroutines of its own.
 func (d *Dist) DistanceWithFlow(x, y Histogram) (float64, [][]float64, error) {

@@ -350,8 +350,10 @@ func TestNormalizeRejectsMasslessHistogram(t *testing.T) {
 // TestDistDistanceWithFlowPooled checks the compiled Dist's flow entry,
 // which runs on the Dist's pooled solver: the flow is feasible for the
 // operands and prices out at the exact distance, it equals the one-shot
-// DistanceWithFlow cell for cell, and it is the caller's own — writing
-// into it changes no later answer, whatever the pool served in between.
+// DistanceWithFlow's cell for cell (whose value is the canonical one,
+// while the pooled entry reports the float sum over the flow), and it
+// is the caller's own — writing into it changes no later answer,
+// whatever the pool served in between.
 func TestDistDistanceWithFlowPooled(t *testing.T) {
 	const d = 12
 	c := LinearCost(d)
@@ -379,11 +381,12 @@ func TestDistDistanceWithFlowPooled(t *testing.T) {
 		if err := transport.CheckFeasible(problem, flow, 1e-9); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if exact := dist.Distance(x, y); math.Abs(got-exact) > 1e-9 {
+		exact := dist.Distance(x, y)
+		if math.Abs(got-exact) > 1e-9 {
 			t.Fatalf("trial %d: flow prices out at %v, exact distance %v", trial, got, exact)
 		}
-		if got != wantValue {
-			t.Fatalf("trial %d: pooled value %v, one-shot %v", trial, got, wantValue)
+		if math.Float64bits(wantValue) != math.Float64bits(exact) {
+			t.Fatalf("trial %d: one-shot value %v, canonical %v", trial, wantValue, exact)
 		}
 		keep := make([][]float64, d)
 		for i := range flow {

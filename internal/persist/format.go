@@ -46,8 +46,8 @@ const Magic = "EMDSNAP\x00"
 // carries six frames: header, items, reductions, deleted, index and
 // cascade. Versions 2 to 4 are still read: their fifth frame, a cached
 // quantized filter, is checked and skipped, version 2 has no index
-// frame and versions 2 and 3 no cascade frame (the engine re-plans a
-// missing cascade).
+// frame and versions 2 and 3 no cascade frame (the engine runs the
+// single-level filter until Build re-derives a missing cascade).
 const SnapshotVersion = 5
 
 // minSnapshotVersion is the oldest snapshot format this build reads.
@@ -131,23 +131,26 @@ type IndexSection struct {
 	Blob []byte
 }
 
-// CascadeSection is the persisted reduction cascade and, for engines
-// running the auto-tuning planner, the plan that produced it. Levels
-// holds the cascade levels finest-first, Levels[0] duplicating
-// EngineReduction (readers cross-check); every entry reduces the full
-// original dimensionality, and successive entries are nested
-// coarsenings of their predecessor (original bins mapped to the same
-// group by a finer level map to the same group in every coarser one —
-// the property the cascade's lower-bound chain rests on). Levels is
-// nil when an auto-planned engine runs a single filter level.
-// PlanLevels lists the planned d' chain ascending (coarsest first) and
-// is nil for configured (Hierarchy) chains; PlanID is the planner's
-// fingerprint of PlanLevels.
+// CascadeSection is the persisted reduction cascade and, in files
+// written by engines that ran the run-time cascade planner (since
+// removed), the plan that produced it. Levels holds the cascade levels
+// finest-first, Levels[0] duplicating EngineReduction (readers
+// cross-check); every entry reduces the full original dimensionality,
+// and successive entries are nested coarsenings of their predecessor
+// (original bins mapped to the same group by a finer level map to the
+// same group in every coarser one — the property the cascade's
+// lower-bound chain rests on). Levels is nil when an auto-planned
+// engine ran a single filter level. PlanLevels lists the planned d'
+// chain ascending (coarsest first) and is nil for configured chains;
+// PlanID is the planner's fingerprint of PlanLevels. Current engines
+// write Levels only; the other fields stay because gob writes this
+// type's definition into every file, so dropping one would change the
+// bytes Save writes.
 type CascadeSection struct {
 	Levels     []Reduction
 	PlanLevels []int
 	PlanID     uint64
-	// Auto records whether the chain was chosen by the auto-tuning
+	// Auto records whether the chain was chosen by the run-time
 	// planner (true) or configured explicitly (false).
 	Auto bool
 }

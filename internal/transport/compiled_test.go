@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -281,7 +282,8 @@ func TestRootedTreeMatchesRecomputation(t *testing.T) {
 // TestSolveFlowCertifiedAndPrivate checks the flow-copying entry of the
 // pooled solver: the returned solution carries a flow and duals that
 // pass the independent feasibility and strong-duality checks, equals
-// what the one-shot Solve returns, and shares no memory with the
+// what the one-shot Solve returns (and SolveFlowCanonical, apart from
+// its objective, which is SolveValue's), and shares no memory with the
 // pool — scribbling over it changes no later answer.
 func TestSolveFlowCertifiedAndPrivate(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
@@ -312,6 +314,27 @@ func TestSolveFlowCertifiedAndPrivate(t *testing.T) {
 					if sol.Flow[i][j] != oneShot.Flow[i][j] {
 						t.Fatalf("trial %d: flow[%d][%d] pooled %v, one-shot %v", trial, i, j, sol.Flow[i][j], oneShot.Flow[i][j])
 					}
+				}
+			}
+
+			// The canonical variant returns the same flow, duals and
+			// pivot count, with SolveValue's objective.
+			canon, err := s.SolveFlowCanonical(p.Supply, p.Demand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			value, err := s.SolveValue(p.Supply, p.Demand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(canon.Objective) != math.Float64bits(value) || canon.Iterations != sol.Iterations ||
+				!slices.Equal(canon.DualU, sol.DualU) || !slices.Equal(canon.DualV, sol.DualV) {
+				t.Fatalf("trial %d: canonical solve %v in %d pivots, SolveValue %v, SolveFlow %d pivots (or the duals differ)",
+					trial, canon.Objective, canon.Iterations, value, sol.Iterations)
+			}
+			for i := range canon.Flow {
+				if !slices.Equal(canon.Flow[i], sol.Flow[i]) {
+					t.Fatalf("trial %d: canonical flow row %d %v, SolveFlow's %v", trial, i, canon.Flow[i], sol.Flow[i])
 				}
 			}
 

@@ -88,6 +88,20 @@ func (s *Solver) SolveValue(supply, demand []float64) (float64, error) {
 // private copy and shares no memory with the pool. Marginals are
 // trusted, as in SolveValueBoundedIntr.
 func (s *Solver) SolveFlow(supply, demand []float64) (*Solution, error) {
+	return s.solveFlow(supply, demand, false)
+}
+
+// SolveFlowCanonical is SolveFlow with SolveValue's objective: Flow,
+// the duals and Iterations are SolveFlow's, bit for bit, and Objective
+// is the canonical value of the polished terminal basis instead of the
+// float sum over Flow, so it equals what every value entry point
+// reports for the same problem, bit for bit. It pays SolveValue's
+// polish on top of SolveFlow.
+func (s *Solver) SolveFlowCanonical(supply, demand []float64) (*Solution, error) {
+	return s.solveFlow(supply, demand, true)
+}
+
+func (s *Solver) solveFlow(supply, demand []float64, canonical bool) (*Solution, error) {
 	if err := s.checkShape(supply, demand); err != nil {
 		return nil, err
 	}
@@ -97,7 +111,11 @@ func (s *Solver) SolveFlow(supply, demand []float64) (*Solution, error) {
 		s.pool.Put(st)
 		return nil, err
 	}
+	// Copy the flow out before the polish pivots the basis.
 	sol := st.solution(iter)
+	if canonical {
+		sol.Objective = st.canonicalValue(supply, demand, st.polish(supply, demand))
+	}
 	s.pool.Put(st)
 	return sol, nil
 }

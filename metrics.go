@@ -69,15 +69,6 @@ type Metrics struct {
 	SnapshotSaves int64 `json:"snapshot_saves"`
 	Checkpoints   int64 `json:"checkpoints"`
 
-	// CascadeReplans counts adopted background/forced re-plans under
-	// Options.AutoCascade (the initial Build-time plan is not a
-	// re-plan). CascadePlan and CascadePlanID describe the active
-	// chain: per-level reduced dimensionalities ascending coarse→fine
-	// and their fingerprint. Empty/0 when no auto plan is active.
-	CascadeReplans int64  `json:"cascade_replans"`
-	CascadePlan    []int  `json:"cascade_plan,omitempty"`
-	CascadePlanID  uint64 `json:"cascade_plan_id,omitempty"`
-
 	// Pulled, Refinements and RefinementsSkipped are the summed
 	// QueryStats counters of all served KNN/Range queries.
 	Pulled             int64 `json:"pulled"`
@@ -94,7 +85,7 @@ type Metrics struct {
 
 	// ResultsReturned is the total number of answer rows KNN and Range
 	// queries returned — the irreducible floor of per-query filter
-	// survivors that the cascade planner anchors its model on.
+	// survivors.
 	ResultsReturned int64 `json:"results_returned"`
 
 	// FilterTime and RefineTime are cumulative wall times of the
@@ -205,17 +196,6 @@ func (em *engineMetrics) resultsReturned(n int) {
 	em.mu.Unlock()
 }
 
-// planActive records the active auto-cascade plan, counting it as an
-// adopted re-plan when replanned.
-func (em *engineMetrics) planActive(p *plan, replanned bool) {
-	em.mu.Lock()
-	if replanned {
-		em.m.CascadeReplans++
-	}
-	em.m.CascadePlan, em.m.CascadePlanID = p.dims(), p.id()
-	em.mu.Unlock()
-}
-
 func (em *engineMetrics) walAppended() {
 	em.mu.Lock()
 	em.m.WALAppends++
@@ -253,6 +233,5 @@ func (e *Engine) Metrics() Metrics {
 			out.Stages[name] = st
 		}
 	}
-	out.CascadePlan = append([]int(nil), e.metrics.m.CascadePlan...)
 	return out
 }

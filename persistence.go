@@ -2,14 +2,15 @@ package emdsearch
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"slices"
 	"sort"
 	"time"
 
-	"emdsearch/internal/cascadeplan"
 	"emdsearch/internal/core"
 	"emdsearch/internal/persist"
 	"emdsearch/internal/shardset"
@@ -68,23 +69,15 @@ func (e *Engine) snapshotRecordLocked() *persist.Snapshot {
 		deleted = append(deleted, id)
 	}
 	sort.Ints(deleted)
-	// Persist the reduction cascade and the auto-cascade plan. They are
-	// not rebuildable optimizations — re-deriving a cascade consumes
-	// randomness and an auto plan encodes observed workload history — so
-	// they are saved whenever present and validated structurally on load. The section
-	// lists levels finest first; an auto plan adds its dimensionalities
-	// and their fingerprint.
+	// Persist a multi-level cascade. It is not a rebuildable
+	// optimization — re-deriving the coarser levels consumes randomness —
+	// so it is saved whenever present and validated structurally on load.
+	// The section lists levels finest first.
 	var cascade *persist.CascadeSection
-	if n := len(chain); n > 1 || (n > 0 && e.plan.auto) {
-		cascade = &persist.CascadeSection{}
-		if n > 1 {
-			cascade.Levels = make([]persist.Reduction, n)
-			for i, r := range chain {
-				cascade.Levels[n-1-i] = persistReduction(r)
-			}
-		}
-		if e.plan.auto {
-			cascade.PlanLevels, cascade.PlanID, cascade.Auto = e.plan.dims(), e.plan.id(), true
+	if n := len(chain); n > 1 {
+		cascade = &persist.CascadeSection{Levels: make([]persist.Reduction, n)}
+		for i, r := range chain {
+			cascade.Levels[n-1-i] = persistReduction(r)
 		}
 	}
 	return &persist.Snapshot{
@@ -150,13 +143,14 @@ func (e *Engine) saveFileLocked(path string) error {
 // refinement path. The filter levels' per-item data is not persisted:
 // the first query recomputes it from the items.
 //
-// Snapshots carry the full reduction cascade and the auto-cascade
-// plan (since format version 4). A Hierarchy engine whose configured
-// levels match the saved chain, and any AutoCascade engine, resume the
-// full cascade immediately; otherwise — including files written before
-// version 4 — the engine answers queries exactly after loading but
-// runs the single-level filter until Build re-derives the cascade (or
-// the auto planner re-plans one).
+// Snapshots carry the full reduction cascade (since format version 4).
+// An engine whose configured chain — ReducedDims, or the Hierarchy
+// levels — has the saved chain's dimensionalities resumes it
+// immediately; otherwise, including files written before version 4, the
+// engine answers queries exactly after loading but runs the
+// single-level filter until Build re-derives the cascade. Files written
+// by an engine that planned its own chain at run time record that chain
+// like any other: load them with the Options that describe it.
 func LoadEngine(r io.Reader, cost CostMatrix, opts Options) (*Engine, error) {
 	snap, err := persist.ReadSnapshot(r)
 	if err != nil {
@@ -216,12 +210,7 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 			return nil, fmt.Errorf("emdsearch: %w: snapshot engine reduction covers %d dimensions, want %d",
 				ErrCorrupt, red.OriginalDims(), e.Dim())
 		}
-		// Under AutoCascade, Options.ReducedDims is the planner's
-		// starting point rather than a contract: a re-plan may have
-		// re-derived the finest level at a different d', and that is
-		// exactly the state a snapshot preserves. Skip the exact-match
-		// check there; everywhere else a disagreement is a misconfig.
-		if opts.ReducedDims != 0 && red.ReducedDims() != opts.ReducedDims && !opts.AutoCascade {
+		if opts.ReducedDims != 0 && red.ReducedDims() != opts.ReducedDims {
 			return nil, fmt.Errorf("emdsearch: %w: saved reduction has d'=%d, options request %d",
 				ErrConfigMismatch, red.ReducedDims(), opts.ReducedDims)
 		}
@@ -241,35 +230,31 @@ func engineFromSnapshot(s *persist.Snapshot, cost CostMatrix, opts Options) (*En
 		if err != nil {
 			return nil, fmt.Errorf("emdsearch: %w: cascade: %v", ErrCorrupt, err)
 		}
-		// Adoption policy: an AutoCascade engine takes the saved chain
-		// (the planner resumes from the persisted state and re-plans on
-		// drift); a Hierarchy engine takes it only when it matches its
-		// configured levels exactly; anyone else drops the section and
-		// runs the single-level filter until Build re-derives — the
-		// answers are exact either way.
-		if e.plan.auto || slices.Equal(chainDims(levels), e.plan.dims()) {
+		// Adoption policy: an engine takes the saved chain only when it
+		// matches its configured levels exactly; anyone else drops the
+		// section and runs the single-level filter until Build
+		// re-derives — the answers are exact either way.
+		if slices.Equal(chainDims(levels), e.plan.dims()) {
 			chain = levels
 		}
 	}
 	if chain != nil {
-		e.plan = e.plan.withChain(chain)
-		if e.plan.auto {
-			e.metrics.planActive(e.plan, false)
-		}
+		e.plan = boundPlan(chain)
 	}
 	return e, nil
 }
 
 // restoreCascadeSection validates a persisted cascade section and
 // returns the chain it describes, coarse→fine: its own levels, or — for
-// a section carrying only a single-level auto plan — engChain, the
-// engine reduction alone. A CRC-valid but semantically damaged section
-// must fail the load, never reach a filter: every level is re-validated
+// a section carrying only a single-level plan — engChain, the engine
+// reduction alone. A CRC-valid but semantically damaged section must
+// fail the load, never reach a filter: every level is re-validated
 // structurally, the finest level must be byte-identical to the engine
 // reduction, successive levels must be strictly coarser AND nested
 // (same-group-stays-same-group — the property the lower-bound proof
-// rests on), and a persisted plan must fingerprint to its own levels
-// and list exactly the chain's dimensionalities.
+// rests on). Engines that planned their chain at run time (format
+// versions 4 and 5) also wrote the plan: it must list exactly the
+// chain's dimensionalities and carry their fingerprint.
 func restoreCascadeSection(cs *persist.CascadeSection, engChain []*core.Reduction, dim int) ([]*core.Reduction, error) {
 	if len(cs.Levels) == 0 && len(cs.PlanLevels) == 0 {
 		return nil, fmt.Errorf("section carries neither levels nor a plan")
@@ -320,17 +305,28 @@ func restoreCascadeSection(cs *persist.CascadeSection, engChain []*core.Reductio
 		}
 	}
 	if len(cs.PlanLevels) > 0 {
-		if err := cascadeplan.ValidateLevels(cs.PlanLevels, dim); err != nil {
-			return nil, fmt.Errorf("plan: %v", err)
-		}
-		if want := cascadeplan.PlanID(cs.PlanLevels); cs.PlanID != want {
-			return nil, fmt.Errorf("plan fingerprint %016x does not match its levels (%016x)", cs.PlanID, want)
-		}
 		if !slices.Equal(chainDims(chain), cs.PlanLevels) {
 			return nil, fmt.Errorf("plan levels %v disagree with the persisted chain", cs.PlanLevels)
 		}
+		if want := planID(cs.PlanLevels); cs.PlanID != want {
+			return nil, fmt.Errorf("plan fingerprint %016x does not match its levels (%016x)", cs.PlanID, want)
+		}
 	}
 	return chain, nil
+}
+
+// planID is the fingerprint a saved run-time plan carries: FNV-64a over
+// the level count and each level's d', all as little-endian uint64.
+func planID(levels []int) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(len(levels)))
+	h.Write(b[:])
+	for _, l := range levels {
+		binary.LittleEndian.PutUint64(b[:], uint64(l))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }
 
 // OpenWAL attaches a write-ahead log at path to the engine: every

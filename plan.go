@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"emdsearch/internal/cascadeplan"
 	"emdsearch/internal/core"
 )
 
@@ -30,13 +29,11 @@ type planLevel struct {
 // plan is the engine's filter chain (paper Section 4): the ordered
 // lower bounds a candidate passes, cheapest first, before exact
 // refinement. It is the only representation of the chain — the engine
-// and each snapshot hold one, and the per-level dimensionalities, the
-// planner fingerprint and the stage names are all derived from it. A
-// plan is immutable: Build, a re-plan and a snapshot load each make a
-// new one.
+// and each snapshot hold one, and the per-level dimensionalities and
+// the stage names are derived from it. A plan is immutable: Build and a
+// snapshot load each make a new one.
 type plan struct {
 	levels []planLevel
-	auto   bool // the cascade planner may replace the chain (Options.AutoCascade)
 }
 
 // compilePlan validates opts (after withDefaults) for dim-dimensional
@@ -80,25 +77,19 @@ func compilePlan(o Options, dim int) (*plan, error) {
 			return nil, fmt.Errorf("emdsearch: ReducedDims %d conflicts with Hierarchy maximum %d", o.ReducedDims, finest)
 		}
 	}
-	switch {
-	case o.AutoCascade && len(o.Hierarchy) > 0:
-		return nil, fmt.Errorf("emdsearch: AutoCascade conflicts with a fixed Hierarchy")
-	case o.AutoCascade && o.ReducedDims == 0:
-		return nil, fmt.Errorf("emdsearch: AutoCascade requires ReducedDims > 0")
-	}
 	chain := make([]planLevel, len(dims))
 	for i, d := range dims {
 		chain[i].dims = d
 	}
-	return newPlan(chain, o.AutoCascade), nil
+	return newPlan(chain), nil
 }
 
 // newPlan lays out the levels over a chain of reductions (coarse→fine;
 // each entry gives dims and, when bound, red): the potential level,
 // then one reduced EMD per entry. An empty chain is the exact scan and
 // has no level at all.
-func newPlan(chain []planLevel, auto bool) *plan {
-	p := &plan{auto: auto}
+func newPlan(chain []planLevel) *plan {
+	p := &plan{}
 	if len(chain) > 0 {
 		p.levels = append(p.levels, planLevel{kind: kindPotential})
 	}
@@ -109,14 +100,14 @@ func newPlan(chain []planLevel, auto bool) *plan {
 	return p
 }
 
-// withChain returns p's layout over a chain of built reductions,
+// boundPlan lays out the plan over a chain of built reductions,
 // coarse→fine.
-func (p *plan) withChain(chain []*core.Reduction) *plan {
+func boundPlan(chain []*core.Reduction) *plan {
 	levels := make([]planLevel, len(chain))
 	for i, r := range chain {
 		levels[i] = planLevel{dims: r.ReducedDims(), red: r}
 	}
-	return newPlan(levels, p.auto)
+	return newPlan(levels)
 }
 
 // chainDims lists a chain's reduced dimensionalities.
@@ -140,8 +131,7 @@ func (p *plan) reductions() []*core.Reduction {
 	return out
 }
 
-// dims returns the per-level reduced dimensionalities, coarse→fine —
-// the form the cascade planner and the persisted plan use.
+// dims returns the per-level reduced dimensionalities, coarse→fine.
 func (p *plan) dims() []int {
 	var out []int
 	for _, lv := range p.levels {
@@ -151,9 +141,6 @@ func (p *plan) dims() []int {
 	}
 	return out
 }
-
-// id is the planner's fingerprint of the chain.
-func (p *plan) id() uint64 { return cascadeplan.PlanID(p.dims()) }
 
 // finest returns the finest level's reduction, nil while the engine
 // runs unreduced (ReducedDims 0, or Build has not run).

@@ -37,7 +37,6 @@ func TestCompilePlan(t *testing.T) {
 		opts    Options
 		want    []string // nil with wantErr
 		wantErr string
-		auto    bool
 	}{
 		{name: "unreduced", opts: Options{}, want: nil},
 		{name: "single-level", opts: Options{ReducedDims: 8},
@@ -48,8 +47,6 @@ func TestCompilePlan(t *testing.T) {
 			want: []string{"Potentials", "Red-EMD-2@2", "Red-EMD-4@4", "Red-EMD-8@8"}},
 		{name: "hierarchy-of-one", opts: Options{Hierarchy: []int{8}},
 			want: []string{"Potentials", "Red-EMD@8"}},
-		{name: "auto-cascade", opts: Options{ReducedDims: 8, AutoCascade: true},
-			want: []string{"Potentials", "Red-EMD@8"}, auto: true},
 
 		{name: "d' above d", opts: Options{ReducedDims: d + 1}, wantErr: "ReducedDims"},
 		{name: "negative d'", opts: Options{ReducedDims: -1}, wantErr: "ReducedDims"},
@@ -62,8 +59,6 @@ func TestCompilePlan(t *testing.T) {
 		{name: "level zero", opts: Options{Hierarchy: []int{8, 0}}, wantErr: "out of range"},
 		{name: "repeated level", opts: Options{Hierarchy: []int{8, 8}}, wantErr: "distinct"},
 		{name: "d' not the finest level", opts: Options{Hierarchy: []int{8, 2}, ReducedDims: 4}, wantErr: "conflicts"},
-		{name: "auto without d'", opts: Options{AutoCascade: true}, wantErr: "requires ReducedDims"},
-		{name: "auto+hierarchy", opts: Options{Hierarchy: []int{8, 2}, AutoCascade: true}, wantErr: "conflicts"},
 	}
 	for _, c := range cases {
 		if c.wantErr != "" {
@@ -83,36 +78,31 @@ func TestCompilePlan(t *testing.T) {
 		if got := planShape(p); !slices.Equal(got, c.want) {
 			t.Errorf("%s: levels %v, want %v", c.name, got, c.want)
 		}
-		if p.auto != c.auto {
-			t.Errorf("%s: auto=%v, want %v", c.name, p.auto, c.auto)
-		}
 		if p.finest() != nil || len(p.reductions()) != 0 {
 			t.Errorf("%s: a compiled plan carries reductions before Build", c.name)
 		}
 	}
 }
 
-// TestLoadParentSnapshotEqualPlan loads version-4 snapshots written by
+// TestLoadParentSnapshotEqualPlan loads a version-4 snapshot written by
 // the binary of the commit before the plan value existed (testdata/,
 // the TestTortureSnapshotCascadeFlipMatrix fixture: 12 items, d=8,
-// seed 11, rand source 29) and checks that they restore to the plan —
+// seed 11, rand source 29) and checks that it restores to the plan —
 // level list and every reduction — that this code derives for the same
 // engine from scratch. Saving either engine writes the current format:
 // every section that remains decodes equal to the parent's (the cached
 // quantized filter is gone), and two saves are byte-identical. The
-// loaded engine answers equal to brute force.
+// loaded engine answers equal to brute force. The same binary's
+// auto-planned golden is TestLoadLegacyAutoCascadeSnapshot's.
 func TestLoadParentSnapshotEqualPlan(t *testing.T) {
 	const d = 8
 	cost := LinearCost(d)
 	for _, c := range []struct {
-		file  string
-		opts  Options
-		adopt []int
-		want  []string
+		file string
+		opts Options
+		want []string
 	}{
-		{"testdata/v4_auto_2_4.snap", Options{ReducedDims: 4, SampleSize: 6, AutoCascade: true, Seed: 11}, []int{2, 4},
-			[]string{"Potentials", "Red-EMD-2@2", "Red-EMD-4@4"}},
-		{"testdata/v4_hierarchy_4_2.snap", Options{Hierarchy: []int{4, 2}, SampleSize: 6, Seed: 11}, nil,
+		{"testdata/v4_hierarchy_4_2.snap", Options{Hierarchy: []int{4, 2}, SampleSize: 6, Seed: 11},
 			[]string{"Potentials", "Red-EMD-2@2", "Red-EMD-4@4"}},
 	} {
 		golden, err := os.ReadFile(c.file)
@@ -136,15 +126,11 @@ func TestLoadParentSnapshotEqualPlan(t *testing.T) {
 		if err := fresh.Build(); err != nil {
 			t.Fatal(err)
 		}
-		if c.adopt != nil {
-			if err := fresh.adoptChain(c.adopt); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, _, err := fresh.KNN(fresh.Vector(0), 2); err != nil {
+		if _, _, err := fresh.KNN(fresh.Vector(0), 2); err != nil {
 			t.Fatal(err)
 		}
-		if got := planShape(loaded.plan); !slices.Equal(got, c.want) || loaded.plan.auto != fresh.plan.auto {
-			t.Fatalf("%s: restored levels %v auto=%v, want %v auto=%v", c.file, got, loaded.plan.auto, c.want, fresh.plan.auto)
+		if got := planShape(loaded.plan); !slices.Equal(got, c.want) {
+			t.Fatalf("%s: restored levels %v, want %v", c.file, got, c.want)
 		}
 		lr, fr := loaded.plan.reductions(), fresh.plan.reductions()
 		if len(lr) != len(fr) {
@@ -154,9 +140,6 @@ func TestLoadParentSnapshotEqualPlan(t *testing.T) {
 			if !lr[i].Equal(fr[i]) {
 				t.Errorf("%s: level %d: restored reduction %v, fresh build derives %v", c.file, i, lr[i].Assignment(), fr[i].Assignment())
 			}
-		}
-		if loaded.plan.id() != fresh.plan.id() {
-			t.Errorf("%s: plan id %x, want %x", c.file, loaded.plan.id(), fresh.plan.id())
 		}
 		want, err := persist.ReadSnapshot(bytes.NewReader(golden))
 		if err != nil {
@@ -207,12 +190,14 @@ func TestOptionCountsPinned(t *testing.T) {
 		got  int
 		pin  int
 	}{
-		// 9: AsymmetricQuery, Positions and PositionNorm went with the
+		// 8: AsymmetricQuery, Positions and PositionNorm went with the
 		// asymmetric level and the centroid stream; no caller set them
 		// (TestEveryOptionIsSet). RefineHook became the unexported
 		// refineHook once cmd/emdbench's overload sweep, its only
-		// non-test setter, went.
-		{"Options fields", exported(Options{}), 9},
+		// non-test setter, went. AutoCascade went with the run-time
+		// planner: no non-test file set it, and every chain it adopted
+		// is one ReducedDims or Hierarchy configures.
+		{"Options fields", exported(Options{}), 8},
 		// 4: HedgeAfter went with hedging; MergeReserve, RetryMax,
 		// RetryBase, RetryCap and QuarantineCooldown became constants;
 		// ShardTimeout and Seed went and ReplicaShipHook became an
@@ -229,9 +214,10 @@ func TestOptionCountsPinned(t *testing.T) {
 		// went.
 		{"GateOptions fields", exported(GateOptions{}), 1},
 		// 26: four methods nothing called went, and two that duplicated
-		// Metrics().CascadePlan and ReopenWALRetry. Replan became the
-		// unexported replan once cmd/emdbench's cascade experiment, its
-		// only non-test caller, went.
+		// Metrics().CascadePlan (since gone with the run-time planner)
+		// and ReopenWALRetry. Replan became an unexported test seam once
+		// cmd/emdbench's cascade experiment, its only non-test caller,
+		// went, and left with the planner.
 		{"*Engine methods", methods(&Engine{}), 26},
 		// 20: Gate(i) went; only a test called it.
 		{"*ShardSet methods", methods(&ShardSet{}), 20},

@@ -177,7 +177,6 @@ func (e *Engine) Search(ctx context.Context, q Query) (*KNNAnswer, error) {
 	ans := &KNNAnswer{Results: live, Stats: stats}
 	e.metrics.observe(kind, stats)
 	e.metrics.resultsReturned(len(live))
-	e.maybeReplan()
 	if !stats.Cancelled {
 		return ans, nil
 	}

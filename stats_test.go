@@ -150,7 +150,7 @@ func TestEngineMetrics(t *testing.T) {
 // TestEngineDistanceErrors is the regression test for the former
 // panicking Distance: dimension mismatches and out-of-range indices
 // must surface as errors, and the happy path must agree with the
-// package-level EMD.
+// package-level EMD bit for bit.
 func TestEngineDistanceErrors(t *testing.T) {
 	eng, queries := buildEngine(t, Options{ReducedDims: 4, SampleSize: 8}, 30)
 	q := queries[0]
@@ -176,7 +176,7 @@ func TestEngineDistanceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Distance = %g, EMD = %g", got, want)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("Distance = %v, EMD = %v", got, want)
 	}
 }

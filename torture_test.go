@@ -316,7 +316,7 @@ func TestTortureSnapshotQuantFlipMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{ReducedDims: 4, SampleSize: 6, AutoCascade: true, Seed: 11}
+	opts := Options{Hierarchy: []int{4, 2}, SampleSize: 6, Seed: 11}
 	cost := LinearCost(8)
 	if _, err := LoadEngine(bytes.NewReader(raw), cost, opts); err != nil {
 		t.Fatal(err)
